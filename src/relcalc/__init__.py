@@ -15,8 +15,6 @@ from .errors import (
     RelcalcError,
 )
 from .extensions import (
-    ExtensionReport,
-    build_extension_report,
     extension_interval_check,
     extremal_check,
     extremal_from_domain,

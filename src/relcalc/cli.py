@@ -179,6 +179,13 @@ def _parse_dims(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _in_range(flag: str, value: int, lo: int, hi: int | None = None) -> int:
+    if value < lo or (hi is not None and value > hi):
+        allowed = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ParseError(f"{flag}: must be {allowed}, got {value}")
+    return value
+
+
 def cmd_check(args) -> int:
     if args.file is not None:
         rel = read_relation(args.file)
@@ -202,7 +209,8 @@ def cmd_check(args) -> int:
         _emit(args, data, lines)
         return 0 if not failures else 1
     dims = _parse_dims(args.dims)
-    reports = run_suite(args.count, dims, args.seed)
+    count = _in_range("--count", args.count, 1)
+    reports = run_suite(count, dims, args.seed)
     failures = [rep for rep in reports if not rep.passed]
     data = {
         "instances": [
@@ -237,12 +245,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_random(args) -> int:
+    dim = _in_range("--dim", args.dim, 1)
+    restrict = args.restrict if args.restrict is not None else max(1, dim // 2)
     spec = InstanceSpec(
-        dim=args.dim,
+        dim=dim,
         seed=args.seed,
-        mul_dim=args.mul,
-        restrict_dim=args.restrict if args.restrict is not None else max(1, args.dim // 2),
-        entry_bound=args.bound,
+        mul_dim=_in_range("--mul", args.mul, 0, dim),
+        restrict_dim=_in_range("--restrict", restrict, 0, dim),
+        entry_bound=_in_range("--bound", args.bound, 1),
     )
     s, c = random_semibounded(spec)
     if args.output:

@@ -27,13 +27,14 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, kernel, ldl_psd_certificate, rat, solve, solve_mat, vec
+from .linalg import Mat, Vec, identity, kernel, ldl_psd_certificate, rat, solve, solve_mat
 from .relations import (
     LinearRelation,
     adjoint,
     closure,
     compose,
     eigen_relation,
+    eigenspace,
     hsum,
     inverse,
     is_nonneg_above,
@@ -48,7 +49,6 @@ from .relations import (
 )
 from .spaces import (
     InnerProductSpace,
-    ProductSpace,
     Subspace,
     complement,
     contains,
@@ -112,9 +112,7 @@ def _friedrichs_cached(s: LinearRelation, c: Fraction, method: str) -> LinearRel
     via_repmap = shift(compose(adjoint(qrel), closure(qrel)), c)
 
     sstar = adjoint(s)
-    prod = ProductSpace(s.src, s.src)
-    window = _domain_window(prod, parts(s).dom)
-    via_adjoint = LinearRelation(s.src, s.src, intersect(sstar.graph, window))
+    via_adjoint = restrict_domain(sstar, parts(s).dom)
 
     mulstar = parts(sstar).mul
     via_weak = hsum(s, product_relation(span(s.src, []), mulstar))
@@ -143,17 +141,6 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
     if out != friedrichs(s, c):
         raise CrossCheckError("weak Friedrichs extension differs from the Friedrichs extension")
     return out
-
-
-def _domain_window(prod: ProductSpace, dom: Subspace) -> Subspace:
-    """The subspace dom x (full space) of the product."""
-    space = prod.space
-    cols = [vec(b) + prod.right.zero_vec() for b in dom.basis_vectors()]
-    cols += [
-        prod.left.zero_vec() + tuple(Fraction(1) if j == i else Fraction(0) for j in range(prod.right.dim))
-        for i in range(prod.right.dim)
-    ]
-    return span(space, cols)
 
 
 def krein(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
@@ -273,8 +260,7 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     cmat = solve_mat(th.domain.basis, dom_s.basis)
     assert cmat is not None  # dom S inside dom H
     k = th.domain.dim
-    for idx in range(k):
-        y = tuple(Fraction(1) if i == idx else Fraction(0) for i in range(k))
+    for y in identity(k).data:
         ny = n.mul_vec(y)
         rhs = cmat.T.mul_vec(ny)
         normal = cmat.T @ n @ cmat
@@ -379,7 +365,7 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     c = gamma - 1
     q = repmap_ldl(t, gamma)
     j = companion(s, q)
-    ker_c = _eigenspace_of_adjoint(s, c)
+    ker_c = eigenspace(adjoint(s), c)
     meet = intersect(ker_c, parts(adjoint(j)).dom)
     res = meet.dim == 0
     direct = krein(s, gamma) == friedrichs(s, gamma)
@@ -389,12 +375,6 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     if (meet_ineq.dim == 0) != res:
         raise CrossCheckError("sup-finiteness criterion disagrees with the graph comparison")
     return res
-
-
-def _eigenspace_of_adjoint(s: LinearRelation, c: Fraction) -> Subspace:
-    from .relations import eigenspace
-
-    return eigenspace(adjoint(s), c)
 
 
 def relations_of_form(q, c=0) -> tuple[LinearRelation, LinearRelation]:
@@ -420,50 +400,3 @@ def relations_of_form(q, c=0) -> tuple[LinearRelation, LinearRelation]:
         if s_r != product_relation(p.dom, complement(p.dom)):
             raise CrossCheckError("regular-part product formula failed")
     return s_t, a_t
-
-
-@dataclass(frozen=True)
-class NamedCheck:
-    name: str
-    passed: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
-class ExtensionReport:
-    relation: LinearRelation
-    c: Fraction
-    friedrichs: LinearRelation
-    weak_friedrichs: LinearRelation
-    krein: LinearRelation
-    weak_krein: LinearRelation
-    checks: tuple[NamedCheck, ...]
-    bound: object | None  # BoundInterval when the form domain is nonzero
-
-
-def build_extension_report(s: LinearRelation, c) -> ExtensionReport:
-    c = rat(c)
-    f = friedrichs(s, c)
-    wf = weak_friedrichs(s, c)
-    k = krein(s, c)
-    wk = weak_krein(s, c)
-    t = form_of_relation(s)
-    if t.domain.dim > 0:
-        from .forms import bound_bisect
-
-        bound = bound_bisect(t, Fraction(1, 64))
-    else:
-        bound = None
-    checks = (
-        NamedCheck("friedrichs-extends", f.is_extension_of(s)),
-        NamedCheck("krein-extends", k.is_extension_of(s)),
-        NamedCheck("weak-equals-full-friedrichs", wf == f),
-        NamedCheck("weak-equals-full-krein", wk == k),
-        NamedCheck("krein-below-friedrichs", order_leq(k, f).leq),
-        NamedCheck("mul-friedrichs-is-mul-adjoint", parts(f).mul == parts(adjoint(s)).mul),
-        NamedCheck(
-            "mul-krein-is-intersection",
-            parts(k).mul == intersect(parts(shift(s, -c)).ran, parts(adjoint(s)).mul),
-        ),
-    )
-    return ExtensionReport(s, c, f, wf, k, wk, checks, bound)

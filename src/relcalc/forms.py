@@ -41,8 +41,10 @@ from .linalg import (
 )
 from .relations import (
     LinearRelation,
+    _join,
     adjoint,
     eigenspace,
+    form_matrix_on_domain,
     inverse,
     is_symmetric,
     lift,
@@ -53,7 +55,6 @@ from .relations import (
 )
 from .spaces import (
     InnerProductSpace,
-    ProductSpace,
     Subspace,
     contains,
     coordinates,
@@ -131,10 +132,7 @@ def form_of_relation(s: LinearRelation) -> QuadraticForm:
     """t(S)[phi, psi] = (phi', psi) on dom S, phi' any graph lift of phi."""
     if not is_symmetric(s):
         raise PreconditionError("the form of a relation requires a symmetric relation")
-    dom = parts(s).dom
-    lifts = [lift(s, b) for b in dom.basis_vectors()]
-    entries = [[s.src.inner(lifts[i], dom.basis.col(j)) for j in range(dom.dim)] for i in range(dom.dim)]
-    m = Mat(dom.dim, dom.dim, tuple(tuple(r) for r in entries))
+    dom, m = form_matrix_on_domain(s)
     assert m.is_symmetric()
     return QuadraticForm(s.src, dom, m)
 
@@ -270,24 +268,20 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     cert = res.cert.certificate
     k = t.domain.dim
     # P^T (M - cG) P = L D L^T, so M - cG = R^T D R with R = L^T P^T,
-    # i.e. R[a][j] = L[perm[j]... ]: R = L^T composed with the permutation.
-    perm = cert.perm
+    # i.e. R[i][j] = L^T[i][where[j]] with where the inverse permutation.
+    where = {p: i for i, p in enumerate(cert.perm)}
     lt = cert.lower.T
     rows = []
     weights = []
     for i in range(k):
         if cert.diag[i] == 0:
             continue
-        rows.append(tuple(lt.data[i][_perm_index(perm, j)] for j in range(k)))
+        rows.append(tuple(lt.data[i][where[j]] for j in range(k)))
         weights.append(cert.diag[i])
     r = len(rows)
     matrix = Mat(r, k, tuple(rows))
     codomain = InnerProductSpace(r, diag(tuple(weights)))
     return RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
-
-
-def _perm_index(perm: tuple[int, ...], j: int) -> int:
-    return perm.index(j)
 
 
 def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
@@ -402,19 +396,9 @@ def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     if t1.src != t2.src:
         raise PreconditionError("stacked relations must share their source space")
     h, k1, k2 = t1.src, t1.dst, t2.dst
-    triple = ProductSpace(ProductSpace(h, k1).space, k2).space
-    u_cols = [vec(f) + vec(g) + k2.zero_vec() for f, g in t1.pairs()]
-    for i in range(k2.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(k2.dim))
-        u_cols.append(h.zero_vec() + k1.zero_vec() + e)
-    v_cols = [vec(f) + k1.zero_vec() + vec(g) for f, g in t2.pairs()]
-    for i in range(k1.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(k1.dim))
-        v_cols.append(h.zero_vec() + e + k2.zero_vec())
-    meet = intersect(span(triple, u_cols), span(triple, v_cols))
-    out = [(w[: h.dim], w[h.dim :]) for w in meet.basis_vectors()]
+    meet = _join((h, k1, k2), t1.graph, (0, 1), t2.graph, (0, 2))
     dst = InnerProductSpace(k1.dim + k2.dim, block_diag(k1.gram, k2.gram))
-    return relation_from_pairs(h, dst, out)
+    return relation_from_pairs(h, dst, [(f, g1 + g2) for f, g1, g2 in meet])
 
 
 def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:

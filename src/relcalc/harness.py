@@ -10,9 +10,7 @@ exact arithmetic; failures carry serialized witnesses, never just flags.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,13 +55,13 @@ from .relations import (
     regular_part,
     rel_sum,
     relation_from_graph_vectors,
+    restrict_domain,
     shift,
     singular_part,
 )
 from .serialize import relation_witness, vector_witness
 from .spaces import (
     InnerProductSpace,
-    Subspace,
     complement,
     contains,
     intersect,
@@ -567,12 +565,7 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     run("closed-form-extends", closed_form_extends)
 
     def adjoint_form_pairing():
-        window = intersect(
-            sstar.graph,
-            _window(s, parts(s).dom),
-        )
-        for v in window.basis_vectors():
-            phi, phi_prime = v[: s.src.dim], v[s.src.dim :]
+        for phi, phi_prime in restrict_domain(sstar, parts(s).dom).pairs():
             for d in parts(s).dom.basis_vectors():
                 if t.evaluate(phi, d) != s.src.inner(phi_prime, d):
                     return "pairing (phi', psi) != t(S)[phi, psi] at " + vector_witness(phi)
@@ -746,13 +739,6 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def _window(s: LinearRelation, dom: Subspace) -> Subspace:
-    from .extensions import _domain_window
-    from .spaces import ProductSpace
-
-    return _domain_window(ProductSpace(s.src, s.src), dom)
-
-
 # ------------------------------------------------------------------ suite
 
 
@@ -794,18 +780,5 @@ def suite_specs(count: int, dims: tuple[int, int], seed: int, entry_bound: int =
     return specs
 
 
-def thread_count() -> int:
-    raw = os.environ.get("RELCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_suite(count: int, dims: tuple[int, int], seed: int, threads: int | None = None) -> list[InstanceReport]:
-    specs = suite_specs(count, dims, seed)
-    workers = threads if threads is not None else thread_count()
-    if workers <= 1:
-        return [run_one(sp) for sp in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, specs))
+def run_suite(count: int, dims: tuple[int, int], seed: int) -> list[InstanceReport]:
+    return [run_one(sp) for sp in suite_specs(count, dims, seed)]

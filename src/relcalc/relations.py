@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, PreconditionError
-from .linalg import Mat, Vec, hstack, kernel, ldl_psd_certificate, rat, solve, vec
+from .linalg import ZERO, Mat, Vec, hstack, identity, kernel, ldl_psd_certificate, rat, solve, vec
 from .spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -103,11 +104,7 @@ def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Ma
 
 
 def identity_relation(space: InnerProductSpace) -> LinearRelation:
-    pairs = []
-    for i in range(space.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(space.dim))
-        pairs.append((e, e))
-    return relation_from_pairs(space, space, pairs)
+    return relation_from_pairs(space, space, [(e, e) for e in identity(space.dim).data])
 
 
 def zero_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelation:
@@ -122,12 +119,17 @@ def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
     return relation_from_pairs(src, dst, pairs)
 
 
-@lru_cache(maxsize=None)
-def parts(t: LinearRelation) -> RelationParts:
+def _halves(t: LinearRelation) -> tuple[Mat, Mat]:
+    """The graph basis split into its first and its second components: the
+    columns of the two matrices are the f and the g of each basis pair."""
     cols = t.graph.basis
     n = t.src.dim
-    firsts = Mat(n, cols.cols, tuple(cols.data[:n]))
-    seconds = Mat(t.dst.dim, cols.cols, tuple(cols.data[n:]))
+    return Mat(n, cols.cols, cols.data[:n]), Mat(t.dst.dim, cols.cols, cols.data[n:])
+
+
+@lru_cache(maxsize=None)
+def parts(t: LinearRelation) -> RelationParts:
+    firsts, seconds = _halves(t)
     dom = span(t.src, [firsts.col(j) for j in range(firsts.cols)])
     ran = span(t.dst, [seconds.col(j) for j in range(seconds.cols)])
     # mul: combinations of graph vectors with vanishing first component.
@@ -140,10 +142,7 @@ def parts(t: LinearRelation) -> RelationParts:
 
 def lift(t: LinearRelation, x: Sequence[Fraction]) -> Vec:
     """Some g with {x, g} in t; requires x in dom t."""
-    cols = t.graph.basis
-    n = t.src.dim
-    firsts = Mat(n, cols.cols, tuple(cols.data[:n]))
-    seconds = Mat(t.dst.dim, cols.cols, tuple(cols.data[n:]))
+    firsts, seconds = _halves(t)
     combo = solve(firsts, vec(x))
     if combo is None:
         raise PreconditionError("vector is not in the domain of the relation")
@@ -157,10 +156,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     Both Gram matrices enter the pairing; with weighted codomains this is
     what makes the dual-pair identities hold exactly.
     """
-    n, m = t.src.dim, t.dst.dim
-    cols = t.graph.basis
-    firsts = Mat(n, cols.cols, tuple(cols.data[:n]))
-    seconds = Mat(m, cols.cols, tuple(cols.data[n:]))
+    firsts, seconds = _halves(t)
     pairing = hstack((seconds.T @ t.dst.gram), (firsts.T @ t.src.gram).scale(-1))
     sol = kernel(pairing)  # columns are [h | k] with h in dst, k in src
     prod = ProductSpace(t.dst, t.src)
@@ -169,7 +165,6 @@ def adjoint(t: LinearRelation) -> LinearRelation:
 
 @lru_cache(maxsize=None)
 def inverse(t: LinearRelation) -> LinearRelation:
-    prod = t.product
     swapped = [(g, f) for f, g in t.pairs()]
     return relation_from_pairs(t.dst, t.src, swapped)
 
@@ -194,6 +189,46 @@ def closure(t: LinearRelation) -> LinearRelation:
     return t
 
 
+def _cylinder(blocks: Sequence[InnerProductSpace], sub: Subspace, at: Sequence[int]) -> Subspace:
+    """sub x (every block not in ``at``) inside the product of ``blocks``.
+
+    ``sub`` lives in the product of the blocks listed in ``at``, in that
+    order; its basis is placed on those blocks and the unit vectors of the
+    other blocks span the free directions.  The product is left-nested,
+    ((B0 (+) B1) (+) B2), so two blocks give the space of a relation graph.
+    """
+    offsets = [0, *accumulate(b.dim for b in blocks)]
+    cols = []
+    for v in sub.basis_vectors():
+        w = [ZERO] * offsets[-1]
+        pos = 0
+        for i in at:
+            w[offsets[i] : offsets[i + 1]] = v[pos : pos + blocks[i].dim]
+            pos += blocks[i].dim
+        cols.append(w)
+    for i, b in enumerate(blocks):
+        if i not in at:
+            for e in identity(b.dim).data:
+                w = [ZERO] * offsets[-1]
+                w[offsets[i] : offsets[i + 1]] = e
+                cols.append(w)
+    product = blocks[0]
+    for b in blocks[1:]:
+        product = ProductSpace(product, b).space
+    return span(product, cols)
+
+
+def _join(
+    blocks: Sequence[InnerProductSpace], a: Subspace, a_at: Sequence[int], b: Subspace, b_at: Sequence[int]
+) -> list[list[Vec]]:
+    """The meet of the cylinders over a and b, each basis vector cut into
+    its block components (Arens: every relational product is the image of
+    such a meet)."""
+    meet = intersect(_cylinder(blocks, a, a_at), _cylinder(blocks, b, b_at))
+    offsets = [0, *accumulate(blk.dim for blk in blocks)]
+    return [[v[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for v in meet.basis_vectors()]
+
+
 @lru_cache(maxsize=None)
 def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     """R after T: {{f, g} : exists k with {f, k} in T and {k, g} in R}.
@@ -204,26 +239,8 @@ def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     if t.dst != r.src:
         raise AmbientMismatchError("compose requires target of T to equal source of R")
     h, k, l = t.src, t.dst, r.dst
-    triple = ProductSpace(ProductSpace(h, k).space, l).space
-    a_cols = []
-    for f, g in t.pairs():
-        a_cols.append(vec(f) + vec(g) + l.zero_vec())
-    for i in range(l.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(l.dim))
-        a_cols.append(h.zero_vec() + k.zero_vec() + e)
-    b_cols = []
-    for i in range(h.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(h.dim))
-        b_cols.append(e + k.zero_vec() + l.zero_vec())
-    for f, g in r.pairs():
-        b_cols.append(h.zero_vec() + vec(f) + vec(g))
-    meet = intersect(span(triple, a_cols), span(triple, b_cols))
-    out_pairs = []
-    for v in meet.basis_vectors():
-        f = v[: h.dim]
-        g = v[h.dim + k.dim :]
-        out_pairs.append((f, g))
-    return relation_from_pairs(h, l, out_pairs)
+    meet = _join((h, k, l), t.graph, (0, 1), r.graph, (1, 2))
+    return relation_from_pairs(h, l, [(f, g) for f, _, g in meet])
 
 
 @lru_cache(maxsize=None)
@@ -243,22 +260,8 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     """
     _same_spaces(a, b)
     h, k = a.src, a.dst
-    triple = ProductSpace(ProductSpace(h, k).space, k).space
-    u_cols = [vec(f) + vec(g) + k.zero_vec() for f, g in a.pairs()]
-    for i in range(k.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(k.dim))
-        u_cols.append(h.zero_vec() + k.zero_vec() + e)
-    v_cols = [vec(f) + k.zero_vec() + vec(g) for f, g in b.pairs()]
-    for i in range(k.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(k.dim))
-        v_cols.append(h.zero_vec() + e + k.zero_vec())
-    meet = intersect(span(triple, u_cols), span(triple, v_cols))
-    out = []
-    for w in meet.basis_vectors():
-        f = w[: h.dim]
-        g = tuple(x + y for x, y in zip(w[h.dim : h.dim + k.dim], w[h.dim + k.dim :]))
-        out.append((f, g))
-    return relation_from_pairs(h, k, out)
+    meet = _join((h, k, k), a.graph, (0, 1), b.graph, (0, 2))
+    return relation_from_pairs(h, k, [(f, tuple(x + y for x, y in zip(g1, g2))) for f, g1, g2 in meet])
 
 
 @lru_cache(maxsize=None)
@@ -266,12 +269,7 @@ def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     """T restricted to D: graph elements whose first component lies in D."""
     if d.space != t.src:
         raise AmbientMismatchError("restriction subspace must live in the source space")
-    window_cols = [vec(b) + t.dst.zero_vec() for b in d.basis_vectors()]
-    for i in range(t.dst.dim):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(t.dst.dim))
-        window_cols.append(t.src.zero_vec() + e)
-    window = span(t.graph.space, window_cols)
-    return LinearRelation(t.src, t.dst, intersect(t.graph, window))
+    return LinearRelation(t.src, t.dst, intersect(t.graph, _cylinder((t.src, t.dst), d, (0,))))
 
 
 @lru_cache(maxsize=None)
@@ -295,10 +293,7 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
     if t.src != t.dst:
         raise PreconditionError("eigenspace requires equal source and target spaces")
     c = rat(c)
-    cols = t.graph.basis
-    n = t.src.dim
-    firsts = Mat(n, cols.cols, tuple(cols.data[:n]))
-    seconds = Mat(n, cols.cols, tuple(cols.data[n:]))
+    firsts, seconds = _halves(t)
     condition = seconds - firsts.scale(c)
     combos = kernel(condition)
     return span(t.src, [firsts.mul_vec(combos.col(j)) for j in range(combos.cols)])

@@ -135,30 +135,6 @@ def repmap_to_json(q) -> dict:
         "form_matrix": matrix_to_json(q.form_matrix),
     }
 
-
-def extension_report_to_json(report) -> dict:
-    out = {
-        "relation": relation_to_json(report.relation),
-        "c": rational_to_str(report.c),
-        "friedrichs": relation_to_json(report.friedrichs),
-        "weak_friedrichs": relation_to_json(report.weak_friedrichs),
-        "krein": relation_to_json(report.krein),
-        "weak_krein": relation_to_json(report.weak_krein),
-        "checks": [
-            {"name": ch.name, "passed": ch.passed, **({"witness": ch.witness} if ch.witness else {})}
-            for ch in report.checks
-        ],
-    }
-    if report.bound is not None:
-        out["bound"] = {
-            "certified_lo": rational_to_str(report.bound.lo),
-            "refuted_hi": rational_to_str(report.bound.hi),
-            "estimate_approximate": report.bound.estimate,
-        }
-    else:
-        out["bound"] = None
-    return out
-
 # ------------------------------------------------------------------- files
 
 

@@ -203,23 +203,3 @@ def project(x: Sequence[Fraction], w: Subspace) -> Vec:
 def gram_on(w: Subspace) -> Mat:
     """Gram matrix of the ambient inner product in the canonical basis of w."""
     return w.basis.T @ w.space.gram @ w.basis
-
-
-def map_image(space_out: InnerProductSpace, m: Mat, w: Subspace) -> Subspace:
-    """Image of the subspace w under the linear map given by matrix m."""
-    if m.cols != w.space.dim or m.rows != space_out.dim:
-        raise ValueError("matrix shape does not match spaces")
-    return span_mat(space_out, m @ w.basis)
-
-
-def preimage(m: Mat, domain_space: InnerProductSpace, w: Subspace) -> Subspace:
-    """Exact preimage {x : m x in w} as a subspace of domain_space."""
-    if m.rows != w.space.dim or m.cols != domain_space.dim:
-        raise ValueError("matrix shape does not match spaces")
-    if w.is_zero():
-        return span_mat(domain_space, kernel(m))
-    # m x in w  iff  exists c with m x - B c = 0.
-    stacked = hstack(m, w.basis.scale(-1))
-    combos = kernel(stacked)
-    cols = [tuple(combos.data[i][j] for i in range(m.cols)) for j in range(combos.cols)]
-    return span(domain_space, cols)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -160,6 +161,38 @@ def test_random_roundtrip(tmp_path, capsys):
 
 def test_bad_dims_argument_exits_2(capsys):
     assert main(["check", "--count", "1", "--dims", "nope"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "--seed", "1", "--dim", "0"],
+        ["random", "--seed", "1", "--dim", "3", "--mul", "5"],
+        ["random", "--seed", "1", "--dim", "3", "--mul", "-1"],
+        ["random", "--seed", "1", "--dim", "3", "--bound", "0"],
+        ["random", "--seed", "1", "--dim", "3", "--restrict", "4"],
+        ["random", "--seed", "1", "--dim", "3", "--restrict", "-1"],
+        ["check", "--count", "-3"],
+        ["check", "--count", "0"],
+    ],
+)
+def test_out_of_range_arguments_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
+
+# sha256 of the stdout of `relcalc check --count 10 --dims 2..6 --seed 0
+# --format json`.  Any change to a result, a witness or the output layout
+# changes it; a refactor must leave it alone.
+CHECK_SEED0_SHA256 = "d2b8033c5cf67dc36d5833a8f7f6e127dd487dbc9f06697788bb13cef0b279a6"
+
+
+def test_check_seed0_output_is_pinned(capsys):
+    assert main(["check", "--count", "10", "--dims", "2..6", "--seed", "0", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_SEED0_SHA256
 
 
 def test_check_exit_1_on_failure(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 
 from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.extensions import (
-    build_extension_report,
     extension_interval_check,
     extremal_check,
     extremal_from_domain,
@@ -325,12 +324,6 @@ def test_selfadjoint_from_form_roundtrip():
     assert parts(h).dom == dom
     assert parts(h).mul == complement(dom)
     assert form_of_relation(h).restrict(dom).matrix == m
-
-
-def test_extension_report_checks_pass():
-    rep = build_extension_report(e1(), 0)
-    assert all(c.passed for c in rep.checks)
-    assert rep.friedrichs == friedrichs(e1(), 0)
 
 
 def test_purely_multivalued_relation_degenerate_path():

@@ -174,12 +174,6 @@ def test_run_suite_small_and_repeatable():
     assert reports == again
 
 
-def test_run_suite_parallel_matches_serial():
-    serial = run_suite(4, (2, 3), seed=9, threads=1)
-    parallel = run_suite(4, (2, 3), seed=9, threads=3)
-    assert serial == parallel
-
-
 def test_registry_is_exactly_the_suite():
     results = verify_all(e1(), 0)
     assert [r.name for r in results] == list(REQUIRED_CHECKS)

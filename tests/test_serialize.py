@@ -98,20 +98,3 @@ def test_repmap_serialization():
     assert data["c"] == "0"
     assert data["codomain_gram"] == [["4"]]
     assert data["matrix"] == [["1"]]
-
-
-def test_extension_report_serialization():
-    from relcalc.extensions import build_extension_report
-    from relcalc.serialize import extension_report_to_json
-
-    s = relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
-    rep = build_extension_report(s, 0)
-    data = extension_report_to_json(rep)
-    assert set(data) == {
-        "relation", "c", "friedrichs", "weak_friedrichs", "krein", "weak_krein", "checks", "bound",
-    }
-    assert all(ch["passed"] for ch in data["checks"])
-    assert Fraction(data["bound"]["certified_lo"]) <= 2
-    assert parse_relation(data["krein"]) == parse_relation(data["weak_krein"])
-    # canonical writer round-trips the whole document
-    assert canonical_dumps(data) == canonical_dumps(json.loads(canonical_dumps(data)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .forms import (
@@ -27,7 +26,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, identity, kernel, ldl_psd_certificate, rat, solve, solve_mat
+from .linalg import Mat, Vec, identity, kernel, ldl_psd_certificate, memo, rat, solve, solve_mat
 from .relations import (
     LinearRelation,
     adjoint,
@@ -90,10 +89,12 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     rel = relation_from_pairs(space, space, pairs)
     mul_rel = product_relation(span(space, []), complement(domain))
     out = hsum(rel, mul_rel)
-    assert is_selfadjoint(out)
+    if not is_selfadjoint(out):
+        raise CrossCheckError("relation built from a symmetric form is not selfadjoint")
     return out
 
 
+@memo
 def friedrichs(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
     """Friedrichs extension, cross-checked three ways.
 
@@ -101,11 +102,7 @@ def friedrichs(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
     (2) the graph elements of S* whose first component lies in dom S;
     (3) the graph sum S +| ({0} x mul S*).
     """
-    return _friedrichs_cached(s, rat(c), method)
-
-
-@lru_cache(maxsize=None)
-def _friedrichs_cached(s: LinearRelation, c: Fraction, method: str) -> LinearRelation:
+    c = rat(c)
     _require_semibounded(s, c)
     q = REPMAP_BUILDERS[method](s, c)
     qrel = q.as_relation()
@@ -143,6 +140,7 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
     return out
 
 
+@memo
 def krein(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
     """Krein type extension at c, cross-checked four ways.
 
@@ -153,11 +151,7 @@ def krein(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
     (4) closure(S) +| N_c(S*), the version stated for c strictly below the
         bound, which at finite dimension coincides with (2).
     """
-    return _krein_cached(s, rat(c), method)
-
-
-@lru_cache(maxsize=None)
-def _krein_cached(s: LinearRelation, c: Fraction, method: str) -> LinearRelation:
+    c = rat(c)
     _require_semibounded(s, c)
     q = REPMAP_BUILDERS[method](s, c)
     j = companion(s, q)

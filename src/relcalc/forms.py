@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .linalg import (
     identity,
     kernel,
     ldl_psd_certificate,
+    memo,
     rank,
     rat,
     solve,
@@ -127,17 +127,16 @@ class CertifyResult:
         return self.cert is not None
 
 
-@lru_cache(maxsize=None)
+@memo
 def form_of_relation(s: LinearRelation) -> QuadraticForm:
     """t(S)[phi, psi] = (phi', psi) on dom S, phi' any graph lift of phi."""
     if not is_symmetric(s):
         raise PreconditionError("the form of a relation requires a symmetric relation")
     dom, m = form_matrix_on_domain(s)
-    assert m.is_symmetric()
     return QuadraticForm(s.src, dom, m)
 
 
-@lru_cache(maxsize=None)
+@memo
 def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     """Exact PSD certificate for t - c (.,.), or a violating domain vector."""
     c = rat(c)

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RelcalcError
 from .extensions import (
     extension_interval_check,
     extremal_check,
@@ -31,15 +30,17 @@ from .extensions import (
 from .forms import (
     certify_lower_bound,
     companion,
+    dom_companion_by_inequality,
     form_of_relation,
     form_s_of,
     inequality_domain_subspace,
     inequality_range_subspace,
+    ran_adjoint_by_inequality,
     repmap_from_operator,
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, identity, mat, rat, solve_mat, vec
+from .linalg import Mat, clear_memos, identity, kernel, mat, rank, rat, solve_mat, vec
 from .relations import (
     LinearRelation,
     adjoint,
@@ -50,6 +51,7 @@ from .relations import (
     inverse,
     is_selfadjoint,
     is_symmetric,
+    numerical_range_zero,
     parts,
     product_relation,
     regular_part,
@@ -64,6 +66,7 @@ from .spaces import (
     InnerProductSpace,
     complement,
     contains,
+    gram_on,
     intersect,
     member,
     span,
@@ -139,8 +142,6 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
     d = dom.dim
     c0 = Fraction(rng.randint(-bound, bound))
     cmat = _rand_matrix(rng, d, d, bound)
-    from .spaces import gram_on
-
     form = (cmat.T @ cmat) + gram_on(dom).scale(c0)
     ambient = selfadjoint_from_form(space, dom, form)
     assert is_selfadjoint(ambient)
@@ -197,8 +198,6 @@ def random_orthogonal_range_relation(spec: InstanceSpec) -> LinearRelation:
     if perp.dim > 0 and rng.random() < 0.5:
         pairs.append((space.zero_vec(), perp.basis_vectors()[-1]))
     out = relation_from_graph_vectors(space, space, [vec(f) + vec(g) for f, g in pairs])
-    from .relations import numerical_range_zero
-
     assert numerical_range_zero(out)
     assert is_symmetric(out)
     return out
@@ -267,8 +266,6 @@ def sample_selfadjoint_extensions(
 
 
 def _kernel_of_rows(rows: list[list[Fraction]], width: int) -> Mat:
-    from .linalg import kernel
-
     return kernel(Mat(len(rows), width, tuple(tuple(r) for r in rows)))
 
 
@@ -283,8 +280,6 @@ def engineered_nonextremal_extensions(
     dom_s = parts(s).dom
     cmat = solve_mat(tk.domain.basis, dom_s.basis)
     assert cmat is not None
-    from .linalg import kernel
-
     null = kernel(cmat.T)  # coordinates orthogonal to dom S coordinates
     out: list[LinearRelation] = []
     if null.cols == 0:
@@ -395,7 +390,7 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     def run(name: str, fn) -> None:
         try:
             witness = fn()
-        except (AssertionError, RelcalcError) as exc:
+        except Exception as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
             return
         if witness is None:
@@ -476,8 +471,6 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
         rhs = t.matrix - t.domain_gram.scale(c)
         if lhs != rhs:
             return "certificate identity failed for the quotient map"
-        from .linalg import rank
-
         if rank(q_quot.matrix) != q_quot.codomain.dim:
             return "quotient map does not fill its codomain"
         return None
@@ -525,8 +518,6 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
         if sub != parts(adjoint(qrel)).ran:
             return "inequality subspace differs from ran Q_c*"
         rng = random.Random(seed * 7 + 1)
-        from .forms import ran_adjoint_by_inequality
-
         for idx in range(10):
             if idx < 5 and sub.dim > 0:
                 combo = [_rand_fraction(rng, 3) for _ in range(sub.dim)]
@@ -544,8 +535,6 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
         if sub != parts(adjoint(j_ldl)).dom:
             return "inequality subspace differs from dom J_c*"
         rng = random.Random(seed * 7 + 2)
-        from .forms import dom_companion_by_inequality
-
         for idx in range(10):
             if idx < 5 and sub.dim > 0:
                 combo = [_rand_fraction(rng, 3) for _ in range(sub.dim)]
@@ -719,8 +708,6 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     run("relations-of-form", relations_of_form_agree)
 
     def orthogonal_special():
-        from .relations import numerical_range_zero
-
         if not numerical_range_zero(s):
             return None  # vacuous for instances with nonzero numerical range
         p, ps = parts(s), parts(sstar)
@@ -754,6 +741,8 @@ class InstanceReport:
 
 
 def run_one(spec: InstanceSpec) -> InstanceReport:
+    """Generate and check one instance in a fresh cache scope."""
+    clear_memos()
     s, c = random_semibounded(spec)
     checks = verify_all(s, c, seed=spec.seed)
     return InstanceReport(spec, c, tuple(checks))

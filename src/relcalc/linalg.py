@@ -7,6 +7,10 @@ with diagonal pivoting that either certifies positive semidefiniteness or
 returns an explicit vector with negative quadratic value.  No floating
 point is used anywhere in this module; ``fractions.Fraction`` carries
 arbitrary-precision exact arithmetic.
+
+The package's one memo policy lives here too: ``memo`` caches without a
+size bound and ``clear_memos`` empties every cache at once, so running one
+instance per scope (``harness.run_one``) bounds the memory.
 """
 
 from __future__ import annotations
@@ -15,13 +19,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+from .errors import CrossCheckError
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_MEMOS: list = []  # every ``memo`` cache, for ``clear_memos``
+
+
+def memo(fn: Callable) -> Callable:
+    """Cache ``fn`` for the current cache scope; returns the ``lru_cache``
+    object itself, so ``cache_info`` stays available."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_memos() -> None:
+    """Start a new cache scope: empty every ``memo`` cache."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -170,7 +191,7 @@ def block_diag(a: Mat, b: Mat) -> Mat:
     return vstack(top, bot)
 
 
-@lru_cache(maxsize=None)
+@memo
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
@@ -238,7 +259,7 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-@lru_cache(maxsize=None)
+@memo
 def kernel(m: Mat) -> Mat:
     """Basis of the nullspace {x : Mx = 0}, as columns of a cols x k matrix.
 
@@ -321,7 +342,7 @@ class PsdResult:
         return self.certificate is not None
 
 
-@lru_cache(maxsize=None)
+@memo
 def ldl_psd_certificate(m: Mat) -> PsdResult:
     """Exact PSD test by LDL^T with diagonal pivoting.
 
@@ -393,7 +414,8 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
                 for c in range(i, n):
                     a[r][c] -= f * a[i][c]
     cert = PsdCertificate(tuple(perm), Mat(n, n, tuple(tuple(r) for r in lower)), tuple(d))
-    assert cert.verify(m)
+    if not cert.verify(m):
+        raise CrossCheckError("LDL^T factorization does not reproduce the matrix")
     return PsdResult(cert, None)
 
 

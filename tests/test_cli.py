@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +196,18 @@ def test_check_seed0_output_is_pinned(capsys):
     assert main(["check", "--count", "10", "--dims", "2..6", "--seed", "0", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_SEED0_SHA256
+
+
+def test_check_under_python_O_prints_the_same_bytes():
+    # -O strips assert statements; no check may live in one.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["-m", "relcalc.cli", "check", "--count", "3", "--dims", "2..4", "--seed", "0", "--format", "json"]
+    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=300)
+    optimized = subprocess.run([sys.executable, "-O", *argv], env=env, capture_output=True, timeout=300)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
 
 
 def test_check_exit_1_on_failure(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import relcalc.extensions as extensions
 from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.extensions import (
     extension_interval_check,
@@ -324,6 +325,12 @@ def test_selfadjoint_from_form_roundtrip():
     assert parts(h).dom == dom
     assert parts(h).mul == complement(dom)
     assert form_of_relation(h).restrict(dom).matrix == m
+
+
+def test_selfadjoint_from_form_mismatch_is_a_cross_check_error(monkeypatch):
+    monkeypatch.setattr(extensions, "is_selfadjoint", lambda h: False)
+    with pytest.raises(CrossCheckError):
+        selfadjoint_from_form(Q3, span(Q3, [vec([1, 0, 0])]), mat([[2]]))
 
 
 def test_purely_multivalued_relation_degenerate_path():

@@ -1,5 +1,7 @@
 import pytest
 
+import relcalc.harness as harness
+from relcalc.cli import main
 from relcalc.extensions import friedrichs, krein
 from relcalc.forms import certify_lower_bound, form_of_relation
 from relcalc.harness import (
@@ -9,13 +11,14 @@ from relcalc.harness import (
     engineered_nonextremal_extensions,
     random_orthogonal_range_relation,
     random_semibounded,
+    run_one,
     run_suite,
     sample_extremal,
     sample_selfadjoint_extensions,
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import mat, vec
+from relcalc.linalg import _MEMOS, clear_memos, mat, vec
 from relcalc.relations import (
     is_selfadjoint,
     is_symmetric,
@@ -178,3 +181,36 @@ def test_registry_is_exactly_the_suite():
     results = verify_all(e1(), 0)
     assert [r.name for r in results] == list(REQUIRED_CHECKS)
     assert len(set(REQUIRED_CHECKS)) == len(REQUIRED_CHECKS)
+
+
+def test_exception_inside_a_check_fails_only_that_check(monkeypatch, capsys):
+    def broken(s, c):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(harness, "krein_is_operator", broken)
+    results = verify_all(e1(), 0, seed=3)
+    assert [r.name for r in results] == list(REQUIRED_CHECKS)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["krein-operator-criterion"]
+    assert failed[0].witness == "ValueError: planted"
+
+    assert main(["check", "--count", "1", "--dims", "2..2", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL krein-operator-criterion" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def _memo_sizes() -> list[int]:
+    return [f.cache_info().currsize for f in _MEMOS]
+
+
+def test_run_one_starts_a_fresh_cache_scope():
+    # After a then b, the caches must hold exactly what b alone leaves.
+    a, b = suite_specs(2, (3, 4), seed=5)
+    run_one(a)
+    first = run_one(b)
+    after_both = _memo_sizes()
+    assert sum(after_both) > 0
+    clear_memos()
+    assert run_one(b) == first
+    assert _memo_sizes() == after_both

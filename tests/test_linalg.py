@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcalc.errors import CrossCheckError
 from relcalc.linalg import (
     Mat,
+    PsdCertificate,
+    clear_memos,
     from_cols,
     hstack,
     identity,
@@ -115,6 +118,13 @@ def test_ldl_indefinite_counterexample():
     assert not res.ok
     v = res.counterexample
     assert quad_form(m, v) == Fraction(-2)
+
+
+def test_ldl_certificate_mismatch_is_a_cross_check_error(monkeypatch):
+    monkeypatch.setattr(PsdCertificate, "verify", lambda self, m: False)
+    clear_memos()
+    with pytest.raises(CrossCheckError):
+        ldl_psd_certificate(mat([[2, 1], [1, 3]]))
 
 
 def test_ldl_rejects_nonsymmetric():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcalc.errors import PreconditionError
+import relcalc.relations as relations
+from relcalc.errors import CrossCheckError, PreconditionError
 from relcalc.linalg import mat, rank, vec
 from relcalc.relations import (
     LinearRelation,
@@ -262,6 +263,12 @@ def test_adjoint_involution_and_duality(t):
     assert pstar.mul == complement(p.dom)
     assert pstar.ker == complement(p.ran)
     assert closure(t) == t
+
+
+def test_closure_mismatch_is_a_cross_check_error(monkeypatch):
+    monkeypatch.setattr(relations, "adjoint", lambda t: zero_relation(t.dst, t.src))
+    with pytest.raises(CrossCheckError):
+        closure(e1_relation())
 
 
 @given(random_relation())

@@ -25,7 +25,6 @@ from .extensions import (
 from .forms import bound_bisect, form_of_relation
 from .harness import InstanceSpec, random_semibounded, run_suite, verify_all
 from .relations import (
-    adjoint,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,

@@ -26,7 +26,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, identity, kernel, ldl_psd_certificate, memo, rat, solve, solve_mat
+from .linalg import Mat, Vec, kernel, ldl_psd_certificate, memo, rat, solve_mat
 from .relations import (
     LinearRelation,
     adjoint,
@@ -83,7 +83,8 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     b = domain.basis
     gdom = gram_on(domain)
     coeffs = solve_mat(gdom, matrix)  # G_dom^{-1} M, exact
-    assert coeffs is not None
+    if coeffs is None:
+        raise CrossCheckError("the Gram matrix of a basis is singular")
     images = b @ coeffs
     pairs = [(b.col(j), images.col(j)) for j in range(domain.dim)]
     rel = relation_from_pairs(space, space, pairs)
@@ -244,26 +245,25 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
 
     The minimizing set {f : inf = 0} equals span(dom S) + ker of the shifted
     form, a subspace, so checking the canonical basis of dom H suffices.
-    The minimum itself is computed exactly from the normal equations.
+    The minimum itself is computed exactly from the normal equations
+    C^T N C x = C^T N e_i, one solve for every unit vector at once: at e_i
+    it is N_ii - (C^T N e_i) . x_i.
     """
     if not is_nonneg_above(h, c).ok:
         return False
     th = form_of_relation(h)
     n = th.matrix - th.domain_gram.scale(c)
-    dom_s = parts(s).dom
-    cmat = solve_mat(th.domain.basis, dom_s.basis)
-    assert cmat is not None  # dom S inside dom H
-    k = th.domain.dim
-    for y in identity(k).data:
-        ny = n.mul_vec(y)
-        rhs = cmat.T.mul_vec(ny)
-        normal = cmat.T @ n @ cmat
-        x = solve(normal, rhs)
-        assert x is not None  # always solvable for PSD n
-        yny = sum(a * b for a, b in zip(ny, y))
-        cross = sum(a * b for a, b in zip(rhs, x))
-        minimum = yny - cross
-        assert minimum >= 0
+    cmat = solve_mat(th.domain.basis, parts(s).dom.basis)
+    if cmat is None:
+        raise PreconditionError("dom S is not inside dom H")
+    cn = cmat.T @ n
+    x = solve_mat(cn @ cmat, cn)
+    if x is None:
+        raise CrossCheckError("the normal equations of a nonnegative form are inconsistent")
+    for i in range(th.domain.dim):
+        minimum = n[i, i] - sum(a * b for a, b in zip(cn.col(i), x.col(i)))
+        if minimum < 0:
+            raise CrossCheckError("a nonnegative form has a negative infimum")
         if minimum != 0:
             return False
     return True

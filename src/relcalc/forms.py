@@ -14,6 +14,7 @@ forming an exact dual pair with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,7 +48,7 @@ from .relations import (
     form_matrix_on_domain,
     inverse,
     is_symmetric,
-    lift,
+    lifts,
     parts,
     regular_part,
     relation_from_pairs,
@@ -61,6 +62,7 @@ from .spaces import (
     gram_on,
     intersect,
     span,
+    span_mat,
     subspace_sum,
 )
 
@@ -102,7 +104,8 @@ class QuadraticForm:
         if not contains(self.domain, sub):
             raise PreconditionError("restriction target is not inside the form domain")
         coords = solve_mat(self.domain.basis, sub.basis)
-        assert coords is not None
+        if coords is None:
+            raise CrossCheckError("a contained subspace has no coordinates in the form domain")
         return QuadraticForm(self.space, sub, coords.T @ self.matrix @ coords)
 
     def is_restriction_of(self, other: "QuadraticForm") -> bool:
@@ -150,7 +153,7 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
 class BoundInterval:
     lo: Fraction  # certified: t - lo is PSD
     hi: Fraction  # refuted: t - hi is not PSD
-    estimate: float  # floating generalized eigenvalue, display only
+    estimate: float | None  # floating generalized eigenvalue, display only; None if not finite
 
     @property
     def width(self) -> Fraction:
@@ -163,26 +166,22 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
 
     The bound itself is algebraic and in general irrational, so it is never
     computed; only certified rational brackets are.  The float estimate is
-    for display.
+    for display and seeds the bracket search, which starts at 0 when the
+    estimate is not a finite float.
     """
     width = rat(width)
     if t.domain.dim == 0:
         raise PreconditionError("bound_bisect requires a nonzero form domain")
     if width <= 0:
         raise PreconditionError("interval width must be positive")
-    gram = t.domain_gram
-    gf = np.array([[float(x) for x in r] for r in gram.data])
-    mf = np.array([[float(x) for x in r] for r in t.matrix.data])
-    chol = np.linalg.cholesky(gf)
-    inv = np.linalg.inv(chol)
-    est = float(np.min(np.linalg.eigvalsh(inv @ mf @ inv.T)))
+    est = _float_estimate(t)
 
-    lo = Fraction(int(np.floor(est)) - 1)
+    lo = Fraction(math.floor(est) - 1 if est is not None else 0)
     step = Fraction(1)
     while not certify_lower_bound(t, lo).ok:
         lo -= step
         step *= 2
-    hi = Fraction(int(np.ceil(est)) + 1)
+    hi = Fraction(math.ceil(est) + 1 if est is not None else 0)
     step = Fraction(1)
     while certify_lower_bound(t, hi).ok:
         hi += step
@@ -201,6 +200,21 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
         else:
             hi = cand
     return BoundInterval(lo, hi, est)
+
+
+def _float_estimate(t: QuadraticForm) -> float | None:
+    """The smallest generalized eigenvalue of (matrix, domain Gram) in
+    floating point, or None when the entries or the result are not finite
+    floats."""
+    try:
+        gf = np.array([[float(x) for x in r] for r in t.domain_gram.data])
+        mf = np.array([[float(x) for x in r] for r in t.matrix.data])
+        with np.errstate(all="ignore"):
+            inv = np.linalg.inv(np.linalg.cholesky(gf))
+            est = float(np.min(np.linalg.eigvalsh(inv @ mf @ inv.T)))
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    return est if math.isfinite(est) else None
 
 
 def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
@@ -312,9 +326,8 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     r = len(comp)
     # Induced semi-inner product: ([u], [v])_{S-c} = (u, psi)_H where
     # {psi, psi'} in S and psi' - c psi = v.
-    preimages = [lift(inverse(smc), u) for u in comp]
-    w_entries = [[s.src.inner(comp[i], preimages[j]) for j in range(r)] for i in range(r)]
-    w = Mat(r, r, tuple(tuple(row) for row in w_entries))
+    comp_mat = from_cols(s.src.dim, comp)
+    w = comp_mat.T @ s.src.gram @ lifts(inverse(smc), comp_mat)
     if not w.is_symmetric():
         raise CrossCheckError("induced quotient inner product is not symmetric")
     wres = ldl_psd_certificate(w)
@@ -322,18 +335,16 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
         raise CrossCheckError("induced quotient inner product failed the PSD certificate")
     codomain = InnerProductSpace(r, w)
     # Coordinates of [phi' - c phi] on the complement part.
-    section = from_cols(s.src.dim, comp + list(null.basis_vectors()))
-    cols = []
-    for b in t.domain.basis_vectors():
-        image = lift(smc, b)
-        sol = solve(section, image)
-        assert sol is not None
-        cols.append(tuple(sol[:r]))
-    matrix = from_cols(r, cols) if r else zeros(0, t.domain.dim)
+    section = from_cols(s.src.dim, comp + null.basis_vectors())
+    coords = solve_mat(section, lifts(smc, t.domain.basis))
+    if coords is None:
+        raise CrossCheckError("an image phi' - c phi escapes ran(S-c)")
+    matrix = Mat(r, t.domain.dim, coords.data[:r])
     q = RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
     # ran q_c is dense in the quotient, which at finite dimension means all
     # of it.
-    assert rank(matrix) == r
+    if rank(matrix) != r:
+        raise CrossCheckError("the quotient representing map does not fill its codomain")
     return q
 
 
@@ -345,9 +356,7 @@ def repmap_from_operator(op: LinearRelation, t: QuadraticForm, c) -> Representin
     """
     if op.src != t.space:
         raise PreconditionError("operator source must carry the form")
-    cols = [lift(op, b) for b in t.domain.basis_vectors()]
-    matrix = from_cols(op.dst.dim, cols)
-    return RepresentingMap(t.domain, op.dst, matrix, rat(c), t.matrix)
+    return RepresentingMap(t.domain, op.dst, lifts(op, t.domain.basis), rat(c), t.matrix)
 
 
 def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
@@ -431,21 +440,12 @@ def form_s_of(s: LinearRelation, c, q: RepresentingMap | None = None) -> Quadrat
     j = companion(s, q)
     jstar = adjoint(j)
     dom = parts(jstar).dom
-    reg = regular_part(jstar)
-    images = [lift(reg, b) for b in dom.basis_vectors()]
-    k = dom.dim
-    entries = [
-        [
-            c * s.src.inner(dom.basis.col(i), dom.basis.col(j2)) + q.codomain.inner(images[i], images[j2])
-            for j2 in range(k)
-        ]
-        for i in range(k)
-    ]
-    out = QuadraticForm(s.src, dom, Mat(k, k, tuple(tuple(r) for r in entries)))
-    assert certify_lower_bound(out, c).ok
-    if eigenspace(adjoint(s), c).dim > 0:
-        # The bound is attained: the shifted form has a null vector.
-        assert kernel(out.matrix - out.domain_gram.scale(c)).cols > 0
+    images = lifts(regular_part(jstar), dom.basis)
+    out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + images.T @ q.codomain.gram @ images)
+    if not certify_lower_bound(out, c).ok:
+        raise CrossCheckError("the closed form lost the lower bound c")
+    if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).cols == 0:
+        raise CrossCheckError("the bound c is attained by S* but not by the closed form")
     return out
 
 
@@ -460,19 +460,14 @@ def lebesgue_form(q_rel: LinearRelation, c=0) -> tuple[QuadraticForm, QuadraticF
     """
     c = rat(c)
     dom = parts(q_rel).dom
-    k = dom.dim
-    lifts = [lift(q_rel, b) for b in dom.basis_vectors()]
-    reg = regular_part(q_rel)
-    reg_imgs = [lift(reg, b) for b in dom.basis_vectors()]
-    sing_imgs = [tuple(x - y for x, y in zip(g, r)) for g, r in zip(lifts, reg_imgs)]
-    gdom = gram_on(dom)
-    kk = q_rel.dst
-    total = [[c * gdom.data[i][j] + kk.inner(lifts[i], lifts[j]) for j in range(k)] for i in range(k)]
-    regm = [[c * gdom.data[i][j] + kk.inner(reg_imgs[i], reg_imgs[j]) for j in range(k)] for i in range(k)]
-    singm = [[kk.inner(sing_imgs[i], sing_imgs[j]) for j in range(k)] for i in range(k)]
-    total_m = Mat(k, k, tuple(tuple(r) for r in total))
-    reg_m = Mat(k, k, tuple(tuple(r) for r in regm))
-    sing_m = Mat(k, k, tuple(tuple(r) for r in singm))
+    total = lifts(q_rel, dom.basis)
+    reg = lifts(regular_part(q_rel), dom.basis)
+    sing = total - reg
+    base = gram_on(dom).scale(c)
+    g = q_rel.dst.gram
+    total_m = base + total.T @ g @ total
+    reg_m = base + reg.T @ g @ reg
+    sing_m = sing.T @ g @ sing
     # The base term enters the total and the regular part exactly once.
     if reg_m + sing_m != total_m:
         raise CrossCheckError("Lebesgue decomposition identity failed")
@@ -507,8 +502,7 @@ def inequality_range_subspace(s: LinearRelation, c) -> Subspace:
     m = t.matrix - t.domain_gram.scale(c)
     null = kernel(m)  # k x r
     conditions = null.T @ t.domain.basis.T @ s.src.gram  # r x dim
-    sol = kernel(conditions)
-    return span(s.src, [sol.col(j) for j in range(sol.cols)])
+    return span_mat(s.src, kernel(conditions))
 
 
 def dom_companion_by_inequality(s: LinearRelation, c, psi) -> bool:

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CrossCheckError
 from .extensions import (
     extension_interval_check,
     extremal_check,
@@ -40,7 +41,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, clear_memos, identity, kernel, mat, rank, rat, solve_mat, vec
+from .linalg import Mat, Vec, clear_memos, from_cols, identity, kernel, mat, rank, rat, solve_mat, vec
 from .relations import (
     LinearRelation,
     adjoint,
@@ -144,11 +145,9 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
     cmat = _rand_matrix(rng, d, d, bound)
     form = (cmat.T @ cmat) + gram_on(dom).scale(c0)
     ambient = selfadjoint_from_form(space, dom, form)
-    assert is_selfadjoint(ambient)
     # Restrict to a random graph subspace, steering one generator through
     # the multivalued part when present so instances with nontrivial
     # ran(S-c) cap mul S* occur.
-    graph_basis = ambient.graph.basis_vectors()
     target = spec.restrict_dim
     chosen = zero_subspace(ambient.graph.space)
     force_mul = spec.mul_dim > 0 and target > 0 and rng.random() < Fraction(3, 4)
@@ -157,18 +156,16 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
         chosen = span(ambient.graph.space, [space.zero_vec() + m])
     attempts = 0
     while chosen.dim < target and attempts < 64:
-        combo = [ _rand_fraction(rng, bound) for _ in graph_basis ]
-        cand_vec = tuple(
-            sum(c * v[i] for c, v in zip(combo, graph_basis)) for i in range(2 * spec.dim)
-        )
-        cand = subspace_sum(chosen, span(ambient.graph.space, [cand_vec]))
+        combo = [_rand_fraction(rng, bound) for _ in range(ambient.graph.dim)]
+        cand = subspace_sum(chosen, span(ambient.graph.space, [ambient.graph.basis.mul_vec(combo)]))
         if cand.dim > chosen.dim:
             chosen = cand
         attempts += 1
     s = LinearRelation(space, space, chosen)
-    assert is_symmetric(s)
-    res = certify_lower_bound(form_of_relation(s), c0)
-    assert res.ok
+    if not is_symmetric(s):
+        raise CrossCheckError("a restriction of a selfadjoint relation is not symmetric")
+    if not certify_lower_bound(form_of_relation(s), c0).ok:
+        raise CrossCheckError("a restriction lost the lower bound of the selfadjoint relation")
     return s, c0
 
 
@@ -188,18 +185,14 @@ def random_orthogonal_range_relation(spec: InstanceSpec) -> LinearRelation:
     perp = complement(dom)
     pairs = []
     for b in dom.basis_vectors():
-        combo = [_rand_fraction(rng, bound) for _ in perp.basis_vectors()]
-        img = tuple(
-            sum(c * v[i] for c, v in zip(combo, perp.basis_vectors()))
-            for i in range(spec.dim)
-        )
-        pairs.append((b, img))
+        combo = [_rand_fraction(rng, bound) for _ in range(perp.dim)]
+        pairs.append((b, perp.basis.mul_vec(combo)))
     # Occasionally add a purely multivalued generator inside dom-perp.
     if perp.dim > 0 and rng.random() < 0.5:
         pairs.append((space.zero_vec(), perp.basis_vectors()[-1]))
     out = relation_from_graph_vectors(space, space, [vec(f) + vec(g) for f, g in pairs])
-    assert numerical_range_zero(out)
-    assert is_symmetric(out)
+    if not numerical_range_zero(out) or not is_symmetric(out):
+        raise CrossCheckError("dom S is orthogonal to ran S, yet S is not symmetric with W(S) = {0}")
     return out
 
 
@@ -218,55 +211,34 @@ def sample_selfadjoint_extensions(
     rng = random.Random(seed)
     n = s.src.dim
     g = s.src.gram
-    star_basis = adjoint(s).graph.basis_vectors()
-    m = len(star_basis)
+    star = adjoint(s).graph.basis
     out = []
     for _ in range(count):
         graph = s.graph
-        cond_rows: list[list[Fraction]] = []
+        cond_rows: list[Vec] = []
         while graph.dim < n:
-            if cond_rows:
-                sol = _kernel_of_rows(cond_rows, m)
-            else:
-                sol = identity(m)
+            # With no condition yet the kernel is all of the coefficients.
+            sol = kernel(Mat(len(cond_rows), star.cols, tuple(cond_rows)))
             cand = None
             for _attempt in range(16):
                 combo = [_rand_fraction(rng, 3) for _ in range(sol.cols)]
-                x = sol.mul_vec(combo)
-                v = tuple(
-                    sum(xi * b[i] for xi, b in zip(x, star_basis)) for i in range(2 * n)
-                )
+                v = star.mul_vec(sol.mul_vec(combo))
                 if not member(v, graph):
                     cand = v
                     break
             if cand is None:
-                for j in range(sol.cols):
-                    x = sol.col(j)
-                    v = tuple(
-                        sum(xi * b[i] for xi, b in zip(x, star_basis)) for i in range(2 * n)
-                    )
-                    if not member(v, graph):
-                        cand = v
-                        break
-            assert cand is not None
+                cand = next((v for v in (star @ sol).T.data if not member(v, graph)), None)
+            if cand is None:
+                raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
             graph = subspace_sum(graph, span(graph.space, [cand]))
             fa, ga = cand[:n], cand[n:]
-            gfa = g.mul_vec(fa)
-            gga = g.mul_vec(ga)
-            cond_rows.append(
-                [
-                    sum(gga[i] * b[i] for i in range(n)) - sum(gfa[i] * b[n + i] for i in range(n))
-                    for b in star_basis
-                ]
-            )
+            # (g_a, f_b) - (f_a, g_b) for every basis element {f_b, g_b} of S*.
+            cond_rows.append(star.T.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa)))
         t = LinearRelation(s.src, s.src, graph)
-        assert is_selfadjoint(t)
+        if not is_selfadjoint(t):
+            raise CrossCheckError("a maximal symmetric graph is not selfadjoint")
         out.append(t)
     return out
-
-
-def _kernel_of_rows(rows: list[list[Fraction]], width: int) -> Mat:
-    return kernel(Mat(len(rows), width, tuple(tuple(r) for r in rows)))
 
 
 def engineered_nonextremal_extensions(
@@ -279,7 +251,8 @@ def engineered_nonextremal_extensions(
     tk = form_of_relation(k)
     dom_s = parts(s).dom
     cmat = solve_mat(tk.domain.basis, dom_s.basis)
-    assert cmat is not None
+    if cmat is None:
+        raise CrossCheckError("dom S is not inside the domain of the Krein type extension")
     null = kernel(cmat.T)  # coordinates orthogonal to dom S coordinates
     out: list[LinearRelation] = []
     if null.cols == 0:
@@ -316,8 +289,7 @@ def sample_extremal(s: LinearRelation, c, count: int, seed: int) -> list[LinearR
         d = dom_s
         for _k in range(take):
             combo = [_rand_fraction(rng, 3) for _ in gap]
-            v = tuple(sum(cf * g[i] for cf, g in zip(combo, gap)) for i in range(s.src.dim))
-            cand = subspace_sum(d, span(s.src, [v]))
+            cand = subspace_sum(d, span(s.src, [from_cols(s.src.dim, gap).mul_vec(combo)]))
             if cand.dim > d.dim:
                 d = cand
         out.append(extremal_from_domain(s, c, d))
@@ -626,7 +598,7 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
 
     run("friedrichs-translation", translation)
 
-    results.append(check_codding(s, c, krein(s, c)))
+    run("codding-identity", lambda: check_codding(s, c, krein(s, c)).witness)
 
     def mul_ext():
         if parts(krein(s, c)).mul != intersect(parts(shift(s, -c)).ran, parts(sstar).mul):
@@ -722,7 +694,8 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
 
     run("orthogonal-domain-range-special", orthogonal_special)
 
-    assert [r.name for r in results] == list(REQUIRED_CHECKS)
+    if [r.name for r in results] != list(REQUIRED_CHECKS):
+        raise CrossCheckError("the suite did not run the required checks in order")
     return results
 
 

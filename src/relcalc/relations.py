@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import ZERO, Mat, Vec, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve, vec
+from .linalg import ZERO, Mat, Vec, from_cols, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve_mat, vec
 from .spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -28,6 +28,7 @@ from .spaces import (
     intersect,
     project,
     span,
+    span_mat,
     subspace_sum,
 )
 
@@ -128,23 +129,26 @@ def _halves(t: LinearRelation) -> tuple[Mat, Mat]:
 @memo
 def parts(t: LinearRelation) -> RelationParts:
     firsts, seconds = _halves(t)
-    dom = span(t.src, [firsts.col(j) for j in range(firsts.cols)])
-    ran = span(t.dst, [seconds.col(j) for j in range(seconds.cols)])
     # mul: combinations of graph vectors with vanishing first component.
-    mul_combos = kernel(firsts)
-    mul = span(t.dst, [seconds.mul_vec(mul_combos.col(j)) for j in range(mul_combos.cols)])
-    ker_combos = kernel(seconds)
-    ker = span(t.src, [firsts.mul_vec(ker_combos.col(j)) for j in range(ker_combos.cols)])
-    return RelationParts(dom=dom, ran=ran, ker=ker, mul=mul)
+    mul = span_mat(t.dst, seconds @ kernel(firsts))
+    ker = span_mat(t.src, firsts @ kernel(seconds))
+    return RelationParts(dom=span_mat(t.src, firsts), ran=span_mat(t.dst, seconds), ker=ker, mul=mul)
+
+
+def lifts(t: LinearRelation, xs: Mat) -> Mat:
+    """Column j is some g with {x_j, g} in t, x_j the column j of xs;
+    requires every x_j in dom t.  One solve serves all columns, and each
+    column gets the same particular solution as a solve of its own."""
+    firsts, seconds = _halves(t)
+    combos = solve_mat(firsts, xs)
+    if combos is None:
+        raise PreconditionError("vector is not in the domain of the relation")
+    return seconds @ combos
 
 
 def lift(t: LinearRelation, x: Sequence[Fraction]) -> Vec:
     """Some g with {x, g} in t; requires x in dom t."""
-    firsts, seconds = _halves(t)
-    combo = solve(firsts, vec(x))
-    if combo is None:
-        raise PreconditionError("vector is not in the domain of the relation")
-    return seconds.mul_vec(combo)
+    return lifts(t, from_cols(t.src.dim, [x])).col(0)
 
 
 @memo
@@ -157,8 +161,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     firsts, seconds = _halves(t)
     pairing = hstack((seconds.T @ t.dst.gram), (firsts.T @ t.src.gram).scale(-1))
     sol = kernel(pairing)  # columns are [h | k] with h in dst, k in src
-    prod = ProductSpace(t.dst, t.src)
-    return LinearRelation(t.dst, t.src, span(prod.space, [sol.col(j) for j in range(sol.cols)]))
+    return LinearRelation(t.dst, t.src, span_mat(ProductSpace(t.dst, t.src).space, sol))
 
 
 @memo
@@ -290,9 +293,7 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
         raise PreconditionError("eigenspace requires equal source and target spaces")
     c = rat(c)
     firsts, seconds = _halves(t)
-    condition = seconds - firsts.scale(c)
-    combos = kernel(condition)
-    return span(t.src, [firsts.mul_vec(combos.col(j)) for j in range(combos.cols)])
+    return span_mat(t.src, firsts @ kernel(seconds - firsts.scale(c)))
 
 
 def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
@@ -324,9 +325,7 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     tests it with a witness before calling.
     """
     dom = parts(s).dom
-    lifts = [lift(s, b) for b in dom.basis_vectors()]
-    entries = [[s.src.inner(lifts[i], dom.basis.col(j)) for j in range(dom.dim)] for i in range(dom.dim)]
-    return dom, Mat(dom.dim, dom.dim, tuple(tuple(r) for r in entries))
+    return dom, lifts(s, dom.basis).T @ s.src.gram @ dom.basis
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,12 @@ def parse_vector(data: Any, field: str) -> Vec:
     return vec([parse_rational(x, f"{field}[{i}]") for i, x in enumerate(data)])
 
 
+def parse_vectors(data: Any, field: str) -> list[Vec]:
+    if not isinstance(data, list):
+        raise ParseError(f"{field}: expected a list of vectors")
+    return [parse_vector(v, f"{field}[{i}]") for i, v in enumerate(data)]
+
+
 def matrix_to_json(m: Mat) -> list[list[str]]:
     return [[rational_to_str(x) for x in row] for row in m.data]
 
@@ -90,7 +96,7 @@ def subspace_to_json(sub: Subspace) -> dict:
 def parse_subspace(data: Any, space: InnerProductSpace, field: str = "subspace") -> Subspace:
     if not isinstance(data, dict) or "basis" not in data:
         raise ParseError(f"{field}: expected an object with a 'basis' entry")
-    vecs = [parse_vector(v, f"{field}.basis[{i}]") for i, v in enumerate(data["basis"])]
+    vecs = parse_vectors(data["basis"], f"{field}.basis")
     for i, v in enumerate(vecs):
         if len(v) != space.dim:
             raise ParseError(f"{field}.basis[{i}]: wrong length for ambient dimension {space.dim}")
@@ -115,7 +121,7 @@ def parse_relation(data: Any, field: str = "relation") -> LinearRelation:
             raise ParseError(f"{field}.{key}: missing")
     src = parse_space(data["from"], f"{field}.from")
     dst = parse_space(data["to"], f"{field}.to")
-    vecs = [parse_vector(v, f"{field}.graph_basis[{i}]") for i, v in enumerate(data["graph_basis"])]
+    vecs = parse_vectors(data["graph_basis"], f"{field}.graph_basis")
     for i, v in enumerate(vecs):
         if len(v) != src.dim + dst.dim:
             raise ParseError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError
+from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
     Vec,
@@ -156,10 +156,8 @@ def intersect(v: Subspace, w: Subspace) -> Subspace:
     if v.is_zero() or w.is_zero():
         return zero_subspace(v.space)
     stacked = hstack(v.basis, w.basis.scale(-1))
-    combos = kernel(stacked)  # (kv + kw) x m
-    kv = v.basis.cols
-    cols = [v.basis.mul_vec([combos.data[i][j] for i in range(kv)]) for j in range(combos.cols)]
-    return span(v.space, cols)
+    combos = kernel(stacked)  # (kv + kw) x m; the first kv rows combine v's basis
+    return span_mat(v.space, v.basis @ Mat(v.basis.cols, combos.cols, combos.data[: v.basis.cols]))
 
 
 @memo
@@ -194,7 +192,8 @@ def project(x: Sequence[Fraction], w: Subspace) -> Vec:
     normal = b.T @ g @ b
     rhs = (b.T @ g).mul_vec(vec(x))
     coeff = solve(normal, rhs)
-    assert coeff is not None  # B^T G B is positive definite
+    if coeff is None:
+        raise CrossCheckError("the Gram matrix of a basis is singular")
     return b.mul_vec(coeff)
 
 

@@ -1,12 +1,19 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relcalc
 from relcalc.cli import main
 from relcalc.linalg import vec
 from relcalc.relations import relation_from_pairs
@@ -221,3 +228,98 @@ def test_check_exit_1_on_failure(tmp_path, capsys, monkeypatch):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL planted" in out
+
+
+def test_no_check_lives_in_an_assert():
+    # python -O strips assert statements; every check must raise instead.
+    package = os.path.dirname(relcalc.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_non_list_vectors_are_a_parse_error(tmp_path, capsys):
+    for bad in (5, None, "1"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"from": {"dim": 1}, "to": {"dim": 1}, "graph_basis": bad}))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "graph_basis: expected a list of vectors" in captured.err
+
+
+@pytest.mark.parametrize(
+    "space, graph_basis, bound",
+    [
+        # The form entry 10^400 does not fit a float.
+        ({"dim": 1}, [["1", "1e400"]], 10**400),
+        # The Gram 10^-400 rounds to a float 0, which has no Cholesky factor.
+        ({"dim": 1, "gram": [["1e-400"]]}, [["1", "1"]], 1),
+    ],
+)
+def test_unrepresentable_float_estimate_falls_back_to_exact_search(tmp_path, capsys, space, graph_basis, bound):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"from": space, "to": space, "graph_basis": graph_basis}))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)["bound"]
+    assert data["estimate_approximate"] is None
+    assert Fraction(data["certified_lo"]) == bound
+    assert main(["extend", str(path), "--kind", "krein", "--format", "json"]) == 0
+    assert Fraction(json.loads(capsys.readouterr().out)["c"]) == bound
+
+
+valid_rational = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(["0", "1", "-2", "1/2", "-3/4", "1e400", "-1e400", "1e-400"]),
+)
+any_json = st.recursive(
+    valid_rational | st.sampled_from(["x", "1/0", "nan", None, True, 0.5]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["dim", "gram", "basis"]), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+@st.composite
+def relation_json(draw):
+    """A relation file close to valid, with one field perhaps replaced by
+    arbitrary JSON."""
+    n = draw(st.integers(min_value=0, max_value=2))
+    m = n if draw(st.booleans()) else draw(st.integers(min_value=0, max_value=2))
+
+    def space(d):
+        out = {"dim": d}
+        gram = draw(st.sampled_from(["none", "weighted", "weighted", "random"]))
+        if gram == "weighted":
+            out["gram"] = [["2" if i == j else "1/2" for j in range(d)] for i in range(d)]
+        elif gram == "random":
+            out["gram"] = [[draw(valid_rational) for _ in range(d)] for _ in range(d)]
+        return out
+
+    rows = draw(st.integers(min_value=0, max_value=3))
+    data = {
+        "from": space(n),
+        "to": space(m),
+        "graph_basis": [[draw(valid_rational) for _ in range(n + m)] for _ in range(rows)],
+    }
+    field = draw(st.sampled_from(["none", "none", "none", "from", "to", "graph_basis", "top"]))
+    if field == "top":
+        return draw(any_json)
+    if field != "none":
+        data[field] = draw(any_json)
+    return data
+
+
+@given(relation_json())
+@settings(max_examples=150, deadline=None)
+def test_any_small_json_keeps_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rel.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for argv in (["analyze", path], ["extend", path, "--kind", "krein"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3, 4)

@@ -25,7 +25,7 @@ from relcalc.forms import (
     scalar_repmap,
     stack_relations,
 )
-from relcalc.linalg import mat, vec
+from relcalc.linalg import clear_memos, mat, vec
 from relcalc.relations import (
     adjoint,
     compose,
@@ -355,3 +355,14 @@ def test_purely_multivalued_relation_degenerate_path():
     assert parts(k).dom == span(Q2, [vec([0, 1])])
     assert parts(k).mul == span(Q2, [vec([1, 0])])
     assert extremal_check(f, s, 0) and extremal_check(k, s, 0)
+
+
+def test_one_memo_entry_however_the_call_is_spelled():
+    s = e1()
+    clear_memos()
+    first = friedrichs(s, 0)
+    assert friedrichs(s, 0, "ldl") is first
+    assert friedrichs(s, 0, method="ldl") is first
+    assert friedrichs(s=s, c=0) is first
+    assert friedrichs.cache_info().currsize == 1
+    assert friedrichs.__module__ == "relcalc.extensions"

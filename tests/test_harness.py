@@ -2,6 +2,7 @@ import pytest
 
 import relcalc.harness as harness
 from relcalc.cli import main
+from relcalc.errors import CrossCheckError
 from relcalc.extensions import friedrichs, krein
 from relcalc.forms import certify_lower_bound, form_of_relation
 from relcalc.harness import (
@@ -214,3 +215,21 @@ def test_run_one_starts_a_fresh_cache_scope():
     clear_memos()
     assert run_one(b) == first
     assert _memo_sizes() == after_both
+
+
+def test_exception_inside_the_codding_check_fails_only_that_check(monkeypatch):
+    def broken(s, c, candidate):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(harness, "check_codding", broken)
+    results = verify_all(e1(), 0)
+    assert len(results) == 33
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.witness) for r in failed] == [("codding-identity", "ValueError: planted")]
+
+
+def test_generator_cross_check_is_not_an_assert(monkeypatch):
+    # Under python -O a bare assert would let a non-symmetric instance through.
+    monkeypatch.setattr(harness, "is_symmetric", lambda s: False)
+    with pytest.raises(CrossCheckError):
+        random_semibounded(InstanceSpec(dim=2, seed=0))

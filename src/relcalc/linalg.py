@@ -6,7 +6,11 @@ row echelon form, nullspaces, linear solves, and an LDL^T factorization
 with diagonal pivoting that either certifies positive semidefiniteness or
 returns an explicit vector with negative quadratic value.  No floating
 point is used anywhere in this module; ``fractions.Fraction`` carries
-arbitrary-precision exact arithmetic.
+arbitrary-precision exact arithmetic at the interface.  The two
+eliminations, ``rref`` and ``ldl_psd_certificate``, run on integer rows
+instead, reduced by a gcd after each update: ``rref`` scales each row to
+integers, and ``ldl_psd_certificate`` keeps each row's denominator beside
+it.  Fractions appear only in what they return.
 
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
@@ -94,9 +98,13 @@ class Mat:
             raise ValueError("matrix data does not match declared shape")
 
     def __hash__(self) -> int:
+        # Fractions are normalized, so equal matrices have equal
+        # (numerator, denominator) pairs; hashing the int pairs skips the
+        # modular power of Fraction.__hash__.
         cached = getattr(self, "_hash", None)
         if cached is None:
-            cached = hash((self.rows, self.cols, self.data))
+            pairs = tuple([(x.numerator, x.denominator) for r in self.data for x in r])
+            cached = hash((self.rows, self.cols, pairs))
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -227,11 +235,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """
     work: list[list[int]] = []
     for row in m.data:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            scale = scale // gcd(scale, d) * d
-        ints = [x.numerator * (scale // x.denominator) for x in row]
+        ints, _ = _int_row(row)
         _reduce_int_row(ints)
         work.append(ints)
     pivots: list[int] = []
@@ -261,6 +265,19 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         else:
             out.append(tuple(ZERO for _ in range(m.cols)))
     return Mat(m.rows, m.cols, tuple(out)), tuple(pivots)
+
+
+def _int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers ``ints`` and ``den > 0`` with ``row == ints / den``.
+
+    ``den`` is the least common denominator of the row, so no factor
+    divides ``den`` and every entry of ``ints``.
+    """
+    den = 1
+    for x in row:
+        d = x.denominator
+        den = den // gcd(den, d) * d
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _reduce_int_row(row: list[int]) -> None:
@@ -367,17 +384,31 @@ class PsdResult:
 def ldl_psd_certificate(m: Mat) -> PsdResult:
     """Exact PSD test by LDL^T with diagonal pivoting.
 
-    At each step the largest remaining diagonal entry is the pivot.  When
-    all remaining diagonal entries are zero the remaining block must be
-    zero too, otherwise the matrix is indefinite and a counterexample
-    vector v with v^T M v < 0 is produced by back substitution through the
-    partial factorization.  Eigenvalues never appear: they would leave the
-    rational field.
+    At each step the largest remaining diagonal entry is the pivot (the
+    first one on ties).  When all remaining diagonal entries are zero the
+    remaining block must be zero too, otherwise the matrix is indefinite
+    and a counterexample vector v with v^T M v < 0 is produced by back
+    substitution through the partial factorization.  Eigenvalues never
+    appear: they would leave the rational field.
+
+    The elimination runs on integer rows, as in ``rref``: row r of the
+    running Schur complement is ``a[r] / den[r]`` with Python ints and
+    ``den[r] > 0``, one denominator per row, reduced by a gcd after each
+    update.  (One denominator for the whole matrix, as in Bareiss, grows
+    far beyond any entry on wide product-space Grams.)  Fractions appear
+    only in the certificate: ``L[r][i] = f den[i] / (den[r] piv)`` and
+    ``D_i = piv / den[i]``.  A rational LDL^T with a fixed pivot order is
+    unique, so the certificate does not depend on this representation.
     """
     if not m.is_symmetric():
         raise ValueError("ldl_psd_certificate requires a symmetric matrix")
     n = m.rows
-    a = [list(r) for r in m.data]
+    a: list[list[int]] = []
+    den: list[int] = []
+    for row in m.data:
+        ints, scale = _int_row(row)
+        a.append(ints)
+        den.append(scale)
     lower = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     perm = list(range(n))
     d: list[Fraction] = []
@@ -398,7 +429,11 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
         return tuple(out)
 
     for i in range(n):
-        p = max(range(i, n), key=lambda j: a[j][j])
+        # Columns < i of the rows >= i are stale and never read again.
+        p = i
+        for j in range(i + 1, n):
+            if a[j][j] * den[p] > a[p][p] * den[j]:
+                p = j
         if a[p][p] <= 0:
             neg = next((j for j in range(i, n) if a[j][j] < 0), None)
             if neg is not None:
@@ -421,19 +456,25 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
             break
         if p != i:
             a[i], a[p] = a[p], a[i]
-            for row in a:
+            den[i], den[p] = den[p], den[i]
+            for row in a[i:]:
                 row[i], row[p] = row[p], row[i]
             perm[i], perm[p] = perm[p], perm[i]
             for j in range(i):
                 lower[i][j], lower[p][j] = lower[p][j], lower[i][j]
-        piv = a[i][i]
-        d.append(piv)
+        prow = a[i]
+        piv = prow[i]
+        d.append(Fraction(piv, den[i]))
+        ptail = prow[i + 1:]
         for r in range(i + 1, n):
-            f = a[r][i] / piv
-            lower[r][i] = f
+            row = a[r]
+            f = row[i]
             if f:
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
+                lower[r][i] = Fraction(f * den[i], den[r] * piv)
+                tail = [piv * x - f * y for x, y in zip(row[i + 1:], ptail)]
+                g = gcd(den[r] * piv, *tail)
+                den[r] = den[r] * piv // g
+                row[i + 1:] = tail if g == 1 else [x // g for x in tail]
     cert = PsdCertificate(tuple(perm), Mat(n, n, tuple(tuple(r) for r in lower)), tuple(d))
     if not cert.verify(m):
         raise CrossCheckError("LDL^T factorization does not reproduce the matrix")

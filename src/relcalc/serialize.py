@@ -26,7 +26,8 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def parse_rational(s: Any, field: str) -> Fraction:
-    if isinstance(s, int):
+    # JSON true/false arrive as bools, which are ints to isinstance.
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"{field}: expected a rational string, got {type(s).__name__}")
@@ -78,7 +79,7 @@ def parse_space(data: Any, field: str = "space") -> InnerProductSpace:
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError(f"{field}: expected an object with a 'dim' entry")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError(f"{field}.dim: expected a nonnegative integer")
     if "gram" not in data:
         return standard_space(dim)

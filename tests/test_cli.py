@@ -252,6 +252,24 @@ def test_non_list_vectors_are_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "space, graph_basis",
+    [
+        # JSON booleans are Python ints to isinstance; neither is a number here.
+        ({"dim": True}, [["1", "1"]]),
+        ({"dim": 1}, [[True, "1"]]),
+    ],
+)
+def test_json_booleans_are_a_parse_error(tmp_path, capsys, space, graph_basis):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"from": space, "to": space, "graph_basis": graph_basis}))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "space, graph_basis, bound",
     [
         # The form entry 10^400 does not fit a float.

@@ -192,3 +192,133 @@ def test_solve_mat_multiple_rhs():
     x = solve_mat(m, b)
     assert x is not None
     assert m @ x == b
+
+
+# --------------------------------------------- LDL^T against the Fraction one
+
+
+def _fraction_ldl(m):
+    """The elimination on Fractions that the integer-row kernel replaced.
+
+    Returns ``("psd", perm, lower, diag)`` when m is PSD and
+    ``("indefinite", v)`` otherwise; kept here as the reference the kernel
+    must match.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    n = m.rows
+    a = [list(r) for r in m.data]
+    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    d = []
+
+    def counterexample(v):
+        w = list(v)
+        for i in range(n - 1, -1, -1):
+            s = w[i]
+            for j in range(i + 1, n):
+                s -= lower[j][i] * w[j]
+            w[i] = s
+        out = [zero] * n
+        for pos in range(n):
+            out[perm[pos]] = w[pos]
+        return tuple(out)
+
+    for i in range(n):
+        p = max(range(i, n), key=lambda j: a[j][j])
+        if a[p][p] <= 0:
+            neg = next((j for j in range(i, n) if a[j][j] < 0), None)
+            if neg is not None:
+                v = [zero] * n
+                v[neg] = one
+                return "indefinite", counterexample(v)
+            off = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if a[r][c] != 0), None)
+            if off is not None:
+                r, c = off
+                v = [zero] * n
+                v[r] = one
+                v[c] = -one if a[r][c] > 0 else one
+                return "indefinite", counterexample(v)
+            d.extend([zero] * (n - i))
+            break
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            for row in a:
+                row[i], row[p] = row[p], row[i]
+            perm[i], perm[p] = perm[p], perm[i]
+            for j in range(i):
+                lower[i][j], lower[p][j] = lower[p][j], lower[i][j]
+        piv = a[i][i]
+        d.append(piv)
+        for r in range(i + 1, n):
+            f = a[r][i] / piv
+            lower[r][i] = f
+            if f:
+                for c in range(i, n):
+                    a[r][c] -= f * a[i][c]
+    return "psd", tuple(perm), mat(lower), tuple(d)
+
+
+LARGE_PRIMES = (1_000_003, 999_983, 2_147_483_647, 1_000_000_007, 2**61 - 1, 998_244_353, 104_729)
+
+
+def _tall_gram(draw, n):
+    # C C^T for an n x k matrix C with k <= n: PSD, rank at most k.
+    k = draw(st.integers(min_value=0, max_value=n))
+    c = mat([[draw(rationals) for _ in range(k)] for _ in range(n)])
+    return c @ c.T
+
+
+@st.composite
+def ldl_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    family = draw(st.sampled_from(["gram", "planted", "zero-diagonal", "large-primes"]))
+    g = _tall_gram(draw, n).to_lists()
+    if family == "planted" and n:
+        # Subtract enough of e_i e_i^T to plant a negative direction.
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        g[i][i] -= g[i][i] + draw(st.integers(min_value=1, max_value=5))
+    elif family == "zero-diagonal" and n >= 2:
+        # Zero out rows and columns, then couple one of them to another
+        # index: a zero diagonal entry with a nonzero off-diagonal one.
+        zeroed = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n, unique=True))
+        for z in zeroed:
+            for j in range(n):
+                g[z][j] = g[j][z] = Fraction(0)
+        i = zeroed[0]
+        j = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda j: j != i))
+        x = draw(rationals.filter(bool))
+        g[i][j] = g[j][i] = x
+    elif family == "large-primes":
+        # Row and column r scaled by 1/p_r, p_r a large prime: D G D with
+        # unrelated denominators, indefinite when G is.
+        ps = [draw(st.sampled_from(LARGE_PRIMES)) for _ in range(n)]
+        if draw(st.booleans()):
+            for r in range(n):
+                g[r][r] -= draw(st.integers(min_value=0, max_value=3))
+        g = [[g[r][c] / (ps[r] * ps[c]) for c in range(n)] for r in range(n)]
+    return mat(g)
+
+
+@given(ldl_inputs())
+@settings(max_examples=300, deadline=None)
+def test_integer_row_ldl_matches_the_fraction_elimination(m):
+    ref = _fraction_ldl(m)
+    res = ldl_psd_certificate(m)
+    if ref[0] == "psd":
+        assert res.ok
+        cert = res.certificate
+        assert (cert.perm, cert.lower, cert.diag) == ref[1:]
+    else:
+        assert not res.ok
+        assert res.counterexample == ref[1]
+        assert quad_form(m, ref[1]) < 0
+
+
+def test_equal_matrices_hash_equally():
+    halves = Mat(1, 2, ((Fraction(2, 4), Fraction(-6, 4)),))
+    assert halves == mat([["1/2", "-3/2"]])
+    assert hash(halves) == hash(mat([["1/2", "-3/2"]]))
+    from_ints = mat([[1, 0, -7], [3, 2, 5]])
+    from_strings = mat([["1", "0/3", "-14/2"], ["9/3", "2/1", "5"]])
+    assert from_ints == from_strings
+    assert hash(from_ints) == hash(from_strings)

@@ -31,6 +31,7 @@ from .relations import (
     parts,
 )
 from .serialize import (
+    MAX_DIM,
     canonical_dumps,
     parse_rational,
     rational_to_str,
@@ -49,39 +50,46 @@ EXTEND_KINDS = {
 }
 
 
-def _emit(args, data: dict, text_lines: list[str]) -> None:
+def _emit(args, output: str | None, data: dict, text_lines: list[str]) -> None:
+    """Write the JSON or text form of a result to `output`, or to stdout."""
     if args.format == "json":
         payload = canonical_dumps(data)
     else:
         payload = "\n".join(text_lines) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
+def _default_c(rel) -> Fraction:
+    """The certified lower end of a 1/64 bound bracket, or 0 when the form
+    domain is empty."""
+    t = form_of_relation(rel)
+    return bound_bisect(t, Fraction(1, 64)).lo if t.domain.dim else Fraction(0)
+
+
+def _check_json(r) -> dict:
+    return {"name": r.name, "passed": r.passed, **({"witness": r.witness} if r.witness else {})}
+
+
 def cmd_analyze(args) -> int:
+    width = parse_rational(args.width, "--width")
+    if width <= 0:
+        raise ParseError(f"--width: must be positive, got {width}")
     rel = read_relation(args.file)
     p = parts(rel)
-    data: dict = {
-        "parts": {
-            "dom": {"dim": p.dom.dim, **subspace_to_json(p.dom)},
-            "ran": {"dim": p.ran.dim, **subspace_to_json(p.ran)},
-            "ker": {"dim": p.ker.dim, **subspace_to_json(p.ker)},
-            "mul": {"dim": p.mul.dim, **subspace_to_json(p.mul)},
-        },
-    }
-    lines = [
-        f"dom: dim {p.dom.dim}  basis {[vector_to_json(b) for b in p.dom.basis_vectors()]}",
-        f"ran: dim {p.ran.dim}  basis {[vector_to_json(b) for b in p.ran.basis_vectors()]}",
-        f"ker: dim {p.ker.dim}  basis {[vector_to_json(b) for b in p.ker.basis_vectors()]}",
-        f"mul: dim {p.mul.dim}  basis {[vector_to_json(b) for b in p.mul.basis_vectors()]}",
-    ]
+    data: dict = {"parts": {}}
+    lines = []
+    for name in ("dom", "ran", "ker", "mul"):
+        sub = getattr(p, name)
+        data["parts"][name] = {"dim": sub.dim, **subspace_to_json(sub)}
+        lines.append(f"{name}: dim {sub.dim}  basis {[vector_to_json(b) for b in sub.basis_vectors()]}")
     if rel.src != rel.dst:
         data.update({"symmetric": False, "selfadjoint": False, "numerical_range_zero": False, "bound": None})
         lines.append("relation is not an endorelation; no form analysis")
-        _emit(args, data, lines)
+        _emit(args, args.output, data, lines)
         return 3
     symmetric = is_symmetric(rel)
     data["symmetric"] = symmetric
@@ -93,14 +101,13 @@ def cmd_analyze(args) -> int:
     if not symmetric:
         data["bound"] = None
         lines.append("not symmetric: the form of the relation is undefined")
-        _emit(args, data, lines)
+        _emit(args, args.output, data, lines)
         return 3
     t = form_of_relation(rel)
     if t.domain.dim == 0:
         data["bound"] = None
         lines.append("bound: empty domain, no finite lower bound to certify")
     else:
-        width = parse_rational(args.width, "--width")
         interval = bound_bisect(t, width)
         data["bound"] = {
             "certified_lo": rational_to_str(interval.lo),
@@ -111,19 +118,13 @@ def cmd_analyze(args) -> int:
             f"bound: certified at {interval.lo}, refuted at {interval.hi} "
             f"(estimate approximate: {interval.estimate})"
         )
-    _emit(args, data, lines)
+    _emit(args, args.output, data, lines)
     return 0
 
 
 def cmd_extend(args) -> int:
     rel = read_relation(args.file)
-    c = parse_rational(args.c, "--c") if args.c is not None else None
-    if c is None:
-        t = form_of_relation(rel)
-        if t.domain.dim == 0:
-            c = Fraction(0)
-        else:
-            c = bound_bisect(t, Fraction(1, 64)).lo
+    c = parse_rational(args.c, "--c") if args.c is not None else _default_c(rel)
     builder, checks = EXTEND_KINDS[args.kind]
     out = builder(rel, c)
     if args.output:
@@ -143,8 +144,7 @@ def cmd_extend(args) -> int:
     if args.output:
         lines.append(f"wrote {args.output}")
         data["wrote"] = args.output
-    emit_args = argparse.Namespace(format=args.format, output=None)
-    _emit(emit_args, data, lines)
+    _emit(args, None, data, lines)
     return 0
 
 
@@ -154,7 +154,7 @@ def cmd_order(args) -> int:
     hk = order_leq(h, k).leq
     kh = order_leq(k, h).leq
     verdict = {(True, True): "equal", (True, False): "leq", (False, True): "geq", (False, False): "incomparable"}[(hk, kh)]
-    _emit(args, {"order": verdict}, [verdict])
+    _emit(args, args.output, {"order": verdict}, [verdict])
     return 0
 
 
@@ -163,7 +163,7 @@ def cmd_extremal(args) -> int:
     s = read_relation(args.s_file)
     c = parse_rational(args.c, "--c")
     res = extremal_check(h, s, c)
-    _emit(args, {"extremal": res, "c": rational_to_str(c)}, [str(res).lower()])
+    _emit(args, args.output, {"extremal": res, "c": rational_to_str(c)}, [str(res).lower()])
     return 0
 
 
@@ -173,8 +173,8 @@ def _parse_dims(raw: str) -> tuple[int, int]:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise ParseError(f"--dims: expected A..B, got {raw!r}") from None
-    if lo < 1 or hi < lo:
-        raise ParseError(f"--dims: invalid range {raw!r}")
+    if lo < 1 or hi < lo or hi > MAX_DIM:
+        raise ParseError(f"--dims: invalid range {raw!r} (dimensions lie between 1 and {MAX_DIM})")
     return lo, hi
 
 
@@ -188,24 +188,17 @@ def _in_range(flag: str, value: int, lo: int, hi: int | None = None) -> int:
 def cmd_check(args) -> int:
     if args.file is not None:
         rel = read_relation(args.file)
-        if args.c is not None:
-            c = parse_rational(args.c, "--c")
-        else:
-            t = form_of_relation(rel)
-            c = bound_bisect(t, Fraction(1, 64)).lo if t.domain.dim else Fraction(0)
+        c = parse_rational(args.c, "--c") if args.c is not None else _default_c(rel)
         results = verify_all(rel, c, seed=args.seed)
         failures = [r for r in results if not r.passed]
         data = {
             "c": rational_to_str(c),
-            "checks": [
-                {"name": r.name, "passed": r.passed, **({"witness": r.witness} if r.witness else {})}
-                for r in results
-            ],
+            "checks": [_check_json(r) for r in results],
             "summary": f"{len(results) - len(failures)}/{len(results)} checks, {len(failures)} failures",
         }
         lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f"  [{r.witness}]" if r.witness else "") for r in results]
         lines.append(data["summary"])
-        _emit(args, data, lines)
+        _emit(args, args.output, data, lines)
         return 0 if not failures else 1
     dims = _parse_dims(args.dims)
     count = _in_range("--count", args.count, 1)
@@ -222,10 +215,7 @@ def cmd_check(args) -> int:
                     "entry_bound": rep.spec.entry_bound,
                 },
                 "c": rational_to_str(rep.c),
-                "checks": [
-                    {"name": ch.name, "passed": ch.passed, **({"witness": ch.witness} if ch.witness else {})}
-                    for ch in rep.checks
-                ],
+                "checks": [_check_json(ch) for ch in rep.checks],
             }
             for rep in reports
         ],
@@ -239,12 +229,12 @@ def cmd_check(args) -> int:
             if not ch.passed:
                 lines.append(f"  FAIL {ch.name}: {ch.witness}")
     lines.append(data["summary"])
-    _emit(args, data, lines)
+    _emit(args, args.output, data, lines)
     return 0 if not failures else 1
 
 
 def cmd_random(args) -> int:
-    dim = _in_range("--dim", args.dim, 1)
+    dim = _in_range("--dim", args.dim, 1, MAX_DIM)
     restrict = args.restrict if args.restrict is not None else max(1, dim // 2)
     spec = InstanceSpec(
         dim=dim,
@@ -260,8 +250,7 @@ def cmd_random(args) -> int:
     lines = [f"certified c: {c}", f"graph dimension: {s.graph.dim}"]
     if args.output:
         lines.append(f"wrote {args.output}")
-    emit_args = argparse.Namespace(format=args.format, output=None)
-    _emit(emit_args, data, lines)
+    _emit(args, None, data, lines)
     return 0
 
 

@@ -59,11 +59,10 @@ from .spaces import (
     Subspace,
     contains,
     coordinates,
+    extending,
     gram_on,
     intersect,
-    span,
     span_mat,
-    subspace_sum,
 )
 
 
@@ -316,13 +315,7 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     null = intersect(ran_smc, parts(adjoint(s)).mul)
     # Extend the null basis to a basis of ran(S-c); the added vectors span
     # the complement carrying the quotient.
-    comp: list[Vec] = []
-    current = null
-    for u in ran_smc.basis_vectors():
-        candidate = subspace_sum(current, span(s.src, [u]))
-        if candidate.dim > current.dim:
-            comp.append(u)
-            current = candidate
+    comp = extending(null, ran_smc.basis_vectors())
     r = len(comp)
     # Induced semi-inner product: ([u], [v])_{S-c} = (u, psi)_H where
     # {psi, psi'} in S and psi' - c psi = v.

@@ -3,9 +3,15 @@
 `random_semibounded` manufactures a symmetric semibounded relation by
 restricting a random selfadjoint semibounded relation (operator part plus
 purely multivalued part on its orthogonal complement) to a random graph
-subspace, together with a certified rational lower bound.  `verify_all`
-then runs every named identity of the theory against the instance in
-exact arithmetic; failures carry serialized witnesses, never just flags.
+subspace, together with a certified rational lower bound.
+
+The suite is a registry of top-level checks, each registered in order by
+`@check("name")` and taking one frozen `_Instance`: the relation, the base
+point, the seed and the objects every check shares (S*, t(S), both
+representing maps, their companions and their graphs), built once per
+instance.  `REQUIRED_CHECKS` is the registry's list of names.
+`verify_all` builds the instance and runs every check in exact
+arithmetic; failures carry serialized witnesses, never just flags.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import CrossCheckError
 from .extensions import (
@@ -29,6 +36,8 @@ from .extensions import (
     weak_krein,
 )
 from .forms import (
+    QuadraticForm,
+    RepresentingMap,
     certify_lower_bound,
     companion,
     dom_companion_by_inequality,
@@ -65,8 +74,10 @@ from .relations import (
 from .serialize import relation_witness, vector_witness
 from .spaces import (
     InnerProductSpace,
+    Subspace,
     complement,
     contains,
+    extending,
     gram_on,
     intersect,
     member,
@@ -106,13 +117,26 @@ def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def _rand_vec(rng: random.Random, n: int, bound: int) -> Vec:
+    return tuple(_rand_fraction(rng, bound) for _ in range(n))
+
+
 def _rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Mat:
-    return mat([[_rand_fraction(rng, bound) for _ in range(cols)] for _ in range(rows)])
+    return mat([_rand_vec(rng, cols, bound) for _ in range(rows)])
 
 
 def _rand_spd_gram(rng: random.Random, dim: int, bound: int) -> Mat:
     b = _rand_matrix(rng, dim, dim, bound)
     return (b.T @ b) + identity(dim)
+
+
+def _grow(sub: Subspace, target: int, attempts: int, draw: Callable[[], Vec]) -> Subspace:
+    """Add one drawn vector per attempt until sub reaches dimension target."""
+    for _ in range(attempts):
+        if sub.dim >= target:
+            break
+        sub = span(sub.space, sub.basis_vectors() + [draw()])
+    return sub
 
 
 def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
@@ -128,17 +152,7 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
     bound = spec.entry_bound
     space = InnerProductSpace(spec.dim, _rand_spd_gram(rng, spec.dim, bound))
     # Random multivalued part of the ambient selfadjoint relation.
-    mul_sub = zero_subspace(space)
-    attempts = 0
-    while mul_sub.dim < spec.mul_dim and attempts < 32:
-        cand = span(
-            space,
-            list(mul_sub.basis_vectors())
-            + [[_rand_fraction(rng, bound) for _ in range(spec.dim)]],
-        )
-        if cand.dim > mul_sub.dim:
-            mul_sub = cand
-        attempts += 1
+    mul_sub = _grow(zero_subspace(space), spec.mul_dim, 32, lambda: _rand_vec(rng, spec.dim, bound))
     dom = complement(mul_sub)
     d = dom.dim
     c0 = Fraction(rng.randint(-bound, bound))
@@ -154,13 +168,8 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
     if force_mul:
         m = mul_sub.basis_vectors()[0]
         chosen = span(ambient.graph.space, [space.zero_vec() + m])
-    attempts = 0
-    while chosen.dim < target and attempts < 64:
-        combo = [_rand_fraction(rng, bound) for _ in range(ambient.graph.dim)]
-        cand = subspace_sum(chosen, span(ambient.graph.space, [ambient.graph.basis.mul_vec(combo)]))
-        if cand.dim > chosen.dim:
-            chosen = cand
-        attempts += 1
+    graph = ambient.graph.basis
+    chosen = _grow(chosen, target, 64, lambda: graph.mul_vec(_rand_vec(rng, graph.cols, bound)))
     s = LinearRelation(space, space, chosen)
     if not is_symmetric(s):
         raise CrossCheckError("a restriction of a selfadjoint relation is not symmetric")
@@ -175,18 +184,9 @@ def random_orthogonal_range_relation(spec: InstanceSpec) -> LinearRelation:
     bound = spec.entry_bound
     space = InnerProductSpace(spec.dim, _rand_spd_gram(rng, spec.dim, bound))
     dom_dim = rng.randint(0, spec.dim - 1) if spec.dim > 1 else 0
-    dom = zero_subspace(space)
-    attempts = 0
-    while dom.dim < dom_dim and attempts < 32:
-        cand = subspace_sum(dom, span(space, [[_rand_fraction(rng, bound) for _ in range(spec.dim)]]))
-        if cand.dim > dom.dim:
-            dom = cand
-        attempts += 1
+    dom = _grow(zero_subspace(space), dom_dim, 32, lambda: _rand_vec(rng, spec.dim, bound))
     perp = complement(dom)
-    pairs = []
-    for b in dom.basis_vectors():
-        combo = [_rand_fraction(rng, bound) for _ in range(perp.dim)]
-        pairs.append((b, perp.basis.mul_vec(combo)))
+    pairs = [(b, perp.basis.mul_vec(_rand_vec(rng, perp.dim, bound))) for b in dom.basis_vectors()]
     # Occasionally add a purely multivalued generator inside dom-perp.
     if perp.dim > 0 and rng.random() < 0.5:
         pairs.append((space.zero_vec(), perp.basis_vectors()[-1]))
@@ -221,8 +221,7 @@ def sample_selfadjoint_extensions(
             sol = kernel(Mat(len(cond_rows), star.cols, tuple(cond_rows)))
             cand = None
             for _attempt in range(16):
-                combo = [_rand_fraction(rng, 3) for _ in range(sol.cols)]
-                v = star.mul_vec(sol.mul_vec(combo))
+                v = star.mul_vec(sol.mul_vec(_rand_vec(rng, sol.cols, 3)))
                 if not member(v, graph):
                     cand = v
                     break
@@ -275,64 +274,62 @@ def sample_extremal(s: LinearRelation, c, count: int, seed: int) -> list[LinearR
     q = repmap_ldl(form_of_relation(s), c)
     j = companion(s, q)
     dom_s = parts(s).dom
-    dom_jstar = parts(adjoint(j)).dom
-    gap: list = []
-    current = dom_s
-    for b in dom_jstar.basis_vectors():
-        cand = subspace_sum(current, span(s.src, [b]))
-        if cand.dim > current.dim:
-            gap.append(b)
-            current = cand
+    gap = extending(dom_s, parts(adjoint(j)).dom.basis_vectors())
+    gap_mat = from_cols(s.src.dim, gap)
     out = []
     for _ in range(count):
         take = rng.randint(0, len(gap))
-        d = dom_s
-        for _k in range(take):
-            combo = [_rand_fraction(rng, 3) for _ in gap]
-            cand = subspace_sum(d, span(s.src, [from_cols(s.src.dim, gap).mul_vec(combo)]))
-            if cand.dim > d.dim:
-                d = cand
-        out.append(extremal_from_domain(s, c, d))
+        drawn = [gap_mat.mul_vec(_rand_vec(rng, len(gap), 3)) for _k in range(take)]
+        out.append(extremal_from_domain(s, c, span(s.src, dom_s.basis_vectors() + drawn)))
     return out
 
 
 # --------------------------------------------------------------- the suite
 
-REQUIRED_CHECKS: tuple[str, ...] = (
-    "adjoint-involution",
-    "adjoint-inverse-exchange",
-    "parts-duality",
-    "compose-associative",
-    "regular-singular-split",
-    "shift-roundtrip",
-    "closure-degenerate",
-    "repmap-certificate-ldl",
-    "repmap-certificate-quotient",
-    "dual-pair",
-    "repmap-independence-kkt",
-    "mul-companion-intersection",
-    "range-inequality-criterion",
-    "domain-inequality-criterion",
-    "closed-form-extends",
-    "adjoint-form-pairing",
-    "inverse-repmap-duality",
-    "companion-product-extension",
-    "friedrichs-triple",
-    "krein-quadruple",
-    "weak-equals-full",
-    "friedrichs-translation",
-    "codding-identity",
-    "mul-extensions",
-    "order-krein-leq-friedrichs",
-    "repmap-independence-extensions",
-    "extremal-endpoints",
-    "extremal-intermediate",
-    "extremal-equivalence-samples",
-    "order-interval-equivalence",
-    "krein-operator-criterion",
-    "relations-of-form",
-    "orthogonal-domain-range-special",
-)
+
+@dataclass(frozen=True)
+class _Instance:
+    """One checked instance and the objects its checks share."""
+
+    s: LinearRelation
+    c: Fraction
+    seed: int
+    sstar: LinearRelation
+    t: QuadraticForm
+    q_ldl: RepresentingMap
+    q_quot: RepresentingMap
+    j_ldl: LinearRelation
+    j_quot: LinearRelation
+    qrel: LinearRelation
+    qrel2: LinearRelation
+
+    @classmethod
+    def build(cls, s: LinearRelation, c, seed: int) -> _Instance:
+        """The shared objects, built in a fixed order: `perfbench/tracer.py`
+        times everything up to the second `companion` call as the preamble."""
+        c = rat(c)
+        sstar = adjoint(s)
+        t = form_of_relation(s)
+        q_ldl = repmap_ldl(t, c)
+        q_quot = repmap_quotient(s, c)
+        j_ldl = companion(s, q_ldl)
+        j_quot = companion(s, q_quot)
+        return cls(s, c, seed, sstar, t, q_ldl, q_quot, j_ldl, j_quot, q_ldl.as_relation(), q_quot.as_relation())
+
+
+# A check returns None when it holds and a witness string when it fails.
+CheckFn = Callable[[_Instance], str | None]
+REGISTRY: list[tuple[str, CheckFn]] = []
+
+
+def check(name: str) -> Callable[[CheckFn], CheckFn]:
+    """Register a check under `name`; the suite runs checks in registration order."""
+
+    def register(fn: CheckFn) -> CheckFn:
+        REGISTRY.append((name, fn))
+        return fn
+
+    return register
 
 
 def check_codding(s: LinearRelation, c, candidate: LinearRelation) -> CheckResult:
@@ -349,6 +346,337 @@ def check_codding(s: LinearRelation, c, candidate: LinearRelation) -> CheckResul
     )
 
 
+def _certifies(q: RepresentingMap, x: _Instance) -> bool:
+    """The representing-map identity Q^T G_Q Q = t - c G on the form domain."""
+    return q.matrix.T @ q.codomain.gram @ q.matrix == x.t.matrix - x.t.domain_gram.scale(x.c)
+
+
+def _first_disagreement(x: _Instance, sub: Subspace, expected: Subspace, pointwise, salt: int) -> Vec | None:
+    """The first of ten sampled vectors on which pointwise(s, c, v) differs
+    from membership in expected; the first five are drawn from sub when it
+    is nonzero, the rest from the whole space."""
+    rng = random.Random(x.seed * 7 + salt)
+    for idx in range(10):
+        if idx < 5 and sub.dim > 0:
+            v = sub.basis.mul_vec(_rand_vec(rng, sub.dim, 3))
+        else:
+            v = _rand_vec(rng, x.s.src.dim, 3)
+        if pointwise(x.s, x.c, v) != member(v, expected):
+            return v
+    return None
+
+
+@check("adjoint-involution")
+def _involution(x: _Instance) -> str | None:
+    for rel in (x.s, x.sstar, x.j_ldl, x.qrel):
+        if adjoint(adjoint(rel)) != rel:
+            return relation_witness(rel)
+    return None
+
+
+@check("adjoint-inverse-exchange")
+def _inverse_exchange(x: _Instance) -> str | None:
+    return None if adjoint(inverse(x.s)) == inverse(x.sstar) else relation_witness(x.s)
+
+
+@check("parts-duality")
+def _parts_duality(x: _Instance) -> str | None:
+    p, ps = parts(x.s), parts(x.sstar)
+    if ps.mul != complement(p.dom):
+        return "mul S* != (dom S)-perp: " + relation_witness(x.sstar)
+    if ps.ker != complement(p.ran):
+        return "ker S* != (ran S)-perp: " + relation_witness(x.sstar)
+    return None
+
+
+@check("compose-associative")
+def _associativity(x: _Instance) -> str | None:
+    lhs = compose(compose(x.sstar, adjoint(x.qrel)), x.qrel)
+    rhs = compose(x.sstar, compose(adjoint(x.qrel), x.qrel))
+    return None if lhs == rhs else relation_witness(x.s)
+
+
+@check("regular-singular-split")
+def _regular_singular(x: _Instance) -> str | None:
+    for rel in (x.s, x.sstar, x.j_ldl):
+        reg, sing = regular_part(rel), singular_part(rel)
+        if rel_sum(reg, sing) != rel:
+            return "recombination failed: " + relation_witness(rel)
+        if parts(reg).mul.dim != 0:
+            return "regular part is not an operator: " + relation_witness(reg)
+        if not contains(parts(rel).mul, parts(sing).ran):
+            return "singular range escapes mul: " + relation_witness(sing)
+        if not hsum(reg, sing).is_extension_of(rel):
+            return "graph span lost the relation: " + relation_witness(rel)
+    return None
+
+
+@check("shift-roundtrip")
+def _shift_roundtrip(x: _Instance) -> str | None:
+    return None if shift(shift(x.s, x.c), -x.c) == x.s else relation_witness(x.s)
+
+
+@check("closure-degenerate")
+def _closure_degenerate(x: _Instance) -> str | None:
+    return None if closure(x.s) == x.s else relation_witness(x.s)
+
+
+@check("repmap-certificate-ldl")
+def _certificate_ldl(x: _Instance) -> str | None:
+    return None if _certifies(x.q_ldl, x) else "certificate identity failed for the LDL map"
+
+
+@check("repmap-certificate-quotient")
+def _certificate_quotient(x: _Instance) -> str | None:
+    if not _certifies(x.q_quot, x):
+        return "certificate identity failed for the quotient map"
+    if rank(x.q_quot.matrix) != x.q_quot.codomain.dim:
+        return "quotient map does not fill its codomain"
+    return None
+
+
+@check("dual-pair")
+def _dual_pair(x: _Instance) -> str | None:
+    for q, j in ((x.qrel, x.j_ldl), (x.qrel2, x.j_quot)):
+        if not adjoint(j).is_extension_of(q):
+            return "Q not inside J*"
+        if not adjoint(q).is_extension_of(j):
+            return "J not inside Q*"
+    return None
+
+
+@check("repmap-independence-kkt")
+def _independence_kkt(x: _Instance) -> str | None:
+    j_ldl, j_quot = x.j_ldl, x.j_quot
+    if compose(adjoint(x.qrel), x.qrel) != compose(adjoint(x.qrel2), x.qrel2):
+        return "Q*Q depends on the representing map"
+    lhs = shift(compose(j_ldl, x.qrel), x.c)
+    if lhs != shift(compose(j_quot, x.qrel2), x.c):
+        return "c + J Q depends on the representing map"
+    if not lhs.is_extension_of(x.s):
+        return "c + J Q is not an extension"
+    if compose(j_ldl, adjoint(j_ldl)) != compose(j_quot, adjoint(j_quot)):
+        return "J J* depends on the representing map"
+    if compose(closure(j_ldl), adjoint(j_ldl)) != compose(closure(j_quot), adjoint(j_quot)):
+        return "J** J* depends on the representing map"
+    return None
+
+
+@check("mul-companion-intersection")
+def _mul_companion(x: _Instance) -> str | None:
+    expected = intersect(parts(shift(x.s, -x.c)).ran, parts(x.sstar).mul)
+    for j in (x.j_ldl, x.j_quot):
+        if parts(j).mul != expected:
+            return "mul J_c != ran(S-c) cap mul S*"
+    return None
+
+
+@check("range-inequality-criterion")
+def _range_inequality(x: _Instance) -> str | None:
+    sub, ran = inequality_range_subspace(x.s, x.c), parts(adjoint(x.qrel)).ran
+    if sub != ran:
+        return "inequality subspace differs from ran Q_c*"
+    v = _first_disagreement(x, sub, ran, ran_adjoint_by_inequality, 1)
+    return None if v is None else "pointwise halfFr disagreement at " + vector_witness(v)
+
+
+@check("domain-inequality-criterion")
+def _domain_inequality(x: _Instance) -> str | None:
+    sub, dom = inequality_domain_subspace(x.s, x.c), parts(adjoint(x.j_ldl)).dom
+    if sub != dom:
+        return "inequality subspace differs from dom J_c*"
+    v = _first_disagreement(x, sub, dom, dom_companion_by_inequality, 2)
+    return None if v is None else "pointwise domJ* disagreement at " + vector_witness(v)
+
+
+@check("closed-form-extends")
+def _closed_form_extends(x: _Instance) -> str | None:
+    big = form_s_of(x.s, x.c, x.q_ldl)
+    return None if x.t.is_restriction_of(big) else "t(S) is not a restriction of s(S)"
+
+
+@check("adjoint-form-pairing")
+def _adjoint_form_pairing(x: _Instance) -> str | None:
+    dom = parts(x.s).dom
+    for phi, phi_prime in restrict_domain(x.sstar, dom).pairs():
+        for d in dom.basis_vectors():
+            if x.t.evaluate(phi, d) != x.s.src.inner(phi_prime, d):
+                return "pairing (phi', psi) != t(S)[phi, psi] at " + vector_witness(phi)
+    return None
+
+
+@check("inverse-repmap-duality")
+def _inverse_repmap_duality(x: _Instance) -> str | None:
+    inv_rel = inverse(shift(x.s, -x.c))
+    t_inv = form_of_relation(inv_rel)
+    jinv_map = repmap_from_operator(inverse(x.j_ldl), t_inv, 0)
+    if companion(inv_rel, jinv_map) != inverse(x.qrel):
+        return "companion of J^{-1} is not Q^{-1}"
+    return None
+
+
+@check("companion-product-extension")
+def _companion_product(x: _Instance) -> str | None:
+    ext = shift(compose(x.j_ldl, x.qrel), x.c)
+    if not ext.is_extension_of(x.s):
+        return "S not inside c + J Q"
+    n_sub = intersect(parts(shift(x.s, -x.c)).ran, parts(x.sstar).mul)
+    if (ext == x.s) != (n_sub == parts(x.s).mul):
+        return "equality criterion for c + J Q failed"
+    return None
+
+
+@check("friedrichs-triple")
+def _friedrichs_triple(x: _Instance) -> str | None:
+    f = friedrichs(x.s, x.c)
+    if not f.is_extension_of(x.s):
+        return "S_F does not extend S"
+    if parts(f).mul != parts(x.sstar).mul:
+        return "mul S_F != mul S*"
+    return None
+
+
+@check("krein-quadruple")
+def _krein_quadruple(x: _Instance) -> str | None:
+    k = krein(x.s, x.c)
+    if not k.is_extension_of(x.s):
+        return "S_K does not extend S"
+    tk = form_of_relation(k)
+    if not certify_lower_bound(tk, x.c).ok:
+        return "S_K lost the bound"
+    if eigenspace(x.sstar, x.c).dim > 0:
+        if certify_lower_bound(tk, x.c + Fraction(1, 1000)).ok:
+            return "S_K bound is not exactly c"
+    return None
+
+
+@check("weak-equals-full")
+def _weak_equals_full(x: _Instance) -> str | None:
+    if weak_friedrichs(x.s, x.c) != friedrichs(x.s, x.c):
+        return "weak Friedrichs differs"
+    if weak_krein(x.s, x.c) != krein(x.s, x.c):
+        return "weak Krein differs"
+    return None
+
+
+@check("friedrichs-translation")
+def _friedrichs_translation(x: _Instance) -> str | None:
+    lhs = friedrichs(shift(x.s, -x.c), 0)
+    return None if lhs == shift(friedrichs(x.s, x.c), -x.c) else "(S-c)_F != S_F - c"
+
+
+@check("codding-identity")
+def _codding(x: _Instance) -> str | None:
+    return check_codding(x.s, x.c, krein(x.s, x.c)).witness
+
+
+@check("mul-extensions")
+def _mul_extensions(x: _Instance) -> str | None:
+    if parts(krein(x.s, x.c)).mul != intersect(parts(shift(x.s, -x.c)).ran, parts(x.sstar).mul):
+        return "mul S_K,c formula failed"
+    if parts(friedrichs(x.s, x.c)).mul != parts(x.sstar).mul:
+        return "mul S_F formula failed"
+    return None
+
+
+@check("order-krein-leq-friedrichs")
+def _order_krein_friedrichs(x: _Instance) -> str | None:
+    return None if order_leq(krein(x.s, x.c), friedrichs(x.s, x.c)).leq else "S_K,c > S_F"
+
+
+@check("repmap-independence-extensions")
+def _independence_extensions(x: _Instance) -> str | None:
+    if friedrichs(x.s, x.c, method="quotient") != friedrichs(x.s, x.c):
+        return "Friedrichs depends on the representing map"
+    if krein(x.s, x.c, method="quotient") != krein(x.s, x.c):
+        return "Krein depends on the representing map"
+    return None
+
+
+@check("extremal-endpoints")
+def _extremal_endpoints(x: _Instance) -> str | None:
+    if not extremal_check(friedrichs(x.s, x.c), x.s, x.c):
+        return "S_F not extremal"
+    if not extremal_check(krein(x.s, x.c), x.s, x.c):
+        return "S_K,c not extremal"
+    return None
+
+
+@check("extremal-intermediate")
+def _extremal_intermediate(x: _Instance) -> str | None:
+    for h in sample_extremal(x.s, x.c, 4, x.seed * 11 + 3):
+        if not extremal_check(h, x.s, x.c):
+            return "sampled extension not extremal: " + relation_witness(h)
+        if not order_leq(krein(x.s, x.c), h).leq or not order_leq(h, friedrichs(x.s, x.c)).leq:
+            return "sampled extremal extension escapes the order interval"
+    return None
+
+
+@check("extremal-equivalence-samples")
+def _extremal_samples(x: _Instance) -> str | None:
+    # extremal_check internally cross-asserts the definitional and the
+    # sandwich characterizations; running it on arbitrary selfadjoint
+    # extensions exercises the equivalence on both outcomes.
+    for h in engineered_nonextremal_extensions(x.s, x.c):
+        if extremal_check(h, x.s, x.c):
+            return "engineered non-extremal extension tested extremal: " + relation_witness(h)
+    for h in sample_selfadjoint_extensions(x.s, 3, x.seed * 11 + 4):
+        extremal_check(h, x.s, x.c)
+    return None
+
+
+@check("order-interval-equivalence")
+def _order_interval(x: _Instance) -> str | None:
+    for h in sample_selfadjoint_extensions(x.s, 5, x.seed * 11 + 5):
+        if not extension_interval_check(x.s, x.c, h):
+            return "order interval equivalence failed: " + relation_witness(h)
+    return None
+
+
+@check("krein-operator-criterion")
+def _krein_operator(x: _Instance) -> str | None:
+    krein_is_operator(x.s, x.c)  # internally cross-asserted
+    return None
+
+
+@check("relations-of-form")
+def _relations_of_form(x: _Instance) -> str | None:
+    s_t, a_t = relations_of_form(x.q_ldl, x.c)
+    if s_t != a_t:
+        return "S_t != A_t for a closed representing map"
+    if s_t != friedrichs(x.s, x.c):
+        return "c + Q*Q differs from the Friedrichs extension"
+    return None
+
+
+@check("orthogonal-domain-range-special")
+def _orthogonal_special(x: _Instance) -> str | None:
+    s = x.s
+    if not numerical_range_zero(s):
+        return None  # vacuous for instances with nonzero numerical range
+    p, ps = parts(s), parts(x.sstar)
+    if friedrichs(s, 0) != product_relation(p.dom, ps.mul):
+        return "S_F != dom S x mul S*"
+    if krein(s, 0) != product_relation(ps.ker, p.ran):
+        return "S_K != ker S* x ran S"
+    for h in sample_selfadjoint_extensions(s, 3, x.seed * 11 + 6):
+        if numerical_range_zero(h) != extremal_check(h, s, 0):
+            return "W(H) = 0 does not match extremality: " + relation_witness(h)
+    return None
+
+
+REQUIRED_CHECKS: tuple[str, ...] = tuple(name for name, _ in REGISTRY)
+
+
+def _run(name: str, fn: CheckFn, x: _Instance) -> CheckResult:
+    """Run one check; an exception inside it is a failure of that check."""
+    try:
+        witness = fn(x)
+    except Exception as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, witness is None, witness)
+
+
 def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     """Run the full named identity suite against one instance.
 
@@ -356,347 +684,8 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     serialized witness.  Exceptions inside a check are failures of that
     check, not of the harness.
     """
-    c = rat(c)
-    results: list[CheckResult] = []
-
-    def run(name: str, fn) -> None:
-        try:
-            witness = fn()
-        except Exception as exc:
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-            return
-        if witness is None:
-            results.append(CheckResult(name, True))
-        else:
-            results.append(CheckResult(name, False, witness))
-
-    sstar = adjoint(s)
-    t = form_of_relation(s)
-    q_ldl = repmap_ldl(t, c)
-    q_quot = repmap_quotient(s, c)
-    j_ldl = companion(s, q_ldl)
-    j_quot = companion(s, q_quot)
-    qrel = q_ldl.as_relation()
-    qrel2 = q_quot.as_relation()
-
-    def involution():
-        for rel in (s, sstar, j_ldl, qrel):
-            if adjoint(adjoint(rel)) != rel:
-                return relation_witness(rel)
-        return None
-
-    run("adjoint-involution", involution)
-
-    run(
-        "adjoint-inverse-exchange",
-        lambda: None if adjoint(inverse(s)) == inverse(sstar) else relation_witness(s),
-    )
-
-    def parts_duality():
-        p, ps = parts(s), parts(sstar)
-        if ps.mul != complement(p.dom):
-            return "mul S* != (dom S)-perp: " + relation_witness(sstar)
-        if ps.ker != complement(p.ran):
-            return "ker S* != (ran S)-perp: " + relation_witness(sstar)
-        return None
-
-    run("parts-duality", parts_duality)
-
-    def associativity():
-        lhs = compose(compose(sstar, adjoint(qrel)), qrel)
-        rhs = compose(sstar, compose(adjoint(qrel), qrel))
-        return None if lhs == rhs else relation_witness(s)
-
-    run("compose-associative", associativity)
-
-    def reg_sing():
-        for rel in (s, sstar, j_ldl):
-            reg, sing = regular_part(rel), singular_part(rel)
-            if rel_sum(reg, sing) != rel:
-                return "recombination failed: " + relation_witness(rel)
-            if parts(reg).mul.dim != 0:
-                return "regular part is not an operator: " + relation_witness(reg)
-            if not contains(parts(rel).mul, parts(sing).ran):
-                return "singular range escapes mul: " + relation_witness(sing)
-            if not hsum(reg, sing).is_extension_of(rel):
-                return "graph span lost the relation: " + relation_witness(rel)
-        return None
-
-    run("regular-singular-split", reg_sing)
-
-    run(
-        "shift-roundtrip",
-        lambda: None if shift(shift(s, c), -c) == s else relation_witness(s),
-    )
-
-    run("closure-degenerate", lambda: None if closure(s) == s else relation_witness(s))
-
-    def cert_ldl():
-        lhs = q_ldl.matrix.T @ q_ldl.codomain.gram @ q_ldl.matrix
-        rhs = t.matrix - t.domain_gram.scale(c)
-        return None if lhs == rhs else "certificate identity failed for the LDL map"
-
-    run("repmap-certificate-ldl", cert_ldl)
-
-    def cert_quot():
-        lhs = q_quot.matrix.T @ q_quot.codomain.gram @ q_quot.matrix
-        rhs = t.matrix - t.domain_gram.scale(c)
-        if lhs != rhs:
-            return "certificate identity failed for the quotient map"
-        if rank(q_quot.matrix) != q_quot.codomain.dim:
-            return "quotient map does not fill its codomain"
-        return None
-
-    run("repmap-certificate-quotient", cert_quot)
-
-    def dual_pair():
-        for q, j in ((qrel, j_ldl), (qrel2, j_quot)):
-            if not adjoint(j).is_extension_of(q):
-                return "Q not inside J*"
-            if not adjoint(q).is_extension_of(j):
-                return "J not inside Q*"
-        return None
-
-    run("dual-pair", dual_pair)
-
-    def independence_kkt():
-        if compose(adjoint(qrel), qrel) != compose(adjoint(qrel2), qrel2):
-            return "Q*Q depends on the representing map"
-        lhs = shift(compose(j_ldl, qrel), c)
-        rhs = shift(compose(j_quot, qrel2), c)
-        if lhs != rhs:
-            return "c + J Q depends on the representing map"
-        if not lhs.is_extension_of(s):
-            return "c + J Q is not an extension"
-        if compose(j_ldl, adjoint(j_ldl)) != compose(j_quot, adjoint(j_quot)):
-            return "J J* depends on the representing map"
-        if compose(closure(j_ldl), adjoint(j_ldl)) != compose(closure(j_quot), adjoint(j_quot)):
-            return "J** J* depends on the representing map"
-        return None
-
-    run("repmap-independence-kkt", independence_kkt)
-
-    def mul_companion():
-        expected = intersect(parts(shift(s, -c)).ran, parts(sstar).mul)
-        for j in (j_ldl, j_quot):
-            if parts(j).mul != expected:
-                return "mul J_c != ran(S-c) cap mul S*"
-        return None
-
-    run("mul-companion-intersection", mul_companion)
-
-    def range_inequality():
-        sub = inequality_range_subspace(s, c)
-        if sub != parts(adjoint(qrel)).ran:
-            return "inequality subspace differs from ran Q_c*"
-        rng = random.Random(seed * 7 + 1)
-        for idx in range(10):
-            if idx < 5 and sub.dim > 0:
-                combo = [_rand_fraction(rng, 3) for _ in range(sub.dim)]
-                v = sub.basis.mul_vec(combo)
-            else:
-                v = tuple(_rand_fraction(rng, 3) for _ in range(s.src.dim))
-            if ran_adjoint_by_inequality(s, c, v) != member(v, parts(adjoint(qrel)).ran):
-                return "pointwise halfFr disagreement at " + vector_witness(v)
-        return None
-
-    run("range-inequality-criterion", range_inequality)
-
-    def domain_inequality():
-        sub = inequality_domain_subspace(s, c)
-        if sub != parts(adjoint(j_ldl)).dom:
-            return "inequality subspace differs from dom J_c*"
-        rng = random.Random(seed * 7 + 2)
-        for idx in range(10):
-            if idx < 5 and sub.dim > 0:
-                combo = [_rand_fraction(rng, 3) for _ in range(sub.dim)]
-                v = sub.basis.mul_vec(combo)
-            else:
-                v = tuple(_rand_fraction(rng, 3) for _ in range(s.src.dim))
-            if dom_companion_by_inequality(s, c, v) != member(v, parts(adjoint(j_ldl)).dom):
-                return "pointwise domJ* disagreement at " + vector_witness(v)
-        return None
-
-    run("domain-inequality-criterion", domain_inequality)
-
-    def closed_form_extends():
-        big = form_s_of(s, c, q_ldl)
-        return None if t.is_restriction_of(big) else "t(S) is not a restriction of s(S)"
-
-    run("closed-form-extends", closed_form_extends)
-
-    def adjoint_form_pairing():
-        for phi, phi_prime in restrict_domain(sstar, parts(s).dom).pairs():
-            for d in parts(s).dom.basis_vectors():
-                if t.evaluate(phi, d) != s.src.inner(phi_prime, d):
-                    return "pairing (phi', psi) != t(S)[phi, psi] at " + vector_witness(phi)
-        return None
-
-    run("adjoint-form-pairing", adjoint_form_pairing)
-
-    def inverse_repmap_duality():
-        inv_rel = inverse(shift(s, -c))
-        t_inv = form_of_relation(inv_rel)
-        jinv_map = repmap_from_operator(inverse(j_ldl), t_inv, 0)
-        comp = companion(inv_rel, jinv_map)
-        if comp != inverse(qrel):
-            return "companion of J^{-1} is not Q^{-1}"
-        return None
-
-    run("inverse-repmap-duality", inverse_repmap_duality)
-
-    def jqq():
-        ext = shift(compose(j_ldl, qrel), c)
-        if not ext.is_extension_of(s):
-            return "S not inside c + J Q"
-        n_sub = intersect(parts(shift(s, -c)).ran, parts(sstar).mul)
-        equal = ext == s
-        criterion = n_sub == parts(s).mul
-        if equal != criterion:
-            return "equality criterion for c + J Q failed"
-        return None
-
-    run("companion-product-extension", jqq)
-
-    def fried():
-        f = friedrichs(s, c)
-        if not f.is_extension_of(s):
-            return "S_F does not extend S"
-        if parts(f).mul != parts(sstar).mul:
-            return "mul S_F != mul S*"
-        return None
-
-    run("friedrichs-triple", fried)
-
-    def kre():
-        k = krein(s, c)
-        if not k.is_extension_of(s):
-            return "S_K does not extend S"
-        tk = form_of_relation(k)
-        if not certify_lower_bound(tk, c).ok:
-            return "S_K lost the bound"
-        if eigenspace(sstar, c).dim > 0:
-            if certify_lower_bound(tk, c + Fraction(1, 1000)).ok:
-                return "S_K bound is not exactly c"
-        return None
-
-    run("krein-quadruple", kre)
-
-    def weak_full():
-        if weak_friedrichs(s, c) != friedrichs(s, c):
-            return "weak Friedrichs differs"
-        if weak_krein(s, c) != krein(s, c):
-            return "weak Krein differs"
-        return None
-
-    run("weak-equals-full", weak_full)
-
-    def translation():
-        lhs = friedrichs(shift(s, -c), 0)
-        rhs = shift(friedrichs(s, c), -c)
-        return None if lhs == rhs else "(S-c)_F != S_F - c"
-
-    run("friedrichs-translation", translation)
-
-    run("codding-identity", lambda: check_codding(s, c, krein(s, c)).witness)
-
-    def mul_ext():
-        if parts(krein(s, c)).mul != intersect(parts(shift(s, -c)).ran, parts(sstar).mul):
-            return "mul S_K,c formula failed"
-        if parts(friedrichs(s, c)).mul != parts(sstar).mul:
-            return "mul S_F formula failed"
-        return None
-
-    run("mul-extensions", mul_ext)
-
-    run(
-        "order-krein-leq-friedrichs",
-        lambda: None if order_leq(krein(s, c), friedrichs(s, c)).leq else "S_K,c > S_F",
-    )
-
-    def independence_ext():
-        if friedrichs(s, c, method="quotient") != friedrichs(s, c):
-            return "Friedrichs depends on the representing map"
-        if krein(s, c, method="quotient") != krein(s, c):
-            return "Krein depends on the representing map"
-        return None
-
-    run("repmap-independence-extensions", independence_ext)
-
-    def extremal_ends():
-        if not extremal_check(friedrichs(s, c), s, c):
-            return "S_F not extremal"
-        if not extremal_check(krein(s, c), s, c):
-            return "S_K,c not extremal"
-        return None
-
-    run("extremal-endpoints", extremal_ends)
-
-    def extremal_mid():
-        for h in sample_extremal(s, c, 4, seed * 11 + 3):
-            if not extremal_check(h, s, c):
-                return "sampled extension not extremal: " + relation_witness(h)
-            if not order_leq(krein(s, c), h).leq or not order_leq(h, friedrichs(s, c)).leq:
-                return "sampled extremal extension escapes the order interval"
-        return None
-
-    run("extremal-intermediate", extremal_mid)
-
-    def extremal_samples():
-        # extremal_check internally cross-asserts the definitional and the
-        # sandwich characterizations; running it on arbitrary selfadjoint
-        # extensions exercises the equivalence on both outcomes.
-        for h in engineered_nonextremal_extensions(s, c):
-            if extremal_check(h, s, c):
-                return "engineered non-extremal extension tested extremal: " + relation_witness(h)
-        for h in sample_selfadjoint_extensions(s, 3, seed * 11 + 4):
-            extremal_check(h, s, c)
-        return None
-
-    run("extremal-equivalence-samples", extremal_samples)
-
-    def interval():
-        for h in sample_selfadjoint_extensions(s, 5, seed * 11 + 5):
-            if not extension_interval_check(s, c, h):
-                return "order interval equivalence failed: " + relation_witness(h)
-        return None
-
-    run("order-interval-equivalence", interval)
-
-    def operator_criterion():
-        krein_is_operator(s, c)  # internally cross-asserted
-        return None
-
-    run("krein-operator-criterion", operator_criterion)
-
-    def relations_of_form_agree():
-        s_t, a_t = relations_of_form(q_ldl, c)
-        if s_t != a_t:
-            return "S_t != A_t for a closed representing map"
-        if s_t != friedrichs(s, c):
-            return "c + Q*Q differs from the Friedrichs extension"
-        return None
-
-    run("relations-of-form", relations_of_form_agree)
-
-    def orthogonal_special():
-        if not numerical_range_zero(s):
-            return None  # vacuous for instances with nonzero numerical range
-        p, ps = parts(s), parts(sstar)
-        if friedrichs(s, 0) != product_relation(p.dom, ps.mul):
-            return "S_F != dom S x mul S*"
-        if krein(s, 0) != product_relation(ps.ker, p.ran):
-            return "S_K != ker S* x ran S"
-        for h in sample_selfadjoint_extensions(s, 3, seed * 11 + 6):
-            if numerical_range_zero(h) != extremal_check(h, s, 0):
-                return "W(H) = 0 does not match extremality: " + relation_witness(h)
-        return None
-
-    run("orthogonal-domain-range-special", orthogonal_special)
-
-    if [r.name for r in results] != list(REQUIRED_CHECKS):
-        raise CrossCheckError("the suite did not run the required checks in order")
-    return results
+    x = _Instance.build(s, c, seed)
+    return [_run(name, fn, x) for name, fn in REGISTRY]
 
 
 # ------------------------------------------------------------------ suite

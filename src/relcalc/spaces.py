@@ -166,6 +166,16 @@ def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
     return span(v.space, list(v.basis_vectors()) + list(w.basis_vectors()))
 
 
+def extending(w: Subspace, vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
+    """The vectors that each enlarge w plus the vectors kept before them.
+
+    This is the greedy extension of a basis of w, read off the pivot
+    columns of one RREF of [basis of w | vectors]."""
+    vectors = [vec(v) for v in vectors]
+    _, pivots = rref(hstack(w.basis, from_cols(w.space.dim, vectors)))
+    return [vectors[j - w.dim] for j in pivots if j >= w.dim]
+
+
 def contains(w: Subspace, v: Subspace) -> bool:
     """True when v is a subspace of w."""
     _check_same_ambient(v, w)

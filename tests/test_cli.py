@@ -173,6 +173,13 @@ def test_bad_dims_argument_exits_2(capsys):
     assert main(["check", "--count", "1", "--dims", "nope"]) == 2
 
 
+def _assert_parse_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -184,13 +191,30 @@ def test_bad_dims_argument_exits_2(capsys):
         ["random", "--seed", "1", "--dim", "3", "--restrict", "-1"],
         ["check", "--count", "-3"],
         ["check", "--count", "0"],
+        ["random", "--seed", "1", "--dim", "65"],
+        ["check", "--count", "1", "--dims", "2..65"],
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+    _assert_parse_error(argv, capsys)
+
+
+@pytest.mark.parametrize("empty_domain, width", [(True, "abc"), (False, "-1"), (False, "0")])
+def test_analyze_width_is_checked_before_any_work(tmp_path, capsys, empty_domain, width):
+    if empty_domain:
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"from": {"dim": 2}, "to": {"dim": 2}, "graph_basis": []}))
+        path = str(path)
+    else:
+        path = e1_path(tmp_path)
+    _assert_parse_error(["analyze", path, "--width", width], capsys)
+
+
+def test_dimension_above_the_maximum_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"from": {"dim": 1000000}, "to": {"dim": 1000000}, "graph_basis": []}))
+    for argv in (["analyze", str(path)], ["extend", str(path), "--kind", "krein"], ["check", str(path)]):
+        _assert_parse_error(argv, capsys)
 
 
 # sha256 of the stdout of `relcalc check --count 10 --dims 2..6 --seed 0

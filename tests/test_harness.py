@@ -184,6 +184,23 @@ def test_registry_is_exactly_the_suite():
     assert len(set(REQUIRED_CHECKS)) == len(REQUIRED_CHECKS)
 
 
+def _random_dim3_with_mul():
+    s, c = random_semibounded(InstanceSpec(dim=3, seed=4, mul_dim=1, restrict_dim=2))
+    assert parts(s).mul.dim == 1 and c != 0
+    return s, c, 4
+
+
+@pytest.mark.parametrize("make", [lambda: (e1(), 0, 3), _random_dim3_with_mul], ids=["e1", "random-dim3-mul"])
+def test_each_check_is_independent_of_the_others(make):
+    # A check may share memos with the checks before it, never results.
+    s, c, seed = make()
+    together = verify_all(s, c, seed=seed)
+    assert [r.name for r in together] == [name for name, _ in harness.REGISTRY]
+    for (name, fn), expected in zip(harness.REGISTRY, together):
+        clear_memos()
+        assert harness._run(name, fn, harness._Instance.build(s, c, seed)) == expected
+
+
 def test_exception_inside_a_check_fails_only_that_check(monkeypatch, capsys):
     def broken(s, c):
         raise ValueError("planted")

@@ -11,6 +11,7 @@ from relcalc.spaces import (
     ProductSpace,
     complement,
     contains,
+    extending,
     full_subspace,
     gram_on,
     intersect,
@@ -155,3 +156,19 @@ def test_projection_idempotent_and_gram_symmetric(data):
     assert space.inner(x, project(y, v)) == space.inner(px, y)
     g = gram_on(v)
     assert g.is_symmetric()
+
+
+@given(space_and_subspaces())
+@settings(max_examples=40, deadline=None)
+def test_extending_matches_the_greedy_basis_extension(data):
+    space, v, w = data
+    # Zero, repeated and already-contained vectors must all be skipped.
+    vectors = [space.zero_vec()] + w.basis_vectors() + v.basis_vectors()[:1] + w.basis_vectors()[:1]
+    greedy, current = [], v
+    for u in vectors:
+        cand = subspace_sum(current, span(space, [u]))
+        if cand.dim > current.dim:
+            greedy.append(u)
+            current = cand
+    assert extending(v, vectors) == greedy
+    assert span(space, v.basis_vectors() + greedy) == subspace_sum(v, w)

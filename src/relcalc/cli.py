@@ -186,6 +186,8 @@ def _in_range(flag: str, value: int, lo: int, hi: int | None = None) -> int:
 
 
 def cmd_check(args) -> int:
+    dims = _parse_dims(args.dims)
+    count = _in_range("--count", args.count, 1)
     if args.file is not None:
         rel = read_relation(args.file)
         c = parse_rational(args.c, "--c") if args.c is not None else _default_c(rel)
@@ -200,8 +202,6 @@ def cmd_check(args) -> int:
         lines.append(data["summary"])
         _emit(args, args.output, data, lines)
         return 0 if not failures else 1
-    dims = _parse_dims(args.dims)
-    count = _in_range("--count", args.count, 1)
     reports = run_suite(count, dims, args.seed)
     failures = [rep for rep in reports if not rep.passed]
     data = {

@@ -34,6 +34,7 @@ from .relations import (
     compose,
     eigen_relation,
     eigenspace,
+    graph_relation,
     hsum,
     inverse,
     is_nonneg_above,
@@ -42,7 +43,6 @@ from .relations import (
     parts,
     product_relation,
     regular_part,
-    relation_from_pairs,
     restrict_domain,
     shift,
 )
@@ -85,9 +85,7 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     coeffs = solve_mat(gdom, matrix)  # G_dom^{-1} M, exact
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    images = b @ coeffs
-    pairs = [(b.col(j), images.col(j)) for j in range(domain.dim)]
-    rel = relation_from_pairs(space, space, pairs)
+    rel = graph_relation(space, space, b, b @ coeffs)
     mul_rel = product_relation(span(space, []), complement(domain))
     out = hsum(rel, mul_rel)
     if not is_selfadjoint(out):

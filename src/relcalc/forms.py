@@ -46,12 +46,12 @@ from .relations import (
     adjoint,
     eigenspace,
     form_matrix_on_domain,
+    graph_relation,
     inverse,
     is_symmetric,
     lifts,
     parts,
     regular_part,
-    relation_from_pairs,
     shift,
 )
 from .spaces import (
@@ -206,8 +206,8 @@ def _float_estimate(t: QuadraticForm) -> float | None:
     floating point, or None when the entries or the result are not finite
     floats."""
     try:
-        gf = np.array([[float(x) for x in r] for r in t.domain_gram.data])
-        mf = np.array([[float(x) for x in r] for r in t.matrix.data])
+        gf = np.array([[float(x) for x in r] for r in t.domain_gram.to_lists()])
+        mf = np.array([[float(x) for x in r] for r in t.matrix.to_lists()])
         with np.errstate(all="ignore"):
             inv = np.linalg.inv(np.linalg.cholesky(gf))
             est = float(np.min(np.linalg.eigvalsh(inv @ mf @ inv.T)))
@@ -260,11 +260,7 @@ class RepresentingMap:
         return self.matrix.mul_vec(cx)
 
     def as_relation(self) -> LinearRelation:
-        pairs = [
-            (self.domain.basis.col(j), self.matrix.col(j))
-            for j in range(self.domain.dim)
-        ]
-        return relation_from_pairs(self.domain.space, self.codomain, pairs)
+        return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix)
 
 
 def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
@@ -281,18 +277,10 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     k = t.domain.dim
     # P^T (M - cG) P = L D L^T, so M - cG = R^T D R with R = L^T P^T,
     # i.e. R[i][j] = L^T[i][where[j]] with where the inverse permutation.
-    where = {p: i for i, p in enumerate(cert.perm)}
-    lt = cert.lower.T
-    rows = []
-    weights = []
-    for i in range(k):
-        if cert.diag[i] == 0:
-            continue
-        rows.append(tuple(lt.data[i][where[j]] for j in range(k)))
-        weights.append(cert.diag[i])
-    r = len(rows)
-    matrix = Mat(r, k, tuple(rows))
-    codomain = InnerProductSpace(r, diag(tuple(weights)))
+    where = sorted(range(k), key=cert.perm.__getitem__)
+    kept = [i for i in range(k) if cert.diag[i] != 0]
+    matrix = cert.lower.T.take(kept, where)
+    codomain = InnerProductSpace(len(kept), diag(tuple(cert.diag[i] for i in kept)))
     return RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
 
 
@@ -332,7 +320,7 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     coords = solve_mat(section, lifts(smc, t.domain.basis))
     if coords is None:
         raise CrossCheckError("an image phi' - c phi escapes ran(S-c)")
-    matrix = Mat(r, t.domain.dim, coords.data[:r])
+    matrix = coords.take(range(r))
     q = RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
     # ran q_c is dense in the quotient, which at finite dimension means all
     # of it.
@@ -365,7 +353,7 @@ def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
     k = domain.dim
     zero_form = zeros(k, k)
     if c == 0:
-        return RepresentingMap(domain, InnerProductSpace(0, Mat(0, 0, ())), zeros(0, k), c, zero_form)
+        return RepresentingMap(domain, InnerProductSpace(0, zeros(0, 0)), zeros(0, k), c, zero_form)
     codomain = InnerProductSpace(k, gram_on(domain).scale(-c))
     return RepresentingMap(domain, codomain, identity(k), c, zero_form)
 
@@ -397,9 +385,9 @@ def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     if t1.src != t2.src:
         raise PreconditionError("stacked relations must share their source space")
     h, k1, k2 = t1.src, t1.dst, t2.dst
-    meet = _join((h, k1, k2), t1.graph, (0, 1), t2.graph, (0, 2))
+    firsts, seconds_1, seconds_2 = _join((h, k1, k2), t1.graph, (0, 1), t2.graph, (0, 2))
     dst = InnerProductSpace(k1.dim + k2.dim, block_diag(k1.gram, k2.gram))
-    return relation_from_pairs(h, dst, [(f, g1 + g2) for f, g1, g2 in meet])
+    return graph_relation(h, dst, firsts, vstack(seconds_1, seconds_2))
 
 
 def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
@@ -411,12 +399,11 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     t = form_of_relation(s)
     if q.domain != t.domain or q.form_matrix != t.matrix:
         raise PreconditionError("representing map does not certify the form of this relation")
-    c = q.base_point
-    pairs = []
-    for phi, phi_prime in s.pairs():
-        shifted = tuple(x - c * y for x, y in zip(phi_prime, phi))
-        pairs.append((q.apply(phi), shifted))
-    j = relation_from_pairs(q.codomain, s.src, pairs)
+    firsts, seconds = s.halves()
+    coords = solve_mat(q.domain.basis, firsts)
+    if coords is None:
+        raise PreconditionError("argument outside the representing map domain")
+    j = graph_relation(q.codomain, s.src, q.matrix @ coords, seconds - firsts.scale(q.base_point))
     q_rel = q.as_relation()
     if not adjoint(j).is_extension_of(q_rel) or not adjoint(q_rel).is_extension_of(j):
         raise CrossCheckError("companion relation does not form a dual pair with its representing map")

@@ -50,7 +50,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, clear_memos, from_cols, identity, kernel, mat, rank, rat, solve_mat, vec
+from .linalg import Mat, Vec, clear_memos, from_cols, identity, kernel, mat, rank, rat, solve_mat, vec, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -215,10 +215,10 @@ def sample_selfadjoint_extensions(
     out = []
     for _ in range(count):
         graph = s.graph
-        cond_rows: list[Vec] = []
+        conditions = zeros(0, star.cols)
         while graph.dim < n:
             # With no condition yet the kernel is all of the coefficients.
-            sol = kernel(Mat(len(cond_rows), star.cols, tuple(cond_rows)))
+            sol = kernel(conditions)
             cand = None
             for _attempt in range(16):
                 v = star.mul_vec(sol.mul_vec(_rand_vec(rng, sol.cols, 3)))
@@ -226,13 +226,14 @@ def sample_selfadjoint_extensions(
                     cand = v
                     break
             if cand is None:
-                cand = next((v for v in (star @ sol).T.data if not member(v, graph)), None)
+                images = star @ sol
+                cand = next((v for v in map(images.col, range(images.cols)) if not member(v, graph)), None)
             if cand is None:
                 raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
             graph = subspace_sum(graph, span(graph.space, [cand]))
             fa, ga = cand[:n], cand[n:]
             # (g_a, f_b) - (f_a, g_b) for every basis element {f_b, g_b} of S*.
-            cond_rows.append(star.T.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa)))
+            conditions = vstack(conditions, mat([star.T.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa))]))
         t = LinearRelation(s.src, s.src, graph)
         if not is_selfadjoint(t):
             raise CrossCheckError("a maximal symmetric graph is not selfadjoint")

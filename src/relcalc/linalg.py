@@ -12,6 +12,11 @@ instead, reduced by a gcd after each update: ``rref`` scales each row to
 integers, and ``ldl_psd_certificate`` keeps each row's denominator beside
 it.  Fractions appear only in what they return.
 
+Only this module knows how a ``Mat`` is stored.  Every other module builds
+matrices with ``mat``, ``from_cols``, ``zeros``, ``identity``, ``diag`` and
+the stacking helpers, and reads them through ``[i, j]``, ``col``, ``take``
+and ``to_lists``, so the storage can change here alone.
+
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
 instance per scope (``harness.run_one``) bounds the memory.  A call is one
@@ -111,11 +116,15 @@ class Mat:
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         return self.data[idx[0]][idx[1]]
 
-    def row(self, i: int) -> Vec:
-        return self.data[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.data)
+
+    def take(self, rows: Sequence[int], cols: Sequence[int] | None = None) -> "Mat":
+        """The submatrix of the listed rows and columns, in the listed
+        order; every column when ``cols`` is None."""
+        if cols is None:
+            return Mat(len(rows), self.cols, tuple(self.data[i] for i in rows))
+        return Mat(len(rows), len(cols), tuple(tuple(self.data[i][j] for j in cols) for i in rows))
 
     @property
     def T(self) -> "Mat":
@@ -360,8 +369,7 @@ class PsdCertificate:
     diag: Vec
 
     def permuted(self, m: Mat) -> Mat:
-        p = self.perm
-        return Mat(m.rows, m.cols, tuple(tuple(m.data[p[a]][p[b]] for b in range(m.cols)) for a in range(m.rows)))
+        return m.take(self.perm, self.perm)
 
     def reconstruct(self) -> Mat:
         return self.lower @ diag(self.diag) @ self.lower.T

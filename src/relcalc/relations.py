@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import ZERO, Mat, Vec, from_cols, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve_mat, vec
+from .linalg import Mat, Vec, block_diag, from_cols, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve_mat, vstack
 from .spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -26,7 +26,7 @@ from .spaces import (
     full_subspace,
     gram_on,
     intersect,
-    project,
+    projections,
     span,
     span_mat,
     subspace_sum,
@@ -46,17 +46,18 @@ class LinearRelation:
         if self.graph.space != expected:
             raise ValueError("graph must live in the product of src and dst")
 
-    @property
-    def product(self) -> ProductSpace:
-        return ProductSpace(self.src, self.dst)
-
     def pairs(self) -> list[tuple[Vec, Vec]]:
         """Graph basis as (first, second) component pairs."""
-        prod = self.product
+        prod = ProductSpace(self.src, self.dst)
         return [prod.split(col) for col in self.graph.basis_vectors()]
 
-    def graph_dim(self) -> int:
-        return self.graph.dim
+    def halves(self) -> tuple[Mat, Mat]:
+        """The graph basis split into its first and its second components:
+        the columns of the two matrices are the f and the g of each basis
+        pair.  ``graph_relation`` is the inverse."""
+        basis = self.graph.basis
+        n = self.src.dim
+        return basis.take(range(n)), basis.take(range(n, basis.rows))
 
     def is_extension_of(self, other: "LinearRelation") -> bool:
         _same_spaces(self, other)
@@ -76,34 +77,38 @@ def _same_spaces(a: LinearRelation, b: LinearRelation) -> None:
         raise AmbientMismatchError("relations act between different spaces")
 
 
+def graph_relation(src: InnerProductSpace, dst: InnerProductSpace, firsts: Mat, seconds: Mat) -> LinearRelation:
+    """The relation whose graph is spanned by the columns {f_j, g_j}, f_j
+    the column j of ``firsts`` and g_j that of ``seconds``."""
+    return LinearRelation(src, dst, span_mat(ProductSpace(src, dst).space, vstack(firsts, seconds)))
+
+
 def relation_from_pairs(
     src: InnerProductSpace,
     dst: InnerProductSpace,
     pairs: Iterable[tuple[Sequence[Fraction], Sequence[Fraction]]],
 ) -> LinearRelation:
-    prod = ProductSpace(src, dst)
-    return LinearRelation(src, dst, span(prod.space, [prod.embed(f, g) for f, g in pairs]))
+    pairs = list(pairs)
+    firsts = from_cols(src.dim, [f for f, _ in pairs])
+    return graph_relation(src, dst, firsts, from_cols(dst.dim, [g for _, g in pairs]))
 
 
 def relation_from_graph_vectors(
     src: InnerProductSpace, dst: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]
 ) -> LinearRelation:
-    prod = ProductSpace(src, dst)
-    return LinearRelation(src, dst, span(prod.space, [vec(v) for v in vectors]))
+    return LinearRelation(src, dst, span(ProductSpace(src, dst).space, vectors))
 
 
 def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Mat, domain: Subspace | None = None) -> LinearRelation:
     """Graph of x -> matrix @ x, restricted to ``domain`` when given."""
     if matrix.rows != dst.dim or matrix.cols != src.dim:
         raise ValueError("operator matrix shape does not match spaces")
-    if domain is None:
-        domain = full_subspace(src)
-    basis = domain.basis_vectors()
-    return relation_from_pairs(src, dst, [(b, matrix.mul_vec(b)) for b in basis])
+    basis = (full_subspace(src) if domain is None else domain).basis
+    return graph_relation(src, dst, basis, matrix @ basis)
 
 
 def identity_relation(space: InnerProductSpace) -> LinearRelation:
-    return relation_from_pairs(space, space, [(e, e) for e in identity(space.dim).data])
+    return graph_relation(space, space, identity(space.dim), identity(space.dim))
 
 
 def zero_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelation:
@@ -112,23 +117,13 @@ def zero_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelat
 
 def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
     """The relation X x Y, whose graph is all pairs {x, y}."""
-    src, dst = x.space, y.space
-    pairs = [(b, dst.zero_vec()) for b in x.basis_vectors()]
-    pairs += [(src.zero_vec(), b) for b in y.basis_vectors()]
-    return relation_from_pairs(src, dst, pairs)
-
-
-def _halves(t: LinearRelation) -> tuple[Mat, Mat]:
-    """The graph basis split into its first and its second components: the
-    columns of the two matrices are the f and the g of each basis pair."""
-    cols = t.graph.basis
-    n = t.src.dim
-    return Mat(n, cols.cols, cols.data[:n]), Mat(t.dst.dim, cols.cols, cols.data[n:])
+    prod = ProductSpace(x.space, y.space)
+    return LinearRelation(x.space, y.space, span_mat(prod.space, block_diag(x.basis, y.basis)))
 
 
 @memo
 def parts(t: LinearRelation) -> RelationParts:
-    firsts, seconds = _halves(t)
+    firsts, seconds = t.halves()
     # mul: combinations of graph vectors with vanishing first component.
     mul = span_mat(t.dst, seconds @ kernel(firsts))
     ker = span_mat(t.src, firsts @ kernel(seconds))
@@ -139,7 +134,7 @@ def lifts(t: LinearRelation, xs: Mat) -> Mat:
     """Column j is some g with {x_j, g} in t, x_j the column j of xs;
     requires every x_j in dom t.  One solve serves all columns, and each
     column gets the same particular solution as a solve of its own."""
-    firsts, seconds = _halves(t)
+    firsts, seconds = t.halves()
     combos = solve_mat(firsts, xs)
     if combos is None:
         raise PreconditionError("vector is not in the domain of the relation")
@@ -158,7 +153,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     Both Gram matrices enter the pairing; with weighted codomains this is
     what makes the dual-pair identities hold exactly.
     """
-    firsts, seconds = _halves(t)
+    firsts, seconds = t.halves()
     pairing = hstack((seconds.T @ t.dst.gram), (firsts.T @ t.src.gram).scale(-1))
     sol = kernel(pairing)  # columns are [h | k] with h in dst, k in src
     return LinearRelation(t.dst, t.src, span_mat(ProductSpace(t.dst, t.src).space, sol))
@@ -166,8 +161,8 @@ def adjoint(t: LinearRelation) -> LinearRelation:
 
 @memo
 def inverse(t: LinearRelation) -> LinearRelation:
-    swapped = [(g, f) for f, g in t.pairs()]
-    return relation_from_pairs(t.dst, t.src, swapped)
+    firsts, seconds = t.halves()
+    return graph_relation(t.dst, t.src, seconds, firsts)
 
 
 @memo
@@ -175,13 +170,13 @@ def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
     """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c)."""
     if t.src != t.dst:
         raise PreconditionError("shift requires equal source and target spaces")
-    c = rat(c)
-    return relation_from_pairs(t.src, t.dst, [(f, tuple(x + c * y for x, y in zip(g, f))) for f, g in t.pairs()])
+    firsts, seconds = t.halves()
+    return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
 
 
 def scale(t: LinearRelation, a: Fraction | int | str) -> LinearRelation:
-    a = rat(a)
-    return relation_from_pairs(t.src, t.dst, [(f, tuple(a * x for x in g)) for f, g in t.pairs()])
+    firsts, seconds = t.halves()
+    return graph_relation(t.src, t.dst, firsts, seconds.scale(a))
 
 
 def closure(t: LinearRelation) -> LinearRelation:
@@ -199,36 +194,27 @@ def _cylinder(blocks: Sequence[InnerProductSpace], sub: Subspace, at: Sequence[i
     other blocks span the free directions.  The product is left-nested,
     ((B0 (+) B1) (+) B2), so two blocks give the space of a relation graph.
     """
-    offsets = [0, *accumulate(b.dim for b in blocks)]
-    cols = []
-    for v in sub.basis_vectors():
-        w = [ZERO] * offsets[-1]
-        pos = 0
-        for i in at:
-            w[offsets[i] : offsets[i + 1]] = v[pos : pos + blocks[i].dim]
-            pos += blocks[i].dim
-        cols.append(w)
-    for i, b in enumerate(blocks):
-        if i not in at:
-            for e in identity(b.dim).data:
-                w = [ZERO] * offsets[-1]
-                w[offsets[i] : offsets[i + 1]] = e
-                cols.append(w)
+    free = [i for i in range(len(blocks)) if i not in at]
+    # The rows of block_diag(sub, I) run over the blocks in ``at`` and then
+    # the free ones; ``start`` finds each block there, to put it in order.
+    placed = [*at, *free]
+    start = dict(zip(placed, accumulate((blocks[i].dim for i in placed), initial=0)))
+    rows = [start[i] + r for i, b in enumerate(blocks) for r in range(b.dim)]
     product = blocks[0]
     for b in blocks[1:]:
         product = ProductSpace(product, b).space
-    return span(product, cols)
+    return span_mat(product, block_diag(sub.basis, identity(sum(blocks[i].dim for i in free))).take(rows))
 
 
 def _join(
     blocks: Sequence[InnerProductSpace], a: Subspace, a_at: Sequence[int], b: Subspace, b_at: Sequence[int]
-) -> list[list[Vec]]:
-    """The meet of the cylinders over a and b, each basis vector cut into
-    its block components (Arens: every relational product is the image of
-    such a meet)."""
+) -> list[Mat]:
+    """The meet of the cylinders over a and b, its basis cut into one row
+    block per product block (Arens: every relational product is the image
+    of such a meet)."""
     meet = intersect(_cylinder(blocks, a, a_at), _cylinder(blocks, b, b_at))
     offsets = [0, *accumulate(blk.dim for blk in blocks)]
-    return [[v[lo:hi] for lo, hi in zip(offsets, offsets[1:])] for v in meet.basis_vectors()]
+    return [meet.basis.take(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
 
 
 @memo
@@ -241,8 +227,8 @@ def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     if t.dst != r.src:
         raise AmbientMismatchError("compose requires target of T to equal source of R")
     h, k, l = t.src, t.dst, r.dst
-    meet = _join((h, k, l), t.graph, (0, 1), r.graph, (1, 2))
-    return relation_from_pairs(h, l, [(f, g) for f, _, g in meet])
+    firsts, _, seconds = _join((h, k, l), t.graph, (0, 1), r.graph, (1, 2))
+    return graph_relation(h, l, firsts, seconds)
 
 
 def hsum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
@@ -260,8 +246,8 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     """
     _same_spaces(a, b)
     h, k = a.src, a.dst
-    meet = _join((h, k, k), a.graph, (0, 1), b.graph, (0, 2))
-    return relation_from_pairs(h, k, [(f, tuple(x + y for x, y in zip(g1, g2))) for f, g1, g2 in meet])
+    firsts, seconds_a, seconds_b = _join((h, k, k), a.graph, (0, 1), b.graph, (0, 2))
+    return graph_relation(h, k, firsts, seconds_a + seconds_b)
 
 
 @memo
@@ -275,15 +261,14 @@ def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
 @memo
 def regular_part(t: LinearRelation) -> LinearRelation:
     """(I - P) T with P the orthogonal projection onto mul T; an operator."""
-    mul = parts(t).mul
-    out = [(f, tuple(x - y for x, y in zip(g, project(g, mul)))) for f, g in t.pairs()]
-    return relation_from_pairs(t.src, t.dst, out)
+    firsts, seconds = t.halves()
+    return graph_relation(t.src, t.dst, firsts, seconds - projections(seconds, parts(t).mul))
 
 
 def singular_part(t: LinearRelation) -> LinearRelation:
-    mul = parts(t).mul
-    out = [(f, project(g, mul)) for f, g in t.pairs()]
-    return relation_from_pairs(t.src, t.dst, out)
+    """P T with P the orthogonal projection onto mul T."""
+    firsts, seconds = t.halves()
+    return graph_relation(t.src, t.dst, firsts, projections(seconds, parts(t).mul))
 
 
 @memo
@@ -292,15 +277,14 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
     if t.src != t.dst:
         raise PreconditionError("eigenspace requires equal source and target spaces")
     c = rat(c)
-    firsts, seconds = _halves(t)
+    firsts, seconds = t.halves()
     return span_mat(t.src, firsts @ kernel(seconds - firsts.scale(c)))
 
 
 def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
     """The graph {{h, c h} : h in ker(T - c)}."""
-    c = rat(c)
-    ev = eigenspace(t, c)
-    return relation_from_pairs(t.src, t.src, [(h, tuple(c * x for x in h)) for h in ev.basis_vectors()])
+    ev = eigenspace(t, c).basis
+    return graph_relation(t.src, t.src, ev, ev.scale(c))
 
 
 def is_symmetric(s: LinearRelation) -> bool:
@@ -350,11 +334,11 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
         # Some m in mul S is not orthogonal to some phi in dom S; adding a
         # large multiple of m to a lift of phi drives the pairing below any
         # bound.
-        i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross.data[i][j] != 0)
+        i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
         m = p.mul.basis.col(i)
         phi = p.dom.basis.col(j)
         base = lift(s, phi)
-        pairing = cross.data[i][j]
+        pairing = cross[i, j]
         norm2 = s.src.inner(phi, phi)
         # Choose t with (base + t m, phi) < c (phi, phi).
         t = -(s.src.inner(base, phi) - c * norm2 + 1) / pairing

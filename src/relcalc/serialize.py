@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .linalg import Mat, Vec, identity, vec
+from .linalg import Mat, Vec, identity, mat, vec
 from .relations import LinearRelation, relation_from_graph_vectors
 from .spaces import InnerProductSpace, Subspace, span, standard_space
 
@@ -61,7 +61,7 @@ def parse_vectors(data: Any, field: str) -> list[Vec]:
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [[rational_to_str(x) for x in row] for row in m.data]
+    return [[rational_to_str(x) for x in row] for row in m.to_lists()]
 
 
 def parse_matrix(data: Any, field: str) -> Mat:
@@ -70,7 +70,7 @@ def parse_matrix(data: Any, field: str) -> Mat:
     rows = [parse_vector(r, f"{field}[{i}]") for i, r in enumerate(data)]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ParseError(f"{field}: ragged rows")
-    return Mat(len(rows), len(rows[0]) if rows else 0, tuple(rows))
+    return mat(rows)
 
 # ------------------------------------------------------------------- spaces
 

@@ -27,7 +27,9 @@ from .linalg import (
     memo,
     rref,
     solve,
+    solve_mat,
     vec,
+    zeros,
 )
 
 
@@ -115,19 +117,19 @@ class Subspace:
 
 def span(space: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]) -> Subspace:
     """Canonical subspace spanned by the given ambient vectors."""
-    rows = [vec(v) for v in vectors]
-    for r in rows:
-        if len(r) != space.dim:
-            raise ValueError("spanning vector has wrong length")
-    if not rows:
-        return Subspace(space, from_cols(space.dim, []))
-    red, pivots = rref(Mat(len(rows), space.dim, tuple(rows)))
-    cols = [red.row(i) for i in range(len(pivots))]
-    return Subspace(space, from_cols(space.dim, cols))
+    cols = [vec(v) for v in vectors]
+    if any(len(v) != space.dim for v in cols):
+        raise ValueError("spanning vector has wrong length")
+    return span_mat(space, from_cols(space.dim, cols))
 
 
 def span_mat(space: InnerProductSpace, columns: Mat) -> Subspace:
-    return span(space, [columns.col(j) for j in range(columns.cols)])
+    """Canonical subspace spanned by the columns: the nonzero rows of the
+    RREF of their transpose, as columns."""
+    if columns.cols == 0:
+        return Subspace(space, columns)
+    red, pivots = rref(columns.T)
+    return Subspace(space, red.take(range(len(pivots))).T)
 
 
 def zero_subspace(space: InnerProductSpace) -> Subspace:
@@ -135,7 +137,7 @@ def zero_subspace(space: InnerProductSpace) -> Subspace:
 
 
 def full_subspace(space: InnerProductSpace) -> Subspace:
-    return span(space, identity(space.dim).data)
+    return span_mat(space, identity(space.dim))
 
 
 def _check_same_ambient(v: Subspace, w: Subspace) -> None:
@@ -157,13 +159,13 @@ def intersect(v: Subspace, w: Subspace) -> Subspace:
         return zero_subspace(v.space)
     stacked = hstack(v.basis, w.basis.scale(-1))
     combos = kernel(stacked)  # (kv + kw) x m; the first kv rows combine v's basis
-    return span_mat(v.space, v.basis @ Mat(v.basis.cols, combos.cols, combos.data[: v.basis.cols]))
+    return span_mat(v.space, v.basis @ combos.take(range(v.basis.cols)))
 
 
 @memo
 def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
     _check_same_ambient(v, w)
-    return span(v.space, list(v.basis_vectors()) + list(w.basis_vectors()))
+    return span_mat(v.space, hstack(v.basis, w.basis))
 
 
 def extending(w: Subspace, vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
@@ -191,20 +193,26 @@ def member(x: Sequence[Fraction], w: Subspace) -> bool:
     return coordinates(x, w) is not None
 
 
-def project(x: Sequence[Fraction], w: Subspace) -> Vec:
-    """G-orthogonal projection of x onto w via the exact normal equations."""
-    if len(x) != w.space.dim:
+def projections(xs: Mat, w: Subspace) -> Mat:
+    """Column j is the G-orthogonal projection of column j of xs onto w,
+    from one solve of the exact normal equations for all columns."""
+    if xs.rows != w.space.dim:
         raise ValueError("vector has wrong length")
     if w.is_zero():
-        return w.space.zero_vec()
+        return zeros(xs.rows, xs.cols)
     b = w.basis
-    g = w.space.gram
-    normal = b.T @ g @ b
-    rhs = (b.T @ g).mul_vec(vec(x))
-    coeff = solve(normal, rhs)
-    if coeff is None:
+    bg = b.T @ w.space.gram
+    coeffs = solve_mat(bg @ b, bg @ xs)
+    if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    return b.mul_vec(coeff)
+    return b @ coeffs
+
+
+def project(x: Sequence[Fraction], w: Subspace) -> Vec:
+    """G-orthogonal projection of x onto w."""
+    if len(x) != w.space.dim:
+        raise ValueError("vector has wrong length")
+    return projections(from_cols(w.space.dim, [x]), w).col(0)
 
 
 @memo

@@ -193,10 +193,13 @@ def _assert_parse_error(argv, capsys):
         ["check", "--count", "0"],
         ["random", "--seed", "1", "--dim", "65"],
         ["check", "--count", "1", "--dims", "2..65"],
+        ["check", "FILE", "--count", "0"],
+        ["check", "FILE", "--dims", "9..2"],
     ],
 )
-def test_out_of_range_arguments_exit_2(argv, capsys):
-    _assert_parse_error(argv, capsys)
+def test_out_of_range_arguments_exit_2(argv, tmp_path, capsys):
+    # FILE stands for a valid relation file, so that only the option is out of range.
+    _assert_parse_error([e1_path(tmp_path) if arg == "FILE" else arg for arg in argv], capsys)
 
 
 @pytest.mark.parametrize("empty_domain, width", [(True, "abc"), (False, "-1"), (False, "0")])
@@ -254,15 +257,51 @@ def test_check_exit_1_on_failure(tmp_path, capsys, monkeypatch):
     assert "FAIL planted" in out
 
 
-def test_no_check_lives_in_an_assert():
-    # python -O strips assert statements; every check must raise instead.
+def _package_modules():
+    """(file name, AST) of every module of the package."""
     package = os.path.dirname(relcalc.__file__)
-    found = []
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                yield name, ast.parse(fh.read())
+
+
+def test_no_check_lives_in_an_assert():
+    # python -O strips assert statements; every check must raise instead.
+    found = []
+    for name, tree in _package_modules():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_only_linalg_knows_how_a_matrix_is_stored():
+    # Outside linalg a Mat is built by its helpers and read by its methods,
+    # so its storage can change in linalg alone.
+    found = []
+    for name, tree in _package_modules():
+        if name == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "data":
+                found.append(f"{name}:{node.lineno} .data")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Mat":
+                found.append(f"{name}:{node.lineno} Mat(...)")
+    assert found == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The package has no linter; __init__ imports to re-export.
+    found = []
+    for name, tree in _package_modules():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{name}:{line} {ident}" for ident, line in imported.items() if ident not in used]
     assert found == []
 
 

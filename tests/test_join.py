@@ -1,4 +1,4 @@
-"""The four relational joins against their defining set conditions.
+"""Relation constructors against their defining set conditions.
 
 compose, rel_sum, stack_relations and restrict_domain each have a graph of
 the form {P x : C x = 0}, where x runs over coefficients of the input
@@ -8,24 +8,44 @@ directly in coefficients: every pair built from the inputs lies in the
 output, and every output basis pair solves the defining system.  Blocks
 have pairwise different dimensions and weighted Gram matrices, so a block
 offset or a Gram mix-up cannot cancel out.
+
+The pointwise constructors (inverse, shift, scale, the regular and
+singular parts, eigen, operator and product relations, companions) are
+matrix expressions on the two halves of a graph basis; each is compared
+here with its definition pair by pair, on relations with a nonzero
+multivalued part.
 """
 
 from fractions import Fraction
 from functools import reduce
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relcalc.forms import stack_relations
+from relcalc.extensions import REPMAP_BUILDERS
+from relcalc.forms import companion, stack_relations
+from relcalc.harness import InstanceSpec, random_semibounded
 from relcalc.linalg import Mat, from_cols, hstack, identity, kernel, mat, solve, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     compose,
+    eigen_relation,
+    eigenspace,
+    graph_relation,
+    inverse,
+    operator_relation,
+    parts,
+    product_relation,
+    regular_part,
     rel_sum,
     relation_from_graph_vectors,
+    relation_from_pairs,
     restrict_domain,
+    scale,
+    shift,
+    singular_part,
 )
-from relcalc.spaces import InnerProductSpace, member, span
+from relcalc.spaces import InnerProductSpace, member, project, projections, span
 
 rationals = st.builds(
     Fraction,
@@ -53,6 +73,17 @@ def relation(draw, src, dst):
 def subspace(draw, space):
     k = draw(st.integers(min_value=0, max_value=space.dim))
     return span(space, [[draw(rationals) for _ in range(space.dim)] for _ in range(k)])
+
+
+@st.composite
+def multivalued_relation(draw, src, dst, extra=()):
+    """Random pairs, the pairs in ``extra`` and one pair {0, g} with g != 0."""
+    pairs = [
+        ([draw(rationals) for _ in range(src.dim)], [draw(rationals) for _ in range(dst.dim)])
+        for _ in range(draw(st.integers(min_value=0, max_value=src.dim + dst.dim)))
+    ]
+    g = draw(st.lists(rationals, min_size=dst.dim, max_size=dst.dim).filter(any))
+    return relation_from_pairs(src, dst, [*pairs, *extra, ([0] * src.dim, g)])
 
 
 @st.composite
@@ -144,3 +175,103 @@ def test_restrict_domain_keeps_the_pairs_over_d(data):
         blocks([[tf, d.basis.scale(-1)]]),
         blocks([[tf, zeros(src.dim, d.dim)], [ts, zeros(dst.dim, d.dim)]]),
     )
+
+
+def scaled(a, v):
+    return [a * x for x in v]
+
+
+def added(u, v):
+    return [x + y for x, y in zip(u, v)]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_halves_and_graph_relation_are_inverse(data):
+    src, dst, _ = data.draw(spaces_of_unequal_dims())
+    t = data.draw(multivalued_relation(src, dst))
+    assert t.halves() == halves(t)
+    assert graph_relation(t.src, t.dst, *t.halves()) == t
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_pointwise_constructors_match_their_pairwise_definitions(data):
+    space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
+    t = data.draw(multivalued_relation(space, space))
+    c = data.draw(rationals)
+    pairs = t.pairs()
+    assert parts(t).mul.dim > 0
+    assert inverse(t) == relation_from_pairs(space, space, [(g, f) for f, g in pairs])
+    assert shift(t, c) == relation_from_pairs(space, space, [(f, added(g, scaled(c, f))) for f, g in pairs])
+    assert scale(t, c) == relation_from_pairs(space, space, [(f, scaled(c, g)) for f, g in pairs])
+    mul = parts(t).mul
+    projected = [(f, project(g, mul)) for f, g in pairs]
+    assert singular_part(t) == relation_from_pairs(space, space, projected)
+    remainders = [(f, added(g, scaled(-1, p))) for (f, g), (_, p) in zip(pairs, projected)]
+    assert regular_part(t) == relation_from_pairs(space, space, remainders)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_eigen_relation_is_the_graph_of_c_on_the_eigenspace(data):
+    space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
+    c = data.draw(rationals)
+    h = data.draw(st.lists(rationals, min_size=space.dim, max_size=space.dim).filter(any))
+    t = data.draw(multivalued_relation(space, space, extra=[(h, scaled(c, h))]))
+    ev = eigenspace(t, c)
+    assert ev.dim > 0
+    assert eigen_relation(t, c) == relation_from_pairs(space, space, [(v, scaled(c, v)) for v in ev.basis_vectors()])
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_operator_and_product_relations_match_their_pairwise_definitions(data):
+    src, dst, _ = data.draw(spaces_of_unequal_dims())
+    a = mat([[data.draw(rationals) for _ in range(src.dim)] for _ in range(dst.dim)])
+    d = data.draw(st.none() | subspace(src))
+    basis = (span(src, identity(src.dim).to_lists()) if d is None else d).basis_vectors()
+    assert operator_relation(src, dst, a, d) == relation_from_pairs(src, dst, [(b, a.mul_vec(b)) for b in basis])
+    x = data.draw(subspace(src))
+    y = data.draw(subspace(dst))
+    pairs = [(b, [0] * dst.dim) for b in x.basis_vectors()] + [([0] * src.dim, b) for b in y.basis_vectors()]
+    assert product_relation(x, y) == relation_from_pairs(src, dst, pairs)
+
+
+@given(
+    dim=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+    method=st.sampled_from(sorted(REPMAP_BUILDERS)),
+)
+@settings(max_examples=25, deadline=None)
+def test_companion_is_q_phi_against_the_shifted_image(dim, seed, method):
+    s, c = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=1, restrict_dim=dim - 1))
+    assume(parts(s).mul.dim > 0)
+    q = REPMAP_BUILDERS[method](s, c)
+    expected = [(q.apply(phi), added(phi_prime, scaled(-c, phi))) for phi, phi_prime in s.pairs()]
+    assert companion(s, q) == relation_from_pairs(q.codomain, s.src, expected)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_projections_project_each_column(data):
+    space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
+    w = data.draw(subspace(space))
+    width = data.draw(st.integers(0, 3))
+    xs = from_cols(space.dim, [[data.draw(rationals) for _ in range(space.dim)] for _ in range(width)])
+    out = projections(xs, w)
+    assert (out.rows, out.cols) == (xs.rows, xs.cols)
+    assert [out.col(j) for j in range(xs.cols)] == [project(xs.col(j), w) for j in range(xs.cols)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_take_picks_the_listed_rows_and_columns(data):
+    nrows, ncols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    m = from_cols(nrows, [[data.draw(rationals) for _ in range(nrows)] for _ in range(ncols)])
+    rows = data.draw(st.lists(st.integers(0, nrows - 1), max_size=5)) if nrows else []
+    cols = data.draw(st.none() | (st.lists(st.integers(0, ncols - 1), max_size=5) if ncols else st.just([])))
+    out = m.take(rows, cols)
+    cols = range(ncols) if cols is None else cols
+    assert (out.rows, out.cols) == (len(rows), len(cols))
+    assert out.to_lists() == [[m[i, j] for j in cols] for i in rows]

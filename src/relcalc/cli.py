@@ -188,9 +188,13 @@ def _in_range(flag: str, value: int, lo: int, hi: int | None = None) -> int:
 def cmd_check(args) -> int:
     dims = _parse_dims(args.dims)
     count = _in_range("--count", args.count, 1)
+    c = parse_rational(args.c, "--c") if args.c is not None else None
+    if args.file is None and c is not None:
+        raise ParseError("--c: applies only to a relation FILE; random instances certify their own c")
     if args.file is not None:
         rel = read_relation(args.file)
-        c = parse_rational(args.c, "--c") if args.c is not None else _default_c(rel)
+        if c is None:
+            c = _default_c(rel)
         results = verify_all(rel, c, seed=args.seed)
         failures = [r for r in results if not r.passed]
         data = {

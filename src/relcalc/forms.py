@@ -10,6 +10,12 @@ No square roots are ever taken: the codomain Gram matrix carries the
 weights, which keeps every certificate identity inside the rational field.
 Each representing map has a companion relation J_c = {{Q_c phi, phi'-c phi}}
 forming an exact dual pair with it.
+
+Whether t - c >= 0 has two independent formulas: the verified pivoted
+LDL^T certificate of M - cG (``certify_lower_bound``, with a witness when
+it fails), and the sign pattern of the real-rooted polynomial det(M - cG)
+shifted to c (``pencil_psd``).  ``bound_bisect`` bisects on the second
+and cross-checks the first at both ends of the bracket it returns.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .linalg import (
     PsdCertificate,
     Vec,
     block_diag,
+    det,
     diag,
     from_cols,
     identity,
@@ -161,12 +168,18 @@ class BoundInterval:
 
 def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     """Certified rational interval of the requested width around the exact
-    lower bound, by pure bisection on the exact PSD test.
+    lower bound, by pure bisection on an exact PSD test.
 
     The bound itself is algebraic and in general irrational, so it is never
     computed; only certified rational brackets are.  The float estimate is
     for display and seeds the bracket search, which starts at 0 when the
     estimate is not a finite float.
+
+    Two independent formulas decide t - c >= 0.  Every bisection step reads
+    it off the exact polynomial det(M - c G) (``pencil_psd``), built once;
+    the verified LDL^T certificate (``certify_lower_bound``) then runs at
+    the two ends of the bracket, and ``CrossCheckError`` is raised unless
+    it certifies ``lo`` and refutes ``hi`` as the polynomial did.
     """
     width = rat(width)
     if t.domain.dim == 0:
@@ -174,31 +187,84 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     if width <= 0:
         raise PreconditionError("interval width must be positive")
     est = _float_estimate(t)
+    p = pencil_polynomial(t)
 
     lo = Fraction(math.floor(est) - 1 if est is not None else 0)
     step = Fraction(1)
-    while not certify_lower_bound(t, lo).ok:
+    while not pencil_psd(p, lo):
         lo -= step
         step *= 2
     hi = Fraction(math.ceil(est) + 1 if est is not None else 0)
     step = Fraction(1)
-    while certify_lower_bound(t, hi).ok:
+    while pencil_psd(p, hi):
         hi += step
         step *= 2
     while hi - lo > width:
         mid = (hi + lo) / 2
-        if certify_lower_bound(t, mid).ok:
+        if pencil_psd(p, mid):
             lo = mid
         else:
             hi = mid
     # When the bound is attained at a simple rational, pin it exactly.
     cand = _simplest_in(lo, hi)
     if cand != lo:
-        if certify_lower_bound(t, cand).ok:
+        if pencil_psd(p, cand):
             lo = cand
         else:
             hi = cand
+    if not certify_lower_bound(t, lo).ok or certify_lower_bound(t, hi).ok:
+        raise CrossCheckError("the LDL^T certificates at the bracket ends disagree with det(M - cG)")
     return BoundInterval(lo, hi, est)
+
+
+def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
+    """Integer coefficients, lowest degree first, of a positive multiple of
+    p(c) = det(M - c G), with M the form matrix and G the domain Gram.
+
+    p is interpolated from its values at c = 0..k, k the domain dimension,
+    each one exact ``det``.  Its degree must be exactly k with leading
+    coefficient (-1)^k det G, or ``CrossCheckError`` is raised.
+    """
+    m, g, k = t.matrix, t.domain_gram, t.domain.dim
+    diffs = [det(m - g.scale(j)) for j in range(k + 1)]
+    # Newton form on the nodes 0..k: p = sum_j (Delta^j p)(0) binom(x, j).
+    coeffs = [Fraction(0)] * (k + 1)
+    binom = [Fraction(1)]  # monomial coefficients of binom(x, j)
+    for j in range(k + 1):
+        for i, b in enumerate(binom):
+            coeffs[i] += diffs[0] * b
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        binom = [(lower - j * same) / (j + 1) for lower, same in zip([0, *binom], [*binom, 0])]
+    if coeffs[k] == 0 or coeffs[k] != (-1) ** k * det(g):
+        raise CrossCheckError("det(M - cG) does not have degree k and leading coefficient (-1)^k det G")
+    den = math.lcm(*(x.denominator for x in coeffs))
+    return tuple(x.numerator * (den // x.denominator) for x in coeffs)
+
+
+def pencil_psd(p: tuple[int, ...], c: Fraction) -> bool:
+    """Whether t - c >= 0, from the coefficients ``p`` of
+    ``pencil_polynomial(t)``.
+
+    G is positive definite, so p has only real roots, the generalized
+    eigenvalues of (M, G), and t - c >= 0 iff none lies below c = a/b.  The
+    roots below c are the positive roots of b^k p((a - y)/b), and for a
+    real-rooted polynomial Descartes' rule of signs counts them exactly, so
+    t - c >= 0 iff its nonzero coefficients show no sign change (Collins
+    and Akritas 1976).  Integers only: a Horner Taylor shift by a of the
+    coefficients scaled by powers of b.
+    """
+    a, b = c.numerator, c.denominator
+    k = len(p) - 1
+    q = list(p)
+    power = 1
+    for i in range(k, -1, -1):
+        q[i] *= power
+        power *= b
+    # q(z) -> q(z + a); then z = -y flips the sign of the odd coefficients.
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            q[j] += a * q[j + 1]
+    return len({(x > 0) != (i % 2 == 1) for i, x in enumerate(q) if x}) == 1
 
 
 def _float_estimate(t: QuadraticForm) -> float | None:

@@ -195,6 +195,8 @@ def _assert_parse_error(argv, capsys):
         ["check", "--count", "1", "--dims", "2..65"],
         ["check", "FILE", "--count", "0"],
         ["check", "FILE", "--dims", "9..2"],
+        ["check", "--count", "1", "--dims", "2..2", "--c", "abc"],
+        ["check", "--count", "1", "--dims", "2..2", "--c", "0"],
     ],
 )
 def test_out_of_range_arguments_exit_2(argv, tmp_path, capsys):
@@ -230,6 +232,27 @@ def test_check_seed0_output_is_pinned(capsys):
     assert main(["check", "--count", "10", "--dims", "2..6", "--seed", "0", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHECK_SEED0_SHA256
+
+
+# sha256 of the stdout of `relcalc analyze FILE --width 1/2^256 --format json`
+# on the files of `relcalc random --dim D --mul M --restrict R --seed S`.
+# The bracket is decided by det(M - cG) and certified by LDL^T at its ends;
+# it must stay the bracket of one LDL^T per bisection step.
+ANALYZE_SHA256 = {
+    (8, 1, 6, 1): "1d7583bda23843383bcea628499c429095514651ef4fb1b8b5dec28a90367a28",
+    (5, 0, 3, 2): "a240a684351ec4ce2b0dd215de0676963844d94290f0b2df13e9a0379732fae7",
+}
+
+
+@pytest.mark.parametrize("dim, mul, restrict, seed", sorted(ANALYZE_SHA256))
+def test_analyze_output_is_pinned(tmp_path, capsys, dim, mul, restrict, seed):
+    path = str(tmp_path / "r.json")
+    spec = ["--dim", str(dim), "--mul", str(mul), "--restrict", str(restrict), "--seed", str(seed)]
+    assert main(["random", *spec, "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["analyze", path, "--width", f"1/{2**256}", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_SHA256[dim, mul, restrict, seed]
 
 
 def test_check_under_python_O_prints_the_same_bytes():

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcalc import linalg
 from relcalc.errors import CrossCheckError
 from relcalc.linalg import (
     Mat,
     PsdCertificate,
     clear_memos,
+    det,
     from_cols,
     hstack,
     identity,
@@ -125,6 +127,14 @@ def test_ldl_certificate_mismatch_is_a_cross_check_error(monkeypatch):
     clear_memos()
     with pytest.raises(CrossCheckError):
         ldl_psd_certificate(mat([[2, 1], [1, 3]]))
+
+
+def test_ldl_unchecked_counterexample_is_a_cross_check_error(monkeypatch):
+    # A zero vector has quadratic value 0: it refutes nothing.
+    monkeypatch.setattr(linalg, "_back_substitute", lambda lower, perm, v: tuple(Fraction(0) for _ in v))
+    clear_memos()
+    with pytest.raises(CrossCheckError):
+        ldl_psd_certificate(mat([[0, 1], [1, 0]]))
 
 
 def test_ldl_rejects_nonsymmetric():
@@ -322,3 +332,41 @@ def test_equal_matrices_hash_equally():
     from_strings = mat([["1", "0/3", "-14/2"], ["9/3", "2/1", "5"]])
     assert from_ints == from_strings
     assert hash(from_ints) == hash(from_strings)
+
+
+# ------------------------------------------- determinant by cofactor expansion
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # A repeated row, so that singular matrices are common.
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = list(rows[j])
+    return mat(rows) if n else Mat(0, 0, ())
+
+
+@given(square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_matches_the_cofactor_expansion(m):
+    assert det(m) == _cofactor_det(m.to_lists())
+
+
+def test_det_by_inspection():
+    assert det(mat([[0, 1], [1, 0]])) == -1
+    assert det(mat([["1/2", 3], [0, "2/3"]])) == Fraction(1, 3)
+    assert det(mat([[1, 2], [2, 4]])) == 0
+    with pytest.raises(ValueError):
+        det(mat([[1, 2]]))

@@ -179,7 +179,10 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     it off the exact polynomial det(M - c G) (``pencil_psd``), built once;
     the verified LDL^T certificate (``certify_lower_bound``) then runs at
     the two ends of the bracket, and ``CrossCheckError`` is raised unless
-    it certifies ``lo`` and refutes ``hi`` as the polynomial did.
+    it certifies ``lo`` and refutes ``hi`` as the polynomial did.  Every
+    root of the polynomial lies within Cauchy's bound B = 1 + max |p_i / p_k|,
+    so the search for a bracket raises ``CrossCheckError`` too when the
+    polynomial refutes some c < -B or certifies some c > B.
     """
     width = rat(width)
     if t.domain.dim == 0:
@@ -188,15 +191,20 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
         raise PreconditionError("interval width must be positive")
     est = _float_estimate(t)
     p = pencil_polynomial(t)
+    bound = 1 + Fraction(max(abs(x) for x in p[:-1]), abs(p[-1]))
 
     lo = Fraction(math.floor(est) - 1 if est is not None else 0)
     step = Fraction(1)
     while not pencil_psd(p, lo):
+        if lo < -bound:
+            raise CrossCheckError("det(M - cG) refutes a c below its Cauchy root bound")
         lo -= step
         step *= 2
     hi = Fraction(math.ceil(est) + 1 if est is not None else 0)
     step = Fraction(1)
     while pencil_psd(p, hi):
+        if hi > bound:
+            raise CrossCheckError("det(M - cG) certifies a c above its Cauchy root bound")
         hi += step
         step *= 2
     while hi - lo > width:

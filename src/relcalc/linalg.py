@@ -5,13 +5,19 @@ handful of operations on small dense matrices over the rationals: reduced
 row echelon form, nullspaces, linear solves, determinants, and an LDL^T
 factorization with diagonal pivoting that either certifies positive
 semidefiniteness or returns an explicit vector with negative quadratic
-value.  No floating point is used anywhere in this module;
-``fractions.Fraction`` carries arbitrary-precision exact arithmetic at the
-interface.  The three eliminations, ``rref``, ``det`` and
-``ldl_psd_certificate``, run on integer rows instead, reduced by a gcd
-after each update: ``rref`` scales each row to integers, and ``det`` and
-``ldl_psd_certificate`` keep each row's denominator beside it.  Fractions
-appear only in what they return.
+value.  No floating point is used anywhere in this module.
+
+A ``Mat`` stores each row as a tuple of Python ints and one positive int
+denominator, reduced so that the gcd of the entries and the denominator
+is 1; a zero row is ``(0, ..., 0) / 1``.  That form is canonical, so
+``==`` and ``hash`` are tuple equality and hashing on ints.  Products,
+sums, scaling, transposes, submatrices and stacking build their result
+rows from ints with one gcd reduction per row, and the three
+eliminations, ``rref``, ``det`` and ``ldl_psd_certificate``, run on the
+stored rows directly, reduced by a gcd after each update.  A
+``fractions.Fraction`` is created at four boundaries only:
+``Mat.__getitem__``, ``Mat.col``, ``Mat.to_lists`` and the result of
+``Mat.mul_vec``.  ``mat`` and ``from_cols`` convert the other way.
 
 Only this module knows how a ``Mat`` is stored.  Every other module builds
 matrices with ``mat``, ``from_cols``, ``zeros``, ``identity``, ``diag`` and
@@ -27,17 +33,19 @@ to the signature before the lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, update_wrapper
 from inspect import signature
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckError
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
+IntRow = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -85,98 +93,135 @@ def vec(entries: Iterable) -> Vec:
     return tuple(rat(x) for x in entries)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mat:
-    """Immutable dense matrix of Fractions, row-major.
+    """Immutable dense rational matrix, row-major.
 
-    Immutability keeps every derived object (subspaces, relation graphs)
-    hashable and safe to share; all operations return new matrices.  The
-    hash is memoized: Fraction hashing is a modular power and matrices are
-    used as memo keys all over the package.
+    Row i is ``_num[i] / _den[i]``: a tuple of ints and an int
+    ``_den[i] > 0`` with no common factor, so a zero row is all zeros over
+    1.  Equal matrices have equal storage, and ``==`` and ``hash`` compare
+    and hash ints.  Immutability keeps every derived object (subspaces,
+    relation graphs) hashable and safe to share; all operations return new
+    matrices.  The hash is memoized because matrices are memo keys all over
+    the package.
     """
 
     rows: int
     cols: int
-    data: tuple[Vec, ...]
+    _num: tuple[IntRow, ...]
+    _den: tuple[int, ...]
+    _hash: int | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data does not match declared shape")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return self.cols == other.cols and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        # Fractions are normalized, so equal matrices have equal
-        # (numerator, denominator) pairs; hashing the int pairs skips the
-        # modular power of Fraction.__hash__.
-        cached = getattr(self, "_hash", None)
+        cached = self._hash
         if cached is None:
-            pairs = tuple([(x.numerator, x.denominator) for r in self.data for x in r])
-            cached = hash((self.rows, self.cols, pairs))
+            cached = hash((self.cols, self._den, self._num))
             object.__setattr__(self, "_hash", cached)
         return cached
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
-        return self.data[idx[0]][idx[1]]
+        i, j = idx
+        return Fraction(self._num[i][j], self._den[i])
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
+        return tuple([Fraction(r[j], d) for r, d in zip(self._num, self._den)])
 
     def take(self, rows: Sequence[int], cols: Sequence[int] | None = None) -> "Mat":
         """The submatrix of the listed rows and columns, in the listed
         order; every column when ``cols`` is None."""
+        num, den = self._num, self._den
         if cols is None:
-            return Mat(len(rows), self.cols, tuple(self.data[i] for i in rows))
-        return Mat(len(rows), len(cols), tuple(tuple(self.data[i][j] for j in cols) for i in rows))
+            return Mat(len(rows), self.cols, tuple([num[i] for i in rows]), tuple([den[i] for i in rows]))
+        return _from_rows(len(cols), [_norm([num[i][j] for j in cols], den[i]) for i in rows])
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        if not self.rows:
+            return zeros(self.cols, 0)
+        common = lcm(*self._den)
+        return _from_rows(self.rows, [_norm(c, common) for c in zip(*_over(self, common))])
 
     def __add__(self, other: "Mat") -> "Mat":
-        _same_shape(self, other)
-        return Mat(self.rows, self.cols, tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
+        return _add(self, other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        _same_shape(self, other)
-        return Mat(self.rows, self.cols, tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
+        return _add(self, other, -1)
 
     def scale(self, a: int | str | Fraction) -> "Mat":
         a = rat(a)
-        return Mat(self.rows, self.cols, tuple(tuple(a * x for x in r) for r in self.data))
+        p, q = a.numerator, a.denominator
+        if not p:
+            return zeros(self.rows, self.cols)
+        return _from_rows(self.cols, [_norm([p * x for x in r], d * q) for r, d in zip(self._num, self._den)])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.T.data
-        return Mat(self.rows, other.cols, tuple(tuple(_dot(r, c) for c in ot) for r in self.data))
+        if not other.rows:
+            return zeros(self.rows, other.cols)
+        # Bring the right factor over one denominator, so each output entry
+        # is an integer dot product and each output row is reduced once.
+        common = lcm(*other._den)
+        cols = list(zip(*_over(other, common)))
+        return _from_rows(
+            other.cols,
+            [_norm([sum(map(mul, r, c)) for c in cols], d * common) for r, d in zip(self._num, self._den)],
+        )
 
     def mul_vec(self, x: Sequence[Fraction]) -> Vec:
         if len(x) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(_dot(r, x) for r in self.data)
+        xs, xden = _int_row(x)
+        return tuple([Fraction(sum(map(mul, r, xs)), d * xden) for r, d in zip(self._num, self._den)])
 
     def is_symmetric(self) -> bool:
+        num, den = self._num, self._den
         return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i + 1, self.cols)
+            num[i][j] * den[j] == num[j][i] * den[i] for i in range(self.rows) for j in range(i + 1, self.cols)
         )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(any(r) for r in self._num)
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.data]
+        return [[Fraction(x, d) for x in r] for r, d in zip(self._num, self._den)]
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    # Accumulate over a running integer denominator and normalize once;
-    # termwise Fraction arithmetic would re-reduce after every operation.
-    num = 0
-    den = 1
-    for x, y in zip(a, b):
-        if x and y:
-            d = x.denominator * y.denominator
-            num = num * d + x.numerator * y.numerator * den
-            den *= d
-    return Fraction(num, den)
+def _norm(ints: Sequence[int], den: int) -> tuple[IntRow, int]:
+    """The stored form of the row ``ints / den``, ``den > 0``."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return tuple(ints), den
+    return tuple([x // g for x in ints]), den // g
+
+
+def _from_rows(ncols: int, rows: list[tuple[IntRow, int]]) -> Mat:
+    """The matrix of stored-form rows, each ``(ints, den)``."""
+    if not rows:
+        return Mat(0, ncols, (), ())
+    num, den = zip(*rows)
+    return Mat(len(rows), ncols, num, den)
+
+
+def _over(m: Mat, common: int) -> list[IntRow]:
+    """The integer rows of ``m`` scaled to the common denominator
+    ``common``, a multiple of every row denominator."""
+    return [r if d == common else [x * (common // d) for x in r] for r, d in zip(m._num, m._den)]
+
+
+def _add(a: Mat, b: Mat, sign: int) -> Mat:
+    _same_shape(a, b)
+    rows = []
+    for ra, da, rb, db in zip(a._num, a._den, b._num, b._den):
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        rows.append(_norm([x * fa + y * fb for x, y in zip(ra, rb)], da * fa))
+    return _from_rows(a.cols, rows)
 
 
 def _same_shape(a: Mat, b: Mat) -> None:
@@ -184,23 +229,40 @@ def _same_shape(a: Mat, b: Mat) -> None:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
 
 
+def _int_row(row: Sequence[Fraction]) -> tuple[IntRow, int]:
+    """Integers ``ints`` and ``den > 0`` with ``row == ints / den``.
+
+    ``den`` is the least common denominator of the row, so no factor
+    divides ``den`` and every entry of ``ints``: this is the row's stored
+    form.
+    """
+    den = lcm(*[x.denominator for x in row])
+    return tuple([x.numerator * (den // x.denominator) for x in row]), den
+
+
 def mat(rows: Iterable[Iterable]) -> Mat:
-    data = tuple(vec(r) for r in rows)
-    ncols = len(data[0]) if data else 0
-    return Mat(len(data), ncols, data)
+    data = [_int_row(vec(r)) for r in rows]
+    ncols = len(data[0][0]) if data else 0
+    if any(len(r) != ncols for r, _ in data):
+        raise ValueError("matrix rows have different lengths")
+    return _from_rows(ncols, data)
 
 
 def zeros(nrows: int, ncols: int) -> Mat:
-    return Mat(nrows, ncols, tuple(tuple(ZERO for _ in range(ncols)) for _ in range(nrows)))
+    return Mat(nrows, ncols, ((0,) * ncols,) * nrows, (1,) * nrows)
 
 
 def identity(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+    return Mat(n, n, tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)), (1,) * n)
 
 
 def diag(entries: Sequence[Fraction]) -> Mat:
     n = len(entries)
-    return Mat(n, n, tuple(tuple(entries[i] if i == j else ZERO for j in range(n)) for i in range(n)))
+    rows = []
+    for i, x in enumerate(entries):
+        x = rat(x)
+        rows.append((tuple([x.numerator if i == j else 0 for j in range(n)]), x.denominator))
+    return _from_rows(n, rows)
 
 
 def from_cols(ncols_rows: int, cols: Sequence[Sequence[Fraction]]) -> Mat:
@@ -209,19 +271,29 @@ def from_cols(ncols_rows: int, cols: Sequence[Sequence[Fraction]]) -> Mat:
     for c in cols:
         if len(c) != nrows:
             raise ValueError("column length does not match row count")
-    return Mat(nrows, len(cols), tuple(tuple(rat(c[i]) for c in cols) for i in range(nrows)))
+    return _from_rows(len(cols), [_int_row([rat(c[i]) for c in cols]) for i in range(nrows)])
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row count mismatch in hstack")
-    return Mat(a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.data, b.data)))
+    # Over the lcm of two coprime-reduced rows no common factor can
+    # appear, so the joined rows need no gcd.
+    rows = []
+    for ra, da, rb, db in zip(a._num, a._den, b._num, b._den):
+        if da == db:
+            rows.append((ra + rb, da))
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            rows.append((tuple([x * fa for x in ra]) + tuple([y * fb for y in rb]), da * fa))
+    return _from_rows(a.cols + b.cols, rows)
 
 
 def vstack(a: Mat, b: Mat) -> Mat:
     if a.cols != b.cols:
         raise ValueError("column count mismatch in vstack")
-    return Mat(a.rows + b.rows, a.cols, a.data + b.data)
+    return Mat(a.rows + b.rows, a.cols, a._num + b._num, a._den + b._den)
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
@@ -237,17 +309,15 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     Leading entries are 1 with zeros above and below; this is the single
     canonical form used for all subspace equality tests.
 
-    The elimination runs on integer rows (each input row scaled by its
-    common denominator, each update followed by a gcd reduction), which
-    avoids the Fraction-normalization storm of naive exact elimination;
-    pivot rows are rescaled to leading 1 only at the end.  RREF is unique,
-    so the result is independent of this internal representation.
+    The elimination runs on the stored integer rows (row denominators
+    never matter to a row space): each update combines two rows with
+    multipliers divided by their gcd and is followed by a gcd reduction,
+    which avoids the Fraction-normalization storm of naive exact
+    elimination.  A reduced row with pivot p is already in stored
+    form as ``(row * sign(p), |p|)``, so no division happens at the end.
+    RREF is unique, so the result is independent of this representation.
     """
-    work: list[list[int]] = []
-    for row in m.data:
-        ints, _ = _int_row(row)
-        _reduce_int_row(ints)
-        work.append(ints)
+    work = [_reduced(list(row)) for row in m._num]
     pivots: list[int] = []
     prow = 0
     for pcol in range(m.cols):
@@ -262,45 +332,23 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         for r in range(m.rows):
             if r != prow and work[r][pcol]:
                 f = work[r][pcol]
-                updated = [p * x - f * y if y else p * x for x, y in zip(work[r], prow_vals)]
-                _reduce_int_row(updated)
-                work[r] = updated
+                g = gcd(p, f)
+                pr, fr = p // g, f // g
+                work[r] = _reduced([pr * x - fr * y if y else pr * x for x, y in zip(work[r], prow_vals)])
         pivots.append(pcol)
         prow += 1
-    out: list[Vec] = []
-    for i in range(m.rows):
-        if i < len(pivots):
-            p = work[i][pivots[i]]
-            out.append(tuple(Fraction(x, p) for x in work[i]))
-        else:
-            out.append(tuple(ZERO for _ in range(m.cols)))
-    return Mat(m.rows, m.cols, tuple(out)), tuple(pivots)
+    out: list[tuple[IntRow, int]] = []
+    for i, pc in enumerate(pivots):
+        row, p = work[i], work[i][pc]
+        out.append((tuple(row), p) if p > 0 else (tuple([-x for x in row]), -p))
+    out.extend([((0,) * m.cols, 1)] * (m.rows - len(pivots)))
+    return _from_rows(m.cols, out), tuple(pivots)
 
 
-def _int_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers ``ints`` and ``den > 0`` with ``row == ints / den``.
-
-    ``den`` is the least common denominator of the row, so no factor
-    divides ``den`` and every entry of ``ints``.
-    """
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den // gcd(den, d) * d
-    return [x.numerator * (den // x.denominator) for x in row], den
-
-
-def _reduce_int_row(row: list[int]) -> None:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return
-    if g > 1:
-        for i, x in enumerate(row):
-            if x:
-                row[i] = x // g
+def _reduced(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rank(m: Mat) -> int:
@@ -312,19 +360,19 @@ def kernel(m: Mat) -> Mat:
     """Basis of the nullspace {x : Mx = 0}, as columns of a cols x k matrix.
 
     Uses the standard free-variable parametrization of the RREF, which is
-    deterministic and canonical for a given input.
+    deterministic and canonical for a given input: the basis vector of free
+    column f is 1 at f and minus column f of the reduced rows at the pivots.
     """
     red, pivots = rref(m)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
-    cols: list[list[Fraction]] = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][fc]
-        cols.append(v)
-    return from_cols(m.cols, cols)
+    k = len(free)
+    rows: list[tuple[IntRow, int]] = [((0,) * k, 1)] * m.cols
+    for pos, fc in enumerate(free):
+        rows[fc] = (tuple([1 if t == pos else 0 for t in range(k)]), 1)
+    for r, d, pc in zip(red._num, red._den, pivots):
+        rows[pc] = _norm([-r[fc] for fc in free], d)
+    return _from_rows(k, rows)
 
 
 def solve(m: Mat, b: Sequence[Fraction]) -> Vec | None:
@@ -341,11 +389,10 @@ def solve_mat(m: Mat, b: Mat) -> Mat | None:
     # A pivot in an augmented column means that column is inconsistent.
     if any(p >= m.cols for p in pivots):
         return None
-    out = [[ZERO] * b.cols for _ in range(m.cols)]
-    for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = red.data[i][m.cols + j]
-    return Mat(m.cols, b.cols, tuple(tuple(r) for r in out))
+    rows: list[tuple[IntRow, int]] = [((0,) * b.cols, 1)] * m.cols
+    for r, d, pc in zip(red._num, red._den, pivots):
+        rows[pc] = _norm(r[m.cols:], d)
+    return _from_rows(b.cols, rows)
 
 
 def inverse(m: Mat) -> Mat:
@@ -354,11 +401,11 @@ def inverse(m: Mat) -> Mat:
     red, pivots = rref(hstack(m, identity(m.rows)))
     if len(pivots) != m.rows or any(p >= m.cols for p in pivots):
         raise ValueError("matrix is singular")
-    return Mat(m.rows, m.cols, tuple(r[m.cols:] for r in red.data))
+    return _from_rows(m.cols, [_norm(r[m.cols:], d) for r, d in zip(red._num, red._den)])
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant by elimination on integer rows.
+    """Exact determinant by elimination on the stored integer rows.
 
     As in ``ldl_psd_certificate``, row r is ``a[r] / den[r]``, reduced by a
     gcd after each update (``_schur_update``), and the determinant is the
@@ -369,12 +416,8 @@ def det(m: Mat) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("only square matrices have a determinant")
     n = m.rows
-    a: list[list[int]] = []
-    den: list[int] = []
-    for row in m.data:
-        ints, scale = _int_row(row)
-        a.append(ints)
-        den.append(scale)
+    a = [list(r) for r in m._num]
+    den = list(m._den)
     num, denom = 1, 1
     for i in range(n):
         p = next((r for r in range(i, n) if a[r][i]), None)
@@ -392,10 +435,11 @@ def det(m: Mat) -> Fraction:
 
 def _schur_update(a: list[list[int]], den: list[int], i: int) -> None:
     """Eliminate column i below the pivot ``a[i][i] != 0``: each row r > i
-    with a nonzero entry becomes its Schur complement row over a new
-    ``den[r]``, reduced by a gcd (``den[r]`` keeps its sign when the pivot
-    is positive, as in ``ldl_psd_certificate``).  Columns <= i of those
-    rows are left stale and never read again."""
+    with a nonzero entry f becomes its Schur complement row over a new
+    ``den[r]``, with the multipliers piv and f divided by their gcd first
+    and the result reduced by a gcd (``den[r]`` keeps its sign when the
+    pivot is positive, as in ``ldl_psd_certificate``).  Columns <= i of
+    those rows are left stale and never read again."""
     prow = a[i]
     piv = prow[i]
     ptail = prow[i + 1:]
@@ -403,9 +447,11 @@ def _schur_update(a: list[list[int]], den: list[int], i: int) -> None:
         row = a[r]
         f = row[i]
         if f:
-            tail = [piv * x - f * y for x, y in zip(row[i + 1:], ptail)]
-            g = gcd(den[r] * piv, *tail)
-            den[r] = den[r] * piv // g
+            g = gcd(piv, f)
+            pr, fr = piv // g, f // g
+            tail = [pr * x - fr * y for x, y in zip(row[i + 1:], ptail)]
+            g = gcd(den[r] * pr, *tail)
+            den[r] = den[r] * pr // g
             row[i + 1:] = tail if g == 1 else [x // g for x in tail]
 
 
@@ -454,8 +500,8 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
     counterexample by its quadratic value.  Eigenvalues never
     appear: they would leave the rational field.
 
-    The elimination runs on integer rows, as in ``rref``: row r of the
-    running Schur complement is ``a[r] / den[r]`` with Python ints and
+    The elimination runs on the stored integer rows: row r of the running
+    Schur complement is ``a[r] / den[r]`` with Python ints and
     ``den[r] > 0``, one denominator per row, reduced by a gcd after each
     update.  (One denominator for the whole matrix, as in Bareiss, grows
     far beyond any entry on wide product-space Grams.)  Fractions appear
@@ -466,12 +512,8 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
     if not m.is_symmetric():
         raise ValueError("ldl_psd_certificate requires a symmetric matrix")
     n = m.rows
-    a: list[list[int]] = []
-    den: list[int] = []
-    for row in m.data:
-        ints, scale = _int_row(row)
-        a.append(ints)
-        den.append(scale)
+    a = [list(r) for r in m._num]
+    den = list(m._den)
     lower = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     perm = list(range(n))
     d: list[Fraction] = []
@@ -517,7 +559,7 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
             if a[r][i]:
                 lower[r][i] = Fraction(a[r][i] * den[i], den[r] * piv)
         _schur_update(a, den, i)
-    cert = PsdCertificate(tuple(perm), Mat(n, n, tuple(tuple(r) for r in lower)), tuple(d))
+    cert = PsdCertificate(tuple(perm), mat(lower), tuple(d))
     if not cert.verify(m):
         raise CrossCheckError("LDL^T factorization does not reproduce the matrix")
     return PsdResult(cert, None)
@@ -541,4 +583,4 @@ def _back_substitute(lower: list[list[Fraction]], perm: list[int], v: list[Fract
 
 
 def quad_form(m: Mat, x: Sequence[Fraction]) -> Fraction:
-    return _dot(m.mul_vec(x), x)
+    return sum(map(mul, m.mul_vec(x), x), ZERO)

@@ -22,7 +22,7 @@ from relcalc.forms import (
     stack_maps,
     stack_relations,
 )
-from relcalc.linalg import Mat, mat, vec, zeros
+from relcalc.linalg import mat, vec, zeros
 from relcalc.relations import (
     adjoint,
     inverse,
@@ -104,7 +104,7 @@ def test_bound_bisect_identity():
 
 
 def test_bound_bisect_rejects_empty_domain():
-    t = QuadraticForm(Q2, zero_subspace(Q2), Mat(0, 0, ()))
+    t = QuadraticForm(Q2, zero_subspace(Q2), zeros(0, 0))
     with pytest.raises(PreconditionError):
         bound_bisect(t, Fraction(1, 8))
 

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from relcalc import linalg
 from relcalc.errors import CrossCheckError
 from relcalc.linalg import (
-    Mat,
     PsdCertificate,
     clear_memos,
     det,
     from_cols,
     hstack,
     identity,
+    inverse,
     kernel,
     ldl_psd_certificate,
     mat,
@@ -30,6 +30,7 @@ from relcalc.linalg import (
     solve,
     solve_mat,
     vec,
+    vstack,
     zeros,
 )
 
@@ -143,7 +144,7 @@ def test_ldl_rejects_nonsymmetric():
 
 
 def test_ldl_empty_matrix():
-    res = ldl_psd_certificate(Mat(0, 0, ()))
+    res = ldl_psd_certificate(zeros(0, 0))
     assert res.ok
 
 
@@ -188,8 +189,8 @@ def test_planted_negative_direction_is_caught(m, idx):
     n = gram.rows
     i = idx % n
     # Subtract enough of e_i e_i^T to plant a negative eigendirection.
-    planted = [[gram.data[r][c] for c in range(n)] for r in range(n)]
-    planted[i][i] -= gram.data[i][i] + 1
+    planted = [[gram[r, c] for c in range(n)] for r in range(n)]
+    planted[i][i] -= gram[i, i] + 1
     planted_m = mat(planted)
     res = ldl_psd_certificate(planted_m)
     assert not res.ok
@@ -216,7 +217,7 @@ def _fraction_ldl(m):
     """
     zero, one = Fraction(0), Fraction(1)
     n = m.rows
-    a = [list(r) for r in m.data]
+    a = m.to_lists()
     lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
     perm = list(range(n))
     d = []
@@ -325,13 +326,143 @@ def test_integer_row_ldl_matches_the_fraction_elimination(m):
 
 
 def test_equal_matrices_hash_equally():
-    halves = Mat(1, 2, ((Fraction(2, 4), Fraction(-6, 4)),))
+    halves = mat([["2/4", "-6/4"]])
     assert halves == mat([["1/2", "-3/2"]])
     assert hash(halves) == hash(mat([["1/2", "-3/2"]]))
     from_ints = mat([[1, 0, -7], [3, 2, 5]])
     from_strings = mat([["1", "0/3", "-14/2"], ["9/3", "2/1", "5"]])
     assert from_ints == from_strings
     assert hash(from_ints) == hash(from_strings)
+
+
+# ------------------------------------------ Mat algebra against Fraction lists
+#
+# A Mat keeps integer rows with one reduced denominator per row.  These
+# tests hold every operation to the same operation on lists of Fractions,
+# kept here as the reference, and every result to the stored form that
+# ``mat`` builds from its entries: equal matrices must be equal and hash
+# equally whatever route built them.
+
+ZERO = Fraction(0)
+
+entries = st.one_of(
+    st.just(ZERO),
+    rationals,
+    st.builds(Fraction, st.integers(min_value=-(10**6), max_value=10**6), st.sampled_from(LARGE_PRIMES)),
+)
+sizes = st.integers(min_value=0, max_value=4)
+
+
+@st.composite
+def fraction_rows(draw, nrows, ncols):
+    """An nrows x ncols list of Fraction rows, some of them zero rows."""
+    rows = []
+    for _ in range(nrows):
+        zero_row = draw(st.integers(min_value=0, max_value=4)) == 0
+        rows.append([ZERO] * ncols if zero_row else [draw(entries) for _ in range(ncols)])
+    return rows
+
+
+def build(rows, ncols):
+    """The Mat of Fraction rows by ``mat``; ``zeros`` when there are none."""
+    return mat(rows) if rows else zeros(0, ncols)
+
+
+def assert_is(m, rows, ncols):
+    """m has the entries ``rows`` and the stored form ``build`` gives them."""
+    assert (m.rows, m.cols) == (len(rows), ncols)
+    assert m.to_lists() == rows
+    assert all(m[i, j] == x for i, r in enumerate(rows) for j, x in enumerate(r))
+    assert [m.col(j) for j in range(ncols)] == [tuple(r[j] for r in rows) for j in range(ncols)]
+    expected = build(rows, ncols)
+    assert m == expected
+    assert hash(m) == hash(expected)
+
+
+def ref_matmul(a, b, inner, ncols):
+    return [[sum((r[k] * b[k][j] for k in range(inner)), ZERO) for j in range(ncols)] for r in a]
+
+
+def ref_transpose(a, ncols):
+    return [[r[j] for r in a] for j in range(ncols)]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mat_algebra_matches_fraction_lists(data):
+    n, k, p, extra = (data.draw(sizes) for _ in range(4))
+    a = data.draw(fraction_rows(n, k))
+    a2 = data.draw(fraction_rows(n, k))
+    b = data.draw(fraction_rows(k, p))
+    below = data.draw(fraction_rows(extra, k))
+    ma, ma2, mb = build(a, k), build(a2, k), build(b, p)
+    assert_is(ma, a, k)
+
+    assert_is(ma @ mb, ref_matmul(a, b, k, p), p)
+    assert_is(ma + ma2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
+    assert_is(ma - ma2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
+    for factor in (ZERO, data.draw(entries)):
+        assert_is(ma.scale(factor), [[factor * x for x in r] for r in a], k)
+    assert_is(ma.T, ref_transpose(a, k), n)
+    picked_rows = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4)) if n else []
+    picked_cols = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=4)) if k else []
+    assert_is(ma.take(picked_rows), [a[i] for i in picked_rows], k)
+    assert_is(ma.take(picked_rows, picked_cols), [[a[i][j] for j in picked_cols] for i in picked_rows], len(picked_cols))
+    assert_is(hstack(ma, ma2), [r + r2 for r, r2 in zip(a, a2)], 2 * k)
+    assert_is(vstack(ma, build(below, k)), a + below, k)
+
+    x = [data.draw(entries) for _ in range(k)]
+    assert ma.mul_vec(x) == tuple(sum((u * v for u, v in zip(r, x)), ZERO) for r in a)
+    assert ma.is_zero() == all(v == 0 for r in a for v in r)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_symmetric_matches_fraction_lists(data):
+    n = data.draw(sizes)
+    a = data.draw(fraction_rows(n, n))
+    sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    assert build(sym, n).is_symmetric()
+    assert build(a, n).is_symmetric() == (a == ref_transpose(a, n))
+    if n:
+        assert not build([r[:-1] for r in sym], n - 1).is_symmetric()  # not square
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_equal_matrices_built_by_different_routes_are_equal(data):
+    n, k = data.draw(sizes), data.draw(sizes)
+    a = data.draw(fraction_rows(n, k))
+    ma = build(a, k)
+    if n:
+        # Unreduced strings: every entry p/q written as (p m)/(q m).
+        factors = st.lists(st.integers(min_value=1, max_value=30), min_size=k, max_size=k)
+        unreduced = [[f"{x.numerator * m}/{x.denominator * m}" for x, m in zip(r, data.draw(factors))] for r in a]
+        from_strings = mat(unreduced)
+        assert from_strings == ma
+        assert hash(from_strings) == hash(ma)
+    assert_is(identity(n) @ ma, a, k)
+    assert_is(ma @ identity(k), a, k)
+    assert_is(ma.T.T, a, k)
+    assert_is(ma.scale(Fraction(-3, 7)).scale(Fraction(-7, 3)), a, k)
+    assert_is(from_cols(n, [ma.col(j) for j in range(k)]), a, k)
+    # Elimination outputs are stored rows built without a gcd per entry.
+    red, _ = rref(ma)
+    assert_is(red, red.to_lists(), k)
+    null = kernel(ma)
+    assert_is(null, null.to_lists(), null.cols)
+    assert (ma @ null).is_zero()
+    if n == k and rank(ma) == n:
+        inv = inverse(ma)
+        assert_is(inv, inv.to_lists(), n)
+        assert_is(ma @ inv, identity(n).to_lists(), n)
+
+
+def test_ragged_rows_are_a_value_error():
+    with pytest.raises(ValueError):
+        mat([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        mat([[], [1]])
 
 
 # ------------------------------------------- determinant by cofactor expansion
@@ -355,7 +486,7 @@ def square_matrices(draw):
         # A repeated row, so that singular matrices are common.
         i, j = draw(st.permutations(range(n)))[:2]
         rows[i] = list(rows[j])
-    return mat(rows) if n else Mat(0, 0, ())
+    return mat(rows) if n else zeros(0, 0)
 
 
 @given(square_matrices())

@@ -170,3 +170,14 @@ def test_ldl_disagreeing_at_a_bracket_end_is_a_cross_check_error(monkeypatch, fo
     monkeypatch.setattr(forms, "certify_lower_bound", lambda form, c: real(form, forced_c))
     with pytest.raises(CrossCheckError):
         bound_bisect(t, Fraction(1, 64))
+
+
+@pytest.mark.parametrize("answer", [True, False], ids=["always-psd", "never-psd"])
+def test_a_decision_that_never_flips_is_a_cross_check_error(monkeypatch, answer):
+    # A polynomial decision that never refutes (or never certifies) would
+    # double the bracket end forever; past Cauchy's root bound it must fail.
+    t = two_plus_square()
+    clear_memos()
+    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: answer)
+    with pytest.raises(CrossCheckError, match="Cauchy root bound"):
+        bound_bisect(t, Fraction(1, 64))

@@ -35,6 +35,7 @@ from .linalg import (
     det,
     diag,
     from_cols,
+    hstack,
     identity,
     kernel,
     ldl_psd_certificate,
@@ -49,7 +50,7 @@ from .linalg import (
 )
 from .relations import (
     LinearRelation,
-    _join,
+    _relation_where,
     adjoint,
     eigenspace,
     form_matrix_on_domain,
@@ -63,6 +64,7 @@ from .relations import (
 )
 from .spaces import (
     InnerProductSpace,
+    ProductSpace,
     Subspace,
     contains,
     coordinates,
@@ -441,12 +443,9 @@ def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
     """
     if q1.domain != q2.domain:
         raise PreconditionError("stacked representing maps must share their domain")
-    codomain = InnerProductSpace(
-        q1.codomain.dim + q2.codomain.dim, block_diag(q1.codomain.gram, q2.codomain.gram)
-    )
     return RepresentingMap(
         q1.domain,
-        codomain,
+        ProductSpace(q1.codomain, q2.codomain).space,
         vstack(q1.matrix, q2.matrix),
         q1.base_point + q2.base_point,
         q1.form_matrix + q2.form_matrix,
@@ -455,13 +454,15 @@ def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
 
 def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     """Column stack of two relations with the same source:
-    {{f, g1 (+) g2} : {f, g1} in T1, {f, g2} in T2}."""
+    {{f, g1 (+) g2} : {f, g1} in T1, {f, g2} in T2}.  Over the graph bases
+    {F_1 y, G_1 y} and {F_2 z, G_2 z} it is
+    {{F_1 y, G_1 y (+) G_2 z} : F_1 y = F_2 z}."""
     if t1.src != t2.src:
         raise PreconditionError("stacked relations must share their source space")
-    h, k1, k2 = t1.src, t1.dst, t2.dst
-    firsts, seconds_1, seconds_2 = _join((h, k1, k2), t1.graph, (0, 1), t2.graph, (0, 2))
-    dst = InnerProductSpace(k1.dim + k2.dim, block_diag(k1.gram, k2.gram))
-    return graph_relation(h, dst, firsts, vstack(seconds_1, seconds_2))
+    f_1, g_1 = t1.halves()
+    f_2, g_2 = t2.halves()
+    a = vstack(hstack(f_1, zeros(f_1.rows, f_2.cols)), block_diag(g_1, g_2))
+    return _relation_where(t1.src, ProductSpace(t1.dst, t2.dst).space, a, hstack(f_1, f_2.scale(-1)))
 
 
 def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import Mat, Vec, block_diag, from_cols, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve_mat, vstack
+from .linalg import Mat, Vec, block_diag, from_cols, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve_mat, vstack, zeros
 from .spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -25,7 +24,7 @@ from .spaces import (
     contains,
     full_subspace,
     gram_on,
-    intersect,
+    image_where,
     projections,
     span,
     span_mat,
@@ -124,9 +123,9 @@ def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
 @memo
 def parts(t: LinearRelation) -> RelationParts:
     firsts, seconds = t.halves()
-    # mul: combinations of graph vectors with vanishing first component.
-    mul = span_mat(t.dst, seconds @ kernel(firsts))
-    ker = span_mat(t.src, firsts @ kernel(seconds))
+    # mul: second components of the graph vectors whose first one vanishes.
+    mul = image_where(t.dst, seconds, firsts)
+    ker = image_where(t.src, firsts, seconds)
     return RelationParts(dom=span_mat(t.src, firsts), ran=span_mat(t.dst, seconds), ker=ker, mul=mul)
 
 
@@ -186,49 +185,24 @@ def closure(t: LinearRelation) -> LinearRelation:
     return t
 
 
-def _cylinder(blocks: Sequence[InnerProductSpace], sub: Subspace, at: Sequence[int]) -> Subspace:
-    """sub x (every block not in ``at``) inside the product of ``blocks``.
-
-    ``sub`` lives in the product of the blocks listed in ``at``, in that
-    order; its basis is placed on those blocks and the unit vectors of the
-    other blocks span the free directions.  The product is left-nested,
-    ((B0 (+) B1) (+) B2), so two blocks give the space of a relation graph.
-    """
-    free = [i for i in range(len(blocks)) if i not in at]
-    # The rows of block_diag(sub, I) run over the blocks in ``at`` and then
-    # the free ones; ``start`` finds each block there, to put it in order.
-    placed = [*at, *free]
-    start = dict(zip(placed, accumulate((blocks[i].dim for i in placed), initial=0)))
-    rows = [start[i] + r for i, b in enumerate(blocks) for r in range(b.dim)]
-    product = blocks[0]
-    for b in blocks[1:]:
-        product = ProductSpace(product, b).space
-    return span_mat(product, block_diag(sub.basis, identity(sum(blocks[i].dim for i in free))).take(rows))
-
-
-def _join(
-    blocks: Sequence[InnerProductSpace], a: Subspace, a_at: Sequence[int], b: Subspace, b_at: Sequence[int]
-) -> list[Mat]:
-    """The meet of the cylinders over a and b, its basis cut into one row
-    block per product block (Arens: every relational product is the image
-    of such a meet)."""
-    meet = intersect(_cylinder(blocks, a, a_at), _cylinder(blocks, b, b_at))
-    offsets = [0, *accumulate(blk.dim for blk in blocks)]
-    return [meet.basis.take(range(lo, hi)) for lo, hi in zip(offsets, offsets[1:])]
+def _relation_where(src: InnerProductSpace, dst: InnerProductSpace, a: Mat, b: Mat) -> LinearRelation:
+    """The relation with graph {a x : b x = 0}.  Every relational product
+    has this form over the coefficients x of its inputs' bases (Arens)."""
+    return LinearRelation(src, dst, image_where(ProductSpace(src, dst).space, a, b))
 
 
 @memo
 def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     """R after T: {{f, g} : exists k with {f, k} in T and {k, g} in R}.
 
-    Computed by intersecting T (+) L with H (+) R inside H (+) K (+) L and
-    projecting out the middle coordinates.  Exact, no tolerance anywhere.
+    With T's graph basis {F_T y, K_T y} and R's {K_R z, G_R z}, this is
+    {{F_T y, G_R z} : K_T y = K_R z}.  Exact, no tolerance anywhere.
     """
     if t.dst != r.src:
         raise AmbientMismatchError("compose requires target of T to equal source of R")
-    h, k, l = t.src, t.dst, r.dst
-    firsts, _, seconds = _join((h, k, l), t.graph, (0, 1), r.graph, (1, 2))
-    return graph_relation(h, l, firsts, seconds)
+    f_t, k_t = t.halves()
+    k_r, g_r = r.halves()
+    return _relation_where(t.src, r.dst, block_diag(f_t, g_r), hstack(k_t, k_r.scale(-1)))
 
 
 def hsum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
@@ -242,20 +216,25 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
 
     This is the operator-style sum (shared first component), not the graph
     span; it is the sum under which a relation recombines from its regular
-    and singular parts.
+    and singular parts.  Over the graph bases {F_A y, G_A y} and
+    {F_B z, G_B z} it is {{F_A y, G_A y + G_B z} : F_A y = F_B z}.
     """
     _same_spaces(a, b)
-    h, k = a.src, a.dst
-    firsts, seconds_a, seconds_b = _join((h, k, k), a.graph, (0, 1), b.graph, (0, 2))
-    return graph_relation(h, k, firsts, seconds_a + seconds_b)
+    f_a, g_a = a.halves()
+    f_b, g_b = b.halves()
+    firsts = hstack(f_a, zeros(f_a.rows, f_b.cols))
+    return _relation_where(a.src, a.dst, vstack(firsts, hstack(g_a, g_b)), hstack(f_a, f_b.scale(-1)))
 
 
 @memo
 def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
-    """T restricted to D: graph elements whose first component lies in D."""
+    """T restricted to D: graph elements whose first component lies in D,
+    {{F y, G y} : F y = B_D z} over T's graph basis {F y, G y}."""
     if d.space != t.src:
         raise AmbientMismatchError("restriction subspace must live in the source space")
-    return LinearRelation(t.src, t.dst, intersect(t.graph, _cylinder((t.src, t.dst), d, (0,))))
+    basis = t.graph.basis
+    firsts, _ = t.halves()
+    return _relation_where(t.src, t.dst, hstack(basis, zeros(basis.rows, d.dim)), hstack(firsts, d.basis.scale(-1)))
 
 
 @memo
@@ -278,7 +257,7 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
         raise PreconditionError("eigenspace requires equal source and target spaces")
     c = rat(c)
     firsts, seconds = t.halves()
-    return span_mat(t.src, firsts @ kernel(seconds - firsts.scale(c)))
+    return image_where(t.src, firsts, seconds - firsts.scale(c))
 
 
 def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:

@@ -29,6 +29,7 @@ from .linalg import (
     solve,
     solve_mat,
     vec,
+    vstack,
     zeros,
 )
 
@@ -124,12 +125,25 @@ def span(space: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]) -> Sub
 
 
 def span_mat(space: InnerProductSpace, columns: Mat) -> Subspace:
-    """Canonical subspace spanned by the columns: the nonzero rows of the
-    RREF of their transpose, as columns."""
-    if columns.cols == 0:
-        return Subspace(space, columns)
-    red, pivots = rref(columns.T)
-    return Subspace(space, red.take(range(len(pivots))).T)
+    """Canonical subspace spanned by the columns."""
+    return image_where(space, columns, zeros(0, columns.cols))
+
+
+def image_where(space: InnerProductSpace, a: Mat, b: Mat) -> Subspace:
+    """The canonical subspace {a x : b x = 0}, from one RREF.
+
+    Row j of the eliminated matrix is [b x_j | a x_j] for the unit vector
+    x_j, so its row space is {[b x | a x]}.  The RREF rows that pivot at or
+    beyond ``b.rows`` are zero on the b-part, and their a-parts span
+    {a x : b x = 0}; every other row has a nonzero pivot in the b-part that
+    no kept row can cancel.  RREF rows are sorted by pivot and reduced in
+    every pivot column, so those a-parts are already the reduced echelon
+    basis.  This is Zassenhaus' construction; with ``b`` empty it is the
+    span of the columns of ``a``.
+    """
+    red, pivots = rref(vstack(b, a).T)
+    kept = red.take([i for i, p in enumerate(pivots) if p >= b.rows]).T
+    return Subspace(space, kept.take(range(b.rows, kept.rows)))
 
 
 def zero_subspace(space: InnerProductSpace) -> Subspace:
@@ -154,12 +168,12 @@ def complement(w: Subspace) -> Subspace:
 
 @memo
 def intersect(v: Subspace, w: Subspace) -> Subspace:
+    """{B_v y : B_v y = B_w z}, over the coefficients [y; z] of both bases."""
     _check_same_ambient(v, w)
     if v.is_zero() or w.is_zero():
         return zero_subspace(v.space)
-    stacked = hstack(v.basis, w.basis.scale(-1))
-    combos = kernel(stacked)  # (kv + kw) x m; the first kv rows combine v's basis
-    return span_mat(v.space, v.basis @ combos.take(range(v.basis.cols)))
+    a = hstack(v.basis, zeros(v.space.dim, w.dim))
+    return image_where(v.space, a, hstack(v.basis, w.basis.scale(-1)))
 
 
 @memo

@@ -2,8 +2,8 @@
 
 compose, rel_sum, stack_relations and restrict_domain each have a graph of
 the form {P x : C x = 0}, where x runs over coefficients of the input
-graph bases (and of the restricting subspace).  The library builds those
-graphs as meets of cylinders in a product space; here they are checked
+graph bases (and of the restricting subspace).  The library reads each
+graph off one RREF (``spaces.image_where``); here they are checked
 directly in coefficients: every pair built from the inputs lies in the
 output, and every output basis pair solves the defining system.  Blocks
 have pairwise different dimensions and weighted Gram matrices, so a block

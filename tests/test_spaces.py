@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.errors import AmbientMismatchError
-from relcalc.linalg import mat, vec
+from relcalc.linalg import kernel, mat, vec, zeros
 from relcalc.spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -14,10 +14,12 @@ from relcalc.spaces import (
     extending,
     full_subspace,
     gram_on,
+    image_where,
     intersect,
     member,
     project,
     span,
+    span_mat,
     standard_space,
     subspace_sum,
     zero_subspace,
@@ -172,3 +174,34 @@ def test_extending_matches_the_greedy_basis_extension(data):
             current = cand
     assert extending(v, vectors) == greedy
     assert span(space, v.basis_vectors() + greedy) == subspace_sum(v, w)
+
+
+# Denominators that share no factor with each other or with the small ones.
+LARGE_PRIMES = (1_000_000_007, 998_244_353, 2**61 - 1, 2**89 - 1)
+large_rationals = st.builds(Fraction, st.integers(min_value=-(10**12), max_value=10**12), st.sampled_from(LARGE_PRIMES))
+
+
+@st.composite
+def image_where_inputs(draw):
+    """Ambient dim n, p generators and m conditions, each possibly zero;
+    a and b are each random, zero or (for b) absent."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    p = draw(st.integers(min_value=0, max_value=5))
+    m = draw(st.integers(min_value=0, max_value=3))
+    entries = draw(st.sampled_from([rationals, large_rationals, st.one_of(rationals, large_rationals)]))
+
+    def matrix(rows):
+        if rows and p and draw(st.booleans()):
+            return mat([[draw(entries) for _ in range(p)] for _ in range(rows)])
+        return zeros(rows, p)
+
+    return standard_space(n), matrix(n), matrix(m)
+
+
+@given(image_where_inputs())
+@settings(max_examples=150, deadline=None)
+def test_image_where_is_the_span_of_a_on_the_kernel_of_b(data):
+    space, a, b = data
+    # The reference keeps the two steps apart: a basis of {x : b x = 0},
+    # then the span of its image under a.
+    assert image_where(space, a, b) == span_mat(space, a @ kernel(b))

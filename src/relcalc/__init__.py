@@ -55,7 +55,7 @@ from .harness import (
     sample_extremal,
     verify_all,
 )
-from .linalg import Mat, Rat, kernel, ldl_psd_certificate, mat, rref, solve, vec
+from .linalg import Mat, Rat, kernel, ldl_psd_certificate, mat, null_space, rref, solve, vec
 from .relations import (
     LinearRelation,
     RelationParts,

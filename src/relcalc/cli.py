@@ -218,7 +218,7 @@ def cmd_check(args) -> int:
                     "restrict_dim": rep.spec.restrict_dim,
                     "entry_bound": rep.spec.entry_bound,
                 },
-                "c": rational_to_str(rep.c),
+                "c": None if rep.c is None else rational_to_str(rep.c),
                 "checks": [_check_json(ch) for ch in rep.checks],
             }
             for rep in reports

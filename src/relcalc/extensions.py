@@ -26,7 +26,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, kernel, ldl_psd_certificate, memo, rat, solve_mat
+from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, solve_mat
 from .relations import (
     LinearRelation,
     adjoint,
@@ -85,7 +85,7 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     coeffs = solve_mat(gdom, matrix)  # G_dom^{-1} M, exact
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    rel = graph_relation(space, space, b, b @ coeffs)
+    rel = graph_relation(space, space, b, coeffs.T @ b)
     mul_rel = product_relation(span(space, []), complement(domain))
     out = hsum(rel, mul_rel)
     if not is_selfadjoint(out):
@@ -218,7 +218,7 @@ def order_leq(h: LinearRelation, k: LinearRelation) -> OrderResult:
     res = ldl_psd_certificate(tk.matrix - restricted.matrix)
     if res.ok:
         return OrderResult(True, None)
-    return OrderResult(False, tk.domain.basis.mul_vec(res.counterexample))
+    return OrderResult(False, tk.domain.basis.vec_mul(res.counterexample))
 
 
 def extension_interval_check(s: LinearRelation, c, h: LinearRelation) -> bool:
@@ -244,18 +244,19 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     The minimizing set {f : inf = 0} equals span(dom S) + ker of the shifted
     form, a subspace, so checking the canonical basis of dom H suffices.
     The minimum itself is computed exactly from the normal equations
-    C^T N C x = C^T N e_i, one solve for every unit vector at once: at e_i
-    it is N_ii - (C^T N e_i) . x_i.
+    C N C^T x = C N e_i, C the coordinates of the dom S basis rows in
+    dom H, one solve for every unit vector at once: at e_i it is
+    N_ii - (C N e_i) . x_i.
     """
     if not is_nonneg_above(h, c).ok:
         return False
     th = form_of_relation(h)
     n = th.matrix - th.domain_gram.scale(c)
-    cmat = solve_mat(th.domain.basis, parts(s).dom.basis)
+    cmat = echelon_coords(th.domain.basis, parts(s).dom.basis)
     if cmat is None:
         raise PreconditionError("dom S is not inside dom H")
-    cn = cmat.T @ n
-    x = solve_mat(cn @ cmat, cn)
+    cn = cmat @ n
+    x = solve_mat(cn @ cmat.T, cn)
     if x is None:
         raise CrossCheckError("the normal equations of a nonnegative form are inconsistent")
     for i in range(th.domain.dim):

@@ -34,12 +34,14 @@ from .linalg import (
     block_diag,
     det,
     diag,
+    echelon_coords,
     from_cols,
     hstack,
     identity,
     kernel,
     ldl_psd_certificate,
     memo,
+    null_space,
     rank,
     rat,
     solve,
@@ -71,7 +73,6 @@ from .spaces import (
     extending,
     gram_on,
     intersect,
-    span_mat,
 )
 
 
@@ -79,7 +80,8 @@ from .spaces import (
 class QuadraticForm:
     """Symmetric bilinear form on a domain subspace, in basis coordinates.
 
-    t[B x, B y] = x^T matrix y where B is the canonical domain basis.
+    t[x^T B, y^T B] = x^T matrix y where the rows of B are the canonical
+    domain basis.
     """
 
     space: InnerProductSpace
@@ -111,7 +113,7 @@ class QuadraticForm:
         """Restriction to a subspace of the domain."""
         if not contains(self.domain, sub):
             raise PreconditionError("restriction target is not inside the form domain")
-        coords = solve_mat(self.domain.basis, sub.basis)
+        coords = solve_mat(self.domain.basis.T, sub.basis.T)
         if coords is None:
             raise CrossCheckError("a contained subspace has no coordinates in the form domain")
         return QuadraticForm(self.space, sub, coords.T @ self.matrix @ coords)
@@ -154,7 +156,7 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     res = ldl_psd_certificate(t.matrix - t.domain_gram.scale(c))
     if res.ok:
         return CertifyResult(LowerBoundCert(c, res.certificate), None)
-    return CertifyResult(None, t.domain.basis.mul_vec(res.counterexample))
+    return CertifyResult(None, t.domain.basis.vec_mul(res.counterexample))
 
 
 @dataclass(frozen=True)
@@ -336,7 +338,7 @@ class RepresentingMap:
         return self.matrix.mul_vec(cx)
 
     def as_relation(self) -> LinearRelation:
-        return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix)
+        return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix.T)
 
 
 def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
@@ -383,8 +385,8 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     r = len(comp)
     # Induced semi-inner product: ([u], [v])_{S-c} = (u, psi)_H where
     # {psi, psi'} in S and psi' - c psi = v.
-    comp_mat = from_cols(s.src.dim, comp)
-    w = comp_mat.T @ s.src.gram @ lifts(inverse(smc), comp_mat)
+    comp_mat = from_cols(s.src.dim, comp).T
+    w = comp_mat @ s.src.gram @ lifts(inverse(smc), comp_mat).T
     if not w.is_symmetric():
         raise CrossCheckError("induced quotient inner product is not symmetric")
     wres = ldl_psd_certificate(w)
@@ -393,7 +395,7 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     codomain = InnerProductSpace(r, w)
     # Coordinates of [phi' - c phi] on the complement part.
     section = from_cols(s.src.dim, comp + null.basis_vectors())
-    coords = solve_mat(section, lifts(smc, t.domain.basis))
+    coords = solve_mat(section, lifts(smc, t.domain.basis).T)
     if coords is None:
         raise CrossCheckError("an image phi' - c phi escapes ran(S-c)")
     matrix = coords.take(range(r))
@@ -413,7 +415,7 @@ def repmap_from_operator(op: LinearRelation, t: QuadraticForm, c) -> Representin
     """
     if op.src != t.space:
         raise PreconditionError("operator source must carry the form")
-    return RepresentingMap(t.domain, op.dst, lifts(op, t.domain.basis), rat(c), t.matrix)
+    return RepresentingMap(t.domain, op.dst, lifts(op, t.domain.basis).T, rat(c), t.matrix)
 
 
 def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
@@ -454,15 +456,15 @@ def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
 
 def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     """Column stack of two relations with the same source:
-    {{f, g1 (+) g2} : {f, g1} in T1, {f, g2} in T2}.  Over the graph bases
-    {F_1 y, G_1 y} and {F_2 z, G_2 z} it is
-    {{F_1 y, G_1 y (+) G_2 z} : F_1 y = F_2 z}."""
+    {{f, g1 (+) g2} : {f, g1} in T1, {f, g2} in T2}.  Over the graph basis
+    rows {F_1, G_1} and {F_2, G_2} it is
+    {{y^T F_1, y^T G_1 (+) z^T G_2} : y^T F_1 = z^T F_2}."""
     if t1.src != t2.src:
         raise PreconditionError("stacked relations must share their source space")
     f_1, g_1 = t1.halves()
     f_2, g_2 = t2.halves()
-    a = vstack(hstack(f_1, zeros(f_1.rows, f_2.cols)), block_diag(g_1, g_2))
-    return _relation_where(t1.src, ProductSpace(t1.dst, t2.dst).space, a, hstack(f_1, f_2.scale(-1)))
+    a = hstack(vstack(f_1, zeros(f_2.rows, f_1.cols)), block_diag(g_1, g_2))
+    return _relation_where(t1.src, ProductSpace(t1.dst, t2.dst).space, a, vstack(f_1, f_2.scale(-1)))
 
 
 def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
@@ -475,10 +477,10 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     if q.domain != t.domain or q.form_matrix != t.matrix:
         raise PreconditionError("representing map does not certify the form of this relation")
     firsts, seconds = s.halves()
-    coords = solve_mat(q.domain.basis, firsts)
+    coords = echelon_coords(q.domain.basis, firsts)
     if coords is None:
         raise PreconditionError("argument outside the representing map domain")
-    j = graph_relation(q.codomain, s.src, q.matrix @ coords, seconds - firsts.scale(q.base_point))
+    j = graph_relation(q.codomain, s.src, coords @ q.matrix.T, seconds - firsts.scale(q.base_point))
     q_rel = q.as_relation()
     if not adjoint(j).is_extension_of(q_rel) or not adjoint(q_rel).is_extension_of(j):
         raise CrossCheckError("companion relation does not form a dual pair with its representing map")
@@ -496,7 +498,7 @@ def form_s_of(s: LinearRelation, c, q: RepresentingMap | None = None) -> Quadrat
     jstar = adjoint(j)
     dom = parts(jstar).dom
     images = lifts(regular_part(jstar), dom.basis)
-    out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + images.T @ q.codomain.gram @ images)
+    out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + images @ q.codomain.gram @ images.T)
     if not certify_lower_bound(out, c).ok:
         raise CrossCheckError("the closed form lost the lower bound c")
     if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).cols == 0:
@@ -520,9 +522,9 @@ def lebesgue_form(q_rel: LinearRelation, c=0) -> tuple[QuadraticForm, QuadraticF
     sing = total - reg
     base = gram_on(dom).scale(c)
     g = q_rel.dst.gram
-    total_m = base + total.T @ g @ total
-    reg_m = base + reg.T @ g @ reg
-    sing_m = sing.T @ g @ sing
+    total_m = base + total @ g @ total.T
+    reg_m = base + reg @ g @ reg.T
+    sing_m = sing @ g @ sing.T
     # The base term enters the total and the regular part exactly once.
     if reg_m + sing_m != total_m:
         raise CrossCheckError("Lebesgue decomposition identity failed")
@@ -534,30 +536,30 @@ def ran_adjoint_by_inequality(s: LinearRelation, c, phi) -> bool:
     """Decide whether |(psi, phi)|^2 <= C (psi', psi) holds over S - c for
     some finite C, without constructing Q_c*.
 
-    In domain coordinates the inequality holds iff B^T G phi lies in the
-    range of the shifted form matrix; membership is an exact rational range
-    test.
+    In domain coordinates the inequality holds iff B G phi lies in the
+    range of the shifted form matrix, B the domain basis rows; membership
+    is an exact rational range test.
     """
     c = rat(c)
     t = form_of_relation(s)
     m = t.matrix - t.domain_gram.scale(c)
-    v = (t.domain.basis.T @ s.src.gram).mul_vec(vec(phi))
+    v = (t.domain.basis @ s.src.gram).mul_vec(vec(phi))
     return solve(m, v) is not None
 
 
 def inequality_range_subspace(s: LinearRelation, c) -> Subspace:
     """The set of phi passing the ran_adjoint_by_inequality test, as an
-    exact subspace: the preimage of ran(M) under phi -> B^T G phi.
+    exact subspace: the preimage of ran(M) under phi -> B G phi.
 
     Since M is symmetric, ran(M) is the orthogonal complement of ker(M) in
-    coordinates, so the condition is ker(M)^T B^T G phi = 0.
+    coordinates, so the condition is N B G phi = 0 with the rows of N a
+    basis of ker(M).
     """
     c = rat(c)
     t = form_of_relation(s)
     m = t.matrix - t.domain_gram.scale(c)
-    null = kernel(m)  # k x r
-    conditions = null.T @ t.domain.basis.T @ s.src.gram  # r x dim
-    return span_mat(s.src, kernel(conditions))
+    conditions = null_space(m) @ t.domain.basis @ s.src.gram  # r x dim
+    return Subspace(s.src, null_space(conditions))
 
 
 def dom_companion_by_inequality(s: LinearRelation, c, psi) -> bool:

@@ -50,7 +50,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, clear_memos, from_cols, identity, kernel, mat, rank, rat, solve_mat, vec, vstack, zeros
+from .linalg import Mat, Vec, clear_memos, echelon_coords, from_cols, identity, kernel, mat, rank, rat, vec, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -169,7 +169,7 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
         m = mul_sub.basis_vectors()[0]
         chosen = span(ambient.graph.space, [space.zero_vec() + m])
     graph = ambient.graph.basis
-    chosen = _grow(chosen, target, 64, lambda: graph.mul_vec(_rand_vec(rng, graph.cols, bound)))
+    chosen = _grow(chosen, target, 64, lambda: graph.vec_mul(_rand_vec(rng, graph.rows, bound)))
     s = LinearRelation(space, space, chosen)
     if not is_symmetric(s):
         raise CrossCheckError("a restriction of a selfadjoint relation is not symmetric")
@@ -186,7 +186,7 @@ def random_orthogonal_range_relation(spec: InstanceSpec) -> LinearRelation:
     dom_dim = rng.randint(0, spec.dim - 1) if spec.dim > 1 else 0
     dom = _grow(zero_subspace(space), dom_dim, 32, lambda: _rand_vec(rng, spec.dim, bound))
     perp = complement(dom)
-    pairs = [(b, perp.basis.mul_vec(_rand_vec(rng, perp.dim, bound))) for b in dom.basis_vectors()]
+    pairs = [(b, perp.basis.vec_mul(_rand_vec(rng, perp.dim, bound))) for b in dom.basis_vectors()]
     # Occasionally add a purely multivalued generator inside dom-perp.
     if perp.dim > 0 and rng.random() < 0.5:
         pairs.append((space.zero_vec(), perp.basis_vectors()[-1]))
@@ -215,25 +215,25 @@ def sample_selfadjoint_extensions(
     out = []
     for _ in range(count):
         graph = s.graph
-        conditions = zeros(0, star.cols)
+        conditions = zeros(0, star.rows)
         while graph.dim < n:
             # With no condition yet the kernel is all of the coefficients.
             sol = kernel(conditions)
             cand = None
             for _attempt in range(16):
-                v = star.mul_vec(sol.mul_vec(_rand_vec(rng, sol.cols, 3)))
+                v = star.vec_mul(sol.mul_vec(_rand_vec(rng, sol.cols, 3)))
                 if not member(v, graph):
                     cand = v
                     break
             if cand is None:
-                images = star @ sol
-                cand = next((v for v in map(images.col, range(images.cols)) if not member(v, graph)), None)
+                images = (star.vec_mul(sol.col(j)) for j in range(sol.cols))
+                cand = next((v for v in images if not member(v, graph)), None)
             if cand is None:
                 raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
             graph = subspace_sum(graph, span(graph.space, [cand]))
             fa, ga = cand[:n], cand[n:]
             # (g_a, f_b) - (f_a, g_b) for every basis element {f_b, g_b} of S*.
-            conditions = vstack(conditions, mat([star.T.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa))]))
+            conditions = vstack(conditions, mat([star.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa))]))
         t = LinearRelation(s.src, s.src, graph)
         if not is_selfadjoint(t):
             raise CrossCheckError("a maximal symmetric graph is not selfadjoint")
@@ -250,10 +250,10 @@ def engineered_nonextremal_extensions(
     k = krein(s, c)
     tk = form_of_relation(k)
     dom_s = parts(s).dom
-    cmat = solve_mat(tk.domain.basis, dom_s.basis)
+    cmat = echelon_coords(tk.domain.basis, dom_s.basis)
     if cmat is None:
         raise CrossCheckError("dom S is not inside the domain of the Krein type extension")
-    null = kernel(cmat.T)  # coordinates orthogonal to dom S coordinates
+    null = kernel(cmat)  # coordinates orthogonal to dom S coordinates
     out: list[LinearRelation] = []
     if null.cols == 0:
         return out
@@ -359,7 +359,7 @@ def _first_disagreement(x: _Instance, sub: Subspace, expected: Subspace, pointwi
     rng = random.Random(x.seed * 7 + salt)
     for idx in range(10):
         if idx < 5 and sub.dim > 0:
-            v = sub.basis.mul_vec(_rand_vec(rng, sub.dim, 3))
+            v = sub.basis.vec_mul(_rand_vec(rng, sub.dim, 3))
         else:
             v = _rand_vec(rng, x.s.src.dim, 3)
         if pointwise(x.s, x.c, v) != member(v, expected):
@@ -636,7 +636,10 @@ def _order_interval(x: _Instance) -> str | None:
 
 @check("krein-operator-criterion")
 def _krein_operator(x: _Instance) -> str | None:
-    krein_is_operator(x.s, x.c)  # internally cross-asserted
+    # krein_is_operator also cross-asserts its answer internally.
+    mul = parts(krein(x.s, x.c)).mul
+    if krein_is_operator(x.s, x.c) != (mul.dim == 0):
+        return f"operator criterion disagrees with mul S_K,c of dim {mul.dim}: " + relation_witness(x.s)
     return None
 
 
@@ -669,12 +672,16 @@ def _orthogonal_special(x: _Instance) -> str | None:
 REQUIRED_CHECKS: tuple[str, ...] = tuple(name for name, _ in REGISTRY)
 
 
+def _failure(name: str, exc: Exception) -> CheckResult:
+    return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+
 def _run(name: str, fn: CheckFn, x: _Instance) -> CheckResult:
     """Run one check; an exception inside it is a failure of that check."""
     try:
         witness = fn(x)
     except Exception as exc:
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+        return _failure(name, exc)
     return CheckResult(name, witness is None, witness)
 
 
@@ -683,7 +690,8 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
 
     Deterministic for fixed (s, c, seed).  Every failure carries a
     serialized witness.  Exceptions inside a check are failures of that
-    check, not of the harness.
+    check, not of the harness; an exception while building the shared
+    objects propagates (``run_one`` reports it).
     """
     x = _Instance.build(s, c, seed)
     return [_run(name, fn, x) for name, fn in REGISTRY]
@@ -695,7 +703,7 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
 @dataclass(frozen=True)
 class InstanceReport:
     spec: InstanceSpec
-    c: Fraction
+    c: Fraction | None  # None when the instance could not be generated
     checks: tuple[CheckResult, ...]
 
     @property
@@ -704,10 +712,18 @@ class InstanceReport:
 
 
 def run_one(spec: InstanceSpec) -> InstanceReport:
-    """Generate and check one instance in a fresh cache scope."""
+    """Generate and check one instance in a fresh cache scope.
+
+    An exception while generating the instance or building its shared
+    objects fails the instance with the single entry "preamble", whose
+    witness is the exception; the batch goes on."""
     clear_memos()
-    s, c = random_semibounded(spec)
-    checks = verify_all(s, c, seed=spec.seed)
+    c = None
+    try:
+        s, c = random_semibounded(spec)
+        checks = verify_all(s, c, seed=spec.seed)
+    except Exception as exc:
+        checks = [_failure("preamble", exc)]
     return InstanceReport(spec, c, tuple(checks))
 
 

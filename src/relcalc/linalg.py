@@ -7,6 +7,14 @@ factorization with diagonal pivoting that either certifies positive
 semidefiniteness or returns an explicit vector with negative quadratic
 value.  No floating point is used anywhere in this module.
 
+A nullspace comes in two forms.  ``null_space`` gives its canonical basis,
+the reduced echelon rows, from one RREF: use it wherever the subspace
+itself is wanted.  ``kernel`` gives the free-variable basis as columns:
+use it where that particular basis matters, as coordinates or as the
+directions of a random draw.  ``echelon_coords`` reads coordinates off
+reduced echelon rows, so membership in a canonical basis needs no
+elimination.
+
 A ``Mat`` stores each row as a tuple of Python ints and one positive int
 denominator, reduced so that the gcd of the entries and the denominator
 is 1; a zero row is ``(0, ..., 0) / 1``.  That form is canonical, so
@@ -15,14 +23,15 @@ sums, scaling, transposes, submatrices and stacking build their result
 rows from ints with one gcd reduction per row, and the three
 eliminations, ``rref``, ``det`` and ``ldl_psd_certificate``, run on the
 stored rows directly, reduced by a gcd after each update.  A
-``fractions.Fraction`` is created at four boundaries only:
-``Mat.__getitem__``, ``Mat.col``, ``Mat.to_lists`` and the result of
-``Mat.mul_vec``.  ``mat`` and ``from_cols`` convert the other way.
+``fractions.Fraction`` is created at five boundaries only:
+``Mat.__getitem__``, ``Mat.col``, ``Mat.row``, ``Mat.to_lists`` and the
+result of ``Mat.mul_vec``.  ``mat`` and ``from_cols`` convert the other
+way.
 
 Only this module knows how a ``Mat`` is stored.  Every other module builds
 matrices with ``mat``, ``from_cols``, ``zeros``, ``identity``, ``diag`` and
-the stacking helpers, and reads them through ``[i, j]``, ``col``, ``take``
-and ``to_lists``, so the storage can change here alone.
+the stacking helpers, and reads them through ``[i, j]``, ``col``, ``row``,
+``take`` and ``to_lists``, so the storage can change here alone.
 
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
@@ -131,6 +140,9 @@ class Mat:
     def col(self, j: int) -> Vec:
         return tuple([Fraction(r[j], d) for r, d in zip(self._num, self._den)])
 
+    def row(self, i: int) -> Vec:
+        return tuple([Fraction(x, self._den[i]) for x in self._num[i]])
+
     def take(self, rows: Sequence[int], cols: Sequence[int] | None = None) -> "Mat":
         """The submatrix of the listed rows and columns, in the listed
         order; every column when ``cols`` is None."""
@@ -178,6 +190,12 @@ class Mat:
             raise ValueError("vector length does not match column count")
         xs, xden = _int_row(x)
         return tuple([Fraction(sum(map(mul, r, xs)), d * xden) for r, d in zip(self._num, self._den)])
+
+    def vec_mul(self, x: Sequence[Fraction]) -> Vec:
+        """x^T M: the combination of the rows with coefficients x."""
+        if len(x) != self.rows:
+            raise ValueError("vector length does not match row count")
+        return (mat([x]) @ self).row(0)
 
     def is_symmetric(self) -> bool:
         num, den = self._num, self._den
@@ -375,6 +393,44 @@ def kernel(m: Mat) -> Mat:
     return _from_rows(k, rows)
 
 
+@memo
+def null_space(m: Mat) -> Mat:
+    """The reduced echelon basis of {x : Mx = 0}, as the rows of a k x cols
+    matrix, from one RREF: ``kernel`` of m with its columns reversed, each
+    vector reversed back and their order reversed.  The vector of free
+    column f is then 1 at f, 0 at every other free column and nonzero only
+    at pivot columns after f, so no second RREF is needed."""
+    n = m.cols
+    back = kernel(m.take(range(m.rows), range(n - 1, -1, -1)))
+    return back.take(range(n - 1, -1, -1), range(back.cols - 1, -1, -1)).T
+
+
+def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
+    """The coefficients C with C @ red == xs, or None when some row of xs
+    is not a combination of the rows of red.
+
+    ``red`` must be in reduced echelon form up to zero rows, so the
+    coefficient of a nonzero row is the entry of x at its leading 1, and
+    no elimination runs; each x is then checked in integers at the other
+    columns, with the rows of ``red`` over one denominator.
+    """
+    if xs.cols != red.cols:
+        raise ValueError("vector length does not match column count")
+    # A leading 1 is stored as the row's denominator; a zero row has none.
+    lead = [r.index(d) if any(r) else None for r, d in zip(red._num, red._den)]
+    pivots = [p for p in lead if p is not None]
+    common = lcm(*red._den)
+    over = [r for r, p in zip(_over(red, common), lead) if p is not None]
+    cols = [(j, [r[j] for r in over]) for j in range(red.cols) if j not in pivots]
+    out = []
+    for r, d in zip(xs._num, xs._den):
+        coeffs = [r[p] for p in pivots]
+        if any(r[j] * common != sum(map(mul, coeffs, c)) for j, c in cols):
+            return None
+        out.append(_norm([0 if p is None else r[p] for p in lead], d))
+    return _from_rows(red.rows, out)
+
+
 def solve(m: Mat, b: Sequence[Fraction]) -> Vec | None:
     """Some exact solution of Mx = b, or None when the system is inconsistent."""
     sol = solve_mat(m, from_cols(m.rows, [vec(b)]))
@@ -393,15 +449,6 @@ def solve_mat(m: Mat, b: Mat) -> Mat | None:
     for r, d, pc in zip(red._num, red._den, pivots):
         rows[pc] = _norm(r[m.cols:], d)
     return _from_rows(b.cols, rows)
-
-
-def inverse(m: Mat) -> Mat:
-    if m.rows != m.cols:
-        raise ValueError("only square matrices are invertible")
-    red, pivots = rref(hstack(m, identity(m.rows)))
-    if len(pivots) != m.rows or any(p >= m.cols for p in pivots):
-        raise ValueError("matrix is singular")
-    return _from_rows(m.cols, [_norm(r[m.cols:], d) for r, d in zip(red._num, red._den)])
 
 
 def det(m: Mat) -> Fraction:

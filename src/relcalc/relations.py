@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import Mat, Vec, block_diag, from_cols, hstack, identity, kernel, ldl_psd_certificate, memo, rat, solve_mat, vstack, zeros
+from .linalg import Mat, Vec, block_diag, echelon_coords, hstack, identity, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
 from .spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -52,11 +52,12 @@ class LinearRelation:
 
     def halves(self) -> tuple[Mat, Mat]:
         """The graph basis split into its first and its second components:
-        the columns of the two matrices are the f and the g of each basis
-        pair.  ``graph_relation`` is the inverse."""
+        the rows of the two matrices are the f and the g of each basis
+        pair.  ``graph_relation`` is the inverse.  The first half is in
+        reduced echelon form up to zero rows, the pairs {0, g} last."""
         basis = self.graph.basis
-        n = self.src.dim
-        return basis.take(range(n)), basis.take(range(n, basis.rows))
+        every, n = range(basis.rows), self.src.dim
+        return basis.take(every, range(n)), basis.take(every, range(n, basis.cols))
 
     def is_extension_of(self, other: "LinearRelation") -> bool:
         _same_spaces(self, other)
@@ -77,9 +78,9 @@ def _same_spaces(a: LinearRelation, b: LinearRelation) -> None:
 
 
 def graph_relation(src: InnerProductSpace, dst: InnerProductSpace, firsts: Mat, seconds: Mat) -> LinearRelation:
-    """The relation whose graph is spanned by the columns {f_j, g_j}, f_j
-    the column j of ``firsts`` and g_j that of ``seconds``."""
-    return LinearRelation(src, dst, span_mat(ProductSpace(src, dst).space, vstack(firsts, seconds)))
+    """The relation whose graph is spanned by the rows {f_j, g_j}, f_j the
+    row j of ``firsts`` and g_j that of ``seconds``."""
+    return LinearRelation(src, dst, span_mat(ProductSpace(src, dst).space, hstack(firsts, seconds)))
 
 
 def relation_from_pairs(
@@ -87,9 +88,8 @@ def relation_from_pairs(
     dst: InnerProductSpace,
     pairs: Iterable[tuple[Sequence[Fraction], Sequence[Fraction]]],
 ) -> LinearRelation:
-    pairs = list(pairs)
-    firsts = from_cols(src.dim, [f for f, _ in pairs])
-    return graph_relation(src, dst, firsts, from_cols(dst.dim, [g for _, g in pairs]))
+    prod = ProductSpace(src, dst)
+    return LinearRelation(src, dst, span(prod.space, [prod.embed(f, g) for f, g in pairs]))
 
 
 def relation_from_graph_vectors(
@@ -103,7 +103,7 @@ def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Ma
     if matrix.rows != dst.dim or matrix.cols != src.dim:
         raise ValueError("operator matrix shape does not match spaces")
     basis = (full_subspace(src) if domain is None else domain).basis
-    return graph_relation(src, dst, basis, matrix @ basis)
+    return graph_relation(src, dst, basis, basis @ matrix.T)
 
 
 def identity_relation(space: InnerProductSpace) -> LinearRelation:
@@ -130,19 +130,19 @@ def parts(t: LinearRelation) -> RelationParts:
 
 
 def lifts(t: LinearRelation, xs: Mat) -> Mat:
-    """Column j is some g with {x_j, g} in t, x_j the column j of xs;
-    requires every x_j in dom t.  One solve serves all columns, and each
-    column gets the same particular solution as a solve of its own."""
+    """Row j is some g with {x_j, g} in t, x_j the row j of xs; requires
+    every x_j in dom t.  The coefficients of the graph pairs are read off
+    the echelon first half (``halves``): 0 for each pair {0, g}."""
     firsts, seconds = t.halves()
-    combos = solve_mat(firsts, xs)
+    combos = echelon_coords(firsts, xs)
     if combos is None:
         raise PreconditionError("vector is not in the domain of the relation")
-    return seconds @ combos
+    return combos @ seconds
 
 
 def lift(t: LinearRelation, x: Sequence[Fraction]) -> Vec:
     """Some g with {x, g} in t; requires x in dom t."""
-    return lifts(t, from_cols(t.src.dim, [x])).col(0)
+    return lifts(t, mat([x])).row(0)
 
 
 @memo
@@ -153,9 +153,9 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     what makes the dual-pair identities hold exactly.
     """
     firsts, seconds = t.halves()
-    pairing = hstack((seconds.T @ t.dst.gram), (firsts.T @ t.src.gram).scale(-1))
-    sol = kernel(pairing)  # columns are [h | k] with h in dst, k in src
-    return LinearRelation(t.dst, t.src, span_mat(ProductSpace(t.dst, t.src).space, sol))
+    pairing = hstack(seconds @ t.dst.gram, (firsts @ t.src.gram).scale(-1))
+    # The rows of the null space are the pairs [h | k], h in dst, k in src.
+    return LinearRelation(t.dst, t.src, Subspace(ProductSpace(t.dst, t.src).space, null_space(pairing)))
 
 
 @memo
@@ -186,8 +186,9 @@ def closure(t: LinearRelation) -> LinearRelation:
 
 
 def _relation_where(src: InnerProductSpace, dst: InnerProductSpace, a: Mat, b: Mat) -> LinearRelation:
-    """The relation with graph {a x : b x = 0}.  Every relational product
-    has this form over the coefficients x of its inputs' bases (Arens)."""
+    """The relation with graph {x^T a : x^T b = 0}.  Every relational
+    product has this form over the coefficients x of its inputs' bases
+    (Arens)."""
     return LinearRelation(src, dst, image_where(ProductSpace(src, dst).space, a, b))
 
 
@@ -195,14 +196,14 @@ def _relation_where(src: InnerProductSpace, dst: InnerProductSpace, a: Mat, b: M
 def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     """R after T: {{f, g} : exists k with {f, k} in T and {k, g} in R}.
 
-    With T's graph basis {F_T y, K_T y} and R's {K_R z, G_R z}, this is
-    {{F_T y, G_R z} : K_T y = K_R z}.  Exact, no tolerance anywhere.
+    With T's graph basis rows {F_T, K_T} and R's {K_R, G_R}, this is
+    {{y^T F_T, z^T G_R} : y^T K_T = z^T K_R}.  Exact, no tolerance anywhere.
     """
     if t.dst != r.src:
         raise AmbientMismatchError("compose requires target of T to equal source of R")
     f_t, k_t = t.halves()
     k_r, g_r = r.halves()
-    return _relation_where(t.src, r.dst, block_diag(f_t, g_r), hstack(k_t, k_r.scale(-1)))
+    return _relation_where(t.src, r.dst, block_diag(f_t, g_r), vstack(k_t, k_r.scale(-1)))
 
 
 def hsum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
@@ -216,25 +217,25 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
 
     This is the operator-style sum (shared first component), not the graph
     span; it is the sum under which a relation recombines from its regular
-    and singular parts.  Over the graph bases {F_A y, G_A y} and
-    {F_B z, G_B z} it is {{F_A y, G_A y + G_B z} : F_A y = F_B z}.
+    and singular parts.  Over the graph basis rows {F_A, G_A} and
+    {F_B, G_B} it is {{y^T F_A, y^T G_A + z^T G_B} : y^T F_A = z^T F_B}.
     """
     _same_spaces(a, b)
     f_a, g_a = a.halves()
     f_b, g_b = b.halves()
-    firsts = hstack(f_a, zeros(f_a.rows, f_b.cols))
-    return _relation_where(a.src, a.dst, vstack(firsts, hstack(g_a, g_b)), hstack(f_a, f_b.scale(-1)))
+    firsts = vstack(f_a, zeros(f_b.rows, f_a.cols))
+    return _relation_where(a.src, a.dst, hstack(firsts, vstack(g_a, g_b)), vstack(f_a, f_b.scale(-1)))
 
 
 @memo
 def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     """T restricted to D: graph elements whose first component lies in D,
-    {{F y, G y} : F y = B_D z} over T's graph basis {F y, G y}."""
+    {{y^T F, y^T G} : y^T F = z^T B_D} over T's graph basis rows {F, G}."""
     if d.space != t.src:
         raise AmbientMismatchError("restriction subspace must live in the source space")
     basis = t.graph.basis
     firsts, _ = t.halves()
-    return _relation_where(t.src, t.dst, hstack(basis, zeros(basis.rows, d.dim)), hstack(firsts, d.basis.scale(-1)))
+    return _relation_where(t.src, t.dst, vstack(basis, zeros(d.dim, basis.cols)), vstack(firsts, d.basis.scale(-1)))
 
 
 @memo
@@ -288,7 +289,7 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     tests it with a witness before calling.
     """
     dom = parts(s).dom
-    return dom, lifts(s, dom.basis).T @ s.src.gram @ dom.basis
+    return dom, lifts(s, dom.basis) @ s.src.gram @ dom.basis.T
 
 
 @dataclass(frozen=True)
@@ -308,14 +309,14 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
         raise PreconditionError("semiboundedness requires equal source and target spaces")
     c = rat(c)
     p = parts(s)
-    cross = p.mul.basis.T @ s.src.gram @ p.dom.basis
+    cross = p.mul.basis @ s.src.gram @ p.dom.basis.T
     if not cross.is_zero():
         # Some m in mul S is not orthogonal to some phi in dom S; adding a
         # large multiple of m to a lift of phi drives the pairing below any
         # bound.
         i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
-        m = p.mul.basis.col(i)
-        phi = p.dom.basis.col(j)
+        m = p.mul.basis.row(i)
+        phi = p.dom.basis.row(j)
         base = lift(s, phi)
         pairing = cross[i, j]
         norm2 = s.src.inner(phi, phi)
@@ -329,7 +330,7 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
     if res.ok:
         return SemiboundedCheck(True, None)
     v = res.counterexample
-    phi = dom.basis.mul_vec(v)
+    phi = dom.basis.vec_mul(v)
     return SemiboundedCheck(False, (phi, lift(s, phi)))
 
 
@@ -338,4 +339,4 @@ def numerical_range_zero(s: LinearRelation) -> bool:
     if s.src != s.dst:
         raise PreconditionError("numerical range requires equal source and target spaces")
     p = parts(s)
-    return (p.dom.basis.T @ s.src.gram @ p.ran.basis).is_zero()
+    return (p.dom.basis @ s.src.gram @ p.ran.basis.T).is_zero()

@@ -2,10 +2,13 @@
 subspace arithmetic inside them.
 
 A subspace is stored as the unique reduced row echelon basis of its span,
-so subspace equality is plain data equality.  Orthogonal complements and
-projections always go through the ambient Gram matrix: representing-map
-codomains carry weighted inner products, and the weighted pairing is what
-keeps every construction rational.
+as the rows of a k x dim matrix, so subspace equality is plain data
+equality.  Each canonical subspace comes from one RREF (``image_where``,
+``linalg.null_space``); membership reads coordinates off the echelon rows
+and runs none.  Orthogonal complements and projections always go through
+the ambient Gram matrix: representing-map codomains carry weighted inner
+products, and the weighted pairing is what keeps every construction
+rational.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
     Vec,
+    echelon_coords,
     from_cols,
     hstack,
     identity,
-    kernel,
     ldl_psd_certificate,
     block_diag,
+    mat,
     memo,
+    null_space,
     rref,
-    solve,
     solve_mat,
     vec,
     vstack,
@@ -92,58 +96,59 @@ def _product_ips(left: InnerProductSpace, right: InnerProductSpace) -> InnerProd
 class Subspace:
     """Canonical subspace of an ambient space.
 
-    ``basis`` is dim x k with columns forming a basis.  The stored basis is
-    the RREF of the transposed spanning set, which is unique per subspace:
-    two Subspace values are equal iff they are the same subspace of the
-    same ambient space.  The zero subspace has a 0-column basis.
+    ``basis`` is k x dim, its rows the reduced row echelon basis, which is
+    unique per subspace: two Subspace values are equal iff they are the
+    same subspace of the same ambient space.  The zero subspace has a
+    0-row basis.
     """
 
     space: InnerProductSpace
     basis: Mat
 
     def __post_init__(self) -> None:
-        if self.basis.rows != self.space.dim:
+        if self.basis.cols != self.space.dim:
             raise ValueError("basis vectors must live in the ambient space")
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return self.basis.rows
 
     def basis_vectors(self) -> list[Vec]:
-        return [self.basis.col(j) for j in range(self.basis.cols)]
+        return [self.basis.row(i) for i in range(self.basis.rows)]
 
     def is_zero(self) -> bool:
-        return self.basis.cols == 0
+        return self.basis.rows == 0
 
 
 def span(space: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]) -> Subspace:
     """Canonical subspace spanned by the given ambient vectors."""
-    cols = [vec(v) for v in vectors]
-    if any(len(v) != space.dim for v in cols):
+    rows = [vec(v) for v in vectors]
+    if any(len(v) != space.dim for v in rows):
         raise ValueError("spanning vector has wrong length")
-    return span_mat(space, from_cols(space.dim, cols))
+    return span_mat(space, mat(rows) if rows else zeros(0, space.dim))
 
 
-def span_mat(space: InnerProductSpace, columns: Mat) -> Subspace:
-    """Canonical subspace spanned by the columns."""
-    return image_where(space, columns, zeros(0, columns.cols))
+def span_mat(space: InnerProductSpace, rows: Mat) -> Subspace:
+    """Canonical subspace spanned by the rows."""
+    return image_where(space, rows, zeros(rows.rows, 0))
 
 
 def image_where(space: InnerProductSpace, a: Mat, b: Mat) -> Subspace:
-    """The canonical subspace {a x : b x = 0}, from one RREF.
+    """The canonical subspace {x^T a : x^T b = 0}, from one RREF.
 
-    Row j of the eliminated matrix is [b x_j | a x_j] for the unit vector
-    x_j, so its row space is {[b x | a x]}.  The RREF rows that pivot at or
-    beyond ``b.rows`` are zero on the b-part, and their a-parts span
-    {a x : b x = 0}; every other row has a nonzero pivot in the b-part that
-    no kept row can cancel.  RREF rows are sorted by pivot and reduced in
-    every pivot column, so those a-parts are already the reduced echelon
+    The generators are rows: row j of [b | a] is the pair [b_j | a_j], so
+    the row space of [b | a] is {x^T [b | a]}.  The RREF rows that pivot at
+    or beyond ``b.cols`` are zero on the b-part, and their a-parts span
+    {x^T a : x^T b = 0}; every other row has a nonzero pivot in the b-part
+    that no kept row can cancel.  RREF rows are sorted by pivot and reduced
+    in every pivot column, so those a-parts are already the reduced echelon
     basis.  This is Zassenhaus' construction; with ``b`` empty it is the
-    span of the columns of ``a``.
+    span of the rows of ``a``.
     """
-    red, pivots = rref(vstack(b, a).T)
-    kept = red.take([i for i, p in enumerate(pivots) if p >= b.rows]).T
-    return Subspace(space, kept.take(range(b.rows, kept.rows)))
+    red, pivots = rref(hstack(b, a))
+    kept = [i for i, p in enumerate(pivots) if p >= b.cols]
+    # A plain span (no b) keeps whole rows.
+    return Subspace(space, red.take(kept, range(b.cols, red.cols) if b.cols else None))
 
 
 def zero_subspace(space: InnerProductSpace) -> Subspace:
@@ -161,25 +166,25 @@ def _check_same_ambient(v: Subspace, w: Subspace) -> None:
 
 @memo
 def complement(w: Subspace) -> Subspace:
-    """G-orthogonal complement {x : x^T G b = 0 for all basis vectors b}."""
-    conditions = w.basis.T @ w.space.gram  # k x dim
-    return span_mat(w.space, kernel(conditions))
+    """G-orthogonal complement {x : b^T G x = 0 for all basis vectors b}."""
+    return Subspace(w.space, null_space(w.basis @ w.space.gram))
 
 
 @memo
 def intersect(v: Subspace, w: Subspace) -> Subspace:
-    """{B_v y : B_v y = B_w z}, over the coefficients [y; z] of both bases."""
+    """{y^T B_v : y^T B_v = z^T B_w}, over the coefficients [y; z] of both
+    bases."""
     _check_same_ambient(v, w)
     if v.is_zero() or w.is_zero():
         return zero_subspace(v.space)
-    a = hstack(v.basis, zeros(v.space.dim, w.dim))
-    return image_where(v.space, a, hstack(v.basis, w.basis.scale(-1)))
+    a = vstack(v.basis, zeros(w.dim, v.space.dim))
+    return image_where(v.space, a, vstack(v.basis, w.basis.scale(-1)))
 
 
 @memo
 def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
     _check_same_ambient(v, w)
-    return span_mat(v.space, hstack(v.basis, w.basis))
+    return span_mat(v.space, vstack(v.basis, w.basis))
 
 
 def extending(w: Subspace, vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
@@ -188,19 +193,20 @@ def extending(w: Subspace, vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
     This is the greedy extension of a basis of w, read off the pivot
     columns of one RREF of [basis of w | vectors]."""
     vectors = [vec(v) for v in vectors]
-    _, pivots = rref(hstack(w.basis, from_cols(w.space.dim, vectors)))
+    _, pivots = rref(hstack(w.basis.T, from_cols(w.space.dim, vectors)))
     return [vectors[j - w.dim] for j in pivots if j >= w.dim]
 
 
 def contains(w: Subspace, v: Subspace) -> bool:
-    """True when v is a subspace of w."""
+    """True when v is a subspace of w, read off the echelon rows of w."""
     _check_same_ambient(v, w)
-    return subspace_sum(w, v) == w
+    return echelon_coords(w.basis, v.basis) is not None
 
 
 def coordinates(x: Sequence[Fraction], w: Subspace) -> Vec | None:
     """Coordinates of x in the canonical basis of w, or None when x is outside."""
-    return solve(w.basis, vec(x))
+    coords = echelon_coords(w.basis, mat([x]))
+    return None if coords is None else coords.row(0)
 
 
 def member(x: Sequence[Fraction], w: Subspace) -> bool:
@@ -208,28 +214,27 @@ def member(x: Sequence[Fraction], w: Subspace) -> bool:
 
 
 def projections(xs: Mat, w: Subspace) -> Mat:
-    """Column j is the G-orthogonal projection of column j of xs onto w,
-    from one solve of the exact normal equations for all columns."""
-    if xs.rows != w.space.dim:
+    """Row j is the G-orthogonal projection of row j of xs onto w, from one
+    solve of the exact normal equations for all rows."""
+    if xs.cols != w.space.dim:
         raise ValueError("vector has wrong length")
     if w.is_zero():
         return zeros(xs.rows, xs.cols)
-    b = w.basis
-    bg = b.T @ w.space.gram
-    coeffs = solve_mat(bg @ b, bg @ xs)
+    bg = w.basis @ w.space.gram
+    coeffs = solve_mat(bg @ w.basis.T, bg @ xs.T)
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    return b @ coeffs
+    return coeffs.T @ w.basis
 
 
 def project(x: Sequence[Fraction], w: Subspace) -> Vec:
     """G-orthogonal projection of x onto w."""
     if len(x) != w.space.dim:
         raise ValueError("vector has wrong length")
-    return projections(from_cols(w.space.dim, [x]), w).col(0)
+    return projections(mat([x]), w).row(0)
 
 
 @memo
 def gram_on(w: Subspace) -> Mat:
     """Gram matrix of the ambient inner product in the canonical basis of w."""
-    return w.basis.T @ w.space.gram @ w.basis
+    return w.basis @ w.space.gram @ w.basis.T

@@ -224,7 +224,7 @@ def test_criterion_07_inequality_criteria(corpus):
             if sub.dim > 0:
                 for _ in range(3):
                     combo = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(sub.dim)]
-                    probes.append(sub.basis.mul_vec(combo))
+                    probes.append(sub.basis.vec_mul(combo))
         while len(probes) < 10:
             probes.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)))
         for v in probes:

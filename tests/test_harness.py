@@ -250,3 +250,42 @@ def test_generator_cross_check_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(harness, "is_symmetric", lambda s: False)
     with pytest.raises(CrossCheckError):
         random_semibounded(InstanceSpec(dim=2, seed=0))
+
+
+def test_a_preamble_failure_fails_only_its_instance(monkeypatch, capsys):
+    # The second companion call is the first instance's j_quot.
+    real = harness.companion
+    calls = []
+
+    def injected(s, q):
+        calls.append(None)
+        if len(calls) == 2:
+            raise CrossCheckError("injected")
+        return real(s, q)
+
+    monkeypatch.setattr(harness, "companion", injected)
+    assert main(["check", "--count", "4", "--dims", "2..3", "--seed", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    instances = [line for line in out if line.startswith(("PASS dim=", "FAIL dim="))]
+    assert len(instances) == 4
+    assert [line.startswith("FAIL") for line in instances] == [True, False, False, False]
+    assert "  FAIL preamble: CrossCheckError: injected" in out
+    assert out[-1] == "3/4 instances, 1 failures"
+
+
+def test_a_generator_failure_is_reported_without_c(monkeypatch):
+    def broken(spec):
+        raise CrossCheckError("planted")
+
+    monkeypatch.setattr(harness, "random_semibounded", broken)
+    report = run_one(InstanceSpec(dim=2, seed=0))
+    assert report.c is None
+    assert [(r.name, r.passed, r.witness) for r in report.checks] == [("preamble", False, "CrossCheckError: planted")]
+
+
+def test_a_negated_krein_operator_criterion_fails_its_check(monkeypatch):
+    real = harness.krein_is_operator
+    monkeypatch.setattr(harness, "krein_is_operator", lambda s, c: not real(s, c))
+    failed = [r for r in verify_all(e1(), 0) if not r.passed]
+    assert [r.name for r in failed] == ["krein-operator-criterion"]
+    assert "operator criterion disagrees" in failed[0].witness

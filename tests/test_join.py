@@ -92,6 +92,8 @@ def spaces_of_unequal_dims(draw):
 
 
 def halves(t: LinearRelation) -> tuple[Mat, Mat]:
+    """The f and the g of each graph basis pair, as the columns of two
+    matrices, so a defining system reads P x over coefficients x."""
     pairs = t.pairs()
     return from_cols(t.src.dim, [f for f, _ in pairs]), from_cols(t.dst.dim, [g for _, g in pairs])
 
@@ -172,7 +174,7 @@ def test_restrict_domain_keeps_the_pairs_over_d(data):
     # {Tf a, Ts a} with Tf a = D e.
     assert_graph_is(
         restrict_domain(t, d),
-        blocks([[tf, d.basis.scale(-1)]]),
+        blocks([[tf, from_cols(src.dim, d.basis_vectors()).scale(-1)]]),
         blocks([[tf, zeros(src.dim, d.dim)], [ts, zeros(dst.dim, d.dim)]]),
     )
 
@@ -190,7 +192,8 @@ def added(u, v):
 def test_halves_and_graph_relation_are_inverse(data):
     src, dst, _ = data.draw(spaces_of_unequal_dims())
     t = data.draw(multivalued_relation(src, dst))
-    assert t.halves() == halves(t)
+    firsts, seconds = halves(t)
+    assert t.halves() == (firsts.T, seconds.T)
     assert graph_relation(t.src, t.dst, *t.halves()) == t
 
 
@@ -254,14 +257,14 @@ def test_companion_is_q_phi_against_the_shifted_image(dim, seed, method):
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_projections_project_each_column(data):
+def test_projections_project_each_row(data):
     space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
     w = data.draw(subspace(space))
-    width = data.draw(st.integers(0, 3))
-    xs = from_cols(space.dim, [[data.draw(rationals) for _ in range(space.dim)] for _ in range(width)])
+    height = data.draw(st.integers(0, 3))
+    xs = from_cols(space.dim, [[data.draw(rationals) for _ in range(space.dim)] for _ in range(height)]).T
     out = projections(xs, w)
     assert (out.rows, out.cols) == (xs.rows, xs.cols)
-    assert [out.col(j) for j in range(xs.cols)] == [project(xs.col(j), w) for j in range(xs.cols)]
+    assert [out.row(i) for i in range(xs.rows)] == [project(xs.row(i), w) for i in range(xs.rows)]
 
 
 @given(st.data())

@@ -1,8 +1,8 @@
 """Batched lifts and the form matrices built on them, against their
 definitions.
 
-``lifts`` solves for every column at once; here it is compared with one
-``lift`` per column and every pair {x, g} is checked to lie in the graph.
+``lifts`` lifts every row at once; here it is compared with one ``lift``
+per row and every pair {x, g} is checked to lie in the graph.
 ``form_matrix_on_domain``, ``lebesgue_form`` and ``form_s_of`` are
 compared with the entry-wise reference they replaced: a double loop of
 ``InnerProductSpace.inner`` over per-vector lifts.  Sources and targets
@@ -67,9 +67,9 @@ def symmetric_relation(draw):
     a = mat([[draw(rationals) for _ in range(dom.dim)] for _ in range(dom.dim)])
     h = selfadjoint_from_form(space, dom, a + a.T)
     basis = h.graph.basis
-    r = draw(st.integers(min_value=0, max_value=basis.cols))
-    combos = [[draw(rationals) for _ in range(basis.cols)] for _ in range(r)]
-    return relation_from_graph_vectors(space, space, [basis.mul_vec(cb) for cb in combos])
+    r = draw(st.integers(min_value=0, max_value=basis.rows))
+    combos = [[draw(rationals) for _ in range(basis.rows)] for _ in range(r)]
+    return relation_from_graph_vectors(space, space, [basis.vec_mul(cb) for cb in combos])
 
 
 def inner_matrix(space: InnerProductSpace, left: list, right: list) -> Mat:
@@ -78,7 +78,7 @@ def inner_matrix(space: InnerProductSpace, left: list, right: list) -> Mat:
 
 
 def vectors(m: Mat) -> list:
-    return [m.col(j) for j in range(m.cols)]
+    return [m.row(i) for i in range(m.rows)]
 
 
 def a_lower_bound(t) -> Fraction:
@@ -90,14 +90,14 @@ def a_lower_bound(t) -> Fraction:
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_lifts_is_columnwise_lift(data):
+def test_lifts_is_rowwise_lift(data):
     src, dst = data.draw(spaces_of_unequal_dims())
     t = data.draw(relation(src, dst))
     dom = parts(t).dom
     count = data.draw(st.integers(min_value=0, max_value=3))
-    xs = from_cols(src.dim, [dom.basis.mul_vec([data.draw(rationals) for _ in range(dom.dim)]) for _ in range(count)])
+    xs = from_cols(src.dim, [dom.basis.vec_mul([data.draw(rationals) for _ in range(dom.dim)]) for _ in range(count)]).T
     gs = lifts(t, xs)
-    assert (gs.rows, gs.cols) == (dst.dim, count)
+    assert (gs.rows, gs.cols) == (count, dst.dim)
     for x, g in zip(vectors(xs), vectors(gs)):
         assert g == lift(t, x)
         assert member(x + g, t.graph)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.errors import AmbientMismatchError
-from relcalc.linalg import kernel, mat, vec, zeros
+from relcalc.linalg import identity, kernel, mat, null_space, vec, zeros
+from relcalc.relations import LinearRelation, adjoint
 from relcalc.spaces import (
     InnerProductSpace,
     ProductSpace,
@@ -19,7 +20,6 @@ from relcalc.spaces import (
     member,
     project,
     span,
-    span_mat,
     standard_space,
     subspace_sum,
     zero_subspace,
@@ -183,25 +183,93 @@ large_rationals = st.builds(Fraction, st.integers(min_value=-(10**12), max_value
 
 @st.composite
 def image_where_inputs(draw):
-    """Ambient dim n, p generators and m conditions, each possibly zero;
-    a and b are each random, zero or (for b) absent."""
+    """Ambient dim n, p generator rows and m conditions, each possibly
+    zero; a and b are each random, zero or (for b) absent."""
     n = draw(st.integers(min_value=0, max_value=4))
     p = draw(st.integers(min_value=0, max_value=5))
     m = draw(st.integers(min_value=0, max_value=3))
     entries = draw(st.sampled_from([rationals, large_rationals, st.one_of(rationals, large_rationals)]))
 
-    def matrix(rows):
-        if rows and p and draw(st.booleans()):
-            return mat([[draw(entries) for _ in range(p)] for _ in range(rows)])
-        return zeros(rows, p)
+    def matrix(cols):
+        if cols and p and draw(st.booleans()):
+            return mat([[draw(entries) for _ in range(cols)] for _ in range(p)])
+        return zeros(p, cols)
 
     return standard_space(n), matrix(n), matrix(m)
+
+
+def span_of_columns(space, m):
+    """The canonical span of the columns of m: the second RREF of the
+    kernel-then-span formulas below."""
+    return span(space, [m.col(j) for j in range(m.cols)])
 
 
 @given(image_where_inputs())
 @settings(max_examples=150, deadline=None)
 def test_image_where_is_the_span_of_a_on_the_kernel_of_b(data):
     space, a, b = data
-    # The reference keeps the two steps apart: a basis of {x : b x = 0},
-    # then the span of its image under a.
-    assert image_where(space, a, b) == span_mat(space, a @ kernel(b))
+    # The reference keeps the two steps apart: a basis of {x : x^T b = 0},
+    # then the span of the combinations x^T a.
+    null = kernel(b.T)
+    assert image_where(space, a, b) == span(space, [a.vec_mul(null.col(j)) for j in range(null.cols)])
+
+
+@st.composite
+def matrices(draw):
+    """0-4 x 0-6 matrices, many entries zero, the others with small or
+    unrelated large denominators."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    entries = st.one_of(st.just(Fraction(0)), draw(st.sampled_from([rationals, large_rationals])))
+    if not rows or not cols:
+        return zeros(rows, cols)
+    return mat([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_null_space_is_the_span_of_the_kernel(m):
+    assert null_space(m) == span_of_columns(standard_space(m.cols), kernel(m)).basis
+
+
+@st.composite
+def weighted_space(draw, n):
+    b = mat([[draw(st.one_of(rationals, large_rationals)) for _ in range(n)] for _ in range(n)]) if n else zeros(0, 0)
+    return InnerProductSpace(n, (b.T @ b) + identity(n))
+
+
+@st.composite
+def subspace_of(draw, space):
+    k = draw(st.integers(min_value=0, max_value=space.dim + 1))
+    vectors = [[draw(st.one_of(st.just(Fraction(0)), rationals, large_rationals)) for _ in range(space.dim)] for _ in range(k)]
+    return span(space, vectors)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_complement_is_the_span_of_the_kernel_of_the_pairing(data):
+    space = data.draw(weighted_space(data.draw(st.integers(0, 4))))
+    w = data.draw(subspace_of(space))
+    assert complement(w) == span_of_columns(space, kernel(w.basis @ space.gram))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_adjoint_is_the_span_of_the_kernel_of_the_pairing(data):
+    src = data.draw(weighted_space(data.draw(st.integers(0, 3))))
+    dst = data.draw(weighted_space(data.draw(st.integers(0, 3))))
+    t = LinearRelation(src, dst, data.draw(subspace_of(ProductSpace(src, dst).space)))
+    # One condition [G_K g | -G_H f] on the pair [h | k] of T* for each
+    # graph basis pair {f, g}: (g, h)_K = (f, k)_H.
+    conditions = [dst.gram.mul_vec(g) + tuple(-x for x in src.gram.mul_vec(f)) for f, g in t.pairs()]
+    pairing = mat(conditions) if conditions else zeros(0, src.dim + dst.dim)
+    assert adjoint(t) == LinearRelation(dst, src, span_of_columns(ProductSpace(dst, src).space, kernel(pairing)))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_contains_is_an_unchanged_sum(data):
+    space = data.draw(weighted_space(data.draw(st.integers(0, 4))))
+    v, w = data.draw(subspace_of(space)), data.draw(subspace_of(space))
+    zero = zero_subspace(space)
+    for big, small in ((w, v), (w, intersect(v, w)), (subspace_sum(v, w), v), (w, zero), (zero, v), (v, v)):
+        assert contains(big, small) == (subspace_sum(big, small) == big)

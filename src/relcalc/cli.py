@@ -23,7 +23,7 @@ from .extensions import (
     weak_krein,
 )
 from .forms import bound_bisect, form_of_relation
-from .harness import InstanceSpec, random_semibounded, run_suite, verify_all
+from .harness import InstanceSpec, failed_check, random_semibounded, run_suite, verify_all
 from .relations import (
     is_selfadjoint,
     is_symmetric,
@@ -195,7 +195,13 @@ def cmd_check(args) -> int:
         rel = read_relation(args.file)
         if c is None:
             c = _default_c(rel)
-        results = verify_all(rel, c, seed=args.seed)
+        try:
+            results = verify_all(rel, c, seed=args.seed)
+        except (BoundCertificationError, PreconditionError):
+            raise
+        except Exception as exc:
+            # A failure while building the shared objects, as run_one reports it.
+            results = [failed_check("preamble", exc)]
         failures = [r for r in results if not r.passed]
         data = {
             "c": rational_to_str(c),

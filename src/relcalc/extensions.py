@@ -82,10 +82,10 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
         raise PreconditionError("a selfadjoint relation needs a symmetric form matrix")
     b = domain.basis
     gdom = gram_on(domain)
-    coeffs = solve_mat(gdom, matrix)  # G_dom^{-1} M, exact
+    coeffs = solve_mat(gdom, matrix)  # M G_dom^{-1}, exact
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    rel = graph_relation(space, space, b, coeffs.T @ b)
+    rel = graph_relation(space, space, b, coeffs @ b)
     mul_rel = product_relation(span(space, []), complement(domain))
     out = hsum(rel, mul_rel)
     if not is_selfadjoint(out):
@@ -187,8 +187,7 @@ def weak_krein(s: LinearRelation, c) -> LinearRelation:
     c = rat(c)
     _require_semibounded(s, c)
     out = hsum(s, eigen_relation(adjoint(s), c))
-    q = repmap_ldl(form_of_relation(s), c)
-    j = companion(s, q)
+    j = companion(s, repmap_ldl(form_of_relation(s), c))
     if out != shift(compose(j, adjoint(j)), c):
         raise CrossCheckError("weak Krein extension differs from c + J J*")
     if out != krein(s, c):
@@ -244,9 +243,9 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     The minimizing set {f : inf = 0} equals span(dom S) + ker of the shifted
     form, a subspace, so checking the canonical basis of dom H suffices.
     The minimum itself is computed exactly from the normal equations
-    C N C^T x = C N e_i, C the coordinates of the dom S basis rows in
-    dom H, one solve for every unit vector at once: at e_i it is
-    N_ii - (C N e_i) . x_i.
+    x_i^T C N C^T = e_i^T N C^T, C the coordinates of the dom S basis rows
+    in dom H, one solve for every unit vector at once: at e_i it is
+    N_ii - (e_i^T N C^T) . x_i.
     """
     if not is_nonneg_above(h, c).ok:
         return False
@@ -255,12 +254,12 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     cmat = echelon_coords(th.domain.basis, parts(s).dom.basis)
     if cmat is None:
         raise PreconditionError("dom S is not inside dom H")
-    cn = cmat @ n
-    x = solve_mat(cn @ cmat.T, cn)
+    nc = n @ cmat.T
+    x = solve_mat(cmat @ nc, nc)
     if x is None:
         raise CrossCheckError("the normal equations of a nonnegative form are inconsistent")
     for i in range(th.domain.dim):
-        minimum = n[i, i] - sum(a * b for a, b in zip(cn.col(i), x.col(i)))
+        minimum = n[i, i] - sum(a * b for a, b in zip(nc.row(i), x.row(i)))
         if minimum < 0:
             raise CrossCheckError("a nonnegative form has a negative infimum")
         if minimum != 0:
@@ -298,9 +297,7 @@ def extremal_from_domain(s: LinearRelation, c, d: Subspace) -> LinearRelation:
     R_c of (J_c*)_reg to an intermediate domain dom S <= D <= dom J_c*."""
     c = rat(c)
     _require_semibounded(s, c)
-    q = repmap_ldl(form_of_relation(s), c)
-    j = companion(s, q)
-    jstar = adjoint(j)
+    jstar = adjoint(companion(s, repmap_ldl(form_of_relation(s), c)))
     reg = regular_part(jstar)
     dom_s = parts(s).dom
     dom_jstar = parts(jstar).dom
@@ -332,8 +329,7 @@ def krein_is_operator(s: LinearRelation, c) -> bool:
     if (parts(k).mul.dim == 0) != res:
         raise CrossCheckError("operator criterion disagrees with mul S_K,c")
     if res:
-        q = repmap_ldl(form_of_relation(s), c)
-        j = companion(s, q)
+        j = companion(s, repmap_ldl(form_of_relation(s), c))
         factor = restrict_domain(compose(j, adjoint(j)), parts(s).dom)
         if factor != shift(s, -c):
             raise CrossCheckError("closable factorization S - c = J_c J_c* | dom S failed")
@@ -350,14 +346,13 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     gamma = rat(gamma)
     t = _require_semibounded(s, gamma)
     shifted = t.matrix - t.domain_gram.scale(gamma)
-    if kernel(shifted).cols == 0:
+    if kernel(shifted).rows == 0:
         # gamma is certified but not attained: the true bound is strictly
         # larger (or the domain is trivial) and rational arithmetic cannot
         # settle the question at gamma.
         return None
     c = gamma - 1
-    q = repmap_ldl(t, gamma)
-    j = companion(s, q)
+    j = companion(s, repmap_ldl(t, gamma))
     ker_c = eigenspace(adjoint(s), c)
     meet = intersect(ker_c, parts(adjoint(j)).dom)
     res = meet.dim == 0

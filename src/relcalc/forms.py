@@ -35,7 +35,6 @@ from .linalg import (
     det,
     diag,
     echelon_coords,
-    from_cols,
     hstack,
     identity,
     kernel,
@@ -110,13 +109,15 @@ class QuadraticForm:
         return sum((a * b for a, b in zip(gx, cy)), Fraction(0))
 
     def restrict(self, sub: Subspace) -> "QuadraticForm":
-        """Restriction to a subspace of the domain."""
-        if not contains(self.domain, sub):
-            raise PreconditionError("restriction target is not inside the form domain")
-        coords = solve_mat(self.domain.basis.T, sub.basis.T)
+        """Restriction to a subspace of the domain.  The coordinates are read
+        off the echelon rows of the domain and then checked by recombining
+        them into the basis of ``sub``."""
+        coords = echelon_coords(self.domain.basis, sub.basis)
         if coords is None:
-            raise CrossCheckError("a contained subspace has no coordinates in the form domain")
-        return QuadraticForm(self.space, sub, coords.T @ self.matrix @ coords)
+            raise PreconditionError("restriction target is not inside the form domain")
+        if coords @ self.domain.basis != sub.basis:
+            raise CrossCheckError("the coordinates of a contained subspace do not recombine into its basis")
+        return QuadraticForm(self.space, sub, coords @ self.matrix @ coords.T)
 
     def is_restriction_of(self, other: "QuadraticForm") -> bool:
         if self.space != other.space or not contains(other.domain, self.domain):
@@ -309,24 +310,25 @@ def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
 class RepresentingMap:
     """A map Q from a domain subspace into a weighted codomain certifying
 
-        matrix^T Gram_codomain matrix = form_matrix - c Gram_domain.
+        matrix Gram_codomain matrix^T = form_matrix - c Gram_domain.
 
-    ``matrix`` sends domain-basis coordinates to codomain coordinates;
-    ``form_matrix`` is the represented form t in the same coordinates.  The
-    identity above is verified exactly at construction.
+    Row i of ``matrix`` is Q of the domain basis vector i, in codomain
+    coordinates, so x^T matrix is Q of the domain vector with coordinates
+    x; ``form_matrix`` is the represented form t in the same coordinates.
+    The identity above is verified exactly at construction.
     """
 
     domain: Subspace
     codomain: InnerProductSpace
-    matrix: Mat  # r x k
+    matrix: Mat  # k x r
     base_point: Fraction
     form_matrix: Mat  # k x k
 
     def __post_init__(self) -> None:
         k = self.domain.dim
-        if self.matrix.cols != k or self.matrix.rows != self.codomain.dim:
+        if self.matrix.rows != k or self.matrix.cols != self.codomain.dim:
             raise ValueError("representing map matrix has wrong shape")
-        lhs = self.matrix.T @ self.codomain.gram @ self.matrix
+        lhs = self.matrix @ self.codomain.gram @ self.matrix.T
         rhs = self.form_matrix - gram_on(self.domain).scale(self.base_point)
         if lhs != rhs:
             raise CrossCheckError("representing map certificate identity failed")
@@ -335,12 +337,13 @@ class RepresentingMap:
         cx = coordinates(x, self.domain)
         if cx is None:
             raise PreconditionError("argument outside the representing map domain")
-        return self.matrix.mul_vec(cx)
+        return self.matrix.vec_mul(cx)
 
     def as_relation(self) -> LinearRelation:
-        return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix.T)
+        return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix)
 
 
+@memo
 def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     """Representing map from the pivoted LDL^T factorization of t - c.
 
@@ -353,11 +356,11 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
         raise BoundCertificationError("form is not bounded below by the base point", res.witness)
     cert = res.cert.certificate
     k = t.domain.dim
-    # P^T (M - cG) P = L D L^T, so M - cG = R^T D R with R = L^T P^T,
-    # i.e. R[i][j] = L^T[i][where[j]] with where the inverse permutation.
+    # P^T (M - cG) P = L D L^T, so M - cG = R D R^T with R = P L, i.e.
+    # R[j][i] = L[where[j]][i] with where the inverse permutation.
     where = sorted(range(k), key=cert.perm.__getitem__)
     kept = [i for i in range(k) if cert.diag[i] != 0]
-    matrix = cert.lower.T.take(kept, where)
+    matrix = cert.lower.take(where, kept)
     codomain = InnerProductSpace(len(kept), diag(tuple(cert.diag[i] for i in kept)))
     return RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
 
@@ -381,12 +384,11 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     null = intersect(ran_smc, parts(adjoint(s)).mul)
     # Extend the null basis to a basis of ran(S-c); the added vectors span
     # the complement carrying the quotient.
-    comp = extending(null, ran_smc.basis_vectors())
-    r = len(comp)
+    comp = extending(null, ran_smc.basis)
+    r = comp.rows
     # Induced semi-inner product: ([u], [v])_{S-c} = (u, psi)_H where
     # {psi, psi'} in S and psi' - c psi = v.
-    comp_mat = from_cols(s.src.dim, comp).T
-    w = comp_mat @ s.src.gram @ lifts(inverse(smc), comp_mat).T
+    w = comp @ s.src.gram @ lifts(inverse(smc), comp).T
     if not w.is_symmetric():
         raise CrossCheckError("induced quotient inner product is not symmetric")
     wres = ldl_psd_certificate(w)
@@ -394,11 +396,10 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
         raise CrossCheckError("induced quotient inner product failed the PSD certificate")
     codomain = InnerProductSpace(r, w)
     # Coordinates of [phi' - c phi] on the complement part.
-    section = from_cols(s.src.dim, comp + null.basis_vectors())
-    coords = solve_mat(section, lifts(smc, t.domain.basis).T)
+    coords = solve_mat(vstack(comp, null.basis), lifts(smc, t.domain.basis))
     if coords is None:
         raise CrossCheckError("an image phi' - c phi escapes ran(S-c)")
-    matrix = coords.take(range(r))
+    matrix = coords.take(range(coords.rows), range(r))
     q = RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
     # ran q_c is dense in the quotient, which at finite dimension means all
     # of it.
@@ -415,7 +416,7 @@ def repmap_from_operator(op: LinearRelation, t: QuadraticForm, c) -> Representin
     """
     if op.src != t.space:
         raise PreconditionError("operator source must carry the form")
-    return RepresentingMap(t.domain, op.dst, lifts(op, t.domain.basis).T, rat(c), t.matrix)
+    return RepresentingMap(t.domain, op.dst, lifts(op, t.domain.basis), rat(c), t.matrix)
 
 
 def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
@@ -431,13 +432,13 @@ def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
     k = domain.dim
     zero_form = zeros(k, k)
     if c == 0:
-        return RepresentingMap(domain, InnerProductSpace(0, zeros(0, 0)), zeros(0, k), c, zero_form)
+        return RepresentingMap(domain, InnerProductSpace(0, zeros(0, 0)), zeros(k, 0), c, zero_form)
     codomain = InnerProductSpace(k, gram_on(domain).scale(-c))
     return RepresentingMap(domain, codomain, identity(k), c, zero_form)
 
 
 def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
-    """Column stack into the orthogonal direct sum codomain.
+    """Side-by-side stack into the orthogonal direct sum codomain.
 
     Represents the sum of the represented nonnegative forms: the result is
     a representing map for the form with matrix form1 + form2 at base
@@ -448,7 +449,7 @@ def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
     return RepresentingMap(
         q1.domain,
         ProductSpace(q1.codomain, q2.codomain).space,
-        vstack(q1.matrix, q2.matrix),
+        hstack(q1.matrix, q2.matrix),
         q1.base_point + q2.base_point,
         q1.form_matrix + q2.form_matrix,
     )
@@ -467,6 +468,7 @@ def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     return _relation_where(t1.src, ProductSpace(t1.dst, t2.dst).space, a, vstack(f_1, f_2.scale(-1)))
 
 
+@memo
 def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     """Companion relation J_c = {{Q_c phi, phi' - c phi} : {phi, phi'} in S}.
 
@@ -480,20 +482,19 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     coords = echelon_coords(q.domain.basis, firsts)
     if coords is None:
         raise PreconditionError("argument outside the representing map domain")
-    j = graph_relation(q.codomain, s.src, coords @ q.matrix.T, seconds - firsts.scale(q.base_point))
+    j = graph_relation(q.codomain, s.src, coords @ q.matrix, seconds - firsts.scale(q.base_point))
     q_rel = q.as_relation()
     if not adjoint(j).is_extension_of(q_rel) or not adjoint(q_rel).is_extension_of(j):
         raise CrossCheckError("companion relation does not form a dual pair with its representing map")
     return j
 
 
-def form_s_of(s: LinearRelation, c, q: RepresentingMap | None = None) -> QuadraticForm:
+def form_s_of(s: LinearRelation, c) -> QuadraticForm:
     """The closed form c (phi, psi) + ((J_c*)_reg phi, (J_c*)_reg psi) on
-    dom J_c*; extends t(S), with lower bound exactly c whenever the adjoint
-    has an eigenvector at c."""
+    dom J_c*, J_c the companion of the LDL^T map; extends t(S), with lower
+    bound exactly c whenever the adjoint has an eigenvector at c."""
     c = rat(c)
-    if q is None:
-        q = repmap_ldl(form_of_relation(s), c)
+    q = repmap_ldl(form_of_relation(s), c)
     j = companion(s, q)
     jstar = adjoint(j)
     dom = parts(jstar).dom
@@ -501,7 +502,7 @@ def form_s_of(s: LinearRelation, c, q: RepresentingMap | None = None) -> Quadrat
     out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + images @ q.codomain.gram @ images.T)
     if not certify_lower_bound(out, c).ok:
         raise CrossCheckError("the closed form lost the lower bound c")
-    if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).cols == 0:
+    if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).rows == 0:
         raise CrossCheckError("the bound c is attained by S* but not by the closed form")
     return out
 

@@ -50,7 +50,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, clear_memos, echelon_coords, from_cols, identity, kernel, mat, rank, rat, vec, vstack, zeros
+from .linalg import Mat, Vec, clear_memos, echelon_coords, identity, kernel, mat, rank, rat, vec, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -221,12 +221,12 @@ def sample_selfadjoint_extensions(
             sol = kernel(conditions)
             cand = None
             for _attempt in range(16):
-                v = star.vec_mul(sol.mul_vec(_rand_vec(rng, sol.cols, 3)))
+                v = star.vec_mul(sol.vec_mul(_rand_vec(rng, sol.rows, 3)))
                 if not member(v, graph):
                     cand = v
                     break
             if cand is None:
-                images = (star.vec_mul(sol.col(j)) for j in range(sol.cols))
+                images = (star.vec_mul(sol.row(j)) for j in range(sol.rows))
                 cand = next((v for v in images if not member(v, graph)), None)
             if cand is None:
                 raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
@@ -255,10 +255,10 @@ def engineered_nonextremal_extensions(
         raise CrossCheckError("dom S is not inside the domain of the Krein type extension")
     null = kernel(cmat)  # coordinates orthogonal to dom S coordinates
     out: list[LinearRelation] = []
-    if null.cols == 0:
+    if null.rows == 0:
         return out
     for i in range(count):
-        w = null.col(i % null.cols)
+        w = null.row(i % null.rows)
         weight = Fraction(i + 1)
         bump = mat([[weight * w[a] * w[b] for b in range(len(w))] for a in range(len(w))])
         h = selfadjoint_from_form(s.src, tk.domain, tk.matrix + bump)
@@ -272,15 +272,13 @@ def sample_extremal(s: LinearRelation, c, count: int, seed: int) -> list[LinearR
     and dom J_c*; every output passes extremal_check by construction."""
     c = rat(c)
     rng = random.Random(seed)
-    q = repmap_ldl(form_of_relation(s), c)
-    j = companion(s, q)
+    j = companion(s, repmap_ldl(form_of_relation(s), c))
     dom_s = parts(s).dom
-    gap = extending(dom_s, parts(adjoint(j)).dom.basis_vectors())
-    gap_mat = from_cols(s.src.dim, gap)
+    gap = extending(dom_s, parts(adjoint(j)).dom.basis)
     out = []
     for _ in range(count):
-        take = rng.randint(0, len(gap))
-        drawn = [gap_mat.mul_vec(_rand_vec(rng, len(gap), 3)) for _k in range(take)]
+        take = rng.randint(0, gap.rows)
+        drawn = [gap.vec_mul(_rand_vec(rng, gap.rows, 3)) for _k in range(take)]
         out.append(extremal_from_domain(s, c, span(s.src, dom_s.basis_vectors() + drawn)))
     return out
 
@@ -348,8 +346,8 @@ def check_codding(s: LinearRelation, c, candidate: LinearRelation) -> CheckResul
 
 
 def _certifies(q: RepresentingMap, x: _Instance) -> bool:
-    """The representing-map identity Q^T G_Q Q = t - c G on the form domain."""
-    return q.matrix.T @ q.codomain.gram @ q.matrix == x.t.matrix - x.t.domain_gram.scale(x.c)
+    """The representing-map identity Q G_Q Q^T = t - c G on the form domain."""
+    return q.matrix @ q.codomain.gram @ q.matrix.T == x.t.matrix - x.t.domain_gram.scale(x.c)
 
 
 def _first_disagreement(x: _Instance, sub: Subspace, expected: Subspace, pointwise, salt: int) -> Vec | None:
@@ -492,7 +490,7 @@ def _domain_inequality(x: _Instance) -> str | None:
 
 @check("closed-form-extends")
 def _closed_form_extends(x: _Instance) -> str | None:
-    big = form_s_of(x.s, x.c, x.q_ldl)
+    big = form_s_of(x.s, x.c)
     return None if x.t.is_restriction_of(big) else "t(S) is not a restriction of s(S)"
 
 
@@ -672,7 +670,8 @@ def _orthogonal_special(x: _Instance) -> str | None:
 REQUIRED_CHECKS: tuple[str, ...] = tuple(name for name, _ in REGISTRY)
 
 
-def _failure(name: str, exc: Exception) -> CheckResult:
+def failed_check(name: str, exc: Exception) -> CheckResult:
+    """The failed check ``name``, with the exception as its witness."""
     return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
@@ -681,7 +680,7 @@ def _run(name: str, fn: CheckFn, x: _Instance) -> CheckResult:
     try:
         witness = fn(x)
     except Exception as exc:
-        return _failure(name, exc)
+        return failed_check(name, exc)
     return CheckResult(name, witness is None, witness)
 
 
@@ -691,7 +690,8 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
     Deterministic for fixed (s, c, seed).  Every failure carries a
     serialized witness.  Exceptions inside a check are failures of that
     check, not of the harness; an exception while building the shared
-    objects propagates (``run_one`` reports it).
+    objects propagates (``run_one`` and ``relcalc check FILE`` report it
+    as the failed check "preamble").
     """
     x = _Instance.build(s, c, seed)
     return [_run(name, fn, x) for name, fn in REGISTRY]
@@ -723,7 +723,7 @@ def run_one(spec: InstanceSpec) -> InstanceReport:
         s, c = random_semibounded(spec)
         checks = verify_all(s, c, seed=spec.seed)
     except Exception as exc:
-        checks = [_failure("preamble", exc)]
+        checks = [failed_check("preamble", exc)]
     return InstanceReport(spec, c, tuple(checks))
 
 

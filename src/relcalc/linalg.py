@@ -7,13 +7,15 @@ factorization with diagonal pivoting that either certifies positive
 semidefiniteness or returns an explicit vector with negative quadratic
 value.  No floating point is used anywhere in this module.
 
-A nullspace comes in two forms.  ``null_space`` gives its canonical basis,
-the reduced echelon rows, from one RREF: use it wherever the subspace
-itself is wanted.  ``kernel`` gives the free-variable basis as columns:
-use it where that particular basis matters, as coordinates or as the
-directions of a random draw.  ``echelon_coords`` reads coordinates off
-reduced echelon rows, so membership in a canonical basis needs no
-elimination.
+A set of vectors is the rows of a ``Mat``: a basis, a nullspace, the
+solutions of a system, the images of a map.  Only ``solve(m, b)`` keeps
+the column reading of Mx = b.  A nullspace comes in two forms.
+``null_space`` gives its canonical basis, the reduced echelon rows, from
+one RREF: use it wherever the subspace itself is wanted.  ``kernel`` gives
+the free-variable basis: use it where that particular basis matters, as
+coordinates or as the directions of a random draw.  ``echelon_coords``
+reads coordinates off reduced echelon rows, so membership in a canonical
+basis needs no elimination.
 
 A ``Mat`` stores each row as a tuple of Python ints and one positive int
 denominator, reduced so that the gcd of the entries and the denominator
@@ -23,15 +25,14 @@ sums, scaling, transposes, submatrices and stacking build their result
 rows from ints with one gcd reduction per row, and the three
 eliminations, ``rref``, ``det`` and ``ldl_psd_certificate``, run on the
 stored rows directly, reduced by a gcd after each update.  A
-``fractions.Fraction`` is created at five boundaries only:
-``Mat.__getitem__``, ``Mat.col``, ``Mat.row``, ``Mat.to_lists`` and the
-result of ``Mat.mul_vec``.  ``mat`` and ``from_cols`` convert the other
-way.
+``fractions.Fraction`` is created at four boundaries only:
+``Mat.__getitem__``, ``Mat.row``, ``Mat.to_lists`` and the result of
+``Mat.mul_vec``.  ``mat`` converts the other way.
 
 Only this module knows how a ``Mat`` is stored.  Every other module builds
-matrices with ``mat``, ``from_cols``, ``zeros``, ``identity``, ``diag`` and
-the stacking helpers, and reads them through ``[i, j]``, ``col``, ``row``,
-``take`` and ``to_lists``, so the storage can change here alone.
+matrices with ``mat``, ``zeros``, ``identity``, ``diag`` and the stacking
+helpers, and reads them through ``[i, j]``, ``row``, ``take`` and
+``to_lists``, so the storage can change here alone.
 
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
@@ -136,9 +137,6 @@ class Mat:
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         i, j = idx
         return Fraction(self._num[i][j], self._den[i])
-
-    def col(self, j: int) -> Vec:
-        return tuple([Fraction(r[j], d) for r, d in zip(self._num, self._den)])
 
     def row(self, i: int) -> Vec:
         return tuple([Fraction(x, self._den[i]) for x in self._num[i]])
@@ -283,15 +281,6 @@ def diag(entries: Sequence[Fraction]) -> Mat:
     return _from_rows(n, rows)
 
 
-def from_cols(ncols_rows: int, cols: Sequence[Sequence[Fraction]]) -> Mat:
-    """Build an ``nrows x len(cols)`` matrix from column vectors."""
-    nrows = ncols_rows
-    for c in cols:
-        if len(c) != nrows:
-            raise ValueError("column length does not match row count")
-    return _from_rows(len(cols), [_int_row([rat(c[i]) for c in cols]) for i in range(nrows)])
-
-
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row count mismatch in hstack")
@@ -375,22 +364,28 @@ def rank(m: Mat) -> int:
 
 @memo
 def kernel(m: Mat) -> Mat:
-    """Basis of the nullspace {x : Mx = 0}, as columns of a cols x k matrix.
+    """Basis of the nullspace {x : Mx = 0}, as the rows of a k x cols matrix.
 
     Uses the standard free-variable parametrization of the RREF, which is
     deterministic and canonical for a given input: the basis vector of free
-    column f is 1 at f and minus column f of the reduced rows at the pivots.
+    column f is 1 at f and minus column f of the reduced rows at the pivots,
+    one row per free column in increasing order.
     """
     red, pivots = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    k = len(free)
-    rows: list[tuple[IntRow, int]] = [((0,) * k, 1)] * m.cols
-    for pos, fc in enumerate(free):
-        rows[fc] = (tuple([1 if t == pos else 0 for t in range(k)]), 1)
-    for r, d, pc in zip(red._num, red._den, pivots):
-        rows[pc] = _norm([-r[fc] for fc in free], d)
-    return _from_rows(k, rows)
+    # The pivot rows over one denominator give every vector as ints.
+    common = lcm(*red._den)
+    over = _over(red, common)
+    rows = []
+    for fc in range(m.cols):
+        if fc in pivset:
+            continue
+        v = [0] * m.cols
+        v[fc] = common
+        for r, pc in zip(over, pivots):
+            v[pc] = -r[fc]
+        rows.append(_norm(v, common))
+    return _from_rows(m.cols, rows)
 
 
 @memo
@@ -402,7 +397,7 @@ def null_space(m: Mat) -> Mat:
     at pivot columns after f, so no second RREF is needed."""
     n = m.cols
     back = kernel(m.take(range(m.rows), range(n - 1, -1, -1)))
-    return back.take(range(n - 1, -1, -1), range(back.cols - 1, -1, -1)).T
+    return back.take(range(back.rows - 1, -1, -1), range(n - 1, -1, -1))
 
 
 def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
@@ -433,22 +428,27 @@ def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
 
 def solve(m: Mat, b: Sequence[Fraction]) -> Vec | None:
     """Some exact solution of Mx = b, or None when the system is inconsistent."""
-    sol = solve_mat(m, from_cols(m.rows, [vec(b)]))
-    return sol.col(0) if sol is not None else None
+    sol = solve_mat(m.T, mat([b]))
+    return sol.row(0) if sol is not None else None
 
 
-def solve_mat(m: Mat, b: Mat) -> Mat | None:
-    """Columnwise exact solve MX = B; None if any column is inconsistent."""
-    if b.rows != m.rows:
-        raise ValueError("right-hand side has wrong row count")
-    red, pivots = rref(hstack(m, b))
-    # A pivot in an augmented column means that column is inconsistent.
-    if any(p >= m.cols for p in pivots):
+def solve_mat(a: Mat, b: Mat) -> Mat | None:
+    """Some X with X @ a == b, or None when a row of b is not in the row
+    space of a.
+
+    One RREF of [a | I]: its rows that pivot in the a-part are [R | E] with
+    R the reduced echelon basis of the row space of a and E @ a == R.  The
+    coordinates C of the rows of b in R (``echelon_coords``) then give
+    X = C @ E.
+    """
+    if b.cols != a.cols:
+        raise ValueError("right-hand side has wrong column count")
+    red, pivots = rref(hstack(a, identity(a.rows)))
+    top = [i for i, p in enumerate(pivots) if p < a.cols]
+    coords = echelon_coords(red.take(top, range(a.cols)), b)
+    if coords is None:
         return None
-    rows: list[tuple[IntRow, int]] = [((0,) * b.cols, 1)] * m.cols
-    for r, d, pc in zip(red._num, red._den, pivots):
-        rows[pc] = _norm(r[m.cols:], d)
-    return _from_rows(b.cols, rows)
+    return coords @ red.take(top, range(a.cols, red.cols))
 
 
 def det(m: Mat) -> Fraction:

@@ -16,7 +16,7 @@ from typing import Any
 from .errors import ParseError
 from .linalg import Mat, Vec, identity, mat, vec
 from .relations import LinearRelation, relation_from_graph_vectors
-from .spaces import InnerProductSpace, Subspace, span, standard_space
+from .spaces import InnerProductSpace, Subspace, standard_space
 
 # Largest space dimension a relation file or a command-line option may ask
 # for.  Exact elimination is cubic in the dimension, with growing integers,
@@ -102,16 +102,6 @@ def parse_space(data: Any, field: str = "space") -> InnerProductSpace:
 def subspace_to_json(sub: Subspace) -> dict:
     return {"basis": [vector_to_json(b) for b in sub.basis_vectors()]}
 
-
-def parse_subspace(data: Any, space: InnerProductSpace, field: str = "subspace") -> Subspace:
-    if not isinstance(data, dict) or "basis" not in data:
-        raise ParseError(f"{field}: expected an object with a 'basis' entry")
-    vecs = parse_vectors(data["basis"], f"{field}.basis")
-    for i, v in enumerate(vecs):
-        if len(v) != space.dim:
-            raise ParseError(f"{field}.basis[{i}]: wrong length for ambient dimension {space.dim}")
-    return span(space, vecs)
-
 # ---------------------------------------------------------------- relations
 
 
@@ -138,18 +128,6 @@ def parse_relation(data: Any, field: str = "relation") -> LinearRelation:
                 f"{field}.graph_basis[{i}]: wrong length, expected {src.dim + dst.dim}"
             )
     return relation_from_graph_vectors(src, dst, vecs)
-
-# ---------------------------------------------------------------- repmaps
-
-
-def repmap_to_json(q) -> dict:
-    return {
-        "c": rational_to_str(q.base_point),
-        "domain_basis": [vector_to_json(b) for b in q.domain.basis_vectors()],
-        "matrix": matrix_to_json(q.matrix),
-        "codomain_gram": matrix_to_json(q.codomain.gram),
-        "form_matrix": matrix_to_json(q.form_matrix),
-    }
 
 # ------------------------------------------------------------------- files
 

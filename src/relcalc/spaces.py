@@ -22,7 +22,6 @@ from .linalg import (
     Mat,
     Vec,
     echelon_coords,
-    from_cols,
     hstack,
     identity,
     ldl_psd_certificate,
@@ -187,14 +186,15 @@ def subspace_sum(v: Subspace, w: Subspace) -> Subspace:
     return span_mat(v.space, vstack(v.basis, w.basis))
 
 
-def extending(w: Subspace, vectors: Iterable[Sequence[Fraction]]) -> list[Vec]:
-    """The vectors that each enlarge w plus the vectors kept before them.
+def extending(w: Subspace, vectors: Mat) -> Mat:
+    """The rows of ``vectors`` that each enlarge w plus the rows kept
+    before them.
 
     This is the greedy extension of a basis of w, read off the pivot
-    columns of one RREF of [basis of w | vectors]."""
-    vectors = [vec(v) for v in vectors]
-    _, pivots = rref(hstack(w.basis.T, from_cols(w.space.dim, vectors)))
-    return [vectors[j - w.dim] for j in pivots if j >= w.dim]
+    columns of one RREF of the matrix whose columns are the basis of w and
+    then the vectors."""
+    _, pivots = rref(vstack(w.basis, vectors).T)
+    return vectors.take([j - w.dim for j in pivots if j >= w.dim])
 
 
 def contains(w: Subspace, v: Subspace) -> bool:
@@ -220,11 +220,10 @@ def projections(xs: Mat, w: Subspace) -> Mat:
         raise ValueError("vector has wrong length")
     if w.is_zero():
         return zeros(xs.rows, xs.cols)
-    bg = w.basis @ w.space.gram
-    coeffs = solve_mat(bg @ w.basis.T, bg @ xs.T)
+    coeffs = solve_mat(gram_on(w), xs @ w.space.gram @ w.basis.T)
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    return coeffs.T @ w.basis
+    return coeffs @ w.basis
 
 
 def project(x: Sequence[Fraction], w: Subspace) -> Vec:

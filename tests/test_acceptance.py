@@ -6,6 +6,7 @@ criterion lines).  The shared corpus is the same 200 seeded instances the
 """
 
 import functools
+import hashlib
 import json
 import random
 import time
@@ -374,6 +375,11 @@ def test_criterion_11_e1_end_to_end():
         assert extremal_check(h, s, 0) == (h in (f, k))
 
 
+# sha256 of the stdout of `relcalc check --count 200 --dims 2..6 --seed 0
+# --format json`: a refactor must leave every result and witness alone.
+CHECK_200_SEED0_SHA256 = "c702d693d217350910835311fa4ad3f19882c9006dc4a2219bfe77257edc9ba8"
+
+
 @criterion(12, "full check command: 200 instances, < 60 s, bit-identical rerun")
 def test_criterion_12_full_check(capsys):
     start = time.monotonic()
@@ -384,6 +390,7 @@ def test_criterion_12_full_check(capsys):
     data = json.loads(first)
     assert data["summary"] == "200/200 instances, 0 failures"
     assert elapsed < 60, f"check took {elapsed:.1f} s"
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == CHECK_200_SEED0_SHA256
 
     code = main(["check", "--count", "200", "--dims", "2..6", "--seed", "0", "--format", "json"])
     second = capsys.readouterr().out

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcalc
+from relcalc import harness
 from relcalc.cli import main
+from relcalc.errors import CrossCheckError
 from relcalc.linalg import vec
 from relcalc.relations import relation_from_pairs
 from relcalc.serialize import canonical_dumps, read_relation, relation_to_json, write_relation
@@ -278,6 +280,38 @@ def test_check_exit_1_on_failure(tmp_path, capsys, monkeypatch):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL planted" in out
+
+
+@pytest.mark.parametrize("exc", [CrossCheckError("injected"), ZeroDivisionError("injected")], ids=lambda e: type(e).__name__)
+def test_check_file_reports_a_preamble_failure_as_one_check(tmp_path, capsys, monkeypatch, exc):
+    # The second companion call builds j_quot, the last shared object.
+    real = harness.companion
+    calls = []
+
+    def injected(s, q):
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise exc
+        return real(s, q)
+
+    monkeypatch.setattr(harness, "companion", injected)
+    witness = f"{type(exc).__name__}: injected"
+    assert main(["check", e1_path(tmp_path), "--c", "0"]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"FAIL preamble  [{witness}]", "0/1 checks, 1 failures"]
+    assert main(["check", e1_path(tmp_path), "--c", "0", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["checks"] == [{"name": "preamble", "passed": False, "witness": witness}]
+    assert len(calls) == 4
+
+
+def test_check_file_keeps_the_bound_and_precondition_exits(tmp_path, capsys):
+    assert main(["check", e1_path(tmp_path), "--c", "3"]) == 4
+    assert "bound certification failed" in capsys.readouterr().err
+    rel = relation_from_pairs(Q2, Q2, [(vec([1, 0]), vec([0, 1])), (vec([0, 1]), vec([-1, 0]))])
+    path = tmp_path / "nonsym.json"
+    write_relation(str(path), rel)
+    assert main(["check", str(path), "--c", "0"]) == 3
+    assert "precondition violated" in capsys.readouterr().err
 
 
 def _package_modules():

@@ -123,7 +123,7 @@ def test_repmap_ldl_degenerate_at_the_bound():
     t = form_of_relation(e1())
     q = repmap_ldl(t, 2)
     assert q.codomain.dim == 0
-    assert q.matrix.rows == 0
+    assert (q.matrix.rows, q.matrix.cols) == (t.domain.dim, 0)
 
 
 def test_repmap_ldl_zero_form():
@@ -260,8 +260,8 @@ def test_scalar_repmap_and_stack():
     assert stacked.base_point == Fraction(-2)
     assert stacked.form_matrix == t.matrix
     assert stacked.codomain.dim == 2
-    # Certificate: m^T W m = form + 2 * Gram_dom.
-    lhs = stacked.matrix.T @ stacked.codomain.gram @ stacked.matrix
+    # Certificate: m W m^T = form + 2 * Gram_dom, m = [Q_c | Q] side by side.
+    lhs = stacked.matrix @ stacked.codomain.gram @ stacked.matrix.T
     assert lhs == mat([[8]])
 
 

@@ -1,7 +1,7 @@
 """Relation constructors against their defining set conditions.
 
 compose, rel_sum, stack_relations and restrict_domain each have a graph of
-the form {P x : C x = 0}, where x runs over coefficients of the input
+the form {x^T P : x^T C = 0}, where x runs over coefficients of the input
 graph bases (and of the restricting subspace).  The library reads each
 graph off one RREF (``spaces.image_where``); here they are checked
 directly in coefficients: every pair built from the inputs lies in the
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from relcalc.extensions import REPMAP_BUILDERS
 from relcalc.forms import companion, stack_relations
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import Mat, from_cols, hstack, identity, kernel, mat, solve, vstack, zeros
+from relcalc.linalg import Mat, block_diag, hstack, identity, kernel, mat, solve_mat, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     compose,
@@ -91,11 +91,16 @@ def spaces_of_unequal_dims(draw):
     return [draw(weighted_space(n)) for n in draw(st.permutations([1, 2, 3]))]
 
 
+def rows_of(vectors, ncols: int) -> Mat:
+    """The matrix whose rows are the vectors, also when there are none."""
+    return mat(vectors) if vectors else zeros(0, ncols)
+
+
 def halves(t: LinearRelation) -> tuple[Mat, Mat]:
-    """The f and the g of each graph basis pair, as the columns of two
-    matrices, so a defining system reads P x over coefficients x."""
+    """The f and the g of each graph basis pair, as the rows of two
+    matrices, so a defining system reads x^T P over coefficients x."""
     pairs = t.pairs()
-    return from_cols(t.src.dim, [f for f, _ in pairs]), from_cols(t.dst.dim, [g for _, g in pairs])
+    return rows_of([f for f, _ in pairs], t.src.dim), rows_of([g for _, g in pairs], t.dst.dim)
 
 
 def blocks(rows: list[list[Mat]]) -> Mat:
@@ -103,13 +108,13 @@ def blocks(rows: list[list[Mat]]) -> Mat:
 
 
 def assert_graph_is(out: LinearRelation, constraint: Mat, image: Mat) -> None:
-    """graph(out) = {image x : constraint x = 0}."""
-    null = kernel(constraint)
-    for j in range(null.cols):
-        assert member(image.mul_vec(null.col(j)), out.graph)
-    system = vstack(constraint, image)
+    """graph(out) = {x^T image : x^T constraint = 0}."""
+    null = kernel(constraint.T)
+    for i in range(null.rows):
+        assert member(image.vec_mul(null.row(i)), out.graph)
+    system = hstack(constraint, image)
     for v in out.graph.basis_vectors():
-        assert solve(system, (0,) * constraint.rows + v) is not None
+        assert solve_mat(system, mat([(0,) * constraint.cols + v])) is not None
 
 
 @given(st.data())
@@ -120,12 +125,11 @@ def test_compose_is_the_relational_product(data):
     r = data.draw(relation(k, l))
     tf, ts = halves(t)
     rf, rs = halves(r)
-    a, b = tf.cols, rf.cols
-    # {Tf a, Rs b} with Ts a = Rf b.
+    # {a^T Tf, b^T Rs} with a^T Ts = b^T Rf.
     assert_graph_is(
         compose(r, t),
-        blocks([[ts, rf.scale(-1)]]),
-        blocks([[tf, zeros(h.dim, b)], [zeros(l.dim, a), rs]]),
+        blocks([[ts], [rf.scale(-1)]]),
+        block_diag(tf, rs),
     )
 
 
@@ -137,11 +141,11 @@ def test_rel_sum_is_the_componentwise_sum(data):
     y = data.draw(relation(h, k))
     xf, xs = halves(x)
     yf, ys = halves(y)
-    # {Xf a, Xs a + Ys b} with Xf a = Yf b.
+    # {a^T Xf, a^T Xs + b^T Ys} with a^T Xf = b^T Yf.
     assert_graph_is(
         rel_sum(x, y),
-        blocks([[xf, yf.scale(-1)]]),
-        blocks([[xf, zeros(h.dim, yf.cols)], [xs, ys]]),
+        blocks([[xf], [yf.scale(-1)]]),
+        blocks([[xf, xs], [zeros(yf.rows, h.dim), ys]]),
     )
 
 
@@ -153,14 +157,14 @@ def test_stack_relations_is_the_column_stack(data):
     t2 = data.draw(relation(h, k2))
     f1, s1 = halves(t1)
     f2, s2 = halves(t2)
-    a, b = f1.cols, f2.cols
+    a, b = f1.rows, f2.rows
     out = stack_relations(t1, t2)
     assert out.dst.gram == blocks([[k1.gram, zeros(k1.dim, k2.dim)], [zeros(k2.dim, k1.dim), k2.gram]])
-    # {F1 a, S1 a (+) S2 b} with F1 a = F2 b.
+    # {a^T F1, a^T S1 (+) b^T S2} with a^T F1 = b^T F2.
     assert_graph_is(
         out,
-        blocks([[f1, f2.scale(-1)]]),
-        blocks([[f1, zeros(h.dim, b)], [s1, zeros(k1.dim, b)], [zeros(k2.dim, a), s2]]),
+        blocks([[f1], [f2.scale(-1)]]),
+        blocks([[f1, s1, zeros(a, k2.dim)], [zeros(b, h.dim), zeros(b, k1.dim), s2]]),
     )
 
 
@@ -171,11 +175,11 @@ def test_restrict_domain_keeps_the_pairs_over_d(data):
     t = data.draw(relation(src, dst))
     d = data.draw(subspace(src))
     tf, ts = halves(t)
-    # {Tf a, Ts a} with Tf a = D e.
+    # {a^T Tf, a^T Ts} with a^T Tf = e^T D.
     assert_graph_is(
         restrict_domain(t, d),
-        blocks([[tf, from_cols(src.dim, d.basis_vectors()).scale(-1)]]),
-        blocks([[tf, zeros(src.dim, d.dim)], [ts, zeros(dst.dim, d.dim)]]),
+        blocks([[tf], [rows_of(d.basis_vectors(), src.dim).scale(-1)]]),
+        blocks([[tf, ts], [zeros(d.dim, src.dim + dst.dim)]]),
     )
 
 
@@ -193,7 +197,7 @@ def test_halves_and_graph_relation_are_inverse(data):
     src, dst, _ = data.draw(spaces_of_unequal_dims())
     t = data.draw(multivalued_relation(src, dst))
     firsts, seconds = halves(t)
-    assert t.halves() == (firsts.T, seconds.T)
+    assert t.halves() == (firsts, seconds)
     assert graph_relation(t.src, t.dst, *t.halves()) == t
 
 
@@ -261,7 +265,7 @@ def test_projections_project_each_row(data):
     space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
     w = data.draw(subspace(space))
     height = data.draw(st.integers(0, 3))
-    xs = from_cols(space.dim, [[data.draw(rationals) for _ in range(space.dim)] for _ in range(height)]).T
+    xs = rows_of([[data.draw(rationals) for _ in range(space.dim)] for _ in range(height)], space.dim)
     out = projections(xs, w)
     assert (out.rows, out.cols) == (xs.rows, xs.cols)
     assert [out.row(i) for i in range(xs.rows)] == [project(xs.row(i), w) for i in range(xs.rows)]
@@ -271,7 +275,7 @@ def test_projections_project_each_row(data):
 @settings(max_examples=60, deadline=None)
 def test_take_picks_the_listed_rows_and_columns(data):
     nrows, ncols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    m = from_cols(nrows, [[data.draw(rationals) for _ in range(nrows)] for _ in range(ncols)])
+    m = rows_of([[data.draw(rationals) for _ in range(ncols)] for _ in range(nrows)], ncols)
     rows = data.draw(st.lists(st.integers(0, nrows - 1), max_size=5)) if nrows else []
     cols = data.draw(st.none() | (st.lists(st.integers(0, ncols - 1), max_size=5) if ncols else st.just([])))
     out = m.take(rows, cols)

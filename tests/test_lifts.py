@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from relcalc.errors import PreconditionError
 from relcalc.extensions import selfadjoint_from_form
 from relcalc.forms import certify_lower_bound, companion, form_of_relation, form_s_of, lebesgue_form, repmap_ldl
-from relcalc.linalg import Mat, from_cols, identity, mat
+from relcalc.linalg import Mat, identity, mat, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -95,7 +95,8 @@ def test_lifts_is_rowwise_lift(data):
     t = data.draw(relation(src, dst))
     dom = parts(t).dom
     count = data.draw(st.integers(min_value=0, max_value=3))
-    xs = from_cols(src.dim, [dom.basis.vec_mul([data.draw(rationals) for _ in range(dom.dim)]) for _ in range(count)]).T
+    rows = [dom.basis.vec_mul([data.draw(rationals) for _ in range(dom.dim)]) for _ in range(count)]
+    xs = mat(rows) if rows else zeros(0, src.dim)
     gs = lifts(t, xs)
     assert (gs.rows, gs.cols) == (count, dst.dim)
     for x, g in zip(vectors(xs), vectors(gs)):
@@ -141,8 +142,8 @@ def test_lebesgue_form_is_the_pairing_of_lifts(data):
 def test_form_s_is_the_pairing_of_regular_lifts(s: LinearRelation):
     t = form_of_relation(s)
     c = a_lower_bound(t)
+    out = form_s_of(s, c)
     q = repmap_ldl(t, c)
-    out = form_s_of(s, c, q)
     jstar = adjoint(companion(s, q))
     dom = vectors(parts(jstar).dom.basis)
     images = [lift(regular_part(jstar), b) for b in dom]

@@ -17,7 +17,6 @@ from relcalc.linalg import (
     PsdCertificate,
     clear_memos,
     det,
-    from_cols,
     hstack,
     identity,
     kernel,
@@ -68,7 +67,7 @@ def test_rref_hand_elimination():
 
 def test_kernel_identity_is_empty():
     k = kernel(identity(2))
-    assert k.cols == 0
+    assert (k.rows, k.cols) == (0, 2)
 
 
 def test_kernel_zero_matrix():
@@ -78,10 +77,10 @@ def test_kernel_zero_matrix():
 def test_kernel_single_equation():
     m = mat([[1, 3]])
     k = kernel(m)
-    assert k.cols == 1
-    assert (m @ k).is_zero()
+    assert k.rows == 1
+    assert (m @ k.T).is_zero()
     # Same line as (3, -1).
-    assert rank(hstack(k, from_cols(2, [vec([3, -1])]))) == 1
+    assert rank(vstack(k, mat([[3, -1]]))) == 1
 
 
 def test_solve_identity():
@@ -156,8 +155,8 @@ def test_rref_idempotent_and_rank_nullity(m):
     assert again == red
     assert pivots2 == pivots
     k = kernel(m)
-    assert (m @ k).is_zero()
-    assert len(pivots) + k.cols == m.cols
+    assert (m @ k.T).is_zero()
+    assert len(pivots) + k.rows == m.cols
 
 
 @given(matrices)
@@ -201,8 +200,15 @@ def test_solve_mat_multiple_rhs():
     m = mat([[1, 1], [0, 1]])
     b = mat([[3, 0], [1, 2]])
     x = solve_mat(m, b)
-    assert x is not None
-    assert m @ x == b
+    assert x == mat([[3, -3], [1, 1]])
+    assert x @ m == b
+
+
+def test_solve_mat_inconsistent_row():
+    # (0, 1) is not a combination of the row (1, 0).
+    assert solve_mat(mat([[1, 0]]), mat([[2, 0], [0, 1]])) is None
+    with pytest.raises(ValueError):
+        solve_mat(mat([[1, 0]]), mat([[1, 0, 0]]))
 
 
 # --------------------------------------------- LDL^T against the Fraction one
@@ -373,7 +379,7 @@ def assert_is(m, rows, ncols):
     assert (m.rows, m.cols) == (len(rows), ncols)
     assert m.to_lists() == rows
     assert all(m[i, j] == x for i, r in enumerate(rows) for j, x in enumerate(r))
-    assert [m.col(j) for j in range(ncols)] == [tuple(r[j] for r in rows) for j in range(ncols)]
+    assert [m.row(i) for i in range(len(rows))] == [tuple(r) for r in rows]
     expected = build(rows, ncols)
     assert m == expected
     assert hash(m) == hash(expected)
@@ -445,13 +451,13 @@ def test_equal_matrices_built_by_different_routes_are_equal(data):
     assert_is(ma @ identity(k), a, k)
     assert_is(ma.T.T, a, k)
     assert_is(ma.scale(Fraction(-3, 7)).scale(Fraction(-7, 3)), a, k)
-    assert_is(from_cols(n, [ma.col(j) for j in range(k)]), a, k)
+    assert_is(build([ma.row(i) for i in range(n)], k), a, k)
     # Elimination outputs are stored rows built without a gcd per entry.
     red, _ = rref(ma)
     assert_is(red, red.to_lists(), k)
     null = kernel(ma)
-    assert_is(null, null.to_lists(), null.cols)
-    assert (ma @ null).is_zero()
+    assert_is(null, null.to_lists(), k)
+    assert (ma @ null.T).is_zero()
     rows = null_space(ma)
     assert_is(rows, rows.to_lists(), k)
     assert (ma @ rows.T).is_zero()
@@ -501,3 +507,97 @@ def test_det_by_inspection():
     assert det(mat([[1, 2], [2, 4]])) == 0
     with pytest.raises(ValueError):
         det(mat([[1, 2]]))
+
+
+# ------------------------------- kernel and solve_mat against column formulas
+#
+# ``kernel`` and ``solve_mat`` return their vectors as rows.  Before that
+# they returned columns; the two column formulas are kept here as the
+# references.  The kernel rows must be exactly the old columns, in order,
+# since the samplers draw their random combinations in that basis.
+
+
+def column_kernel(m):
+    """The free-variable basis of {x : Mx = 0} as the columns of a
+    cols x k matrix: the column of free column f is 1 at f and minus
+    column f of the reduced rows at the pivots."""
+    red, pivots = rref(m)
+    free = [f for f in range(m.cols) if f not in pivots]
+    cols = []
+    for f in free:
+        v = [ZERO] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i, f]
+        cols.append(v)
+    return build([[c[i] for c in cols] for i in range(m.cols)], len(free))
+
+
+def column_solve(m, b):
+    """Some X with MX = B, column by column, or None when a column of B is
+    inconsistent: one RREF of [M | B], read at the pivots."""
+    red, pivots = rref(hstack(m, b))
+    if any(p >= m.cols for p in pivots):
+        return None
+    x = [[ZERO] * b.cols for _ in range(m.cols)]
+    for i, p in enumerate(pivots):
+        x[p] = [red[i, m.cols + j] for j in range(b.cols)]
+    return build(x, b.cols)
+
+
+@st.composite
+def solve_inputs(draw):
+    """a: r x n with zero rows, repeated rows and large-prime entries;
+    b: p x n, each row a combination of the rows of a, zero or random."""
+    r, n, p = draw(sizes), draw(sizes), draw(sizes)
+    rows = draw(fraction_rows(r, n))
+    if r >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(r)))[:2]
+        rows[i] = list(rows[j])  # singular
+    a = build(rows, n)
+    out = []
+    for _ in range(p):
+        kind = draw(st.sampled_from(["combination", "zero", "random"]))
+        if kind == "combination":
+            out.append(list(a.vec_mul([draw(entries) for _ in range(r)])) if r else [ZERO] * n)
+        elif kind == "zero":
+            out.append([ZERO] * n)
+        else:
+            out.append([draw(entries) for _ in range(n)])
+    return a, build(out, n)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_rows_are_the_old_kernel_columns(data):
+    n, k = data.draw(sizes), data.draw(sizes)
+    m = build(data.draw(fraction_rows(n, k)), k)
+    assert kernel(m) == column_kernel(m).T
+
+
+@given(solve_inputs())
+@settings(max_examples=300, deadline=None)
+def test_solve_mat_is_the_transposed_column_solve(data):
+    a, b = data
+    got = solve_mat(a, b)
+    ref = column_solve(a.T, b.T)
+    assert (got is None) == (ref is None)
+    if got is None:
+        return
+    assert (got.rows, got.cols) == (b.rows, a.rows)
+    assert got @ a == b
+    if rank(a) == a.rows:
+        # Independent rows: the solution is unique.
+        assert got == ref.T
+
+
+@given(solve_inputs())
+@settings(max_examples=100, deadline=None)
+def test_solve_is_mx_equals_b(data):
+    a, b = data
+    # Mx = b with M = a^T, for each row of b.
+    for i in range(b.rows):
+        x = solve(a.T, b.row(i))
+        assert (x is None) == (solve_mat(a, b.take([i])) is None)
+        if x is not None:
+            assert a.T.mul_vec(x) == b.row(i)

@@ -172,7 +172,8 @@ def test_extending_matches_the_greedy_basis_extension(data):
         if cand.dim > current.dim:
             greedy.append(u)
             current = cand
-    assert extending(v, vectors) == greedy
+    kept = extending(v, mat(vectors))
+    assert [kept.row(i) for i in range(kept.rows)] == greedy
     assert span(space, v.basis_vectors() + greedy) == subspace_sum(v, w)
 
 
@@ -198,10 +199,10 @@ def image_where_inputs(draw):
     return standard_space(n), matrix(n), matrix(m)
 
 
-def span_of_columns(space, m):
-    """The canonical span of the columns of m: the second RREF of the
+def span_of_rows(space, m):
+    """The canonical span of the rows of m: the second RREF of the
     kernel-then-span formulas below."""
-    return span(space, [m.col(j) for j in range(m.cols)])
+    return span(space, [m.row(i) for i in range(m.rows)])
 
 
 @given(image_where_inputs())
@@ -211,7 +212,7 @@ def test_image_where_is_the_span_of_a_on_the_kernel_of_b(data):
     # The reference keeps the two steps apart: a basis of {x : x^T b = 0},
     # then the span of the combinations x^T a.
     null = kernel(b.T)
-    assert image_where(space, a, b) == span(space, [a.vec_mul(null.col(j)) for j in range(null.cols)])
+    assert image_where(space, a, b) == span(space, [a.vec_mul(null.row(i)) for i in range(null.rows)])
 
 
 @st.composite
@@ -228,7 +229,7 @@ def matrices(draw):
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_null_space_is_the_span_of_the_kernel(m):
-    assert null_space(m) == span_of_columns(standard_space(m.cols), kernel(m)).basis
+    assert null_space(m) == span_of_rows(standard_space(m.cols), kernel(m)).basis
 
 
 @st.composite
@@ -249,7 +250,7 @@ def subspace_of(draw, space):
 def test_complement_is_the_span_of_the_kernel_of_the_pairing(data):
     space = data.draw(weighted_space(data.draw(st.integers(0, 4))))
     w = data.draw(subspace_of(space))
-    assert complement(w) == span_of_columns(space, kernel(w.basis @ space.gram))
+    assert complement(w) == span_of_rows(space, kernel(w.basis @ space.gram))
 
 
 @given(st.data())
@@ -262,7 +263,7 @@ def test_adjoint_is_the_span_of_the_kernel_of_the_pairing(data):
     # graph basis pair {f, g}: (g, h)_K = (f, k)_H.
     conditions = [dst.gram.mul_vec(g) + tuple(-x for x in src.gram.mul_vec(f)) for f, g in t.pairs()]
     pairing = mat(conditions) if conditions else zeros(0, src.dim + dst.dim)
-    assert adjoint(t) == LinearRelation(dst, src, span_of_columns(ProductSpace(dst, src).space, kernel(pairing)))
+    assert adjoint(t) == LinearRelation(dst, src, span_of_rows(ProductSpace(dst, src).space, kernel(pairing)))
 
 
 @given(st.data())

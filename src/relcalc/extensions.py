@@ -254,7 +254,7 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     cmat = echelon_coords(th.domain.basis, parts(s).dom.basis)
     if cmat is None:
         raise PreconditionError("dom S is not inside dom H")
-    nc = n @ cmat.T
+    nc = n.mul_t(cmat)
     x = solve_mat(cmat @ nc, nc)
     if x is None:
         raise CrossCheckError("the normal equations of a nonnegative form are inconsistent")

@@ -117,7 +117,7 @@ class QuadraticForm:
             raise PreconditionError("restriction target is not inside the form domain")
         if coords @ self.domain.basis != sub.basis:
             raise CrossCheckError("the coordinates of a contained subspace do not recombine into its basis")
-        return QuadraticForm(self.space, sub, coords @ self.matrix @ coords.T)
+        return QuadraticForm(self.space, sub, (coords @ self.matrix).mul_t(coords))
 
     def is_restriction_of(self, other: "QuadraticForm") -> bool:
         if self.space != other.space or not contains(other.domain, self.domain):
@@ -328,7 +328,7 @@ class RepresentingMap:
         k = self.domain.dim
         if self.matrix.rows != k or self.matrix.cols != self.codomain.dim:
             raise ValueError("representing map matrix has wrong shape")
-        lhs = self.matrix @ self.codomain.gram @ self.matrix.T
+        lhs = (self.matrix @ self.codomain.gram).mul_t(self.matrix)
         rhs = self.form_matrix - gram_on(self.domain).scale(self.base_point)
         if lhs != rhs:
             raise CrossCheckError("representing map certificate identity failed")
@@ -388,7 +388,7 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     r = comp.rows
     # Induced semi-inner product: ([u], [v])_{S-c} = (u, psi)_H where
     # {psi, psi'} in S and psi' - c psi = v.
-    w = comp @ s.src.gram @ lifts(inverse(smc), comp).T
+    w = (comp @ s.src.gram).mul_t(lifts(inverse(smc), comp))
     if not w.is_symmetric():
         raise CrossCheckError("induced quotient inner product is not symmetric")
     wres = ldl_psd_certificate(w)
@@ -499,7 +499,7 @@ def form_s_of(s: LinearRelation, c) -> QuadraticForm:
     jstar = adjoint(j)
     dom = parts(jstar).dom
     images = lifts(regular_part(jstar), dom.basis)
-    out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + images @ q.codomain.gram @ images.T)
+    out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + (images @ q.codomain.gram).mul_t(images))
     if not certify_lower_bound(out, c).ok:
         raise CrossCheckError("the closed form lost the lower bound c")
     if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).rows == 0:
@@ -523,9 +523,9 @@ def lebesgue_form(q_rel: LinearRelation, c=0) -> tuple[QuadraticForm, QuadraticF
     sing = total - reg
     base = gram_on(dom).scale(c)
     g = q_rel.dst.gram
-    total_m = base + total @ g @ total.T
-    reg_m = base + reg @ g @ reg.T
-    sing_m = sing @ g @ sing.T
+    total_m = base + (total @ g).mul_t(total)
+    reg_m = base + (reg @ g).mul_t(reg)
+    sing_m = (sing @ g).mul_t(sing)
     # The base term enters the total and the regular part exactly once.
     if reg_m + sing_m != total_m:
         raise CrossCheckError("Lebesgue decomposition identity failed")

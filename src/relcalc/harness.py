@@ -347,7 +347,7 @@ def check_codding(s: LinearRelation, c, candidate: LinearRelation) -> CheckResul
 
 def _certifies(q: RepresentingMap, x: _Instance) -> bool:
     """The representing-map identity Q G_Q Q^T = t - c G on the form domain."""
-    return q.matrix @ q.codomain.gram @ q.matrix.T == x.t.matrix - x.t.domain_gram.scale(x.c)
+    return (q.matrix @ q.codomain.gram).mul_t(q.matrix) == x.t.matrix - x.t.domain_gram.scale(x.c)
 
 
 def _first_disagreement(x: _Instance, sub: Subspace, expected: Subspace, pointwise, salt: int) -> Vec | None:

@@ -9,7 +9,10 @@ value.  No floating point is used anywhere in this module.
 
 A set of vectors is the rows of a ``Mat``: a basis, a nullspace, the
 solutions of a system, the images of a map.  Only ``solve(m, b)`` keeps
-the column reading of Mx = b.  A nullspace comes in two forms.
+the column reading of Mx = b.  A product with the transpose of a set of
+vectors, such as the Gram matrix a G b^T, is ``(a @ g).mul_t(b)``, which
+reads b's rows as columns and forms no transpose.  A nullspace comes in
+two forms.
 ``null_space`` gives its canonical basis, the reduced echelon rows, from
 one RREF: use it wherever the subspace itself is wanted.  ``kernel`` gives
 the free-variable basis: use it where that particular basis matters, as
@@ -23,8 +26,11 @@ is 1; a zero row is ``(0, ..., 0) / 1``.  That form is canonical, so
 ``==`` and ``hash`` are tuple equality and hashing on ints.  Products,
 sums, scaling, transposes, submatrices and stacking build their result
 rows from ints with one gcd reduction per row, and the three
-eliminations, ``rref``, ``det`` and ``ldl_psd_certificate``, run on the
-stored rows directly, reduced by a gcd after each update.  A
+eliminations run on the stored rows directly.  ``det`` and
+``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``
+eliminates forward below each pivot and reduces a row once, when it
+becomes a pivot row; its back phase then subtracts the finished rows
+below each pivot row, already in stored form.  A
 ``fractions.Fraction`` is created at four boundaries only:
 ``Mat.__getitem__``, ``Mat.row``, ``Mat.to_lists`` and the result of
 ``Mat.mul_vec``.  ``mat`` converts the other way.
@@ -174,14 +180,18 @@ class Mat:
             raise ValueError(f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if not other.rows:
             return zeros(self.rows, other.cols)
-        # Bring the right factor over one denominator, so each output entry
-        # is an integer dot product and each output row is reduced once.
         common = lcm(*other._den)
-        cols = list(zip(*_over(other, common)))
-        return _from_rows(
-            other.cols,
-            [_norm([sum(map(mul, r, c)) for c in cols], d * common) for r, d in zip(self._num, self._den)],
-        )
+        return _dots(self, list(zip(*_over(other, common))), common)
+
+    def mul_t(self, other: "Mat") -> "Mat":
+        """self @ other^T, with the rows of ``other`` read as the columns of
+        the right factor, so no transpose is formed."""
+        if self.cols != other.cols:
+            raise ValueError(f"shape mismatch for product: {self.rows}x{self.cols} @ ({other.rows}x{other.cols})^T")
+        if not other.rows:
+            return zeros(self.rows, 0)
+        common = lcm(*other._den)
+        return _dots(self, _over(other, common), common)
 
     def mul_vec(self, x: Sequence[Fraction]) -> Vec:
         if len(x) != self.cols:
@@ -228,6 +238,13 @@ def _over(m: Mat, common: int) -> list[IntRow]:
     """The integer rows of ``m`` scaled to the common denominator
     ``common``, a multiple of every row denominator."""
     return [r if d == common else [x * (common // d) for x in r] for r, d in zip(m._num, m._den)]
+
+
+def _dots(a: Mat, cols: Sequence[Sequence[int]], common: int) -> Mat:
+    """a @ C / common, where C is the matrix with the integer columns
+    ``cols``: each output entry is an integer dot product and each output
+    row is reduced once."""
+    return _from_rows(len(cols), [_norm([sum(map(mul, r, c)) for c in cols], d * common) for r, d in zip(a._num, a._den)])
 
 
 def _add(a: Mat, b: Mat, sign: int) -> Mat:
@@ -317,39 +334,72 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     canonical form used for all subspace equality tests.
 
     The elimination runs on the stored integer rows (row denominators
-    never matter to a row space): each update combines two rows with
-    multipliers divided by their gcd and is followed by a gcd reduction,
-    which avoids the Fraction-normalization storm of naive exact
-    elimination.  A reduced row with pivot p is already in stored
-    form as ``(row * sign(p), |p|)``, so no division happens at the end.
-    RREF is unique, so the result is independent of this representation.
+    never matter to a row space), in two phases.  The forward phase
+    eliminates each pivot column in the rows below the pivot only, and
+    only right of it, since the prefix is already zero; the multipliers
+    are divided by their gcd, and a row is divided by the gcd of its
+    entries once, when it becomes a pivot row.  The back phase finishes
+    the pivot rows from the last one up: the finished rows below are
+    subtracted over the lcm of their denominators, each already in stored
+    form with its leading entry equal to its denominator, and one gcd and
+    the sign of the pivot give the stored row directly.  RREF is unique,
+    so the result is independent of this representation.
+
+    (Bareiss' integer-preserving elimination with exact division needs
+    no gcd at all, but the rows here come from unrelated large
+    denominators, so its entries, the minors of the input, grow far past
+    the reduced rows: on the 495 distinct ``rref`` inputs of eight
+    ``extend-large`` benchmark items its forward phase alone took 2.7 s,
+    and Bareiss Gauss-Jordan 9.0 s, against 0.15 s for this elimination,
+    on Python 3.11 without gmpy2.)
     """
-    work = [_reduced(list(row)) for row in m._num]
+    work = [list(row) for row in m._num]
     pivots: list[int] = []
-    prow = 0
     for pcol in range(m.cols):
+        prow = len(pivots)
         if prow >= m.rows:
             break
-        src = next((r for r in range(prow, m.rows) if work[r][pcol] != 0), None)
+        src = next((r for r in range(prow, m.rows) if work[r][pcol]), None)
         if src is None:
             continue
         work[prow], work[src] = work[src], work[prow]
-        prow_vals = work[prow]
+        work[prow] = prow_vals = _reduced(work[prow])
         p = prow_vals[pcol]
-        for r in range(m.rows):
-            if r != prow and work[r][pcol]:
-                f = work[r][pcol]
+        ptail = prow_vals[pcol + 1:]
+        for r in range(prow + 1, m.rows):
+            row = work[r]
+            f = row[pcol]
+            if f:
                 g = gcd(p, f)
                 pr, fr = p // g, f // g
-                work[r] = _reduced([pr * x - fr * y if y else pr * x for x, y in zip(work[r], prow_vals)])
+                row[pcol] = 0
+                row[pcol + 1:] = [pr * x - fr * y for x, y in zip(row[pcol + 1:], ptail)]
         pivots.append(pcol)
-        prow += 1
-    out: list[tuple[IntRow, int]] = []
-    for i, pc in enumerate(pivots):
-        row, p = work[i], work[i][pc]
-        out.append((tuple(row), p) if p > 0 else (tuple([-x for x in row]), -p))
-    out.extend([((0,) * m.cols, 1)] * (m.rows - len(pivots)))
-    return _from_rows(m.cols, out), tuple(pivots)
+    npiv = len(pivots)
+    pivset = set(pivots)
+    free = [j for j in range(m.cols) if j not in pivset]
+    done: list[tuple[IntRow, int]] = [((), 1)] * npiv
+    for i in range(npiv - 1, -1, -1):
+        row, pc = work[i], pivots[i]
+        # Subtracting each finished row k below with the coefficient read at
+        # its pivot clears that column and no other pivot column, so only
+        # the free columns right of pc are computed.
+        later = [(row[pivots[k]], done[k]) for k in range(i + 1, npiv) if row[pivots[k]]]
+        common = lcm(*[d for _, (_, d) in later])
+        fs = [(c * (common // d), ints) for c, (ints, d) in later]
+        p = row[pc]
+        acc = [0] * m.cols
+        acc[pc] = p * common
+        for j in free:
+            if j > pc:
+                v = row[j] * common
+                for f, ints in fs:
+                    if ints[j]:
+                        v -= f * ints[j]
+                acc[j] = v
+        done[i] = _norm(acc if p > 0 else [-x for x in acc], abs(p) * common)
+    done.extend([((0,) * m.cols, 1)] * (m.rows - npiv))
+    return _from_rows(m.cols, done), tuple(pivots)
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -518,10 +568,19 @@ class PsdCertificate:
         return m.take(self.perm, self.perm)
 
     def reconstruct(self) -> Mat:
-        return self.lower @ diag(self.diag) @ self.lower.T
+        """L D L^T, as the columns of L scaled by D times L^T read from
+        the rows of L."""
+        return _scale_cols(self.lower, self.diag).mul_t(self.lower)
 
     def verify(self, m: Mat) -> bool:
         return all(d >= 0 for d in self.diag) and self.permuted(m) == self.reconstruct()
+
+
+def _scale_cols(m: Mat, entries: Sequence[Fraction]) -> Mat:
+    """m @ diag(entries), column j scaled by ``entries[j]``, in O(rows * cols)."""
+    common = lcm(*[x.denominator for x in entries])
+    factors = [x.numerator * (common // x.denominator) for x in entries]
+    return _from_rows(m.cols, [_norm(list(map(mul, r, factors)), d * common) for r, d in zip(m._num, m._den)])
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Ma
     if matrix.rows != dst.dim or matrix.cols != src.dim:
         raise ValueError("operator matrix shape does not match spaces")
     basis = (full_subspace(src) if domain is None else domain).basis
-    return graph_relation(src, dst, basis, basis @ matrix.T)
+    return graph_relation(src, dst, basis, basis.mul_t(matrix))
 
 
 def identity_relation(space: InnerProductSpace) -> LinearRelation:
@@ -289,7 +289,7 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     tests it with a witness before calling.
     """
     dom = parts(s).dom
-    return dom, lifts(s, dom.basis) @ s.src.gram @ dom.basis.T
+    return dom, (lifts(s, dom.basis) @ s.src.gram).mul_t(dom.basis)
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
         raise PreconditionError("semiboundedness requires equal source and target spaces")
     c = rat(c)
     p = parts(s)
-    cross = p.mul.basis @ s.src.gram @ p.dom.basis.T
+    cross = (p.mul.basis @ s.src.gram).mul_t(p.dom.basis)
     if not cross.is_zero():
         # Some m in mul S is not orthogonal to some phi in dom S; adding a
         # large multiple of m to a lift of phi drives the pairing below any
@@ -339,4 +339,4 @@ def numerical_range_zero(s: LinearRelation) -> bool:
     if s.src != s.dst:
         raise PreconditionError("numerical range requires equal source and target spaces")
     p = parts(s)
-    return (p.dom.basis @ s.src.gram @ p.ran.basis.T).is_zero()
+    return (p.dom.basis @ s.src.gram).mul_t(p.ran.basis).is_zero()

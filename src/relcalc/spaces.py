@@ -220,7 +220,7 @@ def projections(xs: Mat, w: Subspace) -> Mat:
         raise ValueError("vector has wrong length")
     if w.is_zero():
         return zeros(xs.rows, xs.cols)
-    coeffs = solve_mat(gram_on(w), xs @ w.space.gram @ w.basis.T)
+    coeffs = solve_mat(gram_on(w), (xs @ w.space.gram).mul_t(w.basis))
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
     return coeffs @ w.basis
@@ -236,4 +236,4 @@ def project(x: Sequence[Fraction], w: Subspace) -> Vec:
 @memo
 def gram_on(w: Subspace) -> Mat:
     """Gram matrix of the ambient inner product in the canonical basis of w."""
-    return w.basis @ w.space.gram @ w.basis.T
+    return (w.basis @ w.space.gram).mul_t(w.basis)

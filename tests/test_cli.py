@@ -351,6 +351,34 @@ def test_only_linalg_knows_how_a_matrix_is_stored():
     assert found == []
 
 
+def test_no_product_transposes_its_right_factor():
+    # ``a @ b.T`` builds the transpose of b only for ``@`` to read it back
+    # by columns; ``a.mul_t(b)`` reads the rows of b directly.  A left
+    # transpose such as ``b.T @ b`` is another product and is allowed.
+    # Exempt: ``forms._float_estimate``, whose operands are numpy arrays.
+    exempt = {("forms.py", "_float_estimate")}
+    found, exempt_seen = [], set()
+    for name, tree in _package_modules():
+        if name == "linalg.py":
+            continue
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in exempt:
+                skip.update(id(n) for n in ast.walk(node))
+                exempt_seen.add((name, node.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult)
+                and isinstance(node.right, ast.Attribute)
+                and node.right.attr == "T"
+                and id(node) not in skip
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert exempt_seen == exempt  # a stale exemption goes
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # The package has no linter; __init__ imports to re-export.
     found = []

@@ -5,7 +5,10 @@ hand Gaussian elimination; the hypothesis blocks check the algebraic
 invariants on random rational inputs.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from relcalc.linalg import (
     PsdCertificate,
     clear_memos,
     det,
+    diag,
     hstack,
     identity,
     kernel,
@@ -405,6 +409,8 @@ def test_mat_algebra_matches_fraction_lists(data):
     assert_is(ma, a, k)
 
     assert_is(ma @ mb, ref_matmul(a, b, k, p), p)
+    bt = data.draw(fraction_rows(p, k))
+    assert_is(ma.mul_t(build(bt, k)), ref_matmul(a, ref_transpose(bt, k), k, p), p)
     assert_is(ma + ma2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
     assert_is(ma - ma2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
     for factor in (ZERO, data.draw(entries)):
@@ -601,3 +607,166 @@ def test_solve_is_mx_equals_b(data):
         assert (x is None) == (solve_mat(a, b.take([i])) is None)
         if x is not None:
             assert a.T.mul_vec(x) == b.row(i)
+
+
+# ------------------------------------------ rref against Gauss-Jordan
+#
+# ``rref`` eliminates forward below each pivot, then finishes the pivot
+# rows from the last one up.  The Gauss-Jordan elimination it replaced is
+# kept here verbatim as the reference: a reduced row echelon form is
+# unique, so both must store the same rows, hash alike and report the same
+# pivots.
+
+
+def _gj_reduced(row):
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def gauss_jordan_rref(m):
+    """Each pivot updates every other row across the full width, and each
+    update ends in a gcd reduction."""
+    work = [_gj_reduced(list(row)) for row in m._num]
+    pivots = []
+    prow = 0
+    for pcol in range(m.cols):
+        if prow >= m.rows:
+            break
+        src = next((r for r in range(prow, m.rows) if work[r][pcol] != 0), None)
+        if src is None:
+            continue
+        work[prow], work[src] = work[src], work[prow]
+        prow_vals = work[prow]
+        p = prow_vals[pcol]
+        for r in range(m.rows):
+            if r != prow and work[r][pcol]:
+                f = work[r][pcol]
+                g = gcd(p, f)
+                pr, fr = p // g, f // g
+                work[r] = _gj_reduced([pr * x - fr * y if y else pr * x for x, y in zip(work[r], prow_vals)])
+        pivots.append(pcol)
+        prow += 1
+    out = []
+    for i, pc in enumerate(pivots):
+        row, p = work[i], work[i][pc]
+        out.append((tuple(row), p) if p > 0 else (tuple([-x for x in row]), -p))
+    out.extend([((0,) * m.cols, 1)] * (m.rows - len(pivots)))
+    return linalg._from_rows(m.cols, out), tuple(pivots)
+
+
+def assert_rref_is_gauss_jordan(m):
+    red, pivots = rref(m)
+    ref, ref_pivots = gauss_jordan_rref(m)
+    assert red == ref
+    assert hash(red) == hash(ref)
+    assert pivots == ref_pivots
+
+
+@st.composite
+def rref_inputs(draw):
+    """0..6 x 0..9, with zero rows, large-prime entries, and a duplicated or
+    scaled row (rank-deficient) in half of the multi-row draws."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=9))
+    rows = draw(fraction_rows(n, k))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        factor = draw(st.one_of(st.just(Fraction(1)), entries))
+        rows[i] = [factor * x for x in rows[j]]
+    return build(rows, k)
+
+
+@given(rref_inputs())
+@settings(max_examples=400, deadline=None)
+def test_rref_is_the_gauss_jordan_rref(m):
+    assert_rref_is_gauss_jordan(m)
+
+
+def test_rref_of_a_wide_matrix_with_400_bit_entries():
+    # The shape of the extend-large benchmark inputs: 12 x 24, each row
+    # 400-bit integers over its own 400-bit denominator, one row a
+    # combination of two others.
+    rng = random.Random(13)
+    dens = [rng.getrandbits(400) | 1 for _ in range(11)]
+    rows = [[Fraction(rng.getrandbits(400) - 2**399, d) for _ in range(24)] for d in dens]
+    rows.insert(5, [Fraction(3, 7) * x - y for x, y in zip(rows[0], rows[9])])
+    m = mat(rows)
+    assert_rref_is_gauss_jordan(m)
+    assert rank(m) == 11
+
+
+# ------------------------------------------ L D L^T certificates
+#
+# ``PsdCertificate.reconstruct`` scales the columns of L by D and reads
+# L^T from the rows of L.  The product it replaced is the reference, and
+# ``verify`` must still reject a certificate with one entry changed.
+
+
+def ref_reconstruct(cert):
+    return cert.lower @ diag(cert.diag) @ cert.lower.T
+
+
+@st.composite
+def psd_inputs(draw):
+    """C C^T for a random C, in half of the draws with row and column r
+    scaled by 1/p_r, p_r a large prime."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    g = _tall_gram(draw, n)
+    if n and draw(st.booleans()):
+        ps = [draw(st.sampled_from(LARGE_PRIMES)) for _ in range(n)]
+        g = mat([[g[r, c] / (ps[r] * ps[c]) for c in range(n)] for r in range(n)])
+    return g
+
+
+def tampered(cert, data):
+    """Certificates with one D entry raised, one sub-diagonal L entry
+    changed or two perm entries swapped; each must fail ``verify`` unless
+    the change cannot show in L D L^T or in the permuted matrix."""
+    n = len(cert.perm)
+    out = []
+    if n:
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        d = list(cert.diag)
+        d[i] += data.draw(st.sampled_from([Fraction(1), Fraction(1, 2**61 - 1), Fraction(7, 3)]))
+        out.append(replace(cert, diag=tuple(d)))
+    # Column j of L only enters L D L^T through D_j.
+    below = [(i, j) for i in range(n) for j in range(i) if cert.diag[j]]
+    if below:
+        i, j = data.draw(st.sampled_from(below))
+        lower = cert.lower.to_lists()
+        lower[i][j] += data.draw(entries.filter(bool))
+        out.append(replace(cert, lower=mat(lower)))
+    if n >= 2:
+        a, b = data.draw(st.permutations(range(n)))[:2]
+        perm = list(cert.perm)
+        perm[a], perm[b] = perm[b], perm[a]
+        out.append(replace(cert, perm=tuple(perm)))
+    return out
+
+
+@given(psd_inputs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reconstruct_is_l_d_lt_and_verify_rejects_a_tampered_certificate(m, data):
+    cert = ldl_psd_certificate(m).certificate
+    assert cert.reconstruct() == ref_reconstruct(cert)
+    assert cert.verify(m)
+    for bad in tampered(cert, data):
+        # A swap that is a symmetry of m leaves the permuted matrix alone.
+        if bad.permuted(m) != cert.permuted(m) or bad.reconstruct() != cert.reconstruct():
+            assert not bad.verify(m)
+
+
+def test_verify_rejects_each_tampered_entry_of_a_pinned_certificate():
+    m = mat([[4, 2, 0], [2, 5, 3], ["0", 3, "7/2"]])
+    cert = ldl_psd_certificate(m).certificate
+    assert cert.verify(m)
+    assert cert.diag[1] != 0
+    d = list(cert.diag)
+    d[2] += 1
+    lower = cert.lower.to_lists()
+    lower[2][1] += Fraction(1, 5)
+    perm = list(cert.perm)
+    perm[0], perm[2] = perm[2], perm[0]
+    for bad in (replace(cert, diag=tuple(d)), replace(cert, lower=mat(lower)), replace(cert, perm=tuple(perm))):
+        assert not bad.verify(m)

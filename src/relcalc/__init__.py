@@ -77,11 +77,11 @@ from .relations import (
 )
 from .spaces import (
     InnerProductSpace,
-    ProductSpace,
     Subspace,
     complement,
     intersect,
     member,
+    product_space,
     project,
     span,
     standard_space,

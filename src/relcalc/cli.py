@@ -40,6 +40,7 @@ from .serialize import (
     subspace_to_json,
     vector_to_json,
     write_relation,
+    write_text,
 )
 
 EXTEND_KINDS = {
@@ -57,8 +58,7 @@ def _emit(args, output: str | None, data: dict, text_lines: list[str]) -> None:
     else:
         payload = "\n".join(text_lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_text(output, payload)
     else:
         sys.stdout.write(payload)
 

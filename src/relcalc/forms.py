@@ -65,13 +65,13 @@ from .relations import (
 )
 from .spaces import (
     InnerProductSpace,
-    ProductSpace,
     Subspace,
     contains,
     coordinates,
     extending,
     gram_on,
     intersect,
+    product_space,
 )
 
 
@@ -389,12 +389,10 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     # Induced semi-inner product: ([u], [v])_{S-c} = (u, psi)_H where
     # {psi, psi'} in S and psi' - c psi = v.
     w = (comp @ s.src.gram).mul_t(lifts(inverse(smc), comp))
-    if not w.is_symmetric():
-        raise CrossCheckError("induced quotient inner product is not symmetric")
-    wres = ldl_psd_certificate(w)
-    if not wres.ok or any(d == 0 for d in wres.certificate.diag):
-        raise CrossCheckError("induced quotient inner product failed the PSD certificate")
-    codomain = InnerProductSpace(r, w)
+    try:
+        codomain = InnerProductSpace(r, w)
+    except ValueError as exc:
+        raise CrossCheckError(f"induced quotient inner product: {exc}") from None
     # Coordinates of [phi' - c phi] on the complement part.
     coords = solve_mat(vstack(comp, null.basis), lifts(smc, t.domain.basis))
     if coords is None:
@@ -448,7 +446,7 @@ def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
         raise PreconditionError("stacked representing maps must share their domain")
     return RepresentingMap(
         q1.domain,
-        ProductSpace(q1.codomain, q2.codomain).space,
+        product_space(q1.codomain, q2.codomain),
         hstack(q1.matrix, q2.matrix),
         q1.base_point + q2.base_point,
         q1.form_matrix + q2.form_matrix,
@@ -465,7 +463,7 @@ def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     f_1, g_1 = t1.halves()
     f_2, g_2 = t2.halves()
     a = hstack(vstack(f_1, zeros(f_2.rows, f_1.cols)), block_diag(g_1, g_2))
-    return _relation_where(t1.src, ProductSpace(t1.dst, t2.dst).space, a, vstack(f_1, f_2.scale(-1)))
+    return _relation_where(t1.src, product_space(t1.dst, t2.dst), a, vstack(f_1, f_2.scale(-1)))
 
 
 @memo

@@ -19,12 +19,12 @@ from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
 from .linalg import Mat, Vec, block_diag, echelon_coords, hstack, identity, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
 from .spaces import (
     InnerProductSpace,
-    ProductSpace,
     Subspace,
     contains,
     full_subspace,
     gram_on,
     image_where,
+    product_space,
     projections,
     span,
     span_mat,
@@ -41,14 +41,13 @@ class LinearRelation:
     graph: Subspace
 
     def __post_init__(self) -> None:
-        expected = ProductSpace(self.src, self.dst).space
-        if self.graph.space != expected:
+        if self.graph.space != product_space(self.src, self.dst):
             raise ValueError("graph must live in the product of src and dst")
 
     def pairs(self) -> list[tuple[Vec, Vec]]:
         """Graph basis as (first, second) component pairs."""
-        prod = ProductSpace(self.src, self.dst)
-        return [prod.split(col) for col in self.graph.basis_vectors()]
+        firsts, seconds = self.halves()
+        return [(firsts.row(i), seconds.row(i)) for i in range(firsts.rows)]
 
     def halves(self) -> tuple[Mat, Mat]:
         """The graph basis split into its first and its second components:
@@ -80,7 +79,7 @@ def _same_spaces(a: LinearRelation, b: LinearRelation) -> None:
 def graph_relation(src: InnerProductSpace, dst: InnerProductSpace, firsts: Mat, seconds: Mat) -> LinearRelation:
     """The relation whose graph is spanned by the rows {f_j, g_j}, f_j the
     row j of ``firsts`` and g_j that of ``seconds``."""
-    return LinearRelation(src, dst, span_mat(ProductSpace(src, dst).space, hstack(firsts, seconds)))
+    return LinearRelation(src, dst, span_mat(product_space(src, dst), hstack(firsts, seconds)))
 
 
 def relation_from_pairs(
@@ -88,14 +87,16 @@ def relation_from_pairs(
     dst: InnerProductSpace,
     pairs: Iterable[tuple[Sequence[Fraction], Sequence[Fraction]]],
 ) -> LinearRelation:
-    prod = ProductSpace(src, dst)
-    return LinearRelation(src, dst, span(prod.space, [prod.embed(f, g) for f, g in pairs]))
+    pairs = list(pairs)
+    if any(len(f) != src.dim or len(g) != dst.dim for f, g in pairs):
+        raise ValueError("component lengths do not match factors")
+    return relation_from_graph_vectors(src, dst, [[*f, *g] for f, g in pairs])
 
 
 def relation_from_graph_vectors(
     src: InnerProductSpace, dst: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]
 ) -> LinearRelation:
-    return LinearRelation(src, dst, span(ProductSpace(src, dst).space, vectors))
+    return LinearRelation(src, dst, span(product_space(src, dst), vectors))
 
 
 def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Mat, domain: Subspace | None = None) -> LinearRelation:
@@ -116,8 +117,7 @@ def zero_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelat
 
 def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
     """The relation X x Y, whose graph is all pairs {x, y}."""
-    prod = ProductSpace(x.space, y.space)
-    return LinearRelation(x.space, y.space, span_mat(prod.space, block_diag(x.basis, y.basis)))
+    return LinearRelation(x.space, y.space, span_mat(product_space(x.space, y.space), block_diag(x.basis, y.basis)))
 
 
 @memo
@@ -155,7 +155,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     firsts, seconds = t.halves()
     pairing = hstack(seconds @ t.dst.gram, (firsts @ t.src.gram).scale(-1))
     # The rows of the null space are the pairs [h | k], h in dst, k in src.
-    return LinearRelation(t.dst, t.src, Subspace(ProductSpace(t.dst, t.src).space, null_space(pairing)))
+    return LinearRelation(t.dst, t.src, Subspace(product_space(t.dst, t.src), null_space(pairing)))
 
 
 @memo
@@ -189,7 +189,7 @@ def _relation_where(src: InnerProductSpace, dst: InnerProductSpace, a: Mat, b: M
     """The relation with graph {x^T a : x^T b = 0}.  Every relational
     product has this form over the coefficients x of its inputs' bases
     (Arens)."""
-    return LinearRelation(src, dst, image_where(ProductSpace(src, dst).space, a, b))
+    return LinearRelation(src, dst, image_where(product_space(src, dst), a, b))
 
 
 @memo

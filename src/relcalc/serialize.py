@@ -146,13 +146,20 @@ def load_json(path: str) -> Any:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def read_relation(path: str) -> LinearRelation:
     return parse_relation(load_json(path), field=path)
 
 
 def write_relation(path: str, rel: LinearRelation) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(relation_to_json(rel)))
+    write_text(path, canonical_dumps(relation_to_json(rel)))
 
 
 def relation_witness(rel: LinearRelation) -> str:

@@ -9,6 +9,11 @@ and runs none.  Orthogonal complements and projections always go through
 the ambient Gram matrix: representing-map codomains carry weighted inner
 products, and the weighted pairing is what keeps every construction
 rational.
+
+Every Gram is certified once, where it enters, by the ``InnerProductSpace``
+constructor (symmetry and the verified LDL^T certificate).  The one
+exception is ``product_space``: its Gram is positive definite by the lemma
+stated there.
 """
 
 from __future__ import annotations
@@ -65,30 +70,19 @@ def standard_space(dim: int) -> InnerProductSpace:
     return InnerProductSpace(dim, identity(dim))
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    """H (+) K with the graph inner product: Gram is block diagonal."""
-
-    left: InnerProductSpace
-    right: InnerProductSpace
-
-    @property
-    def space(self) -> InnerProductSpace:
-        return _product_ips(self.left, self.right)
-
-    def embed(self, f: Sequence[Fraction], g: Sequence[Fraction]) -> Vec:
-        if len(f) != self.left.dim or len(g) != self.right.dim:
-            raise ValueError("component lengths do not match factors")
-        return vec(f) + vec(g)
-
-    def split(self, v: Sequence[Fraction]) -> tuple[Vec, Vec]:
-        n = self.left.dim
-        return vec(v[:n]), vec(v[n:])
-
-
 @memo
-def _product_ips(left: InnerProductSpace, right: InnerProductSpace) -> InnerProductSpace:
-    return InnerProductSpace(left.dim + right.dim, block_diag(left.gram, right.gram))
+def product_space(h: InnerProductSpace, k: InnerProductSpace) -> InnerProductSpace:
+    """H (+) K with the graph inner product: its Gram is G_H (+) G_K.
+
+    This is the one space built without the constructor's certificate.
+    Both factors were certified, and for x = x_H (+) x_K != 0,
+    x^T (G_H (+) G_K) x = x_H^T G_H x_H + x_K^T G_K x_K > 0, since at least
+    one part is nonzero.  By induction every space is positive definite.
+    """
+    space = object.__new__(InnerProductSpace)
+    object.__setattr__(space, "dim", h.dim + k.dim)
+    object.__setattr__(space, "gram", block_diag(h.gram, k.gram))
+    return space
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,17 @@ def test_out_of_range_arguments_exit_2(argv, tmp_path, capsys):
     _assert_parse_error([e1_path(tmp_path) if arg == "FILE" else arg for arg in argv], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "FILE"], ["extend", "FILE", "--kind", "krein"], ["random", "--seed", "1", "--dim", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_unwritable_output_path_is_a_parse_error(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "out.json")
+    _assert_parse_error([e1_path(tmp_path) if arg == "FILE" else arg for arg in argv] + ["-o", missing], capsys)
+    assert not os.path.exists(os.path.dirname(missing))
+
+
 @pytest.mark.parametrize("empty_domain, width", [(True, "abc"), (False, "-1"), (False, "0")])
 def test_analyze_width_is_checked_before_any_work(tmp_path, capsys, empty_domain, width):
     if empty_domain:
@@ -349,6 +360,20 @@ def test_only_linalg_knows_how_a_matrix_is_stored():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Mat":
                 found.append(f"{name}:{node.lineno} Mat(...)")
     assert found == []
+
+
+def test_only_product_space_skips_the_gram_certificate():
+    # object.__new__ builds a value without running its constructor, here
+    # without the InnerProductSpace certificate.  spaces.product_space may,
+    # by the lemma in its docstring; nothing else may.
+    found = []
+    for name, tree in _package_modules():
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
+                owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((name, owner[-1] if owner else None))
+    assert found == [("spaces.py", "product_space")]
 
 
 def test_no_product_transposes_its_right_factor():

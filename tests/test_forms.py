@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from relcalc.errors import BoundCertificationError, PreconditionError
+from relcalc import forms
+from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.forms import (
     QuadraticForm,
     bound_bisect,
@@ -22,7 +23,7 @@ from relcalc.forms import (
     stack_maps,
     stack_relations,
 )
-from relcalc.linalg import mat, vec, zeros
+from relcalc.linalg import block_diag, mat, vec, zeros
 from relcalc.relations import (
     adjoint,
     inverse,
@@ -31,7 +32,7 @@ from relcalc.relations import (
     relation_from_pairs,
     shift,
 )
-from relcalc.spaces import full_subspace, member, span, standard_space, zero_subspace
+from relcalc.spaces import InnerProductSpace, full_subspace, member, span, standard_space, zero_subspace
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -263,6 +264,22 @@ def test_scalar_repmap_and_stack():
     # Certificate: m W m^T = form + 2 * Gram_dom, m = [Q_c | Q] side by side.
     lhs = stacked.matrix @ stacked.codomain.gram @ stacked.matrix.T
     assert lhs == mat([[8]])
+
+
+def test_a_wrong_product_gram_fails_the_stacked_identity(monkeypatch):
+    # product_space skips the Gram certificate; a wrong product Gram is
+    # still caught where one is read, by the RepresentingMap identity.
+    t = form_of_relation(operator_relation(Q2, Q2, mat([[0, 0], [0, 2]])))
+    qc, q = scalar_repmap(t.domain, -1), repmap_ldl(t, 0)
+    assert (qc.codomain.dim, q.codomain.dim) == (2, 1)
+    stack_maps(qc, q)
+
+    def swapped(h, k):
+        return InnerProductSpace(h.dim + k.dim, block_diag(k.gram, h.gram))
+
+    monkeypatch.setattr(forms, "product_space", swapped)
+    with pytest.raises(CrossCheckError):
+        stack_maps(qc, q)
 
 
 def test_scalar_repmap_zero_base():

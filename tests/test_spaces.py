@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.errors import AmbientMismatchError
-from relcalc.linalg import identity, kernel, mat, null_space, vec, zeros
+from relcalc.linalg import block_diag, identity, kernel, mat, null_space, vec, zeros
 from relcalc.relations import LinearRelation, adjoint
 from relcalc.spaces import (
     InnerProductSpace,
-    ProductSpace,
     complement,
     contains,
     extending,
@@ -18,6 +17,7 @@ from relcalc.spaces import (
     image_where,
     intersect,
     member,
+    product_space,
     project,
     span,
     standard_space,
@@ -91,15 +91,6 @@ def test_mixed_ambients_are_rejected():
     space = InnerProductSpace(2, mat([[2, 0], [0, 1]]))
     with pytest.raises(AmbientMismatchError):
         intersect(full_subspace(Q2), full_subspace(space))
-
-
-def test_product_space_block_gram():
-    left = InnerProductSpace(1, mat([[4]]))
-    prod = ProductSpace(left, Q2)
-    assert prod.space.gram == mat([[4, 0, 0], [0, 1, 0], [0, 0, 1]])
-    f, g = prod.split(vec([5, 1, 2]))
-    assert f == vec([5]) and g == vec([1, 2])
-    assert prod.embed(f, g) == vec([5, 1, 2])
 
 
 rationals = st.builds(
@@ -255,15 +246,29 @@ def test_complement_is_the_span_of_the_kernel_of_the_pairing(data):
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
+def test_product_space_passes_the_certificate_it_skips(data):
+    # product_space builds G_H (+) G_K without the constructor's LDL^T
+    # certificate; the validating constructor accepts the same value.
+    h = data.draw(weighted_space(data.draw(st.integers(0, 3))))
+    k = data.draw(weighted_space(data.draw(st.integers(0, 3))))
+    empty = standard_space(0)
+    for left, right in ((h, k), (h, empty), (empty, k)):
+        prod = product_space(left, right)
+        assert prod == InnerProductSpace(left.dim + right.dim, block_diag(left.gram, right.gram))
+        assert product_space(left, right) is prod
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
 def test_adjoint_is_the_span_of_the_kernel_of_the_pairing(data):
     src = data.draw(weighted_space(data.draw(st.integers(0, 3))))
     dst = data.draw(weighted_space(data.draw(st.integers(0, 3))))
-    t = LinearRelation(src, dst, data.draw(subspace_of(ProductSpace(src, dst).space)))
+    t = LinearRelation(src, dst, data.draw(subspace_of(product_space(src, dst))))
     # One condition [G_K g | -G_H f] on the pair [h | k] of T* for each
     # graph basis pair {f, g}: (g, h)_K = (f, k)_H.
     conditions = [dst.gram.mul_vec(g) + tuple(-x for x in src.gram.mul_vec(f)) for f, g in t.pairs()]
     pairing = mat(conditions) if conditions else zeros(0, src.dim + dst.dim)
-    assert adjoint(t) == LinearRelation(dst, src, span_of_rows(ProductSpace(dst, src).space, kernel(pairing)))
+    assert adjoint(t) == LinearRelation(dst, src, span_of_rows(product_space(dst, src), kernel(pairing)))
 
 
 @given(st.data())

@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 success (all checks pass), 1 check
 failure, 2 parse error, 3 precondition violation, 4 lower-bound
 certification failure.  All numeric output is exact rational strings; the
-only floating value is the bound estimate, labeled approximate in both
-formats.
+only float is the bound estimate, the bound rounded to the nearest float and
+labeled approximate in both formats.  No float decides a certified bracket.
 """
 
 from __future__ import annotations

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .linalg import (
     Mat,
@@ -164,7 +162,7 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
 class BoundInterval:
     lo: Fraction  # certified: t - lo is PSD
     hi: Fraction  # refuted: t - hi is not PSD
-    estimate: float | None  # floating generalized eigenvalue, display only; None if not finite
+    estimate: float | None  # the bound rounded to the nearest float, display only; None if it overflows
 
     @property
     def width(self) -> Fraction:
@@ -173,12 +171,13 @@ class BoundInterval:
 
 def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     """Certified rational interval of the requested width around the exact
-    lower bound, by pure bisection on an exact PSD test.
+    lower bound gamma, by pure bisection on an exact PSD test.
 
     The bound itself is algebraic and in general irrational, so it is never
-    computed; only certified rational brackets are.  The float estimate is
-    for display and seeds the bracket search, which starts at 0 when the
-    estimate is not a finite float.
+    computed; only certified rational brackets are.  The bisection starts at
+    [n - 1, n + 2], or [n - 1, n + 1] when gamma = n, n = floor(gamma).  The
+    estimate, for display, is gamma rounded to the nearest float; no float
+    decides any bracket.
 
     Two independent formulas decide t - c >= 0.  Every bisection step reads
     it off the exact polynomial det(M - c G) (``pencil_psd``), built once;
@@ -186,48 +185,63 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     the two ends of the bracket, and ``CrossCheckError`` is raised unless
     it certifies ``lo`` and refutes ``hi`` as the polynomial did.  Every
     root of the polynomial lies within Cauchy's bound B = 1 + max |p_i / p_k|,
-    so the search for a bracket raises ``CrossCheckError`` too when the
-    polynomial refutes some c < -B or certifies some c > B.
+    so the search for n raises ``CrossCheckError`` too when the polynomial
+    refutes some c < -B or certifies some c > B.
     """
     width = rat(width)
     if t.domain.dim == 0:
         raise PreconditionError("bound_bisect requires a nonzero form domain")
     if width <= 0:
         raise PreconditionError("interval width must be positive")
-    est = _float_estimate(t)
     p = pencil_polynomial(t)
-    bound = 1 + Fraction(max(abs(x) for x in p[:-1]), abs(p[-1]))
-
-    lo = Fraction(math.floor(est) - 1 if est is not None else 0)
-    step = Fraction(1)
-    while not pencil_psd(p, lo):
-        if lo < -bound:
-            raise CrossCheckError("det(M - cG) refutes a c below its Cauchy root bound")
-        lo -= step
-        step *= 2
-    hi = Fraction(math.ceil(est) + 1 if est is not None else 0)
-    step = Fraction(1)
-    while pencil_psd(p, hi):
-        if hi > bound:
-            raise CrossCheckError("det(M - cG) certifies a c above its Cauchy root bound")
-        hi += step
-        step *= 2
-    while hi - lo > width:
-        mid = (hi + lo) / 2
-        if pencil_psd(p, mid):
-            lo = mid
-        else:
-            hi = mid
+    # n = floor(gamma): doubling from 0 brackets it between integers a power
+    # of two apart, so halving meets only integers.
+    up = pencil_psd(p, Fraction(0))
+    prev, end = Fraction(0), Fraction(1 if up else -1)
+    while pencil_psd(p, end) == up:
+        if abs(end) > 1 + Fraction(max(abs(x) for x in p[:-1]), abs(p[-1])):
+            raise CrossCheckError(f"det(M - cG) {'certifies a c above' if up else 'refutes a c below'} its Cauchy root bound")
+        prev, end = end, 2 * end
+    n = _bisect(p, *sorted((prev, end)), lambda lo, hi: hi - lo == 1)[0]
+    lo, hi = _bisect(p, n - 1, n + 1 if _is_root(p, n) else n + 2, lambda lo, hi: hi - lo <= width)
     # When the bound is attained at a simple rational, pin it exactly.
     cand = _simplest_in(lo, hi)
     if cand != lo:
-        if pencil_psd(p, cand):
-            lo = cand
-        else:
-            hi = cand
+        lo, hi = (cand, hi) if pencil_psd(p, cand) else (lo, cand)
     if not certify_lower_bound(t, lo).ok or certify_lower_bound(t, hi).ok:
         raise CrossCheckError("the LDL^T certificates at the bracket ends disagree with det(M - cG)")
-    return BoundInterval(lo, hi, est)
+    return BoundInterval(lo, hi, _nearest_float(p, lo, hi))
+
+
+def _bisect(p: tuple[int, ...], lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Fraction]:
+    """Halve [lo, hi], ``pencil_psd(p, .)`` true at lo and false at hi, until ``done(lo, hi)``."""
+    while not done(lo, hi):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if pencil_psd(p, mid) else (lo, mid)
+    return lo, hi
+
+
+def _nearest_float(p: tuple[int, ...], lo: Fraction, hi: Fraction) -> float | None:
+    """The bound in [lo, hi) rounded to the nearest float, None on overflow.
+    Rounding is monotone, so ends that round alike fix it; between adjacent
+    floats the tie may be the bound itself, which no midpoint need meet."""
+    try:
+        if _is_root(p, lo):
+            return float(lo)
+        a, b = _bisect(p, lo, hi, lambda a, b: float(b) <= math.nextafter(float(a), math.inf))
+        fa, fb = float(a), float(b)
+        tie = (Fraction(fa) + Fraction(fb)) / 2
+        if fa == fb or not pencil_psd(p, tie):
+            return fa
+        return float(tie) if _is_root(p, tie) else fb
+    except OverflowError:
+        return None
+
+
+def _is_root(p: tuple[int, ...], c: Fraction) -> bool:
+    """p(a / b) = 0, tested in integers as sum_i p_i a^i b^(k-i) = 0."""
+    a, b, k = c.numerator, c.denominator, len(p) - 1
+    return sum(x * a**i * b ** (k - i) for i, x in enumerate(p)) == 0
 
 
 def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
@@ -278,21 +292,6 @@ def pencil_psd(p: tuple[int, ...], c: Fraction) -> bool:
         for j in range(k - 1, i - 1, -1):
             q[j] += a * q[j + 1]
     return len({(x > 0) != (i % 2 == 1) for i, x in enumerate(q) if x}) == 1
-
-
-def _float_estimate(t: QuadraticForm) -> float | None:
-    """The smallest generalized eigenvalue of (matrix, domain Gram) in
-    floating point, or None when the entries or the result are not finite
-    floats."""
-    try:
-        gf = np.array([[float(x) for x in r] for r in t.domain_gram.to_lists()])
-        mf = np.array([[float(x) for x in r] for r in t.matrix.to_lists()])
-        with np.errstate(all="ignore"):
-            inv = np.linalg.inv(np.linalg.cholesky(gf))
-            est = float(np.min(np.linalg.eigvalsh(inv @ mf @ inv.T)))
-    except (OverflowError, np.linalg.LinAlgError):
-        return None
-    return est if math.isfinite(est) else None
 
 
 def _simplest_in(a: Fraction, b: Fraction) -> Fraction:

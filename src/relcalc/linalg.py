@@ -610,17 +610,18 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
     Schur complement is ``a[r] / den[r]`` with Python ints and
     ``den[r] > 0``, one denominator per row, reduced by a gcd after each
     update.  (One denominator for the whole matrix, as in Bareiss, grows
-    far beyond any entry on wide product-space Grams.)  Fractions appear
-    only in the certificate: ``L[r][i] = f den[i] / (den[r] piv)`` and
-    ``D_i = piv / den[i]``.  A rational LDL^T with a fixed pivot order is
-    unique, so the certificate does not depend on this representation.
+    far beyond any entry on wide product-space Grams.)  L[r][i] is kept as
+    the int pair (f den[i], den[r] piv) and L becomes stored rows at the
+    end; ``D_i = piv / den[i]``.  A rational LDL^T with a fixed pivot order
+    is unique, so the certificate does not depend on this representation.
     """
     if not m.is_symmetric():
         raise ValueError("ldl_psd_certificate requires a symmetric matrix")
     n = m.rows
     a = [list(r) for r in m._num]
     den = list(m._den)
-    lower = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    # Pairs (u, v) with L[r][i] = u / v for the steps i < r done; the rest of L is 0 and its diagonal 1.
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     perm = list(range(n))
     d: list[Fraction] = []
     for i in range(n):
@@ -657,35 +658,32 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
             for row in a[i:]:
                 row[i], row[p] = row[p], row[i]
             perm[i], perm[p] = perm[p], perm[i]
-            for j in range(i):
-                lower[i][j], lower[p][j] = lower[p][j], lower[i][j]
+            lower[i], lower[p] = lower[p], lower[i]
         piv = a[i][i]
         d.append(Fraction(piv, den[i]))
         for r in range(i + 1, n):
-            if a[r][i]:
-                lower[r][i] = Fraction(a[r][i] * den[i], den[r] * piv)
+            lower[r].append((a[r][i] * den[i], den[r] * piv))
         _schur_update(a, den, i)
-    cert = PsdCertificate(tuple(perm), mat(lower), tuple(d))
+    rows = []
+    for r, pairs in enumerate(lower):
+        common = lcm(*[v for _, v in pairs])
+        ints = [u * (common // v) for u, v in pairs] + [0] * (r - len(pairs))
+        rows.append(_norm(ints + [common] + [0] * (n - r - 1), common))
+    cert = PsdCertificate(tuple(perm), _from_rows(n, rows), tuple(d))
     if not cert.verify(m):
         raise CrossCheckError("LDL^T factorization does not reproduce the matrix")
     return PsdResult(cert, None)
 
 
-def _back_substitute(lower: list[list[Fraction]], perm: list[int], v: list[Fraction]) -> Vec:
+def _back_substitute(lower: list[list[tuple[int, int]]], perm: list[int], v: list[Fraction]) -> Vec:
     """Undo a partial LDL^T elimination for a vector ``v`` supported in the
-    Schur block: the unit upper-triangular solve L^T w = v, then the
-    permutation."""
-    n = len(v)
+    Schur block: the unit upper-triangular solve L^T w = v, with L[r][i] =
+    x / y for the pairs (x, y) in ``lower[r]``, then the permutation."""
     w = list(v)
-    for i in range(n - 1, -1, -1):
-        s = w[i]
-        for j in range(i + 1, n):
-            s -= lower[j][i] * w[j]
-        w[i] = s
-    out = [ZERO] * n
-    for pos in range(n):
-        out[perm[pos]] = w[pos]
-    return tuple(out)
+    for j in range(len(w) - 1, -1, -1):
+        for i, (x, y) in enumerate(lower[j]):
+            w[i] -= w[j] * x / y
+    return tuple(w[perm.index(j)] for j in range(len(w)))
 
 
 def quad_form(m: Mat, x: Sequence[Fraction]) -> Fraction:

@@ -1,10 +1,11 @@
 """JSON file formats.
 
 Rationals travel as strings "p/q" (or "p" when the denominator is 1), so
-every file is exact; floating values never appear except the bound
-estimate, which is labeled approximate.  Writing is canonical (sorted
-keys, two-space indent, trailing newline), so reading a canonical file and
-writing it back is byte-identical.
+every file is exact; floats never appear except the bound estimate, the
+bound rounded to the nearest float and labeled approximate, which decides
+no certified bracket.  Writing is canonical (sorted keys, two-space indent,
+trailing newline), so reading a canonical file and writing it back is
+byte-identical.
 """
 
 from __future__ import annotations

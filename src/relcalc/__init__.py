@@ -30,7 +30,6 @@ from .extensions import (
 )
 from .forms import (
     BoundInterval,
-    LowerBoundCert,
     QuadraticForm,
     RepresentingMap,
     bound_bisect,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import BoundCertificationError, ParseError, PreconditionError, RelcalcError
@@ -217,13 +218,7 @@ def cmd_check(args) -> int:
     data = {
         "instances": [
             {
-                "instance": {
-                    "dim": rep.spec.dim,
-                    "seed": rep.spec.seed,
-                    "mul_dim": rep.spec.mul_dim,
-                    "restrict_dim": rep.spec.restrict_dim,
-                    "entry_bound": rep.spec.entry_bound,
-                },
+                "instance": asdict(rep.spec),
                 "c": None if rep.c is None else rational_to_str(rep.c),
                 "checks": [_check_json(ch) for ch in rep.checks],
             }

@@ -24,7 +24,6 @@ from .forms import (
     form_of_relation,
     inequality_domain_subspace,
     repmap_ldl,
-    repmap_quotient,
 )
 from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, solve_mat
 from .relations import (
@@ -56,11 +55,6 @@ from .spaces import (
     intersect,
     span,
 )
-
-REPMAP_BUILDERS = {
-    "ldl": lambda s, c: repmap_ldl(form_of_relation(s), c),
-    "quotient": repmap_quotient,
-}
 
 
 def _require_semibounded(s: LinearRelation, c: Fraction) -> QuadraticForm:
@@ -94,16 +88,19 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
 
 
 @memo
-def friedrichs(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
+def friedrichs(s: LinearRelation, c) -> LinearRelation:
     """Friedrichs extension, cross-checked three ways.
 
-    (1) c + Q_c* Q_c** via the representing map;
+    (1) c + Q_c* Q_c** via the LDL^T representing map of t(S) - c;
     (2) the graph elements of S* whose first component lies in dom S;
     (3) the graph sum S +| ({0} x mul S*).
+
+    The extension does not depend on the representing map: the check
+    ``repmap-independence-extensions`` of the harness compares (1), built
+    from the quotient map, with it.
     """
     c = rat(c)
-    _require_semibounded(s, c)
-    q = REPMAP_BUILDERS[method](s, c)
+    q = repmap_ldl(_require_semibounded(s, c), c)
     qrel = q.as_relation()
     via_repmap = shift(compose(adjoint(qrel), closure(qrel)), c)
 
@@ -140,19 +137,23 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
 
 
 @memo
-def krein(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
+def krein(s: LinearRelation, c) -> LinearRelation:
     """Krein type extension at c, cross-checked four ways.
 
-    (1) c + J_c** J_c* via the companion relation, together with its
-        operator-part variant c + ((J_c*)_reg)* (J_c*)_reg;
+    (1) c + J_c** J_c* via the companion relation of the LDL^T
+        representing map of t(S) - c, together with its operator-part
+        variant c + ((J_c*)_reg)* (J_c*)_reg;
     (2) the graph sum S +| N_c(S*) with the eigen-relation at c;
     (3) inverse duality c + (((S-c)^{-1})_F)^{-1};
     (4) closure(S) +| N_c(S*), the version stated for c strictly below the
         bound, which at finite dimension coincides with (2).
+
+    The extension does not depend on the representing map: the check
+    ``repmap-independence-extensions`` of the harness compares (1) and (3),
+    built from quotient maps, with it.
     """
     c = rat(c)
-    _require_semibounded(s, c)
-    q = REPMAP_BUILDERS[method](s, c)
+    q = repmap_ldl(_require_semibounded(s, c), c)
     j = companion(s, q)
     via_companion = shift(compose(closure(j), adjoint(j)), c)
 
@@ -163,7 +164,7 @@ def krein(s: LinearRelation, c, method: str = "ldl") -> LinearRelation:
     via_weak = hsum(s, nhat)
 
     inv = inverse(shift(s, -c))
-    via_duality = shift(inverse(friedrichs(inv, 0, method)), c)
+    via_duality = shift(inverse(friedrichs(inv, 0)), c)
 
     via_closure = hsum(closure(s), nhat)
 

@@ -21,8 +21,9 @@ and cross-checks the first at both ends of the bracket it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .linalg import (
@@ -124,14 +125,8 @@ class QuadraticForm:
 
 
 @dataclass(frozen=True)
-class LowerBoundCert:
-    c: Fraction
-    certificate: PsdCertificate
-
-
-@dataclass(frozen=True)
 class CertifyResult:
-    cert: LowerBoundCert | None
+    cert: PsdCertificate | None  # of t - c (.,.)
     witness: Vec | None  # ambient vector phi with t[phi] < c (phi, phi)
 
     @property
@@ -154,7 +149,7 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     c = rat(c)
     res = ldl_psd_certificate(t.matrix - t.domain_gram.scale(c))
     if res.ok:
-        return CertifyResult(LowerBoundCert(c, res.certificate), None)
+        return CertifyResult(res.certificate, None)
     return CertifyResult(None, t.domain.basis.vec_mul(res.counterexample))
 
 
@@ -162,11 +157,18 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
 class BoundInterval:
     lo: Fraction  # certified: t - lo is PSD
     hi: Fraction  # refuted: t - hi is not PSD
-    estimate: float | None  # the bound rounded to the nearest float, display only; None if it overflows
+    pencil: tuple[int, ...] = field(compare=False, repr=False)  # pencil_polynomial(t)
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+    @cached_property
+    def estimate(self) -> float | None:
+        """The bound rounded to the nearest float, display only; None if it
+        overflows.  Searched for on first reading, so a caller that keeps
+        only the bracket does not pay for it."""
+        return _nearest_float(self.pencil, self.lo, self.hi)
 
 
 def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
@@ -210,7 +212,7 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
         lo, hi = (cand, hi) if pencil_psd(p, cand) else (lo, cand)
     if not certify_lower_bound(t, lo).ok or certify_lower_bound(t, hi).ok:
         raise CrossCheckError("the LDL^T certificates at the bracket ends disagree with det(M - cG)")
-    return BoundInterval(lo, hi, _nearest_float(p, lo, hi))
+    return BoundInterval(lo, hi, p)
 
 
 def _bisect(p: tuple[int, ...], lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Fraction]:
@@ -353,7 +355,7 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     res = certify_lower_bound(t, c)
     if not res.ok:
         raise BoundCertificationError("form is not bounded below by the base point", res.witness)
-    cert = res.cert.certificate
+    cert = res.cert
     k = t.domain.dim
     # P^T (M - cG) P = L D L^T, so M - cG = R D R^T with R = P L, i.e.
     # R[j][i] = L[where[j]][i] with where the inverse permutation.

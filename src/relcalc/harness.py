@@ -585,9 +585,18 @@ def _order_krein_friedrichs(x: _Instance) -> str | None:
 
 @check("repmap-independence-extensions")
 def _independence_extensions(x: _Instance) -> str | None:
-    if friedrichs(x.s, x.c, method="quotient") != friedrichs(x.s, x.c):
+    """The map-dependent routes of `friedrichs` and `krein`, rebuilt from
+    quotient maps, against the extensions built from the LDL^T map."""
+    if shift(compose(adjoint(x.qrel2), closure(x.qrel2)), x.c) != friedrichs(x.s, x.c):
         return "Friedrichs depends on the representing map"
-    if krein(x.s, x.c, method="quotient") != krein(x.s, x.c):
+    reg = regular_part(adjoint(x.j_quot))
+    qinv = repmap_quotient(inverse(shift(x.s, -x.c)), 0).as_relation()
+    if not (
+        shift(compose(closure(x.j_quot), adjoint(x.j_quot)), x.c)
+        == shift(compose(adjoint(reg), closure(reg)), x.c)
+        == shift(inverse(compose(adjoint(qinv), closure(qinv))), x.c)
+        == krein(x.s, x.c)
+    ):
         return "Krein depends on the representing map"
     return None
 
@@ -727,7 +736,7 @@ def run_one(spec: InstanceSpec) -> InstanceReport:
     return InstanceReport(spec, c, tuple(checks))
 
 
-def suite_specs(count: int, dims: tuple[int, int], seed: int, entry_bound: int = 4) -> list[InstanceSpec]:
+def suite_specs(count: int, dims: tuple[int, int], seed: int) -> list[InstanceSpec]:
     lo, hi = dims
     specs = []
     for i in range(count):
@@ -742,7 +751,6 @@ def suite_specs(count: int, dims: tuple[int, int], seed: int, entry_bound: int =
                 seed=inst_seed,
                 mul_dim=mul_dim,
                 restrict_dim=restrict_dim,
-                entry_bound=entry_bound,
             )
         )
     return specs

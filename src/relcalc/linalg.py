@@ -42,17 +42,18 @@ helpers, and reads them through ``[i, j]``, ``row``, ``take`` and
 
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
-instance per scope (``harness.run_one``) bounds the memory.  A call is one
-cache entry however it is spelled: keywords and omitted defaults are bound
-to the signature before the lookup.
+instance per scope (``harness.run_one``) bounds the memory.  A memoized
+function takes positional parameters only, none with a default, and is
+called positionally everywhere, so a call has one spelling and one cache
+entry (``lru_cache`` would key ``f(a, b)`` and ``f(a, b=b)`` apart); a
+test walks the package's syntax tree to keep it so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, update_wrapper
-from inspect import signature
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -69,29 +70,11 @@ _MEMOS: list = []  # every ``memo`` cache, for ``clear_memos``
 
 
 def memo(fn: Callable) -> Callable:
-    """Cache ``fn`` for the current cache scope.
-
-    ``f(a, b)``, ``f(a, b, d)`` and ``f(a, b, kw=d)`` with d the default
-    share one entry: a call that passes keywords or omits a parameter is
-    bound to the full positional form first.  The wrapper carries
-    ``cache_info`` and ``cache_clear`` of the underlying ``lru_cache``.
-    """
+    """Cache ``fn`` for the current cache scope: its ``lru_cache`` without
+    a size bound, registered for ``clear_memos``."""
     cached = lru_cache(maxsize=None)(fn)
-    sig = signature(fn)
-    nparams = len(sig.parameters)
-
-    def call(*args, **kwargs):
-        if kwargs or len(args) < nparams:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args, kwargs = bound.args, bound.kwargs
-        return cached(*args, **kwargs)
-
-    update_wrapper(call, fn)
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
     _MEMOS.append(cached)
-    return call
+    return cached
 
 
 def clear_memos() -> None:

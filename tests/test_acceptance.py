@@ -45,6 +45,7 @@ from relcalc.harness import (
 from relcalc.linalg import identity, mat, solve, vec
 from relcalc.relations import (
     adjoint,
+    closure,
     compose,
     eigenspace,
     inverse,
@@ -54,6 +55,7 @@ from relcalc.relations import (
     product_relation,
     relation_from_graph_vectors,
     relation_from_pairs,
+    regular_part,
     shift,
 )
 from relcalc.spaces import (
@@ -200,14 +202,21 @@ def test_criterion_06_repmap_independence(corpus):
         q2 = repmap_quotient(s, c).as_relation()
         j1 = companion(s, repmap_ldl(t, c))
         j2 = companion(s, repmap_quotient(s, c))
+        reg2 = regular_part(adjoint(j2))
+        qinv = repmap_quotient(inverse(shift(s, -c)), 0).as_relation()
+        k = krein(s, c)
         if compose(adjoint(q1), q1) != compose(adjoint(q2), q2):
             failures.append((sp, "Q*Q"))
         elif compose(j1, adjoint(j1)) != compose(j2, adjoint(j2)):
             failures.append((sp, "J J*"))
-        elif friedrichs(s, c, method="quotient") != friedrichs(s, c):
+        elif shift(compose(adjoint(q2), closure(q2)), c) != friedrichs(s, c):
             failures.append((sp, "friedrichs"))
-        elif krein(s, c, method="quotient") != krein(s, c):
-            failures.append((sp, "krein"))
+        elif shift(compose(closure(j2), adjoint(j2)), c) != k:
+            failures.append((sp, "krein: J**J*"))
+        elif shift(compose(adjoint(reg2), closure(reg2)), c) != k:
+            failures.append((sp, "krein: operator part"))
+        elif shift(inverse(compose(adjoint(qinv), closure(qinv))), c) != k:
+            failures.append((sp, "krein: inverse duality"))
     assert not failures, failures[:3]
 
 

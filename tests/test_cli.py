@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcalc
-from relcalc import harness
+from relcalc import forms, harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
 from relcalc.linalg import vec
@@ -393,6 +393,44 @@ def test_no_product_transposes_its_right_factor():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_memo_calls_have_one_spelling():
+    # A memo is a bare lru_cache, which keys f(a, b) and f(a, b=b) apart;
+    # positional parameters without defaults, passed positionally, keep
+    # one cache entry per call.
+    trees = list(_package_modules())
+    memos, found = set(), []
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(ast.unparse(d) == "memo" for d in node.decorator_list):
+                memos.add(node.name)
+                a = node.args
+                if a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
+                    found.append(f"{name}:{node.lineno} def {node.name}")
+    assert {"friedrichs", "krein", "rref", "parts", "companion"} <= memos
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and node.keywords:
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                if callee in memos:
+                    found.append(f"{name}:{node.lineno} {callee}(...=...)")
+    assert found == []
+
+
+def test_default_c_needs_no_float_estimate(tmp_path, capsys, monkeypatch):
+    # extend keeps only the certified lower end of the default bracket.
+    def unused(*args):
+        raise RuntimeError("the float estimate was computed")
+
+    monkeypatch.setattr(forms, "_nearest_float", unused)
+    assert main(["extend", e1_path(tmp_path), "--kind", "friedrichs"]) == 0
+    assert capsys.readouterr().out == (
+        "kind: friedrichs\n"
+        "c: 2\n"
+        "asserted cross-checks: repmap-product, adjoint-domain-membership, multivalued-graph-sum\n"
+        "graph dimension: 2\n"
+    )
 
 
 def test_import_loads_no_numpy():

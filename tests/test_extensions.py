@@ -22,15 +22,20 @@ from relcalc.forms import (
     companion,
     form_of_relation,
     repmap_ldl,
+    repmap_quotient,
     scalar_repmap,
     stack_relations,
 )
-from relcalc.linalg import clear_memos, mat, vec
+from relcalc.harness import check_codding
+from relcalc.linalg import _MEMOS, clear_memos, mat, vec
 from relcalc.relations import (
     adjoint,
+    closure,
     compose,
+    inverse,
     operator_relation,
     parts,
+    regular_part,
     relation_from_pairs,
     shift,
 )
@@ -148,10 +153,20 @@ def test_weak_variants_coincide():
 
 
 def test_methods_agree():
+    # The map-dependent routes of friedrichs and krein, rebuilt from quotient
+    # maps as the check repmap-independence-extensions does, give the
+    # extensions built from the LDL^T map.
     s = e1()
     for c in (0, 1, 2):
-        assert friedrichs(s, c, method="ldl") == friedrichs(s, c, method="quotient")
-        assert krein(s, c, method="ldl") == krein(s, c, method="quotient")
+        q = repmap_quotient(s, c).as_relation()
+        assert shift(compose(adjoint(q), closure(q)), c) == friedrichs(s, c)
+        j = companion(s, repmap_quotient(s, c))
+        reg = regular_part(adjoint(j))
+        qinv = repmap_quotient(inverse(shift(s, -c)), 0).as_relation()
+        k = krein(s, c)
+        assert shift(compose(closure(j), adjoint(j)), c) == k
+        assert shift(compose(adjoint(reg), closure(reg)), c) == k
+        assert shift(inverse(compose(adjoint(qinv), closure(qinv))), c) == k
 
 
 def test_order_reflexive_and_sandwich():
@@ -357,12 +372,13 @@ def test_purely_multivalued_relation_degenerate_path():
     assert extremal_check(f, s, 0) and extremal_check(k, s, 0)
 
 
-def test_one_memo_entry_however_the_call_is_spelled():
+def test_krein_and_the_codding_check_share_one_friedrichs_entry():
+    # Both take the Friedrichs extension of (S - c)^{-1} at 0; the second
+    # call must hit the first's cache entry, not compute it again.
     s = e1()
     clear_memos()
-    first = friedrichs(s, 0)
-    assert friedrichs(s, 0, "ldl") is first
-    assert friedrichs(s, 0, method="ldl") is first
-    assert friedrichs(s=s, c=0) is first
+    k = krein(s, 0)
+    assert check_codding(s, 0, k).passed
     assert friedrichs.cache_info().currsize == 1
+    assert any(cached is friedrichs for cached in _MEMOS)
     assert friedrichs.__module__ == "relcalc.extensions"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import relcalc.harness as harness
@@ -21,12 +23,14 @@ from relcalc.harness import (
 )
 from relcalc.linalg import _MEMOS, clear_memos, mat, vec
 from relcalc.relations import (
+    adjoint,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
     operator_relation,
     parts,
     relation_from_pairs,
+    scale,
 )
 from relcalc.spaces import standard_space
 
@@ -289,3 +293,30 @@ def test_a_negated_krein_operator_criterion_fails_its_check(monkeypatch):
     failed = [r for r in verify_all(e1(), 0) if not r.passed]
     assert [r.name for r in failed] == ["krein-operator-criterion"]
     assert "operator criterion disagrees" in failed[0].witness
+
+
+def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch):
+    # Each route the check rebuilds from a quotient map is made wrong on its
+    # own; the check must name the extension that route builds.
+    s, c, seed = _random_dim3_with_mul()
+    x = harness._Instance.build(s, c, seed)
+    check = dict(harness.REGISTRY)["repmap-independence-extensions"]
+    assert check(x) is None
+    friedrichs_witness = "Friedrichs depends on the representing map"
+    krein_witness = "Krein depends on the representing map"
+    # c + Q*Q**, with Q the quotient map of (S, c)
+    assert check(replace(x, qrel2=scale(x.qrel2, 2))) == friedrichs_witness
+    # c + J**J*, with J its companion; the operator-part route keeps the right J*
+    real_regular_part = harness.regular_part
+    with monkeypatch.context() as m:
+        m.setattr(harness, "regular_part", lambda t: real_regular_part(adjoint(x.j_quot)))
+        assert check(replace(x, j_quot=scale(x.j_quot, 2))) == krein_witness
+    # c + ((J*)_reg)*((J*)_reg)**
+    with monkeypatch.context() as m:
+        m.setattr(harness, "regular_part", lambda t: scale(real_regular_part(t), 2))
+        assert check(x) == krein_witness
+    # c + (((S - c)^{-1})_F)^{-1}, from the quotient map of the inverse at 0
+    real_repmap_quotient = harness.repmap_quotient
+    with monkeypatch.context() as m:
+        m.setattr(harness, "repmap_quotient", lambda r, base: real_repmap_quotient(r, base - 1))
+        assert check(x) == krein_witness

@@ -22,8 +22,7 @@ from functools import reduce
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relcalc.extensions import REPMAP_BUILDERS
-from relcalc.forms import companion, stack_relations
+from relcalc.forms import companion, form_of_relation, repmap_ldl, repmap_quotient, stack_relations
 from relcalc.harness import InstanceSpec, random_semibounded
 from relcalc.linalg import Mat, block_diag, hstack, identity, kernel, mat, solve_mat, vstack, zeros
 from relcalc.relations import (
@@ -245,16 +244,23 @@ def test_operator_and_product_relations_match_their_pairwise_definitions(data):
     assert product_relation(x, y) == relation_from_pairs(src, dst, pairs)
 
 
+# The two representing maps of (S, c).
+REPMAPS = {
+    "ldl": lambda s, c: repmap_ldl(form_of_relation(s), c),
+    "quotient": repmap_quotient,
+}
+
+
 @given(
     dim=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=10**6),
-    method=st.sampled_from(sorted(REPMAP_BUILDERS)),
+    method=st.sampled_from(sorted(REPMAPS)),
 )
 @settings(max_examples=25, deadline=None)
 def test_companion_is_q_phi_against_the_shifted_image(dim, seed, method):
     s, c = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=1, restrict_dim=dim - 1))
     assume(parts(s).mul.dim > 0)
-    q = REPMAP_BUILDERS[method](s, c)
+    q = REPMAPS[method](s, c)
     expected = [(q.apply(phi), added(phi_prime, scaled(-c, phi))) for phi, phi_prime in s.pairs()]
     assert companion(s, q) == relation_from_pairs(q.codomain, s.src, expected)
 

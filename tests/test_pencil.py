@@ -181,7 +181,7 @@ def _ldl_bisect(t, width):
     while not psd(n):
         n -= 1
     lo = Fraction(n - 1)
-    hi = Fraction(n + 1 if 0 in certify_lower_bound(t, n).cert.certificate.diag else n + 2)
+    hi = Fraction(n + 1 if 0 in certify_lower_bound(t, n).cert.diag else n + 2)
     while hi - lo > width:
         mid = (hi + lo) / 2
         if psd(mid):

@@ -202,6 +202,7 @@ class OrderResult:
     witness: Vec | None  # vector in dom t_K with t_H[phi] > t_K[phi], or missing-domain witness
 
 
+@memo
 def order_leq(h: LinearRelation, k: LinearRelation) -> OrderResult:
     """The semibounded selfadjoint order: H <= K iff dom t_K is contained
     in dom t_H and t_H <= t_K on dom t_K.  At finite dimension the form
@@ -276,6 +277,7 @@ def _sandwich_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) -> boo
     return tf.is_restriction_of(th) and th.is_restriction_of(tk)
 
 
+@memo
 def extremal_check(h: LinearRelation, s: LinearRelation, c) -> bool:
     """Extremality of a selfadjoint extension, by two independent routes
     whose agreement is asserted: the definitional quadratic infimum test
@@ -293,6 +295,7 @@ def extremal_check(h: LinearRelation, s: LinearRelation, c) -> bool:
     return by_def
 
 
+@memo
 def extremal_from_domain(s: LinearRelation, c, d: Subspace) -> LinearRelation:
     """The extremal extension c + R_c* R_c** built from the restriction
     R_c of (J_c*)_reg to an intermediate domain dom S <= D <= dom J_c*."""

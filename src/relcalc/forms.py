@@ -34,6 +34,7 @@ from .linalg import (
     det,
     diag,
     echelon_coords,
+    hash_once,
     hstack,
     identity,
     kernel,
@@ -74,6 +75,7 @@ from .spaces import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric bilinear form on a domain subspace, in basis coordinates.
@@ -461,8 +463,8 @@ def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     {{y^T F_1, y^T G_1 (+) z^T G_2} : y^T F_1 = z^T F_2}."""
     if t1.src != t2.src:
         raise PreconditionError("stacked relations must share their source space")
-    f_1, g_1 = t1.halves()
-    f_2, g_2 = t2.halves()
+    f_1, g_1 = t1.halves
+    f_2, g_2 = t2.halves
     a = hstack(vstack(f_1, zeros(f_2.rows, f_1.cols)), block_diag(g_1, g_2))
     return _relation_where(t1.src, product_space(t1.dst, t2.dst), a, vstack(f_1, f_2.scale(-1)))
 
@@ -477,7 +479,7 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     t = form_of_relation(s)
     if q.domain != t.domain or q.form_matrix != t.matrix:
         raise PreconditionError("representing map does not certify the form of this relation")
-    firsts, seconds = s.halves()
+    firsts, seconds = s.halves
     coords = echelon_coords(q.domain.basis, firsts)
     if coords is None:
         raise PreconditionError("argument outside the representing map domain")

@@ -46,7 +46,14 @@ instance per scope (``harness.run_one``) bounds the memory.  A memoized
 function takes positional parameters only, none with a default, and is
 called positionally everywhere, so a call has one spelling and one cache
 entry (``lru_cache`` would key ``f(a, b)`` and ``f(a, b=b)`` apart); a
-test walks the package's syntax tree to keep it so.
+test walks the package's syntax tree to keep it so.  Memoized are the
+eliminations here, the subspace and relation operations with ``contains``
+and ``form_matrix_on_domain``, the forms and representing maps, and the
+extensions with ``order_leq``, ``extremal_check`` and
+``extremal_from_domain``: inside one scope each runs once per distinct
+input.  A lookup hashes its arguments, so ``Mat`` and, through
+``hash_once``, the value objects built on it hash their fields once, and a
+relation splits its ``halves`` once.
 """
 
 from __future__ import annotations
@@ -81,6 +88,25 @@ def clear_memos() -> None:
     """Start a new cache scope: empty every ``memo`` cache."""
     for cached in _MEMOS:
         cached.cache_clear()
+
+
+def hash_once(cls: type) -> type:
+    """Keep the hash of each instance of the frozen dataclass ``cls`` on the
+    instance, as ``Mat`` keeps ``_hash``: the field hash the dataclass
+    generated, computed on first use and stored in the instance
+    ``__dict__``, outside the fields, so it enters no ``==``, ``repr`` or
+    ``asdict``."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            cached = self.__dict__["_hash"] = field_hash(self)
+            return cached
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -284,6 +310,11 @@ def diag(entries: Sequence[Fraction]) -> Mat:
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row count mismatch in hstack")
+    # A side without columns adds nothing: the other is the result.
+    if not b.cols:
+        return a
+    if not a.cols:
+        return b
     # Over the lcm of two coprime-reduced rows no common factor can
     # appear, so the joined rows need no gcd.
     rows = []

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import Mat, Vec, block_diag, echelon_coords, hstack, identity, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
+from .linalg import Mat, Vec, block_diag, echelon_coords, hash_once, hstack, identity, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
 from .spaces import (
     InnerProductSpace,
     Subspace,
@@ -32,6 +33,7 @@ from .spaces import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class LinearRelation:
     """A (possibly multivalued, possibly non-densely-defined) linear relation."""
@@ -46,14 +48,16 @@ class LinearRelation:
 
     def pairs(self) -> list[tuple[Vec, Vec]]:
         """Graph basis as (first, second) component pairs."""
-        firsts, seconds = self.halves()
+        firsts, seconds = self.halves
         return [(firsts.row(i), seconds.row(i)) for i in range(firsts.rows)]
 
+    @cached_property
     def halves(self) -> tuple[Mat, Mat]:
         """The graph basis split into its first and its second components:
         the rows of the two matrices are the f and the g of each basis
         pair.  ``graph_relation`` is the inverse.  The first half is in
-        reduced echelon form up to zero rows, the pairs {0, g} last."""
+        reduced echelon form up to zero rows, the pairs {0, g} last.
+        Split on first reading and kept, outside the fields."""
         basis = self.graph.basis
         every, n = range(basis.rows), self.src.dim
         return basis.take(every, range(n)), basis.take(every, range(n, basis.cols))
@@ -122,7 +126,7 @@ def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
 
 @memo
 def parts(t: LinearRelation) -> RelationParts:
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     # mul: second components of the graph vectors whose first one vanishes.
     mul = image_where(t.dst, seconds, firsts)
     ker = image_where(t.src, firsts, seconds)
@@ -133,7 +137,7 @@ def lifts(t: LinearRelation, xs: Mat) -> Mat:
     """Row j is some g with {x_j, g} in t, x_j the row j of xs; requires
     every x_j in dom t.  The coefficients of the graph pairs are read off
     the echelon first half (``halves``): 0 for each pair {0, g}."""
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     combos = echelon_coords(firsts, xs)
     if combos is None:
         raise PreconditionError("vector is not in the domain of the relation")
@@ -152,7 +156,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     Both Gram matrices enter the pairing; with weighted codomains this is
     what makes the dual-pair identities hold exactly.
     """
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     pairing = hstack(seconds @ t.dst.gram, (firsts @ t.src.gram).scale(-1))
     # The rows of the null space are the pairs [h | k], h in dst, k in src.
     return LinearRelation(t.dst, t.src, Subspace(product_space(t.dst, t.src), null_space(pairing)))
@@ -160,7 +164,7 @@ def adjoint(t: LinearRelation) -> LinearRelation:
 
 @memo
 def inverse(t: LinearRelation) -> LinearRelation:
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     return graph_relation(t.dst, t.src, seconds, firsts)
 
 
@@ -169,12 +173,12 @@ def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
     """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c)."""
     if t.src != t.dst:
         raise PreconditionError("shift requires equal source and target spaces")
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
 
 
 def scale(t: LinearRelation, a: Fraction | int | str) -> LinearRelation:
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     return graph_relation(t.src, t.dst, firsts, seconds.scale(a))
 
 
@@ -201,8 +205,8 @@ def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     """
     if t.dst != r.src:
         raise AmbientMismatchError("compose requires target of T to equal source of R")
-    f_t, k_t = t.halves()
-    k_r, g_r = r.halves()
+    f_t, k_t = t.halves
+    k_r, g_r = r.halves
     return _relation_where(t.src, r.dst, block_diag(f_t, g_r), vstack(k_t, k_r.scale(-1)))
 
 
@@ -221,8 +225,8 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     {F_B, G_B} it is {{y^T F_A, y^T G_A + z^T G_B} : y^T F_A = z^T F_B}.
     """
     _same_spaces(a, b)
-    f_a, g_a = a.halves()
-    f_b, g_b = b.halves()
+    f_a, g_a = a.halves
+    f_b, g_b = b.halves
     firsts = vstack(f_a, zeros(f_b.rows, f_a.cols))
     return _relation_where(a.src, a.dst, hstack(firsts, vstack(g_a, g_b)), vstack(f_a, f_b.scale(-1)))
 
@@ -234,20 +238,20 @@ def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     if d.space != t.src:
         raise AmbientMismatchError("restriction subspace must live in the source space")
     basis = t.graph.basis
-    firsts, _ = t.halves()
+    firsts, _ = t.halves
     return _relation_where(t.src, t.dst, vstack(basis, zeros(d.dim, basis.cols)), vstack(firsts, d.basis.scale(-1)))
 
 
 @memo
 def regular_part(t: LinearRelation) -> LinearRelation:
     """(I - P) T with P the orthogonal projection onto mul T; an operator."""
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     return graph_relation(t.src, t.dst, firsts, seconds - projections(seconds, parts(t).mul))
 
 
 def singular_part(t: LinearRelation) -> LinearRelation:
     """P T with P the orthogonal projection onto mul T."""
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     return graph_relation(t.src, t.dst, firsts, projections(seconds, parts(t).mul))
 
 
@@ -257,7 +261,7 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
     if t.src != t.dst:
         raise PreconditionError("eigenspace requires equal source and target spaces")
     c = rat(c)
-    firsts, seconds = t.halves()
+    firsts, seconds = t.halves
     return image_where(t.src, firsts, seconds - firsts.scale(c))
 
 
@@ -279,6 +283,7 @@ def is_selfadjoint(s: LinearRelation) -> bool:
     return adjoint(s) == s
 
 
+@memo
 def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     """Domain of s and the matrix (phi_i', phi_j) in its canonical basis.
 

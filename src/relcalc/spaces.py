@@ -31,6 +31,7 @@ from .linalg import (
     identity,
     ldl_psd_certificate,
     block_diag,
+    hash_once,
     mat,
     memo,
     null_space,
@@ -42,6 +43,7 @@ from .linalg import (
 )
 
 
+@hash_once
 @dataclass(frozen=True)
 class InnerProductSpace:
     """Finite-dimensional space with inner product (x, y) = x^T G y."""
@@ -85,6 +87,7 @@ def product_space(h: InnerProductSpace, k: InnerProductSpace) -> InnerProductSpa
     return space
 
 
+@hash_once
 @dataclass(frozen=True)
 class Subspace:
     """Canonical subspace of an ambient space.
@@ -191,6 +194,7 @@ def extending(w: Subspace, vectors: Mat) -> Mat:
     return vectors.take([j - w.dim for j in pivots if j >= w.dim])
 
 
+@memo
 def contains(w: Subspace, v: Subspace) -> bool:
     """True when v is a subspace of w, read off the echelon rows of w."""
     _check_same_ambient(v, w)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import relcalc.extensions as extensions
+import relcalc.spaces as spaces
 from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.extensions import (
     extension_interval_check,
@@ -26,8 +27,8 @@ from relcalc.forms import (
     scalar_repmap,
     stack_relations,
 )
-from relcalc.harness import check_codding
-from relcalc.linalg import _MEMOS, clear_memos, mat, vec
+from relcalc.harness import check_codding, verify_all
+from relcalc.linalg import _MEMOS, clear_memos, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
     adjoint,
     closure,
@@ -41,6 +42,7 @@ from relcalc.relations import (
 )
 from relcalc.spaces import (
     complement,
+    contains,
     full_subspace,
     span,
     standard_space,
@@ -382,3 +384,50 @@ def test_krein_and_the_codding_check_share_one_friedrichs_entry():
     assert friedrichs.cache_info().currsize == 1
     assert any(cached is friedrichs for cached in _MEMOS)
     assert friedrichs.__module__ == "relcalc.extensions"
+
+
+def test_disagreeing_extremality_routes_are_a_cross_check_error(monkeypatch):
+    # The definitional infimum and the form sandwich are independent; a
+    # negated sandwich must be caught, in extremal_check and in the harness.
+    s = e1()
+    clear_memos()
+    f = friedrichs(s, 0)
+    assert extremal_check(f, s, 0)
+    real = extensions._sandwich_extremal
+    with monkeypatch.context() as m:
+        m.setattr(extensions, "_sandwich_extremal", lambda h, s, c: not real(h, s, c))
+        # Inside one scope the memoized answer replays; a new scope runs
+        # both routes again.
+        assert extremal_check(f, s, 0)
+        clear_memos()
+        with pytest.raises(CrossCheckError, match="extremality characterizations disagree"):
+            extremal_check(friedrichs(s, 0), s, 0)
+        endpoints = next(r for r in verify_all(e1(), 0) if r.name == "extremal-endpoints")
+        assert not endpoints.passed
+        assert endpoints.witness == "CrossCheckError: extremality characterizations disagree"
+    clear_memos()
+    assert extremal_check(friedrichs(s, 0), s, 0)
+
+
+def test_repeated_predicates_replay_without_elimination(monkeypatch):
+    # A second call on the same arguments is a memo hit: the body does not
+    # run again, and no rref or LDL^T is computed.
+    s = e1()
+    clear_memos()
+    f, k = friedrichs(s, 0), krein(s, 0)
+    dom_f, dom_s = parts(f).dom, parts(s).dom
+    first = (extremal_check(k, s, 0), order_leq(k, f), contains(dom_f, dom_s))
+    misses = (rref.cache_info().misses, ldl_psd_certificate.cache_info().misses)
+    hits = [fn.cache_info().hits for fn in (extremal_check, order_leq, contains)]
+
+    def rerun(*args):
+        raise AssertionError("a memoized predicate ran again")
+
+    with monkeypatch.context() as m:
+        m.setattr(extensions, "_definitional_extremal", rerun)
+        m.setattr(extensions, "form_of_relation", rerun)
+        m.setattr(spaces, "echelon_coords", rerun)
+        again = (extremal_check(k, s, 0), order_leq(k, f), contains(dom_f, dom_s))
+    assert again == first
+    assert (rref.cache_info().misses, ldl_psd_certificate.cache_info().misses) == misses
+    assert [fn.cache_info().hits for fn in (extremal_check, order_leq, contains)] == [h + 1 for h in hits]

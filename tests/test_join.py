@@ -196,8 +196,8 @@ def test_halves_and_graph_relation_are_inverse(data):
     src, dst, _ = data.draw(spaces_of_unequal_dims())
     t = data.draw(multivalued_relation(src, dst))
     firsts, seconds = halves(t)
-    assert t.halves() == (firsts, seconds)
-    assert graph_relation(t.src, t.dst, *t.halves()) == t
+    assert t.halves == (firsts, seconds)
+    assert graph_relation(t.src, t.dst, *t.halves) == t
 
 
 @given(st.data())

@@ -770,3 +770,14 @@ def test_verify_rejects_each_tampered_entry_of_a_pinned_certificate():
     perm[0], perm[2] = perm[2], perm[0]
     for bad in (replace(cert, diag=tuple(d)), replace(cert, lower=mat(lower)), replace(cert, perm=tuple(perm))):
         assert not bad.verify(m)
+
+
+def test_hstack_with_a_side_without_columns_is_the_other_side():
+    a = mat([[1, 2], [3, Fraction(1, 2)]])
+    assert hstack(a, zeros(2, 0)) is a
+    assert hstack(zeros(2, 0), a) is a
+    # The row counts are checked first.
+    with pytest.raises(ValueError, match="row count"):
+        hstack(a, zeros(3, 0))
+    with pytest.raises(ValueError, match="row count"):
+        hstack(zeros(1, 0), a)

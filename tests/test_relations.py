@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from relcalc.relations import (
     singular_part,
     zero_relation,
 )
+from relcalc.serialize import relation_to_json
 from relcalc.spaces import (
     InnerProductSpace,
     complement,
@@ -312,3 +314,23 @@ def test_compose_associative(data):
     b = data.draw(relation_on(Q2))
     c = data.draw(relation_on(Q2))
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+def test_kept_hash_and_halves_stay_outside_the_value():
+    # A relation keeps its hash and its halves once read; neither may enter
+    # equality, repr or the serialized form.
+    def build():
+        q = InnerProductSpace(2, mat([[2, 1], [1, 3]]))
+        return relation_from_pairs(q, q, [(vec([1, 0]), vec([2, 1])), (vec([0, 0]), vec([1, 1]))])
+
+    used, fresh = build(), build()
+    firsts, seconds = used.halves
+    assert used.halves is used.halves
+    assert hash(used) == hash((used.src, used.dst, used.graph))
+    assert "_hash" in vars(used) and "_hash" not in vars(fresh)
+    assert [f.name for f in fields(used)] == ["src", "dst", "graph"]
+    assert used == fresh and fresh == used
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert relation_to_json(used) == relation_to_json(fresh)
+    assert (firsts, seconds) == fresh.halves

@@ -43,7 +43,6 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
     scalar_repmap,
-    stack_maps,
     stack_relations,
 )
 from .harness import (
@@ -54,7 +53,7 @@ from .harness import (
     sample_extremal,
     verify_all,
 )
-from .linalg import Mat, Rat, kernel, ldl_psd_certificate, mat, null_space, rref, solve, vec
+from .linalg import Mat, kernel, ldl_psd_certificate, mat, null_space, rref, vec
 from .relations import (
     LinearRelation,
     RelationParts,
@@ -81,7 +80,6 @@ from .spaces import (
     intersect,
     member,
     product_space,
-    project,
     span,
     standard_space,
     subspace_sum,

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .forms import (
     QuadraticForm,
-    RepresentingMap,
     certify_lower_bound,
     companion,
     form_of_relation,
@@ -53,7 +52,7 @@ from .spaces import (
     coordinates,
     gram_on,
     intersect,
-    span,
+    zero_subspace,
 )
 
 
@@ -80,7 +79,7 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
     rel = graph_relation(space, space, b, coeffs @ b)
-    mul_rel = product_relation(span(space, []), complement(domain))
+    mul_rel = product_relation(zero_subspace(space), complement(domain))
     out = hsum(rel, mul_rel)
     if not is_selfadjoint(out):
         raise CrossCheckError("relation built from a symmetric form is not selfadjoint")
@@ -108,7 +107,7 @@ def friedrichs(s: LinearRelation, c) -> LinearRelation:
     via_adjoint = restrict_domain(sstar, parts(s).dom)
 
     mulstar = parts(sstar).mul
-    via_weak = hsum(s, product_relation(span(s.src, []), mulstar))
+    via_weak = hsum(s, product_relation(zero_subspace(s.src), mulstar))
 
     if not (via_repmap == via_adjoint == via_weak):
         raise CrossCheckError("Friedrichs extension formulas disagree")
@@ -130,7 +129,7 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
     """
     c = rat(c)
     _require_semibounded(s, c)
-    out = hsum(s, product_relation(span(s.src, []), parts(adjoint(s)).mul))
+    out = hsum(s, product_relation(zero_subspace(s.src), parts(adjoint(s)).mul))
     if out != friedrichs(s, c):
         raise CrossCheckError("weak Friedrichs extension differs from the Friedrichs extension")
     return out
@@ -369,14 +368,13 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     return res
 
 
-def relations_of_form(q, c=0) -> tuple[LinearRelation, LinearRelation]:
+def relations_of_form(qrel: LinearRelation, c) -> tuple[LinearRelation, LinearRelation]:
     """The symmetric relation c + Q*Q and the selfadjoint relation
     c + Q*Q** induced by a (possibly multivalued) representing relation.
 
     At finite dimension the two coincide since Q is closed; for a singular
     Q the explicit product formulas are verified exactly."""
     c = rat(c)
-    qrel = q.as_relation() if isinstance(q, RepresentingMap) else q
     qstar = adjoint(qrel)
     s_t = shift(compose(qstar, qrel), c)
     a_t = shift(compose(qstar, closure(qrel)), c)

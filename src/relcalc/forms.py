@@ -39,11 +39,11 @@ from .linalg import (
     identity,
     kernel,
     ldl_psd_certificate,
+    mat,
     memo,
     null_space,
     rank,
     rat,
-    solve,
     solve_mat,
     vec,
     vstack,
@@ -160,10 +160,6 @@ class BoundInterval:
     lo: Fraction  # certified: t - lo is PSD
     hi: Fraction  # refuted: t - hi is not PSD
     pencil: tuple[int, ...] = field(compare=False, repr=False)  # pencil_polynomial(t)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     @cached_property
     def estimate(self) -> float | None:
@@ -336,12 +332,6 @@ class RepresentingMap:
         if lhs != rhs:
             raise CrossCheckError("representing map certificate identity failed")
 
-    def apply(self, x) -> Vec:
-        cx = coordinates(x, self.domain)
-        if cx is None:
-            raise PreconditionError("argument outside the representing map domain")
-        return self.matrix.vec_mul(cx)
-
     def as_relation(self) -> LinearRelation:
         return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix)
 
@@ -438,24 +428,6 @@ def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
     return RepresentingMap(domain, codomain, identity(k), c, zero_form)
 
 
-def stack_maps(q1: RepresentingMap, q2: RepresentingMap) -> RepresentingMap:
-    """Side-by-side stack into the orthogonal direct sum codomain.
-
-    Represents the sum of the represented nonnegative forms: the result is
-    a representing map for the form with matrix form1 + form2 at base
-    point c1 + c2.
-    """
-    if q1.domain != q2.domain:
-        raise PreconditionError("stacked representing maps must share their domain")
-    return RepresentingMap(
-        q1.domain,
-        product_space(q1.codomain, q2.codomain),
-        hstack(q1.matrix, q2.matrix),
-        q1.base_point + q2.base_point,
-        q1.form_matrix + q2.form_matrix,
-    )
-
-
 def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     """Column stack of two relations with the same source:
     {{f, g1 (+) g2} : {f, g1} in T1, {f, g2} in T2}.  Over the graph basis
@@ -492,15 +464,11 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
 
 def form_s_of(s: LinearRelation, c) -> QuadraticForm:
     """The closed form c (phi, psi) + ((J_c*)_reg phi, (J_c*)_reg psi) on
-    dom J_c*, J_c the companion of the LDL^T map; extends t(S), with lower
-    bound exactly c whenever the adjoint has an eigenvector at c."""
+    dom J_c*, J_c the companion of the LDL^T map: the regular part of the
+    Lebesgue form of J_c*.  It extends t(S), with lower bound exactly c
+    whenever the adjoint has an eigenvector at c."""
     c = rat(c)
-    q = repmap_ldl(form_of_relation(s), c)
-    j = companion(s, q)
-    jstar = adjoint(j)
-    dom = parts(jstar).dom
-    images = lifts(regular_part(jstar), dom.basis)
-    out = QuadraticForm(s.src, dom, gram_on(dom).scale(c) + (images @ q.codomain.gram).mul_t(images))
+    out, _ = lebesgue_form(adjoint(companion(s, repmap_ldl(form_of_relation(s), c))), c)
     if not certify_lower_bound(out, c).ok:
         raise CrossCheckError("the closed form lost the lower bound c")
     if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).rows == 0:
@@ -508,7 +476,7 @@ def form_s_of(s: LinearRelation, c) -> QuadraticForm:
     return out
 
 
-def lebesgue_form(q_rel: LinearRelation, c=0) -> tuple[QuadraticForm, QuadraticForm]:
+def lebesgue_form(q_rel: LinearRelation, c) -> tuple[QuadraticForm, QuadraticForm]:
     """Regular and singular parts of the form induced by a relation-valued
     representing map, via the Lebesgue decomposition of the relation.
 
@@ -546,7 +514,8 @@ def ran_adjoint_by_inequality(s: LinearRelation, c, phi) -> bool:
     t = form_of_relation(s)
     m = t.matrix - t.domain_gram.scale(c)
     v = (t.domain.basis @ s.src.gram).mul_vec(vec(phi))
-    return solve(m, v) is not None
+    # M is symmetric, so Mx = v reads x^T M = v^T.
+    return solve_mat(m, mat([v])) is not None
 
 
 def inequality_range_subspace(s: LinearRelation, c) -> Subspace:

@@ -652,7 +652,7 @@ def _krein_operator(x: _Instance) -> str | None:
 
 @check("relations-of-form")
 def _relations_of_form(x: _Instance) -> str | None:
-    s_t, a_t = relations_of_form(x.q_ldl, x.c)
+    s_t, a_t = relations_of_form(x.qrel, x.c)
     if s_t != a_t:
         return "S_t != A_t for a closed representing map"
     if s_t != friedrichs(x.s, x.c):

@@ -8,11 +8,10 @@ semidefiniteness or returns an explicit vector with negative quadratic
 value.  No floating point is used anywhere in this module.
 
 A set of vectors is the rows of a ``Mat``: a basis, a nullspace, the
-solutions of a system, the images of a map.  Only ``solve(m, b)`` keeps
-the column reading of Mx = b.  A product with the transpose of a set of
-vectors, such as the Gram matrix a G b^T, is ``(a @ g).mul_t(b)``, which
-reads b's rows as columns and forms no transpose.  A nullspace comes in
-two forms.
+solutions of a system, the images of a map.  A product with the transpose
+of a set of vectors, such as the Gram matrix a G b^T, is
+``(a @ g).mul_t(b)``, which reads b's rows as columns and forms no
+transpose.  A nullspace comes in two forms.
 ``null_space`` gives its canonical basis, the reduced echelon rows, from
 one RREF: use it wherever the subspace itself is wanted.  ``kernel`` gives
 the free-variable basis: use it where that particular basis matters, as
@@ -67,7 +66,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CrossCheckError
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
 
@@ -464,6 +462,27 @@ def null_space(m: Mat) -> Mat:
     return back.take(range(back.rows - 1, -1, -1), range(n - 1, -1, -1))
 
 
+def is_reduced_echelon(m: Mat) -> bool:
+    """Whether the rows of ``m`` are a reduced echelon basis: every row
+    nonzero with leading entry 1, the leading columns strictly increasing,
+    and each leading column zero in every other row.  Read off the stored
+    rows, where a leading 1 is an entry equal to its row's denominator; no
+    elimination runs."""
+    leads: list[int] = []
+    for r, d in zip(m._num, m._den):
+        # A leading 1 is stored as d > 0 with zeros before it, so it is the
+        # first entry equal to d; a zero row has no such entry.
+        if d not in r:
+            return False
+        lead = r.index(d)
+        if any(r[:lead]) or (leads and lead <= leads[-1]):
+            return False
+        leads.append(lead)
+    # Left of its own leading column a row is zero, so only the leading
+    # columns of the rows below it can be nonzero.
+    return not any(r[j] for i, r in enumerate(m._num) for j in leads[i + 1:])
+
+
 def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
     """The coefficients C with C @ red == xs, or None when some row of xs
     is not a combination of the rows of red.
@@ -488,12 +507,6 @@ def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
             return None
         out.append(_norm([0 if p is None else r[p] for p in lead], d))
     return _from_rows(red.rows, out)
-
-
-def solve(m: Mat, b: Sequence[Fraction]) -> Vec | None:
-    """Some exact solution of Mx = b, or None when the system is inconsistent."""
-    sol = solve_mat(m.T, mat([b]))
-    return sol.row(0) if sol is not None else None
 
 
 def solve_mat(a: Mat, b: Mat) -> Mat | None:

@@ -17,12 +17,11 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import Mat, Vec, block_diag, echelon_coords, hash_once, hstack, identity, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
+from .linalg import Mat, Vec, block_diag, echelon_coords, hash_once, hstack, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
 from .spaces import (
     InnerProductSpace,
     Subspace,
     contains,
-    full_subspace,
     gram_on,
     image_where,
     product_space,
@@ -103,22 +102,6 @@ def relation_from_graph_vectors(
     return LinearRelation(src, dst, span(product_space(src, dst), vectors))
 
 
-def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Mat, domain: Subspace | None = None) -> LinearRelation:
-    """Graph of x -> matrix @ x, restricted to ``domain`` when given."""
-    if matrix.rows != dst.dim or matrix.cols != src.dim:
-        raise ValueError("operator matrix shape does not match spaces")
-    basis = (full_subspace(src) if domain is None else domain).basis
-    return graph_relation(src, dst, basis, basis.mul_t(matrix))
-
-
-def identity_relation(space: InnerProductSpace) -> LinearRelation:
-    return graph_relation(space, space, identity(space.dim), identity(space.dim))
-
-
-def zero_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelation:
-    return relation_from_pairs(src, dst, [])
-
-
 def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
     """The relation X x Y, whose graph is all pairs {x, y}."""
     return LinearRelation(x.space, y.space, span_mat(product_space(x.space, y.space), block_diag(x.basis, y.basis)))
@@ -175,11 +158,6 @@ def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
         raise PreconditionError("shift requires equal source and target spaces")
     firsts, seconds = t.halves
     return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
-
-
-def scale(t: LinearRelation, a: Fraction | int | str) -> LinearRelation:
-    firsts, seconds = t.halves
-    return graph_relation(t.src, t.dst, firsts, seconds.scale(a))
 
 
 def closure(t: LinearRelation) -> LinearRelation:

@@ -29,6 +29,7 @@ from .linalg import (
     echelon_coords,
     hstack,
     identity,
+    is_reduced_echelon,
     ldl_psd_certificate,
     block_diag,
     hash_once,
@@ -95,7 +96,8 @@ class Subspace:
     ``basis`` is k x dim, its rows the reduced row echelon basis, which is
     unique per subspace: two Subspace values are equal iff they are the
     same subspace of the same ambient space.  The zero subspace has a
-    0-row basis.
+    0-row basis.  Membership reads coordinates off the leading 1s, so a
+    basis in any other form is a ``ValueError``.
     """
 
     space: InnerProductSpace
@@ -104,6 +106,8 @@ class Subspace:
     def __post_init__(self) -> None:
         if self.basis.cols != self.space.dim:
             raise ValueError("basis vectors must live in the ambient space")
+        if not is_reduced_echelon(self.basis):
+            raise ValueError("a subspace basis must be the reduced echelon rows of its span")
 
     @property
     def dim(self) -> int:
@@ -149,10 +153,6 @@ def image_where(space: InnerProductSpace, a: Mat, b: Mat) -> Subspace:
 
 def zero_subspace(space: InnerProductSpace) -> Subspace:
     return span(space, [])
-
-
-def full_subspace(space: InnerProductSpace) -> Subspace:
-    return span_mat(space, identity(space.dim))
 
 
 def _check_same_ambient(v: Subspace, w: Subspace) -> None:
@@ -222,13 +222,6 @@ def projections(xs: Mat, w: Subspace) -> Mat:
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
     return coeffs @ w.basis
-
-
-def project(x: Sequence[Fraction], w: Subspace) -> Vec:
-    """G-orthogonal projection of x onto w."""
-    if len(x) != w.space.dim:
-        raise ValueError("vector has wrong length")
-    return projections(mat([x]), w).row(0)
 
 
 @memo

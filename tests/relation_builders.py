@@ -1,0 +1,32 @@
+"""Fixture builders the tests share: relations and subspaces given whole,
+which no construction of the library needs."""
+
+from relcalc.linalg import Mat, identity
+from relcalc.relations import LinearRelation, graph_relation, relation_from_pairs
+from relcalc.spaces import InnerProductSpace, Subspace, span_mat
+
+
+def full_subspace(space: InnerProductSpace) -> Subspace:
+    return span_mat(space, identity(space.dim))
+
+
+def operator_relation(src: InnerProductSpace, dst: InnerProductSpace, matrix: Mat, domain: Subspace | None = None) -> LinearRelation:
+    """Graph of x -> matrix @ x, restricted to ``domain`` when given."""
+    if matrix.rows != dst.dim or matrix.cols != src.dim:
+        raise ValueError("operator matrix shape does not match spaces")
+    basis = (full_subspace(src) if domain is None else domain).basis
+    return graph_relation(src, dst, basis, basis.mul_t(matrix))
+
+
+def identity_relation(space: InnerProductSpace) -> LinearRelation:
+    return graph_relation(space, space, identity(space.dim), identity(space.dim))
+
+
+def zero_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelation:
+    return relation_from_pairs(src, dst, [])
+
+
+def scale(t: LinearRelation, a) -> LinearRelation:
+    """a T = {{f, a g} : {f, g} in T}."""
+    firsts, seconds = t.halves
+    return graph_relation(t.src, t.dst, firsts, seconds.scale(a))

@@ -42,7 +42,7 @@ from relcalc.harness import (
     sample_selfadjoint_extensions,
     suite_specs,
 )
-from relcalc.linalg import identity, mat, solve, vec
+from relcalc.linalg import identity, mat, vec
 from relcalc.relations import (
     adjoint,
     closure,
@@ -50,7 +50,6 @@ from relcalc.relations import (
     eigenspace,
     inverse,
     numerical_range_zero,
-    operator_relation,
     parts,
     product_relation,
     relation_from_graph_vectors,
@@ -66,6 +65,8 @@ from relcalc.spaces import (
     span,
     standard_space,
 )
+
+from relation_builders import operator_relation
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)

@@ -34,7 +34,6 @@ from relcalc.relations import (
     closure,
     compose,
     inverse,
-    operator_relation,
     parts,
     regular_part,
     relation_from_pairs,
@@ -43,12 +42,13 @@ from relcalc.relations import (
 from relcalc.spaces import (
     complement,
     contains,
-    full_subspace,
     span,
     standard_space,
     subspace_sum,
     zero_subspace,
 )
+
+from relation_builders import full_subspace, operator_relation
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -364,7 +364,6 @@ def test_purely_multivalued_relation_degenerate_path():
 
     f = friedrichs(s, 5)
     from relcalc.relations import product_relation
-    from relcalc.spaces import full_subspace, zero_subspace
 
     assert f == product_relation(zero_subspace(Q2), full_subspace(Q2))
     k = krein(s, 0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from relcalc import forms
-from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
+from relcalc.errors import BoundCertificationError, PreconditionError
 from relcalc.forms import (
     QuadraticForm,
     bound_bisect,
@@ -20,19 +20,21 @@ from relcalc.forms import (
     repmap_ldl,
     repmap_quotient,
     scalar_repmap,
-    stack_maps,
     stack_relations,
 )
 from relcalc.linalg import block_diag, mat, vec, zeros
 from relcalc.relations import (
     adjoint,
+    compose,
     inverse,
-    operator_relation,
+    lift,
     parts,
     relation_from_pairs,
     shift,
 )
-from relcalc.spaces import InnerProductSpace, full_subspace, member, span, standard_space, zero_subspace
+from relcalc.spaces import InnerProductSpace, member, span, standard_space, zero_subspace
+
+from relation_builders import full_subspace, operator_relation
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -89,7 +91,7 @@ def test_bound_bisect_e1():
     t = form_of_relation(e1())
     interval = bound_bisect(t, Fraction(1, 8))
     assert interval.lo <= 2 < interval.hi
-    assert interval.width <= Fraction(1, 8)
+    assert interval.hi - interval.lo <= Fraction(1, 8)
     assert certify_lower_bound(t, interval.lo).ok
     assert not certify_lower_bound(t, interval.hi).ok
     assert abs(interval.estimate - 2.0) < 1e-9
@@ -117,7 +119,8 @@ def test_repmap_ldl_e1_base_zero():
     assert q.codomain.gram == mat([[4]])
     assert q.matrix == mat([[1]])
     # (Q phi, Q phi) = 4 t^2 = t(S)[phi] for phi = (t, t).
-    assert q.codomain.inner(q.apply(vec([5, 5])), q.apply(vec([5, 5]))) == 100
+    image = lift(q.as_relation(), vec([5, 5]))
+    assert q.codomain.inner(image, image) == 100
 
 
 def test_repmap_ldl_degenerate_at_the_bound():
@@ -251,35 +254,40 @@ def test_lebesgue_form_of_singular_relation():
     assert sing.matrix == mat([[0]])
 
 
+def _stacked_identity_holds(qc_map, q) -> bool:
+    """Q_c* Q_c = Q*Q - c for the stack Q_c of the scalar map q_c at c < 0
+    over the representing relation Q (acceptance criterion 10)."""
+    qc = stack_relations(qc_map.as_relation(), q)
+    return compose(adjoint(qc), qc) == shift(compose(adjoint(q), q), -qc_map.base_point)
+
+
 def test_scalar_repmap_and_stack():
     s = e1()
     t = form_of_relation(s)
     qc = scalar_repmap(t.domain, -2)
     assert qc.codomain.gram == mat([[4]])  # |c| * Gram of the domain
-    q = repmap_ldl(t, 0)
-    stacked = stack_maps(qc, q)
-    assert stacked.base_point == Fraction(-2)
-    assert stacked.form_matrix == t.matrix
-    assert stacked.codomain.dim == 2
-    # Certificate: m W m^T = form + 2 * Gram_dom, m = [Q_c | Q] side by side.
-    lhs = stacked.matrix @ stacked.codomain.gram @ stacked.matrix.T
-    assert lhs == mat([[8]])
+    q = repmap_ldl(t, 0).as_relation()
+    stacked = stack_relations(qc.as_relation(), q)
+    assert stacked.dst.dim == 2
+    assert _stacked_identity_holds(qc, q)
+    # On dom S the stacked form is t(S) + 2 (phi, psi): 4 + 2 * 2 at (1, 1).
+    product = compose(adjoint(stacked), stacked)
+    assert form_of_relation(product).restrict(t.domain).matrix == mat([[8]])
 
 
 def test_a_wrong_product_gram_fails_the_stacked_identity(monkeypatch):
     # product_space skips the Gram certificate; a wrong product Gram is
-    # still caught where one is read, by the RepresentingMap identity.
+    # still caught where one is read, by the stacked identity.
     t = form_of_relation(operator_relation(Q2, Q2, mat([[0, 0], [0, 2]])))
-    qc, q = scalar_repmap(t.domain, -1), repmap_ldl(t, 0)
-    assert (qc.codomain.dim, q.codomain.dim) == (2, 1)
-    stack_maps(qc, q)
+    qc, q = scalar_repmap(t.domain, -1), repmap_ldl(t, 0).as_relation()
+    assert (qc.codomain.dim, q.dst.dim) == (2, 1)
+    assert _stacked_identity_holds(qc, q)
 
     def swapped(h, k):
         return InnerProductSpace(h.dim + k.dim, block_diag(k.gram, h.gram))
 
     monkeypatch.setattr(forms, "product_space", swapped)
-    with pytest.raises(CrossCheckError):
-        stack_maps(qc, q)
+    assert not _stacked_identity_holds(qc, q)
 
 
 def test_scalar_repmap_zero_base():

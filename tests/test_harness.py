@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import pytest
 
+import relcalc.forms as forms
 import relcalc.harness as harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
 from relcalc.extensions import friedrichs, krein
-from relcalc.forms import certify_lower_bound, form_of_relation
+from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation
 from relcalc.harness import (
     REQUIRED_CHECKS,
     InstanceSpec,
@@ -27,12 +28,12 @@ from relcalc.relations import (
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
-    operator_relation,
     parts,
     relation_from_pairs,
-    scale,
 )
 from relcalc.spaces import standard_space
+
+from relation_builders import operator_relation, scale
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
@@ -285,6 +286,21 @@ def test_a_generator_failure_is_reported_without_c(monkeypatch):
     report = run_one(InstanceSpec(dim=2, seed=0))
     assert report.c is None
     assert [(r.name, r.passed, r.witness) for r in report.checks] == [("preamble", False, "CrossCheckError: planted")]
+
+
+def test_closed_form_extends_runs_the_lebesgue_form(monkeypatch):
+    # form_s_of is the regular Lebesgue part of J_c*; a regular part that
+    # drops its base term c (phi, psi) must fail closed-form-extends.
+    real = forms.lebesgue_form
+
+    def without_base(q_rel, c):
+        reg, sing = real(q_rel, c)
+        return QuadraticForm(reg.space, reg.domain, reg.matrix - reg.domain_gram.scale(c)), sing
+
+    assert all(r.passed for r in verify_all(e1(), 1))
+    monkeypatch.setattr(forms, "lebesgue_form", without_base)
+    failed = [r for r in verify_all(e1(), 1) if not r.passed]
+    assert [r.name for r in failed] == ["closed-form-extends"]
 
 
 def test_a_negated_krein_operator_criterion_fails_its_check(monkeypatch):

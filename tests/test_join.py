@@ -32,7 +32,7 @@ from relcalc.relations import (
     eigenspace,
     graph_relation,
     inverse,
-    operator_relation,
+    lift,
     parts,
     product_relation,
     regular_part,
@@ -40,11 +40,12 @@ from relcalc.relations import (
     relation_from_graph_vectors,
     relation_from_pairs,
     restrict_domain,
-    scale,
     shift,
     singular_part,
 )
-from relcalc.spaces import InnerProductSpace, member, project, projections, span
+from relcalc.spaces import InnerProductSpace, member, projections, span
+
+from relation_builders import operator_relation, scale
 
 rationals = st.builds(
     Fraction,
@@ -212,7 +213,7 @@ def test_pointwise_constructors_match_their_pairwise_definitions(data):
     assert shift(t, c) == relation_from_pairs(space, space, [(f, added(g, scaled(c, f))) for f, g in pairs])
     assert scale(t, c) == relation_from_pairs(space, space, [(f, scaled(c, g)) for f, g in pairs])
     mul = parts(t).mul
-    projected = [(f, project(g, mul)) for f, g in pairs]
+    projected = [(f, projections(mat([g]), mul).row(0)) for f, g in pairs]
     assert singular_part(t) == relation_from_pairs(space, space, projected)
     remainders = [(f, added(g, scaled(-1, p))) for (f, g), (_, p) in zip(pairs, projected)]
     assert regular_part(t) == relation_from_pairs(space, space, remainders)
@@ -261,7 +262,7 @@ def test_companion_is_q_phi_against_the_shifted_image(dim, seed, method):
     s, c = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=1, restrict_dim=dim - 1))
     assume(parts(s).mul.dim > 0)
     q = REPMAPS[method](s, c)
-    expected = [(q.apply(phi), added(phi_prime, scaled(-c, phi))) for phi, phi_prime in s.pairs()]
+    expected = [(lift(q.as_relation(), phi), added(phi_prime, scaled(-c, phi))) for phi, phi_prime in s.pairs()]
     assert companion(s, q) == relation_from_pairs(q.codomain, s.src, expected)
 
 
@@ -274,7 +275,9 @@ def test_projections_project_each_row(data):
     xs = rows_of([[data.draw(rationals) for _ in range(space.dim)] for _ in range(height)], space.dim)
     out = projections(xs, w)
     assert (out.rows, out.cols) == (xs.rows, xs.cols)
-    assert [out.row(i) for i in range(xs.rows)] == [project(xs.row(i), w) for i in range(xs.rows)]
+    # Each row lands in w, and what it leaves is G-orthogonal to w.
+    assert all(member(out.row(i), w) for i in range(out.rows))
+    assert ((xs - out) @ space.gram).mul_t(w.basis).is_zero()
 
 
 @given(st.data())

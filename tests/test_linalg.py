@@ -23,6 +23,7 @@ from relcalc.linalg import (
     diag,
     hstack,
     identity,
+    is_reduced_echelon,
     kernel,
     ldl_psd_certificate,
     mat,
@@ -30,7 +31,6 @@ from relcalc.linalg import (
     quad_form,
     rank,
     rref,
-    solve,
     solve_mat,
     vec,
     vstack,
@@ -88,18 +88,19 @@ def test_kernel_single_equation():
 
 
 def test_solve_identity():
-    assert solve(identity(2), vec([1, 2])) == vec([1, 2])
+    assert solve_mat(identity(2), mat([[1, 2]])) == mat([[1, 2]])
 
 
 def test_solve_underdetermined():
-    m = mat([[1, 3]])
-    x = solve(m, vec([4]))
+    # x^T a = b: one equation, two unknowns.
+    a = mat([[1], [3]])
+    x = solve_mat(a, mat([[4]]))
     assert x is not None
-    assert m.mul_vec(x) == vec([4])
+    assert x @ a == mat([[4]])
 
 
 def test_solve_inconsistent():
-    assert solve(mat([[1], [0]]), vec([0, 1])) is None
+    assert solve_mat(mat([[1, 0]]), mat([[0, 1]])) is None
 
 
 def test_ldl_scalar():
@@ -168,10 +169,10 @@ def test_rref_idempotent_and_rank_nullity(m):
 def test_solve_membership(m):
     # Mx for a fixed x must be solvable, and the residual must vanish.
     x = vec([Fraction(i + 1, 2) for i in range(m.cols)])
-    b = m.mul_vec(x)
-    got = solve(m, b)
+    b = mat([m.mul_vec(x)])
+    got = solve_mat(m.T, b)
     assert got is not None
-    assert m.mul_vec(got) == b
+    assert got @ m.T == b
 
 
 @given(matrices)
@@ -597,18 +598,6 @@ def test_solve_mat_is_the_transposed_column_solve(data):
         assert got == ref.T
 
 
-@given(solve_inputs())
-@settings(max_examples=100, deadline=None)
-def test_solve_is_mx_equals_b(data):
-    a, b = data
-    # Mx = b with M = a^T, for each row of b.
-    for i in range(b.rows):
-        x = solve(a.T, b.row(i))
-        assert (x is None) == (solve_mat(a, b.take([i])) is None)
-        if x is not None:
-            assert a.T.mul_vec(x) == b.row(i)
-
-
 # ------------------------------------------ rref against Gauss-Jordan
 #
 # ``rref`` eliminates forward below each pivot, then finishes the pivot
@@ -781,3 +770,11 @@ def test_hstack_with_a_side_without_columns_is_the_other_side():
         hstack(a, zeros(3, 0))
     with pytest.raises(ValueError, match="row count"):
         hstack(zeros(1, 0), a)
+
+
+@given(matrices)
+@settings(max_examples=100, deadline=None)
+def test_is_reduced_echelon_means_being_its_own_rref(m):
+    red, pivots = rref(m)
+    assert is_reduced_echelon(red.take(range(len(pivots))))
+    assert is_reduced_echelon(m) == (red == m and len(pivots) == m.rows)

@@ -27,7 +27,9 @@ from relcalc.forms import (
     pencil_psd,
 )
 from relcalc.linalg import clear_memos, identity, mat, zeros
-from relcalc.spaces import InnerProductSpace, full_subspace, gram_on, span, standard_space
+from relcalc.spaces import InnerProductSpace, gram_on, span, standard_space
+
+from relation_builders import full_subspace
 
 TINY = Fraction(1, 2**300)
 

@@ -15,33 +15,30 @@ from relcalc.relations import (
     compose,
     eigenspace,
     hsum,
-    identity_relation,
     inverse,
     is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
-    operator_relation,
     parts,
     product_relation,
     regular_part,
     rel_sum,
     relation_from_pairs,
     restrict_domain,
-    scale,
     shift,
     singular_part,
-    zero_relation,
 )
 from relcalc.serialize import relation_to_json
 from relcalc.spaces import (
     InnerProductSpace,
     complement,
-    full_subspace,
     span,
     standard_space,
     zero_subspace,
 )
+
+from relation_builders import full_subspace, identity_relation, operator_relation, scale, zero_relation
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)

@@ -9,24 +9,31 @@ from relcalc.linalg import block_diag, identity, kernel, mat, null_space, vec, z
 from relcalc.relations import LinearRelation, adjoint
 from relcalc.spaces import (
     InnerProductSpace,
+    Subspace,
     complement,
     contains,
     extending,
-    full_subspace,
     gram_on,
     image_where,
     intersect,
     member,
     product_space,
-    project,
+    projections,
     span,
     standard_space,
     subspace_sum,
     zero_subspace,
 )
 
+from relation_builders import full_subspace
+
 Q2 = standard_space(2)
 Q4 = standard_space(4)
+
+
+def project(x, w):
+    """The G-orthogonal projection of one vector onto w."""
+    return projections(mat([x]), w).row(0)
 
 
 def test_gram_must_be_positive_definite():
@@ -85,6 +92,23 @@ def test_member_and_project():
     p = project(vec([1, 0]), span(Q2, [vec([1, 1])]))
     assert p == vec([Fraction(1, 2), Fraction(1, 2)])
     assert project(vec([1, 0]), full_subspace(Q2)) == vec([1, 0])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0]],  # a leading entry that is not 1
+        [[2, 1]],  # the same, with a 1 right of it
+        [[0, 1], [1, 0]],  # leading columns out of order
+        [[1, 1], [0, 1]],  # a leading column nonzero in another row
+        [[1, 0], [0, 0]],  # a zero row
+    ],
+)
+def test_a_basis_not_in_reduced_echelon_form_is_rejected(rows):
+    # Membership reads coordinates off the leading 1s, so a basis without
+    # them must not become a Subspace.
+    with pytest.raises(ValueError, match="reduced echelon"):
+        Subspace(Q2, mat(rows))
 
 
 def test_mixed_ambients_are_rejected():

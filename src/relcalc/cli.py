@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="compute an extension and write its graph")
     p.add_argument("file")
     p.add_argument("--kind", choices=tuple(EXTEND_KINDS), required=True)
-    p.add_argument("--c", default=None, help="rational base point p/q (default: certified bisection point)")
+    p.add_argument("--c", default=None, help="rational base point p/q (default: certified lower end of the 1/64 bound bracket)")
     p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_extend)

@@ -14,8 +14,10 @@ forming an exact dual pair with it.
 Whether t - c >= 0 has two independent formulas: the verified pivoted
 LDL^T certificate of M - cG (``certify_lower_bound``, with a witness when
 it fails), and the sign pattern of the real-rooted polynomial det(M - cG)
-shifted to c (``pencil_psd``).  ``bound_bisect`` bisects on the second
-and cross-checks the first at both ends of the bracket it returns.
+shifted to c (``pencil_psd``).  ``bound_bisect`` decides every point it
+tests by the second and cross-checks the first at both ends of the bracket
+it returns; Newton steps from below the bound, enclosed in [x + d, x + k d],
+pick the points.
 """
 
 from __future__ import annotations
@@ -171,16 +173,20 @@ class BoundInterval:
 
 def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     """Certified rational interval of the requested width around the exact
-    lower bound gamma, by pure bisection on an exact PSD test.
+    lower bound gamma: the cell of a fixed dyadic grid that holds gamma,
+    found by Newton steps from below.
 
     The bound itself is algebraic and in general irrational, so it is never
-    computed; only certified rational brackets are.  The bisection starts at
-    [n - 1, n + 2], or [n - 1, n + 1] when gamma = n, n = floor(gamma).  The
-    estimate, for display, is gamma rounded to the nearest float; no float
-    decides any bracket.
+    computed; only certified rational brackets are.  After n = floor(gamma)
+    the grid is b + j h, b = n - 1 and h = span / 2^m, with span 3, or 2
+    when gamma = n, and m the least with h <= width; the result is the one
+    cell [b + j h, b + (j + 1) h] with b + j h <= gamma < b + (j + 1) h,
+    which bisection from [b, b + span] would find too (``_newton_cell``).
+    The estimate, for display, is gamma rounded to the nearest float; no
+    float decides any bracket.
 
-    Two independent formulas decide t - c >= 0.  Every bisection step reads
-    it off the exact polynomial det(M - c G) (``pencil_psd``), built once;
+    Two independent formulas decide t - c >= 0.  Every decision reads it
+    off the exact polynomial det(M - c G) (``pencil_psd``), built once;
     the verified LDL^T certificate (``certify_lower_bound``) then runs at
     the two ends of the bracket, and ``CrossCheckError`` is raised unless
     it certifies ``lo`` and refutes ``hi`` as the polynomial did.  Every
@@ -202,8 +208,8 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
         if abs(end) > 1 + Fraction(max(abs(x) for x in p[:-1]), abs(p[-1])):
             raise CrossCheckError(f"det(M - cG) {'certifies a c above' if up else 'refutes a c below'} its Cauchy root bound")
         prev, end = end, 2 * end
-    n = _bisect(p, *sorted((prev, end)), lambda lo, hi: hi - lo == 1)[0]
-    lo, hi = _bisect(p, n - 1, n + 1 if _is_root(p, n) else n + 2, lambda lo, hi: hi - lo <= width)
+    n = _bisect(p, *sorted((prev, end)), lambda lo, hi: hi - lo == 1)[0].numerator
+    lo, hi = _newton_cell(p, n - 1, 2 if _is_root(p, n) else 3, width)
     # When the bound is attained at a simple rational, pin it exactly.
     cand = _simplest_in(lo, hi)
     if cand != lo:
@@ -211,6 +217,96 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     if not certify_lower_bound(t, lo).ok or certify_lower_bound(t, hi).ok:
         raise CrossCheckError("the LDL^T certificates at the bracket ends disagree with det(M - cG)")
     return BoundInterval(lo, hi, p)
+
+
+def _newton_cell(p: tuple[int, ...], base: int, span: int, width: Fraction) -> tuple[Fraction, Fraction]:
+    """The cell [base + j h, base + (j + 1) h] holding gamma, the smallest
+    root of p, with h = span / 2^m the first halving of ``span`` that is at
+    most ``width``; ``pencil_psd(p, .)`` holds at ``base`` and fails at
+    ``base + span``.
+
+    The search runs on grid indices [lo, hi].  From the certified point x
+    it takes the Newton step d = -s(x) / s'(x) of the squarefree part s of
+    p, which has the roots of p, each once, all at or above gamma.  For
+    x < gamma that puts gamma - x in [d, k d], k = deg s, since
+    s'/s (x) = -sum_i 1 / (lambda_i - x), so it tests the grid points just
+    below x + d, which must be certified, and just above x + k d.  The step
+    converges quadratically even at a multiple root; whenever the two tests
+    do not halve the bracket, a midpoint test follows.  s(x) = 0 means
+    x = gamma, and then the cell is fixed.
+    """
+    q = 1 << (math.ceil(span / width) - 1).bit_length()  # 2^m >= span / width
+
+    def point(j: int) -> Fraction:
+        return Fraction(base * q + j * span, q)
+
+    s = _squarefree(p)
+    k = len(s) - 1
+    lo, hi = 0, q
+    while hi - lo > 1:
+        before = hi - lo
+        # q^k s(x) and q^(k-1) s'(x) at x = point(lo); d is value / den grid steps.
+        value, slope = _horner(s, base * q + lo * span, q)
+        if value == 0:
+            return point(lo), point(lo + 1)
+        if value * slope >= 0:
+            raise CrossCheckError("det(M - cG) has a root below a point it certifies")
+        den = -span * slope
+        # The grid points at or below x + d and at or above x + k d.
+        near, far = lo + value // den, lo - (-k * value // den)
+        if lo < near < hi:
+            if not pencil_psd(p, point(near)):
+                raise CrossCheckError("det(M - cG) refutes a point that a Newton step from below proves below its smallest root")
+            lo = near
+        if lo < far < hi:
+            lo, hi = (far, hi) if pencil_psd(p, point(far)) else (lo, far)
+        if 2 * (hi - lo) > before:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if pencil_psd(p, point(mid)) else (lo, mid)
+    return point(lo), point(hi)
+
+
+def _horner(p: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+    """b^k p(a / b) and b^(k-1) p'(a / b), k = deg p, in integers."""
+    value, slope, power = p[-1], 0, 1
+    for x in reversed(p[:-1]):
+        power *= b
+        slope = slope * a + value
+        value = value * a + x * power
+    return value, slope
+
+
+def _squarefree(p: tuple[int, ...]) -> tuple[int, ...]:
+    """p / gcd(p, p'), by a primitive remainder sequence in integers: the
+    roots of p, each once.  p itself when its roots are already simple."""
+    a, b = list(p), [i * x for i, x in enumerate(p)][1:]
+    while b:
+        g = math.gcd(*b)
+        a, b = [x // g for x in b], _pseudo_remainder(a, b)
+    if len(a) == 1:
+        return p
+    # p = a s exactly; a is primitive, so s has integer coefficients.
+    out = [0] * (len(p) - len(a) + 1)
+    rest = list(p)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = rest[i + len(a) - 1] // a[-1]
+        for j, y in enumerate(a):
+            rest[i + j] -= out[i] * y
+    return tuple(out)
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(b)^e a by b, e = deg a - deg b + 1, without its
+    leading zeros: [] when b divides a."""
+    a = list(a)
+    while len(a) >= len(b):
+        f, shift = a[-1], len(a) - len(b)
+        a = [x * b[-1] for x in a]
+        for i, y in enumerate(b):
+            a[i + shift] -= f * y
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def _bisect(p: tuple[int, ...], lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Fraction]:
@@ -239,9 +335,8 @@ def _nearest_float(p: tuple[int, ...], lo: Fraction, hi: Fraction) -> float | No
 
 
 def _is_root(p: tuple[int, ...], c: Fraction) -> bool:
-    """p(a / b) = 0, tested in integers as sum_i p_i a^i b^(k-i) = 0."""
-    a, b, k = c.numerator, c.denominator, len(p) - 1
-    return sum(x * a**i * b ** (k - i) for i, x in enumerate(p)) == 0
+    """p(c) = 0, tested in integers."""
+    return _horner(p, c.numerator, c.denominator)[0] == 0
 
 
 def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
@@ -295,14 +390,25 @@ def pencil_psd(p: tuple[int, ...], c: Fraction) -> bool:
 
 
 def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
-    """The fraction with the smallest denominator in the closed interval."""
+    """The fraction with the smallest denominator in the closed interval
+    [a, b], the least one when several share it: the continued fraction
+    of a and b up to their first difference, in integers."""
     if a == b:
         return a
-    ceil_a = -((-a.numerator) // a.denominator)
-    if ceil_a <= b:
-        return Fraction(ceil_a)
-    floor_a = a.numerator // a.denominator
-    return floor_a + 1 / _simplest_in(1 / (b - floor_a), 1 / (a - floor_a))
+    # Invariant: the answer is the fold of `terms` over the simplest
+    # fraction in [an / ad, bn / bd], all four positive after a first term.
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    terms = []
+    while -(-an // ad) * bd > bn:
+        # No integer inside: a and b share their floor f, and the simplest
+        # fraction is f + 1 / (the simplest in [1 / (b - f), 1 / (a - f)]).
+        f = an // ad
+        terms.append(f)
+        an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
+    num, den = -(-an // ad), 1
+    for f in reversed(terms):
+        num, den = f * num + den, num
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .extensions import (
 from .forms import (
     QuadraticForm,
     RepresentingMap,
+    _is_root,
     certify_lower_bound,
     companion,
     dom_companion_by_inequality,
@@ -45,6 +46,8 @@ from .forms import (
     form_s_of,
     inequality_domain_subspace,
     inequality_range_subspace,
+    pencil_polynomial,
+    pencil_psd,
     ran_adjoint_by_inequality,
     repmap_from_operator,
     repmap_ldl,
@@ -532,6 +535,9 @@ def _friedrichs_triple(x: _Instance) -> str | None:
         return "S_F does not extend S"
     if parts(f).mul != parts(x.sstar).mul:
         return "mul S_F != mul S*"
+    # Same domain and matrix: S_F has the lower bound of S exactly.
+    if form_of_relation(f) != x.t:
+        return "t(S_F) != t(S)"
     return None
 
 
@@ -543,9 +549,18 @@ def _krein_quadruple(x: _Instance) -> str | None:
     tk = form_of_relation(k)
     if not certify_lower_bound(tk, x.c).ok:
         return "S_K lost the bound"
-    if eigenspace(x.sstar, x.c).dim > 0:
+    ker = eigenspace(x.sstar, x.c)
+    if eigenspace(k, x.c) != ker:
+        return "ker(S_K - c) != ker(S* - c)"
+    if ker.dim > 0:
         if certify_lower_bound(tk, x.c + Fraction(1, 1000)).ok:
             return "S_K bound is not exactly c"
+        # Exactly c: the smallest root of det(M - cG) for t(S_K).
+        p = pencil_polynomial(tk)
+        if not _is_root(p, x.c):
+            return "c is not a root of det(M - cG) for t(S_K)"
+        if not pencil_psd(p, x.c):
+            return "det(M - cG) for t(S_K) has a root below c"
     return None
 
 

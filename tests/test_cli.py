@@ -249,8 +249,10 @@ def test_check_seed0_output_is_pinned(capsys):
 
 # sha256 of the stdout of `relcalc analyze FILE --width 1/2^256 --format json`
 # on the files of `relcalc random --dim D --mul M --restrict R --seed S`.
-# The bracket is decided by det(M - cG) and certified by LDL^T at its ends;
-# it must stay the bracket of one LDL^T per bisection step.
+# The bracket is decided by det(M - cG) and certified by LDL^T at its ends.
+# It is the grid cell that holds the bound, whichever points the search
+# tests (Newton steps since the bisection it replaced), so it must stay the
+# bracket of one LDL^T per bisection step.
 ANALYZE_SHA256 = {
     (8, 1, 6, 1): "1d7583bda23843383bcea628499c429095514651ef4fb1b8b5dec28a90367a28",
     (5, 0, 3, 2): "6c3aa4580ad30bdb73b1e377e5f4e903bde6782d8c1f9fd0407c34eaa3d8e2a6",
@@ -266,6 +268,20 @@ def test_analyze_output_is_pinned(tmp_path, capsys, dim, mul, restrict, seed):
     assert main(["analyze", path, "--width", f"1/{2**256}", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_SHA256[dim, mul, restrict, seed]
+
+
+def test_analyze_at_width_two_to_the_minus_4096(tmp_path, capsys):
+    # The simplest fraction in a bracket this narrow has a continued
+    # fraction thousands of terms long; no recursion may follow it.
+    path = str(tmp_path / "r.json")
+    assert main(["random", "--dim", "8", "--mul", "1", "--restrict", "6", "--seed", "1", "-o", path]) == 0
+    capsys.readouterr()
+    width = Fraction(1, 2**4096)
+    assert main(["analyze", path, "--width", f"1/{width.denominator}", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    bound = json.loads(captured.out)["bound"]
+    assert 0 < Fraction(bound["refuted_hi"]) - Fraction(bound["certified_lo"]) <= width
 
 
 def test_check_under_python_O_prints_the_same_bytes():

@@ -95,7 +95,7 @@ def test_bound_bisect_e1():
     assert certify_lower_bound(t, interval.lo).ok
     assert not certify_lower_bound(t, interval.hi).ok
     assert abs(interval.estimate - 2.0) < 1e-9
-    # The bound is attained rationally, so bisection pins it exactly.
+    # The bound is attained rationally, so the bracket search pins it exactly.
     assert interval.lo == 2
 
 

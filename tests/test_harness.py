@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -336,3 +337,52 @@ def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(harness, "repmap_quotient", lambda r, base: real_repmap_quotient(r, base - 1))
         assert check(x) == krein_witness
+
+
+def test_friedrichs_triple_compares_the_forms_of_s_f_and_s(monkeypatch):
+    x = harness._Instance.build(*_random_dim3_with_mul())
+    check = dict(harness.REGISTRY)["friedrichs-triple"]
+    assert check(x) is None
+    f = friedrichs(x.s, x.c)
+    real = harness.form_of_relation
+
+    def doubled_for_s_f(r):
+        t = real(r)
+        return QuadraticForm(t.space, t.domain, t.matrix.scale(2)) if r == f else t
+
+    monkeypatch.setattr(harness, "form_of_relation", doubled_for_s_f)
+    assert check(x) == "t(S_F) != t(S)"
+
+
+def _times_linear(p, r):
+    """The coefficients of p(x) (den x - num), r = num / den."""
+    return tuple(r.denominator * a - r.numerator * b for a, b in zip((0, *p), (*p, 0)))
+
+
+def _shifted(t, delta):
+    """t + delta: every root of its pencil polynomial moves up by delta."""
+    return QuadraticForm(t.space, t.domain, t.matrix + t.domain_gram.scale(delta))
+
+
+@pytest.mark.parametrize(
+    "name, fake, witness",
+    [
+        # ker(S_K - c) read at c + 1 instead
+        ("eigenspace", lambda x, real: lambda t, c: real(t, c + 1) if t == krein(x.s, x.c) else real(t, c),
+         "ker(S_K - c) != ker(S* - c)"),
+        # every root moved up by 1/1000: c is no root, and none lies below it
+        ("pencil_polynomial", lambda x, real: lambda t: real(_shifted(t, Fraction(1, 1000))),
+         "c is not a root of det(M - cG) for t(S_K)"),
+        # c stays a root, and a root at c - 1 joins it
+        ("pencil_polynomial", lambda x, real: lambda t: _times_linear(real(t), x.c - 1),
+         "det(M - cG) for t(S_K) has a root below c"),
+    ],
+    ids=["eigenspace", "root", "psd"],
+)
+def test_krein_quadruple_catches_each_exact_bound_comparison(monkeypatch, name, fake, witness):
+    x = harness._Instance.build(*_random_dim3_with_mul())
+    assert harness.eigenspace(x.sstar, x.c).dim > 0
+    check = dict(harness.REGISTRY)["krein-quadruple"]
+    assert check(x) is None
+    monkeypatch.setattr(harness, name, fake(x, getattr(harness, name)))
+    assert check(x) == witness

@@ -1,15 +1,20 @@
 """The lower bound on the polynomial det(M - cG) against LDL^T per step.
 
-``bound_bisect`` decides each bisection step from the exact polynomial
+``bound_bisect`` decides every point it tests from the exact polynomial
 p(c) = det(M - cG) (``pencil_psd``) and runs the verified LDL^T certificate
-only at the bracket ends.  These tests hold the polynomial decision equal
-to ``certify_lower_bound(t, c).ok``, the bracket equal to the one a
-bisection with one LDL^T per step finds, kept here as the reference, and
-the estimate equal to the bound rounded to the nearest float.  The forms
-live on domains with non-identity Grams; the families plant negative
-directions, singular form matrices and bounds attained at a rational.
+only at the bracket ends.  It picks the points by Newton steps from the
+certified end, on the grid that bisection from [n - 1, n - 1 + span] walks.
+These tests hold the polynomial decision equal to
+``certify_lower_bound(t, c).ok``, the bracket equal to the ones that
+bisection with one LDL^T per step and bisection on the polynomial find,
+both kept here as references, the number of decisions far below
+bisection's, and the estimate equal to the bound rounded to the nearest
+float.  The forms live on domains with non-identity Grams; the families
+plant negative directions, singular form matrices, bounds attained at a
+rational and irrational bounds of multiplicity two and three.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,6 +113,32 @@ def test_polynomial_decision_equals_the_ldl_certificate(form, points):
         assert pencil_psd(p, c) == certify_lower_bound(t, c).ok, c
 
 
+def _simplest_in_recursive(a, b):
+    """The recursion that ``_simplest_in`` replaced, kept as its reference."""
+    if a == b:
+        return a
+    ceil_a = -((-a.numerator) // a.denominator)
+    if ceil_a <= b:
+        return Fraction(ceil_a)
+    floor_a = a.numerator // a.denominator
+    return floor_a + 1 / _simplest_in_recursive(1 / (b - floor_a), 1 / (a - floor_a))
+
+
+ends = st.one_of(
+    st.integers(-30, 30).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=10**12),
+)
+
+
+@given(ends, ends, st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+def test_simplest_in_equals_the_continued_fraction_recursion(a, b, bits):
+    # Any two ends (negative, integer, across 0), equal ends, and an
+    # interval 2^-bits wide, whose continued fractions agree for long.
+    for lo, hi in (sorted((a, b)), (a, a), (a, a + Fraction(1, 2**bits))):
+        assert _simplest_in(lo, hi) == _simplest_in_recursive(lo, hi)
+
+
 def two_plus_square():
     """t = 2 + (x1 - x2)^2 on Q^2: the bound 2 is attained on (1, 1)."""
     q2 = standard_space(2)
@@ -168,22 +199,18 @@ def test_zero_form_estimate_needs_no_search_toward_the_smallest_float(monkeypatc
     assert len(calls) < 20
 
 
-def _ldl_bisect(t, width):
-    """The bisection of ``bound_bisect`` with one verified LDL^T per step,
-    from the integer floor n of the bound that LDL^T decides by unit
-    steps from 0.  The bound is n exactly when t - n is singular, so its
-    LDL^T has a zero pivot."""
-
-    def psd(c):
-        return certify_lower_bound(t, c).ok
-
+def _reference_bracket(psd, at_root, width):
+    """The bracket of the bisection that ``bound_bisect`` once ran: the
+    integer floor n of the bound by unit steps from 0, then halving
+    [n - 1, n + 1] (n a root) or [n - 1, n + 2] to the width, then the pin
+    to the simplest fraction inside."""
     n = 0
     while psd(n + 1):
         n += 1
     while not psd(n):
         n -= 1
     lo = Fraction(n - 1)
-    hi = Fraction(n + 1 if 0 in certify_lower_bound(t, n).cert.diag else n + 2)
+    hi = Fraction(n + 1 if at_root(n) else n + 2)
     while hi - lo > width:
         mid = (hi + lo) / 2
         if psd(mid):
@@ -197,6 +224,101 @@ def _ldl_bisect(t, width):
         else:
             hi = cand
     return lo, hi
+
+
+def _ldl_bisect(t, width):
+    """One verified LDL^T per step.  The bound is n exactly when t - n is
+    singular, so its LDL^T has a zero pivot."""
+    return _reference_bracket(
+        lambda c: certify_lower_bound(t, c).ok, lambda n: 0 in certify_lower_bound(t, n).cert.diag, width
+    )
+
+
+def _polynomial_bisect(t, width):
+    """One Fraction midpoint and one ``pencil_psd`` per step."""
+    p = pencil_polynomial(t)
+    return _reference_bracket(
+        lambda c: pencil_psd(p, Fraction(c)), lambda n: sum(x * n**i for i, x in enumerate(p)) == 0, width
+    )
+
+
+def _repeated_blocks(block, copies, upper=()):
+    """``copies`` copies of a 2 x 2 block on the diagonal, under the
+    congruence X -> A^T X A, which weights the Gram and keeps the roots.
+    A is unit upper triangular, its entries above the diagonal taken from
+    ``upper`` in row order, zero when it runs out."""
+    k = 2 * copies
+    entries = iter(upper)
+    a = mat([[1 if i == j else next(entries, 0) if j > i else 0 for j in range(k)] for i in range(k)])
+    m = mat([[block[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(k)] for i in range(k)])
+    space = InnerProductSpace(k, a.T @ a)
+    return QuadraticForm(space, full_subspace(space), a.T @ m @ a)
+
+
+@st.composite
+def multiple_root_forms(draw):
+    """A form whose bound is irrational with multiplicity 2 or 3: copies
+    of [[a, b], [b, c]] with (a - c)^2 + 4 b^2 not a square."""
+    a, c, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+    disc = (a - c) ** 2 + 4 * b * b
+    assume(math.isqrt(disc) ** 2 != disc)
+    copies = draw(st.sampled_from([2, 3]))
+    upper = draw(st.lists(st.integers(-2, 2), max_size=2 * copies * (2 * copies - 1) // 2))
+    return _repeated_blocks([[a, b], [b, c]], copies, upper)
+
+
+WIDTHS = [Fraction(1, 64), Fraction(3, 1000), Fraction(1, 2**256), Fraction(1, 2**1024)]
+
+
+@given(st.one_of(bounded_forms().map(lambda form: form[0]), multiple_root_forms()), st.sampled_from(WIDTHS))
+@settings(max_examples=80, deadline=None)
+def test_bracket_equals_the_polynomial_bisection(t, width):
+    clear_memos()
+    interval = bound_bisect(t, width)
+    assert (interval.lo, interval.hi) == _polynomial_bisect(t, width)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3], ids=["simple", "double", "triple"])
+def test_a_narrow_bracket_takes_few_decisions(monkeypatch, copies):
+    # gamma = (3 - sqrt 5) / 2 with multiplicity `copies`; bisection alone
+    # takes 258 decisions or more at this width.
+    t = _repeated_blocks([[2, 1], [1, 1]], copies, [1, -1, 2])
+    clear_memos()
+    calls = []
+    real = pencil_psd
+    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: calls.append(c) or real(p, c))
+    interval = bound_bisect(t, Fraction(1, 2**256))
+    # Below 3/2, x <= gamma iff x^2 - 3x + 1 >= 0.
+    assert interval.lo**2 - 3 * interval.lo + 1 >= 0 > interval.hi**2 - 3 * interval.hi + 1
+    assert interval.hi - interval.lo <= Fraction(1, 2**256)
+    assert len(calls) <= 64
+
+
+def test_a_refuted_newton_point_is_a_cross_check_error(monkeypatch):
+    # From x = 1 below gamma = 2, p = (c - 2)(c - 4) gives the Newton step
+    # d = 3/4, so 7/4 is below gamma; a decision refuting it contradicts
+    # the enclosure.  The planted decision is honest on the integers, so
+    # the search for floor(gamma) = 2 runs as usual.
+    t = two_plus_square()
+    clear_memos()
+    calls = []
+    real = pencil_psd
+    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: calls.append(c) or (c.denominator == 1 and real(p, c)))
+    with pytest.raises(CrossCheckError, match="Newton step"):
+        bound_bisect(t, Fraction(1, 64))
+    assert calls[-1] == Fraction(7, 4)
+
+
+def test_a_certified_point_above_the_bound_is_a_cross_check_error(monkeypatch):
+    # The planted decision certifies every non-integer, so the far Newton
+    # point 5/2, above gamma = 2, is kept as certified; below all roots
+    # p and p' have opposite signs, and at 5/2 they do not.
+    t = two_plus_square()
+    clear_memos()
+    real = pencil_psd
+    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: c.denominator != 1 or real(p, c))
+    with pytest.raises(CrossCheckError, match="root below a point it certifies"):
+        bound_bisect(t, Fraction(1, 64))
 
 
 @given(bounded_forms(), st.sampled_from([Fraction(1, 64), Fraction(1, 2**256)]))

@@ -227,15 +227,17 @@ def extension_interval_check(s: LinearRelation, c, h: LinearRelation) -> bool:
         H >= c  iff  S_K,c <= H <= S_F.
 
     Returns True when the two sides agree (they must; both are computed
-    honestly and compared)."""
+    honestly and compared).  Every H is semibounded at finite dimension,
+    so H <= S_F, the largest; ``CrossCheckError`` unless that holds, whether
+    or not H >= c."""
     c = rat(c)
     if not h.is_extension_of(s):
         raise PreconditionError("interval check requires an extension of the base relation")
     if not is_selfadjoint(h):
         raise PreconditionError("interval check requires a selfadjoint extension")
-    lhs = is_nonneg_above(h, c).ok
-    rhs = order_leq(krein(s, c), h).leq and order_leq(h, friedrichs(s, c)).leq
-    return lhs == rhs
+    if not order_leq(h, friedrichs(s, c)).leq:
+        raise CrossCheckError("a selfadjoint extension is not below the Friedrichs extension")
+    return is_nonneg_above(h, c).ok == order_leq(krein(s, c), h).leq
 
 
 def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) -> bool:

@@ -17,7 +17,7 @@ it fails), and the sign pattern of the real-rooted polynomial det(M - cG)
 shifted to c (``pencil_psd``).  ``bound_bisect`` decides every point it
 tests by the second and cross-checks the first at both ends of the bracket
 it returns; Newton steps from below the bound, enclosed in [x + d, x + k d],
-pick the points.
+pick the points for floor(gamma), the bracket and the float estimate alike.
 """
 
 from __future__ import annotations
@@ -177,13 +177,14 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     found by Newton steps from below.
 
     The bound itself is algebraic and in general irrational, so it is never
-    computed; only certified rational brackets are.  After n = floor(gamma)
-    the grid is b + j h, b = n - 1 and h = span / 2^m, with span 3, or 2
-    when gamma = n, and m the least with h <= width; the result is the one
-    cell [b + j h, b + (j + 1) h] with b + j h <= gamma < b + (j + 1) h,
-    which bisection from [b, b + span] would find too (``_newton_cell``).
-    The estimate, for display, is gamma rounded to the nearest float; no
-    float decides any bracket.
+    computed; only certified rational brackets are.  n = floor(gamma) is
+    the cell of the integer grid between the ends of a doubling from 0.
+    Then the grid is b + j h, b = n - 1 and h = span / 2^m, with span 3,
+    or 2 when gamma = n, and m the least with h <= width; the result is
+    the one cell [b + j h, b + (j + 1) h] that holds gamma, which bisection
+    from [b, b + span] would find too.  ``_newton_cell`` finds both cells,
+    and the estimate, for display, is gamma rounded to the nearest float
+    (``_nearest_float``); no float decides any bracket.
 
     Two independent formulas decide t - c >= 0.  Every decision reads it
     off the exact polynomial det(M - c G) (``pencil_psd``), built once;
@@ -191,7 +192,7 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     the two ends of the bracket, and ``CrossCheckError`` is raised unless
     it certifies ``lo`` and refutes ``hi`` as the polynomial did.  Every
     root of the polynomial lies within Cauchy's bound B = 1 + max |p_i / p_k|,
-    so the search for n raises ``CrossCheckError`` too when the polynomial
+    so the doubling raises ``CrossCheckError`` too when the polynomial
     refutes some c < -B or certifies some c > B.
     """
     width = rat(width)
@@ -200,16 +201,17 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     if width <= 0:
         raise PreconditionError("interval width must be positive")
     p = pencil_polynomial(t)
-    # n = floor(gamma): doubling from 0 brackets it between integers a power
-    # of two apart, so halving meets only integers.
     up = pencil_psd(p, Fraction(0))
-    prev, end = Fraction(0), Fraction(1 if up else -1)
-    while pencil_psd(p, end) == up:
+    prev, end = 0, 1 if up else -1
+    while pencil_psd(p, Fraction(end)) == up:
         if abs(end) > 1 + Fraction(max(abs(x) for x in p[:-1]), abs(p[-1])):
             raise CrossCheckError(f"det(M - cG) {'certifies a c above' if up else 'refutes a c below'} its Cauchy root bound")
         prev, end = end, 2 * end
-    n = _bisect(p, *sorted((prev, end)), lambda lo, hi: hi - lo == 1)[0].numerator
-    lo, hi = _newton_cell(p, n - 1, 2 if _is_root(p, n) else 3, width)
+    a, b = sorted((prev, end))
+    n = _newton_cell(p, a, b, b - a)[0].numerator
+    span = 2 if _is_root(p, Fraction(n)) else 3
+    q = 1 << (math.ceil(span / width) - 1).bit_length()  # 2^m >= span / width
+    lo, hi = _newton_cell(p, n - 1, n - 1 + span, q)
     # When the bound is attained at a simple rational, pin it exactly.
     cand = _simplest_in(lo, hi)
     if cand != lo:
@@ -219,11 +221,10 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     return BoundInterval(lo, hi, p)
 
 
-def _newton_cell(p: tuple[int, ...], base: int, span: int, width: Fraction) -> tuple[Fraction, Fraction]:
-    """The cell [base + j h, base + (j + 1) h] holding gamma, the smallest
-    root of p, with h = span / 2^m the first halving of ``span`` that is at
-    most ``width``; ``pencil_psd(p, .)`` holds at ``base`` and fails at
-    ``base + span``.
+def _newton_cell(p: tuple[int, ...], a, b, count: int) -> tuple[Fraction, Fraction]:
+    """The cell [a + j h, a + (j + 1) h] holding gamma, the smallest root
+    of p, on the grid h = (b - a) / count; ``pencil_psd(p, .)`` holds at
+    the rational ``a`` and fails at ``b``.
 
     The search runs on grid indices [lo, hi].  From the certified point x
     it takes the Newton step d = -s(x) / s'(x) of the squarefree part s of
@@ -235,23 +236,25 @@ def _newton_cell(p: tuple[int, ...], base: int, span: int, width: Fraction) -> t
     do not halve the bracket, a midpoint test follows.  s(x) = 0 means
     x = gamma, and then the cell is fixed.
     """
-    q = 1 << (math.ceil(span / width) - 1).bit_length()  # 2^m >= span / width
+    a, h = Fraction(a), Fraction(b - a, count)
+    q = math.lcm(a.denominator, h.denominator)
+    base, step = int(a * q), int(h * q)
 
     def point(j: int) -> Fraction:
-        return Fraction(base * q + j * span, q)
+        return Fraction(base + j * step, q)
 
     s = _squarefree(p)
     k = len(s) - 1
-    lo, hi = 0, q
+    lo, hi = 0, count
     while hi - lo > 1:
         before = hi - lo
         # q^k s(x) and q^(k-1) s'(x) at x = point(lo); d is value / den grid steps.
-        value, slope = _horner(s, base * q + lo * span, q)
+        value, slope = _horner(s, base + lo * step, q)
         if value == 0:
             return point(lo), point(lo + 1)
         if value * slope >= 0:
             raise CrossCheckError("det(M - cG) has a root below a point it certifies")
-        den = -span * slope
+        den = -step * slope
         # The grid points at or below x + d and at or above x + k d.
         near, far = lo + value // den, lo - (-k * value // den)
         if lo < near < hi:
@@ -276,6 +279,7 @@ def _horner(p: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
     return value, slope
 
 
+@memo
 def _squarefree(p: tuple[int, ...]) -> tuple[int, ...]:
     """p / gcd(p, p'), by a primitive remainder sequence in integers: the
     roots of p, each once.  p itself when its roots are already simple."""
@@ -309,27 +313,20 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _bisect(p: tuple[int, ...], lo: Fraction, hi: Fraction, done) -> tuple[Fraction, Fraction]:
-    """Halve [lo, hi], ``pencil_psd(p, .)`` true at lo and false at hi, until ``done(lo, hi)``."""
-    while not done(lo, hi):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if pencil_psd(p, mid) else (lo, mid)
-    return lo, hi
-
-
 def _nearest_float(p: tuple[int, ...], lo: Fraction, hi: Fraction) -> float | None:
-    """The bound in [lo, hi) rounded to the nearest float, None on overflow.
-    Rounding is monotone, so ends that round alike fix it; between adjacent
-    floats the tie may be the bound itself, which no midpoint need meet."""
+    """The bound in [lo, hi) rounded to the nearest float, None on overflow;
+    the only floats in the package.  Let E be the float exponent of the end
+    nearer 0, or the least normal exponent when that is lower, when the end
+    rounds to 0.0 or when [lo, hi] meets 0.  Every float and float midpoint
+    in [lo, hi] is a multiple of u = 2^(E - 55), a bit to spare for an end
+    that rounds up a binade; so all of the u-cell that holds the bound but
+    its left end x rounds alike, and ``_newton_cell`` finds it."""
     try:
-        if _is_root(p, lo):
-            return float(lo)
-        a, b = _bisect(p, lo, hi, lambda a, b: float(b) <= math.nextafter(float(a), math.inf))
-        fa, fb = float(a), float(b)
-        tie = (Fraction(fa) + Fraction(fb)) / 2
-        if fa == fb or not pencil_psd(p, tie):
-            return fa
-        return float(tie) if _is_root(p, tie) else fb
+        near = float(lo if lo > 0 else hi if hi < 0 else 0)
+        u = Fraction(2) ** (max(math.frexp(near)[1] if near else -1021, -1021) - 55)
+        a, b = math.floor(lo / u), math.ceil(hi / u)
+        x = _newton_cell(p, a * u, b * u, b - a)[0]
+        return float(x) if _is_root(p, x) else float(x + u / 2)
     except OverflowError:
         return None
 

@@ -350,6 +350,16 @@ def _package_modules():
                 yield name, ast.parse(fh.read())
 
 
+def _callers(tree, callees):
+    """For each call in ``tree`` of a callee spelled as in ``callees``, the
+    name of the innermost function around it, None at module level."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in callees:
+            owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            yield owner[-1] if owner else None
+
+
 def test_no_check_lives_in_an_assert():
     # python -O strips assert statements; every check must raise instead.
     found = []
@@ -382,14 +392,20 @@ def test_only_product_space_skips_the_gram_certificate():
     # object.__new__ builds a value without running its constructor, here
     # without the InnerProductSpace certificate.  spaces.product_space may,
     # by the lemma in its docstring; nothing else may.
-    found = []
-    for name, tree in _package_modules():
-        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__":
-                owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
-                found.append((name, owner[-1] if owner else None))
+    found = [(name, fn) for name, tree in _package_modules() for fn in _callers(tree, {"object.__new__"})]
     assert found == [("spaces.py", "product_space")]
+
+
+# The calls that make a float or read one, bare or through math.
+FLOAT_CALLS = {prefix + fn for fn in ("frexp", "nextafter", "ulp") for prefix in ("", "math.")} | {"float"}
+
+
+def test_no_float_decides_any_bracket():
+    # The README's promise: the only float is the display estimate, rounded
+    # from the certified bracket by forms._nearest_float.  Every other
+    # decision is in rationals, so no float is made anywhere else.
+    found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, FLOAT_CALLS)}
+    assert found == {("forms.py", "_nearest_float")}
 
 
 def test_no_product_transposes_its_right_factor():

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import relcalc.extensions as extensions
 import relcalc.forms as forms
 import relcalc.harness as harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
-from relcalc.extensions import friedrichs, krein
+from relcalc.extensions import OrderResult, friedrichs, krein
 from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation
 from relcalc.harness import (
     REQUIRED_CHECKS,
@@ -26,6 +27,7 @@ from relcalc.harness import (
 from relcalc.linalg import _MEMOS, clear_memos, mat, vec
 from relcalc.relations import (
     adjoint,
+    is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
@@ -337,6 +339,27 @@ def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(harness, "repmap_quotient", lambda r, base: real_repmap_quotient(r, base - 1))
         assert check(x) == krein_witness
+
+
+def test_order_interval_equivalence_asserts_h_below_s_f_for_every_h(monkeypatch):
+    # S_F is the largest selfadjoint extension, also of the sampled H that
+    # are not >= c, where S_K,c <= H fails first.  The planted order denies
+    # H <= S_F for exactly those H, so only the comparison on its own sees it.
+    x = harness._Instance.build(*_random_dim3_with_mul())
+    name = "order-interval-equivalence"
+    check = dict(harness.REGISTRY)[name]
+    assert check(x) is None
+    below_c = [h for h in sample_selfadjoint_extensions(x.s, 5, x.seed * 11 + 5) if not is_nonneg_above(h, x.c).ok]
+    assert below_c
+    f, real = friedrichs(x.s, x.c), extensions.order_leq
+
+    def denied_below_c(h, k):
+        return OrderResult(False, None) if k == f and h in below_c else real(h, k)
+
+    monkeypatch.setattr(extensions, "order_leq", denied_below_c)
+    result = harness._run(name, check, x)
+    assert not result.passed
+    assert "not below the Friedrichs extension" in result.witness
 
 
 def test_friedrichs_triple_compares_the_forms_of_s_f_and_s(monkeypatch):

@@ -2,16 +2,18 @@
 
 ``bound_bisect`` decides every point it tests from the exact polynomial
 p(c) = det(M - cG) (``pencil_psd``) and runs the verified LDL^T certificate
-only at the bracket ends.  It picks the points by Newton steps from the
-certified end, on the grid that bisection from [n - 1, n - 1 + span] walks.
-These tests hold the polynomial decision equal to
-``certify_lower_bound(t, c).ok``, the bracket equal to the ones that
-bisection with one LDL^T per step and bisection on the polynomial find,
-both kept here as references, the number of decisions far below
-bisection's, and the estimate equal to the bound rounded to the nearest
-float.  The forms live on domains with non-identity Grams; the families
-plant negative directions, singular form matrices, bounds attained at a
-rational and irrational bounds of multiplicity two and three.
+only at the bracket ends.  One search picks the points, by Newton steps
+from the certified end of a grid cell: on the integers for floor(gamma), on
+the grid that bisection from [n - 1, n - 1 + span] walks for the bracket,
+and on a grid finer than the floats for the estimate.  These tests hold the
+polynomial decision equal to ``certify_lower_bound(t, c).ok``, the bracket
+equal to the ones that bisection with one LDL^T per step and bisection on
+the polynomial find, the estimate equal to the one that bisection down to
+adjacent floats finds, all three kept here as references, and the number
+of decisions far below bisection's.  The forms live on domains with
+non-identity Grams; the families plant negative directions, singular form
+matrices, bounds attained at a rational and irrational bounds of
+multiplicity two and three.
 """
 
 import math
@@ -28,9 +30,11 @@ from relcalc.forms import (
     _simplest_in,
     bound_bisect,
     certify_lower_bound,
+    form_of_relation,
     pencil_polynomial,
     pencil_psd,
 )
+from relcalc.harness import InstanceSpec, random_semibounded
 from relcalc.linalg import clear_memos, identity, mat, zeros
 from relcalc.spaces import InnerProductSpace, gram_on, span, standard_space
 
@@ -179,11 +183,42 @@ def test_estimate_of_an_attained_integer_bound_is_exact():
     ],
 )
 def test_estimate_of_a_bound_halfway_between_floats(gamma, width):
-    # No bisection midpoint need ever equal the tie, so only the test of
-    # the tie itself ends the search.
+    # The tie is the left end of its cell of the estimate's grid, so only
+    # the root test there tells it from the points just above it.
+    assert bound_bisect(_planted(gamma), width).estimate == float(gamma)
+
+
+def _planted(gamma):
+    """The 1 x 1 form [[gamma]] on Q^1: its bound is gamma."""
     q1 = standard_space(1)
-    t = QuadraticForm(q1, full_subspace(q1), mat([[gamma]]))
-    assert bound_bisect(t, width).estimate == float(gamma)
+    return QuadraticForm(q1, full_subspace(q1), mat([[gamma]]))
+
+
+def _counting_decisions(monkeypatch):
+    """Route ``pencil_psd`` through a list of the points it decides."""
+    calls = []
+    real = pencil_psd
+    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: calls.append(c) or real(p, c))
+    return calls
+
+
+def test_estimate_of_a_tiny_bound_needs_no_halving_toward_it(monkeypatch):
+    # [0, 1/128] holds 2^-1000; halving it to adjacent floats took 1,046
+    # decisions, where one Newton step of the linear p meets the bound.
+    calls = _counting_decisions(monkeypatch)
+    assert bound_bisect(_planted(Fraction(1, 2**1000)), Fraction(1, 64)).estimate == 2.0**-1000
+    assert len(calls) <= 64
+
+
+def test_estimate_of_a_dim_8_form_takes_few_decisions(monkeypatch):
+    # The form of `relcalc random --dim 8 --mul 1 --restrict 6 --seed 1` at
+    # width 1/64: halving the bracket to adjacent floats took 47 decisions.
+    s, _ = random_semibounded(InstanceSpec(dim=8, seed=1, mul_dim=1, restrict_dim=6))
+    clear_memos()
+    interval = bound_bisect(form_of_relation(s), Fraction(1, 64))
+    calls = _counting_decisions(monkeypatch)
+    assert interval.lo <= Fraction(interval.estimate) < interval.hi
+    assert len(calls) <= 15
 
 
 def test_zero_form_estimate_needs_no_search_toward_the_smallest_float(monkeypatch):
@@ -191,9 +226,7 @@ def test_zero_form_estimate_needs_no_search_toward_the_smallest_float(monkeypatc
     # off at once; halving toward 0 from above would take over 1000 steps.
     space = InnerProductSpace(2, mat([[2, 1], [1, 2]]))
     t = QuadraticForm(space, full_subspace(space), zeros(2, 2))
-    calls = []
-    real = pencil_psd
-    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: calls.append(c) or real(p, c))
+    calls = _counting_decisions(monkeypatch)
     interval = bound_bisect(t, Fraction(1, 64))
     assert (interval.lo, interval.estimate) == (0, 0.0)
     assert len(calls) < 20
@@ -284,9 +317,7 @@ def test_a_narrow_bracket_takes_few_decisions(monkeypatch, copies):
     # takes 258 decisions or more at this width.
     t = _repeated_blocks([[2, 1], [1, 1]], copies, [1, -1, 2])
     clear_memos()
-    calls = []
-    real = pencil_psd
-    monkeypatch.setattr(forms, "pencil_psd", lambda p, c: calls.append(c) or real(p, c))
+    calls = _counting_decisions(monkeypatch)
     interval = bound_bisect(t, Fraction(1, 2**256))
     # Below 3/2, x <= gamma iff x^2 - 3x + 1 >= 0.
     assert interval.lo**2 - 3 * interval.lo + 1 >= 0 > interval.hi**2 - 3 * interval.hi + 1
@@ -352,3 +383,80 @@ def test_a_decision_that_never_flips_is_a_cross_check_error(monkeypatch, answer)
     monkeypatch.setattr(forms, "pencil_psd", lambda p, c: answer)
     with pytest.raises(CrossCheckError, match="Cauchy root bound"):
         bound_bisect(t, Fraction(1, 64))
+
+
+def _bisected_float(p, lo, hi):
+    """The estimate as ``_nearest_float`` once found it, kept as its
+    reference: halve [lo, hi) until its ends are adjacent floats or round
+    alike; their midpoint, the tie, may be the bound itself, which no
+    halving need meet, so it is tested on its own."""
+    try:
+        if sum(x * lo**i for i, x in enumerate(p)) == 0:
+            return float(lo)
+        while float(hi) > math.nextafter(float(lo), math.inf):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if pencil_psd(p, mid) else (lo, mid)
+        fa, fb = float(lo), float(hi)
+        tie = (Fraction(fa) + Fraction(fb)) / 2
+        if fa == fb or not pencil_psd(p, tie):
+            return fa
+        return float(tie) if sum(x * tie**i for i, x in enumerate(p)) == 0 else fb
+    except OverflowError:
+        return None
+
+
+ESTIMATE_WIDTHS = [Fraction(1, 64), Fraction(3, 1000), Fraction(1, 2**60), Fraction(1, 2**256)]
+PLANTED_BOUNDS = [
+    # The ties between adjacent floats of the halfway test.
+    1 + Fraction(1, 2**53),
+    1 + Fraction(3, 2**53),
+    Fraction(12009599006321321, 2**55),
+    2 - Fraction(1, 2**60),  # rounds up across the binade edge to 2.0
+    Fraction(-1, 3),
+    Fraction(0),
+    Fraction(1, 2**1000),  # pinned to a bracket that ends at 0
+]
+
+
+@given(
+    st.one_of(bounded_forms().map(lambda form: form[0]), multiple_root_forms(), st.sampled_from(PLANTED_BOUNDS).map(_planted)),
+    st.sampled_from(ESTIMATE_WIDTHS),
+)
+@settings(max_examples=150, deadline=None)
+def test_estimate_equals_the_bisection_to_adjacent_floats(t, width):
+    clear_memos()
+    interval = bound_bisect(t, width)
+    assert interval.estimate == _bisected_float(interval.pencil, interval.lo, interval.hi)
+
+
+@pytest.mark.parametrize("width", ESTIMATE_WIDTHS, ids=["1/64", "3/1000", "2^-60", "2^-256"])
+@pytest.mark.parametrize("gamma", PLANTED_BOUNDS)
+def test_estimate_of_a_planted_bound_equals_the_bisection(gamma, width):
+    interval = bound_bisect(_planted(gamma), width)
+    assert interval.estimate == _bisected_float(interval.pencil, interval.lo, interval.hi) == float(gamma)
+
+
+ACROSS_ZERO = (Fraction(-1, 3), Fraction(1, 5))
+
+
+@pytest.mark.parametrize(
+    "p, bracket",
+    [
+        ((-1, 2**1000), ACROSS_ZERO),  # 2^-1000
+        ((0, 1), ACROSS_ZERO),  # 0
+        ((1, 2**1000), ACROSS_ZERO),  # -2^-1000
+        ((-2, 0, 2**200), ACROSS_ZERO),  # -sqrt(2) 2^-100, irrational
+        ((4, 0, -(2**202), 0, 2**400), ACROSS_ZERO),  # the same, a double root
+        ((3, -3, -(2**128), 2**128), ACROSS_ZERO),  # roots 1 and +-sqrt(3) 2^-64
+        # 3 2^-1076 rounds up to the least subnormal; the end 2^-1200 is 0.0
+        # as a float, and has no exponent to read.
+        ((-3, 2**1076), (Fraction(1, 2**1200), Fraction(1))),
+    ],
+    ids=["2^-1000", "zero", "-2^-1000", "-sqrt2-2^-100", "double", "cubic", "underflowing-end"],
+)
+def test_estimate_near_zero_equals_the_bisection(p, bracket):
+    # bound_bisect pins a bracket that meets 0 to an end at 0, so brackets
+    # across 0 or with an end that underflows are met here directly.
+    lo, hi = bracket
+    assert pencil_psd(p, lo) and not pencil_psd(p, hi)
+    assert forms._nearest_float(p, lo, hi) == _bisected_float(p, lo, hi)

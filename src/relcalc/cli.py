@@ -10,6 +10,7 @@ labeled approximate in both formats.  No float decides a certified bracket.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -259,6 +260,7 @@ def cmd_random(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relcalc",
@@ -323,8 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The argument parser is built once per process (``build_parser`` is
+    cached) and only read here: each call parses into a new namespace, so
+    calls in one process behave as separate runs do.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

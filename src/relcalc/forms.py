@@ -343,21 +343,32 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
     p is interpolated from its values at c = 0..k, k the domain dimension,
     each one exact ``det``.  Its degree must be exactly k with leading
     coefficient (-1)^k det G, or ``CrossCheckError`` is raised.
+
+    The interpolation runs in integers: with the values over one
+    denominator D, the Newton form on the nodes 0..k times k! is
+    D k! p = sum_j (k! / j!) (Delta^j D p)(0) x (x - 1) ... (x - j + 1),
+    and the result is that polynomial divided by the gcd of its
+    coefficients, its primitive part.
     """
     m, g, k = t.matrix, t.domain_gram, t.domain.dim
-    diffs = [det(m - g.scale(j)) for j in range(k + 1)]
-    # Newton form on the nodes 0..k: p = sum_j (Delta^j p)(0) binom(x, j).
-    coeffs = [Fraction(0)] * (k + 1)
-    binom = [Fraction(1)]  # monomial coefficients of binom(x, j)
+    values = [det(m - g.scale(j)) for j in range(k + 1)]
+    den = math.lcm(*(x.denominator for x in values))
+    diffs = [x.numerator * (den // x.denominator) for x in values]
+    coeffs = [0] * (k + 1)
+    falling = [1]  # monomial coefficients of x (x - 1) ... (x - j + 1)
+    fact = weight = math.factorial(k)  # weight: k! / j!
     for j in range(k + 1):
-        for i, b in enumerate(binom):
-            coeffs[i] += diffs[0] * b
+        f = weight * diffs[0]
+        for i, b in enumerate(falling):
+            coeffs[i] += f * b
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-        binom = [(lower - j * same) / (j + 1) for lower, same in zip([0, *binom], [*binom, 0])]
-    if coeffs[k] == 0 or coeffs[k] != (-1) ** k * det(g):
+        falling = [lower - j * same for lower, same in zip([0, *falling], [*falling, 0])]
+        weight //= j + 1
+    lead = (-1) ** k * det(g)
+    if coeffs[k] == 0 or coeffs[k] * lead.denominator != lead.numerator * den * fact:
         raise CrossCheckError("det(M - cG) does not have degree k and leading coefficient (-1)^k det G")
-    den = math.lcm(*(x.denominator for x in coeffs))
-    return tuple(x.numerator * (den // x.denominator) for x in coeffs)
+    content = math.gcd(*coeffs)
+    return tuple(x // content for x in coeffs)
 
 
 def pencil_psd(p: tuple[int, ...], c: Fraction) -> bool:

@@ -29,8 +29,10 @@ eliminations run on the stored rows directly.  ``det`` and
 ``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``
 eliminates forward below each pivot and reduces a row once, when it
 becomes a pivot row; its back phase then subtracts the finished rows
-below each pivot row, already in stored form.  A
-``fractions.Fraction`` is created at four boundaries only:
+below each pivot row, already in stored form.
+``PsdCertificate.verify`` checks P^T M P = L D L^T one entry at a time,
+by integer cross-multiplication on the stored rows, and forms no product
+matrix.  A ``fractions.Fraction`` is created at four boundaries only:
 ``Mat.__getitem__``, ``Mat.row``, ``Mat.to_lists`` and the result of
 ``Mat.mul_vec``.  ``mat`` converts the other way.
 
@@ -585,6 +587,16 @@ class PsdCertificate:
 
     ``perm`` encodes the permutation matrix P by column: P[i][j] = 1 iff
     i == perm[j], so (P^T M P)[a][b] = M[perm[a]][perm[b]].
+
+    ``verify`` decides the whole identity entry by entry, in integers, and
+    never forms L D L^T as a matrix.  That product is symmetric, so it
+    equals A = P^T M P exactly when A is symmetric and the entries on and
+    below the diagonal agree.  With D = d / Q over the lcm Q of its
+    denominators and row r of L stored as ``l[r] / e[r]``, entry (r, s) is
+    the full-length dot sum_i l[r][i] d_i l[s][i] over Q e[r] e[s], and it
+    is compared with the stored entry of A by cross-multiplication.  No
+    shape of L is assumed, so an L that is not unit lower triangular is
+    judged on its product like any other.
     """
 
     perm: tuple[int, ...]
@@ -594,20 +606,21 @@ class PsdCertificate:
     def permuted(self, m: Mat) -> Mat:
         return m.take(self.perm, self.perm)
 
-    def reconstruct(self) -> Mat:
-        """L D L^T, as the columns of L scaled by D times L^T read from
-        the rows of L."""
-        return _scale_cols(self.lower, self.diag).mul_t(self.lower)
-
     def verify(self, m: Mat) -> bool:
-        return all(d >= 0 for d in self.diag) and self.permuted(m) == self.reconstruct()
-
-
-def _scale_cols(m: Mat, entries: Sequence[Fraction]) -> Mat:
-    """m @ diag(entries), column j scaled by ``entries[j]``, in O(rows * cols)."""
-    common = lcm(*[x.denominator for x in entries])
-    factors = [x.numerator * (common // x.denominator) for x in entries]
-    return _from_rows(m.cols, [_norm(list(map(mul, r, factors)), d * common) for r, d in zip(m._num, m._den)])
+        low, a = self.lower, self.permuted(m)
+        if not a.is_symmetric() or low.rows != a.rows or low.cols != len(self.diag) or any(d < 0 for d in self.diag):
+            return False
+        q = lcm(*[x.denominator for x in self.diag])
+        dq = [x.numerator * (q // x.denominator) for x in self.diag]
+        num, den = low._num, low._den
+        for r, (arow, aden) in enumerate(zip(a._num, a._den)):
+            # Row r of L D, times q e[r].
+            weighted = list(map(mul, num[r], dq))
+            scale = q * den[r]
+            for s in range(r + 1):
+                if sum(map(mul, weighted, num[s])) * aden != arow[s] * scale * den[s]:
+                    return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,20 @@ bound rounded to the nearest float and labeled approximate, which decides
 no certified bracket.  Writing is canonical (sorted keys, two-space indent,
 trailing newline), so reading a canonical file and writing it back is
 byte-identical.
+
+Reading takes the spellings that writing produces, "-?d+" and "-?d+/d+"
+in ASCII digits with a nonzero denominator, straight through ``int``;
+every other string goes to ``Fraction(str)``, so the inputs accepted and
+the error messages are those of ``Fraction``.  A relation whose "to"
+space is the same JSON as its "from" space gets the one parsed space for
+both.  Any input the parsers refuse, malformed JSON included, is a
+``ParseError``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -29,6 +38,11 @@ MAX_DIM = 64
 # ---------------------------------------------------------------- rationals
 
 
+# The spellings ``rational_to_str`` writes, ASCII digits only: read with
+# ``int``, every other string goes through ``Fraction(str)``.
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_to_str(x: Fraction) -> str:
     return str(x)
 
@@ -39,6 +53,15 @@ def parse_rational(s: Any, field: str) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"{field}: expected a rational string, got {type(s).__name__}")
+    canonical = _CANONICAL.fullmatch(s)
+    if canonical:
+        try:
+            num, den = int(canonical[1]), int(canonical[2] or 1)
+        except ValueError:
+            pass  # past the int digit limit: Fraction(s) raises it below
+        else:
+            if den:
+                return Fraction(num, den)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -121,7 +144,7 @@ def parse_relation(data: Any, field: str = "relation") -> LinearRelation:
         if key not in data:
             raise ParseError(f"{field}.{key}: missing")
     src = parse_space(data["from"], f"{field}.from")
-    dst = parse_space(data["to"], f"{field}.to")
+    dst = src if _same_json(data["to"], data["from"]) else parse_space(data["to"], f"{field}.to")
     vecs = parse_vectors(data["graph_basis"], f"{field}.graph_basis")
     for i, v in enumerate(vecs):
         if len(v) != src.dim + dst.dim:
@@ -129,6 +152,18 @@ def parse_relation(data: Any, field: str = "relation") -> LinearRelation:
                 f"{field}.graph_basis[{i}]: wrong length, expected {src.dim + dst.dim}"
             )
     return relation_from_graph_vectors(src, dst, vecs)
+
+
+def _same_json(a: Any, b: Any) -> bool:
+    """a == b with the type of every value compared too, so that 1, 1.0
+    and true, which the parsers tell apart, differ here as well."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
 # ------------------------------------------------------------------- files
 
@@ -143,7 +178,9 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, text that is not UTF-8, an integer literal past
+        # the int digit limit, or arrays nested past the recursion limit.
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 

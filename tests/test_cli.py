@@ -235,6 +235,57 @@ def test_dimension_above_the_maximum_is_a_parse_error(tmp_path, capsys):
         _assert_parse_error(argv, capsys)
 
 
+# json.load turns a bare integer literal of more than 4,300 digits into a
+# plain ValueError (Python's int digit limit), not a JSONDecodeError, and
+# arrays nested deeper than the recursion limit into a RecursionError.
+LONG_LITERAL = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"from": {"dim": 1}, "to": {"dim": 1}, "graph_basis": [[1, %s]]}' % LONG_LITERAL,
+        '{"from": {"dim": %s}, "to": {"dim": 1}, "graph_basis": []}' % LONG_LITERAL,
+        '{"from": {"dim": 1}, "to": {"dim": 1}, "graph_basis": %s}' % ("[" * 100000 + "]" * 100000),
+    ],
+    ids=["graph_basis", "dim", "nesting"],
+)
+def test_json_that_python_cannot_load_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    _assert_parse_error(["analyze", str(path)], capsys)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # The parser is built once per process; each call must still print and
+    # return what the same command does alone in a fresh interpreter.
+    path = e1_path(tmp_path)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    calls = [
+        ["analyze", path],
+        ["check", path],
+        ["analyze", path, "--width", "1/x"],
+        ["analyze", path, "--format", "xml"],
+        ["analyze", path, "--format", "json"],
+        ["analyze", path],
+    ]
+    for argv in calls:
+        alone = subprocess.run([sys.executable, "-m", "relcalc.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert _run_in_process(argv) == (alone.returncode, alone.stdout, alone.stderr), argv
+
+
 # sha256 of the stdout of `relcalc check --count 10 --dims 2..6 --seed 0
 # --format json`.  Any change to a result, a witness or the output layout
 # changes it; a refactor must leave it alone.

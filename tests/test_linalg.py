@@ -183,7 +183,7 @@ def test_gram_matrices_certify_psd(m):
     assert res.ok
     cert = res.certificate
     assert all(d >= 0 for d in cert.diag)
-    assert cert.permuted(gram) == cert.reconstruct()
+    assert cert.permuted(gram) == ref_reconstruct(cert)
 
 
 @given(matrices, st.integers(min_value=0, max_value=3))
@@ -687,13 +687,18 @@ def test_rref_of_a_wide_matrix_with_400_bit_entries():
 
 # ------------------------------------------ L D L^T certificates
 #
-# ``PsdCertificate.reconstruct`` scales the columns of L by D and reads
-# L^T from the rows of L.  The product it replaced is the reference, and
-# ``verify`` must still reject a certificate with one entry changed.
+# ``PsdCertificate.verify`` compares P^T M P with L D L^T entry by entry
+# in integers.  The matrix product it replaced is the reference: on every
+# certificate, tampered or not, and on every matrix, symmetric or not,
+# ``verify`` must give what the reference gives.
 
 
 def ref_reconstruct(cert):
     return cert.lower @ diag(cert.diag) @ cert.lower.T
+
+
+def ref_verify(cert, m):
+    return all(d >= 0 for d in cert.diag) and cert.permuted(m) == ref_reconstruct(cert)
 
 
 @st.composite
@@ -708,25 +713,32 @@ def psd_inputs(draw):
     return g
 
 
+nonzero_entries = entries.map(lambda x: x or Fraction(1))
+
+
+def _with_lower_entry(cert, i, j, change):
+    lower = cert.lower.to_lists()
+    lower[i][j] += change
+    return replace(cert, lower=mat(lower))
+
+
 def tampered(cert, data):
-    """Certificates with one D entry raised, one sub-diagonal L entry
-    changed or two perm entries swapped; each must fail ``verify`` unless
-    the change cannot show in L D L^T or in the permuted matrix."""
+    """Certificates with one D entry raised or made negative, one L entry
+    changed below the diagonal, above it or on it (so L is no longer unit
+    lower triangular), or two perm entries swapped."""
     n = len(cert.perm)
     out = []
     if n:
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         d = list(cert.diag)
-        d[i] += data.draw(st.sampled_from([Fraction(1), Fraction(1, 2**61 - 1), Fraction(7, 3)]))
+        d[i] += data.draw(st.sampled_from([Fraction(1), Fraction(1, 2**61 - 1), Fraction(7, 3), -d[i] - 1]))
         out.append(replace(cert, diag=tuple(d)))
-    # Column j of L only enters L D L^T through D_j.
-    below = [(i, j) for i in range(n) for j in range(i) if cert.diag[j]]
-    if below:
-        i, j = data.draw(st.sampled_from(below))
-        lower = cert.lower.to_lists()
-        lower[i][j] += data.draw(entries.filter(bool))
-        out.append(replace(cert, lower=mat(lower)))
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        out.append(_with_lower_entry(cert, i, i, data.draw(nonzero_entries)))
     if n >= 2:
+        i, j = sorted(data.draw(st.permutations(range(n)))[:2])
+        out.append(_with_lower_entry(cert, j, i, data.draw(nonzero_entries)))
+        out.append(_with_lower_entry(cert, i, j, data.draw(nonzero_entries)))
         a, b = data.draw(st.permutations(range(n)))[:2]
         perm = list(cert.perm)
         perm[a], perm[b] = perm[b], perm[a]
@@ -734,16 +746,38 @@ def tampered(cert, data):
     return out
 
 
+def _nonsymmetric(m, data):
+    """m with one entry off the diagonal changed, for n >= 2."""
+    i, j = data.draw(st.permutations(range(m.rows)))[:2]
+    rows = m.to_lists()
+    rows[i][j] += data.draw(nonzero_entries)
+    return mat(rows)
+
+
+def _reproduced(cert):
+    """The matrix M with P^T M P = L D L^T: what ``cert`` factors, tampered
+    or not."""
+    ldlt = ref_reconstruct(cert)
+    n = len(cert.perm)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for a, i in enumerate(cert.perm):
+        for b, j in enumerate(cert.perm):
+            rows[i][j] = ldlt[a, b]
+    return mat(rows)
+
+
 @given(psd_inputs(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_reconstruct_is_l_d_lt_and_verify_rejects_a_tampered_certificate(m, data):
+def test_verify_equals_the_reference_product(m, data):
+    # Each certificate is judged against m, against m made nonsymmetric, and
+    # against the matrix it does reproduce, which it must certify unless D
+    # has a negative entry, whatever the shape of its L.
     cert = ldl_psd_certificate(m).certificate
-    assert cert.reconstruct() == ref_reconstruct(cert)
     assert cert.verify(m)
-    for bad in tampered(cert, data):
-        # A swap that is a symmetry of m leaves the permuted matrix alone.
-        if bad.permuted(m) != cert.permuted(m) or bad.reconstruct() != cert.reconstruct():
-            assert not bad.verify(m)
+    skewed = [_nonsymmetric(m, data)] if m.rows >= 2 else []
+    for c in [cert, *tampered(cert, data)]:
+        for target in [m, _reproduced(c), *skewed]:
+            assert c.verify(target) == ref_verify(c, target)
 
 
 def test_verify_rejects_each_tampered_entry_of_a_pinned_certificate():

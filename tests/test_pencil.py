@@ -10,7 +10,9 @@ polynomial decision equal to ``certify_lower_bound(t, c).ok``, the bracket
 equal to the ones that bisection with one LDL^T per step and bisection on
 the polynomial find, the estimate equal to the one that bisection down to
 adjacent floats finds, all three kept here as references, and the number
-of decisions far below bisection's.  The forms live on domains with
+of decisions far below bisection's.  The polynomial itself, interpolated
+in integers, is held to the primitive part of the interpolation in
+Fractions it replaced, kept here as a fourth reference.  The forms live on domains with
 non-identity Grams; the families plant negative directions, singular form
 matrices, bounds attained at a rational and irrational bounds of
 multiplicity two and three.
@@ -35,7 +37,7 @@ from relcalc.forms import (
     pencil_psd,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import clear_memos, identity, mat, zeros
+from relcalc.linalg import clear_memos, det, identity, mat, zeros
 from relcalc.spaces import InnerProductSpace, gram_on, span, standard_space
 
 from relation_builders import full_subspace
@@ -309,6 +311,45 @@ def test_bracket_equals_the_polynomial_bisection(t, width):
     clear_memos()
     interval = bound_bisect(t, width)
     assert (interval.lo, interval.hi) == _polynomial_bisect(t, width)
+
+
+def _fraction_pencil(t):
+    """The interpolation in Fractions that ``pencil_polynomial`` replaced,
+    kept as its reference: the Newton form on the nodes 0..k with binomial
+    coefficients, over the lcm of the coefficient denominators."""
+    m, g, k = t.matrix, t.domain_gram, t.domain.dim
+    diffs = [det(m - g.scale(j)) for j in range(k + 1)]
+    coeffs = [Fraction(0)] * (k + 1)
+    binom = [Fraction(1)]
+    for j in range(k + 1):
+        for i, b in enumerate(binom):
+            coeffs[i] += diffs[0] * b
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+        binom = [(lower - j * same) / (j + 1) for lower, same in zip([0, *binom], [*binom, 0])]
+    assert coeffs[k] == (-1) ** k * det(g)
+    den = math.lcm(*(x.denominator for x in coeffs))
+    return tuple(x.numerator * (den // x.denominator) for x in coeffs)
+
+
+@given(st.one_of(bounded_forms().map(lambda form: form[0]), multiple_root_forms()))
+@settings(max_examples=100, deadline=None)
+def test_pencil_is_the_primitive_part_of_the_fraction_interpolation(t):
+    ref = _fraction_pencil(t)
+    content = math.gcd(*ref)
+    assert pencil_polynomial(t) == tuple(x // content for x in ref)
+
+
+@pytest.mark.parametrize("factor", [2, -1, Fraction(1, 3)])
+@pytest.mark.parametrize(
+    "t",
+    [two_plus_square(), _repeated_blocks([[2, 1], [1, 1]], 2, [1, -1, 2, 3])],
+    ids=["identity-gram", "weighted-gram"],
+)
+def test_a_wrong_det_g_is_a_cross_check_error(monkeypatch, t, factor):
+    real, g = forms.det, t.domain_gram
+    monkeypatch.setattr(forms, "det", lambda m: real(m) * factor if m == g else real(m))
+    with pytest.raises(CrossCheckError, match="leading coefficient"):
+        pencil_polynomial(t)
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3], ids=["simple", "double", "triple"])

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcalc.errors import ParseError
 from relcalc.linalg import mat, vec
@@ -86,3 +88,42 @@ def test_matrix_roundtrip():
     with pytest.raises(ParseError, match="ragged"):
         parse_matrix([["1"], ["1", "2"]], "m")
 
+
+
+# ``parse_rational`` reads the spellings ``rational_to_str`` writes with
+# ``int`` and hands every other string to ``Fraction(str)``; the two must
+# accept the same strings, with the same values and the same messages.
+PLANTED_SPELLINGS = [
+    "-0", "007/010", "3/0", "-3/0", "+3", "--3", "-", "/", "3/", "/3", "3/-4", "1_000", "1/1_0",
+    " 3", "3 ", "1.5", "1e3", "٣", "3/٤", "-7/21", "5" * 5000, "1/" + "5" * 5000, "-" + "9" * 4300,
+]
+
+
+def _fraction_or_message(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"f: invalid rational {s!r} ({exc})"
+
+
+@given(st.one_of(st.sampled_from(PLANTED_SPELLINGS), st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True), st.text()))
+@settings(max_examples=400, deadline=None)
+def test_parse_rational_agrees_with_fraction(s):
+    expected = _fraction_or_message(s)
+    try:
+        got = parse_rational(s, "f")
+    except ParseError as exc:
+        got = str(exc)
+    assert type(got) is type(expected) and got == expected
+
+
+def test_a_to_space_equal_to_from_is_parsed_once_and_still_typed():
+    weighted = {"dim": 2, "gram": [["2", "1/2"], ["1/2", "2"]]}
+    rel = parse_relation({"from": weighted, "to": json.loads(json.dumps(weighted)), "graph_basis": [["1", "0", "2", "1"]]})
+    assert rel.src is rel.dst
+    # 1.0 == 1 in Python, but a float is not a rational here: the "to" space
+    # is parsed, and refused, on its own.
+    floats = {"dim": 2, "gram": [[2.0, 0], [0, 1]]}
+    ints = {"dim": 2, "gram": [[2, 0], [0, 1]]}
+    with pytest.raises(ParseError, match=r"relation\.to\.gram\[0\]\[0\]"):
+        parse_relation({"from": ints, "to": floats, "graph_basis": []})

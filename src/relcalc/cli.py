@@ -87,7 +87,7 @@ def cmd_analyze(args) -> int:
     for name in ("dom", "ran", "ker", "mul"):
         sub = getattr(p, name)
         data["parts"][name] = {"dim": sub.dim, **subspace_to_json(sub)}
-        lines.append(f"{name}: dim {sub.dim}  basis {[vector_to_json(b) for b in sub.basis_vectors()]}")
+        lines.append(f"{name}: dim {sub.dim}  basis {data['parts'][name]['basis']}")
     if rel.src != rel.dst:
         data.update({"symmetric": False, "selfadjoint": False, "numerical_range_zero": False, "bound": None})
         lines.append("relation is not an endorelation; no form analysis")

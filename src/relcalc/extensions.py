@@ -24,7 +24,7 @@ from .forms import (
     inequality_domain_subspace,
     repmap_ldl,
 )
-from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, solve_mat
+from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, solve_mat, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -70,7 +70,8 @@ def _require_semibounded(s: LinearRelation, c: Fraction) -> QuadraticForm:
 
 def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Mat) -> LinearRelation:
     """The selfadjoint relation H with dom H = domain, mul H = domain-perp
-    and (H phi, psi) = matrix in domain coordinates."""
+    and (H phi, psi) = matrix in domain coordinates: the span of the rows
+    [B | X B] and [0 | B_perp], X = matrix G_dom^-1, in one elimination."""
     if not matrix.is_symmetric():
         raise PreconditionError("a selfadjoint relation needs a symmetric form matrix")
     b = domain.basis
@@ -78,9 +79,8 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     coeffs = solve_mat(gdom, matrix)  # M G_dom^{-1}, exact
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    rel = graph_relation(space, space, b, coeffs @ b)
-    mul_rel = product_relation(zero_subspace(space), complement(domain))
-    out = hsum(rel, mul_rel)
+    perp = complement(domain).basis
+    out = graph_relation(space, space, vstack(b, zeros(perp.rows, b.cols)), vstack(coeffs @ b, perp))
     if not is_selfadjoint(out):
         raise CrossCheckError("relation built from a symmetric form is not selfadjoint")
     return out

@@ -55,6 +55,7 @@ from .relations import (
     LinearRelation,
     _relation_where,
     adjoint,
+    echelon_relation,
     eigenspace,
     form_matrix_on_domain,
     graph_relation,
@@ -447,7 +448,9 @@ class RepresentingMap:
             raise CrossCheckError("representing map certificate identity failed")
 
     def as_relation(self) -> LinearRelation:
-        return graph_relation(self.domain.space, self.codomain, self.domain.basis, self.matrix)
+        """The graph {B | Q}, B the echelon domain basis: in reduced
+        echelon form as it stands."""
+        return echelon_relation(self.domain.space, self.codomain, hstack(self.domain.basis, self.matrix))
 
 
 @memo

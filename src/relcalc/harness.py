@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable
 
 from .errors import CrossCheckError
@@ -85,7 +86,7 @@ from .spaces import (
     intersect,
     member,
     span,
-    subspace_sum,
+    span_mat,
     zero_subspace,
 )
 
@@ -210,11 +211,20 @@ def sample_selfadjoint_extensions(
     graph dimension equals the space dimension is selfadjoint, so no
     rejection is needed beyond re-drawing combinations that land inside
     the current graph.
+
+    Every candidate is a coefficient row x over the basis rows {f_a, g_a}
+    of graph(S*), the element x^T [F | G].  Its pairing conditions are
+    x^T Omega, Omega[a][b] = (g_a, f_b) - (f_a, g_b), built once per call,
+    and each step spans the current basis and the candidate in one
+    elimination; every vector stays a ``Mat`` row.
     """
     rng = random.Random(seed)
     n = s.src.dim
     g = s.src.gram
-    star = adjoint(s).graph.basis
+    sstar = adjoint(s)
+    star = sstar.graph.basis
+    firsts, seconds = sstar.halves
+    omega = (seconds @ g).mul_t(firsts) - (firsts @ g).mul_t(seconds)
     out = []
     for _ in range(count):
         graph = s.graph
@@ -222,21 +232,16 @@ def sample_selfadjoint_extensions(
         while graph.dim < n:
             # With no condition yet the kernel is all of the coefficients.
             sol = kernel(conditions)
-            cand = None
-            for _attempt in range(16):
-                v = star.vec_mul(sol.vec_mul(_rand_vec(rng, sol.rows, 3)))
-                if not member(v, graph):
-                    cand = v
+            # Sixteen random combinations of the solutions, then each one.
+            drawn = (mat([_rand_vec(rng, sol.rows, 3)]) @ sol for _attempt in range(16))
+            for x in chain(drawn, (sol.take([j]) for j in range(sol.rows))):
+                v = x @ star
+                if echelon_coords(graph.basis, v) is None:
                     break
-            if cand is None:
-                images = (star.vec_mul(sol.row(j)) for j in range(sol.rows))
-                cand = next((v for v in images if not member(v, graph)), None)
-            if cand is None:
+            else:
                 raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
-            graph = subspace_sum(graph, span(graph.space, [cand]))
-            fa, ga = cand[:n], cand[n:]
-            # (g_a, f_b) - (f_a, g_b) for every basis element {f_b, g_b} of S*.
-            conditions = vstack(conditions, mat([star.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa))]))
+            graph = span_mat(graph.space, vstack(graph.basis, v))
+            conditions = vstack(conditions, x @ omega)
         t = LinearRelation(s.src, s.src, graph)
         if not is_selfadjoint(t):
             raise CrossCheckError("a maximal symmetric graph is not selfadjoint")

@@ -17,11 +17,15 @@ one RREF: use it wherever the subspace itself is wanted.  ``kernel`` gives
 the free-variable basis: use it where that particular basis matters, as
 coordinates or as the directions of a random draw.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
-basis needs no elimination.
+basis needs no elimination, and ``nonzero_rows`` counts the rows of an
+echelon matrix before its zero rows, so a basis already in reduced echelon
+form is split without one either.
 
 A ``Mat`` stores each row as a tuple of Python ints and one positive int
 denominator, reduced so that the gcd of the entries and the denominator
-is 1; a zero row is ``(0, ..., 0) / 1``.  That form is canonical, so
+is 1; a zero row is ``(0, ..., 0) / 1``.  It is a plain ``__slots__``
+class with one ``__init__``, its shape in the slots ``_rows`` and
+``_cols`` behind read-only properties.  That form is canonical, so
 ``==`` and ``hash`` are tuple equality and hashing on ints.  Products,
 sums, scaling, transposes, submatrices and stacking build their result
 rows from ints with one gcd reduction per row, and the three
@@ -36,10 +40,11 @@ matrix.  A ``fractions.Fraction`` is created at four boundaries only:
 ``Mat.__getitem__``, ``Mat.row``, ``Mat.to_lists`` and the result of
 ``Mat.mul_vec``.  ``mat`` converts the other way.
 
-Only this module knows how a ``Mat`` is stored.  Every other module builds
-matrices with ``mat``, ``zeros``, ``identity``, ``diag`` and the stacking
-helpers, and reads them through ``[i, j]``, ``row``, ``take`` and
-``to_lists``, so the storage can change here alone.
+Only this module knows how a ``Mat`` is stored, and reads its slots
+directly.  Every other module builds matrices with ``mat``, ``zeros``,
+``identity``, ``diag`` and the stacking helpers, and reads them through
+``rows``, ``cols``, ``[i, j]``, ``row``, ``take`` and ``to_lists``, so the
+storage can change here alone.
 
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
@@ -59,7 +64,7 @@ relation splits its ``halves`` once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -118,7 +123,6 @@ def vec(entries: Iterable) -> Vec:
     return tuple(rat(x) for x in entries)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Mat:
     """Immutable dense rational matrix, row-major.
 
@@ -129,24 +133,43 @@ class Mat:
     relation graphs) hashable and safe to share; all operations return new
     matrices.  The hash is memoized because matrices are memo keys all over
     the package.
+
+    A plain ``__slots__`` class with one ``__init__``: a matrix is built
+    about four times faster than as a frozen dataclass, and matrices are
+    built by the hundred thousand.  ``rows`` and ``cols`` are read-only
+    properties over the slots ``_rows`` and ``_cols``, which this module
+    reads directly; there is no ``__dict__``.
     """
 
-    rows: int
-    cols: int
-    _num: tuple[IntRow, ...]
-    _den: tuple[int, ...]
-    _hash: int | None = field(default=None, init=False, repr=False)
+    __slots__ = ("_rows", "_cols", "_num", "_den", "_hash")
+
+    def __init__(self, rows: int, cols: int, num: tuple[IntRow, ...], den: tuple[int, ...]) -> None:
+        self._rows = rows
+        self._cols = cols
+        self._num = num
+        self._den = den
+        self._hash: int | None = None
+
+    @property
+    def rows(self) -> int:
+        return self._rows
+
+    @property
+    def cols(self) -> int:
+        return self._cols
+
+    def __repr__(self) -> str:
+        return f"Mat(rows={self._rows}, cols={self._cols}, _num={self._num!r}, _den={self._den!r})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.cols == other.cols and self._den == other._den and self._num == other._num
+        return self._cols == other._cols and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash((self.cols, self._den, self._num))
-            object.__setattr__(self, "_hash", cached)
+            cached = self._hash = hash((self._cols, self._den, self._num))
         return cached
 
     def __getitem__(self, idx: tuple[int, int]) -> Fraction:
@@ -161,15 +184,15 @@ class Mat:
         order; every column when ``cols`` is None."""
         num, den = self._num, self._den
         if cols is None:
-            return Mat(len(rows), self.cols, tuple([num[i] for i in rows]), tuple([den[i] for i in rows]))
+            return Mat(len(rows), self._cols, tuple([num[i] for i in rows]), tuple([den[i] for i in rows]))
         return _from_rows(len(cols), [_norm([num[i][j] for j in cols], den[i]) for i in rows])
 
     @property
     def T(self) -> "Mat":
-        if not self.rows:
-            return zeros(self.cols, 0)
+        if not self._rows:
+            return zeros(self._cols, 0)
         common = lcm(*self._den)
-        return _from_rows(self.rows, [_norm(c, common) for c in zip(*_over(self, common))])
+        return _from_rows(self._rows, [_norm(c, common) for c in zip(*_over(self, common))])
 
     def __add__(self, other: "Mat") -> "Mat":
         return _add(self, other, 1)
@@ -181,43 +204,43 @@ class Mat:
         a = rat(a)
         p, q = a.numerator, a.denominator
         if not p:
-            return zeros(self.rows, self.cols)
-        return _from_rows(self.cols, [_norm([p * x for x in r], d * q) for r, d in zip(self._num, self._den)])
+            return zeros(self._rows, self._cols)
+        return _from_rows(self._cols, [_norm([p * x for x in r], d * q) for r, d in zip(self._num, self._den)])
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if not other.rows:
-            return zeros(self.rows, other.cols)
+        if self._cols != other._rows:
+            raise ValueError(f"shape mismatch for product: {self._rows}x{self._cols} @ {other._rows}x{other._cols}")
+        if not other._rows:
+            return zeros(self._rows, other._cols)
         common = lcm(*other._den)
         return _dots(self, list(zip(*_over(other, common))), common)
 
     def mul_t(self, other: "Mat") -> "Mat":
         """self @ other^T, with the rows of ``other`` read as the columns of
         the right factor, so no transpose is formed."""
-        if self.cols != other.cols:
-            raise ValueError(f"shape mismatch for product: {self.rows}x{self.cols} @ ({other.rows}x{other.cols})^T")
-        if not other.rows:
-            return zeros(self.rows, 0)
+        if self._cols != other._cols:
+            raise ValueError(f"shape mismatch for product: {self._rows}x{self._cols} @ ({other._rows}x{other._cols})^T")
+        if not other._rows:
+            return zeros(self._rows, 0)
         common = lcm(*other._den)
         return _dots(self, _over(other, common), common)
 
     def mul_vec(self, x: Sequence[Fraction]) -> Vec:
-        if len(x) != self.cols:
+        if len(x) != self._cols:
             raise ValueError("vector length does not match column count")
         xs, xden = _int_row(x)
         return tuple([Fraction(sum(map(mul, r, xs)), d * xden) for r, d in zip(self._num, self._den)])
 
     def vec_mul(self, x: Sequence[Fraction]) -> Vec:
         """x^T M: the combination of the rows with coefficients x."""
-        if len(x) != self.rows:
+        if len(x) != self._rows:
             raise ValueError("vector length does not match row count")
         return (mat([x]) @ self).row(0)
 
     def is_symmetric(self) -> bool:
         num, den = self._num, self._den
-        return self.rows == self.cols and all(
-            num[i][j] * den[j] == num[j][i] * den[i] for i in range(self.rows) for j in range(i + 1, self.cols)
+        return self._rows == self._cols and all(
+            num[i][j] * den[j] == num[j][i] * den[i] for i in range(self._rows) for j in range(i + 1, self._cols)
         )
 
     def is_zero(self) -> bool:
@@ -263,12 +286,12 @@ def _add(a: Mat, b: Mat, sign: int) -> Mat:
         g = gcd(da, db)
         fa, fb = db // g, sign * (da // g)
         rows.append(_norm([x * fa + y * fb for x, y in zip(ra, rb)], da * fa))
-    return _from_rows(a.cols, rows)
+    return _from_rows(a._cols, rows)
 
 
 def _same_shape(a: Mat, b: Mat) -> None:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    if a._rows != b._rows or a._cols != b._cols:
+        raise ValueError(f"shape mismatch: {a._rows}x{a._cols} vs {b._rows}x{b._cols}")
 
 
 def _int_row(row: Sequence[Fraction]) -> tuple[IntRow, int]:
@@ -308,12 +331,12 @@ def diag(entries: Sequence[Fraction]) -> Mat:
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
-    if a.rows != b.rows:
+    if a._rows != b._rows:
         raise ValueError("row count mismatch in hstack")
     # A side without columns adds nothing: the other is the result.
-    if not b.cols:
+    if not b._cols:
         return a
-    if not a.cols:
+    if not a._cols:
         return b
     # Over the lcm of two coprime-reduced rows no common factor can
     # appear, so the joined rows need no gcd.
@@ -325,18 +348,18 @@ def hstack(a: Mat, b: Mat) -> Mat:
             g = gcd(da, db)
             fa, fb = db // g, da // g
             rows.append((tuple([x * fa for x in ra]) + tuple([y * fb for y in rb]), da * fa))
-    return _from_rows(a.cols + b.cols, rows)
+    return _from_rows(a._cols + b._cols, rows)
 
 
 def vstack(a: Mat, b: Mat) -> Mat:
-    if a.cols != b.cols:
+    if a._cols != b._cols:
         raise ValueError("column count mismatch in vstack")
-    return Mat(a.rows + b.rows, a.cols, a._num + b._num, a._den + b._den)
+    return Mat(a._rows + b._rows, a._cols, a._num + b._num, a._den + b._den)
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
-    top = hstack(a, zeros(a.rows, b.cols))
-    bot = hstack(zeros(b.rows, a.cols), b)
+    top = hstack(a, zeros(a._rows, b._cols))
+    bot = hstack(zeros(b._rows, a._cols), b)
     return vstack(top, bot)
 
 
@@ -369,18 +392,18 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """
     work = [list(row) for row in m._num]
     pivots: list[int] = []
-    for pcol in range(m.cols):
+    for pcol in range(m._cols):
         prow = len(pivots)
-        if prow >= m.rows:
+        if prow >= m._rows:
             break
-        src = next((r for r in range(prow, m.rows) if work[r][pcol]), None)
+        src = next((r for r in range(prow, m._rows) if work[r][pcol]), None)
         if src is None:
             continue
         work[prow], work[src] = work[src], work[prow]
         work[prow] = prow_vals = _reduced(work[prow])
         p = prow_vals[pcol]
         ptail = prow_vals[pcol + 1:]
-        for r in range(prow + 1, m.rows):
+        for r in range(prow + 1, m._rows):
             row = work[r]
             f = row[pcol]
             if f:
@@ -391,7 +414,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         pivots.append(pcol)
     npiv = len(pivots)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    free = [j for j in range(m._cols) if j not in pivset]
     done: list[tuple[IntRow, int]] = [((), 1)] * npiv
     for i in range(npiv - 1, -1, -1):
         row, pc = work[i], pivots[i]
@@ -402,7 +425,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         common = lcm(*[d for _, (_, d) in later])
         fs = [(c * (common // d), ints) for c, (ints, d) in later]
         p = row[pc]
-        acc = [0] * m.cols
+        acc = [0] * m._cols
         acc[pc] = p * common
         for j in free:
             if j > pc:
@@ -412,8 +435,8 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                         v -= f * ints[j]
                 acc[j] = v
         done[i] = _norm(acc if p > 0 else [-x for x in acc], abs(p) * common)
-    done.extend([((0,) * m.cols, 1)] * (m.rows - npiv))
-    return _from_rows(m.cols, done), tuple(pivots)
+    done.extend([((0,) * m._cols, 1)] * (m._rows - npiv))
+    return _from_rows(m._cols, done), tuple(pivots)
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -441,15 +464,15 @@ def kernel(m: Mat) -> Mat:
     common = lcm(*red._den)
     over = _over(red, common)
     rows = []
-    for fc in range(m.cols):
+    for fc in range(m._cols):
         if fc in pivset:
             continue
-        v = [0] * m.cols
+        v = [0] * m._cols
         v[fc] = common
         for r, pc in zip(over, pivots):
             v[pc] = -r[fc]
         rows.append(_norm(v, common))
-    return _from_rows(m.cols, rows)
+    return _from_rows(m._cols, rows)
 
 
 @memo
@@ -459,9 +482,9 @@ def null_space(m: Mat) -> Mat:
     vector reversed back and their order reversed.  The vector of free
     column f is then 1 at f, 0 at every other free column and nonzero only
     at pivot columns after f, so no second RREF is needed."""
-    n = m.cols
-    back = kernel(m.take(range(m.rows), range(n - 1, -1, -1)))
-    return back.take(range(back.rows - 1, -1, -1), range(n - 1, -1, -1))
+    n = m._cols
+    back = kernel(m.take(range(m._rows), range(n - 1, -1, -1)))
+    return back.take(range(back._rows - 1, -1, -1), range(n - 1, -1, -1))
 
 
 def is_reduced_echelon(m: Mat) -> bool:
@@ -485,6 +508,12 @@ def is_reduced_echelon(m: Mat) -> bool:
     return not any(r[j] for i, r in enumerate(m._num) for j in leads[i + 1:])
 
 
+def nonzero_rows(m: Mat) -> int:
+    """The number of nonzero rows of ``m``: in a matrix whose zero rows come
+    last, such as either half of a graph basis, the rows before them."""
+    return sum(1 for r in m._num if any(r))
+
+
 def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
     """The coefficients C with C @ red == xs, or None when some row of xs
     is not a combination of the rows of red.
@@ -494,21 +523,21 @@ def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
     no elimination runs; each x is then checked in integers at the other
     columns, with the rows of ``red`` over one denominator.
     """
-    if xs.cols != red.cols:
+    if xs._cols != red._cols:
         raise ValueError("vector length does not match column count")
     # A leading 1 is stored as the row's denominator; a zero row has none.
     lead = [r.index(d) if any(r) else None for r, d in zip(red._num, red._den)]
     pivots = [p for p in lead if p is not None]
     common = lcm(*red._den)
     over = [r for r, p in zip(_over(red, common), lead) if p is not None]
-    cols = [(j, [r[j] for r in over]) for j in range(red.cols) if j not in pivots]
+    cols = [(j, [r[j] for r in over]) for j in range(red._cols) if j not in pivots]
     out = []
     for r, d in zip(xs._num, xs._den):
         coeffs = [r[p] for p in pivots]
         if any(r[j] * common != sum(map(mul, coeffs, c)) for j, c in cols):
             return None
         out.append(_norm([0 if p is None else r[p] for p in lead], d))
-    return _from_rows(red.rows, out)
+    return _from_rows(red._rows, out)
 
 
 def solve_mat(a: Mat, b: Mat) -> Mat | None:
@@ -520,14 +549,14 @@ def solve_mat(a: Mat, b: Mat) -> Mat | None:
     coordinates C of the rows of b in R (``echelon_coords``) then give
     X = C @ E.
     """
-    if b.cols != a.cols:
+    if b._cols != a._cols:
         raise ValueError("right-hand side has wrong column count")
-    red, pivots = rref(hstack(a, identity(a.rows)))
-    top = [i for i, p in enumerate(pivots) if p < a.cols]
-    coords = echelon_coords(red.take(top, range(a.cols)), b)
+    red, pivots = rref(hstack(a, identity(a._rows)))
+    top = [i for i, p in enumerate(pivots) if p < a._cols]
+    coords = echelon_coords(red.take(top, range(a._cols)), b)
     if coords is None:
         return None
-    return coords @ red.take(top, range(a.cols, red.cols))
+    return coords @ red.take(top, range(a._cols, red._cols))
 
 
 def det(m: Mat) -> Fraction:
@@ -539,9 +568,9 @@ def det(m: Mat) -> Fraction:
     scaled to integers never reduces: on a 19 x 19 form matrix with
     unrelated 280-bit denominators it ran 5x slower.)
     """
-    if m.rows != m.cols:
+    if m._rows != m._cols:
         raise ValueError("only square matrices have a determinant")
-    n = m.rows
+    n = m._rows
     a = [list(r) for r in m._num]
     den = list(m._den)
     num, denom = 1, 1
@@ -608,7 +637,7 @@ class PsdCertificate:
 
     def verify(self, m: Mat) -> bool:
         low, a = self.lower, self.permuted(m)
-        if not a.is_symmetric() or low.rows != a.rows or low.cols != len(self.diag) or any(d < 0 for d in self.diag):
+        if not a.is_symmetric() or low._rows != a._rows or low._cols != len(self.diag) or any(d < 0 for d in self.diag):
             return False
         q = lcm(*[x.denominator for x in self.diag])
         dq = [x.numerator * (q // x.denominator) for x in self.diag]
@@ -657,7 +686,7 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
     """
     if not m.is_symmetric():
         raise ValueError("ldl_psd_certificate requires a symmetric matrix")
-    n = m.rows
+    n = m._rows
     a = [list(r) for r in m._num]
     den = list(m._den)
     # Pairs (u, v) with L[r][i] = u / v for the steps i < r done; the rest of L is 0 and its diagonal 1.

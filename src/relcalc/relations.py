@@ -17,7 +17,22 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
-from .linalg import Mat, Vec, block_diag, echelon_coords, hash_once, hstack, ldl_psd_certificate, mat, memo, null_space, rat, vstack, zeros
+from .linalg import (
+    Mat,
+    Vec,
+    block_diag,
+    echelon_coords,
+    hash_once,
+    hstack,
+    ldl_psd_certificate,
+    mat,
+    memo,
+    nonzero_rows,
+    null_space,
+    rat,
+    vstack,
+    zeros,
+)
 from .spaces import (
     InnerProductSpace,
     Subspace,
@@ -85,6 +100,14 @@ def graph_relation(src: InnerProductSpace, dst: InnerProductSpace, firsts: Mat, 
     return LinearRelation(src, dst, span_mat(product_space(src, dst), hstack(firsts, seconds)))
 
 
+def echelon_relation(src: InnerProductSpace, dst: InnerProductSpace, basis: Mat) -> LinearRelation:
+    """The relation whose graph has the rows of ``basis`` [f | g] as its
+    reduced echelon basis, for rows already in that form: no elimination
+    runs, and ``Subspace`` rejects rows in any other form with
+    ``ValueError``."""
+    return LinearRelation(src, dst, Subspace(product_space(src, dst), basis))
+
+
 def relation_from_pairs(
     src: InnerProductSpace,
     dst: InnerProductSpace,
@@ -103,17 +126,30 @@ def relation_from_graph_vectors(
 
 
 def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
-    """The relation X x Y, whose graph is all pairs {x, y}."""
-    return LinearRelation(x.space, y.space, span_mat(product_space(x.space, y.space), block_diag(x.basis, y.basis)))
+    """The relation X x Y, whose graph is all pairs {x, y}: the rows of
+    diag(B_X, B_Y), already in reduced echelon form."""
+    return echelon_relation(x.space, y.space, block_diag(x.basis, y.basis))
+
+
+def _dom_and_mul(t: LinearRelation) -> tuple[Subspace, Subspace]:
+    """dom T and mul T, read off the reduced echelon graph basis.  Its rows
+    that pivot in the first half come first, and their first halves are the
+    reduced echelon basis of dom T; the other rows are {0, g}, and their
+    second halves are that of mul T, since no combination of the first rows
+    has a zero first half."""
+    firsts, seconds = t.halves
+    k = nonzero_rows(firsts)
+    return Subspace(t.src, firsts.take(range(k))), Subspace(t.dst, seconds.take(range(k, seconds.rows)))
 
 
 @memo
 def parts(t: LinearRelation) -> RelationParts:
-    firsts, seconds = t.halves
-    # mul: second components of the graph vectors whose first one vanishes.
-    mul = image_where(t.dst, seconds, firsts)
-    ker = image_where(t.src, firsts, seconds)
-    return RelationParts(dom=span_mat(t.src, firsts), ran=span_mat(t.dst, seconds), ker=ker, mul=mul)
+    """dom, ran, ker and mul of T, with no elimination of T's own graph:
+    dom and mul from its basis, and ran T = dom T^-1 and ker T = mul T^-1
+    from the basis of the inverse's graph (Arens), one RREF in all."""
+    dom, mul = _dom_and_mul(t)
+    ran, ker = _dom_and_mul(inverse(t))
+    return RelationParts(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
 def lifts(t: LinearRelation, xs: Mat) -> Mat:
@@ -222,9 +258,14 @@ def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
 
 @memo
 def regular_part(t: LinearRelation) -> LinearRelation:
-    """(I - P) T with P the orthogonal projection onto mul T; an operator."""
-    firsts, seconds = t.halves
-    return graph_relation(t.src, t.dst, firsts, seconds - projections(seconds, parts(t).mul))
+    """(I - P) T with P the orthogonal projection onto mul T; an operator.
+
+    Its graph basis is the first dom T rows of [F | G - P G]: the others are
+    {0, g} with g in mul T, so they vanish, and the kept rows are in reduced
+    echelon form with F's."""
+    p = parts(t)
+    dom_seconds = t.halves[1].take(range(p.dom.dim))
+    return echelon_relation(t.src, t.dst, hstack(p.dom.basis, dom_seconds - projections(dom_seconds, p.mul)))
 
 
 def singular_part(t: LinearRelation) -> LinearRelation:
@@ -244,9 +285,10 @@ def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
 
 
 def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
-    """The graph {{h, c h} : h in ker(T - c)}."""
+    """The graph {{h, c h} : h in ker(T - c)}, whose basis is [E | c E]
+    for the echelon basis E of the eigenspace."""
     ev = eigenspace(t, c).basis
-    return graph_relation(t.src, t.src, ev, ev.scale(c))
+    return echelon_relation(t.src, t.src, hstack(ev, ev.scale(c)))
 
 
 def is_symmetric(s: LinearRelation) -> bool:
@@ -272,7 +314,10 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     tests it with a witness before calling.
     """
     dom = parts(s).dom
-    return dom, (lifts(s, dom.basis) @ s.src.gram).mul_t(dom.basis)
+    # The lifts of dom's basis, the first halves of the graph basis, are
+    # the second halves of the same rows.
+    dom_lifts = s.halves[1].take(range(dom.dim))
+    return dom, (dom_lifts @ s.src.gram).mul_t(dom.basis)
 
 
 @dataclass(frozen=True)

@@ -310,15 +310,24 @@ ANALYZE_SHA256 = {
 }
 
 
+# The same, with the default `--format text`: the text lines show the part
+# bases that the JSON holds.
+ANALYZE_TEXT_SHA256 = {
+    (8, 1, 6, 1): "c59b07319093974fef24933e06027df6a9c0c413f5d71679c5f63ebac74b10eb",
+    (5, 0, 3, 2): "bb0c9352f877f88e33e58d09778862d00ccac46f042270c5f923d42617d5c6ed",
+}
+
+
 @pytest.mark.parametrize("dim, mul, restrict, seed", sorted(ANALYZE_SHA256))
 def test_analyze_output_is_pinned(tmp_path, capsys, dim, mul, restrict, seed):
     path = str(tmp_path / "r.json")
     spec = ["--dim", str(dim), "--mul", str(mul), "--restrict", str(restrict), "--seed", str(seed)]
     assert main(["random", *spec, "-o", path]) == 0
     capsys.readouterr()
-    assert main(["analyze", path, "--width", f"1/{2**256}", "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ANALYZE_SHA256[dim, mul, restrict, seed]
+    for fmt, pins in (("json", ANALYZE_SHA256), ("text", ANALYZE_TEXT_SHA256)):
+        assert main(["analyze", path, "--width", f"1/{2**256}", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[dim, mul, restrict, seed], fmt
 
 
 def test_analyze_at_width_two_to_the_minus_4096(tmp_path, capsys):
@@ -419,9 +428,9 @@ def test_no_check_lives_in_an_assert():
     assert found == []
 
 
-# Mat's storage (integer rows and row denominators), and the Fraction rows
-# it once had.
-MAT_STORAGE = ("_num", "_den", "data")
+# Mat's storage (integer rows, row denominators and the slots behind its
+# shape), and the Fraction rows it once had.
+MAT_STORAGE = ("_num", "_den", "_rows", "_cols", "data")
 
 
 def test_only_linalg_knows_how_a_matrix_is_stored():

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relcalc.extensions as extensions
 import relcalc.forms as forms
@@ -409,3 +411,96 @@ def test_krein_quadruple_catches_each_exact_bound_comparison(monkeypatch, name, 
     assert check(x) is None
     monkeypatch.setattr(harness, name, fake(x, getattr(harness, name)))
     assert check(x) == witness
+
+
+# ------------------------------------------- the sampler draws fixed extensions
+#
+# ``sample_selfadjoint_extensions`` grows each graph on coefficient rows over
+# graph(S*), with the pairing conditions read off one matrix Omega.  The
+# sampler it replaced, on Fraction tuples with one span and one subspace_sum
+# per step, is kept here: both must draw the same extensions from the same
+# rng calls.
+
+
+def reference_sampler(s, count, seed):
+    """The sampler on Fraction vectors: each candidate is x^T [F | G] as a
+    tuple, and its conditions are (g_a, f_b) - (f_a, g_b) against every
+    basis element of graph(S*), from its own components."""
+    import random
+
+    from relcalc.linalg import kernel, mat, vstack, zeros
+    from relcalc.relations import LinearRelation
+    from relcalc.spaces import member, span, subspace_sum
+
+    rng = random.Random(seed)
+    n = s.src.dim
+    g = s.src.gram
+    star = adjoint(s).graph.basis
+    out = []
+    for _ in range(count):
+        graph = s.graph
+        conditions = zeros(0, star.rows)
+        while graph.dim < n:
+            sol = kernel(conditions)
+            cand = None
+            for _attempt in range(16):
+                v = star.vec_mul(sol.vec_mul(harness._rand_vec(rng, sol.rows, 3)))
+                if not member(v, graph):
+                    cand = v
+                    break
+            if cand is None:
+                images = (star.vec_mul(sol.row(j)) for j in range(sol.rows))
+                cand = next((v for v in images if not member(v, graph)), None)
+            if cand is None:
+                raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
+            graph = subspace_sum(graph, span(graph.space, [cand]))
+            fa, ga = cand[:n], cand[n:]
+            conditions = vstack(conditions, mat([star.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa))]))
+        out.append(LinearRelation(s.src, s.src, graph))
+    return out
+
+
+def test_the_sampler_draws_the_reference_extensions_on_the_seed0_corpus():
+    drawn = 0
+    for spec in suite_specs(200, (2, 6), 0):
+        clear_memos()
+        s, _ = random_semibounded(spec)
+        for salt in (4, 5, 6):
+            seed = spec.seed * 11 + salt
+            got = sample_selfadjoint_extensions(s, 5, seed)
+            assert got == reference_sampler(s, 5, seed), (spec, salt)
+            drawn += sum(h != s for h in got)
+    assert drawn > 1000  # most instances have a deficiency to fill
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+    mul=st.integers(min_value=0, max_value=3),
+    restrict=st.integers(min_value=0, max_value=4),
+    draw_seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_sampler_draws_the_reference_extensions_on_small_relations(dim, seed, mul, restrict, draw_seed):
+    spec = InstanceSpec(dim=dim, seed=seed, mul_dim=min(mul, dim), restrict_dim=min(restrict, dim))
+    s, _ = random_semibounded(spec)
+    assert sample_selfadjoint_extensions(s, 3, draw_seed) == reference_sampler(s, 3, draw_seed)
+
+
+def test_a_selfadjoint_relation_is_its_only_sampled_extension():
+    # Deficiency 0: the graph is already maximal, so no step runs.
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=4))
+    assert is_selfadjoint(s)
+    assert sample_selfadjoint_extensions(s, 3, 9) == reference_sampler(s, 3, 9) == [s, s, s]
+
+
+def test_zero_draws_fall_back_to_the_solution_rows(monkeypatch):
+    # Every random combination is zero, so inside the graph; each step takes
+    # the first solution row that leaves it.
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=31, mul_dim=1, restrict_dim=2))
+    monkeypatch.setattr(harness, "_rand_vec", lambda rng, n, bound: (Fraction(0),) * n)
+    got = sample_selfadjoint_extensions(s, 2, 8)
+    assert got == reference_sampler(s, 2, 8)
+    assert got[0] != s
+    for h in got:
+        assert is_selfadjoint(h) and h.is_extension_of(s)

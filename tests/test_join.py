@@ -19,20 +19,27 @@ multivalued part.
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from relcalc.extensions import selfadjoint_from_form
 from relcalc.forms import companion, form_of_relation, repmap_ldl, repmap_quotient, stack_relations
 from relcalc.harness import InstanceSpec, random_semibounded
 from relcalc.linalg import Mat, block_diag, hstack, identity, kernel, mat, solve_mat, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
+    RelationParts,
     compose,
+    echelon_relation,
     eigen_relation,
     eigenspace,
+    form_matrix_on_domain,
     graph_relation,
+    hsum,
     inverse,
     lift,
+    lifts,
     parts,
     product_relation,
     regular_part,
@@ -43,7 +50,17 @@ from relcalc.relations import (
     shift,
     singular_part,
 )
-from relcalc.spaces import InnerProductSpace, member, projections, span
+from relcalc.spaces import (
+    InnerProductSpace,
+    complement,
+    gram_on,
+    image_where,
+    member,
+    product_space,
+    projections,
+    span,
+    span_mat,
+)
 
 from relation_builders import operator_relation, scale
 
@@ -291,3 +308,97 @@ def test_take_picks_the_listed_rows_and_columns(data):
     cols = range(ncols) if cols is None else cols
     assert (out.rows, out.cols) == (len(rows), len(cols))
     assert out.to_lists() == [[m[i, j] for j in cols] for i in rows]
+
+
+# ------------------------------------------ echelon bases read, not re-eliminated
+#
+# ``parts`` reads dom and mul off a relation's reduced echelon graph basis,
+# and ran and ker off its inverse's; the constructors below put rows that
+# are already in reduced echelon form straight into a ``Subspace``.  Each is
+# held here to the eliminations that define it.
+
+
+def reference_parts(t: LinearRelation) -> RelationParts:
+    """dom, ran, ker and mul by four eliminations of the graph halves:
+    mul = {g : x^T F = 0, g = x^T G} and ker = {f : x^T G = 0, f = x^T F}."""
+    firsts, seconds = t.halves
+    return RelationParts(
+        dom=span_mat(t.src, firsts),
+        ran=span_mat(t.dst, seconds),
+        ker=image_where(t.src, firsts, seconds),
+        mul=image_where(t.dst, seconds, firsts),
+    )
+
+
+def full_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelation:
+    return LinearRelation(src, dst, span_mat(product_space(src, dst), identity(src.dim + dst.dim)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_parts_equal_their_four_elimination_definition(data):
+    src, dst, _ = data.draw(spaces_of_unequal_dims())
+    for t in (
+        data.draw(multivalued_relation(src, dst)),
+        data.draw(relation(src, dst)),
+        relation_from_pairs(src, dst, []),
+        full_relation(src, dst),
+    ):
+        assert parts(t) == reference_parts(t)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_echelon_constructors_equal_their_eliminated_definitions(data):
+    src, dst, _ = data.draw(spaces_of_unequal_dims())
+    x, y = data.draw(subspace(src)), data.draw(subspace(dst))
+    assert product_relation(x, y) == LinearRelation(src, dst, span_mat(product_space(src, dst), block_diag(x.basis, y.basis)))
+    t = data.draw(multivalued_relation(src, dst))
+    firsts, seconds = t.halves
+    assert regular_part(t) == graph_relation(src, dst, firsts, seconds - projections(seconds, parts(t).mul))
+
+    space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
+    c = data.draw(rationals)
+    h = data.draw(st.lists(rationals, min_size=space.dim, max_size=space.dim).filter(any))
+    e = data.draw(multivalued_relation(space, space, extra=[(h, scaled(c, h))]))
+    ev = eigenspace(e, c).basis
+    assert eigen_relation(e, c) == graph_relation(space, space, ev, ev.scale(c))
+    dom, form = form_matrix_on_domain(e)
+    assert form == (lifts(e, dom.basis) @ space.gram).mul_t(dom.basis)
+
+    # selfadjoint_from_form against its three eliminations: the graph of
+    # M G^-1 on the domain, the product {0} x domain-perp and their sum.
+    domain = data.draw(subspace(space))
+    b = mat([[data.draw(rationals) for _ in range(domain.dim)] for _ in range(domain.dim)]) if domain.dim else zeros(0, 0)
+    matrix = b + b.T
+    coeffs = solve_mat(gram_on(domain), matrix)
+    rel = graph_relation(space, space, domain.basis, coeffs @ domain.basis)
+    mul_rel = LinearRelation(space, space, span_mat(product_space(space, space), block_diag(zeros(0, space.dim), complement(domain).basis)))
+    assert selfadjoint_from_form(space, domain, matrix) == hsum(rel, mul_rel)
+
+
+@given(
+    dim=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+    method=st.sampled_from(sorted(REPMAPS)),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_representing_map_relation_is_its_eliminated_graph(dim, seed, method):
+    s, c = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=1, restrict_dim=dim - 1))
+    q = REPMAPS[method](s, c)
+    assert q.as_relation() == graph_relation(q.domain.space, q.codomain, q.domain.basis, q.matrix)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0, 1]],  # leading entry not 1
+        [[0, 1, 0], [1, 0, 0]],  # leading columns out of order
+        [[1, 1, 0], [0, 1, 0]],  # a leading column not cleared above
+        [[1, 0, 0], [0, 0, 0]],  # a zero row
+    ],
+)
+def test_echelon_relation_rejects_rows_not_in_reduced_echelon_form(rows):
+    q1, q2 = InnerProductSpace(1, identity(1)), InnerProductSpace(2, identity(2))
+    with pytest.raises(ValueError, match="reduced echelon"):
+        echelon_relation(q1, q2, mat(rows))

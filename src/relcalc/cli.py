@@ -48,8 +48,11 @@ from .serialize import (
 EXTEND_KINDS = {
     "friedrichs": (friedrichs, ("repmap-product", "adjoint-domain-membership", "multivalued-graph-sum")),
     "weak-friedrichs": (weak_friedrichs, ("multivalued-graph-sum", "equals-friedrichs")),
-    "krein": (krein, ("companion-product", "eigenspace-graph-sum", "inverse-duality", "closure-graph-sum")),
-    "weak-krein": (weak_krein, ("eigenspace-graph-sum", "equals-krein")),
+    "krein": (
+        krein,
+        ("companion-product", "operator-part-product", "eigenspace-graph-sum", "inverse-duality", "closure-graph-sum"),
+    ),
+    "weak-krein": (weak_krein, ("eigenspace-graph-sum", "companion-product", "equals-krein")),
 }
 
 

@@ -8,6 +8,12 @@ parts of the theory and their agreement is the machine-checked content.
 
 Fractional powers never appear.  The square-root domains and ranges are
 reached only through their exact surrogates ran Q_c* and dom J_c*.
+
+Every construction at (S, c) has one gate, ``repmap_ldl(form_of_relation(S),
+c)``, which also builds the map that J_c comes from: ``form_of_relation``
+raises ``PreconditionError`` unless S is symmetric, and ``repmap_ldl``
+raises ``BoundCertificationError``, with the LDL^T witness, unless
+t(S) - c >= 0.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundCertificationError, CrossCheckError, PreconditionError
+from .errors import CrossCheckError, PreconditionError
 from .forms import (
-    QuadraticForm,
     certify_lower_bound,
     companion,
     form_of_relation,
@@ -37,7 +42,6 @@ from .relations import (
     inverse,
     is_nonneg_above,
     is_selfadjoint,
-    is_symmetric,
     parts,
     product_relation,
     regular_part,
@@ -54,18 +58,6 @@ from .spaces import (
     intersect,
     zero_subspace,
 )
-
-
-def _require_semibounded(s: LinearRelation, c: Fraction) -> QuadraticForm:
-    if not is_symmetric(s):
-        raise PreconditionError("extension theory requires a symmetric relation")
-    t = form_of_relation(s)
-    res = certify_lower_bound(t, c)
-    if not res.ok:
-        raise BoundCertificationError(
-            f"the form of the relation is not bounded below by {c}", res.witness
-        )
-    return t
 
 
 def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Mat) -> LinearRelation:
@@ -99,7 +91,7 @@ def friedrichs(s: LinearRelation, c) -> LinearRelation:
     from the quotient map, with it.
     """
     c = rat(c)
-    q = repmap_ldl(_require_semibounded(s, c), c)
+    q = repmap_ldl(form_of_relation(s), c)
     qrel = q.as_relation()
     via_repmap = shift(compose(adjoint(qrel), closure(qrel)), c)
 
@@ -128,7 +120,7 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
     coincidence criterion for the weak and full extensions to coincide.
     """
     c = rat(c)
-    _require_semibounded(s, c)
+    repmap_ldl(form_of_relation(s), c)
     out = hsum(s, product_relation(zero_subspace(s.src), parts(adjoint(s)).mul))
     if out != friedrichs(s, c):
         raise CrossCheckError("weak Friedrichs extension differs from the Friedrichs extension")
@@ -152,8 +144,7 @@ def krein(s: LinearRelation, c) -> LinearRelation:
     built from quotient maps, with it.
     """
     c = rat(c)
-    q = repmap_ldl(_require_semibounded(s, c), c)
-    j = companion(s, q)
+    j = companion(s, repmap_ldl(form_of_relation(s), c))
     via_companion = shift(compose(closure(j), adjoint(j)), c)
 
     reg = regular_part(adjoint(j))
@@ -185,9 +176,8 @@ def weak_krein(s: LinearRelation, c) -> LinearRelation:
     finite dimension.
     """
     c = rat(c)
-    _require_semibounded(s, c)
-    out = hsum(s, eigen_relation(adjoint(s), c))
     j = companion(s, repmap_ldl(form_of_relation(s), c))
+    out = hsum(s, eigen_relation(adjoint(s), c))
     if out != shift(compose(j, adjoint(j)), c):
         raise CrossCheckError("weak Krein extension differs from c + J J*")
     if out != krein(s, c):
@@ -284,7 +274,7 @@ def extremal_check(h: LinearRelation, s: LinearRelation, c) -> bool:
     whose agreement is asserted: the definitional quadratic infimum test
     and the form-restriction sandwich."""
     c = rat(c)
-    _require_semibounded(s, c)
+    repmap_ldl(form_of_relation(s), c)
     if not h.is_extension_of(s):
         raise PreconditionError("extremality is relative to an extension")
     if not is_selfadjoint(h):
@@ -301,7 +291,6 @@ def extremal_from_domain(s: LinearRelation, c, d: Subspace) -> LinearRelation:
     """The extremal extension c + R_c* R_c** built from the restriction
     R_c of (J_c*)_reg to an intermediate domain dom S <= D <= dom J_c*."""
     c = rat(c)
-    _require_semibounded(s, c)
     jstar = adjoint(companion(s, repmap_ldl(form_of_relation(s), c)))
     reg = regular_part(jstar)
     dom_s = parts(s).dom
@@ -327,14 +316,14 @@ def krein_is_operator(s: LinearRelation, c) -> bool:
     when true, against the factorization S - c = (J_c J_c*) restricted to
     dom S."""
     c = rat(c)
-    _require_semibounded(s, c)
+    q = repmap_ldl(form_of_relation(s), c)
     meet = intersect(parts(shift(s, -c)).ran, parts(adjoint(s)).mul)
     res = meet.dim == 0
     k = krein(s, c)
     if (parts(k).mul.dim == 0) != res:
         raise CrossCheckError("operator criterion disagrees with mul S_K,c")
     if res:
-        j = companion(s, repmap_ldl(form_of_relation(s), c))
+        j = companion(s, q)
         factor = restrict_domain(compose(j, adjoint(j)), parts(s).dom)
         if factor != shift(s, -c):
             raise CrossCheckError("closable factorization S - c = J_c J_c* | dom S failed")
@@ -349,7 +338,8 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     c < gamma; it is evaluated at c = gamma - 1, cross-checked against the
     direct graph comparison and against the sup-finiteness range test."""
     gamma = rat(gamma)
-    t = _require_semibounded(s, gamma)
+    t = form_of_relation(s)
+    q = repmap_ldl(t, gamma)
     shifted = t.matrix - t.domain_gram.scale(gamma)
     if kernel(shifted).rows == 0:
         # gamma is certified but not attained: the true bound is strictly
@@ -357,7 +347,7 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
         # settle the question at gamma.
         return None
     c = gamma - 1
-    j = companion(s, repmap_ldl(t, gamma))
+    j = companion(s, q)
     ker_c = eigenspace(adjoint(s), c)
     meet = intersect(ker_c, parts(adjoint(j)).dom)
     res = meet.dim == 0

@@ -36,7 +36,6 @@ from .linalg import (
     det,
     diag,
     echelon_coords,
-    hash_once,
     hstack,
     identity,
     kernel,
@@ -78,13 +77,12 @@ from .spaces import (
 )
 
 
-@hash_once
 @dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric bilinear form on a domain subspace, in basis coordinates.
 
     t[x^T B, y^T B] = x^T matrix y where the rows of B are the canonical
-    domain basis.
+    domain basis.  It hashes as the domain basis and the matrix.
     """
 
     space: InnerProductSpace
@@ -99,6 +97,9 @@ class QuadraticForm:
             raise ValueError("form matrix must be square of the domain dimension")
         if not self.matrix.is_symmetric():
             raise ValueError("form matrix must be symmetric")
+
+    def __hash__(self) -> int:
+        return hash((self.domain.basis, self.matrix))
 
     @property
     def domain_gram(self) -> Mat:
@@ -463,7 +464,7 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     c = rat(c)
     res = certify_lower_bound(t, c)
     if not res.ok:
-        raise BoundCertificationError("form is not bounded below by the base point", res.witness)
+        raise BoundCertificationError(f"the form of the relation is not bounded below by {c}", res.witness)
     cert = res.cert
     k = t.domain.dim
     # P^T (M - cG) P = L D L^T, so M - cG = R D R^T with R = P L, i.e.
@@ -488,7 +489,7 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     t = form_of_relation(s)
     res = certify_lower_bound(t, c)
     if not res.ok:
-        raise BoundCertificationError("form is not bounded below by the base point", res.witness)
+        raise BoundCertificationError(f"the form of the relation is not bounded below by {c}", res.witness)
     smc = shift(s, -c)
     ran_smc = parts(smc).ran
     null = intersect(ran_smc, parts(adjoint(s)).mul)

@@ -57,9 +57,10 @@ eliminations here, the subspace and relation operations with ``contains``
 and ``form_matrix_on_domain``, the forms and representing maps, and the
 extensions with ``order_leq``, ``extremal_check`` and
 ``extremal_from_domain``: inside one scope each runs once per distinct
-input.  A lookup hashes its arguments, so ``Mat`` and, through
-``hash_once``, the value objects built on it hash their fields once, and a
-relation splits its ``halves`` once.
+input.  A lookup hashes its arguments.  A ``Mat`` keeps its hash in its
+``_hash`` slot, and each value built on it (a space, a subspace, a
+relation, a form) hashes as the ``Mat`` that fixes it up to ``==``, so
+no value stores a hash of its own; a relation splits its ``halves`` once.
 """
 
 from __future__ import annotations
@@ -93,25 +94,6 @@ def clear_memos() -> None:
     """Start a new cache scope: empty every ``memo`` cache."""
     for cached in _MEMOS:
         cached.cache_clear()
-
-
-def hash_once(cls: type) -> type:
-    """Keep the hash of each instance of the frozen dataclass ``cls`` on the
-    instance, as ``Mat`` keeps ``_hash``: the field hash the dataclass
-    generated, computed on first use and stored in the instance
-    ``__dict__``, outside the fields, so it enters no ``==``, ``repr`` or
-    ``asdict``."""
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            cached = self.__dict__["_hash"] = field_hash(self)
-            return cached
-
-    cls.__hash__ = __hash__
-    return cls
 
 
 def rat(x: int | str | Fraction) -> Fraction:

@@ -22,7 +22,6 @@ from .linalg import (
     Vec,
     block_diag,
     echelon_coords,
-    hash_once,
     hstack,
     ldl_psd_certificate,
     mat,
@@ -47,10 +46,11 @@ from .spaces import (
 )
 
 
-@hash_once
 @dataclass(frozen=True)
 class LinearRelation:
-    """A (possibly multivalued, possibly non-densely-defined) linear relation."""
+    """A (possibly multivalued, possibly non-densely-defined) linear relation.
+
+    It hashes as its graph basis; ``==`` compares the spaces too."""
 
     src: InnerProductSpace
     dst: InnerProductSpace
@@ -59,6 +59,9 @@ class LinearRelation:
     def __post_init__(self) -> None:
         if self.graph.space != product_space(self.src, self.dst):
             raise ValueError("graph must live in the product of src and dst")
+
+    def __hash__(self) -> int:
+        return hash(self.graph.basis)
 
     def pairs(self) -> list[tuple[Vec, Vec]]:
         """Graph basis as (first, second) component pairs."""
@@ -79,14 +82,6 @@ class LinearRelation:
     def is_extension_of(self, other: "LinearRelation") -> bool:
         _same_spaces(self, other)
         return contains(self.graph, other.graph)
-
-
-@dataclass(frozen=True)
-class RelationParts:
-    dom: Subspace
-    ran: Subspace
-    ker: Subspace
-    mul: Subspace
 
 
 def _same_spaces(a: LinearRelation, b: LinearRelation) -> None:
@@ -131,25 +126,41 @@ def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
     return echelon_relation(x.space, y.space, block_diag(x.basis, y.basis))
 
 
-def _dom_and_mul(t: LinearRelation) -> tuple[Subspace, Subspace]:
-    """dom T and mul T, read off the reduced echelon graph basis.  Its rows
-    that pivot in the first half come first, and their first halves are the
-    reduced echelon basis of dom T; the other rows are {0, g}, and their
-    second halves are that of mul T, since no combination of the first rows
-    has a zero first half."""
-    firsts, seconds = t.halves
-    k = nonzero_rows(firsts)
-    return Subspace(t.src, firsts.take(range(k))), Subspace(t.dst, seconds.take(range(k, seconds.rows)))
+class RelationParts:
+    """dom, ran, ker and mul of T, with no elimination of T's own graph.
+
+    dom and mul are read off T's reduced echelon graph basis when the parts
+    are made: its rows that pivot in the first half come first, and their
+    first halves are the reduced echelon basis of dom T; the other rows
+    are {0, g}, and their second halves are that of mul T, since no
+    combination of the first rows has a zero first half.  ran T = dom T^-1
+    and ker T = mul T^-1 (Arens) are read the same way off the inverse's
+    graph, one RREF, on first reading, and then kept."""
+
+    def __init__(self, t: LinearRelation) -> None:
+        firsts, seconds = t.halves
+        k = nonzero_rows(firsts)
+        self.dom = Subspace(t.src, firsts.take(range(k)))
+        self.mul = Subspace(t.dst, seconds.take(range(k, seconds.rows)))
+        self._t = t
+
+    @cached_property
+    def _of_inverse(self) -> RelationParts:
+        return parts(inverse(self._t))
+
+    @property
+    def ran(self) -> Subspace:
+        return self._of_inverse.dom
+
+    @property
+    def ker(self) -> Subspace:
+        return self._of_inverse.mul
 
 
 @memo
 def parts(t: LinearRelation) -> RelationParts:
-    """dom, ran, ker and mul of T, with no elimination of T's own graph:
-    dom and mul from its basis, and ran T = dom T^-1 and ker T = mul T^-1
-    from the basis of the inverse's graph (Arens), one RREF in all."""
-    dom, mul = _dom_and_mul(t)
-    ran, ker = _dom_and_mul(inverse(t))
-    return RelationParts(dom=dom, ran=ran, ker=ker, mul=mul)
+    """The parts of T: dom and mul at once, ran and ker when first read."""
+    return RelationParts(t)
 
 
 def lifts(t: LinearRelation, xs: Mat) -> Mat:

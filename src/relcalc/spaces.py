@@ -32,7 +32,6 @@ from .linalg import (
     is_reduced_echelon,
     ldl_psd_certificate,
     block_diag,
-    hash_once,
     mat,
     memo,
     null_space,
@@ -44,13 +43,17 @@ from .linalg import (
 )
 
 
-@hash_once
 @dataclass(frozen=True)
 class InnerProductSpace:
-    """Finite-dimensional space with inner product (x, y) = x^T G y."""
+    """Finite-dimensional space with inner product (x, y) = x^T G y.
+
+    It hashes as its Gram, which fixes it."""
 
     dim: int
     gram: Mat
+
+    def __hash__(self) -> int:
+        return hash(self.gram)
 
     def __post_init__(self) -> None:
         if self.gram.rows != self.dim or self.gram.cols != self.dim:
@@ -88,7 +91,6 @@ def product_space(h: InnerProductSpace, k: InnerProductSpace) -> InnerProductSpa
     return space
 
 
-@hash_once
 @dataclass(frozen=True)
 class Subspace:
     """Canonical subspace of an ambient space.
@@ -97,11 +99,15 @@ class Subspace:
     unique per subspace: two Subspace values are equal iff they are the
     same subspace of the same ambient space.  The zero subspace has a
     0-row basis.  Membership reads coordinates off the leading 1s, so a
-    basis in any other form is a ``ValueError``.
+    basis in any other form is a ``ValueError``.  It hashes as its basis;
+    ``==`` compares the space too.
     """
 
     space: InnerProductSpace
     basis: Mat
+
+    def __hash__(self) -> int:
+        return hash(self.basis)
 
     def __post_init__(self) -> None:
         if self.basis.cols != self.space.dim:

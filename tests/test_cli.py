@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcalc
-from relcalc import forms, harness
+from relcalc import extensions, forms, harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
-from relcalc.linalg import vec
-from relcalc.relations import relation_from_pairs
+from relcalc.linalg import clear_memos, vec
+from relcalc.relations import graph_relation, relation_from_pairs
 from relcalc.serialize import canonical_dumps, read_relation, relation_to_json, write_relation
 from relcalc.spaces import standard_space
 
@@ -87,12 +87,51 @@ def test_extend_krein_e1(tmp_path, capsys):
     code = main(["extend", e1_path(tmp_path), "--kind", "krein", "--c", "0", "-o", str(out), "--format", "json"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
-    assert "inverse-duality" in data["asserted_checks"]
+    assert data["asserted_checks"] == [
+        "companion-product",
+        "operator-part-product",
+        "eigenspace-graph-sum",
+        "inverse-duality",
+        "closure-graph-sum",
+    ]
     got = read_relation(str(out))
     from relcalc.extensions import krein
 
     s = relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
     assert got == krein(s, 0)
+
+
+def test_extend_krein_fails_when_only_the_operator_part_route_moves(tmp_path, capsys, monkeypatch):
+    # Doubling the regular part of J_c* moves c + ((J_c*)_reg)* (J_c*)_reg
+    # alone, to c + 4 ((J_c*)_reg)* (J_c*)_reg.
+    real = extensions.regular_part
+
+    def doubled(t):
+        firsts, seconds = real(t).halves
+        return graph_relation(t.src, t.dst, firsts, seconds.scale(2))
+
+    monkeypatch.setattr(extensions, "regular_part", doubled)
+    clear_memos()
+    assert main(["extend", e1_path(tmp_path), "--kind", "krein", "--c", "0"]) == 1
+    assert capsys.readouterr().err == "error: Krein type extension formulas disagree\n"
+
+
+def test_one_message_for_each_failed_premise(tmp_path, capsys):
+    # extend and check meet the same gate, with the same message and witness.
+    path = str(tmp_path / "r.json")
+    assert main(["random", "--dim", "4", "--seed", "1", "--mul", "1", "--restrict", "2", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["extend", path, "--kind", "krein", "--c", "1000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("bound certification failed: the form of the relation is not bounded below by 1000\ncounterexample: ")
+    assert main(["check", path, "--c", "1000"]) == 4
+    assert capsys.readouterr().err == err
+
+    nonsym = tmp_path / "nonsym.json"
+    nonsym.write_text(json.dumps({"from": {"dim": 2}, "to": {"dim": 2}, "graph_basis": [["1", "0", "0", "1"], ["0", "1", "0", "0"]]}))
+    for argv in (["extend", "--kind", "krein"], ["extend", "--kind", "krein", "--c", "0"], ["check", "--c", "0"]):
+        assert main([*argv, str(nonsym)]) == 3
+        assert capsys.readouterr().err == "precondition violated: the form of a relation requires a symmetric relation\n"
 
 
 def test_extend_friedrichs_base_point_independent(tmp_path):
@@ -555,8 +594,8 @@ UNCALLED_BY_DESIGN = {
     "relation_from_pairs": "the README example builds its relation with it",
     "scalar_repmap": "acceptance criterion 10 stacks it onto a representing relation",
     "stack_relations": "acceptance criterion 10 builds the stacked map with it",
-    "krein_equals_friedrichs": "ROADMAP item 3 gives it a check",
-    "random_orthogonal_range_relation": "ROADMAP item 3 gives it a check",
+    "krein_equals_friedrichs": "ROADMAP item 4 gives it a check",
+    "random_orthogonal_range_relation": "ROADMAP item 4 gives it a check",
 }
 
 

@@ -27,7 +27,7 @@ from relcalc.forms import (
     scalar_repmap,
     stack_relations,
 )
-from relcalc.harness import check_codding, verify_all
+from relcalc.harness import InstanceSpec, check_codding, random_semibounded, verify_all
 from relcalc.linalg import _MEMOS, clear_memos, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
     adjoint,
@@ -112,6 +112,32 @@ def test_friedrichs_e2_orthogonal():
 def test_friedrichs_bound_failure():
     with pytest.raises(BoundCertificationError):
         friedrichs(e1(), 3)
+
+
+# Every construction at (S, c), called with S as its base relation.
+GATED = {
+    "friedrichs": friedrichs,
+    "weak_friedrichs": weak_friedrichs,
+    "krein": krein,
+    "weak_krein": weak_krein,
+    "extremal_check": lambda s, c: extremal_check(s, s, c),
+    "extremal_from_domain": lambda s, c: extremal_from_domain(s, c, parts(s).dom),
+    "krein_is_operator": krein_is_operator,
+    "krein_equals_friedrichs": krein_equals_friedrichs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_every_construction_is_gated_by_the_ldl_representing_map(name):
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=1, mul_dim=1, restrict_dim=2))
+    with pytest.raises(BoundCertificationError, match="not bounded below by 1000$") as info:
+        GATED[name](s, Fraction(1000))
+    v = info.value.witness
+    assert form_of_relation(s).evaluate(v, v) < 1000 * s.src.inner(v, v)
+
+    nonsym = relation_from_pairs(Q2, Q2, [(vec([1, 0]), vec([0, 1])), (vec([0, 1]), vec([0, 0]))])
+    with pytest.raises(PreconditionError, match="requires a symmetric relation"):
+        GATED[name](nonsym, Fraction(0))
 
 
 def test_krein_e1_is_rank_one_operator():

@@ -24,12 +24,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relcalc.extensions import selfadjoint_from_form
-from relcalc.forms import companion, form_of_relation, repmap_ldl, repmap_quotient, stack_relations
+import relcalc.relations as relations
+from relcalc.forms import QuadraticForm, companion, form_of_relation, repmap_ldl, repmap_quotient, stack_relations
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import Mat, block_diag, hstack, identity, kernel, mat, solve_mat, vstack, zeros
+from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, kernel, mat, solve_mat, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
-    RelationParts,
     compose,
     echelon_relation,
     eigen_relation,
@@ -60,6 +60,7 @@ from relcalc.spaces import (
     projections,
     span,
     span_mat,
+    standard_space,
 )
 
 from relation_builders import operator_relation, scale
@@ -313,38 +314,95 @@ def test_take_picks_the_listed_rows_and_columns(data):
 # ------------------------------------------ echelon bases read, not re-eliminated
 #
 # ``parts`` reads dom and mul off a relation's reduced echelon graph basis,
-# and ran and ker off its inverse's; the constructors below put rows that
-# are already in reduced echelon form straight into a ``Subspace``.  Each is
-# held here to the eliminations that define it.
+# and ran and ker off its inverse's, on first reading; the constructors
+# below put rows that are already in reduced echelon form straight into a
+# ``Subspace``.  Each is held here to the eliminations that define it.
 
 
-def reference_parts(t: LinearRelation) -> RelationParts:
+def reference_parts(t: LinearRelation) -> dict:
     """dom, ran, ker and mul by four eliminations of the graph halves:
     mul = {g : x^T F = 0, g = x^T G} and ker = {f : x^T G = 0, f = x^T F}."""
     firsts, seconds = t.halves
-    return RelationParts(
-        dom=span_mat(t.src, firsts),
-        ran=span_mat(t.dst, seconds),
-        ker=image_where(t.src, firsts, seconds),
-        mul=image_where(t.dst, seconds, firsts),
-    )
+    return {
+        "dom": span_mat(t.src, firsts),
+        "ran": span_mat(t.dst, seconds),
+        "ker": image_where(t.src, firsts, seconds),
+        "mul": image_where(t.dst, seconds, firsts),
+    }
 
 
 def full_relation(src: InnerProductSpace, dst: InnerProductSpace) -> LinearRelation:
     return LinearRelation(src, dst, span_mat(product_space(src, dst), identity(src.dim + dst.dim)))
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_parts_equal_their_four_elimination_definition(data):
+def parts_corpus(data) -> tuple[LinearRelation, ...]:
+    """Relations with src != dst: multivalued, random, zero and full."""
     src, dst, _ = data.draw(spaces_of_unequal_dims())
-    for t in (
+    return (
         data.draw(multivalued_relation(src, dst)),
         data.draw(relation(src, dst)),
         relation_from_pairs(src, dst, []),
         full_relation(src, dst),
-    ):
-        assert parts(t) == reference_parts(t)
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_parts_equal_their_four_elimination_definition(data):
+    for t in parts_corpus(data):
+        p, expected = parts(t), reference_parts(t)
+        for name in ("dom", "ran", "ker", "mul"):
+            assert getattr(p, name) == expected[name]
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_parts_build_the_inverse_only_when_ran_or_ker_is_read(data):
+    real_inverse = relations.inverse
+    for t in parts_corpus(data):
+        expected = reference_parts(t)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relations, "inverse", lambda r: calls.append(r) or real_inverse(r))
+            clear_memos()
+            p = parts(t)
+            assert (p.dom, p.mul) == (expected["dom"], expected["mul"])
+            assert calls == []
+            assert p.ran == expected["ran"]
+            assert p.ker == expected["ker"]
+            assert calls == [t]
+
+
+def assert_same_value(a, b) -> None:
+    """Equal values built by two routes hash alike, and neither keeps a
+    hash beside its fields."""
+    assert a == b and hash(a) == hash(b)
+    assert "_hash" not in vars(a) and "_hash" not in vars(b)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_values_built_by_different_routes_hash_alike(data):
+    h, k, _ = data.draw(spaces_of_unequal_dims())
+    hk = product_space(h, k)
+    assert_same_value(hk, InnerProductSpace(h.dim + k.dim, block_diag(h.gram, k.gram)))
+
+    x, y = data.draw(subspace(h)), data.draw(subspace(k))
+    eliminated = span_mat(hk, block_diag(x.basis, y.basis))
+    assert_same_value(product_relation(x, y).graph, eliminated)
+    assert_same_value(product_relation(x, y), LinearRelation(h, k, eliminated))
+    t = data.draw(multivalued_relation(h, k))
+    assert_same_value(echelon_relation(h, k, t.graph.basis), graph_relation(h, k, *t.halves))
+
+    domain = data.draw(subspace(h))
+    b = mat([[data.draw(rationals) for _ in range(domain.dim)] for _ in range(domain.dim)]) if domain.dim else zeros(0, 0)
+    form = QuadraticForm(h, domain, b + b.T)
+    assert_same_value(form, form.restrict(domain))
+
+    # A value hashes as the matrix that fixes it inside its space, so
+    # values of different spaces may share a hash; == tells them apart.
+    whole, plain = span_mat(h, identity(h.dim)), span_mat(standard_space(h.dim), identity(h.dim))
+    assert hash(whole) == hash(plain) and whole != plain
 
 
 @given(st.data())

@@ -314,8 +314,9 @@ def test_compose_associative(data):
 
 
 def test_kept_hash_and_halves_stay_outside_the_value():
-    # A relation keeps its hash and its halves once read; neither may enter
-    # equality, repr or the serialized form.
+    # A relation hashes as its graph basis, whose Mat keeps the hash, and
+    # keeps its halves once read; neither may enter equality, repr or the
+    # serialized form.
     def build():
         q = InnerProductSpace(2, mat([[2, 1], [1, 3]]))
         return relation_from_pairs(q, q, [(vec([1, 0]), vec([2, 1])), (vec([0, 0]), vec([1, 1]))])
@@ -323,8 +324,8 @@ def test_kept_hash_and_halves_stay_outside_the_value():
     used, fresh = build(), build()
     firsts, seconds = used.halves
     assert used.halves is used.halves
-    assert hash(used) == hash((used.src, used.dst, used.graph))
-    assert "_hash" in vars(used) and "_hash" not in vars(fresh)
+    assert hash(used) == hash(used.graph.basis)
+    assert set(vars(used)) == {"src", "dst", "graph", "halves"}
     assert [f.name for f in fields(used)] == ["src", "dst", "graph"]
     assert used == fresh and fresh == used
     assert hash(used) == hash(fresh)

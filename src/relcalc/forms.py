@@ -7,9 +7,10 @@ constructions of a representing map Q_c with
     (t(S) - c)[phi, psi] = (Q_c phi, Q_c psi)  in a weighted codomain.
 
 No square roots are ever taken: the codomain Gram matrix carries the
-weights, which keeps every certificate identity inside the rational field.
-Each representing map has a companion relation J_c = {{Q_c phi, phi'-c phi}}
-forming an exact dual pair with it.
+weights, the block of M - cG at its LDL^T pivots for ``repmap_ldl`` and
+the induced quotient product for ``repmap_quotient``, which keeps every
+certificate identity inside the rational field.  Each representing map
+has a companion relation J_c = {{Q_c phi, phi'-c phi}}, an exact dual pair.
 
 Whether t - c >= 0 has two independent formulas: the verified pivoted
 LDL^T certificate of M - cG (``certify_lower_bound``, with a witness when
@@ -34,7 +35,6 @@ from .linalg import (
     Vec,
     block_diag,
     det,
-    diag,
     echelon_coords,
     hstack,
     identity,
@@ -456,23 +456,23 @@ class RepresentingMap:
 
 @memo
 def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
-    """Representing map from the pivoted LDL^T factorization of t - c.
-
-    Zero pivots are dropped; the kept pivots become the diagonal codomain
-    Gram, so no square root is ever taken.
+    """Representing map onto the Gram block A[P, P] of A = M - cG at the
+    LDL^T pivots P with nonzero D: Q = A[:, P] A[P, P]^-1, unit at P, with
+    the heights of A rather than those of L.  The Schur complement after P
+    vanishes, so Q A[P, P] Q^T = A with no square root, and the codomain's
+    own LDL^T certifies A[P, P] positive definite, so every row solves.
     """
     c = rat(c)
     res = certify_lower_bound(t, c)
     if not res.ok:
         raise BoundCertificationError(f"the form of the relation is not bounded below by {c}", res.witness)
-    cert = res.cert
-    k = t.domain.dim
-    # P^T (M - cG) P = L D L^T, so M - cG = R D R^T with R = P L, i.e.
-    # R[j][i] = L[where[j]][i] with where the inverse permutation.
-    where = sorted(range(k), key=cert.perm.__getitem__)
-    kept = [i for i in range(k) if cert.diag[i] != 0]
-    matrix = cert.lower.take(where, kept)
-    codomain = InnerProductSpace(len(kept), diag(tuple(cert.diag[i] for i in kept)))
+    kept = res.cert.perm[: sum(1 for d in res.cert.diag if d)]
+    a = t.matrix - t.domain_gram.scale(c)
+    try:
+        codomain = InnerProductSpace(len(kept), a.take(kept, kept))
+    except ValueError as exc:
+        raise CrossCheckError(f"Gram block at the LDL^T pivots: {exc}") from None
+    matrix = solve_mat(codomain.gram, a.take(range(a.rows), kept))
     return RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
 
 

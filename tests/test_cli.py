@@ -1,12 +1,14 @@
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import relcalc
 from relcalc import extensions, forms, harness
-from relcalc.cli import main
+from relcalc.cli import EXTEND_KINDS, main
 from relcalc.errors import CrossCheckError
 from relcalc.linalg import clear_memos, vec
 from relcalc.relations import graph_relation, relation_from_pairs
@@ -114,6 +116,40 @@ def test_extend_krein_fails_when_only_the_operator_part_route_moves(tmp_path, ca
     clear_memos()
     assert main(["extend", e1_path(tmp_path), "--kind", "krein", "--c", "0"]) == 1
     assert capsys.readouterr().err == "error: Krein type extension formulas disagree\n"
+
+
+def _via_locals(builder) -> int:
+    """The routes of a builder that names each one ``via_*`` and compares
+    them all at once."""
+    return sum(1 for name in builder.__wrapped__.__code__.co_varnames if name.startswith("via_"))
+
+
+def _cross_check_raises_plus_one(builder) -> int:
+    """The routes of a builder that compares its result with each other
+    route in turn, one ``raise CrossCheckError`` per comparison."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(builder)))
+    return 1 + sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and ast.unparse(node.exc.func) == "CrossCheckError"
+    )
+
+
+ROUTE_COUNTERS = {
+    "friedrichs": _via_locals,
+    "krein": _via_locals,
+    "weak-friedrichs": _cross_check_raises_plus_one,
+    "weak-krein": _cross_check_raises_plus_one,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_COUNTERS))
+def test_extend_names_every_route_its_builder_compares(kind):
+    # EXTEND_KINDS is kept by hand beside the builders; a route added to or
+    # removed from a builder must be named (or unnamed) in extend's output.
+    assert sorted(ROUTE_COUNTERS) == sorted(EXTEND_KINDS)
+    builder, names = EXTEND_KINDS[kind]
+    assert ROUTE_COUNTERS[kind](builder) == len(names)
 
 
 def test_one_message_for_each_failed_premise(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from relcalc import forms
-from relcalc.errors import BoundCertificationError, PreconditionError
+from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.forms import (
+    CertifyResult,
     QuadraticForm,
     bound_bisect,
     certify_lower_bound,
@@ -22,7 +24,8 @@ from relcalc.forms import (
     scalar_repmap,
     stack_relations,
 )
-from relcalc.linalg import block_diag, mat, vec, zeros
+from relcalc.harness import InstanceSpec, random_semibounded
+from relcalc.linalg import block_diag, clear_memos, identity, mat, vec, zeros
 from relcalc.relations import (
     adjoint,
     compose,
@@ -139,6 +142,77 @@ def test_repmap_ldl_zero_form():
 def test_repmap_ldl_requires_certificate():
     with pytest.raises(BoundCertificationError):
         repmap_ldl(form_of_relation(e1()), 3)
+
+
+def _on_plane(m):
+    """The form with matrix ``m`` on all of Q2."""
+    return QuadraticForm(Q2, full_subspace(Q2), mat(m))
+
+
+def _pivots(t, c):
+    cert = certify_lower_bound(t, c).cert
+    return cert.perm[: sum(1 for d in cert.diag if d)]
+
+
+def test_repmap_ldl_of_a_nonsingular_form_is_the_identity_onto_it():
+    # The pivots come in their own order, so all of A = M is the block.
+    t = _on_plane([[4, 1], [1, 2]])
+    assert _pivots(t, 0) == (0, 1)
+    q = repmap_ldl(t, 0)
+    assert q.matrix == identity(2)
+    assert q.codomain.gram == t.matrix
+
+
+# Singular at c with 0 < r < k: diag(1, 3) at 1 keeps P = (1,); a rank-one
+# block keeps its first pivot; a nonsingular form keeps both, larger first.
+@pytest.mark.parametrize("m, c", [([[1, 0], [0, 3]], 1), ([[3, 3], [3, 3]], 0), ([[1, 1], [1, 2]], 0)])
+def test_repmap_ldl_maps_onto_the_gram_block_at_the_pivots(m, c):
+    t = _on_plane(m)
+    a = t.matrix - t.domain_gram.scale(c)
+    kept = _pivots(t, c)
+    q = repmap_ldl(t, c)
+    assert q.codomain.gram == a.take(kept, kept)
+    # Unit rows at the pivots: Q of the pivot basis vectors is the codomain basis.
+    assert q.matrix.take(kept) == identity(len(kept))
+
+
+@pytest.mark.parametrize(
+    "m, c, fault",
+    [
+        # The pivot order reversed: the block A[P, P] = (0) is singular, and
+        # the Gram certificate's ValueError surfaces as a failed cross-check.
+        ([[1, 0], [0, 3]], 1, lambda cert: dataclasses.replace(cert, perm=cert.perm[::-1])),
+        # The last pivot dropped: A[P, P] = (4) is positive definite, but
+        # its Schur complement does not vanish.
+        ([[4, 1], [1, 2]], 0, lambda cert: dataclasses.replace(cert, diag=(*cert.diag[:-1], Fraction(0)))),
+    ],
+)
+def test_repmap_ldl_rejects_a_certificate_with_wrong_pivots(monkeypatch, m, c, fault):
+    t = _on_plane(m)
+    real = forms.certify_lower_bound(t, c)
+    clear_memos()
+    monkeypatch.setattr(forms, "certify_lower_bound", lambda t, c: CertifyResult(fault(real.cert), None))
+    with pytest.raises(CrossCheckError):
+        repmap_ldl(t, c)
+
+
+def _height(m) -> int:
+    """The largest bit length among the stored integers of ``m``: its
+    row numerators and row denominators."""
+    return max(x.bit_length() for row, d in zip(m._num, m._den) for x in (*row, d))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_ldl_map_is_no_taller_than_its_form(seed):
+    # The graph {B | Q} of Q = A[:, P] A[P, P]^-1 stays within the height of
+    # A = M - cG.  The LDL^T factor L holds ratios of leading minors, far
+    # taller than A (2,393 bits against 357 for (S - c)^-1 at seed 0), so
+    # a map read off L fails this.
+    s, c = random_semibounded(InstanceSpec(dim=12, seed=seed, mul_dim=1, restrict_dim=7))
+    for rel, base in ((s, c), (inverse(shift(s, -c)), 0)):
+        t = form_of_relation(rel)
+        q = repmap_ldl(t, base)
+        assert _height(q.as_relation().graph.basis) <= _height(t.matrix - t.domain_gram.scale(base))
 
 
 def test_repmap_quotient_e1():

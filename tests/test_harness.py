@@ -1,5 +1,7 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -504,3 +506,20 @@ def test_zero_draws_fall_back_to_the_solution_rows(monkeypatch):
     assert got[0] != s
     for h in got:
         assert is_selfadjoint(h) and h.is_extension_of(s)
+
+
+def _abstract_map() -> list[str]:
+    """The numbered lines of README's map from the abstract to the checks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### The abstract and the checks that test it\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    return [line for line in section.splitlines() if re.match(r"\d+\. ", line)]
+
+
+def test_the_readme_maps_each_abstract_sentence_to_registered_checks():
+    # Five sentences; each line names the checks after its last colon.
+    lines = _abstract_map()
+    assert [line.split(".", 1)[0] for line in lines] == ["1", "2", "3", "4", "5"]
+    for line in lines:
+        names = re.findall(r"`([^`]+)`", line.rsplit(": ", 1)[1])
+        assert names and set(names) <= set(harness.REQUIRED_CHECKS), line

@@ -29,7 +29,7 @@ from .forms import (
     inequality_domain_subspace,
     repmap_ldl,
 )
-from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, solve_mat, vstack, zeros
+from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, row_dots, solve_mat, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -251,8 +251,8 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     x = solve_mat(cmat @ nc, nc)
     if x is None:
         raise CrossCheckError("the normal equations of a nonnegative form are inconsistent")
-    for i in range(th.domain.dim):
-        minimum = n[i, i] - sum(a * b for a, b in zip(nc.row(i), x.row(i)))
+    for i, dot in enumerate(row_dots(nc, x)):
+        minimum = n[i, i] - dot
         if minimum < 0:
             raise CrossCheckError("a nonnegative form has a negative infimum")
         if minimum != 0:

@@ -12,9 +12,10 @@ solutions of a system, the images of a map.  A product with the transpose
 of a set of vectors, such as the Gram matrix a G b^T, is
 ``(a @ g).mul_t(b)``, which reads b's rows as columns and forms no
 transpose.  A nullspace comes in two forms.
-``null_space`` gives its canonical basis, the reduced echelon rows, from
-one RREF: use it wherever the subspace itself is wanted.  ``kernel`` gives
-the free-variable basis: use it where that particular basis matters, as
+``null_space`` (and ``pairing_null_space``, for the rows of a pairing)
+gives its canonical basis, the reduced echelon rows, from one
+elimination: use it wherever the subspace itself is wanted.  ``kernel``
+gives the free-variable basis: use it where that particular basis matters, as
 coordinates or as the directions of a random draw.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
 basis needs no elimination, and ``nonzero_rows`` counts the rows of an
@@ -28,23 +29,25 @@ class with one ``__init__``, its shape in the slots ``_rows`` and
 ``_cols`` behind read-only properties.  That form is canonical, so
 ``==`` and ``hash`` are tuple equality and hashing on ints.  Products,
 sums, scaling, transposes, submatrices and stacking build their result
-rows from ints with one gcd reduction per row, and the three
+rows from ints with one gcd reduction per row, but a column permutation
+in ``take`` and ``scale(±1)`` keep each row's denominator.  The three
 eliminations run on the stored rows directly.  ``det`` and
 ``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``
-eliminates forward below each pivot and reduces a row once, when it
-becomes a pivot row; its back phase then subtracts the finished rows
-below each pivot row, already in stored form.
+and ``null_space`` share ``_eliminate``, which eliminates forward below
+each pivot and reduces a row once, when it becomes a pivot row; its back
+phase then subtracts the finished rows below each pivot row, already in
+stored form.
 ``PsdCertificate.verify`` checks P^T M P = L D L^T one entry at a time,
 by integer cross-multiplication on the stored rows, and forms no product
-matrix.  A ``fractions.Fraction`` is created at four boundaries only:
-``Mat.__getitem__``, ``Mat.row``, ``Mat.to_lists`` and the result of
-``Mat.mul_vec``.  ``mat`` converts the other way.
+matrix.  A ``fractions.Fraction`` leaves a ``Mat`` only through
+``[i, j]``, ``row``, ``row_dots`` and ``mul_vec``; ``to_strings`` prints
+entries without one, and ``mat`` converts the other way.
 
 Only this module knows how a ``Mat`` is stored, and reads its slots
 directly.  Every other module builds matrices with ``mat``, ``zeros``,
 ``identity``, ``diag`` and the stacking helpers, and reads them through
-``rows``, ``cols``, ``[i, j]``, ``row``, ``take`` and ``to_lists``, so the
-storage can change here alone.
+``rows``, ``cols``, ``[i, j]``, ``row``, ``take``, ``row_dots`` and
+``to_strings``, so the storage can change here alone.
 
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
@@ -167,6 +170,9 @@ class Mat:
         num, den = self._num, self._den
         if cols is None:
             return Mat(len(rows), self._cols, tuple([num[i] for i in rows]), tuple([den[i] for i in rows]))
+        if sorted(cols) == list(range(self._cols)):
+            # Permuted entries keep their gcd, so each row keeps its denominator.
+            return Mat(len(rows), self._cols, tuple([tuple([num[i][j] for j in cols]) for i in rows]), tuple([den[i] for i in rows]))
         return _from_rows(len(cols), [_norm([num[i][j] for j in cols], den[i]) for i in rows])
 
     @property
@@ -187,6 +193,9 @@ class Mat:
         p, q = a.numerator, a.denominator
         if not p:
             return zeros(self._rows, self._cols)
+        if q == 1 and p in (1, -1):
+            # A sign keeps each row's gcd and denominator.
+            return self if p == 1 else Mat(self._rows, self._cols, tuple([tuple([-x for x in r]) for r in self._num]), self._den)
         return _from_rows(self._cols, [_norm([p * x for x in r], d * q) for r, d in zip(self._num, self._den)])
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -228,8 +237,15 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(any(r) for r in self._num)
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [[Fraction(x, d) for x in r] for r, d in zip(self._num, self._den)]
+    def to_strings(self) -> list[list[str]]:
+        """Every entry as ``str(Fraction)`` prints it, with no Fraction."""
+        return [[str(x) for x in r] if d == 1 else [_rational_str(x, d) for x in r] for r, d in zip(self._num, self._den)]
+
+
+def _rational_str(x: int, d: int) -> str:
+    """``str(Fraction(x, d))`` for ints x and d > 0."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
 
 
 def _norm(ints: Sequence[int], den: int) -> tuple[IntRow, int]:
@@ -350,19 +366,27 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.
 
     Leading entries are 1 with zeros above and below; this is the single
-    canonical form used for all subspace equality tests.
+    canonical form used for all subspace equality tests: ``_eliminate`` on
+    the stored integer rows (row denominators never matter to a row space).
+    """
+    done, pivots = _eliminate([list(row) for row in m._num], m._cols)
+    return _from_rows(m._cols, done), tuple(pivots)
 
-    The elimination runs on the stored integer rows (row denominators
-    never matter to a row space), in two phases.  The forward phase
-    eliminates each pivot column in the rows below the pivot only, and
-    only right of it, since the prefix is already zero; the multipliers
-    are divided by their gcd, and a row is divided by the gcd of its
-    entries once, when it becomes a pivot row.  The back phase finishes
-    the pivot rows from the last one up: the finished rows below are
-    subtracted over the lcm of their denominators, each already in stored
-    form with its leading entry equal to its denominator, and one gcd and
-    the sign of the pivot give the stored row directly.  RREF is unique,
-    so the result is independent of this representation.
+
+def _eliminate(work: list[list[int]], ncols: int) -> tuple[list[tuple[IntRow, int]], list[int]]:
+    """The RREF of the integer rows ``work`` as stored rows, zero rows
+    last, and its pivot columns; ``work`` is overwritten.  A positive
+    factor of a row changes nothing, since RREF is unique.
+
+    Two phases.  The forward phase eliminates each pivot column in the
+    rows below the pivot only, and only right of it, since the prefix is
+    already zero; the multipliers are divided by their gcd, and a row is
+    divided by the gcd of its entries once, when it becomes a pivot row.
+    The back phase finishes the pivot rows from the last one up: the
+    finished rows below are subtracted over the lcm of their denominators,
+    each already in stored form with its leading entry equal to its
+    denominator, and one gcd and the sign of the pivot give the stored row
+    directly.
 
     (Bareiss' integer-preserving elimination with exact division needs
     no gcd at all, but the rows here come from unrelated large
@@ -372,20 +396,20 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     forward phase alone took 0.68 s, and Bareiss Gauss-Jordan 2.5 s,
     against 0.08 s for this elimination, on Python 3.11 without gmpy2.)
     """
-    work = [list(row) for row in m._num]
+    nrows = len(work)
     pivots: list[int] = []
-    for pcol in range(m._cols):
+    for pcol in range(ncols):
         prow = len(pivots)
-        if prow >= m._rows:
+        if prow >= nrows:
             break
-        src = next((r for r in range(prow, m._rows) if work[r][pcol]), None)
+        src = next((r for r in range(prow, nrows) if work[r][pcol]), None)
         if src is None:
             continue
         work[prow], work[src] = work[src], work[prow]
         work[prow] = prow_vals = _reduced(work[prow])
         p = prow_vals[pcol]
         ptail = prow_vals[pcol + 1:]
-        for r in range(prow + 1, m._rows):
+        for r in range(prow + 1, nrows):
             row = work[r]
             f = row[pcol]
             if f:
@@ -396,7 +420,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         pivots.append(pcol)
     npiv = len(pivots)
     pivset = set(pivots)
-    free = [j for j in range(m._cols) if j not in pivset]
+    free = [j for j in range(ncols) if j not in pivset]
     done: list[tuple[IntRow, int]] = [((), 1)] * npiv
     for i in range(npiv - 1, -1, -1):
         row, pc = work[i], pivots[i]
@@ -407,7 +431,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         common = lcm(*[d for _, (_, d) in later])
         fs = [(c * (common // d), ints) for c, (ints, d) in later]
         p = row[pc]
-        acc = [0] * m._cols
+        acc = [0] * ncols
         acc[pc] = p * common
         for j in free:
             if j > pc:
@@ -417,8 +441,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                         v -= f * ints[j]
                 acc[j] = v
         done[i] = _norm(acc if p > 0 else [-x for x in acc], abs(p) * common)
-    done.extend([((0,) * m._cols, 1)] * (m._rows - npiv))
-    return _from_rows(m._cols, done), tuple(pivots)
+    return done + [((0,) * ncols, 1)] * (nrows - npiv), pivots
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -431,42 +454,68 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-@memo
-def kernel(m: Mat) -> Mat:
-    """Basis of the nullspace {x : Mx = 0}, as the rows of a k x cols matrix.
-
-    Uses the standard free-variable parametrization of the RREF, which is
-    deterministic and canonical for a given input: the basis vector of free
-    column f is 1 at f and minus column f of the reduced rows at the pivots,
-    one row per free column in increasing order.
-    """
-    red, pivots = rref(m)
+def _free_basis(red: Mat, pivots: Sequence[int]) -> list[tuple[IntRow, int]]:
+    """The free-variable null space basis of an RREF, stored: per free
+    column f in order, 1 at f and minus column f of ``red`` at the pivots."""
+    ncols = red._cols
     pivset = set(pivots)
     # The pivot rows over one denominator give every vector as ints.
     common = lcm(*red._den)
     over = _over(red, common)
     rows = []
-    for fc in range(m._cols):
+    for fc in range(ncols):
         if fc in pivset:
             continue
-        v = [0] * m._cols
+        v = [0] * ncols
         v[fc] = common
         for r, pc in zip(over, pivots):
             v[pc] = -r[fc]
         rows.append(_norm(v, common))
-    return _from_rows(m._cols, rows)
+    return rows
+
+
+@memo
+def kernel(m: Mat) -> Mat:
+    """Basis of the nullspace {x : Mx = 0}, as the rows of a k x cols
+    matrix: the free-variable parametrization of the RREF."""
+    red, pivots = rref(m)
+    return _from_rows(m._cols, _free_basis(red, pivots))
 
 
 @memo
 def null_space(m: Mat) -> Mat:
     """The reduced echelon basis of {x : Mx = 0}, as the rows of a k x cols
-    matrix, from one RREF: ``kernel`` of m with its columns reversed, each
-    vector reversed back and their order reversed.  The vector of free
-    column f is then 1 at f, 0 at every other free column and nonzero only
-    at pivot columns after f, so no second RREF is needed."""
-    n = m._cols
-    back = kernel(m.take(range(m._rows), range(n - 1, -1, -1)))
-    return back.take(range(back._rows - 1, -1, -1), range(n - 1, -1, -1))
+    matrix (``_null_space`` of the stored rows)."""
+    return _null_space(m._num, m._cols)
+
+
+def _null_space(rows: Iterable[Sequence[int]], ncols: int) -> Mat:
+    """The reduced echelon basis of {x : r . x = 0} over the integer rows r,
+    from one ``_eliminate`` of the rows with their columns reversed: its
+    free-variable basis, in reverse order and each vector reversed, is 1 at
+    its free column f, 0 at the other free columns and nonzero only at
+    pivot columns after f.  A reversal keeps the gcd: one ``_norm`` each."""
+    done, pivots = _eliminate([list(r[::-1]) for r in rows], ncols)
+    return _from_rows(ncols, [(v[::-1], d) for v, d in reversed(_free_basis(_from_rows(ncols, done), pivots))])
+
+
+def pairing_null_space(basis: Mat, n: int, left: Mat, right: Mat) -> Mat:
+    """The reduced echelon basis of {[h | k] : g L h = f R k for every row
+    [f | g] of ``basis``}, f its first n entries: the null space of the
+    rows [g L | -f R], L = ``left`` and R = ``right``, each built in
+    integers from the stored ints and L and R over one denominator.  That
+    is the row times a positive factor, which keeps the row space."""
+    common = lcm(*left._den, *right._den)
+    lcols = list(zip(*_over(left, common)))
+    rcols = [[-x for x in c] for c in zip(*_over(right, common))]
+    rows = [[sum(map(mul, r[n:], c)) for c in lcols] + [sum(map(mul, r[:n], c)) for c in rcols] for r in basis._num]
+    return _null_space(rows, left._cols + right._cols)
+
+
+def row_dots(a: Mat, b: Mat) -> Vec:
+    """Row i of a dot row i of b for every i, one integer dot each."""
+    _same_shape(a, b)
+    return tuple([Fraction(sum(map(mul, r, s)), d * e) for r, d, s, e in zip(a._num, a._den, b._num, b._den)])
 
 
 def is_reduced_echelon(m: Mat) -> bool:

@@ -27,7 +27,7 @@ from .linalg import (
     mat,
     memo,
     nonzero_rows,
-    null_space,
+    pairing_null_space,
     rat,
     vstack,
     zeros,
@@ -184,12 +184,13 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     """T* = {{h, k} : (g, h)_K = (f, k)_H for all {f, g} in T}.
 
     Both Gram matrices enter the pairing; with weighted codomains this is
-    what makes the dual-pair identities hold exactly.
+    what makes the dual-pair identities hold exactly.  T* is the null space
+    of the Green pairing rows [g G_K | -f G_H] over T's graph basis (Arens),
+    one ``pairing_null_space`` on the stored rows and the two Grams.
     """
-    firsts, seconds = t.halves
-    pairing = hstack(seconds @ t.dst.gram, (firsts @ t.src.gram).scale(-1))
     # The rows of the null space are the pairs [h | k], h in dst, k in src.
-    return LinearRelation(t.dst, t.src, Subspace(product_space(t.dst, t.src), null_space(pairing)))
+    star = pairing_null_space(t.graph.basis, t.src.dim, t.dst.gram, t.src.gram)
+    return LinearRelation(t.dst, t.src, Subspace(product_space(t.dst, t.src), star))
 
 
 @memo

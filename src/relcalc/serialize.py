@@ -85,7 +85,7 @@ def parse_vectors(data: Any, field: str) -> list[Vec]:
 
 
 def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [[rational_to_str(x) for x in row] for row in m.to_lists()]
+    return m.to_strings()
 
 
 def parse_matrix(data: Any, field: str) -> Mat:
@@ -124,7 +124,7 @@ def parse_space(data: Any, field: str = "space") -> InnerProductSpace:
 
 
 def subspace_to_json(sub: Subspace) -> dict:
-    return {"basis": [vector_to_json(b) for b in sub.basis_vectors()]}
+    return {"basis": matrix_to_json(sub.basis)}
 
 # ---------------------------------------------------------------- relations
 
@@ -133,7 +133,7 @@ def relation_to_json(rel: LinearRelation) -> dict:
     return {
         "from": space_to_json(rel.src),
         "to": space_to_json(rel.dst),
-        "graph_basis": [vector_to_json(v) for v in rel.graph.basis_vectors()],
+        "graph_basis": matrix_to_json(rel.graph.basis),
     }
 
 

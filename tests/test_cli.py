@@ -405,6 +405,40 @@ def test_analyze_output_is_pinned(tmp_path, capsys, dim, mul, restrict, seed):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[dim, mul, restrict, seed], fmt
 
 
+# sha256 of the stdout of `relcalc extend FILE --kind K --format json` and of
+# the file `relcalc extend FILE --kind K -o OUT` writes, at the default c, on
+# the files of `relcalc random --dim D --mul M --restrict R --seed S`.  The
+# weak builders return the relation of the full ones, so their files agree.
+EXTEND_SHA256 = {
+    (12, 1, 7, 0): {
+        "friedrichs": ("b2740701f9f9d235dff1a8911b1af64bd299022e3727e4eabfdb9fc3498958e8", "b5e9ae460d59f8018ec0a49e2c9838ac3a3f0c7e8187073ecf62b73e8df51166"),
+        "krein": ("b1188f3b048ffe8cf35fc19e44d1534866633304ab83f0fa99440bbfd59b5f12", "7c5983be0f12d0602bb08a1244e06251fe9ed453678956d9e77d6e4a521d21ae"),
+        "weak-friedrichs": ("fda236ece8c188b209396b99ddc58119d4b6f6e50400fa7bb722d56c6d0f2579", "b5e9ae460d59f8018ec0a49e2c9838ac3a3f0c7e8187073ecf62b73e8df51166"),
+        "weak-krein": ("067d49958596d4598d62d23dd840031e498ca2eddcb705ea8d8bf052f64aeb4f", "7c5983be0f12d0602bb08a1244e06251fe9ed453678956d9e77d6e4a521d21ae"),
+    },
+    (5, 1, 3, 2): {
+        "friedrichs": ("2b595a35969b3538e335a4572932628c709df6c9fa004b813a9fac02412b539d", "5ca3c0a7e70591c8679698943f1c508e781fec1dd2d2c7fb0e8c21590c73cab3"),
+        "krein": ("3b188141e5b835875b27beed0f2583ebfce4ec357207be8dbb059101353c7e5e", "1651cb92a9322aa0cab62294455c6e62d36d828de0957e8cdbc02ad19b1c79fd"),
+        "weak-friedrichs": ("28bdffa4da7e6962fd7ddd30af7b5b82c61f548a705bf1396512a20006833d45", "5ca3c0a7e70591c8679698943f1c508e781fec1dd2d2c7fb0e8c21590c73cab3"),
+        "weak-krein": ("fa32ee352c755f76524e8c486d386258b9a51917fcd26f929f4e20097031a341", "1651cb92a9322aa0cab62294455c6e62d36d828de0957e8cdbc02ad19b1c79fd"),
+    },
+}
+
+
+@pytest.mark.parametrize("dim, mul, restrict, seed", sorted(EXTEND_SHA256))
+def test_extend_output_is_pinned(tmp_path, capsys, dim, mul, restrict, seed):
+    path, out = str(tmp_path / "r.json"), tmp_path / "out.json"
+    spec = ["--dim", str(dim), "--mul", str(mul), "--restrict", str(restrict), "--seed", str(seed)]
+    assert main(["random", *spec, "-o", path]) == 0
+    capsys.readouterr()
+    for kind, (stdout_pin, file_pin) in EXTEND_SHA256[dim, mul, restrict, seed].items():
+        assert main(["extend", path, "--kind", kind, "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == stdout_pin, kind
+        assert main(["extend", path, "--kind", kind, "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_pin, kind
+
+
 def test_analyze_at_width_two_to_the_minus_4096(tmp_path, capsys):
     # The simplest fraction in a bracket this narrow has a continued
     # fraction thousands of terms long; no recursion may follow it.

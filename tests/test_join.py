@@ -255,7 +255,7 @@ def test_operator_and_product_relations_match_their_pairwise_definitions(data):
     src, dst, _ = data.draw(spaces_of_unequal_dims())
     a = mat([[data.draw(rationals) for _ in range(src.dim)] for _ in range(dst.dim)])
     d = data.draw(st.none() | subspace(src))
-    basis = (span(src, identity(src.dim).to_lists()) if d is None else d).basis_vectors()
+    basis = (span(src, [identity(src.dim).row(i) for i in range(src.dim)]) if d is None else d).basis_vectors()
     assert operator_relation(src, dst, a, d) == relation_from_pairs(src, dst, [(b, a.mul_vec(b)) for b in basis])
     x = data.draw(subspace(src))
     y = data.draw(subspace(dst))
@@ -308,7 +308,7 @@ def test_take_picks_the_listed_rows_and_columns(data):
     out = m.take(rows, cols)
     cols = range(ncols) if cols is None else cols
     assert (out.rows, out.cols) == (len(rows), len(cols))
-    assert out.to_lists() == [[m[i, j] for j in cols] for i in rows]
+    assert [out.row(k) for k in range(out.rows)] == [tuple(m[i, j] for j in cols) for i in rows]
 
 
 # ------------------------------------------ echelon bases read, not re-eliminated
@@ -371,6 +371,26 @@ def test_parts_build_the_inverse_only_when_ran_or_ker_is_read(data):
             assert p.ran == expected["ran"]
             assert p.ker == expected["ker"]
             assert calls == [t]
+
+
+def reference_adjoint(t: LinearRelation) -> LinearRelation:
+    """T* by Mat products: the canonical span of the free-variable kernel of
+    the Green pairing [g G_K | -f G_H], built with ``@``, ``scale`` and
+    ``hstack``."""
+    firsts, seconds = t.halves
+    pairing = hstack(seconds @ t.dst.gram, (firsts @ t.src.gram).scale(-1))
+    return LinearRelation(t.dst, t.src, span_mat(product_space(t.dst, t.src), kernel(pairing)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_adjoint_is_the_null_space_of_the_pairing_product(data):
+    for t in parts_corpus(data):
+        star = relations.adjoint(t)
+        assert star == reference_adjoint(t)
+        # Stored form: the rows rebuilt through Fractions are the same Mat.
+        basis = star.graph.basis
+        assert basis == rows_of([basis.row(i) for i in range(basis.rows)], basis.cols)
 
 
 def assert_same_value(a, b) -> None:

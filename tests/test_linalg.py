@@ -28,6 +28,7 @@ from relcalc.linalg import (
     ldl_psd_certificate,
     mat,
     null_space,
+    pairing_null_space,
     quad_form,
     rank,
     rref,
@@ -228,7 +229,7 @@ def _fraction_ldl(m):
     """
     zero, one = Fraction(0), Fraction(1)
     n = m.rows
-    a = m.to_lists()
+    a = lists(m)
     lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
     perm = list(range(n))
     d = []
@@ -294,7 +295,7 @@ def _tall_gram(draw, n):
 def ldl_inputs(draw):
     n = draw(st.integers(min_value=0, max_value=7))
     family = draw(st.sampled_from(["gram", "planted", "zero-diagonal", "large-primes"]))
-    g = _tall_gram(draw, n).to_lists()
+    g = lists(_tall_gram(draw, n))
     if family == "planted" and n:
         # Subtract enough of e_i e_i^T to plant a negative direction.
         i = draw(st.integers(min_value=0, max_value=n - 1))
@@ -387,15 +388,24 @@ def fraction_rows(draw, nrows, ncols):
     return rows
 
 
+def lists(m):
+    """The entries of m as lists of Fractions, row by row."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 def build(rows, ncols):
     """The Mat of Fraction rows by ``mat``; ``zeros`` when there are none."""
     return mat(rows) if rows else zeros(0, ncols)
 
 
 def assert_is(m, rows, ncols):
-    """m has the entries ``rows`` and the stored form ``build`` gives them."""
+    """m has the entries ``rows`` and the stored form ``build`` gives them:
+    each row ``ints / den`` with den > 0 and no common factor, 0/1 if zero."""
     assert (m.rows, m.cols) == (len(rows), ncols)
-    assert m.to_lists() == rows
+    for r, d in zip(m._num, m._den):
+        assert d > 0 and gcd(d, *r) == 1
+        assert any(r) or d == 1
+    assert lists(m) == rows
     assert all(m[i, j] == x for i, r in enumerate(rows) for j, x in enumerate(r))
     assert [m.row(i) for i in range(len(rows))] == [tuple(r) for r in rows]
     expected = build(rows, ncols)
@@ -428,13 +438,15 @@ def test_mat_algebra_matches_fraction_lists(data):
     assert_is(ma.mul_t(build(bt, k)), ref_matmul(a, ref_transpose(bt, k), k, p), p)
     assert_is(ma + ma2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
     assert_is(ma - ma2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
-    for factor in (ZERO, data.draw(entries)):
+    for factor in (ZERO, Fraction(1), Fraction(-1), data.draw(entries)):
         assert_is(ma.scale(factor), [[factor * x for x in r] for r in a], k)
     assert_is(ma.T, ref_transpose(a, k), n)
     picked_rows = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4)) if n else []
     picked_cols = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=4)) if k else []
     assert_is(ma.take(picked_rows), [a[i] for i in picked_rows], k)
     assert_is(ma.take(picked_rows, picked_cols), [[a[i][j] for j in picked_cols] for i in picked_rows], len(picked_cols))
+    perm = data.draw(st.permutations(range(k)))
+    assert_is(ma.take(picked_rows, perm), [[a[i][j] for j in perm] for i in picked_rows], k)
     assert_is(hstack(ma, ma2), [r + r2 for r, r2 in zip(a, a2)], 2 * k)
     assert_is(vstack(ma, build(below, k)), a + below, k)
 
@@ -476,12 +488,12 @@ def test_equal_matrices_built_by_different_routes_are_equal(data):
     assert_is(build([ma.row(i) for i in range(n)], k), a, k)
     # Elimination outputs are stored rows built without a gcd per entry.
     red, _ = rref(ma)
-    assert_is(red, red.to_lists(), k)
+    assert_is(red, lists(red), k)
     null = kernel(ma)
-    assert_is(null, null.to_lists(), k)
+    assert_is(null, lists(null), k)
     assert (ma @ null.T).is_zero()
     rows = null_space(ma)
-    assert_is(rows, rows.to_lists(), k)
+    assert_is(rows, lists(rows), k)
     assert (ma @ rows.T).is_zero()
     assert rows.rows == k - rank(ma)
 
@@ -520,7 +532,7 @@ def square_matrices(draw):
 @given(square_matrices())
 @settings(max_examples=200, deadline=None)
 def test_det_matches_the_cofactor_expansion(m):
-    assert det(m) == _cofactor_det(m.to_lists())
+    assert det(m) == _cofactor_det(lists(m))
 
 
 def test_det_by_inspection():
@@ -732,7 +744,7 @@ nonzero_entries = entries.map(lambda x: x or Fraction(1))
 
 
 def _with_lower_entry(cert, i, j, change):
-    lower = cert.lower.to_lists()
+    lower = lists(cert.lower)
     lower[i][j] += change
     return replace(cert, lower=mat(lower))
 
@@ -764,7 +776,7 @@ def tampered(cert, data):
 def _nonsymmetric(m, data):
     """m with one entry off the diagonal changed, for n >= 2."""
     i, j = data.draw(st.permutations(range(m.rows)))[:2]
-    rows = m.to_lists()
+    rows = lists(m)
     rows[i][j] += data.draw(nonzero_entries)
     return mat(rows)
 
@@ -802,7 +814,7 @@ def test_verify_rejects_each_tampered_entry_of_a_pinned_certificate():
     assert cert.diag[1] != 0
     d = list(cert.diag)
     d[2] += 1
-    lower = cert.lower.to_lists()
+    lower = lists(cert.lower)
     lower[2][1] += Fraction(1, 5)
     perm = list(cert.perm)
     perm[0], perm[2] = perm[2], perm[0]
@@ -827,3 +839,46 @@ def test_is_reduced_echelon_means_being_its_own_rref(m):
     red, pivots = rref(m)
     assert is_reduced_echelon(red.take(range(len(pivots))))
     assert is_reduced_echelon(m) == (red == m and len(pivots) == m.rows)
+
+
+# ------------------------------------------- null spaces on integer rows
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_null_spaces_equal_the_reversed_kernel_and_the_pairing_products(data):
+    n, k = data.draw(sizes), data.draw(sizes)
+    a = data.draw(fraction_rows(n, k))
+    # The construction null_space replaced: the kernel of the columns
+    # reversed, each vector reversed back and their order reversed.
+    back = kernel(build([r[::-1] for r in a], k))
+    assert_is(null_space(build(a, k)), [list(back.row(i))[::-1] for i in reversed(range(back.rows))], k)
+
+    # The rows [g L | -f R] built in integers against their Mat products.
+    m = data.draw(sizes)
+    basis = build(data.draw(fraction_rows(n, k + m)), k + m)
+    left, right = build(data.draw(fraction_rows(m, m)), m), build(data.draw(fraction_rows(k, k)), k)
+    firsts, seconds = basis.take(range(n), range(k)), basis.take(range(n), range(k, k + m))
+    expected = null_space(hstack(seconds @ left, (firsts @ right).scale(-1)))
+    assert_is(pairing_null_space(basis, k, left, right), lists(expected), k + m)
+
+
+huge = st.integers(min_value=-(2**1000), max_value=2**1000)
+string_entries = st.one_of(
+    st.just(ZERO),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    entries,
+    st.builds(Fraction, huge, st.integers(min_value=1, max_value=2**1000)),
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_strings_are_the_fraction_strings_of_the_stored_rows(data):
+    n, k = data.draw(sizes), data.draw(sizes)
+    rows = [[data.draw(string_entries) for _ in range(k)] for _ in range(n)]
+    assert build(rows, k).to_strings() == [[str(x) for x in r] for r in rows]
+    # Inside a stored row an entry and the denominator may share a factor.
+    x, d = data.draw(huge), data.draw(st.integers(min_value=1, max_value=2**1000) | st.sampled_from([1, 2, 6]))
+    assert linalg._rational_str(x, d) == str(Fraction(x, d))
+    assert linalg._rational_str(x * d, d) == str(x)

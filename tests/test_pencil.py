@@ -88,7 +88,8 @@ def bounded_forms(draw):
         m = mat([[a[i][j] + a[j][i] for j in range(k)] for i in range(k)])
     elif family == "planted":
         # Replace one diagonal entry by a negative one: a negative direction.
-        rows = _psd_of_rank_at_most(draw, k, draw(st.integers(0, k))).to_lists()
+        psd = _psd_of_rank_at_most(draw, k, draw(st.integers(0, k)))
+        rows = [list(psd.row(i)) for i in range(k)]
         i = draw(st.integers(0, k - 1))
         rows[i][i] = -draw(st.integers(min_value=1, max_value=5))
         m = mat(rows)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import BoundCertificationError, ParseError, PreconditionError, RelcalcError
@@ -222,7 +221,7 @@ def cmd_check(args) -> int:
     data = {
         "instances": [
             {
-                "instance": asdict(rep.spec),
+                "instance": {k: getattr(rep.spec, k) for k in ("dim", "seed", "mul_dim", "restrict_dim", "entry_bound")},
                 "c": None if rep.c is None else rational_to_str(rep.c),
                 "checks": [_check_json(ch) for ch in rep.checks],
             }

@@ -18,8 +18,8 @@ t(S) - c >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CrossCheckError, PreconditionError
 from .forms import (
@@ -185,8 +185,7 @@ def weak_krein(s: LinearRelation, c) -> LinearRelation:
     return out
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     leq: bool
     witness: Vec | None  # vector in dom t_K with t_H[phi] > t_K[phi], or missing-domain witness
 

@@ -24,9 +24,9 @@ pick the points for floor(gamma), the bracket and the float estimate alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .linalg import (
@@ -45,6 +45,7 @@ from .linalg import (
     null_space,
     rank,
     rat,
+    read_only,
     solve_mat,
     vec,
     vstack,
@@ -77,7 +78,6 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric bilinear form on a domain subspace, in basis coordinates.
 
@@ -85,18 +85,28 @@ class QuadraticForm:
     domain basis.  It hashes as the domain basis and the matrix.
     """
 
-    space: InnerProductSpace
-    domain: Subspace
-    matrix: Mat
+    __slots__ = ("space", "domain", "matrix")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        if self.domain.space != self.space:
+    def __init__(self, space: InnerProductSpace, domain: Subspace, matrix: Mat) -> None:
+        if domain.space != space:
             raise ValueError("domain must live in the carrying space")
-        k = self.domain.dim
-        if self.matrix.rows != k or self.matrix.cols != k:
+        k = domain.dim
+        if matrix.rows != k or matrix.cols != k:
             raise ValueError("form matrix must be square of the domain dimension")
-        if not self.matrix.is_symmetric():
+        if not matrix.is_symmetric():
             raise ValueError("form matrix must be symmetric")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __repr__(self) -> str:
+        return f"QuadraticForm(space={self.space!r}, domain={self.domain!r}, matrix={self.matrix!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QuadraticForm:
+            return NotImplemented
+        return self is other or (self.space, self.domain, self.matrix) == (other.space, other.domain, other.matrix)
 
     def __hash__(self) -> int:
         return hash((self.domain.basis, self.matrix))
@@ -130,8 +140,7 @@ class QuadraticForm:
         return other.restrict(self.domain).matrix == self.matrix
 
 
-@dataclass(frozen=True)
-class CertifyResult:
+class CertifyResult(NamedTuple):
     cert: PsdCertificate | None  # of t - c (.,.)
     witness: Vec | None  # ambient vector phi with t[phi] < c (phi, phi)
 
@@ -159,11 +168,27 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     return CertifyResult(None, t.domain.basis.vec_mul(res.counterexample))
 
 
-@dataclass(frozen=True)
 class BoundInterval:
-    lo: Fraction  # certified: t - lo is PSD
-    hi: Fraction  # refuted: t - hi is not PSD
-    pencil: tuple[int, ...] = field(compare=False, repr=False)  # pencil_polynomial(t)
+    """The bracket of ``bound_bisect``: t - lo is certified PSD, t - hi refuted.
+    ``pencil``, ``pencil_polynomial(t)`` for ``estimate``, is not compared."""
+
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, lo: Fraction, hi: Fraction, pencil: tuple[int, ...]) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "pencil", pencil)
+
+    def __repr__(self) -> str:
+        return f"BoundInterval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BoundInterval:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @cached_property
     def estimate(self) -> float | None:
@@ -421,32 +446,48 @@ def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
 class RepresentingMap:
     """A map Q from a domain subspace into a weighted codomain certifying
 
         matrix Gram_codomain matrix^T = form_matrix - c Gram_domain.
 
-    Row i of ``matrix`` is Q of the domain basis vector i, in codomain
-    coordinates, so x^T matrix is Q of the domain vector with coordinates
-    x; ``form_matrix`` is the represented form t in the same coordinates.
-    The identity above is verified exactly at construction.
+    Row i of ``matrix`` (k x r) is Q of the domain basis vector i, in
+    codomain coordinates, so x^T matrix is Q of the domain vector with
+    coordinates x; ``form_matrix`` (k x k) is the represented form t in the
+    same coordinates.  The identity above is verified exactly at
+    construction.  It hashes as the domain basis and the matrix.
     """
 
-    domain: Subspace
-    codomain: InnerProductSpace
-    matrix: Mat  # k x r
-    base_point: Fraction
-    form_matrix: Mat  # k x k
+    __slots__ = ("domain", "codomain", "matrix", "base_point", "form_matrix")
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        k = self.domain.dim
-        if self.matrix.rows != k or self.matrix.cols != self.codomain.dim:
+    def __init__(self, domain: Subspace, codomain: InnerProductSpace, matrix: Mat, base_point: Fraction, form_matrix: Mat) -> None:
+        if matrix.rows != domain.dim or matrix.cols != codomain.dim:
             raise ValueError("representing map matrix has wrong shape")
-        lhs = (self.matrix @ self.codomain.gram).mul_t(self.matrix)
-        rhs = self.form_matrix - gram_on(self.domain).scale(self.base_point)
-        if lhs != rhs:
+        if (matrix @ codomain.gram).mul_t(matrix) != form_matrix - gram_on(domain).scale(base_point):
             raise CrossCheckError("representing map certificate identity failed")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "form_matrix", form_matrix)
+
+    def __repr__(self) -> str:
+        return (
+            f"RepresentingMap(domain={self.domain!r}, codomain={self.codomain!r}, matrix={self.matrix!r}, "
+            f"base_point={self.base_point!r}, form_matrix={self.form_matrix!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RepresentingMap:
+            return NotImplemented
+        return self is other or (
+            (self.domain, self.codomain, self.matrix, self.base_point, self.form_matrix)
+            == (other.domain, other.codomain, other.matrix, other.base_point, other.form_matrix)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.domain.basis, self.matrix))
 
     def as_relation(self) -> LinearRelation:
         """The graph {B | Q}, B the echelon domain basis: in reduced

@@ -17,10 +17,10 @@ arithmetic; failures carry serialized witnesses, never just flags.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CrossCheckError
 from .extensions import (
@@ -91,30 +91,24 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    dim: int
-    seed: int
-    mul_dim: int = 0
-    restrict_dim: int = 1
-    entry_bound: int = 4
+class InstanceSpec(namedtuple("InstanceSpec", "dim seed mul_dim restrict_dim entry_bound")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.mul_dim <= self.dim):
+    def __new__(cls, dim: int, seed: int, mul_dim: int = 0, restrict_dim: int = 1, entry_bound: int = 4) -> InstanceSpec:
+        if not (0 <= mul_dim <= dim):
             raise ValueError("mul_dim must lie between 0 and dim")
-        if not (0 <= self.restrict_dim <= self.dim):
+        if not (0 <= restrict_dim <= dim):
             raise ValueError("restrict_dim must lie between 0 and dim")
+        return super().__new__(cls, dim, seed, mul_dim, restrict_dim, entry_bound)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str | None = None
+class CheckResult(namedtuple("CheckResult", "name passed witness")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.witness is None:
+    def __new__(cls, name: str, passed: bool, witness: str | None = None) -> CheckResult:
+        if not passed and witness is None:
             raise ValueError("failed checks must carry a witness")
+        return super().__new__(cls, name, passed, witness)
 
 
 def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
@@ -294,8 +288,7 @@ def sample_extremal(s: LinearRelation, c, count: int, seed: int) -> list[LinearR
 # --------------------------------------------------------------- the suite
 
 
-@dataclass(frozen=True)
-class _Instance:
+class _Instance(NamedTuple):
     """One checked instance and the objects its checks share."""
 
     s: LinearRelation
@@ -729,8 +722,7 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
 # ------------------------------------------------------------------ suite
 
 
-@dataclass(frozen=True)
-class InstanceReport:
+class InstanceReport(NamedTuple):
     spec: InstanceSpec
     c: Fraction | None  # None when the instance could not be generated
     checks: tuple[CheckResult, ...]

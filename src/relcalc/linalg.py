@@ -68,12 +68,11 @@ no value stores a hash of its own; a relation splits its ``halves`` once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CrossCheckError
 
@@ -108,6 +107,12 @@ def vec(entries: Iterable) -> Vec:
     return tuple(rat(x) for x in entries)
 
 
+def read_only(self, name: str, value: object = None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the value classes, which are memo
+    keys: ``__init__`` sets each field once, by ``object.__setattr__``."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Mat:
     """Immutable dense rational matrix, row-major.
 
@@ -119,11 +124,11 @@ class Mat:
     matrices.  The hash is memoized because matrices are memo keys all over
     the package.
 
-    A plain ``__slots__`` class with one ``__init__``: a matrix is built
-    about four times faster than as a frozen dataclass, and matrices are
-    built by the hundred thousand.  ``rows`` and ``cols`` are read-only
-    properties over the slots ``_rows`` and ``_cols``, which this module
-    reads directly; there is no ``__dict__``.
+    A plain ``__slots__`` class whose ``__init__`` assigns the slots
+    directly, with no ``object.__setattr__`` as in the value classes, since
+    matrices are built by the hundred thousand.  ``rows`` and ``cols`` are
+    read-only properties over the slots ``_rows`` and ``_cols``, which this
+    module reads directly; there is no ``__dict__``.
     """
 
     __slots__ = ("_rows", "_cols", "_num", "_den", "_hash")
@@ -641,8 +646,7 @@ def _schur_update(a: list[list[int]], den: list[int], i: int) -> None:
             row[i + 1:] = tail if g == 1 else [x // g for x in tail]
 
 
-@dataclass(frozen=True)
-class PsdCertificate:
+class PsdCertificate(NamedTuple):
     """Exact factorization P^T M P = L D L^T with D >= 0 entrywise.
 
     ``perm`` encodes the permutation matrix P by column: P[i][j] = 1 iff
@@ -683,8 +687,7 @@ class PsdCertificate:
         return True
 
 
-@dataclass(frozen=True)
-class PsdResult:
+class PsdResult(NamedTuple):
     certificate: PsdCertificate | None
     counterexample: Vec | None
 

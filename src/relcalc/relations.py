@@ -11,10 +11,9 @@ checked rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
 from .linalg import (
@@ -29,6 +28,7 @@ from .linalg import (
     nonzero_rows,
     pairing_null_space,
     rat,
+    read_only,
     vstack,
     zeros,
 )
@@ -46,19 +46,27 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
 class LinearRelation:
     """A (possibly multivalued, possibly non-densely-defined) linear relation.
 
     It hashes as its graph basis; ``==`` compares the spaces too."""
 
-    src: InnerProductSpace
-    dst: InnerProductSpace
-    graph: Subspace
+    __setattr__ = __delattr__ = read_only
 
-    def __post_init__(self) -> None:
-        if self.graph.space != product_space(self.src, self.dst):
+    def __init__(self, src: InnerProductSpace, dst: InnerProductSpace, graph: Subspace) -> None:
+        if graph.space != product_space(src, dst):
             raise ValueError("graph must live in the product of src and dst")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "graph", graph)
+
+    def __repr__(self) -> str:
+        return f"LinearRelation(src={self.src!r}, dst={self.dst!r}, graph={self.graph!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LinearRelation:
+            return NotImplemented
+        return self is other or (self.src, self.dst, self.graph) == (other.src, other.dst, other.graph)
 
     def __hash__(self) -> int:
         return hash(self.graph.basis)
@@ -332,8 +340,7 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     return dom, (dom_lifts @ s.src.gram).mul_t(dom.basis)
 
 
-@dataclass(frozen=True)
-class SemiboundedCheck:
+class SemiboundedCheck(NamedTuple):
     ok: bool
     witness: tuple[Vec, Vec] | None  # a graph element violating the bound
 

@@ -18,7 +18,6 @@ stated there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -35,6 +34,7 @@ from .linalg import (
     mat,
     memo,
     null_space,
+    read_only,
     rref,
     solve_mat,
     vec,
@@ -43,26 +43,35 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class InnerProductSpace:
     """Finite-dimensional space with inner product (x, y) = x^T G y.
 
     It hashes as its Gram, which fixes it."""
 
-    dim: int
-    gram: Mat
+    __slots__ = ("dim", "gram")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, dim: int, gram: Mat) -> None:
+        if gram.rows != dim or gram.cols != dim:
+            raise ValueError("Gram matrix must be dim x dim")
+        if not gram.is_symmetric():
+            raise ValueError("Gram matrix must be symmetric")
+        res = ldl_psd_certificate(gram)
+        if not res.ok or any(d == 0 for d in res.certificate.diag):
+            raise ValueError("Gram matrix must be positive definite")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
+
+    def __repr__(self) -> str:
+        return f"InnerProductSpace(dim={self.dim!r}, gram={self.gram!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not InnerProductSpace:
+            return NotImplemented
+        return self is other or (self.dim, self.gram) == (other.dim, other.gram)
 
     def __hash__(self) -> int:
         return hash(self.gram)
-
-    def __post_init__(self) -> None:
-        if self.gram.rows != self.dim or self.gram.cols != self.dim:
-            raise ValueError("Gram matrix must be dim x dim")
-        if not self.gram.is_symmetric():
-            raise ValueError("Gram matrix must be symmetric")
-        res = ldl_psd_certificate(self.gram)
-        if not res.ok or any(d == 0 for d in res.certificate.diag):
-            raise ValueError("Gram matrix must be positive definite")
 
     def inner(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         gx = self.gram.mul_vec(x)
@@ -91,7 +100,6 @@ def product_space(h: InnerProductSpace, k: InnerProductSpace) -> InnerProductSpa
     return space
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Canonical subspace of an ambient space.
 
@@ -103,17 +111,27 @@ class Subspace:
     ``==`` compares the space too.
     """
 
-    space: InnerProductSpace
-    basis: Mat
+    __slots__ = ("space", "basis")
+    __setattr__ = __delattr__ = read_only
+
+    def __init__(self, space: InnerProductSpace, basis: Mat) -> None:
+        if basis.cols != space.dim:
+            raise ValueError("basis vectors must live in the ambient space")
+        if not is_reduced_echelon(basis):
+            raise ValueError("a subspace basis must be the reduced echelon rows of its span")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "basis", basis)
+
+    def __repr__(self) -> str:
+        return f"Subspace(space={self.space!r}, basis={self.basis!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return self is other or (self.space, self.basis) == (other.space, other.basis)
 
     def __hash__(self) -> int:
         return hash(self.basis)
-
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.space.dim:
-            raise ValueError("basis vectors must live in the ambient space")
-        if not is_reduced_echelon(self.basis):
-            raise ValueError("a subspace basis must be the reduced echelon rows of its span")
 
     @property
     def dim(self) -> int:

@@ -643,6 +643,17 @@ def test_import_loads_no_numpy():
     assert (out.returncode, out.stdout) == (0, "False\n")
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # Every value class is a plain class or a NamedTuple: dataclasses, with
+    # the inspect it imports and the code it generates, cost each process
+    # about 8 ms of start-up.  Run without site, so only the package's own
+    # imports count.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, relcalc, relcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n")
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # The package has no linter; __init__ imports to re-export.
     found = []

@@ -27,13 +27,23 @@ from relcalc.forms import (
     scalar_repmap,
     stack_relations,
 )
-from relcalc.harness import InstanceSpec, check_codding, random_semibounded, verify_all
+from relcalc.harness import (
+    InstanceSpec,
+    check_codding,
+    engineered_nonextremal_extensions,
+    random_semibounded,
+    sample_extremal,
+    sample_selfadjoint_extensions,
+    suite_specs,
+    verify_all,
+)
 from relcalc.linalg import _MEMOS, clear_memos, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
     adjoint,
     closure,
     compose,
     inverse,
+    is_nonneg_above,
     parts,
     regular_part,
     relation_from_pairs,
@@ -456,3 +466,42 @@ def test_repeated_predicates_replay_without_elimination(monkeypatch):
     assert again == first
     assert (rref.cache_info().misses, ldl_psd_certificate.cache_info().misses) == misses
     assert [fn.cache_info().hits for fn in (extremal_check, order_leq, contains)] == [h + 1 for h in hits]
+
+
+# The first 40 instances of `relcalc check --count 200 --seed 0`, each
+# generated with its certified c.
+SEED0_HEAD = suite_specs(40, (2, 6), 0)
+
+
+def test_krein_rises_with_c_under_one_friedrichs():
+    # The abstract: for each c <= gamma, S_K,c is the smallest selfadjoint
+    # extension bounded below by c.  For c - 1 < c, S_K,c is bounded below
+    # by c - 1 too, so S_K,c-1 <= S_K,c <= S_F, and S_F does not depend on c.
+    for spec in SEED0_HEAD:
+        clear_memos()
+        s, c = random_semibounded(spec)
+        k, f = krein(s, c), friedrichs(s, c)
+        assert order_leq(krein(s, c - 1), k).leq, spec
+        assert order_leq(k, f).leq, spec
+        assert friedrichs(s, c - 1) == f, spec
+
+
+def test_every_extremal_extension_is_built_from_its_own_domain():
+    # A third route to extremality: H >= c is extremal exactly when it is
+    # E_c(dom H), the extension extremal_from_domain builds from dom H.
+    # Both outcomes must occur, or the test shows nothing.
+    outcomes = set()
+    for spec in SEED0_HEAD:
+        clear_memos()
+        s, c = random_semibounded(spec)
+        drawn = [
+            *sample_selfadjoint_extensions(s, 3, spec.seed),
+            *engineered_nonextremal_extensions(s, c),
+            *sample_extremal(s, c, 2, spec.seed),
+        ]
+        for h in drawn:
+            if is_nonneg_above(h, c).ok:
+                extremal = extremal_check(h, s, c)
+                assert (extremal_from_domain(s, c, parts(h).dom) == h) == extremal, spec
+                outcomes.add(extremal)
+    assert outcomes == {True, False}

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,7 @@ from relcalc.forms import (
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import block_diag, clear_memos, identity, mat, vec, zeros
+from relcalc.linalg import PsdCertificate, block_diag, clear_memos, identity, mat, vec, zeros
 from relcalc.relations import (
     adjoint,
     compose,
@@ -181,10 +180,10 @@ def test_repmap_ldl_maps_onto_the_gram_block_at_the_pivots(m, c):
     [
         # The pivot order reversed: the block A[P, P] = (0) is singular, and
         # the Gram certificate's ValueError surfaces as a failed cross-check.
-        ([[1, 0], [0, 3]], 1, lambda cert: dataclasses.replace(cert, perm=cert.perm[::-1])),
+        ([[1, 0], [0, 3]], 1, lambda cert: PsdCertificate(cert.perm[::-1], cert.lower, cert.diag)),
         # The last pivot dropped: A[P, P] = (4) is positive definite, but
         # its Schur complement does not vanish.
-        ([[4, 1], [1, 2]], 0, lambda cert: dataclasses.replace(cert, diag=(*cert.diag[:-1], Fraction(0)))),
+        ([[4, 1], [1, 2]], 0, lambda cert: PsdCertificate(cert.perm, cert.lower, (*cert.diag[:-1], Fraction(0)))),
     ],
 )
 def test_repmap_ldl_rejects_a_certificate_with_wrong_pivots(monkeypatch, m, c, fault):

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -328,12 +327,18 @@ def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch)
     friedrichs_witness = "Friedrichs depends on the representing map"
     krein_witness = "Krein depends on the representing map"
     # c + Q*Q**, with Q the quotient map of (S, c)
-    assert check(replace(x, qrel2=scale(x.qrel2, 2))) == friedrichs_witness
+    wrong_qrel2 = harness._Instance(
+        x.s, x.c, x.seed, x.sstar, x.t, x.q_ldl, x.q_quot, x.j_ldl, x.j_quot, x.qrel, scale(x.qrel2, 2)
+    )
+    assert check(wrong_qrel2) == friedrichs_witness
     # c + J**J*, with J its companion; the operator-part route keeps the right J*
     real_regular_part = harness.regular_part
     with monkeypatch.context() as m:
         m.setattr(harness, "regular_part", lambda t: real_regular_part(adjoint(x.j_quot)))
-        assert check(replace(x, j_quot=scale(x.j_quot, 2))) == krein_witness
+        wrong_j_quot = harness._Instance(
+            x.s, x.c, x.seed, x.sstar, x.t, x.q_ldl, x.q_quot, x.j_ldl, scale(x.j_quot, 2), x.qrel, x.qrel2
+        )
+        assert check(wrong_j_quot) == krein_witness
     # c + ((J*)_reg)*((J*)_reg)**
     with monkeypatch.context() as m:
         m.setattr(harness, "regular_part", lambda t: scale(real_regular_part(t), 2))

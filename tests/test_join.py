@@ -397,7 +397,7 @@ def assert_same_value(a, b) -> None:
     """Equal values built by two routes hash alike, and neither keeps a
     hash beside its fields."""
     assert a == b and hash(a) == hash(b)
-    assert "_hash" not in vars(a) and "_hash" not in vars(b)
+    assert not hasattr(a, "_hash") and not hasattr(b, "_hash")
 
 
 @given(st.data())

@@ -6,7 +6,6 @@ invariants on random rational inputs.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -746,7 +745,7 @@ nonzero_entries = entries.map(lambda x: x or Fraction(1))
 def _with_lower_entry(cert, i, j, change):
     lower = lists(cert.lower)
     lower[i][j] += change
-    return replace(cert, lower=mat(lower))
+    return PsdCertificate(cert.perm, mat(lower), cert.diag)
 
 
 def tampered(cert, data):
@@ -759,7 +758,7 @@ def tampered(cert, data):
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         d = list(cert.diag)
         d[i] += data.draw(st.sampled_from([Fraction(1), Fraction(1, 2**61 - 1), Fraction(7, 3), -d[i] - 1]))
-        out.append(replace(cert, diag=tuple(d)))
+        out.append(PsdCertificate(cert.perm, cert.lower, tuple(d)))
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         out.append(_with_lower_entry(cert, i, i, data.draw(nonzero_entries)))
     if n >= 2:
@@ -769,7 +768,7 @@ def tampered(cert, data):
         a, b = data.draw(st.permutations(range(n)))[:2]
         perm = list(cert.perm)
         perm[a], perm[b] = perm[b], perm[a]
-        out.append(replace(cert, perm=tuple(perm)))
+        out.append(PsdCertificate(tuple(perm), cert.lower, cert.diag))
     return out
 
 
@@ -818,7 +817,12 @@ def test_verify_rejects_each_tampered_entry_of_a_pinned_certificate():
     lower[2][1] += Fraction(1, 5)
     perm = list(cert.perm)
     perm[0], perm[2] = perm[2], perm[0]
-    for bad in (replace(cert, diag=tuple(d)), replace(cert, lower=mat(lower)), replace(cert, perm=tuple(perm))):
+    tampered_certs = (
+        PsdCertificate(cert.perm, cert.lower, tuple(d)),
+        PsdCertificate(cert.perm, mat(lower), cert.diag),
+        PsdCertificate(tuple(perm), cert.lower, cert.diag),
+    )
+    for bad in tampered_certs:
         assert not bad.verify(m)
 
 

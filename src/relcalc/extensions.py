@@ -114,34 +114,28 @@ def friedrichs(s: LinearRelation, c) -> LinearRelation:
 
 
 def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
-    """S +| ({0} x mul S*); equals the Friedrichs extension here, asserted.
+    """S +| ({0} x mul S*): route (3) of ``friedrichs``, whose value it returns.
 
-    At finite dimension dom S is closed, which is exactly the
-    coincidence criterion for the weak and full extensions to coincide.
-    """
-    c = rat(c)
-    repmap_ldl(form_of_relation(s), c)
-    out = hsum(s, product_relation(zero_subspace(s.src), parts(adjoint(s)).mul))
-    if out != friedrichs(s, c):
-        raise CrossCheckError("weak Friedrichs extension differs from the Friedrichs extension")
-    return out
+    At finite dimension dom S is closed, which is exactly the coincidence
+    criterion for the weak and full extensions."""
+    return friedrichs(s, c)
 
 
 @memo
 def krein(s: LinearRelation, c) -> LinearRelation:
-    """Krein type extension at c, cross-checked four ways.
+    """Krein type extension at c, cross-checked five ways.
 
     (1) c + J_c** J_c* via the companion relation of the LDL^T
-        representing map of t(S) - c, together with its operator-part
-        variant c + ((J_c*)_reg)* (J_c*)_reg;
-    (2) the graph sum S +| N_c(S*) with the eigen-relation at c;
-    (3) inverse duality c + (((S-c)^{-1})_F)^{-1};
-    (4) closure(S) +| N_c(S*), the version stated for c strictly below the
-        bound, which at finite dimension coincides with (2).
+        representing map of t(S) - c;
+    (2) its operator-part variant c + ((J_c*)_reg)* (J_c*)_reg;
+    (3) the graph sum S +| N_c(S*) with the eigen-relation at c;
+    (4) inverse duality c + (((S-c)^{-1})_F)^{-1};
+    (5) closure(S) +| N_c(S*), the version stated for c strictly below the
+        bound, which at finite dimension coincides with (3).
 
     The extension does not depend on the representing map: the check
-    ``repmap-independence-extensions`` of the harness compares (1) and (3),
-    built from quotient maps, with it.
+    ``repmap-independence-extensions`` of the harness compares (1), (2)
+    and (4), built from quotient maps, with it.
     """
     c = rat(c)
     j = companion(s, repmap_ldl(form_of_relation(s), c))
@@ -169,20 +163,12 @@ def krein(s: LinearRelation, c) -> LinearRelation:
 
 
 def weak_krein(s: LinearRelation, c) -> LinearRelation:
-    """S +| N_c(S*), equal to c + J_c J_c* and to the Krein type extension
-    here, both asserted.
+    """S +| N_c(S*): route (3) of ``krein``, whose value it returns.  It is
+    also c + J_c J_c*, route (1), since ``closure`` returns J_c itself.
 
     The coincidence criterion is ran(S-c) closed, which always holds at
-    finite dimension.
-    """
-    c = rat(c)
-    j = companion(s, repmap_ldl(form_of_relation(s), c))
-    out = hsum(s, eigen_relation(adjoint(s), c))
-    if out != shift(compose(j, adjoint(j)), c):
-        raise CrossCheckError("weak Krein extension differs from c + J J*")
-    if out != krein(s, c):
-        raise CrossCheckError("weak Krein extension differs from the Krein type extension")
-    return out
+    finite dimension."""
+    return krein(s, c)
 
 
 class OrderResult(NamedTuple):

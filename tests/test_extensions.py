@@ -29,7 +29,6 @@ from relcalc.forms import (
 )
 from relcalc.harness import (
     InstanceSpec,
-    check_codding,
     engineered_nonextremal_extensions,
     random_semibounded,
     sample_extremal,
@@ -37,7 +36,7 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import _MEMOS, clear_memos, ldl_psd_certificate, mat, rref, vec
+from relcalc.linalg import clear_memos, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
     adjoint,
     closure,
@@ -407,18 +406,6 @@ def test_purely_multivalued_relation_degenerate_path():
     assert parts(k).dom == span(Q2, [vec([0, 1])])
     assert parts(k).mul == span(Q2, [vec([1, 0])])
     assert extremal_check(f, s, 0) and extremal_check(k, s, 0)
-
-
-def test_krein_and_the_codding_check_share_one_friedrichs_entry():
-    # Both take the Friedrichs extension of (S - c)^{-1} at 0; the second
-    # call must hit the first's cache entry, not compute it again.
-    s = e1()
-    clear_memos()
-    k = krein(s, 0)
-    assert check_codding(s, 0, k).passed
-    assert friedrichs.cache_info().currsize == 1
-    assert any(cached is friedrichs for cached in _MEMOS)
-    assert friedrichs.__module__ == "relcalc.extensions"
 
 
 def test_disagreeing_extremality_routes_are_a_cross_check_error(monkeypatch):

@@ -16,7 +16,6 @@ from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation
 from relcalc.harness import (
     REQUIRED_CHECKS,
     InstanceSpec,
-    check_codding,
     engineered_nonextremal_extensions,
     random_orthogonal_range_relation,
     random_semibounded,
@@ -30,6 +29,7 @@ from relcalc.harness import (
 from relcalc.linalg import _MEMOS, clear_memos, mat, vec
 from relcalc.relations import (
     adjoint,
+    inverse,
     is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
@@ -37,6 +37,7 @@ from relcalc.relations import (
     parts,
     relation_from_pairs,
 )
+from relcalc.serialize import write_relation
 from relcalc.spaces import standard_space
 
 from relation_builders import operator_relation, scale
@@ -111,12 +112,27 @@ def test_verify_all_deterministic():
     assert a == b
 
 
-def test_fault_injection_codding():
+def test_a_moved_inverse_duality_route_fails_codding_identity(tmp_path, monkeypatch, capsys):
+    # Doubling ((S - c)^{-1})_F moves krein's route c + (((S - c)^{-1})_F)^{-1}
+    # alone; codding-identity relies on that route.
     s = e1()
-    corrupted = operator_relation(Q2, Q2, mat([[1, 0], [0, 1]]))
-    res = check_codding(s, 0, corrupted)
-    assert not res.passed
-    assert res.witness is not None and "graph_basis" in res.witness
+    inv = inverse(s)
+    real = extensions.friedrichs
+
+    def moved(t, c):
+        out = real(t, c)
+        return scale(out, 2) if (t, c) == (inv, 0) else out
+
+    monkeypatch.setattr(extensions, "friedrichs", moved)
+    clear_memos()
+    message = "Krein type extension formulas disagree"
+    path = str(tmp_path / "e1.json")
+    write_relation(path, s)
+    assert main(["extend", path, "--kind", "krein", "--c", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    clear_memos()
+    failed = {r.name: r.witness for r in verify_all(e1(), 0) if not r.passed}
+    assert failed["codding-identity"] == f"CrossCheckError: {message}"
 
 
 def test_failed_check_requires_witness():
@@ -245,17 +261,6 @@ def test_run_one_starts_a_fresh_cache_scope():
     assert _memo_sizes() == after_both
 
 
-def test_exception_inside_the_codding_check_fails_only_that_check(monkeypatch):
-    def broken(s, c, candidate):
-        raise ValueError("planted")
-
-    monkeypatch.setattr(harness, "check_codding", broken)
-    results = verify_all(e1(), 0)
-    assert len(results) == 33
-    failed = [r for r in results if not r.passed]
-    assert [(r.name, r.witness) for r in failed] == [("codding-identity", "ValueError: planted")]
-
-
 def test_generator_cross_check_is_not_an_assert(monkeypatch):
     # Under python -O a bare assert would let a non-symmetric instance through.
     monkeypatch.setattr(harness, "is_symmetric", lambda s: False)
@@ -309,12 +314,15 @@ def test_closed_form_extends_runs_the_lebesgue_form(monkeypatch):
     assert [r.name for r in failed] == ["closed-form-extends"]
 
 
-def test_a_negated_krein_operator_criterion_fails_its_check(monkeypatch):
-    real = harness.krein_is_operator
-    monkeypatch.setattr(harness, "krein_is_operator", lambda s, c: not real(s, c))
+def test_a_wrong_meet_inside_krein_is_operator_fails_its_check(monkeypatch):
+    # ran(S - c) in place of ran(S - c) cap mul S*: for e1 at 0 the meet is
+    # {0} and ran S is not, so the criterion now disagrees with mul S_K,c.
+    monkeypatch.setattr(extensions, "intersect", lambda a, b: a)
+    clear_memos()
     failed = [r for r in verify_all(e1(), 0) if not r.passed]
-    assert [r.name for r in failed] == ["krein-operator-criterion"]
-    assert "operator criterion disagrees" in failed[0].witness
+    assert [(r.name, r.witness) for r in failed] == [
+        ("krein-operator-criterion", "CrossCheckError: operator criterion disagrees with mul S_K,c")
+    ]
 
 
 def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch):

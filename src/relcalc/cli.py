@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import BoundCertificationError, ParseError, PreconditionError, RelcalcError
 from .extensions import (
+    ROUTES,
     extremal_check,
     friedrichs,
     krein,
@@ -44,15 +45,7 @@ from .serialize import (
     write_text,
 )
 
-EXTEND_KINDS = {
-    "friedrichs": (friedrichs, ("repmap-product", "adjoint-domain-membership", "multivalued-graph-sum")),
-    "weak-friedrichs": (weak_friedrichs, ("multivalued-graph-sum", "equals-friedrichs")),
-    "krein": (
-        krein,
-        ("companion-product", "operator-part-product", "eigenspace-graph-sum", "inverse-duality", "closure-graph-sum"),
-    ),
-    "weak-krein": (weak_krein, ("eigenspace-graph-sum", "companion-product", "equals-krein")),
-}
+EXTEND_KINDS = {"friedrichs": friedrichs, "weak-friedrichs": weak_friedrichs, "krein": krein, "weak-krein": weak_krein}
 
 
 def _emit(args, output: str | None, data: dict, text_lines: list[str]) -> None:
@@ -129,23 +122,21 @@ def cmd_analyze(args) -> int:
 def cmd_extend(args) -> int:
     rel = read_relation(args.file)
     c = parse_rational(args.c, "--c") if args.c is not None else _default_c(rel)
-    builder, checks = EXTEND_KINDS[args.kind]
-    out = builder(rel, c)
-    if args.output:
-        write_relation(args.output, out)
+    out = EXTEND_KINDS[args.kind](rel, c)
     data = {
         "kind": args.kind,
         "c": rational_to_str(c),
-        "asserted_checks": list(checks),
+        "asserted_checks": list(ROUTES[args.kind]),
         "relation": relation_to_json(out),
     }
     lines = [
         f"kind: {args.kind}",
         f"c: {c}",
-        f"asserted cross-checks: {', '.join(checks)}",
+        f"asserted cross-checks: {', '.join(ROUTES[args.kind])}",
         f"graph dimension: {out.graph.dim}",
     ]
     if args.output:
+        write_relation(args.output, out)
         lines.append(f"wrote {args.output}")
         data["wrote"] = args.output
     _emit(args, None, data, lines)
@@ -252,11 +243,10 @@ def cmd_random(args) -> int:
         entry_bound=_in_range("--bound", args.bound, 1),
     )
     s, c = random_semibounded(spec)
-    if args.output:
-        write_relation(args.output, s)
     data = {"c": rational_to_str(c), "relation": relation_to_json(s)}
     lines = [f"certified c: {c}", f"graph dimension: {s.graph.dim}"]
     if args.output:
+        write_relation(args.output, s)
         lines.append(f"wrote {args.output}")
     _emit(args, None, data, lines)
     return 0
@@ -271,12 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        p.add_argument("-o", "--output")
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     p = sub.add_parser("analyze", help="parts, predicates and certified bound interval")
     p.add_argument("file")
     p.add_argument("--width", default="1/64", help="bound interval width (default 1/64)")
-    p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -284,14 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=tuple(EXTEND_KINDS), required=True)
     p.add_argument("--c", default=None, help="rational base point p/q (default: certified lower end of the 1/64 bound bracket)")
-    p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("order", help="compare two selfadjoint relations")
     p.add_argument("h_file")
     p.add_argument("k_file")
-    p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_order)
 
@@ -299,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h_file")
     p.add_argument("s_file")
     p.add_argument("--c", required=True)
-    p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_extremal)
 
@@ -309,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--dims", default="2..6")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -319,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mul", type=int, default=0)
     p.add_argument("--restrict", type=int, default=None)
     p.add_argument("--bound", type=int, default=4)
-    p.add_argument("-o", "--output")
     add_common(p)
     p.set_defaults(func=cmd_random)
 

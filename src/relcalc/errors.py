@@ -32,4 +32,5 @@ class BoundCertificationError(RelcalcError):
 
 
 class CrossCheckError(RelcalcError):
-    """Independent formulas for the same object produced different results."""
+    """Independent formulas for the same object produced different results;
+    a disagreement names its routes, grouped by the value each reached."""

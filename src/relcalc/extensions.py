@@ -1,10 +1,10 @@
 """Friedrichs and Krein type extensions, the selfadjoint order, and
 extremal extensions.
 
-Every headline object is computed by at least two independent formulas and
-the results are compared exactly; a mismatch raises CrossCheckError.  That
-redundancy is the point of the artifact: the formulas come from different
-parts of the theory and their agreement is the machine-checked content.
+Every headline object is computed by at least two independent formulas, its
+routes, and ``agree`` compares them exactly, naming the routes that disagree.
+That redundancy is the point of the artifact: the formulas come from
+different parts of the theory and their agreement is the checked content.
 
 Fractional powers never appear.  The square-root domains and ranges are
 reached only through their exact surrogates ran Q_c* and dom J_c*.
@@ -78,13 +78,33 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     return out
 
 
+# The routes each ``extend`` kind compares; a weak kind names those it stands for, then ``equals-<kind>``.
+ROUTES = {
+    "friedrichs": ("repmap-product", "adjoint-domain-membership", "multivalued-graph-sum"),
+    "weak-friedrichs": ("multivalued-graph-sum", "equals-friedrichs"),
+    "krein": ("companion-product", "operator-part-product", "eigenspace-graph-sum", "inverse-duality", "closure-graph-sum"),
+    "weak-krein": ("eigenspace-graph-sum", "companion-product", "equals-krein"),
+}
+
+
+def agree(what: str, names: tuple[str, ...], *values):
+    """The common value of the routes ``names``; unless they all agree,
+    CrossCheckError naming the routes grouped by the value they reached."""
+    groups: dict = {}
+    for name, value in zip(names, values, strict=True):
+        groups.setdefault(value, []).append(name)
+    if len(groups) > 1:
+        raise CrossCheckError(f"{what} disagree: " + " | ".join(", ".join(g) for g in groups.values()))
+    return values[0]
+
+
 @memo
 def friedrichs(s: LinearRelation, c) -> LinearRelation:
-    """Friedrichs extension, cross-checked three ways.
+    """Friedrichs extension, cross-checked three ways, named in ``ROUTES``.
 
-    (1) c + Q_c* Q_c** via the LDL^T representing map of t(S) - c;
-    (2) the graph elements of S* whose first component lies in dom S;
-    (3) the graph sum S +| ({0} x mul S*).
+    (1) repmap-product: c + Q_c* Q_c**, Q_c the LDL^T map of t(S) - c;
+    (2) adjoint-domain-membership: the elements {f, g} of S* with f in dom S;
+    (3) multivalued-graph-sum: the graph sum S +| ({0} x mul S*).
 
     The extension does not depend on the representing map: the check
     ``repmap-independence-extensions`` of the harness compares (1), built
@@ -101,9 +121,7 @@ def friedrichs(s: LinearRelation, c) -> LinearRelation:
     mulstar = parts(sstar).mul
     via_weak = hsum(s, product_relation(zero_subspace(s.src), mulstar))
 
-    if not (via_repmap == via_adjoint == via_weak):
-        raise CrossCheckError("Friedrichs extension formulas disagree")
-    out = via_repmap
+    out = agree("Friedrichs extension formulas", ROUTES["friedrichs"], via_repmap, via_adjoint, via_weak)
     if not is_selfadjoint(out) or not out.is_extension_of(s):
         raise CrossCheckError("Friedrichs extension is not a selfadjoint extension")
     if parts(out).mul != mulstar:
@@ -123,15 +141,15 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
 
 @memo
 def krein(s: LinearRelation, c) -> LinearRelation:
-    """Krein type extension at c, cross-checked five ways.
+    """Krein type extension at c, cross-checked five ways, named in ``ROUTES``.
 
-    (1) c + J_c** J_c* via the companion relation of the LDL^T
-        representing map of t(S) - c;
-    (2) its operator-part variant c + ((J_c*)_reg)* (J_c*)_reg;
-    (3) the graph sum S +| N_c(S*) with the eigen-relation at c;
-    (4) inverse duality c + (((S-c)^{-1})_F)^{-1};
-    (5) closure(S) +| N_c(S*), the version stated for c strictly below the
-        bound, which at finite dimension coincides with (3).
+    (1) companion-product: c + J_c** J_c*, J_c the companion relation of
+        the LDL^T representing map of t(S) - c;
+    (2) operator-part-product: c + ((J_c*)_reg)* (J_c*)_reg;
+    (3) eigenspace-graph-sum: S +| N_c(S*), with the eigen-relation at c;
+    (4) inverse-duality: c + (((S-c)^{-1})_F)^{-1};
+    (5) closure-graph-sum: closure(S) +| N_c(S*), the version stated for c
+        strictly below the bound, which at finite dimension coincides with (3).
 
     The extension does not depend on the representing map: the check
     ``repmap-independence-extensions`` of the harness compares (1), (2)
@@ -152,9 +170,8 @@ def krein(s: LinearRelation, c) -> LinearRelation:
 
     via_closure = hsum(closure(s), nhat)
 
-    if not (via_companion == via_operator_part == via_weak == via_duality == via_closure):
-        raise CrossCheckError("Krein type extension formulas disagree")
-    out = via_companion
+    routes = (via_companion, via_operator_part, via_weak, via_duality, via_closure)
+    out = agree("Krein type extension formulas", ROUTES["krein"], *routes)
     if not is_selfadjoint(out) or not out.is_extension_of(s):
         raise CrossCheckError("Krein type extension is not a selfadjoint extension")
     if not certify_lower_bound(form_of_relation(out), c).ok:
@@ -266,9 +283,7 @@ def extremal_check(h: LinearRelation, s: LinearRelation, c) -> bool:
         raise PreconditionError("extremality requires a selfadjoint extension")
     by_def = _definitional_extremal(h, s, c)
     by_sandwich = _sandwich_extremal(h, s, c)
-    if by_def != by_sandwich:
-        raise CrossCheckError("extremality characterizations disagree")
-    return by_def
+    return agree("extremality characterizations", ("definitional-infimum", "form-sandwich"), by_def, by_sandwich)
 
 
 @memo
@@ -305,8 +320,7 @@ def krein_is_operator(s: LinearRelation, c) -> bool:
     meet = intersect(parts(shift(s, -c)).ran, parts(adjoint(s)).mul)
     res = meet.dim == 0
     k = krein(s, c)
-    if (parts(k).mul.dim == 0) != res:
-        raise CrossCheckError("operator criterion disagrees with mul S_K,c")
+    agree("Krein operator criteria", ("range-mul-meet", "krein-mul"), res, parts(k).mul.dim == 0)
     if res:
         j = companion(s, q)
         factor = restrict_domain(compose(j, adjoint(j)), parts(s).dom)
@@ -334,15 +348,11 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     c = gamma - 1
     j = companion(s, q)
     ker_c = eigenspace(adjoint(s), c)
-    meet = intersect(ker_c, parts(adjoint(j)).dom)
-    res = meet.dim == 0
-    direct = krein(s, gamma) == friedrichs(s, gamma)
-    if res != direct:
-        raise CrossCheckError("square-root-domain criterion disagrees with the graph comparison")
-    meet_ineq = intersect(ker_c, inequality_domain_subspace(s, gamma))
-    if (meet_ineq.dim == 0) != res:
-        raise CrossCheckError("sup-finiteness criterion disagrees with the graph comparison")
-    return res
+    by_root_domain = intersect(ker_c, parts(adjoint(j)).dom).dim == 0
+    by_graphs = krein(s, gamma) == friedrichs(s, gamma)
+    by_sup = intersect(ker_c, inequality_domain_subspace(s, gamma)).dim == 0
+    names = ("square-root-domain", "graph-comparison", "sup-finiteness")
+    return agree("Krein-equals-Friedrichs criteria", names, by_root_domain, by_graphs, by_sup)
 
 
 def relations_of_form(qrel: LinearRelation, c) -> tuple[LinearRelation, LinearRelation]:
@@ -355,8 +365,7 @@ def relations_of_form(qrel: LinearRelation, c) -> tuple[LinearRelation, LinearRe
     qstar = adjoint(qrel)
     s_t = shift(compose(qstar, qrel), c)
     a_t = shift(compose(qstar, closure(qrel)), c)
-    if s_t != a_t:
-        raise CrossCheckError("c + Q*Q and c + Q*Q** must coincide for closed Q")
+    agree("the relations of a form", ("symmetric-product", "selfadjoint-product"), s_t, a_t)
     p = parts(qrel)
     singular = contains(p.mul, p.ran)
     if singular:

@@ -244,7 +244,7 @@ def bound_bisect(t: QuadraticForm, width) -> BoundInterval:
     if cand != lo:
         lo, hi = (cand, hi) if pencil_psd(p, cand) else (lo, cand)
     if not certify_lower_bound(t, lo).ok or certify_lower_bound(t, hi).ok:
-        raise CrossCheckError("the LDL^T certificates at the bracket ends disagree with det(M - cG)")
+        raise CrossCheckError("the LDL^T certificates at the bracket ends contradict det(M - cG)")
     return BoundInterval(lo, hi, p)
 
 

@@ -11,7 +11,9 @@ point, the seed and the objects every check shares (S*, t(S), both
 representing maps, their companions and their graphs), built once per
 instance.  `REQUIRED_CHECKS` is the registry's list of names.
 `verify_all` builds the instance and runs every check in exact
-arithmetic; failures carry serialized witnesses, never just flags.
+arithmetic.  A failed check carries a sentence, followed by the serialized
+relation or vector at fault where the check has one; a check that raises
+carries the exception, and a CrossCheckError names the routes that disagree.
 """
 
 from __future__ import annotations
@@ -317,8 +319,8 @@ class _Instance(NamedTuple):
         return cls(s, c, seed, sstar, t, q_ldl, q_quot, j_ldl, j_quot, q_ldl.as_relation(), q_quot.as_relation())
 
 
-# A check returns None when it holds and a witness string when it fails.
-# It also fails by raising; the exception becomes its witness.
+# A check returns None when it holds and its witness string (module docstring)
+# when it fails; raising fails it too, with the exception as its witness.
 CheckFn = Callable[[_Instance], str | None]
 REGISTRY: list[tuple[str, CheckFn]] = []
 
@@ -544,7 +546,7 @@ def _krein_quadruple(x: _Instance) -> str | None:
 
 @check("weak-equals-full")
 def _weak_equals_full(x: _Instance) -> str | None:
-    """S_f = S_F and S_k,c = S_K,c: the ``via_weak`` routes of ``friedrichs`` and ``krein``."""
+    """S_f = S_F and S_k,c = S_K,c: routes multivalued-graph-sum of ``friedrichs`` and eigenspace-graph-sum of ``krein``."""
     weak_friedrichs(x.s, x.c)
     weak_krein(x.s, x.c)
     return None
@@ -558,7 +560,7 @@ def _friedrichs_translation(x: _Instance) -> str | None:
 
 @check("codding-identity")
 def _codding(x: _Instance) -> str | None:
-    """S_K,c = c + (((S - c)^{-1})_F)^{-1}: the ``via_duality`` route of ``krein``."""
+    """S_K,c = c + (((S - c)^{-1})_F)^{-1}: the inverse-duality route of ``krein``."""
     krein(x.s, x.c)
     return None
 
@@ -573,7 +575,8 @@ def _mul_extensions(x: _Instance) -> str | None:
 
 @check("order-krein-leq-friedrichs")
 def _order_krein_friedrichs(x: _Instance) -> str | None:
-    return None if order_leq(krein(x.s, x.c), friedrichs(x.s, x.c)).leq else "S_K,c > S_F"
+    res = order_leq(krein(x.s, x.c), friedrichs(x.s, x.c))
+    return None if res.leq else "S_K,c > S_F at " + vector_witness(res.witness)
 
 
 @check("repmap-independence-extensions")
@@ -607,8 +610,9 @@ def _extremal_endpoints(x: _Instance) -> str | None:
 def _extremal_intermediate(x: _Instance) -> str | None:
     """Sampled extremal extensions lie in [S_K,c, S_F]; ``extremal_from_domain`` asserts extremality."""
     for h in sample_extremal(x.s, x.c, 4, x.seed * 11 + 3):
-        if not order_leq(krein(x.s, x.c), h).leq or not order_leq(h, friedrichs(x.s, x.c)).leq:
-            return "sampled extremal extension escapes the order interval"
+        for res in (order_leq(krein(x.s, x.c), h), order_leq(h, friedrichs(x.s, x.c))):
+            if not res.leq:
+                return "sampled extremal extension escapes the order interval at " + vector_witness(res.witness)
     return None
 
 
@@ -642,7 +646,7 @@ def _krein_operator(x: _Instance) -> str | None:
 
 @check("relations-of-form")
 def _relations_of_form(x: _Instance) -> str | None:
-    """c + Q*Q = c + Q*Q** (``relations_of_form``), the ``via_repmap`` route of ``friedrichs``."""
+    """c + Q*Q = c + Q*Q** (``relations_of_form``), the repmap-product route of ``friedrichs``."""
     relations_of_form(x.qrel, x.c)
     return None
 

@@ -113,12 +113,15 @@ def test_extend_krein_fails_when_only_the_operator_part_route_moves(tmp_path, ca
     monkeypatch.setattr(extensions, "regular_part", doubled)
     clear_memos()
     assert main(["extend", e1_path(tmp_path), "--kind", "krein", "--c", "0"]) == 1
-    assert capsys.readouterr().err == "error: Krein type extension formulas disagree\n"
+    assert capsys.readouterr().err == (
+        "error: Krein type extension formulas disagree: "
+        "companion-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum | operator-part-product\n"
+    )
 
 
 def test_extend_weak_krein_fails_with_krein_when_its_companion_route_moves(tmp_path, capsys, monkeypatch):
     # Doubling closure(J_c) moves c + J_c** J_c* alone; weak-krein returns
-    # krein's extension, so it fails with krein's message.
+    # krein's extension, so it fails with krein's message, naming the route.
     s = relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
     j = forms.companion(s, forms.repmap_ldl(forms.form_of_relation(s), 0))
     real = extensions.closure
@@ -130,31 +133,42 @@ def test_extend_weak_krein_fails_with_krein_when_its_companion_route_moves(tmp_p
     monkeypatch.setattr(extensions, "closure", doubled)
     clear_memos()
     assert main(["extend", e1_path(tmp_path), "--kind", "weak-krein", "--c", "0"]) == 1
-    assert capsys.readouterr().err == "error: Krein type extension formulas disagree\n"
-
-
-def _via_locals(builder) -> int:
-    """The routes of a builder that names each one ``via_*`` and compares
-    them all at once."""
-    return sum(1 for name in builder.__wrapped__.__code__.co_varnames if name.startswith("via_"))
+    assert capsys.readouterr().err == (
+        "error: Krein type extension formulas disagree: "
+        "companion-product | operator-part-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum\n"
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(EXTEND_KINDS))
-def test_extend_names_every_route_its_builder_compares(kind):
-    # EXTEND_KINDS is kept by hand beside the builders; a route added to or
-    # removed from a builder must be named (or unnamed) in extend's output.
-    builder, names = EXTEND_KINDS[kind]
+def test_extend_names_every_route_its_builder_compares(kind, tmp_path, capsys, monkeypatch):
+    # extend prints the names in extensions.ROUTES; the builder compares its
+    # routes by passing exactly those names to extensions.agree, last.  Every
+    # comparison made on the way (krein's inverse-duality route runs
+    # friedrichs) is a kind's row of the table.
+    assert set(extensions.ROUTES) == set(EXTEND_KINDS)
+    names = extensions.ROUTES[kind]
     full = kind.removeprefix("weak-")
+    received = []
+    real = extensions.agree
+
+    def watched(what, routes, *values):
+        received.append(tuple(routes))
+        return real(what, routes, *values)
+
+    monkeypatch.setattr(extensions, "agree", watched)
+    clear_memos()
+    assert main(["extend", e1_path(tmp_path), "--kind", kind, "--c", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["asserted_checks"] == list(names)
+    assert set(received) <= set(extensions.ROUTES.values())
+    assert received[-1] == extensions.ROUTES[full]
     if full == kind:
-        assert _via_locals(builder) == len(names)
         return
     # A weak builder compares nothing itself: it returns its full builder's
     # extension, so it names that builder's routes it stands for, then the
     # equality with the full extension.
-    full_builder, full_names = EXTEND_KINDS[full]
-    assert full_builder.__name__ in builder.__code__.co_names
+    assert EXTEND_KINDS[full].__name__ in EXTEND_KINDS[kind].__code__.co_names
     assert names[-1] == f"equals-{full}"
-    assert set(names[:-1]) <= set(full_names)
+    assert set(names[:-1]) <= set(extensions.ROUTES[full])
 
 
 def test_one_message_for_each_failed_premise(tmp_path, capsys):
@@ -524,14 +538,28 @@ def _package_modules():
                 yield name, ast.parse(fh.read())
 
 
-def _callers(tree, callees):
-    """For each call in ``tree`` of a callee spelled as in ``callees``, the
-    name of the innermost function around it, None at module level."""
+def _callers(tree, callees, where=lambda call: True):
+    """For each call in ``tree`` of a callee spelled as in ``callees`` that
+    ``where`` accepts, the name of the innermost function around it, None
+    at module level."""
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in callees:
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in callees and where(node):
             owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
             yield owner[-1] if owner else None
+
+
+def _says_disagree(call) -> bool:
+    """Whether a string literal among the call's arguments says "disagree"."""
+    return any(isinstance(c, ast.Constant) and "disagree" in str(c.value) for arg in call.args for c in ast.walk(arg))
+
+
+def test_only_agree_says_that_routes_disagree():
+    # Every comparison of routes goes through extensions.agree, which names
+    # the routes that disagree; a new comparison that raises its own
+    # "... disagree" would name none of them.
+    found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, {"CrossCheckError"}, _says_disagree)}
+    assert found == {("extensions.py", "agree")}
 
 
 def test_no_check_lives_in_an_assert():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,7 +58,7 @@ from relcalc.spaces import (
     zero_subspace,
 )
 
-from relation_builders import full_subspace, operator_relation
+from relation_builders import full_subspace, operator_relation, scale
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -422,13 +423,112 @@ def test_disagreeing_extremality_routes_are_a_cross_check_error(monkeypatch):
         # both routes again.
         assert extremal_check(f, s, 0)
         clear_memos()
-        with pytest.raises(CrossCheckError, match="extremality characterizations disagree"):
+        message = "extremality characterizations disagree: definitional-infimum | form-sandwich"
+        with pytest.raises(CrossCheckError) as err:
             extremal_check(friedrichs(s, 0), s, 0)
+        assert str(err.value) == message
         endpoints = next(r for r in verify_all(e1(), 0) if r.name == "extremal-endpoints")
         assert not endpoints.passed
-        assert endpoints.witness == "CrossCheckError: extremality characterizations disagree"
+        assert endpoints.witness == f"CrossCheckError: {message}"
     clear_memos()
     assert extremal_check(friedrichs(s, 0), s, 0)
+
+
+def test_agree_returns_the_common_value_or_groups_the_routes_by_value():
+    assert extensions.agree("values", ("a", "b"), 1, 1) == 1
+    with pytest.raises(CrossCheckError) as err:
+        extensions.agree("values", ("a", "b", "c", "d"), 1, 2, 1, 3)
+    assert str(err.value) == "values disagree: a, c | b | d"
+    # A route without a name fails at once, whatever the values.
+    with pytest.raises(ValueError):
+        extensions.agree("values", ("a",), 1, 1)
+
+
+def _doubled(real, when=lambda *args: True):
+    """``real`` with the second components of its value doubled on the calls
+    ``when`` accepts."""
+    return lambda *args: scale(real(*args), 2) if when(*args) else real(*args)
+
+
+def _doubled_first_call(real):
+    calls = []
+
+    def first(*args):
+        calls.append(args)
+        return len(calls) == 1
+
+    return _doubled(real, first)
+
+
+def _j(s, c):
+    return companion(s, repmap_ldl(form_of_relation(s), c))
+
+
+def _qrel():
+    return repmap_ldl(form_of_relation(e1()), 0).as_relation()
+
+
+# route -> (the comparison that runs it, the name patched in extensions, the
+# patch given the real function).  Each patch moves that route alone, by a
+# function no other route of the comparison calls unless a comment says how.
+ROUTE_FAULTS = {
+    "repmap-product": (lambda: friedrichs(e1(), 0), "closure", _doubled),
+    "adjoint-domain-membership": (lambda: friedrichs(e1(), 0), "restrict_domain", _doubled),
+    "multivalued-graph-sum": (lambda: friedrichs(e1(), 0), "hsum", _doubled),
+    # closure serves routes (1) and (5): moved at its argument J_c only.
+    "companion-product": (lambda: krein(e1(), 0), "closure", lambda real: _doubled(real, lambda t: t == _j(e1(), 0))),
+    "operator-part-product": (lambda: krein(e1(), 0), "regular_part", _doubled),
+    # Routes (3) and (5) both call hsum(S, N_c), closure(S) being S itself,
+    # so only the order tells them apart: route (3) makes the first call.
+    "eigenspace-graph-sum": (lambda: krein(e1(), 0), "hsum", _doubled_first_call),
+    "inverse-duality": (lambda: krein(e1(), 0), "friedrichs", _doubled),
+    # closure serves routes (1) and (5): moved at its argument S only.
+    "closure-graph-sum": (lambda: krein(e1(), 0), "closure", lambda real: _doubled(real, lambda t: t == e1())),
+    "definitional-infimum": (
+        lambda: extremal_check(friedrichs(e1(), 0), e1(), 0),
+        "_definitional_extremal",
+        lambda real: lambda h, s, c: not real(h, s, c),
+    ),
+    "form-sandwich": (
+        lambda: extremal_check(friedrichs(e1(), 0), e1(), 0),
+        "_sandwich_extremal",
+        lambda real: lambda h, s, c: not real(h, s, c),
+    ),
+    "range-mul-meet": (lambda: krein_is_operator(e1(), 0), "intersect", lambda real: lambda a, b: a),
+    "krein-mul": (lambda: krein_is_operator(e1(), 0), "krein", lambda real: friedrichs),
+    # parts serves no other route here: moved at its argument J_gamma* only.
+    "square-root-domain": (
+        lambda: krein_equals_friedrichs(e1(), 2),
+        "parts",
+        lambda real: lambda t: SimpleNamespace(dom=full_subspace(t.src)) if t == adjoint(_j(e1(), 2)) else real(t),
+    ),
+    "graph-comparison": (lambda: krein_equals_friedrichs(e1(), 2), "krein", _doubled),
+    "sup-finiteness": (
+        lambda: krein_equals_friedrichs(e1(), 2),
+        "inequality_domain_subspace",
+        lambda real: lambda s, c: full_subspace(s.src),
+    ),
+    # Both routes call compose(Q*, Q), closure(Q) being Q itself: the first
+    # call is c + Q*Q.
+    "symmetric-product": (lambda: relations_of_form(_qrel(), 0), "compose", _doubled_first_call),
+    "selfadjoint-product": (lambda: relations_of_form(_qrel(), 0), "closure", _doubled),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_FAULTS))
+def test_a_moved_route_is_named_alone(route, monkeypatch):
+    # e1 at 0 (at its attained bound 2 for krein_equals_friedrichs, where
+    # S_K,2 = S_F): every route of each comparison agrees until one moves.
+    run, name, patch = ROUTE_FAULTS[route]
+    clear_memos()
+    run()
+    monkeypatch.setattr(extensions, name, patch(getattr(extensions, name)))
+    clear_memos()
+    with pytest.raises(CrossCheckError) as err:
+        run()
+    groups = [g.split(", ") for g in str(err.value).split(" disagree: ")[1].split(" | ")]
+    assert len(groups) == 2 and [route] in groups
+    clear_memos()
 
 
 def test_repeated_predicates_replay_without_elimination(monkeypatch):

@@ -37,7 +37,7 @@ from relcalc.relations import (
     parts,
     relation_from_pairs,
 )
-from relcalc.serialize import write_relation
+from relcalc.serialize import vector_witness, write_relation
 from relcalc.spaces import standard_space
 
 from relation_builders import operator_relation, scale
@@ -125,7 +125,10 @@ def test_a_moved_inverse_duality_route_fails_codding_identity(tmp_path, monkeypa
 
     monkeypatch.setattr(extensions, "friedrichs", moved)
     clear_memos()
-    message = "Krein type extension formulas disagree"
+    message = (
+        "Krein type extension formulas disagree: "
+        "companion-product, operator-part-product, eigenspace-graph-sum, closure-graph-sum | inverse-duality"
+    )
     path = str(tmp_path / "e1.json")
     write_relation(path, s)
     assert main(["extend", path, "--kind", "krein", "--c", "0"]) == 1
@@ -316,13 +319,30 @@ def test_closed_form_extends_runs_the_lebesgue_form(monkeypatch):
 
 def test_a_wrong_meet_inside_krein_is_operator_fails_its_check(monkeypatch):
     # ran(S - c) in place of ran(S - c) cap mul S*: for e1 at 0 the meet is
-    # {0} and ran S is not, so the criterion now disagrees with mul S_K,c.
+    # {0} and ran S is not, so the criterion now disagrees with mul S_K,c
+    # and is named alone.
     monkeypatch.setattr(extensions, "intersect", lambda a, b: a)
     clear_memos()
     failed = [r for r in verify_all(e1(), 0) if not r.passed]
     assert [(r.name, r.witness) for r in failed] == [
-        ("krein-operator-criterion", "CrossCheckError: operator criterion disagrees with mul S_K,c")
+        ("krein-operator-criterion", "CrossCheckError: Krein operator criteria disagree: range-mul-meet | krein-mul")
     ]
+
+
+def test_order_failures_carry_the_order_witness(monkeypatch):
+    # order_leq with its arguments swapped: for e1 at 0, S_F <= S_K,c fails.
+    # Both order checks ask it, through H = S_F or S_K,c among the sampled
+    # extremal extensions, and must print the vector it found.
+    real = harness.order_leq
+    monkeypatch.setattr(harness, "order_leq", lambda h, k: real(k, h))
+    clear_memos()
+    s = e1()
+    witness = vector_witness(real(friedrichs(s, 0), krein(s, 0)).witness)
+    failed = {r.name: r.witness for r in verify_all(s, 0) if not r.passed}
+    assert failed == {
+        "order-krein-leq-friedrichs": f"S_K,c > S_F at {witness}",
+        "extremal-intermediate": f"sampled extremal extension escapes the order interval at {witness}",
+    }
 
 
 def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch):

@@ -28,6 +28,7 @@ from .forms import (
     form_of_relation,
     inequality_domain_subspace,
     repmap_ldl,
+    shifted_matrix,
 )
 from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, row_dots, solve_mat, vstack, zeros
 from .relations import (
@@ -245,7 +246,7 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     if not is_nonneg_above(h, c).ok:
         return False
     th = form_of_relation(h)
-    n = th.matrix - th.domain_gram.scale(c)
+    n = shifted_matrix(th, c)
     cmat = echelon_coords(th.domain.basis, parts(s).dom.basis)
     if cmat is None:
         raise PreconditionError("dom S is not inside dom H")
@@ -339,8 +340,7 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     gamma = rat(gamma)
     t = form_of_relation(s)
     q = repmap_ldl(t, gamma)
-    shifted = t.matrix - t.domain_gram.scale(gamma)
-    if kernel(shifted).rows == 0:
+    if kernel(shifted_matrix(t, gamma)).rows == 0:
         # gamma is certified but not attained: the true bound is strictly
         # larger (or the domain is trivial) and rational arithmetic cannot
         # settle the question at gamma.

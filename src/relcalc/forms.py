@@ -33,7 +33,6 @@ from .linalg import (
     Mat,
     PsdCertificate,
     Vec,
-    block_diag,
     det,
     echelon_coords,
     hstack,
@@ -46,14 +45,15 @@ from .linalg import (
     rank,
     rat,
     read_only,
+    rref,
     solve_mat,
     vec,
     vstack,
+    zassenhaus,
     zeros,
 )
 from .relations import (
     LinearRelation,
-    _relation_where,
     adjoint,
     echelon_relation,
     eigenspace,
@@ -124,20 +124,32 @@ class QuadraticForm:
         return sum((a * b for a, b in zip(gx, cy)), Fraction(0))
 
     def restrict(self, sub: Subspace) -> "QuadraticForm":
-        """Restriction to a subspace of the domain.  The coordinates are read
-        off the echelon rows of the domain and then checked by recombining
-        them into the basis of ``sub``."""
-        coords = echelon_coords(self.domain.basis, sub.basis)
-        if coords is None:
-            raise PreconditionError("restriction target is not inside the form domain")
-        if coords @ self.domain.basis != sub.basis:
-            raise CrossCheckError("the coordinates of a contained subspace do not recombine into its basis")
-        return QuadraticForm(self.space, sub, (coords @ self.matrix).mul_t(coords))
+        """Restriction to a subspace of the domain (``restrict_form``)."""
+        return restrict_form(self, sub)
 
     def is_restriction_of(self, other: "QuadraticForm") -> bool:
         if self.space != other.space or not contains(other.domain, self.domain):
             return False
         return other.restrict(self.domain).matrix == self.matrix
+
+
+@memo
+def restrict_form(t: QuadraticForm, sub: Subspace) -> QuadraticForm:
+    """The restriction of t to a subspace of its domain.  The coordinates
+    are read off the echelon rows of the domain and then checked by
+    recombining them into the basis of ``sub``."""
+    coords = echelon_coords(t.domain.basis, sub.basis)
+    if coords is None:
+        raise PreconditionError("restriction target is not inside the form domain")
+    if coords @ t.domain.basis != sub.basis:
+        raise CrossCheckError("the coordinates of a contained subspace do not recombine into its basis")
+    return QuadraticForm(t.space, sub, (coords @ t.matrix).mul_t(coords))
+
+
+@memo
+def shifted_matrix(t: QuadraticForm, c) -> Mat:
+    """M - cG: the matrix of t - c (.,.) in the domain basis."""
+    return t.matrix - t.domain_gram.scale(c)
 
 
 class CertifyResult(NamedTuple):
@@ -162,7 +174,7 @@ def form_of_relation(s: LinearRelation) -> QuadraticForm:
 def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     """Exact PSD certificate for t - c (.,.), or a violating domain vector."""
     c = rat(c)
-    res = ldl_psd_certificate(t.matrix - t.domain_gram.scale(c))
+    res = ldl_psd_certificate(shifted_matrix(t, c))
     if res.ok:
         return CertifyResult(res.certificate, None)
     return CertifyResult(None, t.domain.basis.vec_mul(res.counterexample))
@@ -511,7 +523,7 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     if not res.ok:
         raise BoundCertificationError(f"the form of the relation is not bounded below by {c}", res.witness)
     kept = res.cert.perm[: sum(1 for d in res.cert.diag if d)]
-    a = t.matrix - t.domain_gram.scale(c)
+    a = shifted_matrix(t, c)
     try:
         codomain = InnerProductSpace(len(kept), a.take(kept, kept))
     except ValueError as exc:
@@ -597,10 +609,11 @@ def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
     {{y^T F_1, y^T G_1 (+) z^T G_2} : y^T F_1 = z^T F_2}."""
     if t1.src != t2.src:
         raise PreconditionError("stacked relations must share their source space")
-    f_1, g_1 = t1.halves
-    f_2, g_2 = t2.halves
-    a = hstack(vstack(f_1, zeros(f_2.rows, f_1.cols)), block_diag(g_1, g_2))
-    return _relation_where(t1.src, product_space(t1.dst, t2.dst), a, vstack(f_1, f_2.scale(-1)))
+    n, m1, m2 = t1.src.dim, t1.dst.dim, t2.dst.dim
+    # The Zassenhaus rows [F_1 | F_1 G_1 0] and [-F_2 | 0 0 G_2].
+    rows_1 = (t1.graph.basis, (0, 1, 0, n), (n, 1, 0, n + m1))
+    rows_2 = (t2.graph.basis, (0, -1, 0, n), (2 * n + m1, 1, n, n + m2))
+    return echelon_relation(t1.src, product_space(t1.dst, t2.dst), zassenhaus(n, 2 * n + m1 + m2, rows_1, rows_2))
 
 
 @memo
@@ -633,7 +646,7 @@ def form_s_of(s: LinearRelation, c) -> QuadraticForm:
     out, _ = lebesgue_form(adjoint(companion(s, repmap_ldl(form_of_relation(s), c))), c)
     if not certify_lower_bound(out, c).ok:
         raise CrossCheckError("the closed form lost the lower bound c")
-    if eigenspace(adjoint(s), c).dim > 0 and kernel(out.matrix - out.domain_gram.scale(c)).rows == 0:
+    if eigenspace(adjoint(s), c).dim > 0 and kernel(shifted_matrix(out, c)).rows == 0:
         raise CrossCheckError("the bound c is attained by S* but not by the closed form")
     return out
 
@@ -672,12 +685,10 @@ def ran_adjoint_by_inequality(s: LinearRelation, c, phi) -> bool:
     range of the shifted form matrix, B the domain basis rows; membership
     is an exact rational range test.
     """
-    c = rat(c)
     t = form_of_relation(s)
-    m = t.matrix - t.domain_gram.scale(c)
-    v = (t.domain.basis @ s.src.gram).mul_vec(vec(phi))
-    # M is symmetric, so Mx = v reads x^T M = v^T.
-    return solve_mat(m, mat([v])) is not None
+    v = t.domain.basis.mul_vec(s.src.gram.mul_vec(vec(phi)))
+    # M is symmetric, so Mx = v reads x^T M = v^T: v is in the row space of M.
+    return echelon_coords(rref(shifted_matrix(t, rat(c)))[0], mat([v])) is not None
 
 
 def inequality_range_subspace(s: LinearRelation, c) -> Subspace:
@@ -688,10 +699,8 @@ def inequality_range_subspace(s: LinearRelation, c) -> Subspace:
     coordinates, so the condition is N B G phi = 0 with the rows of N a
     basis of ker(M).
     """
-    c = rat(c)
     t = form_of_relation(s)
-    m = t.matrix - t.domain_gram.scale(c)
-    conditions = null_space(m) @ t.domain.basis @ s.src.gram  # r x dim
+    conditions = null_space(shifted_matrix(t, rat(c))) @ t.domain.basis @ s.src.gram  # r x dim
     return Subspace(s.src, null_space(conditions))
 
 

@@ -55,6 +55,7 @@ from .forms import (
     repmap_from_operator,
     repmap_ldl,
     repmap_quotient,
+    shifted_matrix,
 )
 from .linalg import Mat, Vec, clear_memos, echelon_coords, identity, kernel, mat, rank, rat, vec, vstack, zeros
 from .relations import (
@@ -337,7 +338,7 @@ def check(name: str) -> Callable[[CheckFn], CheckFn]:
 
 def _certifies(q: RepresentingMap, x: _Instance) -> bool:
     """The representing-map identity Q G_Q Q^T = t - c G on the form domain."""
-    return (q.matrix @ q.codomain.gram).mul_t(q.matrix) == x.t.matrix - x.t.domain_gram.scale(x.c)
+    return (q.matrix @ q.codomain.gram).mul_t(q.matrix) == shifted_matrix(x.t, x.c)
 
 
 def _first_disagreement(x: _Instance, sub: Subspace, expected: Subspace, pointwise, salt: int) -> Vec | None:
@@ -428,11 +429,11 @@ def _certificate_quotient(x: _Instance) -> str | None:
 
 @check("dual-pair")
 def _dual_pair(x: _Instance) -> str | None:
-    for q, j in ((x.qrel, x.j_ldl), (x.qrel2, x.j_quot)):
+    for name, q, j in (("LDL", x.qrel, x.j_ldl), ("quotient", x.qrel2, x.j_quot)):
         if not adjoint(j).is_extension_of(q):
-            return "Q not inside J*"
+            return f"Q not inside J* for the {name} map"
         if not adjoint(q).is_extension_of(j):
-            return "J not inside Q*"
+            return f"J not inside Q* for the {name} map"
     return None
 
 
@@ -454,9 +455,9 @@ def _independence_kkt(x: _Instance) -> str | None:
 @check("mul-companion-intersection")
 def _mul_companion(x: _Instance) -> str | None:
     expected = intersect(parts(shift(x.s, -x.c)).ran, parts(x.sstar).mul)
-    for j in (x.j_ldl, x.j_quot):
+    for name, j in (("LDL", x.j_ldl), ("quotient", x.j_quot)):
         if parts(j).mul != expected:
-            return "mul J_c != ran(S-c) cap mul S*"
+            return f"mul J_c != ran(S-c) cap mul S* for the {name} map"
     return None
 
 

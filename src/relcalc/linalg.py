@@ -36,7 +36,8 @@ eliminations run on the stored rows directly.  ``det`` and
 and ``null_space`` share ``_eliminate``, which eliminates forward below
 each pivot and reduces a row once, when it becomes a pivot row; its back
 phase then subtracts the finished rows below each pivot row, already in
-stored form.
+stored form.  ``zassenhaus`` runs it on the rows of a relational product
+placed straight from the stored rows of its inputs.
 ``PsdCertificate.verify`` checks P^T M P = L D L^T one entry at a time,
 by integer cross-multiplication on the stored rows, and forms no product
 matrix.  A ``fractions.Fraction`` leaves a ``Mat`` only through
@@ -57,10 +58,11 @@ called positionally everywhere, so a call has one spelling and one cache
 entry (``lru_cache`` would key ``f(a, b)`` and ``f(a, b=b)`` apart); a
 test walks the package's syntax tree to keep it so.  Memoized are the
 eliminations here, the subspace and relation operations with ``contains``
-and ``form_matrix_on_domain``, the forms and representing maps, and the
-extensions with ``order_leq``, ``extremal_check`` and
-``extremal_from_domain``: inside one scope each runs once per distinct
-input.  A lookup hashes its arguments.  A ``Mat`` keeps its hash in its
+and ``form_matrix_on_domain``, the forms with their shifted matrices
+M - cG (``shifted_matrix``) and restrictions (``restrict_form``), the
+representing maps, and the extensions with ``order_leq``,
+``extremal_check`` and ``extremal_from_domain``: inside one scope each
+runs once per distinct input.  A lookup hashes its arguments.  A ``Mat`` keeps its hash in its
 ``_hash`` slot, and each value built on it (a space, a subspace, a
 relation, a form) hashes as the ``Mat`` that fixes it up to ``==``, so
 no value stores a hash of its own; a relation splits its ``halves`` once.
@@ -378,10 +380,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return _from_rows(m._cols, done), tuple(pivots)
 
 
-def _eliminate(work: list[list[int]], ncols: int) -> tuple[list[tuple[IntRow, int]], list[int]]:
+def _eliminate(work: list[list[int]], ncols: int, first: int = 0) -> tuple[list[tuple[IntRow, int]], list[int]]:
     """The RREF of the integer rows ``work`` as stored rows, zero rows
     last, and its pivot columns; ``work`` is overwritten.  A positive
-    factor of a row changes nothing, since RREF is unique.
+    factor of a row changes nothing, since RREF is unique.  Only the rows
+    that pivot at or beyond column ``first`` are finished, since no such
+    row is changed by a row above it; the others are left empty.
 
     Two phases.  The forward phase eliminates each pivot column in the
     rows below the pivot only, and only right of it, since the prefix is
@@ -429,6 +433,8 @@ def _eliminate(work: list[list[int]], ncols: int) -> tuple[list[tuple[IntRow, in
     done: list[tuple[IntRow, int]] = [((), 1)] * npiv
     for i in range(npiv - 1, -1, -1):
         row, pc = work[i], pivots[i]
+        if pc < first:
+            break
         # Subtracting each finished row k below with the coefficient read at
         # its pivot clears that column and no other pivot column, so only
         # the free columns right of pc are computed.
@@ -502,6 +508,31 @@ def _null_space(rows: Iterable[Sequence[int]], ncols: int) -> Mat:
     pivot columns after f.  A reversal keeps the gcd: one ``_norm`` each."""
     done, pivots = _eliminate([list(r[::-1]) for r in rows], ncols)
     return _from_rows(ncols, [(v[::-1], d) for v, d in reversed(_free_basis(_from_rows(ncols, done), pivots))])
+
+
+def zassenhaus(nb: int, ncols: int, *blocks: tuple) -> Mat:
+    """The reduced echelon basis of {x^T a : x^T b = 0}, from one
+    ``_eliminate`` of the Zassenhaus rows [b | a], ``nb`` the width of b:
+    the a-parts of its rows that pivot at or beyond ``nb``.  Every other
+    row has a pivot in the b-part that no kept row can cancel, and the kept
+    rows are zero there, so each a-part is already a stored row.
+
+    The rows are assembled in integers from the stored rows of the blocks
+    (m, place, ...), with no intermediate matrix.  A place (at, f, lo, hi)
+    adds f times the entries lo..hi-1 of a row of m, over its denominator,
+    at columns at.., so the rows of one block are their denominators times
+    the intended rows, which keeps the row space.  Only the kept rows are
+    finished by the back phase."""
+    work = []
+    for m, *places in blocks:
+        for r in m._num:
+            row = [0] * ncols
+            for at, f, lo, hi in places:
+                end = at + hi - lo
+                row[at:end] = [x + f * y for x, y in zip(row[at:end], r[lo:hi])]
+            work.append(row)
+    done, pivots = _eliminate(work, ncols, nb)
+    return _from_rows(ncols - nb, [(v[nb:], d) for (v, d), p in zip(done, pivots) if p >= nb])
 
 
 def pairing_null_space(basis: Mat, n: int, left: Mat, right: Mat) -> Mat:

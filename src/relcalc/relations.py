@@ -29,15 +29,13 @@ from .linalg import (
     pairing_null_space,
     rat,
     read_only,
-    vstack,
-    zeros,
+    zassenhaus,
 )
 from .spaces import (
     InnerProductSpace,
     Subspace,
     contains,
     gram_on,
-    image_where,
     product_space,
     projections,
     span,
@@ -143,7 +141,7 @@ class RelationParts:
     are {0, g}, and their second halves are that of mul T, since no
     combination of the first rows has a zero first half.  ran T = dom T^-1
     and ker T = mul T^-1 (Arens) are read the same way off the inverse's
-    graph, one RREF, on first reading, and then kept."""
+    graph, one elimination, on first reading, and then kept."""
 
     def __init__(self, t: LinearRelation) -> None:
         firsts, seconds = t.halves
@@ -203,17 +201,20 @@ def adjoint(t: LinearRelation) -> LinearRelation:
 
 @memo
 def inverse(t: LinearRelation) -> LinearRelation:
-    firsts, seconds = t.halves
-    return graph_relation(t.dst, t.src, seconds, firsts)
+    """{{g, f}}: the span of the graph rows [g | f]."""
+    n, m = t.src.dim, t.dst.dim
+    return echelon_relation(t.dst, t.src, zassenhaus(0, n + m, (t.graph.basis, (0, 1, n, n + m), (m, 1, 0, n))))
 
 
 @memo
 def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
-    """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c)."""
+    """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c): with
+    c = p/q, the span of the graph rows times q, [q f | q g + p f]."""
     if t.src != t.dst:
         raise PreconditionError("shift requires equal source and target spaces")
-    firsts, seconds = t.halves
-    return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
+    n, c = t.src.dim, rat(c)
+    p, q = c.numerator, c.denominator
+    return echelon_relation(t.src, t.dst, zassenhaus(0, 2 * n, (t.graph.basis, (0, q, 0, n), (n, q, n, 2 * n), (n, p, 0, n))))
 
 
 def closure(t: LinearRelation) -> LinearRelation:
@@ -223,25 +224,21 @@ def closure(t: LinearRelation) -> LinearRelation:
     return t
 
 
-def _relation_where(src: InnerProductSpace, dst: InnerProductSpace, a: Mat, b: Mat) -> LinearRelation:
-    """The relation with graph {x^T a : x^T b = 0}.  Every relational
-    product has this form over the coefficients x of its inputs' bases
-    (Arens)."""
-    return LinearRelation(src, dst, image_where(product_space(src, dst), a, b))
-
-
 @memo
 def compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
     """R after T: {{f, g} : exists k with {f, k} in T and {k, g} in R}.
 
     With T's graph basis rows {F_T, K_T} and R's {K_R, G_R}, this is
-    {{y^T F_T, z^T G_R} : y^T K_T = z^T K_R}.  Exact, no tolerance anywhere.
+    {{y^T F_T, z^T G_R} : y^T K_T = z^T K_R} (Arens), eliminated from the
+    Zassenhaus rows [K_T | F_T | 0] and [-K_R | 0 | G_R].  Exact, no
+    tolerance anywhere.
     """
     if t.dst != r.src:
         raise AmbientMismatchError("compose requires target of T to equal source of R")
-    f_t, k_t = t.halves
-    k_r, g_r = r.halves
-    return _relation_where(t.src, r.dst, block_diag(f_t, g_r), vstack(k_t, k_r.scale(-1)))
+    n, k, m = t.src.dim, t.dst.dim, r.dst.dim
+    t_rows = (t.graph.basis, (0, 1, n, n + k), (k, 1, 0, n))
+    r_rows = (r.graph.basis, (0, -1, 0, k), (k + n, 1, k, k + m))
+    return echelon_relation(t.src, r.dst, zassenhaus(k, k + n + m, t_rows, r_rows))
 
 
 def hsum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
@@ -256,24 +253,26 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     This is the operator-style sum (shared first component), not the graph
     span; it is the sum under which a relation recombines from its regular
     and singular parts.  Over the graph basis rows {F_A, G_A} and
-    {F_B, G_B} it is {{y^T F_A, y^T G_A + z^T G_B} : y^T F_A = z^T F_B}.
+    {F_B, G_B} it is {{y^T F_A, y^T G_A + z^T G_B} : y^T F_A = z^T F_B},
+    from the Zassenhaus rows [F_A | F_A G_A] and [-F_B | 0 G_B].
     """
     _same_spaces(a, b)
-    f_a, g_a = a.halves
-    f_b, g_b = b.halves
-    firsts = vstack(f_a, zeros(f_b.rows, f_a.cols))
-    return _relation_where(a.src, a.dst, hstack(firsts, vstack(g_a, g_b)), vstack(f_a, f_b.scale(-1)))
+    n, m = a.src.dim, a.dst.dim
+    a_rows = (a.graph.basis, (0, 1, 0, n), (n, 1, 0, n + m))
+    b_rows = (b.graph.basis, (0, -1, 0, n), (2 * n, 1, n, n + m))
+    return echelon_relation(a.src, a.dst, zassenhaus(n, 2 * n + m, a_rows, b_rows))
 
 
 @memo
 def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     """T restricted to D: graph elements whose first component lies in D,
-    {{y^T F, y^T G} : y^T F = z^T B_D} over T's graph basis rows {F, G}."""
+    {{y^T F, y^T G} : y^T F = z^T B_D} over T's graph basis rows {F, G},
+    from the Zassenhaus rows [F | F G] and [-B_D | 0]."""
     if d.space != t.src:
         raise AmbientMismatchError("restriction subspace must live in the source space")
-    basis = t.graph.basis
-    firsts, _ = t.halves
-    return _relation_where(t.src, t.dst, vstack(basis, zeros(d.dim, basis.cols)), vstack(firsts, d.basis.scale(-1)))
+    n, m = t.src.dim, t.dst.dim
+    t_rows = (t.graph.basis, (0, 1, 0, n), (n, 1, 0, n + m))
+    return echelon_relation(t.src, t.dst, zassenhaus(n, 2 * n + m, t_rows, (d.basis, (0, -1, 0, n))))
 
 
 @memo
@@ -296,12 +295,14 @@ def singular_part(t: LinearRelation) -> LinearRelation:
 
 @memo
 def eigenspace(t: LinearRelation, c: Fraction | int | str) -> Subspace:
-    """ker(T - c) = {h : {h, c h} in T} as a subspace of the source space."""
+    """ker(T - c) = {h : {h, c h} in T} as a subspace of the source space:
+    {x^T F : x^T (G - c F) = 0}, with c = p/q from the Zassenhaus rows
+    [q G - p F | q F]."""
     if t.src != t.dst:
         raise PreconditionError("eigenspace requires equal source and target spaces")
-    c = rat(c)
-    firsts, seconds = t.halves
-    return image_where(t.src, firsts, seconds - firsts.scale(c))
+    n, c = t.src.dim, rat(c)
+    p, q = c.numerator, c.denominator
+    return Subspace(t.src, zassenhaus(n, 2 * n, (t.graph.basis, (0, q, n, 2 * n), (0, -p, 0, n), (n, q, 0, n))))
 
 
 def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:

@@ -3,12 +3,13 @@ subspace arithmetic inside them.
 
 A subspace is stored as the unique reduced row echelon basis of its span,
 as the rows of a k x dim matrix, so subspace equality is plain data
-equality.  Each canonical subspace comes from one RREF (``image_where``,
-``linalg.null_space``); membership reads coordinates off the echelon rows
-and runs none.  Orthogonal complements and projections always go through
-the ambient Gram matrix: representing-map codomains carry weighted inner
-products, and the weighted pairing is what keeps every construction
-rational.
+equality.  Each canonical subspace comes from one elimination: ``rref``
+for a span or a sum, ``linalg.null_space`` for a complement, and
+``linalg.zassenhaus`` on the stored basis rows for an intersection;
+membership reads coordinates off the echelon rows and runs none.
+Orthogonal complements and projections always go through the ambient
+Gram matrix: representing-map codomains carry weighted inner products,
+and the weighted pairing is what keeps every construction rational.
 
 Every Gram is certified once, where it enters, by the ``InnerProductSpace``
 constructor (symmetry and the verified LDL^T certificate).  The one
@@ -25,12 +26,11 @@ from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
     Vec,
+    block_diag,
     echelon_coords,
-    hstack,
     identity,
     is_reduced_echelon,
     ldl_psd_certificate,
-    block_diag,
     mat,
     memo,
     null_space,
@@ -39,6 +39,7 @@ from .linalg import (
     solve_mat,
     vec,
     vstack,
+    zassenhaus,
     zeros,
 )
 
@@ -153,26 +154,9 @@ def span(space: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]) -> Sub
 
 
 def span_mat(space: InnerProductSpace, rows: Mat) -> Subspace:
-    """Canonical subspace spanned by the rows."""
-    return image_where(space, rows, zeros(rows.rows, 0))
-
-
-def image_where(space: InnerProductSpace, a: Mat, b: Mat) -> Subspace:
-    """The canonical subspace {x^T a : x^T b = 0}, from one RREF.
-
-    The generators are rows: row j of [b | a] is the pair [b_j | a_j], so
-    the row space of [b | a] is {x^T [b | a]}.  The RREF rows that pivot at
-    or beyond ``b.cols`` are zero on the b-part, and their a-parts span
-    {x^T a : x^T b = 0}; every other row has a nonzero pivot in the b-part
-    that no kept row can cancel.  RREF rows are sorted by pivot and reduced
-    in every pivot column, so those a-parts are already the reduced echelon
-    basis.  This is Zassenhaus' construction; with ``b`` empty it is the
-    span of the rows of ``a``.
-    """
-    red, pivots = rref(hstack(b, a))
-    kept = [i for i, p in enumerate(pivots) if p >= b.cols]
-    # A plain span (no b) keeps whole rows.
-    return Subspace(space, red.take(kept, range(b.cols, red.cols) if b.cols else None))
+    """Canonical subspace spanned by the rows: the nonzero rows of their RREF."""
+    red, pivots = rref(rows)
+    return Subspace(space, red.take(range(len(pivots))))
 
 
 def zero_subspace(space: InnerProductSpace) -> Subspace:
@@ -193,12 +177,12 @@ def complement(w: Subspace) -> Subspace:
 @memo
 def intersect(v: Subspace, w: Subspace) -> Subspace:
     """{y^T B_v : y^T B_v = z^T B_w}, over the coefficients [y; z] of both
-    bases."""
+    bases: the Zassenhaus rows [B_v | B_v] and [-B_w | 0]."""
     _check_same_ambient(v, w)
     if v.is_zero() or w.is_zero():
         return zero_subspace(v.space)
-    a = vstack(v.basis, zeros(w.dim, v.space.dim))
-    return image_where(v.space, a, vstack(v.basis, w.basis.scale(-1)))
+    n = v.space.dim
+    return Subspace(v.space, zassenhaus(n, 2 * n, (v.basis, (0, 1, 0, n), (n, 1, 0, n)), (w.basis, (0, -1, 0, n))))
 
 
 @memo

@@ -562,6 +562,21 @@ def test_only_agree_says_that_routes_disagree():
     assert found == {("extensions.py", "agree")}
 
 
+def test_only_shifted_matrix_shifts_a_form_matrix():
+    # M - cG has one home, the memoized forms.shifted_matrix; a form matrix
+    # shifted anywhere else would be built again for every caller.
+    found = set()
+    for name, tree in _package_modules():
+        spellings = {
+            ast.unparse(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "scale"
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "domain_gram"
+        }
+        found |= {(name, fn) for fn in _callers(tree, spellings)}
+    assert found == {("forms.py", "shifted_matrix")}
+
+
 def test_no_check_lives_in_an_assert():
     # python -O strips assert statements; every check must raise instead.
     found = []
@@ -642,7 +657,7 @@ def test_memo_calls_have_one_spelling():
                 a = node.args
                 if a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
                     found.append(f"{name}:{node.lineno} def {node.name}")
-    assert {"friedrichs", "krein", "rref", "parts", "companion"} <= memos
+    assert {"friedrichs", "krein", "rref", "parts", "companion", "shifted_matrix", "restrict_form"} <= memos
     for name, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and node.keywords:

@@ -29,18 +29,20 @@ from relcalc.harness import (
 from relcalc.linalg import _MEMOS, clear_memos, mat, vec
 from relcalc.relations import (
     adjoint,
+    hsum,
     inverse,
     is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
     parts,
+    product_relation,
     relation_from_pairs,
 )
 from relcalc.serialize import vector_witness, write_relation
-from relcalc.spaces import standard_space
+from relcalc.spaces import standard_space, zero_subspace
 
-from relation_builders import operator_relation, scale
+from relation_builders import full_subspace, operator_relation, scale
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
@@ -343,6 +345,25 @@ def test_order_failures_carry_the_order_witness(monkeypatch):
         "order-krein-leq-friedrichs": f"S_K,c > S_F at {witness}",
         "extremal-intermediate": f"sampled extremal extension escapes the order interval at {witness}",
     }
+
+
+def test_representing_map_failures_name_the_map():
+    # dual-pair and mul-companion-intersection check the LDL and the
+    # quotient map in turn; a failure says which of the two is at fault.
+    clear_memos()
+    x = harness._Instance.build(e1(), 0, 0)
+    checks = dict(harness.REGISTRY)
+    dual_pair, mul_companion = checks["dual-pair"], checks["mul-companion-intersection"]
+    assert dual_pair(x) is None and mul_companion(x) is None
+    assert dual_pair(x._replace(qrel=scale(x.qrel, 2))) == "Q not inside J* for the LDL map"
+    assert dual_pair(x._replace(qrel2=scale(x.qrel2, 2))) == "Q not inside J* for the quotient map"
+    # Adding {0} x dst to the graph makes mul J all of dst.
+    def widened(j):
+        return hsum(j, product_relation(zero_subspace(j.src), full_subspace(j.dst)))
+
+    expected = "mul J_c != ran(S-c) cap mul S* for the {} map"
+    assert mul_companion(x._replace(j_ldl=widened(x.j_ldl))) == expected.format("LDL")
+    assert mul_companion(x._replace(j_quot=widened(x.j_quot))) == expected.format("quotient")
 
 
 def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch):

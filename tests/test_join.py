@@ -3,9 +3,12 @@
 compose, rel_sum, stack_relations and restrict_domain each have a graph of
 the form {x^T P : x^T C = 0}, where x runs over coefficients of the input
 graph bases (and of the restricting subspace).  The library reads each
-graph off one RREF (``spaces.image_where``); here they are checked
+graph off one elimination of the Zassenhaus rows [C | P], assembled from
+the stored graph rows (``linalg.zassenhaus``); here they are checked
 directly in coefficients: every pair built from the inputs lies in the
-output, and every output basis pair solves the defining system.  Blocks
+output, and every output basis pair solves the defining system.  They are
+also held equal to the formulas that built [C | P] from ``Mat`` blocks
+(``reference_*``).  Blocks
 have pairwise different dimensions and weighted Gram matrices, so a block
 offset or a Gram mix-up cannot cancel out.
 
@@ -27,9 +30,10 @@ from relcalc.extensions import selfadjoint_from_form
 import relcalc.relations as relations
 from relcalc.forms import QuadraticForm, companion, form_of_relation, repmap_ldl, repmap_quotient, stack_relations
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, kernel, mat, solve_mat, vstack, zeros
+from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, kernel, mat, rat, rref, solve_mat, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
+    adjoint,
     compose,
     echelon_relation,
     eigen_relation,
@@ -52,15 +56,17 @@ from relcalc.relations import (
 )
 from relcalc.spaces import (
     InnerProductSpace,
+    Subspace,
     complement,
     gram_on,
-    image_where,
+    intersect,
     member,
     product_space,
     projections,
     span,
     span_mat,
     standard_space,
+    subspace_sum,
 )
 
 from relation_builders import operator_relation, scale
@@ -319,6 +325,14 @@ def test_take_picks_the_listed_rows_and_columns(data):
 # ``Subspace``.  Each is held here to the eliminations that define it.
 
 
+def image_where(space: InnerProductSpace, a: Mat, b: Mat) -> Subspace:
+    """{x^T a : x^T b = 0}: the a-parts of the rows of RREF [b | a] that
+    pivot at or beyond b's columns (Zassenhaus), from ``hstack``."""
+    red, pivots = rref(hstack(b, a))
+    kept = [i for i, p in enumerate(pivots) if p >= b.cols]
+    return Subspace(space, red.take(kept, range(b.cols, red.cols)))
+
+
 def reference_parts(t: LinearRelation) -> dict:
     """dom, ran, ker and mul by four eliminations of the graph halves:
     mul = {g : x^T F = 0, g = x^T G} and ker = {f : x^T G = 0, f = x^T F}."""
@@ -391,6 +405,88 @@ def test_adjoint_is_the_null_space_of_the_pairing_product(data):
         # Stored form: the rows rebuilt through Fractions are the same Mat.
         basis = star.graph.basis
         assert basis == rows_of([basis.row(i) for i in range(basis.rows)], basis.cols)
+
+
+def relation_where(src: InnerProductSpace, dst: InnerProductSpace, a: Mat, b: Mat) -> LinearRelation:
+    return LinearRelation(src, dst, image_where(product_space(src, dst), a, b))
+
+
+# The products as they were built from Mat blocks: ``halves``,
+# ``block_diag``, ``scale(-1)``, ``vstack`` and ``hstack`` around one
+# Zassenhaus elimination.
+
+
+def reference_compose(r: LinearRelation, t: LinearRelation) -> LinearRelation:
+    f_t, k_t = t.halves
+    k_r, g_r = r.halves
+    return relation_where(t.src, r.dst, block_diag(f_t, g_r), vstack(k_t, k_r.scale(-1)))
+
+
+def reference_rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
+    f_a, g_a = a.halves
+    f_b, g_b = b.halves
+    firsts = vstack(f_a, zeros(f_b.rows, f_a.cols))
+    return relation_where(a.src, a.dst, hstack(firsts, vstack(g_a, g_b)), vstack(f_a, f_b.scale(-1)))
+
+
+def reference_restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
+    basis = t.graph.basis
+    return relation_where(t.src, t.dst, vstack(basis, zeros(d.dim, basis.cols)), vstack(t.halves[0], d.basis.scale(-1)))
+
+
+def reference_stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
+    f_1, g_1 = t1.halves
+    f_2, g_2 = t2.halves
+    a = hstack(vstack(f_1, zeros(f_2.rows, f_1.cols)), block_diag(g_1, g_2))
+    return relation_where(t1.src, product_space(t1.dst, t2.dst), a, vstack(f_1, f_2.scale(-1)))
+
+
+def reference_inverse(t: LinearRelation) -> LinearRelation:
+    firsts, seconds = t.halves
+    return graph_relation(t.dst, t.src, seconds, firsts)
+
+
+def reference_shift(t: LinearRelation, c) -> LinearRelation:
+    firsts, seconds = t.halves
+    return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
+
+
+def reference_eigenspace(t: LinearRelation, c) -> Subspace:
+    firsts, seconds = t.halves
+    return image_where(t.src, firsts, seconds - firsts.scale(rat(c)))
+
+
+def reference_intersect(v: Subspace, w: Subspace) -> Subspace:
+    a = vstack(v.basis, zeros(w.dim, v.space.dim))
+    return image_where(v.space, a, vstack(v.basis, w.basis.scale(-1)))
+
+
+def reference_subspace_sum(v: Subspace, w: Subspace) -> Subspace:
+    return span_mat(v.space, vstack(v.basis, w.basis))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_products_equal_their_mat_block_formulas(data):
+    corpus = parts_corpus(data)
+    c = data.draw(rationals)
+    for t in corpus:
+        for u in corpus:
+            assert rel_sum(t, u) == reference_rel_sum(t, u)
+            assert stack_relations(t, u) == reference_stack_relations(t, u)
+            assert restrict_domain(t, parts(u).dom) == reference_restrict_domain(t, parts(u).dom)
+            for v, w in ((parts(t).dom, parts(u).dom), (parts(t).ran, parts(u).mul)):
+                assert intersect(v, w) == reference_intersect(v, w)
+                assert subspace_sum(v, w) == reference_subspace_sum(v, w)
+            r = adjoint(u)
+            assert compose(r, t) == reference_compose(r, t)
+            assert compose(t, r) == reference_compose(t, r)
+        assert inverse(t) == reference_inverse(t)
+        # Square relations for the shift and the eigenspace, one of them
+        # with c as an eigenvalue.
+        for square in (compose(adjoint(t), t), reference_shift(compose(inverse(t), t), c - 1)):
+            assert shift(square, c) == reference_shift(square, c)
+            assert eigenspace(square, c) == reference_eigenspace(square, c)
 
 
 def assert_same_value(a, b) -> None:

@@ -5,8 +5,11 @@ Every cross-check of the package runs both of its formulas on the same
 would move both sides together.  Here sympy's own rationals, ``rref`` and
 ``nullspace`` recompute the null space of a matrix and the adjoint of a
 relation (the null space of its Green pairing [g G_K | -f G_H]), and the
-results must be equal, entry by entry.  Test-only: ``relcalc`` itself
-imports no sympy.
+results must be equal, entry by entry.  The relational products and the
+subspace meet and sum are recomputed the same way: each is the span of the
+a-parts of sympy's RREF of the Zassenhaus matrix [b | a] that are zero on
+b, built here by sympy's own stacking from the graph rows.  Test-only:
+``relcalc`` itself imports no sympy.
 """
 
 from fractions import Fraction
@@ -16,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.linalg import identity, mat, null_space, zeros
-from relcalc.relations import adjoint, relation_from_graph_vectors
-from relcalc.spaces import InnerProductSpace
+from relcalc.relations import adjoint, compose, eigenspace, inverse, rel_sum, relation_from_graph_vectors, restrict_domain, shift
+from relcalc.spaces import InnerProductSpace, intersect, span, subspace_sum
 
 sympy = pytest.importorskip("sympy")
 
@@ -71,12 +74,13 @@ def weighted_space(draw, n):
     return InnerProductSpace(n, (b.T @ b) + identity(n) + ones)
 
 
+spaces = st.integers(0, 3).flatmap(weighted_space)
+
+
 @st.composite
-def relations(draw):
-    """Relations between weighted spaces of dims 0 to 3, src and dst
-    apart, with random, zero and full graphs."""
-    src = draw(weighted_space(draw(st.integers(0, 3))))
-    dst = draw(weighted_space(draw(st.integers(0, 3))))
+def graph(draw, src, dst, extra=()):
+    """A random, zero or full graph between src and dst, with the pairs
+    in ``extra`` added to a random one."""
     width = src.dim + dst.dim
     kind = draw(st.sampled_from(["random", "zero", "full"]))
     if kind == "zero":
@@ -85,7 +89,15 @@ def relations(draw):
         vectors = [identity(width).row(i) for i in range(width)]
     else:
         vectors = [[draw(rationals) for _ in range(width)] for _ in range(draw(st.integers(0, width)))]
+        vectors += [[*f, *g] for f, g in extra]
     return relation_from_graph_vectors(src, dst, vectors)
+
+
+@st.composite
+def relations(draw):
+    """Relations between weighted spaces of dims 0 to 3, src and dst
+    apart, with random, zero and full graphs."""
+    return draw(graph(draw(spaces), draw(spaces)))
 
 
 @given(relations())
@@ -101,3 +113,104 @@ def test_adjoint_is_sympys_null_space_of_the_green_pairing(t):
     star = adjoint(t)
     assert (star.src, star.dst) == (t.dst, t.src)
     assert matrix_rows(star.graph.basis) == sympy_null_space(pairing)
+
+
+# ------------------------------------------------- products by Zassenhaus
+
+
+def sympy_rows(m):
+    return to_sympy(matrix_rows(m), m.cols)
+
+
+def sympy_halves(t):
+    """The f and the g of each graph basis row, as sympy matrices."""
+    basis = sympy_rows(t.graph.basis)
+    return basis[:, : t.src.dim], basis[:, t.src.dim :]
+
+
+def sympy_image_where(b, a):
+    """The reduced echelon basis of {x^T a : x^T b = 0}: the a-parts of the
+    rows of sympy's RREF of [b | a] that pivot at or beyond b's columns."""
+    red, pivots = sympy.Matrix.hstack(b, a).rref()
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in red[i, b.cols :]) for i, p in enumerate(pivots) if p >= b.cols]
+
+
+def sympy_span(a):
+    return sympy_image_where(sympy.zeros(a.rows, 0), a)
+
+
+def graph_rows(t):
+    return matrix_rows(t.graph.basis)
+
+
+@st.composite
+def subspaces(draw, space):
+    kind = draw(st.sampled_from(["random", "zero", "full"]))
+    if kind == "full":
+        return span(space, [identity(space.dim).row(i) for i in range(space.dim)])
+    k = 0 if kind == "zero" else draw(st.integers(0, space.dim))
+    return span(space, [[draw(rationals) for _ in range(space.dim)] for _ in range(k)])
+
+
+# c = p / q with q > 1 at least half of the time: the products scale rows by q.
+base_points = st.one_of(st.builds(Fraction, st.integers(-7, 7), st.integers(2, 5)), rationals)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_is_sympys_zassenhaus_elimination(data):
+    h, k, l = (data.draw(spaces) for _ in range(3))
+    t, r = data.draw(graph(h, k)), data.draw(graph(k, l))
+    f_t, k_t = sympy_halves(t)
+    k_r, g_r = sympy_halves(r)
+    b = sympy.Matrix.vstack(k_t, -k_r)
+    a = sympy.Matrix.vstack(sympy.Matrix.hstack(f_t, sympy.zeros(f_t.rows, l.dim)), sympy.Matrix.hstack(sympy.zeros(g_r.rows, h.dim), g_r))
+    assert graph_rows(compose(r, t)) == sympy_image_where(b, a)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_inverse_is_sympys_span_of_the_swapped_rows(data):
+    t = data.draw(graph(data.draw(spaces), data.draw(spaces)))
+    f, g = sympy_halves(t)
+    assert graph_rows(inverse(t)) == sympy_span(sympy.Matrix.hstack(g, f))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_shift_and_eigenspace_are_sympys_eliminations(data):
+    space, c = data.draw(spaces), data.draw(base_points)
+    h = [data.draw(rationals) for _ in range(space.dim)]
+    t = data.draw(graph(space, space, extra=[(h, [c * x for x in h])]))
+    f, g = sympy_halves(t)
+    cs = sympy.Rational(c.numerator, c.denominator)
+    assert graph_rows(shift(t, c)) == sympy_span(sympy.Matrix.hstack(f, g + cs * f))
+    assert matrix_rows(eigenspace(t, c).basis) == sympy_image_where(g - cs * f, f)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_restrict_domain_and_rel_sum_are_sympys_zassenhaus_eliminations(data):
+    src, dst = data.draw(spaces), data.draw(spaces)
+    t, u = data.draw(graph(src, dst)), data.draw(graph(src, dst))
+    d = data.draw(subspaces(src))
+    f_t, g_t = sympy_halves(t)
+    f_u, g_u = sympy_halves(u)
+    basis = sympy.Matrix.hstack(f_t, g_t)
+    b = sympy.Matrix.vstack(f_t, -sympy_rows(d.basis))
+    a = sympy.Matrix.vstack(basis, sympy.zeros(d.dim, basis.cols))
+    assert graph_rows(restrict_domain(t, d)) == sympy_image_where(b, a)
+    b = sympy.Matrix.vstack(f_t, -f_u)
+    a = sympy.Matrix.vstack(basis, sympy.Matrix.hstack(sympy.zeros(f_u.rows, src.dim), g_u))
+    assert graph_rows(rel_sum(t, u)) == sympy_image_where(b, a)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_intersect_and_subspace_sum_are_sympys_zassenhaus_eliminations(data):
+    space = data.draw(spaces)
+    v, w = data.draw(subspaces(space)), data.draw(subspaces(space))
+    bv, bw = sympy_rows(v.basis), sympy_rows(w.basis)
+    a = sympy.Matrix.vstack(bv, sympy.zeros(bw.rows, space.dim))
+    assert matrix_rows(intersect(v, w).basis) == sympy_image_where(sympy.Matrix.vstack(bv, -bw), a)
+    assert matrix_rows(subspace_sum(v, w).basis) == sympy_span(sympy.Matrix.vstack(bv, bw))

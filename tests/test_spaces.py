@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.errors import AmbientMismatchError
-from relcalc.linalg import block_diag, identity, kernel, mat, null_space, vec, zeros
+from relcalc.linalg import block_diag, hstack, identity, kernel, mat, null_space, vec, zassenhaus, zeros
 from relcalc.relations import LinearRelation, adjoint
 from relcalc.spaces import (
     InnerProductSpace,
@@ -14,7 +14,6 @@ from relcalc.spaces import (
     contains,
     extending,
     gram_on,
-    image_where,
     intersect,
     member,
     product_space,
@@ -198,7 +197,7 @@ large_rationals = st.builds(Fraction, st.integers(min_value=-(10**12), max_value
 
 
 @st.composite
-def image_where_inputs(draw):
+def zassenhaus_inputs(draw):
     """Ambient dim n, p generator rows and m conditions, each possibly
     zero; a and b are each random, zero or (for b) absent."""
     n = draw(st.integers(min_value=0, max_value=4))
@@ -220,14 +219,20 @@ def span_of_rows(space, m):
     return span(space, [m.row(i) for i in range(m.rows)])
 
 
-@given(image_where_inputs())
+@given(zassenhaus_inputs(), st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
-def test_image_where_is_the_span_of_a_on_the_kernel_of_b(data):
+def test_zassenhaus_is_the_span_of_a_on_the_kernel_of_b(data, f):
     space, a, b = data
     # The reference keeps the two steps apart: a basis of {x : x^T b = 0},
     # then the span of the combinations x^T a.
     null = kernel(b.T)
-    assert image_where(space, a, b) == span(space, [a.vec_mul(null.row(i)) for i in range(null.rows)])
+    expected = span(space, [a.vec_mul(null.row(i)) for i in range(null.rows)])
+    # The rows [b | a] come from one block: b placed as it is, a as
+    # (f + 1) a - f a, whose two places add up; then all of it times f.
+    nb, rows = b.cols, hstack(b, a)
+    ncols = rows.cols
+    assert Subspace(space, zassenhaus(nb, ncols, (rows, (0, 1, 0, nb), (nb, f + 1, nb, ncols), (nb, -f, nb, ncols)))) == expected
+    assert Subspace(space, zassenhaus(nb, ncols, (rows, (0, f, 0, ncols)))) == expected
 
 
 @st.composite

@@ -38,6 +38,7 @@ from .forms import (
     dom_companion_by_inequality,
     form_of_relation,
     form_s_of,
+    is_nonneg_above,
     lebesgue_form,
     ran_adjoint_by_inequality,
     repmap_ldl,
@@ -62,7 +63,6 @@ from .relations import (
     compose,
     hsum,
     inverse,
-    is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,

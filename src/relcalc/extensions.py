@@ -27,6 +27,7 @@ from .forms import (
     companion,
     form_of_relation,
     inequality_domain_subspace,
+    is_nonneg_above,
     repmap_ldl,
     shifted_matrix,
 )
@@ -41,7 +42,6 @@ from .relations import (
     graph_relation,
     hsum,
     inverse,
-    is_nonneg_above,
     is_selfadjoint,
     parts,
     product_relation,

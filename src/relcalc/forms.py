@@ -57,10 +57,10 @@ from .relations import (
     adjoint,
     echelon_relation,
     eigenspace,
-    form_matrix_on_domain,
     graph_relation,
     inverse,
     is_symmetric,
+    lift,
     lifts,
     parts,
     regular_part,
@@ -178,6 +178,65 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     if res.ok:
         return CertifyResult(res.certificate, None)
     return CertifyResult(None, t.domain.basis.vec_mul(res.counterexample))
+
+
+@memo
+def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
+    """Domain of s and the matrix (phi_i', phi_j) in its canonical basis,
+    the matrix of ``form_of_relation`` and of ``is_nonneg_above``.
+
+    Precondition, not checked here: mul s is orthogonal to dom s, so the
+    value is independent of the chosen graph lifts; that independence is
+    what makes the quadratic form of a relation well defined.  A symmetric
+    s meets it (mul S inside mul S* = (dom S)-perp); ``is_nonneg_above``
+    tests it with a witness before calling.
+    """
+    dom = parts(s).dom
+    # The lifts of dom's basis, the first halves of the graph basis, are
+    # the second halves of the same rows.
+    dom_lifts = s.halves[1].take(range(dom.dim))
+    return dom, (dom_lifts @ s.src.gram).mul_t(dom.basis)
+
+
+class SemiboundedCheck(NamedTuple):
+    ok: bool
+    witness: tuple[Vec, Vec] | None  # a graph element violating the bound
+
+
+@memo
+def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCheck:
+    """Decide (phi', phi) >= c (phi, phi) over the whole graph of s.
+
+    On failure the witness is an explicit graph element {phi, phi'} with
+    (phi', phi) < c (phi, phi).  When mul s is orthogonal to dom s the
+    pairing is that of the symmetric part of ``form_matrix_on_domain(s)``,
+    and ``certify_lower_bound`` decides it and gives phi; for a symmetric
+    s that form equals ``form_of_relation(s)``, so both share one decision.
+    """
+    if s.src != s.dst:
+        raise PreconditionError("semiboundedness requires equal source and target spaces")
+    c = rat(c)
+    p = parts(s)
+    cross = (p.mul.basis @ s.src.gram).mul_t(p.dom.basis)
+    if not cross.is_zero():
+        # Some m in mul S is not orthogonal to some phi in dom S; adding a
+        # large multiple of m to a lift of phi drives the pairing below any
+        # bound.
+        i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
+        m = p.mul.basis.row(i)
+        phi = p.dom.basis.row(j)
+        base = lift(s, phi)
+        pairing = cross[i, j]
+        norm2 = s.src.inner(phi, phi)
+        # Choose t with (base + t m, phi) < c (phi, phi).
+        t = -(s.src.inner(base, phi) - c * norm2 + 1) / pairing
+        bad = tuple(x + t * y for x, y in zip(base, m))
+        return SemiboundedCheck(False, (phi, bad))
+    dom, form = form_matrix_on_domain(s)
+    res = certify_lower_bound(QuadraticForm(s.src, dom, (form + form.T).scale(Fraction(1, 2))), c)
+    if res.ok:
+        return SemiboundedCheck(True, None)
+    return SemiboundedCheck(False, (res.witness, lift(s, res.witness)))
 
 
 class BoundInterval:
@@ -389,8 +448,8 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
     and the result is that polynomial divided by the gcd of its
     coefficients, its primitive part.
     """
-    m, g, k = t.matrix, t.domain_gram, t.domain.dim
-    values = [det(m - g.scale(j)) for j in range(k + 1)]
+    k = t.domain.dim
+    values = [det(shifted_matrix(t, j)) for j in range(k + 1)]
     den = math.lcm(*(x.denominator for x in values))
     diffs = [x.numerator * (den // x.denominator) for x in values]
     coeffs = [0] * (k + 1)
@@ -403,7 +462,7 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
         falling = [lower - j * same for lower, same in zip([0, *falling], [*falling, 0])]
         weight //= j + 1
-    lead = (-1) ** k * det(g)
+    lead = (-1) ** k * det(t.domain_gram)
     if coeffs[k] == 0 or coeffs[k] * lead.denominator != lead.numerator * den * fact:
         raise CrossCheckError("det(M - cG) does not have degree k and leading coefficient (-1)^k det G")
     content = math.gcd(*coeffs)
@@ -459,47 +518,50 @@ def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
 
 
 class RepresentingMap:
-    """A map Q from a domain subspace into a weighted codomain certifying
+    """A map Q from the domain of ``form`` into a weighted codomain certifying
 
-        matrix Gram_codomain matrix^T = form_matrix - c Gram_domain.
+        matrix Gram_codomain matrix^T = M - c G = ``shifted_matrix(form, c)``.
 
     Row i of ``matrix`` (k x r) is Q of the domain basis vector i, in
     codomain coordinates, so x^T matrix is Q of the domain vector with
-    coordinates x; ``form_matrix`` (k x k) is the represented form t in the
-    same coordinates.  The identity above is verified exactly at
+    coordinates x; ``form`` is the represented t, whose domain basis gives
+    those coordinates.  The identity above is verified exactly at
     construction.  It hashes as the domain basis and the matrix.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "base_point", "form_matrix")
+    __slots__ = ("form", "codomain", "matrix", "base_point")
     __setattr__ = __delattr__ = read_only
 
-    def __init__(self, domain: Subspace, codomain: InnerProductSpace, matrix: Mat, base_point: Fraction, form_matrix: Mat) -> None:
-        if matrix.rows != domain.dim or matrix.cols != codomain.dim:
+    def __init__(self, form: QuadraticForm, codomain: InnerProductSpace, matrix: Mat, base_point: Fraction) -> None:
+        if matrix.rows != form.domain.dim or matrix.cols != codomain.dim:
             raise ValueError("representing map matrix has wrong shape")
-        if (matrix @ codomain.gram).mul_t(matrix) != form_matrix - gram_on(domain).scale(base_point):
+        if (matrix @ codomain.gram).mul_t(matrix) != shifted_matrix(form, base_point):
             raise CrossCheckError("representing map certificate identity failed")
-        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "form", form)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "base_point", base_point)
-        object.__setattr__(self, "form_matrix", form_matrix)
 
     def __repr__(self) -> str:
         return (
-            f"RepresentingMap(domain={self.domain!r}, codomain={self.codomain!r}, matrix={self.matrix!r}, "
-            f"base_point={self.base_point!r}, form_matrix={self.form_matrix!r})"
+            f"RepresentingMap(form={self.form!r}, codomain={self.codomain!r}, matrix={self.matrix!r}, "
+            f"base_point={self.base_point!r})"
         )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RepresentingMap:
             return NotImplemented
         return self is other or (
-            (self.domain, self.codomain, self.matrix, self.base_point, self.form_matrix)
-            == (other.domain, other.codomain, other.matrix, other.base_point, other.form_matrix)
+            (self.form, self.codomain, self.matrix, self.base_point)
+            == (other.form, other.codomain, other.matrix, other.base_point)
         )
 
     def __hash__(self) -> int:
         return hash((self.domain.basis, self.matrix))
+
+    @property
+    def domain(self) -> Subspace:
+        return self.form.domain
 
     def as_relation(self) -> LinearRelation:
         """The graph {B | Q}, B the echelon domain basis: in reduced
@@ -529,7 +591,7 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     except ValueError as exc:
         raise CrossCheckError(f"Gram block at the LDL^T pivots: {exc}") from None
     matrix = solve_mat(codomain.gram, a.take(range(a.rows), kept))
-    return RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
+    return RepresentingMap(t, codomain, matrix, c)
 
 
 def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
@@ -565,7 +627,7 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     if coords is None:
         raise CrossCheckError("an image phi' - c phi escapes ran(S-c)")
     matrix = coords.take(range(coords.rows), range(r))
-    q = RepresentingMap(t.domain, codomain, matrix, c, t.matrix)
+    q = RepresentingMap(t, codomain, matrix, c)
     # ran q_c is dense in the quotient, which at finite dimension means all
     # of it.
     if rank(matrix) != r:
@@ -581,7 +643,7 @@ def repmap_from_operator(op: LinearRelation, t: QuadraticForm, c) -> Representin
     """
     if op.src != t.space:
         raise PreconditionError("operator source must carry the form")
-    return RepresentingMap(t.domain, op.dst, lifts(op, t.domain.basis), rat(c), t.matrix)
+    return RepresentingMap(t, op.dst, lifts(op, t.domain.basis), rat(c))
 
 
 def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
@@ -589,17 +651,18 @@ def scalar_repmap(domain: Subspace, c) -> RepresentingMap:
 
     Realizes sqrt(|c|) * identity without the square root: the map is the
     identity in domain coordinates and the codomain Gram is |c| times the
-    domain Gram.  For c = 0 the codomain is zero-dimensional.
+    domain Gram, M - cG with M = 0.  For c = 0 the codomain is
+    zero-dimensional.
     """
     c = rat(c)
     if c > 0:
         raise PreconditionError("the zero form is only bounded below by nonpositive base points")
     k = domain.dim
-    zero_form = zeros(k, k)
+    zero_form = QuadraticForm(domain.space, domain, zeros(k, k))
     if c == 0:
-        return RepresentingMap(domain, InnerProductSpace(0, zeros(0, 0)), zeros(k, 0), c, zero_form)
-    codomain = InnerProductSpace(k, gram_on(domain).scale(-c))
-    return RepresentingMap(domain, codomain, identity(k), c, zero_form)
+        return RepresentingMap(zero_form, InnerProductSpace(0, zeros(0, 0)), zeros(k, 0), c)
+    codomain = InnerProductSpace(k, shifted_matrix(zero_form, c))
+    return RepresentingMap(zero_form, codomain, identity(k), c)
 
 
 def stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearRelation:
@@ -624,7 +687,7 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     construction.
     """
     t = form_of_relation(s)
-    if q.domain != t.domain or q.form_matrix != t.matrix:
+    if q.form != t:
         raise PreconditionError("representing map does not certify the form of this relation")
     firsts, seconds = s.halves
     coords = echelon_coords(q.domain.basis, firsts)

@@ -57,12 +57,12 @@ function takes positional parameters only, none with a default, and is
 called positionally everywhere, so a call has one spelling and one cache
 entry (``lru_cache`` would key ``f(a, b)`` and ``f(a, b=b)`` apart); a
 test walks the package's syntax tree to keep it so.  Memoized are the
-eliminations here, the subspace and relation operations with ``contains``
-and ``form_matrix_on_domain``, the forms with their shifted matrices
-M - cG (``shifted_matrix``) and restrictions (``restrict_form``), the
-representing maps, and the extensions with ``order_leq``,
-``extremal_check`` and ``extremal_from_domain``: inside one scope each
-runs once per distinct input.  A lookup hashes its arguments.  A ``Mat`` keeps its hash in its
+eliminations here, the subspace and relation operations with ``contains``,
+the forms with ``form_matrix_on_domain``, ``is_nonneg_above``, their
+shifted matrices M - cG (``shifted_matrix``) and restrictions
+(``restrict_form``), the representing maps, and the extensions with
+``order_leq``, ``extremal_check`` and ``extremal_from_domain``: inside one
+scope each runs once per distinct input.  A lookup hashes its arguments.  A ``Mat`` keeps its hash in its
 ``_hash`` slot, and each value built on it (a space, a subspace, a
 relation, a form) hashes as the ``Mat`` that fixes it up to ``==``, so
 no value stores a hash of its own; a relation splits its ``halves`` once.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
 from .linalg import (
@@ -22,7 +22,6 @@ from .linalg import (
     block_diag,
     echelon_coords,
     hstack,
-    ldl_psd_certificate,
     mat,
     memo,
     nonzero_rows,
@@ -35,7 +34,6 @@ from .spaces import (
     InnerProductSpace,
     Subspace,
     contains,
-    gram_on,
     product_space,
     projections,
     span,
@@ -322,64 +320,6 @@ def is_selfadjoint(s: LinearRelation) -> bool:
     if s.src != s.dst:
         raise PreconditionError("selfadjointness requires equal source and target spaces")
     return adjoint(s) == s
-
-
-@memo
-def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
-    """Domain of s and the matrix (phi_i', phi_j) in its canonical basis.
-
-    Precondition, not checked here: mul s is orthogonal to dom s, so the
-    value is independent of the chosen graph lifts; that independence is
-    what makes the quadratic form of a relation well defined.  A symmetric
-    s meets it (mul S inside mul S* = (dom S)-perp); ``is_nonneg_above``
-    tests it with a witness before calling.
-    """
-    dom = parts(s).dom
-    # The lifts of dom's basis, the first halves of the graph basis, are
-    # the second halves of the same rows.
-    dom_lifts = s.halves[1].take(range(dom.dim))
-    return dom, (dom_lifts @ s.src.gram).mul_t(dom.basis)
-
-
-class SemiboundedCheck(NamedTuple):
-    ok: bool
-    witness: tuple[Vec, Vec] | None  # a graph element violating the bound
-
-
-@memo
-def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCheck:
-    """Decide (phi', phi) >= c (phi, phi) over the whole graph of s.
-
-    On failure the witness is an explicit graph element {phi, phi'} with
-    (phi', phi) < c (phi, phi).
-    """
-    if s.src != s.dst:
-        raise PreconditionError("semiboundedness requires equal source and target spaces")
-    c = rat(c)
-    p = parts(s)
-    cross = (p.mul.basis @ s.src.gram).mul_t(p.dom.basis)
-    if not cross.is_zero():
-        # Some m in mul S is not orthogonal to some phi in dom S; adding a
-        # large multiple of m to a lift of phi drives the pairing below any
-        # bound.
-        i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
-        m = p.mul.basis.row(i)
-        phi = p.dom.basis.row(j)
-        base = lift(s, phi)
-        pairing = cross[i, j]
-        norm2 = s.src.inner(phi, phi)
-        # Choose t with (base + t m, phi) < c (phi, phi).
-        t = -(s.src.inner(base, phi) - c * norm2 + 1) / pairing
-        bad = tuple(x + t * y for x, y in zip(base, m))
-        return SemiboundedCheck(False, (phi, bad))
-    dom, form = form_matrix_on_domain(s)
-    sym = (form + form.T).scale(Fraction(1, 2))
-    res = ldl_psd_certificate(sym - gram_on(dom).scale(c))
-    if res.ok:
-        return SemiboundedCheck(True, None)
-    v = res.counterexample
-    phi = dom.basis.vec_mul(v)
-    return SemiboundedCheck(False, (phi, lift(s, phi)))
 
 
 def numerical_range_zero(s: LinearRelation) -> bool:

@@ -562,19 +562,51 @@ def test_only_agree_says_that_routes_disagree():
     assert found == {("extensions.py", "agree")}
 
 
+def _form_shifts(tree):
+    """The innermost function around each shift of a form matrix by its
+    domain Gram in ``tree``: any ``….domain_gram.scale(…)``, and a
+    subtraction of ``gram_on(…).scale(…)`` or of ``g.scale(…)``, g a name
+    that the same function binds to ``….domain_gram``."""
+
+    def is_domain_gram(node):
+        return isinstance(node, ast.Attribute) and node.attr == "domain_gram"
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for f in functions:
+        grams = set()
+        for node in ast.walk(f):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    both = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    for name, value in zip(target.elts, node.value.elts) if both else [(target, node.value)]:
+                        if isinstance(name, ast.Name) and is_domain_gram(value):
+                            grams.add(name.id)
+        subtracted = {id(node.right) for node in ast.walk(f) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)}
+        for node in ast.walk(f):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "scale"):
+                continue
+            gram = node.func.value
+            named = isinstance(gram, ast.Name) and gram.id in grams
+            built = isinstance(gram, ast.Call) and ast.unparse(gram.func) == "gram_on"
+            if is_domain_gram(gram) or ((named or built) and id(node) in subtracted):
+                yield [g.name for g in functions if g.lineno <= node.lineno <= g.end_lineno][-1]
+
+
 def test_only_shifted_matrix_shifts_a_form_matrix():
     # M - cG has one home, the memoized forms.shifted_matrix; a form matrix
     # shifted anywhere else would be built again for every caller.
-    found = set()
-    for name, tree in _package_modules():
-        spellings = {
-            ast.unparse(node.func)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "scale"
-            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "domain_gram"
-        }
-        found |= {(name, fn) for fn in _callers(tree, spellings)}
+    found = {(name, fn) for name, tree in _package_modules() for fn in _form_shifts(tree)}
     assert found == {("forms.py", "shifted_matrix")}
+    # Each spelling is caught.  A graph shift such as companion's
+    # seconds - firsts.scale(c), and an added Gram, are not form shifts.
+    spellings = ast.parse(
+        "def attribute(t, c):\n    return t.matrix - t.domain_gram.scale(c)\n"
+        "def built(dom, form, c):\n    return form - gram_on(dom).scale(c)\n"
+        "def named(t, j):\n    m, g = t.matrix, t.domain_gram\n    return m - g.scale(j)\n"
+        "def graph_shift(firsts, seconds, c):\n    return seconds - firsts.scale(c)\n"
+        "def added(dom, form, c):\n    return form + gram_on(dom).scale(c)\n"
+    )
+    assert sorted(_form_shifts(spellings)) == ["attribute", "built", "named"]
 
 
 def test_no_check_lives_in_an_assert():

@@ -23,6 +23,7 @@ from relcalc.extensions import (
 from relcalc.forms import (
     companion,
     form_of_relation,
+    is_nonneg_above,
     repmap_ldl,
     repmap_quotient,
     scalar_repmap,
@@ -43,7 +44,6 @@ from relcalc.relations import (
     closure,
     compose,
     inverse,
-    is_nonneg_above,
     parts,
     regular_part,
     relation_from_pairs,
@@ -240,8 +240,6 @@ def test_extension_interval_e1_family():
         h = a_family(b)
         assert h.is_extension_of(s)
         assert extension_interval_check(s, 0, h)
-        from relcalc.relations import is_nonneg_above
-
         assert is_nonneg_above(h, 0).ok == expected
 
 

@@ -12,7 +12,7 @@ import relcalc.harness as harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
 from relcalc.extensions import OrderResult, friedrichs, krein
-from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation
+from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation, is_nonneg_above
 from relcalc.harness import (
     REQUIRED_CHECKS,
     InstanceSpec,
@@ -31,7 +31,6 @@ from relcalc.relations import (
     adjoint,
     hsum,
     inverse,
-    is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
@@ -302,6 +301,31 @@ def test_a_generator_failure_is_reported_without_c(monkeypatch):
     report = run_one(InstanceSpec(dim=2, seed=0))
     assert report.c is None
     assert [(r.name, r.passed, r.witness) for r in report.checks] == [("preamble", False, "CrossCheckError: planted")]
+
+
+def test_a_wrong_ldl_map_fails_the_preamble(monkeypatch):
+    # repmap-certificate-ldl asserts nothing itself: the RepresentingMap
+    # constructor checks Q G_Q Q^T = M - cG inside repmap_ldl, so a map
+    # twice too long fails the instance before any check runs.
+    real = forms.solve_mat
+    monkeypatch.setattr(forms, "solve_mat", lambda a, b: real(a, b).scale(2))
+    report = run_one(InstanceSpec(dim=3, seed=5, mul_dim=1, restrict_dim=2))
+    assert [(r.name, r.passed, r.witness) for r in report.checks] == [
+        ("preamble", False, "CrossCheckError: representing map certificate identity failed")
+    ]
+
+
+def test_a_quotient_map_short_of_its_codomain_fails_the_preamble(monkeypatch):
+    # repmap-certificate-quotient asserts nothing itself: repmap_quotient
+    # checks that its map fills the codomain.  The images phi' - c phi span
+    # ran(S - c), so an honest quotient map always does; a rank counted one
+    # short stands in for one that does not.
+    real = forms.rank
+    monkeypatch.setattr(forms, "rank", lambda m: real(m) - 1)
+    report = run_one(InstanceSpec(dim=3, seed=5, mul_dim=1, restrict_dim=2))
+    assert [(r.name, r.passed, r.witness) for r in report.checks] == [
+        ("preamble", False, "CrossCheckError: the quotient representing map does not fill its codomain")
+    ]
 
 
 def test_closed_form_extends_runs_the_lebesgue_form(monkeypatch):

@@ -28,7 +28,15 @@ from hypothesis import strategies as st
 
 from relcalc.extensions import selfadjoint_from_form
 import relcalc.relations as relations
-from relcalc.forms import QuadraticForm, companion, form_of_relation, repmap_ldl, repmap_quotient, stack_relations
+from relcalc.forms import (
+    QuadraticForm,
+    companion,
+    form_matrix_on_domain,
+    form_of_relation,
+    repmap_ldl,
+    repmap_quotient,
+    stack_relations,
+)
 from relcalc.harness import InstanceSpec, random_semibounded
 from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, kernel, mat, rat, rref, solve_mat, vstack, zeros
 from relcalc.relations import (
@@ -38,7 +46,6 @@ from relcalc.relations import (
     echelon_relation,
     eigen_relation,
     eigenspace,
-    form_matrix_on_domain,
     graph_relation,
     hsum,
     inverse,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
+from relcalc.forms import is_nonneg_above
 from relcalc.linalg import mat, rank, vec
 from relcalc.relations import (
     LinearRelation,
@@ -15,7 +16,6 @@ from relcalc.relations import (
     eigenspace,
     hsum,
     inverse,
-    is_nonneg_above,
     is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
@@ -191,6 +191,29 @@ def test_nonneg_above_catches_mul_not_orthogonal_to_dom():
     assert not res.ok
     phi, phi_prime = res.witness
     assert Q2.inner(phi_prime, phi) < 0
+
+
+@pytest.mark.parametrize(
+    "matrix, holds, fails, witness",
+    [
+        # Symmetric part the identity: >= 1, not >= 2.
+        ([[1, 1], [-1, 1]], 1, 2, ((1, 0), (1, -1))),
+        # Symmetric part [[0, 1], [1, 0]], indefinite: not >= 0.
+        ([[0, 2], [0, 0]], None, 0, ((1, -1), (-2, 0))),
+    ],
+)
+def test_nonneg_above_decides_a_nonsymmetric_operator_by_its_symmetric_part(matrix, holds, fails, witness):
+    # An operator has mul = {0}, orthogonal to its domain, so the bound is
+    # that of the symmetric part of its form matrix, which is not symmetric.
+    a = operator_relation(Q2, Q2, mat(matrix))
+    assert not is_symmetric(a)
+    if holds is not None:
+        assert is_nonneg_above(a, holds).ok
+    res = is_nonneg_above(a, fails)
+    assert not res.ok
+    assert res.witness == tuple(vec(v) for v in witness)
+    phi, phi_prime = res.witness
+    assert Q2.inner(phi_prime, phi) < fails * Q2.inner(phi, phi)
 
 
 def test_numerical_range_zero():

@@ -9,10 +9,18 @@ import pytest
 from relcalc import harness
 from relcalc.errors import CrossCheckError
 from relcalc.extensions import friedrichs, krein, order_leq
-from relcalc.forms import QuadraticForm, RepresentingMap, bound_bisect, certify_lower_bound, form_of_relation, repmap_ldl
+from relcalc.forms import (
+    QuadraticForm,
+    RepresentingMap,
+    bound_bisect,
+    certify_lower_bound,
+    form_of_relation,
+    is_nonneg_above,
+    repmap_ldl,
+)
 from relcalc.harness import CheckResult, InstanceSpec, random_semibounded, run_one
 from relcalc.linalg import clear_memos, hstack, identity, ldl_psd_certificate, mat, zeros
-from relcalc.relations import LinearRelation, is_nonneg_above, product_relation
+from relcalc.relations import LinearRelation, product_relation
 from relcalc.spaces import InnerProductSpace, Subspace, product_space, span, standard_space
 
 SPEC = dict(dim=3, seed=5, mul_dim=1, restrict_dim=2)
@@ -138,6 +146,6 @@ def test_every_constructor_keeps_its_validation():
     s, c = random_semibounded(InstanceSpec(**SPEC))
     q = repmap_ldl(form_of_relation(s), c)
     with pytest.raises(ValueError, match="wrong shape"):
-        RepresentingMap(q.domain, q.codomain, hstack(q.matrix, zeros(q.matrix.rows, 1)), q.base_point, q.form_matrix)
+        RepresentingMap(q.form, q.codomain, hstack(q.matrix, zeros(q.matrix.rows, 1)), q.base_point)
     with pytest.raises(CrossCheckError, match="identity"):
-        RepresentingMap(q.domain, q.codomain, q.matrix, q.base_point + 1, q.form_matrix)
+        RepresentingMap(q.form, q.codomain, q.matrix, q.base_point + 1)

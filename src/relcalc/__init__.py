@@ -54,7 +54,7 @@ from .harness import (
     sample_extremal,
     verify_all,
 )
-from .linalg import Mat, kernel, ldl_psd_certificate, mat, null_space, rref, vec
+from .linalg import Mat, kernel, ldl_psd_certificate, mat, rref, vec
 from .relations import (
     LinearRelation,
     RelationParts,

@@ -41,7 +41,6 @@ from .linalg import (
     ldl_psd_certificate,
     mat,
     memo,
-    null_space,
     rank,
     rat,
     read_only,
@@ -439,8 +438,10 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
     p(c) = det(M - c G), with M the form matrix and G the domain Gram.
 
     p is interpolated from its values at c = 0..k, k the domain dimension,
-    each one exact ``det``.  Its degree must be exactly k with leading
-    coefficient (-1)^k det G, or ``CrossCheckError`` is raised.
+    each one exact ``det`` of M - cG built by the body of
+    ``shifted_matrix`` without its memo, since no later call reads these
+    shifts again.  Its degree must be exactly k with leading coefficient
+    (-1)^k det G, or ``CrossCheckError`` is raised.
 
     The interpolation runs in integers: with the values over one
     denominator D, the Newton form on the nodes 0..k times k! is
@@ -449,7 +450,7 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
     coefficients, its primitive part.
     """
     k = t.domain.dim
-    values = [det(shifted_matrix(t, j)) for j in range(k + 1)]
+    values = [det(shifted_matrix.__wrapped__(t, j)) for j in range(k + 1)]
     den = math.lcm(*(x.denominator for x in values))
     diffs = [x.numerator * (den // x.denominator) for x in values]
     coeffs = [0] * (k + 1)
@@ -763,8 +764,8 @@ def inequality_range_subspace(s: LinearRelation, c) -> Subspace:
     basis of ker(M).
     """
     t = form_of_relation(s)
-    conditions = null_space(shifted_matrix(t, rat(c))) @ t.domain.basis @ s.src.gram  # r x dim
-    return Subspace(s.src, null_space(conditions))
+    conditions = kernel(shifted_matrix(t, rat(c))) @ t.domain.basis @ s.src.gram  # r x dim
+    return Subspace(s.src, kernel(conditions))
 
 
 def dom_companion_by_inequality(s: LinearRelation, c, psi) -> bool:

@@ -11,12 +11,9 @@ A set of vectors is the rows of a ``Mat``: a basis, a nullspace, the
 solutions of a system, the images of a map.  A product with the transpose
 of a set of vectors, such as the Gram matrix a G b^T, is
 ``(a @ g).mul_t(b)``, which reads b's rows as columns and forms no
-transpose.  A nullspace comes in two forms.
-``null_space`` (and ``pairing_null_space``, for the rows of a pairing)
-gives its canonical basis, the reduced echelon rows, from one
-elimination: use it wherever the subspace itself is wanted.  ``kernel``
-gives the free-variable basis: use it where that particular basis matters, as
-coordinates or as the directions of a random draw.  ``echelon_coords``
+transpose.  A nullspace comes in one form: ``kernel`` (and
+``pairing_null_space``, for the rows of a pairing) gives its canonical
+basis, the reduced echelon rows, from one elimination.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
 basis needs no elimination, and ``nonzero_rows`` counts the rows of an
 echelon matrix before its zero rows, so a basis already in reduced echelon
@@ -30,14 +27,14 @@ class with one ``__init__``, its shape in the slots ``_rows`` and
 ``==`` and ``hash`` are tuple equality and hashing on ints.  Products,
 sums, scaling, transposes, submatrices and stacking build their result
 rows from ints with one gcd reduction per row, but a column permutation
-in ``take`` and ``scale(±1)`` keep each row's denominator.  The three
-eliminations run on the stored rows directly.  ``det`` and
-``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``
-and ``null_space`` share ``_eliminate``, which eliminates forward below
-each pivot and reduces a row once, when it becomes a pivot row; its back
-phase then subtracts the finished rows below each pivot row, already in
-stored form.  ``zassenhaus`` runs it on the rows of a relational product
-placed straight from the stored rows of its inputs.
+in ``take`` and ``scale(±1)`` keep each row's denominator.  Every
+elimination runs on the stored rows directly.  ``det`` and
+``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``,
+``kernel`` and ``zassenhaus`` share ``_eliminate``, which eliminates
+forward below each pivot and reduces a row once, when it becomes a pivot
+row; its back phase then subtracts the finished rows below each pivot row,
+already in stored form.  ``zassenhaus`` runs it on the rows of a
+relational product placed straight from the stored rows of its inputs.
 ``PsdCertificate.verify`` checks P^T M P = L D L^T one entry at a time,
 by integer cross-multiplication on the stored rows, and forms no product
 matrix.  A ``fractions.Fraction`` leaves a ``Mat`` only through
@@ -465,57 +462,46 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def _free_basis(red: Mat, pivots: Sequence[int]) -> list[tuple[IntRow, int]]:
-    """The free-variable null space basis of an RREF, stored: per free
-    column f in order, 1 at f and minus column f of ``red`` at the pivots."""
-    ncols = red._cols
-    pivset = set(pivots)
+@memo
+def kernel(m: Mat) -> Mat:
+    """The reduced echelon basis of the nullspace {x : Mx = 0}, as the rows
+    of a k x cols matrix (``_null_space`` of the stored rows)."""
+    return _null_space(m._num, m._cols)
+
+
+def _null_space(rows: Iterable[Sequence[int]], ncols: int) -> Mat:
+    """The reduced echelon basis of {x : r . x = 0} over the integer rows r,
+    from one ``_eliminate`` of the rows with their columns reversed.  Its
+    free-variable basis (per free column f, 1 at f and minus column f of
+    the pivot rows at the pivots), in reverse order and each vector
+    reversed, is 1 at its free column f, 0 at the other free columns and
+    nonzero only at pivot columns after f.  A reversal keeps the gcd: one
+    ``_norm`` each."""
+    done, pivots = _eliminate([list(r[::-1]) for r in rows], ncols)
+    red = _from_rows(ncols, done[:len(pivots)])
     # The pivot rows over one denominator give every vector as ints.
     common = lcm(*red._den)
     over = _over(red, common)
-    rows = []
-    for fc in range(ncols):
+    pivset = set(pivots)
+    out = []
+    for fc in range(ncols - 1, -1, -1):
         if fc in pivset:
             continue
         v = [0] * ncols
         v[fc] = common
         for r, pc in zip(over, pivots):
             v[pc] = -r[fc]
-        rows.append(_norm(v, common))
-    return rows
-
-
-@memo
-def kernel(m: Mat) -> Mat:
-    """Basis of the nullspace {x : Mx = 0}, as the rows of a k x cols
-    matrix: the free-variable parametrization of the RREF."""
-    red, pivots = rref(m)
-    return _from_rows(m._cols, _free_basis(red, pivots))
-
-
-@memo
-def null_space(m: Mat) -> Mat:
-    """The reduced echelon basis of {x : Mx = 0}, as the rows of a k x cols
-    matrix (``_null_space`` of the stored rows)."""
-    return _null_space(m._num, m._cols)
-
-
-def _null_space(rows: Iterable[Sequence[int]], ncols: int) -> Mat:
-    """The reduced echelon basis of {x : r . x = 0} over the integer rows r,
-    from one ``_eliminate`` of the rows with their columns reversed: its
-    free-variable basis, in reverse order and each vector reversed, is 1 at
-    its free column f, 0 at the other free columns and nonzero only at
-    pivot columns after f.  A reversal keeps the gcd: one ``_norm`` each."""
-    done, pivots = _eliminate([list(r[::-1]) for r in rows], ncols)
-    return _from_rows(ncols, [(v[::-1], d) for v, d in reversed(_free_basis(_from_rows(ncols, done), pivots))])
+        out.append(_norm(v[::-1], common))
+    return _from_rows(ncols, out)
 
 
 def zassenhaus(nb: int, ncols: int, *blocks: tuple) -> Mat:
     """The reduced echelon basis of {x^T a : x^T b = 0}, from one
-    ``_eliminate`` of the Zassenhaus rows [b | a], ``nb`` the width of b:
-    the a-parts of its rows that pivot at or beyond ``nb``.  Every other
-    row has a pivot in the b-part that no kept row can cancel, and the kept
-    rows are zero there, so each a-part is already a stored row.
+    ``_eliminate`` of the Zassenhaus rows [b | a], ``nb`` the width of b
+    (plain spans go through ``rref``, not here): the a-parts of its rows
+    that pivot at or beyond ``nb``.  Every other row has a pivot in the
+    b-part that no kept row can cancel, and the kept rows are zero there,
+    so each a-part is already a stored row.
 
     The rows are assembled in integers from the stored rows of the blocks
     (m, place, ...), with no intermediate matrix.  A place (at, f, lo, hi)

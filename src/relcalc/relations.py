@@ -200,19 +200,18 @@ def adjoint(t: LinearRelation) -> LinearRelation:
 @memo
 def inverse(t: LinearRelation) -> LinearRelation:
     """{{g, f}}: the span of the graph rows [g | f]."""
-    n, m = t.src.dim, t.dst.dim
-    return echelon_relation(t.dst, t.src, zassenhaus(0, n + m, (t.graph.basis, (0, 1, n, n + m), (m, 1, 0, n))))
+    firsts, seconds = t.halves
+    return graph_relation(t.dst, t.src, seconds, firsts)
 
 
 @memo
 def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
-    """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c): with
-    c = p/q, the span of the graph rows times q, [q f | q g + p f]."""
+    """shift(T, c) = {{f, g + c f}}, so T - c is shift(T, -c): the span of
+    the graph rows [f | g + c f]."""
     if t.src != t.dst:
         raise PreconditionError("shift requires equal source and target spaces")
-    n, c = t.src.dim, rat(c)
-    p, q = c.numerator, c.denominator
-    return echelon_relation(t.src, t.dst, zassenhaus(0, 2 * n, (t.graph.basis, (0, q, 0, n), (n, q, n, 2 * n), (n, p, 0, n))))
+    firsts, seconds = t.halves
+    return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
 
 
 def closure(t: LinearRelation) -> LinearRelation:

@@ -4,7 +4,7 @@ subspace arithmetic inside them.
 A subspace is stored as the unique reduced row echelon basis of its span,
 as the rows of a k x dim matrix, so subspace equality is plain data
 equality.  Each canonical subspace comes from one elimination: ``rref``
-for a span or a sum, ``linalg.null_space`` for a complement, and
+for a span or a sum, ``linalg.kernel`` for a complement, and
 ``linalg.zassenhaus`` on the stored basis rows for an intersection;
 membership reads coordinates off the echelon rows and runs none.
 Orthogonal complements and projections always go through the ambient
@@ -30,10 +30,10 @@ from .linalg import (
     echelon_coords,
     identity,
     is_reduced_echelon,
+    kernel,
     ldl_psd_certificate,
     mat,
     memo,
-    null_space,
     read_only,
     rref,
     solve_mat,
@@ -171,7 +171,7 @@ def _check_same_ambient(v: Subspace, w: Subspace) -> None:
 @memo
 def complement(w: Subspace) -> Subspace:
     """G-orthogonal complement {x : b^T G x = 0 for all basis vectors b}."""
-    return Subspace(w.space, null_space(w.basis @ w.space.gram))
+    return Subspace(w.space, kernel(w.basis @ w.space.gram))
 
 
 @memo

@@ -1,7 +1,10 @@
 """Fixture builders the tests share: relations and subspaces given whole,
-which no construction of the library needs."""
+which no construction of the library needs, and the free-variable null
+space, a reference the library no longer builds."""
 
-from relcalc.linalg import Mat, identity
+from fractions import Fraction
+
+from relcalc.linalg import Mat, identity, mat, rref, zeros
 from relcalc.relations import LinearRelation, graph_relation, relation_from_pairs
 from relcalc.spaces import InnerProductSpace, Subspace, span_mat
 
@@ -30,3 +33,22 @@ def scale(t: LinearRelation, a) -> LinearRelation:
     """a T = {{f, a g} : {f, g} in T}."""
     firsts, seconds = t.halves
     return graph_relation(t.src, t.dst, firsts, seconds.scale(a))
+
+
+def free_variable_kernel(m: Mat) -> Mat:
+    """The free-variable basis of {x : Mx = 0} as rows, from one ``rref``:
+    per free column f in order, 1 at f and minus column f of the reduced
+    rows at the pivots.  ``linalg.kernel`` reads its reduced echelon basis
+    off a reversed elimination instead, so this is a second route to the
+    same subspace."""
+    red, pivots = rref(m)
+    rows = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i, f]
+        rows.append(v)
+    return mat(rows) if rows else zeros(0, m.cols)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcalc
-from relcalc import extensions, forms, harness
+from relcalc import extensions, forms, harness, linalg
 from relcalc.cli import EXTEND_KINDS, main
 from relcalc.errors import CrossCheckError
 from relcalc.linalg import clear_memos, vec
@@ -689,7 +690,7 @@ def test_memo_calls_have_one_spelling():
                 a = node.args
                 if a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
                     found.append(f"{name}:{node.lineno} def {node.name}")
-    assert {"friedrichs", "krein", "rref", "parts", "companion", "shifted_matrix", "restrict_form"} <= memos
+    assert {"friedrichs", "krein", "rref", "kernel", "parts", "companion", "shifted_matrix", "restrict_form"} <= memos
     for name, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and node.keywords:
@@ -697,6 +698,33 @@ def test_memo_calls_have_one_spelling():
                 if callee in memos:
                     found.append(f"{name}:{node.lineno} {callee}(...=...)")
     assert found == []
+
+
+TRACER_NAMES = ("SPAN_TARGETS", "MAT_COUNTERS", "MEMO_MODULES", "PREAMBLE_MARKER")
+
+
+def test_the_benchmark_tracer_names_resolve():
+    # perfbench/tracer.py wraps package functions and Mat methods by name,
+    # so a rename here makes `perfbench/run.py --trace 1` raise.  Its
+    # constants are read off its syntax tree; perfbench is not imported.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {}
+    for node in tree.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else getattr(node, "target", None)
+        if isinstance(target, ast.Name) and target.id in TRACER_NAMES:
+            names[target.id] = ast.literal_eval(node.value)
+    assert sorted(names) == sorted(TRACER_NAMES)
+    modules = {short: importlib.import_module(f"relcalc.{short}") for short in [*names["SPAN_TARGETS"], *names["MEMO_MODULES"]]}
+    missing = [f"{short}.{fn}" for short, fns in names["SPAN_TARGETS"].items() for fn in fns if not hasattr(modules[short], fn)]
+    missing += [f"linalg.Mat.{attr}" for attr in names["MAT_COUNTERS"].values() if attr not in vars(linalg.Mat)]
+    marker = names["PREAMBLE_MARKER"][0].split(".")
+    if marker[1] not in names["SPAN_TARGETS"].get(marker[0], ()):
+        missing.append(names["PREAMBLE_MARKER"][0])
+    if not hasattr(harness, "CheckResult"):
+        missing.append("harness.CheckResult")
+    assert missing == []
 
 
 def test_default_c_needs_no_float_estimate(tmp_path, capsys, monkeypatch):

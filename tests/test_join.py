@@ -38,7 +38,7 @@ from relcalc.forms import (
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, kernel, mat, rat, rref, solve_mat, vstack, zeros
+from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, mat, rat, rref, solve_mat, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -76,7 +76,7 @@ from relcalc.spaces import (
     subspace_sum,
 )
 
-from relation_builders import operator_relation, scale
+from relation_builders import free_variable_kernel, operator_relation, scale
 
 rationals = st.builds(
     Fraction,
@@ -140,7 +140,7 @@ def blocks(rows: list[list[Mat]]) -> Mat:
 
 def assert_graph_is(out: LinearRelation, constraint: Mat, image: Mat) -> None:
     """graph(out) = {x^T image : x^T constraint = 0}."""
-    null = kernel(constraint.T)
+    null = free_variable_kernel(constraint.T)
     for i in range(null.rows):
         assert member(image.vec_mul(null.row(i)), out.graph)
     system = hstack(constraint, image)
@@ -400,7 +400,7 @@ def reference_adjoint(t: LinearRelation) -> LinearRelation:
     ``hstack``."""
     firsts, seconds = t.halves
     pairing = hstack(seconds @ t.dst.gram, (firsts @ t.src.gram).scale(-1))
-    return LinearRelation(t.dst, t.src, span_mat(product_space(t.dst, t.src), kernel(pairing)))
+    return LinearRelation(t.dst, t.src, span_mat(product_space(t.dst, t.src), free_variable_kernel(pairing)))
 
 
 @given(st.data())

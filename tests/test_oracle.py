@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcalc.linalg import identity, mat, null_space, zeros
+from relcalc.linalg import identity, kernel, mat, zeros
 from relcalc.relations import adjoint, compose, eigenspace, inverse, rel_sum, relation_from_graph_vectors, restrict_domain, shift
 from relcalc.spaces import InnerProductSpace, intersect, span, subspace_sum
 
@@ -64,7 +64,7 @@ def matrices(draw):
 def test_null_space_is_sympys(data):
     rows, ncols = data
     m = mat(rows) if rows else zeros(0, ncols)
-    assert matrix_rows(null_space(m)) == sympy_null_space(to_sympy(rows, ncols))
+    assert matrix_rows(kernel(m)) == sympy_null_space(to_sympy(rows, ncols))
 
 
 @st.composite

@@ -212,7 +212,7 @@ def cmd_check(args) -> int:
     data = {
         "instances": [
             {
-                "instance": {k: getattr(rep.spec, k) for k in ("dim", "seed", "mul_dim", "restrict_dim", "entry_bound")},
+                "instance": rep.spec._asdict(),
                 "c": None if rep.c is None else rational_to_str(rep.c),
                 "checks": [_check_json(ch) for ch in rep.checks],
             }

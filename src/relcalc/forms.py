@@ -32,6 +32,7 @@ from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .linalg import (
     Mat,
     PsdCertificate,
+    Value,
     Vec,
     det,
     echelon_coords,
@@ -43,7 +44,6 @@ from .linalg import (
     memo,
     rank,
     rat,
-    read_only,
     rref,
     solve_mat,
     vec,
@@ -77,15 +77,14 @@ from .spaces import (
 )
 
 
-class QuadraticForm:
+class QuadraticForm(Value):
     """Symmetric bilinear form on a domain subspace, in basis coordinates.
 
     t[x^T B, y^T B] = x^T matrix y where the rows of B are the canonical
     domain basis.  It hashes as the domain basis and the matrix.
     """
 
-    __slots__ = ("space", "domain", "matrix")
-    __setattr__ = __delattr__ = read_only
+    __slots__ = _fields = ("space", "domain", "matrix")
 
     def __init__(self, space: InnerProductSpace, domain: Subspace, matrix: Mat) -> None:
         if domain.space != space:
@@ -95,17 +94,7 @@ class QuadraticForm:
             raise ValueError("form matrix must be square of the domain dimension")
         if not matrix.is_symmetric():
             raise ValueError("form matrix must be symmetric")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __repr__(self) -> str:
-        return f"QuadraticForm(space={self.space!r}, domain={self.domain!r}, matrix={self.matrix!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not QuadraticForm:
-            return NotImplemented
-        return self is other or (self.space, self.domain, self.matrix) == (other.space, other.domain, other.matrix)
+        super().__init__(space, domain, matrix)
 
     def __hash__(self) -> int:
         return hash((self.domain.basis, self.matrix))
@@ -238,24 +227,15 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
     return SemiboundedCheck(False, (res.witness, lift(s, res.witness)))
 
 
-class BoundInterval:
+class BoundInterval(Value):
     """The bracket of ``bound_bisect``: t - lo is certified PSD, t - hi refuted.
     ``pencil``, ``pencil_polynomial(t)`` for ``estimate``, is not compared."""
 
-    __setattr__ = __delattr__ = read_only
+    _fields = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction, pencil: tuple[int, ...]) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
         object.__setattr__(self, "pencil", pencil)
-
-    def __repr__(self) -> str:
-        return f"BoundInterval(lo={self.lo!r}, hi={self.hi!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not BoundInterval:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
 
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
@@ -518,7 +498,7 @@ def _simplest_in(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-class RepresentingMap:
+class RepresentingMap(Value):
     """A map Q from the domain of ``form`` into a weighted codomain certifying
 
         matrix Gram_codomain matrix^T = M - c G = ``shifted_matrix(form, c)``.
@@ -530,32 +510,14 @@ class RepresentingMap:
     construction.  It hashes as the domain basis and the matrix.
     """
 
-    __slots__ = ("form", "codomain", "matrix", "base_point")
-    __setattr__ = __delattr__ = read_only
+    __slots__ = _fields = ("form", "codomain", "matrix", "base_point")
 
     def __init__(self, form: QuadraticForm, codomain: InnerProductSpace, matrix: Mat, base_point: Fraction) -> None:
         if matrix.rows != form.domain.dim or matrix.cols != codomain.dim:
             raise ValueError("representing map matrix has wrong shape")
         if (matrix @ codomain.gram).mul_t(matrix) != shifted_matrix(form, base_point):
             raise CrossCheckError("representing map certificate identity failed")
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "base_point", base_point)
-
-    def __repr__(self) -> str:
-        return (
-            f"RepresentingMap(form={self.form!r}, codomain={self.codomain!r}, matrix={self.matrix!r}, "
-            f"base_point={self.base_point!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RepresentingMap:
-            return NotImplemented
-        return self is other or (
-            (self.form, self.codomain, self.matrix, self.base_point)
-            == (other.form, other.codomain, other.matrix, other.base_point)
-        )
+        super().__init__(form, codomain, matrix, base_point)
 
     def __hash__(self) -> int:
         return hash((self.domain.basis, self.matrix))

@@ -59,9 +59,10 @@ the forms with ``form_matrix_on_domain``, ``is_nonneg_above``, their
 shifted matrices M - cG (``shifted_matrix``) and restrictions
 (``restrict_form``), the representing maps, and the extensions with
 ``order_leq``, ``extremal_check`` and ``extremal_from_domain``: inside one
-scope each runs once per distinct input.  A lookup hashes its arguments.  A ``Mat`` keeps its hash in its
-``_hash`` slot, and each value built on it (a space, a subspace, a
-relation, a form) hashes as the ``Mat`` that fixes it up to ``==``, so
+scope each runs once per distinct input.  A lookup hashes its arguments.
+A ``Mat`` keeps its hash in its ``_hash`` slot.  Each value built on it
+is a ``Value``: its fields are set once, ``==`` compares the class and
+the fields, and its hash is the ``Mat`` that fixes it up to ``==``, so
 no value stores a hash of its own; a relation splits its ``halves`` once.
 """
 
@@ -70,7 +71,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CrossCheckError
@@ -106,10 +107,35 @@ def vec(entries: Iterable) -> Vec:
     return tuple(rat(x) for x in entries)
 
 
-def read_only(self, name: str, value: object = None) -> None:
-    """``__setattr__`` and ``__delattr__`` of the value classes, which are memo
-    keys: ``__init__`` sets each field once, by ``object.__setattr__``."""
-    raise AttributeError(f"cannot assign to field {name!r}")
+class Value:
+    """The base of the value classes, which are memo keys: each field is set
+    once, ``==`` compares the class and the ``_fields`` (``_key``, one
+    ``attrgetter`` per class), and ``repr`` prints them.  A subclass lists
+    its fields in ``_fields`` (also its ``__slots__`` where it has slots),
+    validates in its ``__init__``, and hashes as the ``Mat`` that fixes it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
 
 
 class Mat:
@@ -123,8 +149,8 @@ class Mat:
     matrices.  The hash is memoized because matrices are memo keys all over
     the package.
 
-    A plain ``__slots__`` class whose ``__init__`` assigns the slots
-    directly, with no ``object.__setattr__`` as in the value classes, since
+    A plain ``__slots__`` class, not a ``Value``: its ``__init__`` assigns
+    the slots directly, with none of ``Value``'s read-only guard, since
     matrices are built by the hundred thousand.  ``rows`` and ``cols`` are
     read-only properties over the slots ``_rows`` and ``_cols``, which this
     module reads directly; there is no ``__dict__``.

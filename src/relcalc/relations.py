@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
 from .linalg import (
     Mat,
+    Value,
     Vec,
     block_diag,
     echelon_coords,
@@ -27,7 +28,6 @@ from .linalg import (
     nonzero_rows,
     pairing_null_space,
     rat,
-    read_only,
     zassenhaus,
 )
 from .spaces import (
@@ -42,27 +42,17 @@ from .spaces import (
 )
 
 
-class LinearRelation:
+class LinearRelation(Value):
     """A (possibly multivalued, possibly non-densely-defined) linear relation.
 
     It hashes as its graph basis; ``==`` compares the spaces too."""
 
-    __setattr__ = __delattr__ = read_only
+    _fields = ("src", "dst", "graph")
 
     def __init__(self, src: InnerProductSpace, dst: InnerProductSpace, graph: Subspace) -> None:
         if graph.space != product_space(src, dst):
             raise ValueError("graph must live in the product of src and dst")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "graph", graph)
-
-    def __repr__(self) -> str:
-        return f"LinearRelation(src={self.src!r}, dst={self.dst!r}, graph={self.graph!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LinearRelation:
-            return NotImplemented
-        return self is other or (self.src, self.dst, self.graph) == (other.src, other.dst, other.graph)
+        super().__init__(src, dst, graph)
 
     def __hash__(self) -> int:
         return hash(self.graph.basis)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
+    Value,
     Vec,
     block_diag,
     echelon_coords,
@@ -34,7 +35,6 @@ from .linalg import (
     ldl_psd_certificate,
     mat,
     memo,
-    read_only,
     rref,
     solve_mat,
     vec,
@@ -44,13 +44,12 @@ from .linalg import (
 )
 
 
-class InnerProductSpace:
+class InnerProductSpace(Value):
     """Finite-dimensional space with inner product (x, y) = x^T G y.
 
     It hashes as its Gram, which fixes it."""
 
-    __slots__ = ("dim", "gram")
-    __setattr__ = __delattr__ = read_only
+    __slots__ = _fields = ("dim", "gram")
 
     def __init__(self, dim: int, gram: Mat) -> None:
         if gram.rows != dim or gram.cols != dim:
@@ -60,16 +59,7 @@ class InnerProductSpace:
         res = ldl_psd_certificate(gram)
         if not res.ok or any(d == 0 for d in res.certificate.diag):
             raise ValueError("Gram matrix must be positive definite")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", gram)
-
-    def __repr__(self) -> str:
-        return f"InnerProductSpace(dim={self.dim!r}, gram={self.gram!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not InnerProductSpace:
-            return NotImplemented
-        return self is other or (self.dim, self.gram) == (other.dim, other.gram)
+        super().__init__(dim, gram)
 
     def __hash__(self) -> int:
         return hash(self.gram)
@@ -96,12 +86,11 @@ def product_space(h: InnerProductSpace, k: InnerProductSpace) -> InnerProductSpa
     one part is nonzero.  By induction every space is positive definite.
     """
     space = object.__new__(InnerProductSpace)
-    object.__setattr__(space, "dim", h.dim + k.dim)
-    object.__setattr__(space, "gram", block_diag(h.gram, k.gram))
+    Value.__init__(space, h.dim + k.dim, block_diag(h.gram, k.gram))
     return space
 
 
-class Subspace:
+class Subspace(Value):
     """Canonical subspace of an ambient space.
 
     ``basis`` is k x dim, its rows the reduced row echelon basis, which is
@@ -112,24 +101,14 @@ class Subspace:
     ``==`` compares the space too.
     """
 
-    __slots__ = ("space", "basis")
-    __setattr__ = __delattr__ = read_only
+    __slots__ = _fields = ("space", "basis")
 
     def __init__(self, space: InnerProductSpace, basis: Mat) -> None:
         if basis.cols != space.dim:
             raise ValueError("basis vectors must live in the ambient space")
         if not is_reduced_echelon(basis):
             raise ValueError("a subspace basis must be the reduced echelon rows of its span")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "basis", basis)
-
-    def __repr__(self) -> str:
-        return f"Subspace(space={self.space!r}, basis={self.basis!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Subspace:
-            return NotImplemented
-        return self is other or (self.space, self.basis) == (other.space, other.basis)
+        super().__init__(space, basis)
 
     def __hash__(self) -> int:
         return hash(self.basis)
@@ -154,8 +133,10 @@ def span(space: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]) -> Sub
 
 
 def span_mat(space: InnerProductSpace, rows: Mat) -> Subspace:
-    """Canonical subspace spanned by the rows: the nonzero rows of their RREF."""
-    red, pivots = rref(rows)
+    """Canonical subspace spanned by the rows: the nonzero rows of their RREF,
+    from the memo's own body ``rref.__wrapped__``, since the rows are fresh
+    and a caller that spans the same rows again is memoized itself."""
+    red, pivots = rref.__wrapped__(rows)
     return Subspace(space, red.take(range(len(pivots))))
 
 

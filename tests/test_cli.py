@@ -646,6 +646,32 @@ def test_only_product_space_skips_the_gram_certificate():
     assert found == [("spaces.py", "product_space")]
 
 
+VALUE_SEMANTICS = {"__eq__", "__repr__", "__setattr__", "__delattr__"}
+
+
+def _class_body_names(cls: ast.ClassDef):
+    """The names a class body binds by ``def`` or by plain assignment."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_only_linalg_defines_value_semantics():
+    # linalg.Value is the one home of what makes two values equal, how they
+    # print and why no field may change; a value class elsewhere keeps only
+    # its validation, its fields and its hash.
+    found = [
+        f"{name} {node.name}"
+        for name, tree in _package_modules()
+        if name != "linalg.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and VALUE_SEMANTICS & set(_class_body_names(node))
+    ]
+    assert found == []
+
+
 # The calls that make a float or read one, bare or through math.
 FLOAT_CALLS = {prefix + fn for fn in ("frexp", "nextafter", "ulp") for prefix in ("", "math.")} | {"float"}
 

@@ -8,9 +8,12 @@ the stored graph rows (``linalg.zassenhaus``); here they are checked
 directly in coefficients: every pair built from the inputs lies in the
 output, and every output basis pair solves the defining system.  They are
 also held equal to the formulas that built [C | P] from ``Mat`` blocks
-(``reference_*``).  Blocks
-have pairwise different dimensions and weighted Gram matrices, so a block
-offset or a Gram mix-up cannot cancel out.
+(``reference_*``).  inverse, shift and subspace_sum span rows of their
+inputs, so they are held to those rows with no elimination: each is a
+member, read off the output's echelon basis, and the output has the
+dimension they span.  Blocks have pairwise different dimensions and
+weighted Gram matrices, so a block offset or a Gram mix-up cannot cancel
+out.
 
 The pointwise constructors (inverse, shift, scale, the regular and
 singular parts, eigen, operator and product relations, companions) are
@@ -38,7 +41,7 @@ from relcalc.forms import (
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import Mat, block_diag, clear_memos, hstack, identity, mat, rat, rref, solve_mat, vstack, zeros
+from relcalc.linalg import Mat, block_diag, clear_memos, echelon_coords, hstack, identity, mat, rat, rref, solve_mat, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -448,14 +451,24 @@ def reference_stack_relations(t1: LinearRelation, t2: LinearRelation) -> LinearR
     return relation_where(t1.src, product_space(t1.dst, t2.dst), a, vstack(f_1, f_2.scale(-1)))
 
 
-def reference_inverse(t: LinearRelation) -> LinearRelation:
-    firsts, seconds = t.halves
-    return graph_relation(t.dst, t.src, seconds, firsts)
+def assert_spanned_by(out: Subspace, rows: Mat) -> None:
+    """out is the span of ``rows``, which are independent: each row is a
+    member, read off out's echelon basis with no elimination, and out has
+    no more dimensions than there are rows."""
+    assert echelon_coords(out.basis, rows) is not None
+    assert out.dim == rows.rows
 
 
-def reference_shift(t: LinearRelation, c) -> LinearRelation:
-    firsts, seconds = t.halves
-    return graph_relation(t.src, t.dst, firsts, seconds + firsts.scale(c))
+def assert_inverse(t: LinearRelation) -> None:
+    """inverse(t) is spanned by the swapped graph pairs {g, f}."""
+    swapped = [[*g, *f] for f, g in t.pairs()]
+    assert_spanned_by(inverse(t).graph, rows_of(swapped, t.src.dim + t.dst.dim))
+
+
+def assert_shift(t: LinearRelation, c) -> None:
+    """shift(t, c) is spanned by the shifted graph pairs {f, g + c f}."""
+    shifted = [[*f, *added(g, scaled(c, f))] for f, g in t.pairs()]
+    assert_spanned_by(shift(t, c).graph, rows_of(shifted, 2 * t.src.dim))
 
 
 def reference_eigenspace(t: LinearRelation, c) -> Subspace:
@@ -468,8 +481,13 @@ def reference_intersect(v: Subspace, w: Subspace) -> Subspace:
     return image_where(v.space, a, vstack(v.basis, w.basis.scale(-1)))
 
 
-def reference_subspace_sum(v: Subspace, w: Subspace) -> Subspace:
-    return span_mat(v.space, vstack(v.basis, w.basis))
+def assert_subspace_sum(v: Subspace, w: Subspace) -> None:
+    """subspace_sum(v, w) contains both bases and has dimension
+    dim v + dim w - dim(v meet w), the meet by ``zassenhaus``."""
+    total = subspace_sum(v, w)
+    assert echelon_coords(total.basis, v.basis) is not None
+    assert echelon_coords(total.basis, w.basis) is not None
+    assert total.dim == v.dim + w.dim - intersect(v, w).dim
 
 
 @given(st.data())
@@ -484,15 +502,17 @@ def test_products_equal_their_mat_block_formulas(data):
             assert restrict_domain(t, parts(u).dom) == reference_restrict_domain(t, parts(u).dom)
             for v, w in ((parts(t).dom, parts(u).dom), (parts(t).ran, parts(u).mul)):
                 assert intersect(v, w) == reference_intersect(v, w)
-                assert subspace_sum(v, w) == reference_subspace_sum(v, w)
+                assert_subspace_sum(v, w)
             r = adjoint(u)
             assert compose(r, t) == reference_compose(r, t)
             assert compose(t, r) == reference_compose(t, r)
-        assert inverse(t) == reference_inverse(t)
-        # Square relations for the shift and the eigenspace, one of them
-        # with c as an eigenvalue.
-        for square in (compose(adjoint(t), t), reference_shift(compose(inverse(t), t), c - 1)):
-            assert shift(square, c) == reference_shift(square, c)
+        assert_inverse(t)
+        # Square relations for the shift and the eigenspace, the second with
+        # c as an eigenvalue: T^-1 T holds {f, f}, shifted pair by pair by c - 1.
+        tt = compose(inverse(t), t)
+        with_c = relation_from_pairs(tt.src, tt.dst, [(f, added(g, scaled(c - 1, f))) for f, g in tt.pairs()])
+        for square in (compose(adjoint(t), t), with_c):
+            assert_shift(square, c)
             assert eigenspace(square, c) == reference_eigenspace(square, c)
 
 

@@ -10,6 +10,7 @@ from relcalc import harness
 from relcalc.errors import CrossCheckError
 from relcalc.extensions import friedrichs, krein, order_leq
 from relcalc.forms import (
+    BoundInterval,
     QuadraticForm,
     RepresentingMap,
     bound_bisect,
@@ -106,6 +107,16 @@ def test_product_space_skips_only_the_certificate():
     assert hk == InnerProductSpace(3, mat([[1, 0, 0], [0, 2, 1], [0, 1, 3]]))
     with pytest.raises(AttributeError):
         hk.dim = 4
+
+
+def test_a_bracket_ignores_its_pencil():
+    # The pencil only feeds the display estimate: two brackets with the same
+    # ends are one value whatever polynomial they carry.
+    a = BoundInterval(Fraction(1, 2), Fraction(3, 4), (1, -2))
+    b = BoundInterval(Fraction(1, 2), Fraction(3, 4), (2, 0, -1))
+    assert a.pencil != b.pencil
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "BoundInterval(lo=Fraction(1, 2), hi=Fraction(3, 4))"
 
 
 def test_every_constructor_keeps_its_validation():

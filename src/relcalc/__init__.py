@@ -78,7 +78,6 @@ from .spaces import (
     Subspace,
     complement,
     intersect,
-    member,
     product_space,
     span,
     standard_space,

@@ -31,7 +31,7 @@ from .forms import (
     repmap_ldl,
     shifted_matrix,
 )
-from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, memo, rat, row_dots, solve_mat, vstack, zeros
+from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, mat, memo, rat, row_dots, solve_mat, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -54,7 +54,6 @@ from .spaces import (
     Subspace,
     complement,
     contains,
-    coordinates,
     gram_on,
     intersect,
     zero_subspace,
@@ -204,14 +203,15 @@ def order_leq(h: LinearRelation, k: LinearRelation) -> OrderResult:
             raise PreconditionError("order comparison requires selfadjoint relations")
     th = form_of_relation(h)
     tk = form_of_relation(k)
+    basis = tk.domain.basis
     if not contains(th.domain, tk.domain):
-        missing = next(b for b in tk.domain.basis_vectors() if coordinates(b, th.domain) is None)
-        return OrderResult(False, missing)
+        missing = next(i for i in range(basis.rows) if echelon_coords(th.domain.basis, basis.take([i])) is None)
+        return OrderResult(False, basis.row(missing))
     restricted = th.restrict(tk.domain)
     res = ldl_psd_certificate(tk.matrix - restricted.matrix)
     if res.ok:
         return OrderResult(True, None)
-    return OrderResult(False, tk.domain.basis.vec_mul(res.counterexample))
+    return OrderResult(False, (mat([res.counterexample]) @ basis).row(0))
 
 
 def extension_interval_check(s: LinearRelation, c, h: LinearRelation) -> bool:

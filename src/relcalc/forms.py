@@ -59,7 +59,6 @@ from .relations import (
     graph_relation,
     inverse,
     is_symmetric,
-    lift,
     lifts,
     parts,
     regular_part,
@@ -69,7 +68,6 @@ from .spaces import (
     InnerProductSpace,
     Subspace,
     contains,
-    coordinates,
     extending,
     gram_on,
     intersect,
@@ -102,14 +100,6 @@ class QuadraticForm(Value):
     @property
     def domain_gram(self) -> Mat:
         return gram_on(self.domain)
-
-    def evaluate(self, x, y) -> Fraction:
-        cx = coordinates(x, self.domain)
-        cy = coordinates(y, self.domain)
-        if cx is None or cy is None:
-            raise PreconditionError("form arguments must lie in the form domain")
-        gx = self.matrix.mul_vec(cx)
-        return sum((a * b for a, b in zip(gx, cy)), Fraction(0))
 
     def restrict(self, sub: Subspace) -> "QuadraticForm":
         """Restriction to a subspace of the domain (``restrict_form``)."""
@@ -165,7 +155,7 @@ def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
     res = ldl_psd_certificate(shifted_matrix(t, c))
     if res.ok:
         return CertifyResult(res.certificate, None)
-    return CertifyResult(None, t.domain.basis.vec_mul(res.counterexample))
+    return CertifyResult(None, (mat([res.counterexample]) @ t.domain.basis).row(0))
 
 
 @memo
@@ -211,20 +201,17 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
         # large multiple of m to a lift of phi drives the pairing below any
         # bound.
         i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
-        m = p.mul.basis.row(i)
-        phi = p.dom.basis.row(j)
-        base = lift(s, phi)
-        pairing = cross[i, j]
-        norm2 = s.src.inner(phi, phi)
-        # Choose t with (base + t m, phi) < c (phi, phi).
-        t = -(s.src.inner(base, phi) - c * norm2 + 1) / pairing
-        bad = tuple(x + t * y for x, y in zip(base, m))
-        return SemiboundedCheck(False, (phi, bad))
+        phi = p.dom.basis.take([j])
+        base = lifts(s, phi)
+        # (base, phi) and (phi, phi); choose t with (base + t m, phi) < c (phi, phi).
+        pairings = (vstack(base, phi) @ s.src.gram).mul_t(phi)
+        t = -(pairings[0, 0] - c * pairings[1, 0] + 1) / cross[i, j]
+        return SemiboundedCheck(False, (phi.row(0), (base + p.mul.basis.take([i]).scale(t)).row(0)))
     dom, form = form_matrix_on_domain(s)
     res = certify_lower_bound(QuadraticForm(s.src, dom, (form + form.T).scale(Fraction(1, 2))), c)
     if res.ok:
         return SemiboundedCheck(True, None)
-    return SemiboundedCheck(False, (res.witness, lift(s, res.witness)))
+    return SemiboundedCheck(False, (res.witness, lifts(s, mat([res.witness])).row(0)))
 
 
 class BoundInterval(Value):

@@ -8,8 +8,10 @@ semidefiniteness or returns an explicit vector with negative quadratic
 value.  No floating point is used anywhere in this module.
 
 A set of vectors is the rows of a ``Mat``: a basis, a nullspace, the
-solutions of a system, the images of a map.  A product with the transpose
-of a set of vectors, such as the Gram matrix a G b^T, is
+solutions of a system, the images of a map.  One vector is a one-row
+``Mat``, so the combination of the rows of b with coefficients x is
+``x @ b``; there is no second, tuple-vector path.  A product with the
+transpose of a set of vectors, such as the Gram matrix a G b^T, is
 ``(a @ g).mul_t(b)``, which reads b's rows as columns and forms no
 transpose.  A nullspace comes in one form: ``kernel`` (and
 ``pairing_null_space``, for the rows of a pairing) gives its canonical
@@ -43,7 +45,7 @@ entries without one, and ``mat`` converts the other way.
 
 Only this module knows how a ``Mat`` is stored, and reads its slots
 directly.  Every other module builds matrices with ``mat``, ``zeros``,
-``identity``, ``diag`` and the stacking helpers, and reads them through
+``identity`` and the stacking helpers, and reads them through
 ``rows``, ``cols``, ``[i, j]``, ``row``, ``take``, ``row_dots`` and
 ``to_strings``, so the storage can change here alone.
 
@@ -252,12 +254,6 @@ class Mat:
         xs, xden = _int_row(x)
         return tuple([Fraction(sum(map(mul, r, xs)), d * xden) for r, d in zip(self._num, self._den)])
 
-    def vec_mul(self, x: Sequence[Fraction]) -> Vec:
-        """x^T M: the combination of the rows with coefficients x."""
-        if len(x) != self._rows:
-            raise ValueError("vector length does not match row count")
-        return (mat([x]) @ self).row(0)
-
     def is_symmetric(self) -> bool:
         num, den = self._num, self._den
         return self._rows == self._cols and all(
@@ -347,15 +343,6 @@ def zeros(nrows: int, ncols: int) -> Mat:
 
 def identity(n: int) -> Mat:
     return Mat(n, n, tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)), (1,) * n)
-
-
-def diag(entries: Sequence[Fraction]) -> Mat:
-    n = len(entries)
-    rows = []
-    for i, x in enumerate(entries):
-        x = rat(x)
-        rows.append((tuple([x.numerator if i == j else 0 for j in range(n)]), x.denominator))
-    return _from_rows(n, rows)
 
 
 def hstack(a: Mat, b: Mat) -> Mat:
@@ -795,7 +782,7 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
                 v[r] = ONE
                 v[c] = -ONE if a[r][c] > 0 else ONE
             witness = _back_substitute(lower, perm, v)
-            if quad_form(m, witness) >= 0:
+            if sum(map(mul, m.mul_vec(witness), witness)) >= 0:
                 raise CrossCheckError("LDL^T counterexample does not have a negative quadratic value")
             return PsdResult(None, witness)
         if p != i:
@@ -830,7 +817,3 @@ def _back_substitute(lower: list[list[tuple[int, int]]], perm: list[int], v: lis
         for i, (x, y) in enumerate(lower[j]):
             w[i] -= w[j] * x / y
     return tuple(w[perm.index(j)] for j in range(len(w)))
-
-
-def quad_form(m: Mat, x: Sequence[Fraction]) -> Fraction:
-    return sum(map(mul, m.mul_vec(x), x), ZERO)

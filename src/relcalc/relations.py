@@ -19,11 +19,9 @@ from .errors import AmbientMismatchError, CrossCheckError, PreconditionError
 from .linalg import (
     Mat,
     Value,
-    Vec,
     block_diag,
     echelon_coords,
     hstack,
-    mat,
     memo,
     nonzero_rows,
     pairing_null_space,
@@ -56,11 +54,6 @@ class LinearRelation(Value):
 
     def __hash__(self) -> int:
         return hash(self.graph.basis)
-
-    def pairs(self) -> list[tuple[Vec, Vec]]:
-        """Graph basis as (first, second) component pairs."""
-        firsts, seconds = self.halves
-        return [(firsts.row(i), seconds.row(i)) for i in range(firsts.rows)]
 
     @cached_property
     def halves(self) -> tuple[Mat, Mat]:
@@ -105,13 +98,7 @@ def relation_from_pairs(
     pairs = list(pairs)
     if any(len(f) != src.dim or len(g) != dst.dim for f, g in pairs):
         raise ValueError("component lengths do not match factors")
-    return relation_from_graph_vectors(src, dst, [[*f, *g] for f, g in pairs])
-
-
-def relation_from_graph_vectors(
-    src: InnerProductSpace, dst: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]
-) -> LinearRelation:
-    return LinearRelation(src, dst, span(product_space(src, dst), vectors))
+    return LinearRelation(src, dst, span(product_space(src, dst), [[*f, *g] for f, g in pairs]))
 
 
 def product_relation(x: Subspace, y: Subspace) -> LinearRelation:
@@ -166,11 +153,6 @@ def lifts(t: LinearRelation, xs: Mat) -> Mat:
     if combos is None:
         raise PreconditionError("vector is not in the domain of the relation")
     return combos @ seconds
-
-
-def lift(t: LinearRelation, x: Sequence[Fraction]) -> Vec:
-    """Some g with {x, g} in t; requires x in dom t."""
-    return lifts(t, mat([x])).row(0)
 
 
 @memo

@@ -25,8 +25,8 @@ from typing import Any
 
 from .errors import ParseError
 from .linalg import Mat, Vec, identity, mat, vec
-from .relations import LinearRelation, relation_from_graph_vectors
-from .spaces import InnerProductSpace, Subspace, standard_space
+from .relations import LinearRelation
+from .spaces import InnerProductSpace, Subspace, product_space, span, standard_space
 
 # Largest space dimension a relation file or a command-line option may ask
 # for.  Exact elimination is cubic in the dimension, with growing integers,
@@ -151,7 +151,7 @@ def parse_relation(data: Any, field: str = "relation") -> LinearRelation:
             raise ParseError(
                 f"{field}.graph_basis[{i}]: wrong length, expected {src.dim + dst.dim}"
             )
-    return relation_from_graph_vectors(src, dst, vecs)
+    return LinearRelation(src, dst, span(product_space(src, dst), vecs))
 
 
 def _same_json(a: Any, b: Any) -> bool:

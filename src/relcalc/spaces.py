@@ -6,7 +6,8 @@ as the rows of a k x dim matrix, so subspace equality is plain data
 equality.  Each canonical subspace comes from one elimination: ``rref``
 for a span or a sum, ``linalg.kernel`` for a complement, and
 ``linalg.zassenhaus`` on the stored basis rows for an intersection;
-membership reads coordinates off the echelon rows and runs none.
+membership (``contains``, or ``echelon_coords`` of the rows of a ``Mat``
+for vectors) reads coordinates off the echelon rows and runs none.
 Orthogonal complements and projections always go through the ambient
 Gram matrix: representing-map codomains carry weighted inner products,
 and the weighted pairing is what keeps every construction rational.
@@ -26,7 +27,6 @@ from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
     Value,
-    Vec,
     block_diag,
     echelon_coords,
     identity,
@@ -63,13 +63,6 @@ class InnerProductSpace(Value):
 
     def __hash__(self) -> int:
         return hash(self.gram)
-
-    def inner(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        gx = self.gram.mul_vec(x)
-        return sum((a * b for a, b in zip(gx, y)), Fraction(0))
-
-    def zero_vec(self) -> Vec:
-        return tuple(Fraction(0) for _ in range(self.dim))
 
 
 def standard_space(dim: int) -> InnerProductSpace:
@@ -116,9 +109,6 @@ class Subspace(Value):
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_vectors(self) -> list[Vec]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
 
     def is_zero(self) -> bool:
         return self.basis.rows == 0
@@ -188,16 +178,6 @@ def contains(w: Subspace, v: Subspace) -> bool:
     """True when v is a subspace of w, read off the echelon rows of w."""
     _check_same_ambient(v, w)
     return echelon_coords(w.basis, v.basis) is not None
-
-
-def coordinates(x: Sequence[Fraction], w: Subspace) -> Vec | None:
-    """Coordinates of x in the canonical basis of w, or None when x is outside."""
-    coords = echelon_coords(w.basis, mat([x]))
-    return None if coords is None else coords.row(0)
-
-
-def member(x: Sequence[Fraction], w: Subspace) -> bool:
-    return coordinates(x, w) is not None
 
 
 def projections(xs: Mat, w: Subspace) -> Mat:

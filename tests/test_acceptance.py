@@ -44,6 +44,7 @@ from relcalc.harness import (
 )
 from relcalc.linalg import identity, mat, vec
 from relcalc.relations import (
+    LinearRelation,
     adjoint,
     closure,
     compose,
@@ -52,7 +53,6 @@ from relcalc.relations import (
     numerical_range_zero,
     parts,
     product_relation,
-    relation_from_graph_vectors,
     relation_from_pairs,
     regular_part,
     shift,
@@ -61,12 +61,13 @@ from relcalc.spaces import (
     InnerProductSpace,
     complement,
     intersect,
-    member,
+    product_space,
     span,
     standard_space,
 )
 
 from relation_builders import operator_relation
+from vectors import combination, form_value, member
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -123,7 +124,7 @@ def test_criterion_01_adjoint_calculus():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(2 * n)]
             for _ in range(k)
         ]
-        t = relation_from_graph_vectors(space, space, vecs)
+        t = LinearRelation(space, space, span(product_space(space, space), vecs))
         assert adjoint(adjoint(t)) == t
         assert parts(adjoint(t)).mul == complement(parts(t).dom)
         assert inverse(adjoint(t)) == adjoint(inverse(t))
@@ -235,7 +236,7 @@ def test_criterion_07_inequality_criteria(corpus):
             if sub.dim > 0:
                 for _ in range(3):
                     combo = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(sub.dim)]
-                    probes.append(sub.basis.vec_mul(combo))
+                    probes.append(combination(sub.basis, combo))
         while len(probes) < 10:
             probes.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)))
         for v in probes:
@@ -257,7 +258,8 @@ def test_criterion_08_extremality(corpus):
     th = form_of_relation(h)
     f = vec([1, -1])
     best = min(
-        th.evaluate(
+        form_value(
+            th,
             tuple(a - t * b for a, b in zip(f, vec([1, 1]))),
             tuple(a - t * b for a, b in zip(f, vec([1, 1]))),
         )
@@ -265,7 +267,7 @@ def test_criterion_08_extremality(corpus):
     )
     t_star = Fraction(-1, 2)
     diff = tuple(a - t_star * b for a, b in zip(f, vec([1, 1])))
-    assert th.evaluate(diff, diff) == 3
+    assert form_value(th, diff, diff) == 3
     assert best == 3
     assert not extremal_check(h, s, 0)
 

@@ -820,28 +820,31 @@ def _is_check(fn: ast.FunctionDef) -> bool:
 
 def test_every_function_has_a_caller_in_the_package():
     # Every module-level function and every method but the dunders must be
-    # named, as a name or an attribute, somewhere in the package outside
-    # its own def; the registry calls the checks.  __init__ only
-    # re-exports.  Matched by name, so a method counts as called when any
-    # attribute of its name is read.
+    # used somewhere in the package outside its own def; the registry calls
+    # the checks.  __init__ only re-exports.  A module-level function counts
+    # as used only where its name is loaded, so neither an attribute nor a
+    # field annotation of the same name counts for it.  A method is matched
+    # by name, so it counts as called when any attribute of its name is read.
     trees = [(name, tree) for name, tree in _package_modules() if name != "__init__.py"]
-    named: dict[str, list[tuple[str, int]]] = {}
+    loaded: dict[str, list[tuple[str, int]]] = {}
+    attributes: dict[str, list[tuple[str, int]]] = {}
     defs = []
     for name, tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                ident = node.id if isinstance(node, ast.Name) else node.attr
-                named.setdefault(ident, []).append((name, node.lineno))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.setdefault(node.id, []).append((name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((name, node.lineno))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not _is_check(node):
-                defs.append((name, node))
+                defs.append((name, node, loaded))
             elif isinstance(node, ast.ClassDef):
                 methods = [f for f in node.body if isinstance(f, ast.FunctionDef)]
-                defs += [(name, f) for f in methods if not (f.name.startswith("__") and f.name.endswith("__"))]
+                defs += [(name, f, attributes) for f in methods if not (f.name.startswith("__") and f.name.endswith("__"))]
     uncalled = sorted(
         fn.name
-        for name, fn in defs
-        if all(module == name and fn.lineno <= line <= fn.end_lineno for module, line in named.get(fn.name, []))
+        for name, fn, uses in defs
+        if all(module == name and fn.lineno <= line <= fn.end_lineno for module, line in uses.get(fn.name, []))
     )
     assert uncalled == sorted(UNCALLED_BY_DESIGN)
 

@@ -43,6 +43,7 @@ from relcalc.relations import (
     adjoint,
     closure,
     compose,
+    graph_relation,
     inverse,
     parts,
     regular_part,
@@ -59,6 +60,7 @@ from relcalc.spaces import (
 )
 
 from relation_builders import full_subspace, operator_relation, scale
+from vectors import form_value, graph_pairs, inner, rows
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -102,7 +104,7 @@ def test_friedrichs_e1():
     assert p.dom == span(Q2, [vec([1, 1])])
     assert p.mul == span(Q2, [vec([1, -1])])
     assert f.is_extension_of(s)
-    for phi, phi_prime in f.pairs():
+    for phi, phi_prime in graph_pairs(f):
         assert phi_prime[0] + phi_prime[1] == 4 * phi[0]
 
 
@@ -143,7 +145,7 @@ def test_every_construction_is_gated_by_the_ldl_representing_map(name):
     with pytest.raises(BoundCertificationError, match="not bounded below by 1000$") as info:
         GATED[name](s, Fraction(1000))
     v = info.value.witness
-    assert form_of_relation(s).evaluate(v, v) < 1000 * s.src.inner(v, v)
+    assert form_value(form_of_relation(s), v, v) < 1000 * inner(s.src, v, v)
 
     nonsym = relation_from_pairs(Q2, Q2, [(vec([1, 0]), vec([0, 1])), (vec([0, 1]), vec([0, 0]))])
     with pytest.raises(PreconditionError, match="requires a symmetric relation"):
@@ -231,7 +233,18 @@ def test_order_witness_is_exact():
     phi = res.witness
     tk = form_of_relation(krein(s, 0))
     th = form_of_relation(h)
-    assert tk.evaluate(phi, phi) > th.evaluate(phi, phi)
+    assert form_value(tk, phi, phi) > form_value(th, phi, phi)
+
+
+def test_order_witness_of_a_missing_domain_is_the_first_basis_vector_outside():
+    # H = 1 on span{e1} with mul H = span{e2}, K = the identity: dom t_K = Q2
+    # is not inside dom t_H = span{e1}, and of the basis e1, e2 of dom t_K
+    # the first one outside is e2.
+    h = graph_relation(Q2, Q2, mat([[1, 0], [0, 0]]), mat([[1, 0], [0, 1]]))
+    k = operator_relation(Q2, Q2, mat([[1, 0], [0, 1]]))
+    assert parts(h).dom == span(Q2, [vec([1, 0])])
+    assert order_leq(h, k) == (False, vec([0, 1]))
+    assert order_leq(k, h).leq
 
 
 def test_extension_interval_e1_family():
@@ -281,10 +294,9 @@ def test_extremal_from_domain_dim4_third_extension():
     j = companion(s, q)
     dom_jstar = parts(adjoint(j)).dom
     assert dom_jstar.dim - dom_s.dim >= 2
-    middle = subspace_sum(dom_s, span(Q4, [dom_jstar.basis_vectors()[0]]))
     candidates = {friedrichs(s, 0), krein(s, 0)}
     found = None
-    for b in dom_jstar.basis_vectors():
+    for b in rows(dom_jstar.basis):
         d = subspace_sum(dom_s, span(Q4, [b]))
         if d.dim == dom_s.dim + 1:
             h = extremal_from_domain(s, 0, d)

@@ -24,19 +24,20 @@ from relcalc.forms import (
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import PsdCertificate, block_diag, clear_memos, identity, mat, vec, zeros
+from relcalc.linalg import PsdCertificate, block_diag, clear_memos, hstack, identity, mat, vec, zeros
 from relcalc.relations import (
     adjoint,
     compose,
     inverse,
-    lift,
+    lifts,
     parts,
     relation_from_pairs,
     shift,
 )
-from relcalc.spaces import InnerProductSpace, member, span, standard_space, zero_subspace
+from relcalc.spaces import InnerProductSpace, span, standard_space, zero_subspace
 
 from relation_builders import full_subspace, operator_relation
+from vectors import form_value, inner, member
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
@@ -85,7 +86,7 @@ def test_certify_e1():
     res = certify_lower_bound(t, 3)
     assert not res.ok
     phi = res.witness
-    assert t.evaluate(phi, phi) < 3 * Q2.inner(phi, phi)
+    assert form_value(t, phi, phi) < 3 * inner(Q2, phi, phi)
     assert certify_lower_bound(t, -(10**6)).ok
 
 
@@ -121,8 +122,8 @@ def test_repmap_ldl_e1_base_zero():
     assert q.codomain.gram == mat([[4]])
     assert q.matrix == mat([[1]])
     # (Q phi, Q phi) = 4 t^2 = t(S)[phi] for phi = (t, t).
-    image = lift(q.as_relation(), vec([5, 5]))
-    assert q.codomain.inner(image, image) == 100
+    image = lifts(q.as_relation(), mat([[5, 5]]))
+    assert (image @ q.codomain.gram).mul_t(image) == mat([[100]])
 
 
 def test_repmap_ldl_degenerate_at_the_bound():
@@ -237,7 +238,7 @@ def test_companion_e1_base_zero():
     q = repmap_ldl(form_of_relation(s), 0)
     j = companion(s, q)
     assert j.src.dim == 1
-    assert j.pairs() == [(vec([1]), vec([1, 3]))]
+    assert j.halves == (mat([[1]]), mat([[1, 3]]))
 
 
 def test_companion_e1_base_two_is_purely_multivalued():
@@ -374,9 +375,8 @@ def test_stack_relations_column():
     b = operator_relation(Q2, Q2, mat([[2, 0], [0, 2]]))
     st = stack_relations(a, b)
     assert st.dst.dim == 4
-    for f, g in st.pairs():
-        assert g[:2] == f
-        assert g[2:] == tuple(2 * x for x in f)
+    firsts, seconds = st.halves
+    assert seconds == hstack(firsts, firsts.scale(2))
 
 
 def test_repmap_from_operator_inverse_duality():

@@ -42,6 +42,7 @@ from relcalc.serialize import vector_witness, write_relation
 from relcalc.spaces import standard_space, zero_subspace
 
 from relation_builders import full_subspace, operator_relation, scale
+from vectors import combination, member
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
@@ -372,15 +373,12 @@ def test_order_failures_carry_the_order_witness(monkeypatch):
 
 
 def test_representing_map_failures_name_the_map():
-    # dual-pair and mul-companion-intersection check the LDL and the
-    # quotient map in turn; a failure says which of the two is at fault.
+    # mul-companion-intersection checks the LDL and the quotient map in
+    # turn; a failure says which of the two is at fault.
     clear_memos()
     x = harness._Instance.build(e1(), 0, 0)
-    checks = dict(harness.REGISTRY)
-    dual_pair, mul_companion = checks["dual-pair"], checks["mul-companion-intersection"]
-    assert dual_pair(x) is None and mul_companion(x) is None
-    assert dual_pair(x._replace(qrel=scale(x.qrel, 2))) == "Q not inside J* for the LDL map"
-    assert dual_pair(x._replace(qrel2=scale(x.qrel2, 2))) == "Q not inside J* for the quotient map"
+    mul_companion = dict(harness.REGISTRY)["mul-companion-intersection"]
+    assert mul_companion(x) is None
     # Adding {0} x dst to the graph makes mul J all of dst.
     def widened(j):
         return hsum(j, product_relation(zero_subspace(j.src), full_subspace(j.dst)))
@@ -388,6 +386,41 @@ def test_representing_map_failures_name_the_map():
     expected = "mul J_c != ran(S-c) cap mul S* for the {} map"
     assert mul_companion(x._replace(j_ldl=widened(x.j_ldl))) == expected.format("LDL")
     assert mul_companion(x._replace(j_quot=widened(x.j_quot))) == expected.format("quotient")
+
+
+def test_a_companion_outside_the_dual_pair_fails_the_preamble(monkeypatch):
+    # dual-pair is asserted by ``companion``: J_c = {{Q phi, 2 (phi' - c phi)}}
+    # pairs with Q to 2 (t - c), not t - c, so the first companion call in
+    # the shared objects raises and the instance fails as a whole.
+    spec = InstanceSpec(dim=3, seed=5, mul_dim=1, restrict_dim=2)
+    assert run_one(spec).passed
+    real = forms.graph_relation
+    monkeypatch.setattr(forms, "graph_relation", lambda src, dst, f, g: real(src, dst, f, g.scale(2)))
+    report = run_one(spec)
+    clear_memos()
+    assert report.checks == (
+        harness.CheckResult(
+            "preamble", False, "CrossCheckError: companion relation does not form a dual pair with its representing map"
+        ),
+    )
+
+
+def test_a_wrong_form_fails_adjoint_form_pairing_at_the_first_phi():
+    # t(S) with 1 added at its last diagonal entry: t(S)[phi, d] and
+    # (phi', d) differ exactly when phi has a nonzero last coordinate in the
+    # basis of dom S.  The rows phi of S* over dom S are that basis, then
+    # zeros, so the first phi at fault is the last basis vector.
+    s, c = random_semibounded(InstanceSpec(dim=4, seed=2, mul_dim=1, restrict_dim=3))
+    clear_memos()
+    x = harness._Instance.build(s, c, 2)
+    check = dict(harness.REGISTRY)["adjoint-form-pairing"]
+    assert check(x) is None
+    k = x.t.domain.dim - 1
+    assert k >= 1
+    bump = mat([[int(i == j == k) for j in range(k + 1)] for i in range(k + 1)])
+    wrong = x._replace(t=QuadraticForm(x.t.space, x.t.domain, x.t.matrix + bump))
+    expected = vector_witness(x.t.domain.basis.row(k))
+    assert check(wrong) == "pairing (phi', psi) != t(S)[phi, psi] at " + expected
 
 
 def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch):
@@ -401,7 +434,7 @@ def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch)
     krein_witness = "Krein depends on the representing map"
     # c + Q*Q**, with Q the quotient map of (S, c)
     wrong_qrel2 = harness._Instance(
-        x.s, x.c, x.seed, x.sstar, x.t, x.q_ldl, x.q_quot, x.j_ldl, x.j_quot, x.qrel, scale(x.qrel2, 2)
+        x.s, x.c, x.seed, x.sstar, x.t, x.j_ldl, x.j_quot, x.qrel, scale(x.qrel2, 2)
     )
     assert check(wrong_qrel2) == friedrichs_witness
     # c + J**J*, with J its companion; the operator-part route keeps the right J*
@@ -409,7 +442,7 @@ def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(harness, "regular_part", lambda t: real_regular_part(adjoint(x.j_quot)))
         wrong_j_quot = harness._Instance(
-            x.s, x.c, x.seed, x.sstar, x.t, x.q_ldl, x.q_quot, x.j_ldl, scale(x.j_quot, 2), x.qrel, x.qrel2
+            x.s, x.c, x.seed, x.sstar, x.t, x.j_ldl, scale(x.j_quot, 2), x.qrel, x.qrel2
         )
         assert check(wrong_j_quot) == krein_witness
     # c + ((J*)_reg)*((J*)_reg)**
@@ -510,7 +543,7 @@ def reference_sampler(s, count, seed):
 
     from relcalc.linalg import kernel, mat, vstack, zeros
     from relcalc.relations import LinearRelation
-    from relcalc.spaces import member, span, subspace_sum
+    from relcalc.spaces import span, subspace_sum
 
     rng = random.Random(seed)
     n = s.src.dim
@@ -524,12 +557,12 @@ def reference_sampler(s, count, seed):
             sol = kernel(conditions)
             cand = None
             for _attempt in range(16):
-                v = star.vec_mul(sol.vec_mul(harness._rand_vec(rng, sol.rows, 3)))
+                v = combination(star, combination(sol, harness._rand_vec(rng, sol.rows, 3)))
                 if not member(v, graph):
                     cand = v
                     break
             if cand is None:
-                images = (star.vec_mul(sol.row(j)) for j in range(sol.rows))
+                images = (combination(star, sol.row(j)) for j in range(sol.rows))
                 cand = next((v for v in images if not member(v, graph)), None)
             if cand is None:
                 raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")

@@ -52,13 +52,11 @@ from relcalc.relations import (
     graph_relation,
     hsum,
     inverse,
-    lift,
     lifts,
     parts,
     product_relation,
     regular_part,
     rel_sum,
-    relation_from_graph_vectors,
     relation_from_pairs,
     restrict_domain,
     shift,
@@ -70,7 +68,6 @@ from relcalc.spaces import (
     complement,
     gram_on,
     intersect,
-    member,
     product_space,
     projections,
     span,
@@ -80,6 +77,7 @@ from relcalc.spaces import (
 )
 
 from relation_builders import free_variable_kernel, operator_relation, scale
+from vectors import graph_pairs, lift, rows
 
 rationals = st.builds(
     Fraction,
@@ -100,7 +98,8 @@ def weighted_space(draw, n):
 def relation(draw, src, dst):
     width = src.dim + dst.dim
     k = draw(st.integers(min_value=0, max_value=width))
-    return relation_from_graph_vectors(src, dst, [[draw(rationals) for _ in range(width)] for _ in range(k)])
+    vectors = [[draw(rationals) for _ in range(width)] for _ in range(k)]
+    return LinearRelation(src, dst, span(product_space(src, dst), vectors))
 
 
 @st.composite
@@ -133,7 +132,7 @@ def rows_of(vectors, ncols: int) -> Mat:
 def halves(t: LinearRelation) -> tuple[Mat, Mat]:
     """The f and the g of each graph basis pair, as the rows of two
     matrices, so a defining system reads x^T P over coefficients x."""
-    pairs = t.pairs()
+    pairs = graph_pairs(t)
     return rows_of([f for f, _ in pairs], t.src.dim), rows_of([g for _, g in pairs], t.dst.dim)
 
 
@@ -144,11 +143,9 @@ def blocks(rows: list[list[Mat]]) -> Mat:
 def assert_graph_is(out: LinearRelation, constraint: Mat, image: Mat) -> None:
     """graph(out) = {x^T image : x^T constraint = 0}."""
     null = free_variable_kernel(constraint.T)
-    for i in range(null.rows):
-        assert member(image.vec_mul(null.row(i)), out.graph)
+    assert echelon_coords(out.graph.basis, null @ image) is not None
     system = hstack(constraint, image)
-    for v in out.graph.basis_vectors():
-        assert solve_mat(system, mat([(0,) * constraint.cols + v])) is not None
+    assert solve_mat(system, hstack(zeros(out.graph.dim, constraint.cols), out.graph.basis)) is not None
 
 
 @given(st.data())
@@ -212,7 +209,7 @@ def test_restrict_domain_keeps_the_pairs_over_d(data):
     # {a^T Tf, a^T Ts} with a^T Tf = e^T D.
     assert_graph_is(
         restrict_domain(t, d),
-        blocks([[tf], [rows_of(d.basis_vectors(), src.dim).scale(-1)]]),
+        blocks([[tf], [d.basis.scale(-1)]]),
         blocks([[tf, ts], [zeros(d.dim, src.dim + dst.dim)]]),
     )
 
@@ -241,7 +238,7 @@ def test_pointwise_constructors_match_their_pairwise_definitions(data):
     space = data.draw(weighted_space(data.draw(st.integers(min_value=1, max_value=3))))
     t = data.draw(multivalued_relation(space, space))
     c = data.draw(rationals)
-    pairs = t.pairs()
+    pairs = graph_pairs(t)
     assert parts(t).mul.dim > 0
     assert inverse(t) == relation_from_pairs(space, space, [(g, f) for f, g in pairs])
     assert shift(t, c) == relation_from_pairs(space, space, [(f, added(g, scaled(c, f))) for f, g in pairs])
@@ -262,7 +259,7 @@ def test_eigen_relation_is_the_graph_of_c_on_the_eigenspace(data):
     t = data.draw(multivalued_relation(space, space, extra=[(h, scaled(c, h))]))
     ev = eigenspace(t, c)
     assert ev.dim > 0
-    assert eigen_relation(t, c) == relation_from_pairs(space, space, [(v, scaled(c, v)) for v in ev.basis_vectors()])
+    assert eigen_relation(t, c) == relation_from_pairs(space, space, [(v, scaled(c, v)) for v in rows(ev.basis)])
 
 
 @given(st.data())
@@ -271,11 +268,11 @@ def test_operator_and_product_relations_match_their_pairwise_definitions(data):
     src, dst, _ = data.draw(spaces_of_unequal_dims())
     a = mat([[data.draw(rationals) for _ in range(src.dim)] for _ in range(dst.dim)])
     d = data.draw(st.none() | subspace(src))
-    basis = (span(src, [identity(src.dim).row(i) for i in range(src.dim)]) if d is None else d).basis_vectors()
+    basis = rows((span(src, [identity(src.dim).row(i) for i in range(src.dim)]) if d is None else d).basis)
     assert operator_relation(src, dst, a, d) == relation_from_pairs(src, dst, [(b, a.mul_vec(b)) for b in basis])
     x = data.draw(subspace(src))
     y = data.draw(subspace(dst))
-    pairs = [(b, [0] * dst.dim) for b in x.basis_vectors()] + [([0] * src.dim, b) for b in y.basis_vectors()]
+    pairs = [(b, [0] * dst.dim) for b in rows(x.basis)] + [([0] * src.dim, b) for b in rows(y.basis)]
     assert product_relation(x, y) == relation_from_pairs(src, dst, pairs)
 
 
@@ -296,7 +293,7 @@ def test_companion_is_q_phi_against_the_shifted_image(dim, seed, method):
     s, c = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=1, restrict_dim=dim - 1))
     assume(parts(s).mul.dim > 0)
     q = REPMAPS[method](s, c)
-    expected = [(lift(q.as_relation(), phi), added(phi_prime, scaled(-c, phi))) for phi, phi_prime in s.pairs()]
+    expected = [(lift(q.as_relation(), phi), added(phi_prime, scaled(-c, phi))) for phi, phi_prime in graph_pairs(s)]
     assert companion(s, q) == relation_from_pairs(q.codomain, s.src, expected)
 
 
@@ -310,7 +307,7 @@ def test_projections_project_each_row(data):
     out = projections(xs, w)
     assert (out.rows, out.cols) == (xs.rows, xs.cols)
     # Each row lands in w, and what it leaves is G-orthogonal to w.
-    assert all(member(out.row(i), w) for i in range(out.rows))
+    assert echelon_coords(w.basis, out) is not None
     assert ((xs - out) @ space.gram).mul_t(w.basis).is_zero()
 
 
@@ -461,13 +458,13 @@ def assert_spanned_by(out: Subspace, rows: Mat) -> None:
 
 def assert_inverse(t: LinearRelation) -> None:
     """inverse(t) is spanned by the swapped graph pairs {g, f}."""
-    swapped = [[*g, *f] for f, g in t.pairs()]
+    swapped = [[*g, *f] for f, g in graph_pairs(t)]
     assert_spanned_by(inverse(t).graph, rows_of(swapped, t.src.dim + t.dst.dim))
 
 
 def assert_shift(t: LinearRelation, c) -> None:
     """shift(t, c) is spanned by the shifted graph pairs {f, g + c f}."""
-    shifted = [[*f, *added(g, scaled(c, f))] for f, g in t.pairs()]
+    shifted = [[*f, *added(g, scaled(c, f))] for f, g in graph_pairs(t)]
     assert_spanned_by(shift(t, c).graph, rows_of(shifted, 2 * t.src.dim))
 
 
@@ -510,7 +507,7 @@ def test_products_equal_their_mat_block_formulas(data):
         # Square relations for the shift and the eigenspace, the second with
         # c as an eigenvalue: T^-1 T holds {f, f}, shifted pair by pair by c - 1.
         tt = compose(inverse(t), t)
-        with_c = relation_from_pairs(tt.src, tt.dst, [(f, added(g, scaled(c - 1, f))) for f, g in tt.pairs()])
+        with_c = relation_from_pairs(tt.src, tt.dst, [(f, added(g, scaled(c - 1, f))) for f, g in graph_pairs(tt)])
         for square in (compose(adjoint(t), t), with_c):
             assert_shift(square, c)
             assert eigenspace(square, c) == reference_eigenspace(square, c)

@@ -1,11 +1,11 @@
 """Batched lifts and the form matrices built on them, against their
 definitions.
 
-``lifts`` lifts every row at once; here it is compared with one ``lift``
-per row and every pair {x, g} is checked to lie in the graph.
+``lifts`` lifts every row at once; here it is compared with ``lifts`` of
+each row alone, and every pair {x, g} is checked to lie in the graph.
 ``form_matrix_on_domain``, ``lebesgue_form`` and ``form_s_of`` are
 compared with the entry-wise reference they replaced: a double loop of
-``InnerProductSpace.inner`` over per-vector lifts.  Sources and targets
+inner products over per-vector lifts.  Sources and targets
 have different dimensions and every Gram matrix is weighted, so a Gram or
 a space mix-up cannot cancel out.
 """
@@ -23,13 +23,13 @@ from relcalc.linalg import Mat, identity, mat, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
-    lift,
     lifts,
     parts,
     regular_part,
-    relation_from_graph_vectors,
 )
-from relcalc.spaces import InnerProductSpace, gram_on, member, span
+from relcalc.spaces import InnerProductSpace, gram_on, product_space, span
+
+from vectors import combination, inner, lift, member, rows
 
 rationals = st.builds(
     Fraction,
@@ -50,7 +50,8 @@ def weighted_space(draw, n):
 def relation(draw, src, dst):
     width = src.dim + dst.dim
     k = draw(st.integers(min_value=0, max_value=width))
-    return relation_from_graph_vectors(src, dst, [[draw(rationals) for _ in range(width)] for _ in range(k)])
+    vectors = [[draw(rationals) for _ in range(width)] for _ in range(k)]
+    return LinearRelation(src, dst, span(product_space(src, dst), vectors))
 
 
 @st.composite
@@ -69,16 +70,12 @@ def symmetric_relation(draw):
     basis = h.graph.basis
     r = draw(st.integers(min_value=0, max_value=basis.rows))
     combos = [[draw(rationals) for _ in range(basis.rows)] for _ in range(r)]
-    return relation_from_graph_vectors(space, space, [basis.vec_mul(cb) for cb in combos])
+    return LinearRelation(space, space, span(product_space(space, space), [combination(basis, cb) for cb in combos]))
 
 
 def inner_matrix(space: InnerProductSpace, left: list, right: list) -> Mat:
     """The reference: entry (i, j) is (left_i, right_j), one inner product each."""
-    return mat([[space.inner(x, y) for y in right] for x in left])
-
-
-def vectors(m: Mat) -> list:
-    return [m.row(i) for i in range(m.rows)]
+    return mat([[inner(space, x, y) for y in right] for x in left])
 
 
 def a_lower_bound(t) -> Fraction:
@@ -95,18 +92,18 @@ def test_lifts_is_rowwise_lift(data):
     t = data.draw(relation(src, dst))
     dom = parts(t).dom
     count = data.draw(st.integers(min_value=0, max_value=3))
-    rows = [dom.basis.vec_mul([data.draw(rationals) for _ in range(dom.dim)]) for _ in range(count)]
-    xs = mat(rows) if rows else zeros(0, src.dim)
+    drawn = [combination(dom.basis, [data.draw(rationals) for _ in range(dom.dim)]) for _ in range(count)]
+    xs = mat(drawn) if drawn else zeros(0, src.dim)
     gs = lifts(t, xs)
     assert (gs.rows, gs.cols) == (count, dst.dim)
-    for x, g in zip(vectors(xs), vectors(gs)):
+    for x, g in zip(rows(xs), rows(gs)):
         assert g == lift(t, x)
         assert member(x + g, t.graph)
 
 
 def test_lifts_outside_the_domain_is_a_precondition_error():
     space = InnerProductSpace(2, mat([[2, 1], [1, 2]]))
-    t = relation_from_graph_vectors(space, space, [[1, 0, 3, 4]])
+    t = LinearRelation(space, space, span(product_space(space, space), [[1, 0, 3, 4]]))
     with pytest.raises(PreconditionError):
         lifts(t, mat([[1, 0], [0, 1]]))
 
@@ -115,7 +112,7 @@ def test_lifts_outside_the_domain_is_a_precondition_error():
 @settings(max_examples=40, deadline=None)
 def test_form_matrix_is_the_pairing_of_lifts(s: LinearRelation):
     t = form_of_relation(s)
-    dom = vectors(t.domain.basis)
+    dom = rows(t.domain.basis)
     assert t.matrix == inner_matrix(s.src, [lift(s, b) for b in dom], dom)
 
 
@@ -127,7 +124,7 @@ def test_lebesgue_form_is_the_pairing_of_lifts(data):
     c = data.draw(rationals)
     reg_form, sing_form = lebesgue_form(q, c)
     dom = parts(q).dom
-    basis = vectors(dom.basis)
+    basis = rows(dom.basis)
     total = [lift(q, b) for b in basis]
     reg = [lift(regular_part(q), b) for b in basis]
     sing = [tuple(x - y for x, y in zip(g, r)) for g, r in zip(total, reg)]
@@ -145,7 +142,7 @@ def test_form_s_is_the_pairing_of_regular_lifts(s: LinearRelation):
     out = form_s_of(s, c)
     q = repmap_ldl(t, c)
     jstar = adjoint(companion(s, q))
-    dom = vectors(parts(jstar).dom.basis)
+    dom = rows(parts(jstar).dom.basis)
     images = [lift(regular_part(jstar), b) for b in dom]
-    expected = mat([[c * s.src.inner(x, y) for y in dom] for x in dom]) + inner_matrix(q.codomain, images, images)
+    expected = mat([[c * inner(s.src, x, y) for y in dom] for x in dom]) + inner_matrix(q.codomain, images, images)
     assert out.matrix == expected

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.linalg import identity, kernel, mat, zeros
-from relcalc.relations import adjoint, compose, eigenspace, inverse, rel_sum, relation_from_graph_vectors, restrict_domain, shift
-from relcalc.spaces import InnerProductSpace, intersect, span, subspace_sum
+from relcalc.relations import LinearRelation, adjoint, compose, eigenspace, inverse, rel_sum, restrict_domain, shift
+from relcalc.spaces import InnerProductSpace, intersect, product_space, span, subspace_sum
 
 sympy = pytest.importorskip("sympy")
 
@@ -90,7 +90,7 @@ def graph(draw, src, dst, extra=()):
     else:
         vectors = [[draw(rationals) for _ in range(width)] for _ in range(draw(st.integers(0, width)))]
         vectors += [[*f, *g] for f, g in extra]
-    return relation_from_graph_vectors(src, dst, vectors)
+    return LinearRelation(src, dst, span(product_space(src, dst), vectors))
 
 
 @st.composite

@@ -15,7 +15,6 @@ from relcalc.spaces import (
     extending,
     gram_on,
     intersect,
-    member,
     product_space,
     projections,
     span,
@@ -25,6 +24,7 @@ from relcalc.spaces import (
 )
 
 from relation_builders import free_variable_kernel, full_subspace
+from vectors import inner, member, rows
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
@@ -169,7 +169,7 @@ def test_projection_idempotent_and_gram_symmetric(data):
     assert project(px, v) == px
     assert member(px, v)
     # (Gx)^T P y == (Px)^T G y, i.e. the projector is G-selfadjoint.
-    assert space.inner(x, project(y, v)) == space.inner(px, y)
+    assert inner(space, x, project(y, v)) == inner(space, px, y)
     g = gram_on(v)
     assert g.is_symmetric()
 
@@ -179,7 +179,7 @@ def test_projection_idempotent_and_gram_symmetric(data):
 def test_extending_matches_the_greedy_basis_extension(data):
     space, v, w = data
     # Zero, repeated and already-contained vectors must all be skipped.
-    vectors = [space.zero_vec()] + w.basis_vectors() + v.basis_vectors()[:1] + w.basis_vectors()[:1]
+    vectors = [vec([0] * space.dim)] + rows(w.basis) + rows(v.basis)[:1] + rows(w.basis)[:1]
     greedy, current = [], v
     for u in vectors:
         cand = subspace_sum(current, span(space, [u]))
@@ -188,7 +188,7 @@ def test_extending_matches_the_greedy_basis_extension(data):
             current = cand
     kept = extending(v, mat(vectors))
     assert [kept.row(i) for i in range(kept.rows)] == greedy
-    assert span(space, v.basis_vectors() + greedy) == subspace_sum(v, w)
+    assert span(space, rows(v.basis) + greedy) == subspace_sum(v, w)
 
 
 # Denominators that share no factor with each other or with the small ones.
@@ -226,7 +226,7 @@ def test_zassenhaus_is_the_span_of_a_on_the_kernel_of_b(data, f):
     # The reference keeps the two steps apart: a basis of {x : x^T b = 0},
     # then the span of the combinations x^T a.
     null = free_variable_kernel(b.T)
-    expected = span(space, [a.vec_mul(null.row(i)) for i in range(null.rows)])
+    expected = span_of_rows(space, null @ a)
     # The rows [b | a] come from one block: b placed as it is, a as
     # (f + 1) a - f a, whose two places add up; then all of it times f.
     nb, rows = b.cols, hstack(b, a)
@@ -295,8 +295,8 @@ def test_adjoint_is_the_span_of_the_kernel_of_the_pairing(data):
     t = LinearRelation(src, dst, data.draw(subspace_of(product_space(src, dst))))
     # One condition [G_K g | -G_H f] on the pair [h | k] of T* for each
     # graph basis pair {f, g}: (g, h)_K = (f, k)_H.
-    conditions = [dst.gram.mul_vec(g) + tuple(-x for x in src.gram.mul_vec(f)) for f, g in t.pairs()]
-    pairing = mat(conditions) if conditions else zeros(0, src.dim + dst.dim)
+    firsts, seconds = t.halves
+    pairing = hstack(seconds @ dst.gram, (firsts @ src.gram).scale(-1))
     assert adjoint(t) == LinearRelation(dst, src, span_of_rows(product_space(dst, src), free_variable_kernel(pairing)))
 
 

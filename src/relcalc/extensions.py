@@ -13,7 +13,8 @@ Every construction at (S, c) has one gate, ``repmap_ldl(form_of_relation(S),
 c)``, which also builds the map that J_c comes from: ``form_of_relation``
 raises ``PreconditionError`` unless S is symmetric, and ``repmap_ldl``
 raises ``BoundCertificationError``, with the LDL^T witness, unless
-t(S) - c >= 0.
+t(S) - c >= 0.  ``order_leq`` is one more PSD decision, the verdict and
+witness of ``certify_lower_bound`` of the form t_K - t_H on dom t_K at 0.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import NamedTuple
 
 from .errors import CrossCheckError, PreconditionError
 from .forms import (
+    QuadraticForm,
     certify_lower_bound,
     companion,
     form_of_relation,
@@ -31,7 +33,7 @@ from .forms import (
     repmap_ldl,
     shifted_matrix,
 )
-from .linalg import Mat, Vec, echelon_coords, kernel, ldl_psd_certificate, mat, memo, rat, row_dots, solve_mat, vstack, zeros
+from .linalg import Mat, Vec, echelon_coords, kernel, memo, rat, row_dots, solve_mat, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -203,15 +205,12 @@ def order_leq(h: LinearRelation, k: LinearRelation) -> OrderResult:
             raise PreconditionError("order comparison requires selfadjoint relations")
     th = form_of_relation(h)
     tk = form_of_relation(k)
-    basis = tk.domain.basis
     if not contains(th.domain, tk.domain):
+        basis = tk.domain.basis
         missing = next(i for i in range(basis.rows) if echelon_coords(th.domain.basis, basis.take([i])) is None)
         return OrderResult(False, basis.row(missing))
-    restricted = th.restrict(tk.domain)
-    res = ldl_psd_certificate(tk.matrix - restricted.matrix)
-    if res.ok:
-        return OrderResult(True, None)
-    return OrderResult(False, (mat([res.counterexample]) @ basis).row(0))
+    res = certify_lower_bound(QuadraticForm(tk.space, tk.domain, tk.matrix - th.restrict(tk.domain).matrix), 0)
+    return OrderResult(res.ok, res.witness)
 
 
 def extension_interval_check(s: LinearRelation, c, h: LinearRelation) -> bool:

@@ -13,12 +13,14 @@ certificate identity inside the rational field.  Each representing map
 has a companion relation J_c = {{Q_c phi, phi'-c phi}}, an exact dual pair.
 
 Whether t - c >= 0 has two independent formulas: the verified pivoted
-LDL^T certificate of M - cG (``certify_lower_bound``, with a witness when
-it fails), and the sign pattern of the real-rooted polynomial det(M - cG)
-shifted to c (``pencil_psd``).  ``bound_bisect`` decides every point it
-tests by the second and cross-checks the first at both ends of the bracket
-it returns; Newton steps from below the bound, enclosed in [x + d, x + k d],
-pick the points for floor(gamma), the bracket and the float estimate alike.
+LDL^T certificate of M - cG, and the sign pattern of the real-rooted
+polynomial det(M - cG) shifted to c (``pencil_psd``).  The first has one
+door, ``certify_lower_bound``; its ``linalg.PsdResult`` is also the
+verdict of ``is_nonneg_above``, whose witness is a graph pair {phi, phi'}.
+``bound_bisect`` decides every point it tests by the second and
+cross-checks the first at both ends of the bracket it returns; Newton
+steps from below the bound, enclosed in [x + d, x + k d], pick the points
+for floor(gamma), the bracket and the float estimate alike.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .linalg import (
     Mat,
-    PsdCertificate,
+    PsdResult,
     Value,
-    Vec,
     det,
     echelon_coords,
     hstack,
@@ -130,13 +130,7 @@ def shifted_matrix(t: QuadraticForm, c) -> Mat:
     return t.matrix - t.domain_gram.scale(c)
 
 
-class CertifyResult(NamedTuple):
-    cert: PsdCertificate | None  # of t - c (.,.)
-    witness: Vec | None  # ambient vector phi with t[phi] < c (phi, phi)
-
-    @property
-    def ok(self) -> bool:
-        return self.cert is not None
+_shifted_matrix_body = shifted_matrix.__wrapped__  # taken once, as ``spaces._rref_body`` is
 
 
 @memo
@@ -149,13 +143,14 @@ def form_of_relation(s: LinearRelation) -> QuadraticForm:
 
 
 @memo
-def certify_lower_bound(t: QuadraticForm, c) -> CertifyResult:
-    """Exact PSD certificate for t - c (.,.), or a violating domain vector."""
+def certify_lower_bound(t: QuadraticForm, c) -> PsdResult:
+    """The package's one door from a form to LDL^T: the verdict on t - c (.,.),
+    its witness mapped to the ambient phi with t[phi] < c (phi, phi)."""
     c = rat(c)
     res = ldl_psd_certificate(shifted_matrix(t, c))
     if res.ok:
-        return CertifyResult(res.certificate, None)
-    return CertifyResult(None, (mat([res.counterexample]) @ t.domain.basis).row(0))
+        return res
+    return PsdResult(None, (mat([res.witness]) @ t.domain.basis).row(0))
 
 
 @memo
@@ -176,13 +171,8 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     return dom, (dom_lifts @ s.src.gram).mul_t(dom.basis)
 
 
-class SemiboundedCheck(NamedTuple):
-    ok: bool
-    witness: tuple[Vec, Vec] | None  # a graph element violating the bound
-
-
 @memo
-def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCheck:
+def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> PsdResult:
     """Decide (phi', phi) >= c (phi, phi) over the whole graph of s.
 
     On failure the witness is an explicit graph element {phi, phi'} with
@@ -206,12 +196,12 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> SemiboundedCh
         # (base, phi) and (phi, phi); choose t with (base + t m, phi) < c (phi, phi).
         pairings = (vstack(base, phi) @ s.src.gram).mul_t(phi)
         t = -(pairings[0, 0] - c * pairings[1, 0] + 1) / cross[i, j]
-        return SemiboundedCheck(False, (phi.row(0), (base + p.mul.basis.take([i]).scale(t)).row(0)))
+        return PsdResult(None, (phi.row(0), (base + p.mul.basis.take([i]).scale(t)).row(0)))
     dom, form = form_matrix_on_domain(s)
     res = certify_lower_bound(QuadraticForm(s.src, dom, (form + form.T).scale(Fraction(1, 2))), c)
     if res.ok:
-        return SemiboundedCheck(True, None)
-    return SemiboundedCheck(False, (res.witness, lifts(s, mat([res.witness])).row(0)))
+        return res
+    return PsdResult(None, (res.witness, lifts(s, mat([res.witness])).row(0)))
 
 
 class BoundInterval(Value):
@@ -405,10 +395,10 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
     p(c) = det(M - c G), with M the form matrix and G the domain Gram.
 
     p is interpolated from its values at c = 0..k, k the domain dimension,
-    each one exact ``det`` of M - cG built by the body of
-    ``shifted_matrix`` without its memo, since no later call reads these
-    shifts again.  Its degree must be exactly k with leading coefficient
-    (-1)^k det G, or ``CrossCheckError`` is raised.
+    each one exact ``det`` of M - cG built by ``_shifted_matrix_body``,
+    the body of ``shifted_matrix`` without its memo, since no later call
+    reads these shifts again.  Its degree must be exactly k with leading
+    coefficient (-1)^k det G, or ``CrossCheckError`` is raised.
 
     The interpolation runs in integers: with the values over one
     denominator D, the Newton form on the nodes 0..k times k! is
@@ -417,7 +407,7 @@ def pencil_polynomial(t: QuadraticForm) -> tuple[int, ...]:
     coefficients, its primitive part.
     """
     k = t.domain.dim
-    values = [det(shifted_matrix.__wrapped__(t, j)) for j in range(k + 1)]
+    values = [det(_shifted_matrix_body(t, j)) for j in range(k + 1)]
     den = math.lcm(*(x.denominator for x in values))
     diffs = [x.numerator * (den // x.denominator) for x in values]
     coeffs = [0] * (k + 1)
@@ -534,7 +524,7 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     res = certify_lower_bound(t, c)
     if not res.ok:
         raise BoundCertificationError(f"the form of the relation is not bounded below by {c}", res.witness)
-    kept = res.cert.perm[: sum(1 for d in res.cert.diag if d)]
+    kept = res.certificate.perm[: sum(1 for d in res.certificate.diag if d)]
     a = shifted_matrix(t, c)
     try:
         codomain = InnerProductSpace(len(kept), a.take(kept, kept))

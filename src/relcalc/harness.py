@@ -258,10 +258,8 @@ def engineered_nonextremal_extensions(
     if null.rows == 0:
         return out
     for i in range(count):
-        w = null.row(i % null.rows)
-        weight = Fraction(i + 1)
-        bump = mat([[weight * w[a] * w[b] for b in range(len(w))] for a in range(len(w))])
-        h = selfadjoint_from_form(s.src, tk.domain, tk.matrix + bump)
+        w = null.take([i % null.rows])
+        h = selfadjoint_from_form(s.src, tk.domain, tk.matrix + (w.T @ w).scale(i + 1))
         if h.is_extension_of(s) and h != k:
             out.append(h)
     return out

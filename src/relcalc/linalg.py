@@ -717,9 +717,9 @@ class PsdCertificate(NamedTuple):
         return True
 
 
-class PsdResult(NamedTuple):
+class PsdResult(NamedTuple):  # the one verdict of a PSD decision
     certificate: PsdCertificate | None
-    counterexample: Vec | None
+    witness: Vec | tuple[Vec, Vec] | None  # of a negative value: a vector, or a graph pair {phi, phi'}
 
     @property
     def ok(self) -> bool:

@@ -43,6 +43,8 @@ from .linalg import (
     zeros,
 )
 
+_rref_body = rref.__wrapped__  # taken once, so a rebound ``rref`` (a tracer's wrapper) cannot reach the memo
+
 
 class InnerProductSpace(Value):
     """Finite-dimensional space with inner product (x, y) = x^T G y.
@@ -124,9 +126,9 @@ def span(space: InnerProductSpace, vectors: Iterable[Sequence[Fraction]]) -> Sub
 
 def span_mat(space: InnerProductSpace, rows: Mat) -> Subspace:
     """Canonical subspace spanned by the rows: the nonzero rows of their RREF,
-    from the memo's own body ``rref.__wrapped__``, since the rows are fresh
-    and a caller that spans the same rows again is memoized itself."""
-    red, pivots = rref.__wrapped__(rows)
+    from the memo's own body ``_rref_body``, since the rows are fresh and a
+    caller that spans the same rows again is memoized itself."""
+    red, pivots = _rref_body(rows)
     return Subspace(space, red.take(range(len(pivots))))
 
 

@@ -610,6 +610,15 @@ def test_only_shifted_matrix_shifts_a_form_matrix():
     assert sorted(_form_shifts(spellings)) == ["attribute", "built", "named"]
 
 
+def test_only_two_doors_lead_to_ldl():
+    # A form reaches LDL^T through forms.certify_lower_bound, which maps the
+    # witness to ambient coordinates, and a Gram through the constructor of
+    # InnerProductSpace; any other caller would map witnesses its own way.
+    callees = {"ldl_psd_certificate", "linalg.ldl_psd_certificate"}
+    found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, callees)}
+    assert found == {("forms.py", "certify_lower_bound"), ("spaces.py", "__init__")}
+
+
 def test_no_check_lives_in_an_assert():
     # python -O strips assert statements; every check must raise instead.
     found = []

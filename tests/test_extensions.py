@@ -38,7 +38,7 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import clear_memos, ldl_psd_certificate, mat, rref, vec
+from relcalc.linalg import PsdResult, clear_memos, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
     adjoint,
     closure,
@@ -538,6 +538,47 @@ def test_a_moved_route_is_named_alone(route, monkeypatch):
         run()
     groups = [g.split(", ") for g in str(err.value).split(" disagree: ")[1].split(" | ")]
     assert len(groups) == 2 and [route] in groups
+    clear_memos()
+
+
+def _refuted(real, out):
+    """``real`` with the form of ``out`` refuted: no certificate, and the
+    first domain basis vector as the witness."""
+    t = form_of_relation(out)
+    return lambda form, c: PsdResult(None, t.domain.basis.row(0)) if form == t else real(form, c)
+
+
+# The message of each post-condition raise -> (the construction, the name
+# patched in extensions, the patch given the real function and the true
+# value).  Each patch is wrong about that value alone.
+POSTCONDITION_FAULTS = {
+    "Friedrichs extension is not a selfadjoint extension": (
+        friedrichs,
+        "is_selfadjoint",
+        lambda real, out: lambda t: t != out and real(t),
+    ),
+    "mul S_F must equal mul S*": (
+        friedrichs,
+        "parts",
+        lambda real, out: lambda t: SimpleNamespace(mul=zero_subspace(t.src)) if t == out else real(t),
+    ),
+    "Friedrichs extension lost the lower bound": (friedrichs, "certify_lower_bound", _refuted),
+    "Krein type extension lost the lower bound": (krein, "certify_lower_bound", _refuted),
+}
+
+
+@pytest.mark.parametrize("message", sorted(POSTCONDITION_FAULTS))
+def test_a_broken_post_condition_raises(message, monkeypatch):
+    # e1 at 0: each construction passes its post-conditions until a patch
+    # is wrong about its value; then the construction names the one broken.
+    build, name, patch = POSTCONDITION_FAULTS[message]
+    clear_memos()
+    out = build(e1(), 0)
+    monkeypatch.setattr(extensions, name, patch(getattr(extensions, name), out))
+    clear_memos()
+    with pytest.raises(CrossCheckError) as err:
+        build(e1(), 0)
+    assert str(err.value) == message
     clear_memos()
 
 

@@ -5,7 +5,6 @@ import pytest
 from relcalc import forms
 from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.forms import (
-    CertifyResult,
     QuadraticForm,
     bound_bisect,
     certify_lower_bound,
@@ -24,7 +23,7 @@ from relcalc.forms import (
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import PsdCertificate, block_diag, clear_memos, hstack, identity, mat, vec, zeros
+from relcalc.linalg import PsdCertificate, PsdResult, block_diag, clear_memos, hstack, identity, mat, vec, zeros
 from relcalc.relations import (
     adjoint,
     compose,
@@ -150,7 +149,7 @@ def _on_plane(m):
 
 
 def _pivots(t, c):
-    cert = certify_lower_bound(t, c).cert
+    cert = certify_lower_bound(t, c).certificate
     return cert.perm[: sum(1 for d in cert.diag if d)]
 
 
@@ -191,7 +190,7 @@ def test_repmap_ldl_rejects_a_certificate_with_wrong_pivots(monkeypatch, m, c, f
     t = _on_plane(m)
     real = forms.certify_lower_bound(t, c)
     clear_memos()
-    monkeypatch.setattr(forms, "certify_lower_bound", lambda t, c: CertifyResult(fault(real.cert), None))
+    monkeypatch.setattr(forms, "certify_lower_bound", lambda t, c: PsdResult(fault(real.certificate), None))
     with pytest.raises(CrossCheckError):
         repmap_ldl(t, c)
 

@@ -26,7 +26,7 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import _MEMOS, clear_memos, mat, vec
+from relcalc.linalg import _MEMOS, clear_memos, echelon_coords, mat, rank, vec
 from relcalc.relations import (
     adjoint,
     hsum,
@@ -182,9 +182,19 @@ def test_engineered_nonextremal():
 
     bad = engineered_nonextremal_extensions(s, 0)
     assert len(bad) >= 3
+    tk = form_of_relation(krein(s, 0))
+    dom_s = echelon_coords(tk.domain.basis, parts(s).dom.basis)
     for h in bad:
         assert is_selfadjoint(h) and h.is_extension_of(s)
         assert not extremal_check(h, s, 0)
+        # What makes H non-extremal: t(H) - t(S_K,0) is positive
+        # semidefinite of rank one and vanishes on dom S.
+        th = form_of_relation(h)
+        assert th.domain == tk.domain
+        bump = th.matrix - tk.matrix
+        assert certify_lower_bound(QuadraticForm(Q4, tk.domain, bump), 0).ok
+        assert rank(bump) == 1
+        assert (dom_s @ bump).is_zero()
 
 
 def test_orthogonal_range_generator():

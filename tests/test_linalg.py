@@ -125,7 +125,7 @@ def test_ldl_indefinite_counterexample():
     m = mat([[0, 1], [1, 0]])
     res = ldl_psd_certificate(m)
     assert not res.ok
-    v = res.counterexample
+    v = res.witness
     assert quadratic_value(m, v) == Fraction(-2)
 
 
@@ -200,7 +200,7 @@ def test_planted_negative_direction_is_caught(m, idx):
     planted_m = mat(planted)
     res = ldl_psd_certificate(planted_m)
     assert not res.ok
-    assert quadratic_value(planted_m, res.counterexample) < 0
+    assert quadratic_value(planted_m, res.witness) < 0
 
 
 def test_solve_mat_multiple_rhs():
@@ -334,7 +334,7 @@ def test_integer_row_ldl_matches_the_fraction_elimination(m):
         assert (cert.perm, cert.lower, cert.diag) == ref[1:]
     else:
         assert not res.ok
-        assert res.counterexample == ref[1]
+        assert res.witness == ref[1]
         assert quadratic_value(m, ref[1]) < 0
 
 

@@ -18,6 +18,7 @@ matrices, bounds attained at a rational and irrational bounds of
 multiplicity two and three.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -159,6 +160,17 @@ def test_attained_bound_flips_within_two_to_the_minus_300():
     assert not pencil_psd(p, 2 + TINY)
 
 
+def test_a_rebound_shifted_matrix_leaves_the_pencil_out_of_its_memo(monkeypatch):
+    # A tracer rebinds the name shifted_matrix to a functools.wraps wrapper,
+    # whose __wrapped__ is the memo itself: the k + 1 shifts of the pencil
+    # must still be built by the body alone.
+    real = forms.shifted_matrix
+    monkeypatch.setattr(forms, "shifted_matrix", functools.wraps(real)(lambda t, c: real(t, c)))
+    clear_memos()
+    assert pencil_polynomial(two_plus_square()) == (8, -6, 1)
+    assert real.cache_info().currsize == 0
+
+
 @given(bounded_forms(), st.sampled_from([Fraction(1, 64), Fraction(1, 2**256)]))
 @settings(max_examples=100, deadline=None)
 def test_estimate_is_the_bound_rounded(form, width):
@@ -266,7 +278,7 @@ def _ldl_bisect(t, width):
     """One verified LDL^T per step.  The bound is n exactly when t - n is
     singular, so its LDL^T has a zero pivot."""
     return _reference_bracket(
-        lambda c: certify_lower_bound(t, c).ok, lambda n: 0 in certify_lower_bound(t, n).cert.diag, width
+        lambda c: certify_lower_bound(t, c).ok, lambda n: 0 in certify_lower_bound(t, n).certificate.diag, width
     )
 
 

@@ -1,11 +1,13 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relcalc.spaces as spaces
 from relcalc.errors import AmbientMismatchError
-from relcalc.linalg import block_diag, hstack, identity, kernel, mat, vec, zassenhaus, zeros
+from relcalc.linalg import block_diag, clear_memos, hstack, identity, kernel, mat, vec, zassenhaus, zeros
 from relcalc.relations import LinearRelation, adjoint
 from relcalc.spaces import (
     InnerProductSpace,
@@ -33,6 +35,17 @@ Q4 = standard_space(4)
 def project(x, w):
     """The G-orthogonal projection of one vector onto w."""
     return projections(mat([x]), w).row(0)
+
+
+def test_a_rebound_rref_leaves_spans_out_of_its_memo(monkeypatch):
+    # A tracer rebinds the name rref to a functools.wraps wrapper, whose
+    # __wrapped__ is the memo itself: a span must still eliminate with the
+    # body alone.
+    real = spaces.rref
+    monkeypatch.setattr(spaces, "rref", functools.wraps(real)(lambda m: real(m)))
+    clear_memos()
+    assert span(Q2, [vec([1, 2]), vec([2, 4])]).basis == mat([[1, 2]])
+    assert real.cache_info().currsize == 0
 
 
 def test_gram_must_be_positive_definite():

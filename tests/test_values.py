@@ -14,9 +14,7 @@ from relcalc.forms import (
     QuadraticForm,
     RepresentingMap,
     bound_bisect,
-    certify_lower_bound,
     form_of_relation,
-    is_nonneg_above,
     repmap_ldl,
 )
 from relcalc.harness import CheckResult, InstanceSpec, random_semibounded, run_one
@@ -33,9 +31,7 @@ FIELDS = {
     "InnerProductSpace": "gram",
     "Subspace": "basis",
     "LinearRelation": "graph",
-    "SemiboundedCheck": "ok",
     "QuadraticForm": "matrix",
-    "CertifyResult": "cert",
     "BoundInterval": "lo",
     "RepresentingMap": "base_point",
     "OrderResult": "leq",
@@ -60,9 +56,7 @@ def build_values() -> dict:
         "InnerProductSpace": s.src,
         "Subspace": s.graph,
         "LinearRelation": s,
-        "SemiboundedCheck": is_nonneg_above(s, c),
         "QuadraticForm": t,
-        "CertifyResult": certify_lower_bound(t, c),
         "BoundInterval": bound_bisect(t, Fraction(1, 64)),
         "RepresentingMap": repmap_ldl(t, c),
         "OrderResult": order_leq(krein(s, c), friedrichs(s, c)),

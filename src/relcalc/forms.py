@@ -126,8 +126,9 @@ def restrict_form(t: QuadraticForm, sub: Subspace) -> QuadraticForm:
 
 @memo
 def shifted_matrix(t: QuadraticForm, c) -> Mat:
-    """M - cG: the matrix of t - c (.,.) in the domain basis."""
-    return t.matrix - t.domain_gram.scale(c)
+    """M - cG: the matrix of t - c (.,.) in the domain basis, and M itself,
+    not a copy, at c = 0."""
+    return t.matrix - t.domain_gram.scale(c) if c else t.matrix
 
 
 _shifted_matrix_body = shifted_matrix.__wrapped__  # taken once, as ``spaces._rref_body`` is
@@ -340,7 +341,8 @@ def _squarefree(p: tuple[int, ...]) -> tuple[int, ...]:
     a, b = list(p), [i * x for i, x in enumerate(p)][1:]
     while b:
         g = math.gcd(*b)
-        a, b = [x // g for x in b], _pseudo_remainder(a, b)
+        b = [x // g for x in b]
+        a, b = b, _pseudo_remainder(a, b)
     if len(a) == 1:
         return p
     # p = a s exactly; a is primitive, so s has integer coefficients.

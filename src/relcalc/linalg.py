@@ -49,6 +49,16 @@ directly.  Every other module builds matrices with ``mat``, ``zeros``,
 ``rows``, ``cols``, ``[i, j]``, ``row``, ``take``, ``row_dots`` and
 ``to_strings``, so the storage can change here alone.
 
+One canonical subspace basis is one live object.  ``interned`` returns the
+live ``Mat`` equal to its argument, from a table keyed by the stored
+content that holds its matrices weakly (a ``Mat`` has a ``__weakref__``
+slot for it), and ``spaces.Subspace`` stores its basis through it.  So
+the routes that reach one graph, each kept by its own memo, share one
+copy, and an entry goes with the last subspace that holds its basis
+(hash-consing: Filliatre and Conchon, *Type-safe modular hash-consing*,
+2006).  Only identity changes: a lookup that meets the shared object
+compares nothing and reuses its cached hash.
+
 The package's one memo policy lives here too: ``memo`` caches without a
 size bound and ``clear_memos`` empties every cache at once, so running one
 instance per scope (``harness.run_one``) bounds the memory.  A memoized
@@ -75,6 +85,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import CrossCheckError
 
@@ -155,10 +166,11 @@ class Mat:
     the slots directly, with none of ``Value``'s read-only guard, since
     matrices are built by the hundred thousand.  ``rows`` and ``cols`` are
     read-only properties over the slots ``_rows`` and ``_cols``, which this
-    module reads directly; there is no ``__dict__``.
+    module reads directly; there is no ``__dict__``.  The ``__weakref__``
+    slot lets ``interned`` hold a matrix without keeping it alive.
     """
 
-    __slots__ = ("_rows", "_cols", "_num", "_den", "_hash")
+    __slots__ = ("_rows", "_cols", "_num", "_den", "_hash", "__weakref__")
 
     def __init__(self, rows: int, cols: int, num: tuple[IntRow, ...], den: tuple[int, ...]) -> None:
         self._rows = rows
@@ -266,6 +278,18 @@ class Mat:
     def to_strings(self) -> list[list[str]]:
         """Every entry as ``str(Fraction)`` prints it, with no Fraction."""
         return [[str(x) for x in r] if d == 1 else [_rational_str(x, d) for x in r] for r, d in zip(self._num, self._den)]
+
+
+_LIVE: WeakValueDictionary = WeakValueDictionary()  # stored content -> its one live Mat, for ``interned``
+
+
+def interned(m: Mat) -> Mat:
+    """The live ``Mat`` equal to m, or m itself, registered, when there is
+    none.  The table is keyed by the stored content, not by a ``Mat``, and
+    holds its matrices weakly, so it keeps none alive: an entry goes with
+    the last reference to its matrix.  It is not a memo, and
+    ``clear_memos`` leaves it alone."""
+    return _LIVE.setdefault((m._cols, m._den, m._num), m)
 
 
 def _rational_str(x: int, d: int) -> str:

@@ -12,6 +12,11 @@ Orthogonal complements and projections always go through the ambient
 Gram matrix: representing-map codomains carry weighted inner products,
 and the weighted pairing is what keeps every construction rational.
 
+``Subspace`` is the one door for a canonical basis, and it stores the
+basis through ``linalg.interned``: equal subspaces share one live basis
+object, however many routes and memos reach them, and the weak table
+frees it with the last subspace that holds it.
+
 Every Gram is certified once, where it enters, by the ``InnerProductSpace``
 constructor (symmetry and the verified LDL^T certificate).  The one
 exception is ``product_space``: its Gram is positive definite by the lemma
@@ -30,6 +35,7 @@ from .linalg import (
     block_diag,
     echelon_coords,
     identity,
+    interned,
     is_reduced_echelon,
     kernel,
     ldl_psd_certificate,
@@ -93,7 +99,9 @@ class Subspace(Value):
     same subspace of the same ambient space.  The zero subspace has a
     0-row basis.  Membership reads coordinates off the leading 1s, so a
     basis in any other form is a ``ValueError``.  It hashes as its basis;
-    ``==`` compares the space too.
+    ``==`` compares the space too.  The basis it stores is
+    ``interned(basis)``, the one live ``Mat`` equal to it, so equal
+    subspaces share their basis object.
     """
 
     __slots__ = _fields = ("space", "basis")
@@ -103,7 +111,7 @@ class Subspace(Value):
             raise ValueError("basis vectors must live in the ambient space")
         if not is_reduced_echelon(basis):
             raise ValueError("a subspace basis must be the reduced echelon rows of its span")
-        super().__init__(space, basis)
+        super().__init__(space, interned(basis))
 
     def __hash__(self) -> int:
         return hash(self.basis)

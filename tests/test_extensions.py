@@ -44,10 +44,13 @@ from relcalc.relations import (
     closure,
     compose,
     graph_relation,
+    hsum,
     inverse,
     parts,
+    product_relation,
     regular_part,
     relation_from_pairs,
+    restrict_domain,
     shift,
 )
 from relcalc.spaces import (
@@ -79,8 +82,6 @@ def e2():
 def dim4_fixture():
     """diag(1,2,3,4) restricted to a two-dimensional domain."""
     d = operator_relation(Q4, Q4, mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]]))
-    from relcalc.relations import restrict_domain
-
     return restrict_domain(d, span(Q4, [vec([1, 1, 1, 1]), vec([1, -1, 1, -1])]))
 
 
@@ -116,9 +117,21 @@ def test_friedrichs_is_base_point_independent():
 def test_friedrichs_e2_orthogonal():
     s = e2()
     f = friedrichs(s, 0)
-    from relcalc.relations import product_relation
-
     assert f == product_relation(span(Q3, [vec([1, 0, 0])]), span(Q3, [vec([0, 1, 0]), vec([0, 0, 1])]))
+
+
+def test_the_friedrichs_routes_share_one_basis():
+    # Each route's memo holds its own LinearRelation, but the three graphs
+    # are one subspace, so Subspace interns them to one live basis.
+    s, c = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=2))
+    clear_memos()
+    out = friedrichs(s, c)
+    qrel = repmap_ldl(form_of_relation(s), c).as_relation()
+    via_repmap = shift(compose(adjoint(qrel), closure(qrel)), c)
+    via_adjoint = restrict_domain(adjoint(s), parts(s).dom)
+    via_weak = hsum(s, product_relation(zero_subspace(s.src), parts(adjoint(s)).mul))
+    assert via_repmap == via_adjoint == via_weak == out
+    assert via_repmap.graph.basis is via_adjoint.graph.basis is via_weak.graph.basis is out.graph.basis
 
 
 def test_friedrichs_bound_failure():
@@ -165,8 +178,6 @@ def test_krein_e1_is_rank_one_operator():
 def test_krein_e2_orthogonal():
     s = e2()
     k = krein(s, 0)
-    from relcalc.relations import product_relation
-
     assert k == product_relation(span(Q3, [vec([1, 0, 0]), vec([0, 0, 1])]), span(Q3, [vec([0, 1, 0])]))
 
 
@@ -409,8 +420,6 @@ def test_purely_multivalued_relation_degenerate_path():
     assert parts(j).dom.dim == 0
 
     f = friedrichs(s, 5)
-    from relcalc.relations import product_relation
-
     assert f == product_relation(zero_subspace(Q2), full_subspace(Q2))
     k = krein(s, 0)
     assert k.is_extension_of(s)

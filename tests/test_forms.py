@@ -20,6 +20,7 @@ from relcalc.forms import (
     repmap_ldl,
     repmap_quotient,
     scalar_repmap,
+    shifted_matrix,
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
@@ -87,6 +88,13 @@ def test_certify_e1():
     phi = res.witness
     assert form_value(t, phi, phi) < 3 * inner(Q2, phi, phi)
     assert certify_lower_bound(t, -(10**6)).ok
+
+
+def test_the_shift_by_zero_is_the_form_matrix_itself():
+    t = form_of_relation(e1())
+    assert shifted_matrix(t, 0) is t.matrix
+    assert shifted_matrix(t, Fraction(0)) is t.matrix
+    assert shifted_matrix(t, 1) == mat([[2]])  # 4 - 1 * (1, 1).(1, 1)
 
 
 def test_bound_bisect_e1():

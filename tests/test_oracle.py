@@ -8,16 +8,20 @@ relation (the null space of its Green pairing [g G_K | -f G_H]), and the
 results must be equal, entry by entry.  The relational products and the
 subspace meet and sum are recomputed the same way: each is the span of the
 a-parts of sympy's RREF of the Zassenhaus matrix [b | a] that are zero on
-b, built here by sympy's own stacking from the graph rows.  Test-only:
+b, built here by sympy's own stacking from the graph rows.  The squarefree
+part of an integer polynomial, which ``bound_bisect`` searches, is held to
+sympy's ``sqf_part``.  Test-only:
 ``relcalc`` itself imports no sympy.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcalc.forms import _squarefree
 from relcalc.linalg import identity, kernel, mat, zeros
 from relcalc.relations import LinearRelation, adjoint, compose, eigenspace, inverse, rel_sum, restrict_domain, shift
 from relcalc.spaces import InnerProductSpace, intersect, product_space, span, subspace_sum
@@ -214,3 +218,42 @@ def test_intersect_and_subspace_sum_are_sympys_zassenhaus_eliminations(data):
     a = sympy.Matrix.vstack(bv, sympy.zeros(bw.rows, space.dim))
     assert matrix_rows(intersect(v, w).basis) == sympy_image_where(sympy.Matrix.vstack(bv, -bw), a)
     assert matrix_rows(subspace_sum(v, w).basis) == sympy_span(sympy.Matrix.vstack(bv, bw))
+
+
+def times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def polynomials(draw):
+    """Integer coefficients, lowest degree first, with a nonzero leading
+    one: a content times up to three factors of degree 1 or 2, each to a
+    power of 1 to 3, so most have repeated roots, some irrational or
+    complex; or random coefficients, most with simple roots."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=10))
+        return (*coeffs, draw(st.integers(-50, 50).filter(bool)))
+    p = [draw(st.integers(-12, 12).filter(bool))]
+    for _ in range(draw(st.integers(1, 3))):
+        factor = [draw(st.integers(-9, 9)) for _ in range(draw(st.integers(1, 2)))] + [draw(st.integers(1, 5))]
+        for _ in range(draw(st.integers(1, 3))):
+            p = times(p, factor)
+    return tuple(p)
+
+
+def primitive_part(coeffs):
+    """The coefficients over their content, with a positive leading one."""
+    g = math.gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return tuple(x // g for x in coeffs)
+
+
+@given(polynomials())
+@settings(max_examples=120, deadline=None)
+def test_squarefree_is_sympys_sqf_part(p):
+    x = sympy.Symbol("x")
+    expected = sympy.Poly(list(reversed(p)), x).sqf_part().all_coeffs()
+    assert primitive_part(_squarefree(p)) == primitive_part([int(c) for c in reversed(expected)])

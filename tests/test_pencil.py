@@ -171,6 +171,30 @@ def test_a_rebound_shifted_matrix_leaves_the_pencil_out_of_its_memo(monkeypatch)
     assert real.cache_info().currsize == 0
 
 
+def test_squarefree_remainders_grow_linearly_in_the_degree(monkeypatch):
+    # The pencil of `relcalc random --dim 16 --seed 1 --restrict 8`: degree
+    # 8, 192-bit coefficients.  With each remainder taken by the reduced
+    # divisor the largest is 6,444 bits; by the unreduced one, whose content
+    # multiplies into every later remainder, it was 64,066 bits, and ten
+    # times that at degree 12.
+    s, _ = random_semibounded(InstanceSpec(dim=16, seed=1, restrict_dim=8))
+    p = pencil_polynomial(form_of_relation(s))
+    bits = max(abs(x).bit_length() for x in p)
+    sizes = []
+    real = forms._pseudo_remainder
+
+    def measured(a, b):
+        r = real(a, b)
+        sizes.append(max((abs(x).bit_length() for x in r), default=0))
+        return r
+
+    monkeypatch.setattr(forms, "_pseudo_remainder", measured)
+    assert (len(p) - 1, bits) == (8, 192)
+    forms._squarefree.__wrapped__(p)
+    assert len(sizes) == 8
+    assert max(sizes) <= 8 * (len(p) - 1) * bits
+
+
 @given(bounded_forms(), st.sampled_from([Fraction(1, 64), Fraction(1, 2**256)]))
 @settings(max_examples=100, deadline=None)
 def test_estimate_is_the_bound_rounded(form, width):

@@ -1,10 +1,12 @@
 import functools
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relcalc.linalg as linalg
 import relcalc.spaces as spaces
 from relcalc.errors import AmbientMismatchError
 from relcalc.linalg import block_diag, clear_memos, hstack, identity, kernel, mat, vec, zassenhaus, zeros
@@ -20,6 +22,7 @@ from relcalc.spaces import (
     product_space,
     projections,
     span,
+    span_mat,
     standard_space,
     subspace_sum,
     zero_subspace,
@@ -46,6 +49,26 @@ def test_a_rebound_rref_leaves_spans_out_of_its_memo(monkeypatch):
     clear_memos()
     assert span(Q2, [vec([1, 2]), vec([2, 4])]).basis == mat([[1, 2]])
     assert real.cache_info().currsize == 0
+
+
+def test_spans_of_one_subspace_share_one_basis():
+    # Two spanning sets of one subspace reduce to equal echelon rows, and the
+    # second Subspace keeps the live basis of the first.
+    v = span_mat(Q4, mat([[1, 2, 0, 1], [0, 1, 1, 0]]))
+    w = span_mat(Q4, mat([[1, 3, 1, 1], [2, 3, -1, 2], [1, 2, 0, 1]]))
+    assert v == w
+    assert v.basis is w.basis
+
+
+def test_the_basis_table_keeps_nothing_alive():
+    v = span_mat(Q4, mat([[7, 1, 2, 3], [0, 5, 1, 9]]))
+    basis = v.basis
+    key, ref = (basis._cols, basis._den, basis._num), weakref.ref(basis)
+    assert linalg._LIVE[key] is basis
+    del v, basis
+    clear_memos()
+    assert ref() is None
+    assert key not in linalg._LIVE.data
 
 
 def test_gram_must_be_positive_definite():

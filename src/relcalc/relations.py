@@ -7,6 +7,16 @@ just a relation with trivial multivalued part.  At finite dimension every
 relation is closed, so closure is the identity map; it is still exposed so
 that double-adjoint formulas transcribe verbatim and the degeneracy is
 checked rather than hidden.
+
+T* is the one adjoint null space that is computed; the predicates on it are
+certified by products, not by a second null space.  Every Gram is positive
+definite (``InnerProductSpace``), so the Green pairing of H (+) K with
+K (+) H, <{f, g}, {h, k}> = (g, h)_K - (f, k)_H, is nondegenerate, T* is
+the annihilator of T under it, and dim T* = dim H + dim K - dim T (Arens).
+So ``closure`` checks T** = T as T* pairing to zero with T plus that
+dimension count, ``is_symmetric`` checks S in S* as the symmetry of the
+matrix of the pairs (g_i, f_j) over S's graph rows, and ``is_selfadjoint``
+adds dim S = dim H, since a maximal symmetric relation is selfadjoint.
 """
 
 from __future__ import annotations
@@ -187,8 +197,16 @@ def shift(t: LinearRelation, c: Fraction | int | str) -> LinearRelation:
 
 
 def closure(t: LinearRelation) -> LinearRelation:
-    """Closure of the graph; the identity at finite dimension, checked."""
-    if adjoint(adjoint(t)) != t:
+    """Closure of the graph; the identity at finite dimension, certified.
+
+    T** = T holds iff the computed T* = {h, k} pairs to zero with T,
+    (g, h)_K = (f, k)_H over both graph bases, and dim T + dim T* =
+    dim H + dim K: by the nondegeneracy of the Green pairing, T is then all
+    of the annihilator of T*.  Two products and a count, no second
+    ``adjoint``."""
+    star = adjoint(t)
+    (f, g), (h, k) = t.halves, star.halves
+    if t.graph.dim + star.graph.dim != t.src.dim + t.dst.dim or (g @ t.dst.gram).mul_t(h) != (f @ t.src.gram).mul_t(k):
         raise CrossCheckError("T** differs from T: the closure is not the identity")
     return t
 
@@ -281,16 +299,25 @@ def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation
     return echelon_relation(t.src, t.src, hstack(ev, ev.scale(c)))
 
 
+@memo
 def is_symmetric(s: LinearRelation) -> bool:
+    """S in S*: (g_i, f_j) = (f_i, g_j) for all graph rows {f_i, g_i}, that
+    is, the matrix of the pairs (g_i, f_j) is symmetric; one product, and
+    by the nondegeneracy of the Green pairing the same as
+    ``adjoint(s).is_extension_of(s)``."""
     if s.src != s.dst:
         raise PreconditionError("symmetry requires equal source and target spaces")
-    return adjoint(s).is_extension_of(s)
+    f, g = s.halves
+    return (g @ s.src.gram).mul_t(f).is_symmetric()
 
 
 def is_selfadjoint(s: LinearRelation) -> bool:
+    """S = S*: S symmetric with dim S = dim H.  S in S* and, by the
+    nondegeneracy of the Green pairing, dim S* = 2 dim H - dim S, so the
+    two are equal exactly when dim S = dim H."""
     if s.src != s.dst:
         raise PreconditionError("selfadjointness requires equal source and target spaces")
-    return adjoint(s) == s
+    return s.graph.dim == s.src.dim and is_symmetric(s)
 
 
 def numerical_range_zero(s: LinearRelation) -> bool:

@@ -619,6 +619,18 @@ def test_only_two_doors_lead_to_ldl():
     assert found == {("forms.py", "certify_lower_bound"), ("spaces.py", "__init__")}
 
 
+def _of_an_adjoint(call) -> bool:
+    return len(call.args) == 1 and isinstance(call.args[0], ast.Call) and ast.unparse(call.args[0].func) == "adjoint"
+
+
+def test_only_the_involution_check_recomputes_the_double_adjoint():
+    # closure certifies T** = T by products against T*; a recomputed T**
+    # shares the pairing code with T*, so it cannot come back as a
+    # post-condition.  The registry check adjoint-involution keeps it.
+    found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, {"adjoint"}, _of_an_adjoint)}
+    assert found == {("harness.py", "_involution")}
+
+
 def test_no_check_lives_in_an_assert():
     # python -O strips assert statements; every check must raise instead.
     found = []

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 import relcalc.extensions as extensions
+import relcalc.relations as relations
 import relcalc.spaces as spaces
 from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
 from relcalc.extensions import (
@@ -46,6 +47,7 @@ from relcalc.relations import (
     graph_relation,
     hsum,
     inverse,
+    is_selfadjoint,
     parts,
     product_relation,
     regular_part,
@@ -613,6 +615,21 @@ def test_repeated_predicates_replay_without_elimination(monkeypatch):
     assert again == first
     assert (rref.cache_info().misses, ldl_psd_certificate.cache_info().misses) == misses
     assert [fn.cache_info().hits for fn in (extremal_check, order_leq, contains)] == [h + 1 for h in hits]
+
+
+def test_selfadjointness_of_the_friedrichs_extension_eliminates_nothing(monkeypatch):
+    # Its post-condition and closure(Q) are certified by products: no null
+    # space is taken of S_F's graph, during friedrichs or after it.
+    bases = []
+    real = relations.pairing_null_space
+    monkeypatch.setattr(relations, "pairing_null_space", lambda basis, *args: bases.append(basis) or real(basis, *args))
+    clear_memos()
+    f = friedrichs(e1(), 0)
+    assert f.graph.basis not in bases
+    during = len(bases)
+    assert is_selfadjoint(f)
+    assert len(bases) == during
+    clear_memos()
 
 
 # The first 40 instances of `relcalc check --count 200 --seed 0`, each

@@ -26,7 +26,7 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import _MEMOS, clear_memos, echelon_coords, mat, rank, vec
+from relcalc.linalg import _MEMOS, clear_memos, echelon_coords, identity, mat, rank, vec
 from relcalc.relations import (
     adjoint,
     hsum,
@@ -174,6 +174,16 @@ def test_sampled_extensions_are_selfadjoint_extensions():
     for h in sample_selfadjoint_extensions(s, 5, seed=8):
         assert is_selfadjoint(h)
         assert h.is_extension_of(s)
+
+
+def test_a_sampler_that_ignores_the_pairing_is_caught(monkeypatch):
+    # With every coefficient admitted, the sampler grows S inside graph(S*)
+    # to dim H with no symmetry condition; is_selfadjoint refuses the graph.
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=31, mul_dim=1, restrict_dim=2))
+    monkeypatch.setattr(harness, "kernel", lambda conditions: identity(conditions.cols))
+    with pytest.raises(CrossCheckError) as err:
+        sample_selfadjoint_extensions(s, 1, seed=8)
+    assert str(err.value) == "a maximal symmetric graph is not selfadjoint"
 
 
 def test_engineered_nonextremal():

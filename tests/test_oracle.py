@@ -10,7 +10,8 @@ subspace meet and sum are recomputed the same way: each is the span of the
 a-parts of sympy's RREF of the Zassenhaus matrix [b | a] that are zero on
 b, built here by sympy's own stacking from the graph rows.  The squarefree
 part of an integer polynomial, which ``bound_bisect`` searches, is held to
-sympy's ``sqf_part``.  Test-only:
+sympy's ``sqf_part``, the determinant to sympy's ``det``, and a solution of
+X a = b to sympy's rank test and product.  Test-only:
 ``relcalc`` itself imports no sympy.
 """
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.forms import _squarefree
-from relcalc.linalg import identity, kernel, mat, zeros
+from relcalc.linalg import det, identity, kernel, mat, solve_mat, zeros
 from relcalc.relations import LinearRelation, adjoint, compose, eigenspace, inverse, rel_sum, restrict_domain, shift
 from relcalc.spaces import InnerProductSpace, intersect, product_space, span, subspace_sum
 
@@ -257,3 +258,59 @@ def test_squarefree_is_sympys_sqf_part(p):
     x = sympy.Symbol("x")
     expected = sympy.Poly(list(reversed(p)), x).sqf_part().all_coeffs()
     assert primitive_part(_squarefree(p)) == primitive_part([int(c) for c in reversed(expected)])
+
+
+# ------------------------------------------- determinants and linear solves
+
+
+def from_sympy(m):
+    return [[Fraction(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def to_mat(rows, ncols):
+    return mat(rows) if rows else zeros(0, ncols)
+
+
+@st.composite
+def planted(draw, nrows, ncols):
+    """A random nrows x ncols rational matrix, or half the time one of
+    rank below both sides: a product through a smaller inner dimension,
+    the zero matrix when that is 0."""
+    entries = lambda n, k: to_sympy([[draw(rationals) for _ in range(k)] for _ in range(n)], k)
+    if draw(st.booleans()) or min(nrows, ncols) == 0:
+        return entries(nrows, ncols)
+    inner = draw(st.integers(0, min(nrows, ncols) - 1))
+    return entries(nrows, inner) * entries(inner, ncols)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: planted(n, n)))
+@settings(max_examples=150, deadline=None)
+def test_det_is_sympys(a):
+    assert det(to_mat(from_sympy(a), a.cols)) == Fraction(int(a.det().p), int(a.det().q))
+
+
+@st.composite
+def systems(draw):
+    """(a, b) for X a = b: a of planted rank, b's rows each either a
+    combination of a's rows or random."""
+    k, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    a = draw(planted(k, n))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        if k and draw(st.booleans()):
+            rows.append(to_sympy([[draw(rationals) for _ in range(k)]], k) * a)
+        else:
+            rows.append(to_sympy([[draw(rationals) for _ in range(n)]], n))
+    return a, sympy.Matrix.vstack(sympy.zeros(0, n), *rows)
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_mat_is_sympys(system):
+    a, b = system
+    x = solve_mat(to_mat(from_sympy(a), a.cols), to_mat(from_sympy(b), b.cols))
+    solvable = sympy.Matrix.vstack(a, b).rank() == a.rank()
+    assert (x is not None) == solvable
+    if x is not None:
+        assert (x.rows, x.cols) == (b.rows, a.rows)
+        assert to_sympy(matrix_rows(x), a.rows) * a == b

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
 from relcalc.forms import is_nonneg_above
-from relcalc.linalg import mat, rank, vec
+from relcalc.harness import InstanceSpec, random_semibounded, sample_selfadjoint_extensions
+from relcalc.linalg import clear_memos, hstack, identity, mat, rank, solve_mat, vec, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
     closure,
     compose,
+    echelon_relation,
     eigenspace,
+    graph_relation,
     hsum,
     inverse,
     is_selfadjoint,
@@ -34,6 +37,7 @@ from relcalc.spaces import (
     complement,
     product_space,
     span,
+    span_mat,
     standard_space,
     zero_subspace,
 )
@@ -290,6 +294,140 @@ def test_closure_mismatch_is_a_cross_check_error(monkeypatch):
     monkeypatch.setattr(relations, "adjoint", lambda t: zero_relation(t.dst, t.src))
     with pytest.raises(CrossCheckError):
         closure(e1_relation())
+
+
+CLOSURE_FAILS = "T** differs from T: the closure is not the identity"
+
+
+def test_closure_catches_a_pairing_with_the_wrong_sign(monkeypatch):
+    # With +f R in place of -f R the adjoint is wrong, yet a second adjoint
+    # by the same pairing returns T, so a recomputed T** would pass; the
+    # products against the true pairing do not.
+    clear_memos()
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
+    true_star = adjoint(s)
+    real = relations.pairing_null_space
+    monkeypatch.setattr(relations, "pairing_null_space", lambda basis, n, left, right: real(basis, n, left, right.scale(-1)))
+    clear_memos()
+    assert adjoint(s) != true_star
+    assert adjoint(adjoint(s)) == s
+    with pytest.raises(CrossCheckError) as err:
+        closure(s)
+    assert str(err.value) == CLOSURE_FAILS
+    clear_memos()
+
+
+def test_closure_catches_an_adjoint_one_row_short(monkeypatch):
+    # A subset of T* still pairs to zero with T, so only the count of
+    # dim T + dim T* against dim H + dim K can fail here.
+    clear_memos()
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
+    star = adjoint(s).graph.basis
+    monkeypatch.setattr(relations, "adjoint", lambda t: echelon_relation(t.dst, t.src, star.take(range(star.rows - 1))))
+    with pytest.raises(CrossCheckError) as err:
+        closure(s)
+    assert str(err.value) == CLOSURE_FAILS
+    clear_memos()
+
+
+def test_closure_after_the_adjoint_eliminates_nothing(monkeypatch):
+    clear_memos()
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
+    adjoint(s)
+    calls = []
+    real = relations.pairing_null_space
+    monkeypatch.setattr(relations, "pairing_null_space", lambda *args: calls.append(None) or real(*args))
+    assert closure(s) is s
+    assert calls == []
+    clear_memos()
+
+
+def _symmetric_by_definition(t):
+    return adjoint(t).is_extension_of(t)
+
+
+def _selfadjoint_by_definition(t):
+    return adjoint(t) == t
+
+
+def _perturbed(t):
+    """t with the second half of its first graph row moved by e1."""
+    firsts, seconds = t.halves
+    bump = mat([[1] + [0] * (t.dst.dim - 1)] + [[0] * t.dst.dim] * (seconds.rows - 1))
+    return graph_relation(t.src, t.dst, firsts, seconds + bump)
+
+
+def _predicate_cases():
+    q = InnerProductSpace(3, mat([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
+    yield "purely multivalued", relation_from_pairs(Q2, Q2, [(vec([0, 0]), vec([1, 0]))])
+    yield "all of {0} x H", product_relation(zero_subspace(q), full_subspace(q))
+    yield "the zero graph", zero_relation(q, q)
+    yield "symmetric, not maximal", e1_relation()
+    yield "e1 perturbed", _perturbed(e1_relation())
+    for seed, (dim, mul, restrict) in enumerate([(3, 0, 1), (4, 1, 2), (4, 0, 3), (5, 1, 2)]):
+        s, _ = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=mul, restrict_dim=restrict))
+        yield f"restriction {seed}", s
+        yield f"its adjoint {seed}", adjoint(s)
+        yield f"its adjoint perturbed {seed}", _perturbed(adjoint(s))
+        for i, h in enumerate(sample_selfadjoint_extensions(s, 2, seed)):
+            yield f"extension {seed}.{i}", h
+            yield f"extension perturbed {seed}.{i}", _perturbed(h)
+
+
+def test_predicates_equal_their_adjoint_definitions():
+    clear_memos()
+    seen = set()
+    for name, t in _predicate_cases():
+        sym, sa = is_symmetric(t), is_selfadjoint(t)
+        assert (sym, sa) == (_symmetric_by_definition(t), _selfadjoint_by_definition(t)), name
+        seen.add((sym, sa))
+    # Every verdict occurs: not symmetric, symmetric only, selfadjoint.
+    assert seen == {(False, False), (True, False), (True, True)}
+    clear_memos()
+
+
+@st.composite
+def endorelations(draw):
+    """A relation on a weighted Q^n, either spanned by random rows or made
+    of combinations of the graph rows [I | X] of the selfadjoint operator
+    with X G = M, M symmetric; then, each half the time, a row {0, m} added
+    and one entry moved."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    b = mat([[draw(rationals) for _ in range(n)] for _ in range(n)])
+    space = InnerProductSpace(n, (b.T @ b) + identity(n))
+    draw_rows = lambda k, cols: mat([[draw(rationals) for _ in range(cols)] for _ in range(k)]) if k else zeros(0, cols)
+    k = draw(st.integers(min_value=0, max_value=n))
+    if draw(st.booleans()):
+        graph = draw_rows(k, 2 * n)
+    else:
+        m = draw_rows(n, n)
+        combos = draw_rows(k, n)
+        graph = hstack(combos, combos @ solve_mat(space.gram, m + m.T))
+    if draw(st.booleans()):
+        graph = vstack(graph, hstack(zeros(1, n), draw_rows(1, n)))
+    if graph.rows and draw(st.booleans()):
+        moved = graph.take([0]) + hstack(zeros(1, 2 * n - 1), draw_rows(1, 1))
+        graph = vstack(moved, graph.take(range(1, graph.rows)))
+    return LinearRelation(space, space, span_mat(product_space(space, space), graph))
+
+
+@given(endorelations())
+@settings(max_examples=60, deadline=None)
+def test_predicates_equal_their_adjoint_definitions_on_random_graphs(t):
+    assert is_symmetric(t) == _symmetric_by_definition(t)
+    assert is_selfadjoint(t) == _selfadjoint_by_definition(t)
+
+
+@given(random_relation())
+@settings(max_examples=20, deadline=None)
+def test_predicates_require_an_endorelation(t):
+    # Two drawn spaces are equal only by chance: then the predicates run.
+    for predicate in (is_symmetric, is_selfadjoint):
+        if t.src != t.dst:
+            with pytest.raises(PreconditionError):
+                predicate(t)
+        else:
+            predicate(t)
 
 
 @given(random_relation())

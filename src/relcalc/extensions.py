@@ -51,6 +51,7 @@ from .relations import (
     restrict_domain,
     shift,
 )
+from .serialize import vector_witness
 from .spaces import (
     InnerProductSpace,
     Subspace,
@@ -91,12 +92,18 @@ ROUTES = {
 
 def agree(what: str, names: tuple[str, ...], *values):
     """The common value of the routes ``names``; unless they all agree,
-    CrossCheckError naming the routes grouped by the value they reached."""
+    CrossCheckError naming the routes grouped by the value they reached and,
+    for relations or subspaces, a basis row that one of two groups lacks."""
     groups: dict = {}
     for name, value in zip(names, values, strict=True):
         groups.setdefault(value, []).append(name)
     if len(groups) > 1:
-        raise CrossCheckError(f"{what} disagree: " + " | ".join(", ".join(g) for g in groups.values()))
+        where, (a, b) = "", [getattr(v, "graph", v) for v in list(groups)[:2]]
+        if isinstance(a, Subspace) and a.space == b.space and a != b:
+            i, x, y = (2, b, a) if contains(b, a) else (1, a, b)
+            r = next(r for r in range(x.dim) if echelon_coords(y.basis, x.basis.take([r])) is None)
+            where = f"; row in group {i}, not in group {3 - i}: {vector_witness(x.basis.row(r))}"
+        raise CrossCheckError(f"{what} disagree: " + " | ".join(", ".join(g) for g in groups.values()) + where)
     return values[0]
 
 

@@ -166,10 +166,9 @@ def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
     tests it with a witness before calling.
     """
     dom = parts(s).dom
-    # The lifts of dom's basis, the first halves of the graph basis, are
-    # the second halves of the same rows.
-    dom_lifts = s.halves[1].take(range(dom.dim))
-    return dom, (dom_lifts @ s.src.gram).mul_t(dom.basis)
+    # dom's basis and its lifts are the halves of the first dom.dim graph rows.
+    k = range(dom.dim)
+    return dom, s.pairing.take(k, k)
 
 
 @memo
@@ -184,20 +183,15 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> PsdResult:
     """
     if s.src != s.dst:
         raise PreconditionError("semiboundedness requires equal source and target spaces")
-    c = rat(c)
-    p = parts(s)
-    cross = (p.mul.basis @ s.src.gram).mul_t(p.dom.basis)
+    c, k, (f, g) = rat(c), parts(s).dom.dim, s.halves
+    cross = s.pairing.take(range(k, s.graph.dim), range(k))
     if not cross.is_zero():
-        # Some m in mul S is not orthogonal to some phi in dom S; adding a
-        # large multiple of m to a lift of phi drives the pairing below any
-        # bound.
+        # Some graph row {0, m_i}, after the k rows {phi_j, phi_j'}, has m_i not
+        # orthogonal to some phi_j; a large multiple of m_i added to phi_j'
+        # drives the pairing below any bound; this t gives c (phi_j, phi_j) - 1.
         i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
-        phi = p.dom.basis.take([j])
-        base = lifts(s, phi)
-        # (base, phi) and (phi, phi); choose t with (base + t m, phi) < c (phi, phi).
-        pairings = (vstack(base, phi) @ s.src.gram).mul_t(phi)
-        t = -(pairings[0, 0] - c * pairings[1, 0] + 1) / cross[i, j]
-        return PsdResult(None, (phi.row(0), (base + p.mul.basis.take([i]).scale(t)).row(0)))
+        t = -(s.pairing[j, j] - c * s.wf.take([j]).mul_t(f.take([j]))[0, 0] + 1) / cross[i, j]
+        return PsdResult(None, (f.row(j), (g.take([j]) + g.take([k + i]).scale(t)).row(0)))
     dom, form = form_matrix_on_domain(s)
     res = certify_lower_bound(QuadraticForm(s.src, dom, (form + form.T).scale(Fraction(1, 2))), c)
     if res.ok:

@@ -206,17 +206,15 @@ def sample_selfadjoint_extensions(
 
     Every candidate is a coefficient row x over the basis rows {f_a, g_a}
     of graph(S*), the element x^T [F | G].  Its pairing conditions are
-    x^T Omega, Omega[a][b] = (g_a, f_b) - (f_a, g_b), built once per call,
-    and each step spans the current basis and the candidate in one
-    elimination; every vector stays a ``Mat`` row.
+    x^T Omega, Omega = P - P^T for S*'s ``pairing`` P, so Omega[a][b] =
+    (g_a, f_b) - (f_a, g_b), and each step spans the current basis and the
+    candidate in one elimination; every vector stays a ``Mat`` row.
     """
     rng = random.Random(seed)
     n = s.src.dim
-    g = s.src.gram
     sstar = adjoint(s)
     star = sstar.graph.basis
-    firsts, seconds = sstar.halves
-    omega = (seconds @ g).mul_t(firsts) - (firsts @ g).mul_t(seconds)
+    omega = sstar.pairing - sstar.pairing.T
     out = []
     for _ in range(count):
         graph = s.graph

@@ -14,8 +14,8 @@ solutions of a system, the images of a map.  One vector is a one-row
 transpose of a set of vectors, such as the Gram matrix a G b^T, is
 ``(a @ g).mul_t(b)``, which reads b's rows as columns and forms no
 transpose.  A nullspace comes in one form: ``kernel`` (and
-``pairing_null_space``, for the rows of a pairing) gives its canonical
-basis, the reduced echelon rows, from one elimination.  ``echelon_coords``
+``pairing_null_space(L, R)``, for the pairing rows [L | -R]) gives its
+canonical basis, the reduced echelon rows, from one elimination.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
 basis needs no elimination, and ``nonzero_rows`` counts the rows of an
 echelon matrix before its zero rows, so a basis already in reduced echelon
@@ -558,17 +558,11 @@ def zassenhaus(nb: int, ncols: int, *blocks: tuple) -> Mat:
     return _from_rows(ncols - nb, [(v[nb:], d) for (v, d), p in zip(done, pivots) if p >= nb])
 
 
-def pairing_null_space(basis: Mat, n: int, left: Mat, right: Mat) -> Mat:
-    """The reduced echelon basis of {[h | k] : g L h = f R k for every row
-    [f | g] of ``basis``}, f its first n entries: the null space of the
-    rows [g L | -f R], L = ``left`` and R = ``right``, each built in
-    integers from the stored ints and L and R over one denominator.  That
-    is the row times a positive factor, which keeps the row space."""
-    common = lcm(*left._den, *right._den)
-    lcols = list(zip(*_over(left, common)))
-    rcols = [[-x for x in c] for c in zip(*_over(right, common))]
-    rows = [[sum(map(mul, r[n:], c)) for c in lcols] + [sum(map(mul, r[:n], c)) for c in rcols] for r in basis._num]
-    return _null_space(rows, left._cols + right._cols)
+def pairing_null_space(left: Mat, right: Mat) -> Mat:
+    """The reduced echelon basis of {[h | k] : l h = r k for each row l of
+    ``left`` and the row r of ``right`` beside it}: the null space of the rows
+    [l | -r], joined by ``hstack``.  No memo: a key would keep the rows alive."""
+    return _null_space(hstack(left, right.scale(-1))._num, left._cols + right._cols)
 
 
 def row_dots(a: Mat, b: Mat) -> Vec:

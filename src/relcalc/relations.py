@@ -13,10 +13,15 @@ certified by products, not by a second null space.  Every Gram is positive
 definite (``InnerProductSpace``), so the Green pairing of H (+) K with
 K (+) H, <{f, g}, {h, k}> = (g, h)_K - (f, k)_H, is nondegenerate, T* is
 the annihilator of T under it, and dim T* = dim H + dim K - dim T (Arens).
-So ``closure`` checks T** = T as T* pairing to zero with T plus that
-dimension count, ``is_symmetric`` checks S in S* as the symmetry of the
-matrix of the pairs (g_i, f_j) over S's graph rows, and ``is_selfadjoint``
-adds dim S = dim H, since a maximal symmetric relation is selfadjoint.
+Its products are formed once per relation, on first reading, and kept like
+``halves``, outside ``clear_memos``: the weighted halves ``wf`` = f G_H and
+``wg`` = g G_K of the graph rows {f_i, g_i}, and on H the ``pairing``
+P[i][j] = (g_i, f_j).  ``adjoint`` is the null space of the rows
+[wg | -wf], ``closure`` checks T** = T as T* pairing to zero with T plus
+that dimension count, ``is_symmetric`` checks S in S* as the symmetry of P,
+and ``is_selfadjoint`` adds dim S = dim H, since a maximal symmetric
+relation is selfadjoint.  Blocks of P are the form matrix and its cross
+term in ``forms``, and P - P^T the sampler's conditions in ``harness``.
 """
 
 from __future__ import annotations
@@ -75,6 +80,11 @@ class LinearRelation(Value):
         basis = self.graph.basis
         every, n = range(basis.rows), self.src.dim
         return basis.take(every, range(n)), basis.take(every, range(n, basis.cols))
+
+    # The Green pairing products of the graph rows (module docstring).
+    wf = cached_property(lambda self: self.halves[0] @ self.src.gram)
+    wg = cached_property(lambda self: self.halves[1] @ self.dst.gram)
+    pairing = cached_property(lambda self: self.wg.mul_t(self.halves[0]))
 
     def is_extension_of(self, other: "LinearRelation") -> bool:
         _same_spaces(self, other)
@@ -172,11 +182,10 @@ def adjoint(t: LinearRelation) -> LinearRelation:
     Both Gram matrices enter the pairing; with weighted codomains this is
     what makes the dual-pair identities hold exactly.  T* is the null space
     of the Green pairing rows [g G_K | -f G_H] over T's graph basis (Arens),
-    one ``pairing_null_space`` on the stored rows and the two Grams.
+    one ``pairing_null_space`` of T's weighted halves, with its sign here.
     """
     # The rows of the null space are the pairs [h | k], h in dst, k in src.
-    star = pairing_null_space(t.graph.basis, t.src.dim, t.dst.gram, t.src.gram)
-    return LinearRelation(t.dst, t.src, Subspace(product_space(t.dst, t.src), star))
+    return LinearRelation(t.dst, t.src, Subspace(product_space(t.dst, t.src), pairing_null_space(t.wg, t.wf)))
 
 
 @memo
@@ -202,11 +211,11 @@ def closure(t: LinearRelation) -> LinearRelation:
     T** = T holds iff the computed T* = {h, k} pairs to zero with T,
     (g, h)_K = (f, k)_H over both graph bases, and dim T + dim T* =
     dim H + dim K: by the nondegeneracy of the Green pairing, T is then all
-    of the annihilator of T*.  Two products and a count, no second
-    ``adjoint``."""
+    of the annihilator of T*.  Two products, of the weighted halves that
+    ``adjoint`` formed, and a count: no second ``adjoint``."""
     star = adjoint(t)
-    (f, g), (h, k) = t.halves, star.halves
-    if t.graph.dim + star.graph.dim != t.src.dim + t.dst.dim or (g @ t.dst.gram).mul_t(h) != (f @ t.src.gram).mul_t(k):
+    h, k = star.halves
+    if t.graph.dim + star.graph.dim != t.src.dim + t.dst.dim or t.wg.mul_t(h) != t.wf.mul_t(k):
         raise CrossCheckError("T** differs from T: the closure is not the identity")
     return t
 
@@ -302,13 +311,11 @@ def eigen_relation(t: LinearRelation, c: Fraction | int | str) -> LinearRelation
 @memo
 def is_symmetric(s: LinearRelation) -> bool:
     """S in S*: (g_i, f_j) = (f_i, g_j) for all graph rows {f_i, g_i}, that
-    is, the matrix of the pairs (g_i, f_j) is symmetric; one product, and
-    by the nondegeneracy of the Green pairing the same as
-    ``adjoint(s).is_extension_of(s)``."""
+    is, the relation's ``pairing`` is symmetric, and by the nondegeneracy
+    of the Green pairing the same as ``adjoint(s).is_extension_of(s)``."""
     if s.src != s.dst:
         raise PreconditionError("symmetry requires equal source and target spaces")
-    f, g = s.halves
-    return (g @ s.src.gram).mul_t(f).is_symmetric()
+    return s.pairing.is_symmetric()
 
 
 def is_selfadjoint(s: LinearRelation) -> bool:

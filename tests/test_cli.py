@@ -116,7 +116,8 @@ def test_extend_krein_fails_when_only_the_operator_part_route_moves(tmp_path, ca
     assert main(["extend", e1_path(tmp_path), "--kind", "krein", "--c", "0"]) == 1
     assert capsys.readouterr().err == (
         "error: Krein type extension formulas disagree: "
-        "companion-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum | operator-part-product\n"
+        "companion-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum | operator-part-product"
+        '; row in group 1, not in group 2: ["1", "0", "1/4", "3/4"]\n'
     )
 
 
@@ -136,7 +137,8 @@ def test_extend_weak_krein_fails_with_krein_when_its_companion_route_moves(tmp_p
     assert main(["extend", e1_path(tmp_path), "--kind", "weak-krein", "--c", "0"]) == 1
     assert capsys.readouterr().err == (
         "error: Krein type extension formulas disagree: "
-        "companion-product | operator-part-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum\n"
+        "companion-product | operator-part-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum"
+        '; row in group 1, not in group 2: ["1", "0", "1/2", "3/2"]\n'
     )
 
 

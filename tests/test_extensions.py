@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -39,8 +40,9 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import PsdResult, clear_memos, ldl_psd_certificate, mat, rref, vec
+from relcalc.linalg import PsdResult, clear_memos, echelon_coords, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
+    LinearRelation,
     adjoint,
     closure,
     compose,
@@ -460,6 +462,15 @@ def test_agree_returns_the_common_value_or_groups_the_routes_by_value():
     with pytest.raises(CrossCheckError) as err:
         extensions.agree("values", ("a", "b", "c", "d"), 1, 2, 1, 3)
     assert str(err.value) == "values disagree: a, c | b | d"
+    # Subspaces: a basis row of group 1 that group 2 lacks, or else the
+    # reverse; in both cases here the first basis row is shared.
+    e12, e13 = span(Q3, [vec([1, 0, 0]), vec([0, 1, 0])]), span(Q3, [vec([1, 0, 0]), vec([0, 0, 1])])
+    with pytest.raises(CrossCheckError) as err:
+        extensions.agree("spaces", ("a", "b"), e12, e13)
+    assert str(err.value) == 'spaces disagree: a | b; row in group 1, not in group 2: ["0", "1", "0"]'
+    with pytest.raises(CrossCheckError) as err:
+        extensions.agree("spaces", ("a", "b"), span(Q3, [vec([1, 0, 0])]), e12)
+    assert str(err.value) == 'spaces disagree: a | b; row in group 2, not in group 1: ["0", "1", "0"]'
     # A route without a name fails at once, whatever the values.
     with pytest.raises(ValueError):
         extensions.agree("values", ("a",), 1, 1)
@@ -536,20 +547,65 @@ ROUTE_FAULTS = {
 }
 
 
+WITNESS_ROW = "; row in group "
+
+
+def _assert_row_separates(message, values):
+    """The witness row after the route groups of an ``agree`` message lies
+    in the graph of the group it names and not in that of the other one;
+    ``values`` maps each route name to its value.  Returns the groups."""
+    groups_text, _, tail = message.split(" disagree: ")[1].partition(WITNESS_ROW)
+    groups = [g.split(", ") for g in groups_text.split(" | ")]
+    if not isinstance(values[groups[0][0]], LinearRelation):
+        assert tail == ""
+        return groups
+    i, row = int(tail[0]), mat([json.loads(tail.split(": ", 1)[1])])
+    inside, outside = values[groups[i - 1][0]], values[groups[2 - i][0]]
+    assert echelon_coords(inside.graph.basis, row) is not None
+    assert echelon_coords(outside.graph.basis, row) is None
+    return groups
+
+
 @pytest.mark.parametrize("route", sorted(ROUTE_FAULTS))
 def test_a_moved_route_is_named_alone(route, monkeypatch):
     # e1 at 0 (at its attained bound 2 for krein_equals_friedrichs, where
     # S_K,2 = S_F): every route of each comparison agrees until one moves.
+    # A failing comparison of relations also gives a row that separates.
     run, name, patch = ROUTE_FAULTS[route]
     clear_memos()
     run()
     monkeypatch.setattr(extensions, name, patch(getattr(extensions, name)))
+    compared = []
+    real_agree = extensions.agree
+    monkeypatch.setattr(extensions, "agree", lambda what, names, *values: compared.append(dict(zip(names, values))) or real_agree(what, names, *values))
     clear_memos()
     with pytest.raises(CrossCheckError) as err:
         run()
-    groups = [g.split(", ") for g in str(err.value).split(" disagree: ")[1].split(" | ")]
+    groups = _assert_row_separates(str(err.value), compared[-1])
     assert len(groups) == 2 and [route] in groups
     clear_memos()
+
+
+def test_a_failing_agree_gives_a_row_of_one_group_only(monkeypatch):
+    # krein's inverse-duality route with ((S-c)^{-1})_F shifted by 1: the
+    # row printed after the groups is in one group's graph, not the other's.
+    s, c = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=2))
+    inv = inverse(shift(s, -c))
+    moved, true_krein = shift(friedrichs(inv, 0), 1), krein(s, c)
+    real = extensions.friedrichs
+    monkeypatch.setattr(extensions, "friedrichs", lambda t, c0: moved if (t, c0) == (inv, 0) else real(t, c0))
+    clear_memos()
+    with pytest.raises(CrossCheckError) as err:
+        krein(s, c)
+    message = str(err.value)
+    assert message.startswith(
+        "Krein type extension formulas disagree: "
+        "companion-product, operator-part-product, eigenspace-graph-sum, closure-graph-sum | inverse-duality" + WITNESS_ROW
+    )
+    duality = shift(inverse(moved), c)
+    assert duality != true_krein
+    values = dict.fromkeys(extensions.ROUTES["krein"], true_krein) | {"inverse-duality": duality}
+    _assert_row_separates(message, values)
 
 
 def _refuted(real, out):
@@ -620,15 +676,15 @@ def test_repeated_predicates_replay_without_elimination(monkeypatch):
 def test_selfadjointness_of_the_friedrichs_extension_eliminates_nothing(monkeypatch):
     # Its post-condition and closure(Q) are certified by products: no null
     # space is taken of S_F's graph, during friedrichs or after it.
-    bases = []
+    rows = []
     real = relations.pairing_null_space
-    monkeypatch.setattr(relations, "pairing_null_space", lambda basis, *args: bases.append(basis) or real(basis, *args))
+    monkeypatch.setattr(relations, "pairing_null_space", lambda left, right: rows.append((left, right)) or real(left, right))
     clear_memos()
     f = friedrichs(e1(), 0)
-    assert f.graph.basis not in bases
-    during = len(bases)
+    assert (f.wg, f.wf) not in rows
+    during = len(rows)
     assert is_selfadjoint(f)
-    assert len(bases) == during
+    assert len(rows) == during
     clear_memos()
 
 

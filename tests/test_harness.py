@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from relcalc.relations import (
     product_relation,
     relation_from_pairs,
 )
-from relcalc.serialize import vector_witness, write_relation
+from relcalc.serialize import parse_relation, vector_witness, write_relation
 from relcalc.spaces import standard_space, zero_subspace
 
 from relation_builders import full_subspace, operator_relation, scale
@@ -130,6 +131,7 @@ def test_a_moved_inverse_duality_route_fails_codding_identity(tmp_path, monkeypa
     message = (
         "Krein type extension formulas disagree: "
         "companion-product, operator-part-product, eigenspace-graph-sum, closure-graph-sum | inverse-duality"
+        '; row in group 1, not in group 2: ["1", "0", "1/4", "3/4"]'
     )
     path = str(tmp_path / "e1.json")
     write_relation(path, s)
@@ -374,6 +376,18 @@ def test_a_wrong_meet_inside_krein_is_operator_fails_its_check(monkeypatch):
     assert [(r.name, r.witness) for r in failed] == [
         ("krein-operator-criterion", "CrossCheckError: Krein operator criteria disagree: range-mul-meet | krein-mul")
     ]
+
+
+def test_a_failed_shift_roundtrip_carries_s_as_one_json_line(monkeypatch):
+    # shift(t, c + 1) in place of shift(t, c) moves S by 2 in the round
+    # trip; the witness is S itself, serialized on one line, read back equal.
+    s, c = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=2))
+    real = harness.shift
+    monkeypatch.setattr(harness, "shift", lambda t, c0: real(t, c0 + 1))
+    clear_memos()
+    witness = next(r.witness for r in verify_all(s, c) if r.name == "shift-roundtrip")
+    assert witness is not None and "\n" not in witness
+    assert parse_relation(json.loads(witness)) == s
 
 
 def test_order_failures_carry_the_order_witness(monkeypatch):

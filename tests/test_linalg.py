@@ -859,13 +859,15 @@ def test_null_spaces_equal_the_reversed_kernel_and_the_pairing_products(data):
     back = column_kernel(build([r[::-1] for r in a], k)).T
     assert_is(kernel(build(a, k)), [list(back.row(i))[::-1] for i in reversed(range(back.rows))], k)
 
-    # The rows [g L | -f R] built in integers against their Mat products.
+    # The rows [g L | -f R], joined in integers over each row's lcm, against
+    # the same rows assembled from Fractions.
     m = data.draw(sizes)
     basis = build(data.draw(fraction_rows(n, k + m)), k + m)
     left, right = build(data.draw(fraction_rows(m, m)), m), build(data.draw(fraction_rows(k, k)), k)
     firsts, seconds = basis.take(range(n), range(k)), basis.take(range(n), range(k, k + m))
-    expected = kernel(hstack(seconds @ left, (firsts @ right).scale(-1)))
-    assert_is(pairing_null_space(basis, k, left, right), lists(expected), k + m)
+    gl, fr = seconds @ left, firsts @ right
+    expected = kernel(build([[*gl.row(i), *(-x for x in fr.row(i))] for i in range(n)], m + k))
+    assert_is(pairing_null_space(gl, fr), lists(expected), k + m)
 
 
 huge = st.integers(min_value=-(2**1000), max_value=2**1000)

@@ -10,8 +10,10 @@ subspace meet and sum are recomputed the same way: each is the span of the
 a-parts of sympy's RREF of the Zassenhaus matrix [b | a] that are zero on
 b, built here by sympy's own stacking from the graph rows.  The squarefree
 part of an integer polynomial, which ``bound_bisect`` searches, is held to
-sympy's ``sqf_part``, the determinant to sympy's ``det``, and a solution of
-X a = b to sympy's rank test and product.  Test-only:
+sympy's ``sqf_part``, the determinant to sympy's ``det``, a solution of
+X a = b to sympy's rank test and product, and ``rref``, ``kernel`` and
+``pairing_null_space`` on matrices of planted rank to sympy's ``rref`` and
+``nullspace``.  Test-only:
 ``relcalc`` itself imports no sympy.
 """
 
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.forms import _squarefree
-from relcalc.linalg import det, identity, kernel, mat, solve_mat, zeros
+from relcalc.linalg import det, identity, kernel, mat, pairing_null_space, rref, solve_mat, zeros
 from relcalc.relations import LinearRelation, adjoint, compose, eigenspace, inverse, rel_sum, restrict_domain, shift
 from relcalc.spaces import InnerProductSpace, intersect, product_space, span, subspace_sum
 
@@ -314,3 +316,36 @@ def test_solve_mat_is_sympys(system):
     if x is not None:
         assert (x.rows, x.cols) == (b.rows, a.rows)
         assert to_sympy(matrix_rows(x), a.rows) * a == b
+
+
+# ------------------------------------- echelon forms and null spaces, planted
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.integers(0, 6).flatmap(lambda k: planted(n, k))))
+@settings(max_examples=150, deadline=None)
+def test_rref_and_kernel_are_sympys(a):
+    m = to_mat(from_sympy(a), a.cols)
+    red, pivots = rref(m)
+    expected, expected_pivots = a.rref()
+    assert (matrix_rows(red), pivots) == (from_sympy_rows(expected), expected_pivots)
+    assert matrix_rows(kernel(m)) == sympy_null_space(a)
+
+
+def from_sympy_rows(m):
+    return [tuple(r) for r in from_sympy(m)]
+
+
+@st.composite
+def pairing_blocks(draw):
+    """(L, R) with one row count, each of planted rank half the time."""
+    n = draw(st.integers(0, 5))
+    return draw(planted(n, draw(st.integers(0, 4)))), draw(planted(n, draw(st.integers(0, 4))))
+
+
+@given(pairing_blocks())
+@settings(max_examples=150, deadline=None)
+def test_pairing_null_space_is_sympys_null_space_of_l_minus_r(blocks):
+    left, right = blocks
+    got = pairing_null_space(to_mat(from_sympy(left), left.cols), to_mat(from_sympy(right), right.cols))
+    assert got.cols == left.cols + right.cols
+    assert matrix_rows(got) == sympy_null_space(sympy.Matrix.hstack(left, -right))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
-from relcalc.forms import is_nonneg_above
+from relcalc.forms import form_matrix_on_domain, is_nonneg_above
 from relcalc.harness import InstanceSpec, random_semibounded, sample_selfadjoint_extensions
-from relcalc.linalg import clear_memos, hstack, identity, mat, rank, solve_mat, vec, vstack, zeros
+from relcalc.linalg import Mat, clear_memos, hstack, identity, mat, rank, solve_mat, vec, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -21,6 +21,7 @@ from relcalc.relations import (
     inverse,
     is_selfadjoint,
     is_symmetric,
+    lifts,
     numerical_range_zero,
     parts,
     product_relation,
@@ -300,14 +301,16 @@ CLOSURE_FAILS = "T** differs from T: the closure is not the identity"
 
 
 def test_closure_catches_a_pairing_with_the_wrong_sign(monkeypatch):
-    # With +f R in place of -f R the adjoint is wrong, yet a second adjoint
-    # by the same pairing returns T, so a recomputed T** would pass; the
-    # products against the true pairing do not.
+    # With the rows [g G_K | +f G_H] in place of [g G_K | -f G_H] the
+    # adjoint is wrong, yet a second adjoint by the same pairing returns T,
+    # so a recomputed T** would pass; the products against the true
+    # pairing do not.  The patch negates the combination, not the shared
+    # weighted halves, so s may be built before it.
     clear_memos()
     s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
     true_star = adjoint(s)
     real = relations.pairing_null_space
-    monkeypatch.setattr(relations, "pairing_null_space", lambda basis, n, left, right: real(basis, n, left, right.scale(-1)))
+    monkeypatch.setattr(relations, "pairing_null_space", lambda left, right: real(left, right.scale(-1)))
     clear_memos()
     assert adjoint(s) != true_star
     assert adjoint(adjoint(s)) == s
@@ -340,6 +343,46 @@ def test_closure_after_the_adjoint_eliminates_nothing(monkeypatch):
     assert closure(s) is s
     assert calls == []
     clear_memos()
+
+
+def _counted_products(monkeypatch):
+    """Count the calls of ``Mat.__matmul__`` and ``Mat.mul_t`` from now on."""
+    counts = {"__matmul__": 0, "mul_t": 0}
+    for name in counts:
+        real = getattr(Mat, name)
+        monkeypatch.setattr(Mat, name, lambda a, b, real=real, name=name: counts.__setitem__(name, counts[name] + 1) or real(a, b))
+    return counts
+
+
+def _fresh_restriction():
+    """A restriction from the harness as a new relation object, so nothing
+    is cached on it, in an empty memo scope."""
+    s, _ = random_semibounded(InstanceSpec(dim=5, seed=4, mul_dim=1, restrict_dim=3))
+    clear_memos()
+    return LinearRelation(s.src, s.dst, s.graph)
+
+
+def test_the_adjoint_weights_the_halves_and_the_closure_reuses_them(monkeypatch):
+    # The Green pairing products are shared: adjoint forms f G_H and g G_K,
+    # two products; closure then pairs them with T*'s halves, two more.
+    t = _fresh_restriction()
+    counts = _counted_products(monkeypatch)
+    adjoint(t)
+    assert counts["__matmul__"] == 2
+    before = dict(counts)
+    assert closure(t) is t
+    assert counts == {"__matmul__": before["__matmul__"], "mul_t": before["mul_t"] + 2}
+
+
+def test_the_form_matrix_after_is_symmetric_is_a_block_of_the_pairing(monkeypatch):
+    s = _fresh_restriction()
+    assert is_symmetric(s)
+    counts = _counted_products(monkeypatch)
+    dom, form = form_matrix_on_domain(s)
+    assert counts == {"__matmul__": 0, "mul_t": 0}
+    # The same Mat as the product it replaced: (phi_i', phi_j) over dom S.
+    monkeypatch.undo()
+    assert form == (lifts(s, dom.basis) @ s.src.gram).mul_t(dom.basis)
 
 
 def _symmetric_by_definition(t):

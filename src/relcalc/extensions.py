@@ -59,6 +59,7 @@ from .spaces import (
     contains,
     gram_on,
     intersect,
+    row_outside,
     zero_subspace,
 )
 
@@ -101,8 +102,7 @@ def agree(what: str, names: tuple[str, ...], *values):
         where, (a, b) = "", [getattr(v, "graph", v) for v in list(groups)[:2]]
         if isinstance(a, Subspace) and a.space == b.space and a != b:
             i, x, y = (2, b, a) if contains(b, a) else (1, a, b)
-            r = next(r for r in range(x.dim) if echelon_coords(y.basis, x.basis.take([r])) is None)
-            where = f"; row in group {i}, not in group {3 - i}: {vector_witness(x.basis.row(r))}"
+            where = f"; row in group {i}, not in group {3 - i}: {vector_witness(row_outside(x, y))}"
         raise CrossCheckError(f"{what} disagree: " + " | ".join(", ".join(g) for g in groups.values()) + where)
     return values[0]
 
@@ -213,9 +213,7 @@ def order_leq(h: LinearRelation, k: LinearRelation) -> OrderResult:
     th = form_of_relation(h)
     tk = form_of_relation(k)
     if not contains(th.domain, tk.domain):
-        basis = tk.domain.basis
-        missing = next(i for i in range(basis.rows) if echelon_coords(th.domain.basis, basis.take([i])) is None)
-        return OrderResult(False, basis.row(missing))
+        return OrderResult(False, row_outside(tk.domain, th.domain))
     res = certify_lower_bound(QuadraticForm(tk.space, tk.domain, tk.matrix - th.restrict(tk.domain).matrix), 0)
     return OrderResult(res.ok, res.witness)
 

@@ -136,11 +136,15 @@ _shifted_matrix_body = shifted_matrix.__wrapped__  # taken once, as ``spaces._rr
 
 @memo
 def form_of_relation(s: LinearRelation) -> QuadraticForm:
-    """t(S)[phi, psi] = (phi', psi) on dom S, phi' any graph lift of phi."""
+    """t(S)[phi, psi] = (phi', psi) on dom S, phi' any graph lift of phi:
+    the leading k x k block of the ``pairing``, k = dim dom S, since dom's
+    basis and its lifts are the halves of the first k graph rows.  Lifts
+    differ by mul S, inside mul S* = (dom S)-perp, so t(S) is well defined."""
     if not is_symmetric(s):
         raise PreconditionError("the form of a relation requires a symmetric relation")
-    dom, m = form_matrix_on_domain(s)
-    return QuadraticForm(s.src, dom, m)
+    dom = parts(s).dom
+    k = range(dom.dim)
+    return QuadraticForm(s.src, dom, s.pairing.take(k, k))
 
 
 @memo
@@ -155,31 +159,15 @@ def certify_lower_bound(t: QuadraticForm, c) -> PsdResult:
 
 
 @memo
-def form_matrix_on_domain(s: LinearRelation) -> tuple[Subspace, Mat]:
-    """Domain of s and the matrix (phi_i', phi_j) in its canonical basis,
-    the matrix of ``form_of_relation`` and of ``is_nonneg_above``.
-
-    Precondition, not checked here: mul s is orthogonal to dom s, so the
-    value is independent of the chosen graph lifts; that independence is
-    what makes the quadratic form of a relation well defined.  A symmetric
-    s meets it (mul S inside mul S* = (dom S)-perp); ``is_nonneg_above``
-    tests it with a witness before calling.
-    """
-    dom = parts(s).dom
-    # dom's basis and its lifts are the halves of the first dom.dim graph rows.
-    k = range(dom.dim)
-    return dom, s.pairing.take(k, k)
-
-
-@memo
 def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> PsdResult:
     """Decide (phi', phi) >= c (phi, phi) over the whole graph of s.
 
     On failure the witness is an explicit graph element {phi, phi'} with
     (phi', phi) < c (phi, phi).  When mul s is orthogonal to dom s the
-    pairing is that of the symmetric part of ``form_matrix_on_domain(s)``,
-    and ``certify_lower_bound`` decides it and gives phi; for a symmetric
-    s that form equals ``form_of_relation(s)``, so both share one decision.
+    pairing is that of the symmetric part of the leading k x k block of
+    the ``pairing``, k = dim dom s, and ``certify_lower_bound`` decides it
+    and gives phi; for a symmetric s that block is the matrix of
+    ``form_of_relation(s)``, so both share one decision.
     """
     if s.src != s.dst:
         raise PreconditionError("semiboundedness requires equal source and target spaces")
@@ -192,8 +180,8 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> PsdResult:
         i, j = next((i, j) for i in range(cross.rows) for j in range(cross.cols) if cross[i, j] != 0)
         t = -(s.pairing[j, j] - c * s.wf.take([j]).mul_t(f.take([j]))[0, 0] + 1) / cross[i, j]
         return PsdResult(None, (f.row(j), (g.take([j]) + g.take([k + i]).scale(t)).row(0)))
-    dom, form = form_matrix_on_domain(s)
-    res = certify_lower_bound(QuadraticForm(s.src, dom, (form + form.T).scale(Fraction(1, 2))), c)
+    form = s.pairing.take(range(k), range(k))
+    res = certify_lower_bound(QuadraticForm(s.src, parts(s).dom, (form + form.T).scale(Fraction(1, 2))), c)
     if res.ok:
         return res
     return PsdResult(None, (res.witness, lifts(s, mat([res.witness])).row(0)))

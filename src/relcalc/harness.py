@@ -5,11 +5,14 @@ restricting a random selfadjoint semibounded relation (operator part plus
 purely multivalued part on its orthogonal complement) to a random graph
 subspace, together with a certified rational lower bound.
 
-The suite is a registry of top-level checks, each registered in order by
-`@check("name")` and taking one frozen `_Instance`: the relation, the base
-point, the seed and the objects every check shares (S*, t(S), and the
-graphs of both representing maps and of their companions), built once per
-instance.  `REQUIRED_CHECKS` is the registry's list of names.
+The suite is a registry of checks, run in registration order, each taking
+one frozen `_Instance`: the relation, the base point, the seed and the
+objects every check shares (S*, t(S), and the graphs of both representing
+maps and of their companions), built once per instance.  A check that
+compares something is a function registered by `@check("name")`; one whose
+property a construction asserts is declared by `asserted("name", build)`,
+with `build` the call, or the shared object, that asserts it.
+`REQUIRED_CHECKS` is the registry's list of names.
 `verify_all` builds the instance and runs every check in exact
 arithmetic.  A failed check carries a sentence, followed by the serialized
 relation or vector at fault where the check has one; a check that raises
@@ -22,6 +25,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .errors import CrossCheckError
@@ -324,6 +328,17 @@ def check(name: str) -> Callable[[CheckFn], CheckFn]:
     return register
 
 
+def asserted(name: str, build: Callable[[_Instance], object]) -> None:
+    """Register under `name` a check that compares nothing itself: `build`
+    reads or runs the construction that asserts the property, so the check
+    holds when `build` returns and fails with what it raises."""
+
+    def holds(x: _Instance) -> None:
+        build(x)
+
+    check(name)(holds)
+
+
 def _first_disagreement(x: _Instance, sub: Subspace, expected: Subspace, pointwise, salt: int) -> Vec | None:
     """The first of ten sampled vectors on which pointwise(s, c, v) differs
     from membership in expected; the first five are drawn from sub when it
@@ -389,28 +404,14 @@ def _shift_roundtrip(x: _Instance) -> str | None:
     return None if shift(shift(x.s, x.c), -x.c) == x.s else relation_witness(x.s)
 
 
-@check("closure-degenerate")
-def _closure_degenerate(x: _Instance) -> str | None:
-    """closure(S) = S: ``closure`` asserts S** = S and returns S itself."""
-    closure(x.s)
-    return None
-
-
-@check("repmap-certificate-ldl")
-def _certificate_ldl(x: _Instance) -> str | None:
-    """Q G_Q Q^T = M - cG for the LDL^T map: the ``RepresentingMap`` constructor asserts it inside ``repmap_ldl``."""
-
-
-@check("repmap-certificate-quotient")
-def _certificate_quotient(x: _Instance) -> str | None:
-    """Q G_Q Q^T = M - cG for the quotient map, and Q fills its codomain:
-    the ``RepresentingMap`` constructor and ``repmap_quotient`` assert them."""
-
-
-@check("dual-pair")
-def _dual_pair(x: _Instance) -> str | None:
-    """Q_c in J_c* and J_c in Q_c* for both maps: ``companion`` asserts them
-    when it builds J_c."""
+# closure(S) = S: ``closure`` asserts S** = S and returns S itself.
+asserted("closure-degenerate", lambda x: closure(x.s))
+# Q G_Q Q^T = M - cG for the LDL^T map: the ``RepresentingMap`` constructor asserts it inside ``repmap_ldl``.
+asserted("repmap-certificate-ldl", attrgetter("qrel"))
+# Q G_Q Q^T = M - cG for the quotient map, and Q fills its codomain: ``RepresentingMap`` and ``repmap_quotient`` assert them.
+asserted("repmap-certificate-quotient", attrgetter("qrel2"))
+# Q_c in J_c* and J_c in Q_c* for both maps: ``companion`` asserts them when it builds J_c.
+asserted("dual-pair", attrgetter("j_ldl", "j_quot"))
 
 
 @check("repmap-independence-kkt")
@@ -522,12 +523,8 @@ def _krein_quadruple(x: _Instance) -> str | None:
     return None
 
 
-@check("weak-equals-full")
-def _weak_equals_full(x: _Instance) -> str | None:
-    """S_f = S_F and S_k,c = S_K,c: routes multivalued-graph-sum of ``friedrichs`` and eigenspace-graph-sum of ``krein``."""
-    weak_friedrichs(x.s, x.c)
-    weak_krein(x.s, x.c)
-    return None
+# S_f = S_F and S_k,c = S_K,c: routes multivalued-graph-sum of ``friedrichs`` and eigenspace-graph-sum of ``krein``.
+asserted("weak-equals-full", lambda x: (weak_friedrichs(x.s, x.c), weak_krein(x.s, x.c)))
 
 
 @check("friedrichs-translation")
@@ -536,11 +533,8 @@ def _friedrichs_translation(x: _Instance) -> str | None:
     return None if lhs == shift(friedrichs(x.s, x.c), -x.c) else "(S-c)_F != S_F - c"
 
 
-@check("codding-identity")
-def _codding(x: _Instance) -> str | None:
-    """S_K,c = c + (((S - c)^{-1})_F)^{-1}: the inverse-duality route of ``krein``."""
-    krein(x.s, x.c)
-    return None
+# S_K,c = c + (((S - c)^{-1})_F)^{-1}: the inverse-duality route of ``krein``.
+asserted("codding-identity", lambda x: krein(x.s, x.c))
 
 
 @check("mul-extensions")
@@ -615,18 +609,10 @@ def _order_interval(x: _Instance) -> str | None:
     return None
 
 
-@check("krein-operator-criterion")
-def _krein_operator(x: _Instance) -> str | None:
-    """``krein_is_operator`` asserts its criterion ran(S - c) cap mul S* = {0} against mul S_K,c."""
-    krein_is_operator(x.s, x.c)
-    return None
-
-
-@check("relations-of-form")
-def _relations_of_form(x: _Instance) -> str | None:
-    """c + Q*Q = c + Q*Q** (``relations_of_form``), the repmap-product route of ``friedrichs``."""
-    relations_of_form(x.qrel, x.c)
-    return None
+# ``krein_is_operator`` asserts its criterion ran(S - c) cap mul S* = {0} against mul S_K,c.
+asserted("krein-operator-criterion", lambda x: krein_is_operator(x.s, x.c))
+# c + Q*Q = c + Q*Q** (``relations_of_form``), the repmap-product route of ``friedrichs``.
+asserted("relations-of-form", lambda x: relations_of_form(x.qrel, x.c))
 
 
 @check("orthogonal-domain-range-special")

@@ -67,7 +67,7 @@ called positionally everywhere, so a call has one spelling and one cache
 entry (``lru_cache`` would key ``f(a, b)`` and ``f(a, b=b)`` apart); a
 test walks the package's syntax tree to keep it so.  Memoized are the
 eliminations here, the subspace and relation operations with ``contains``,
-the forms with ``form_matrix_on_domain``, ``is_nonneg_above``, their
+the forms with ``is_nonneg_above``, their
 shifted matrices M - cG (``shifted_matrix``) and restrictions
 (``restrict_form``), the representing maps, and the extensions with
 ``order_leq``, ``extremal_check`` and ``extremal_from_domain``: inside one

@@ -328,8 +328,9 @@ def is_selfadjoint(s: LinearRelation) -> bool:
 
 
 def numerical_range_zero(s: LinearRelation) -> bool:
-    """W(S) = {0}, equivalently dom S orthogonal to ran S."""
+    """W(S) = {0}, equivalently dom S orthogonal to ran S: the ``pairing``
+    is zero, since P[i][j] = (g_i, f_j), the f_j span dom S and the g_i
+    span ran S."""
     if s.src != s.dst:
         raise PreconditionError("numerical range requires equal source and target spaces")
-    p = parts(s)
-    return (p.dom.basis @ s.src.gram).mul_t(p.ran.basis).is_zero()
+    return s.pairing.is_zero()

@@ -7,7 +7,8 @@ equality.  Each canonical subspace comes from one elimination: ``rref``
 for a span or a sum, ``linalg.kernel`` for a complement, and
 ``linalg.zassenhaus`` on the stored basis rows for an intersection;
 membership (``contains``, or ``echelon_coords`` of the rows of a ``Mat``
-for vectors) reads coordinates off the echelon rows and runs none.
+for vectors, and ``row_outside``, the first basis row that another
+subspace lacks) reads coordinates off the echelon rows and runs none.
 Orthogonal complements and projections always go through the ambient
 Gram matrix: representing-map codomains carry weighted inner products,
 and the weighted pairing is what keeps every construction rational.
@@ -32,6 +33,7 @@ from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
     Value,
+    Vec,
     block_diag,
     echelon_coords,
     identity,
@@ -188,6 +190,12 @@ def contains(w: Subspace, v: Subspace) -> bool:
     """True when v is a subspace of w, read off the echelon rows of w."""
     _check_same_ambient(v, w)
     return echelon_coords(w.basis, v.basis) is not None
+
+
+def row_outside(v: Subspace, w: Subspace) -> Vec:
+    """The first echelon basis row of v that w lacks; v must not lie in w."""
+    b = v.basis
+    return next(b.row(r) for r in range(b.rows) if echelon_coords(w.basis, b.take([r])) is None)
 
 
 def projections(xs: Mat, w: Subspace) -> Mat:

@@ -1,12 +1,25 @@
-"""Fixture builders the tests share: relations and subspaces given whole,
-which no construction of the library needs, and the free-variable null
-space, a reference the library no longer builds."""
+"""Fixture builders the tests share: the paper-style examples E1 and E2,
+relations and subspaces given whole, which no construction of the library
+needs, and the free-variable null space, a reference the library no longer
+builds."""
 
 from fractions import Fraction
 
-from relcalc.linalg import Mat, identity, mat, rref, zeros
+from relcalc.linalg import Mat, identity, mat, rref, vec, zeros
 from relcalc.relations import LinearRelation, graph_relation, relation_from_pairs
-from relcalc.spaces import InnerProductSpace, Subspace, span_mat
+from relcalc.spaces import InnerProductSpace, Subspace, span_mat, standard_space
+
+_Q2, _Q3 = standard_space(2), standard_space(3)
+
+
+def e1() -> LinearRelation:
+    """E1: the graph spanned by {(1, 1), (1, 3)} in the plane."""
+    return relation_from_pairs(_Q2, _Q2, [(vec([1, 1]), vec([1, 3]))])
+
+
+def e2() -> LinearRelation:
+    """E2: e1 -> e2 with domain span{e1} in Q^3, so dom S and ran S are orthogonal."""
+    return relation_from_pairs(_Q3, _Q3, [(vec([1, 0, 0]), vec([0, 1, 0]))])
 
 
 def full_subspace(space: InnerProductSpace) -> Subspace:

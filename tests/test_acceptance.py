@@ -66,7 +66,7 @@ from relcalc.spaces import (
     standard_space,
 )
 
-from relation_builders import operator_relation
+from relation_builders import e1, e2, operator_relation
 from vectors import combination, form_value, member
 
 Q1 = standard_space(1)
@@ -101,14 +101,6 @@ def corpus():
         s, c = random_semibounded(sp)
         out.append((sp, s, c))
     return out
-
-
-def e1():
-    return relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
-
-
-def e2():
-    return relation_from_pairs(Q3, Q3, [(vec([1, 0, 0]), vec([0, 1, 0]))])
 
 
 @criterion(1, "adjoint calculus, 200 random relations under 10 s")

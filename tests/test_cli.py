@@ -23,21 +23,20 @@ from relcalc.relations import graph_relation, relation_from_pairs
 from relcalc.serialize import canonical_dumps, read_relation, relation_to_json, write_relation
 from relcalc.spaces import standard_space
 
+from relation_builders import e1, e2
+
 Q2 = standard_space(2)
 
 
 def e1_path(tmp_path):
-    rel = relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
     path = tmp_path / "e1.json"
-    write_relation(str(path), rel)
+    write_relation(str(path), e1())
     return str(path)
 
 
 def e2_path(tmp_path):
-    q3 = standard_space(3)
-    rel = relation_from_pairs(q3, q3, [(vec([1, 0, 0]), vec([0, 1, 0]))])
     path = tmp_path / "e2.json"
-    write_relation(str(path), rel)
+    write_relation(str(path), e2())
     return str(path)
 
 
@@ -98,7 +97,7 @@ def test_extend_krein_e1(tmp_path, capsys):
     got = read_relation(str(out))
     from relcalc.extensions import krein
 
-    s = relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
+    s = e1()
     assert got == krein(s, 0)
 
 
@@ -124,7 +123,7 @@ def test_extend_krein_fails_when_only_the_operator_part_route_moves(tmp_path, ca
 def test_extend_weak_krein_fails_with_krein_when_its_companion_route_moves(tmp_path, capsys, monkeypatch):
     # Doubling closure(J_c) moves c + J_c** J_c* alone; weak-krein returns
     # krein's extension, so it fails with krein's message, naming the route.
-    s = relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
+    s = e1()
     j = forms.companion(s, forms.repmap_ldl(forms.form_of_relation(s), 0))
     real = extensions.closure
 
@@ -563,6 +562,29 @@ def test_only_agree_says_that_routes_disagree():
     # "... disagree" would name none of them.
     found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, {"CrossCheckError"}, _says_disagree)}
     assert found == {("extensions.py", "agree")}
+
+
+def _returns_a_value(fn) -> bool:
+    """Whether some ``return`` in ``fn`` gives something other than None."""
+    return any(
+        isinstance(node, ast.Return) and node.value is not None and not (isinstance(node.value, ast.Constant) and node.value.value is None)
+        for node in ast.walk(fn)
+    )
+
+
+def test_a_check_that_compares_nothing_is_declared():
+    # harness.asserted declares a check whose construction asserts its
+    # property; a check written as a @check function must be able to return
+    # a witness, so a body that only calls a construction cannot pass as one.
+    tree = dict(_package_modules())["harness.py"]
+    written = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(isinstance(d, ast.Call) and ast.unparse(d.func) == "check" for d in node.decorator_list)
+    ]
+    declared = [node for node in tree.body if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "asserted"]
+    assert [fn.name for fn in written if not _returns_a_value(fn)] == []
+    assert len(written) + len(declared) == len(harness.REQUIRED_CHECKS)
 
 
 def _form_shifts(tree):

@@ -66,21 +66,13 @@ from relcalc.spaces import (
     zero_subspace,
 )
 
-from relation_builders import full_subspace, operator_relation, scale
+from relation_builders import e1, e2, full_subspace, operator_relation, scale
 from vectors import form_value, graph_pairs, inner, rows
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
 Q3 = standard_space(3)
 Q4 = standard_space(4)
-
-
-def e1():
-    return relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
-
-
-def e2():
-    return relation_from_pairs(Q3, Q3, [(vec([1, 0, 0]), vec([0, 1, 0]))])
 
 
 def dim4_fixture():
@@ -583,7 +575,6 @@ def test_a_moved_route_is_named_alone(route, monkeypatch):
         run()
     groups = _assert_row_separates(str(err.value), compared[-1])
     assert len(groups) == 2 and [route] in groups
-    clear_memos()
 
 
 def test_a_failing_agree_gives_a_row_of_one_group_only(monkeypatch):
@@ -646,7 +637,6 @@ def test_a_broken_post_condition_raises(message, monkeypatch):
     with pytest.raises(CrossCheckError) as err:
         build(e1(), 0)
     assert str(err.value) == message
-    clear_memos()
 
 
 def test_repeated_predicates_replay_without_elimination(monkeypatch):
@@ -685,7 +675,6 @@ def test_selfadjointness_of_the_friedrichs_extension_eliminates_nothing(monkeypa
     during = len(rows)
     assert is_selfadjoint(f)
     assert len(rows) == during
-    clear_memos()
 
 
 # The first 40 instances of `relcalc check --count 200 --seed 0`, each

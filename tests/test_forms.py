@@ -36,20 +36,12 @@ from relcalc.relations import (
 )
 from relcalc.spaces import InnerProductSpace, span, standard_space, zero_subspace
 
-from relation_builders import full_subspace, operator_relation
+from relation_builders import e1, e2, full_subspace, operator_relation
 from vectors import form_value, inner, member
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
 Q3 = standard_space(3)
-
-
-def e1():
-    return relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
-
-
-def e2():
-    return relation_from_pairs(Q3, Q3, [(vec([1, 0, 0]), vec([0, 1, 0]))])
 
 
 def test_form_of_e1():

@@ -37,20 +37,15 @@ from relcalc.relations import (
     numerical_range_zero,
     parts,
     product_relation,
-    relation_from_pairs,
 )
 from relcalc.serialize import parse_relation, vector_witness, write_relation
 from relcalc.spaces import standard_space, zero_subspace
 
-from relation_builders import full_subspace, operator_relation, scale
+from relation_builders import e1, e2, full_subspace, operator_relation, scale
 from vectors import combination, member
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
-
-
-def e1():
-    return relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
 
 
 def dim4_fixture():
@@ -100,11 +95,9 @@ def test_verify_all_e1_passes():
 
 
 def test_verify_all_e2_passes_including_orthogonal_special():
-    e2 = relation_from_pairs(
-        standard_space(3), standard_space(3), [(vec([1, 0, 0]), vec([0, 1, 0]))]
-    )
-    assert numerical_range_zero(e2)
-    results = verify_all(e2, 0, seed=4)
+    s = e2()
+    assert numerical_range_zero(s)
+    results = verify_all(s, 0, seed=4)
     assert all(r.passed for r in results)
 
 
@@ -316,6 +309,40 @@ def test_a_preamble_failure_fails_only_its_instance(monkeypatch, capsys):
     assert out[-1] == "3/4 instances, 1 failures"
 
 
+def _injected(*args):
+    raise CrossCheckError("injected")
+
+
+@pytest.mark.parametrize(
+    ("construction", "name"),
+    [
+        ("closure", "closure-degenerate"),
+        ("weak_friedrichs", "weak-equals-full"),
+        ("weak_krein", "weak-equals-full"),
+        ("krein", "codding-identity"),
+        ("krein_is_operator", "krein-operator-criterion"),
+        ("relations_of_form", "relations-of-form"),
+    ],
+)
+def test_a_declared_check_fails_with_what_its_construction_raises(construction, name, monkeypatch):
+    # A declared check compares nothing itself: it fails exactly when the
+    # construction it names raises, with that exception as its witness.
+    assert next(r for r in verify_all(e1(), 0) if r.name == name).passed
+    monkeypatch.setattr(harness, construction, _injected)
+    result = next(r for r in verify_all(e1(), 0) if r.name == name)
+    assert result == harness.CheckResult(name, False, "CrossCheckError: injected")
+
+
+@pytest.mark.parametrize("construction", ["repmap_ldl", "repmap_quotient", "companion"])
+def test_a_raising_shared_object_fails_the_declared_preamble_checks_as_one(construction, monkeypatch):
+    # repmap-certificate-ldl, repmap-certificate-quotient and dual-pair name
+    # the shared objects qrel, qrel2 and j_ldl, j_quot: when building one
+    # raises, the instance has the single entry "preamble".
+    spec = InstanceSpec(dim=3, seed=5, mul_dim=1, restrict_dim=2)
+    monkeypatch.setattr(harness, construction, _injected)
+    assert run_one(spec).checks == (harness.CheckResult("preamble", False, "CrossCheckError: injected"),)
+
+
 def test_a_generator_failure_is_reported_without_c(monkeypatch):
     def broken(spec):
         raise CrossCheckError("planted")
@@ -409,7 +436,6 @@ def test_order_failures_carry_the_order_witness(monkeypatch):
 def test_representing_map_failures_name_the_map():
     # mul-companion-intersection checks the LDL and the quotient map in
     # turn; a failure says which of the two is at fault.
-    clear_memos()
     x = harness._Instance.build(e1(), 0, 0)
     mul_companion = dict(harness.REGISTRY)["mul-companion-intersection"]
     assert mul_companion(x) is None

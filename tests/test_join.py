@@ -34,7 +34,6 @@ import relcalc.relations as relations
 from relcalc.forms import (
     QuadraticForm,
     companion,
-    form_matrix_on_domain,
     form_of_relation,
     repmap_ldl,
     repmap_quotient,
@@ -561,8 +560,10 @@ def test_echelon_constructors_equal_their_eliminated_definitions(data):
     e = data.draw(multivalued_relation(space, space, extra=[(h, scaled(c, h))]))
     ev = eigenspace(e, c).basis
     assert eigen_relation(e, c) == graph_relation(space, space, ev, ev.scale(c))
-    dom, form = form_matrix_on_domain(e)
-    assert form == (lifts(e, dom.basis) @ space.gram).mul_t(dom.basis)
+    # The leading dim dom E block of the pairing, from which ``form_of_relation``
+    # and ``is_nonneg_above`` take the form matrix, on a non-symmetric E.
+    dom = parts(e).dom
+    assert e.pairing.take(range(dom.dim), range(dom.dim)) == (lifts(e, dom.basis) @ space.gram).mul_t(dom.basis)
 
     # selfadjoint_from_form against its three eliminations: the graph of
     # M G^-1 on the domain, the product {0} x domain-perp and their sum.

@@ -3,7 +3,7 @@ definitions.
 
 ``lifts`` lifts every row at once; here it is compared with ``lifts`` of
 each row alone, and every pair {x, g} is checked to lie in the graph.
-``form_matrix_on_domain``, ``lebesgue_form`` and ``form_s_of`` are
+``form_of_relation``, ``lebesgue_form`` and ``form_s_of`` are
 compared with the entry-wise reference they replaced: a double loop of
 inner products over per-vector lifts.  Sources and targets
 have different dimensions and every Gram matrix is weighted, so a Gram or

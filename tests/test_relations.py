@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
-from relcalc.forms import form_matrix_on_domain, is_nonneg_above
+from relcalc.forms import form_of_relation, is_nonneg_above
 from relcalc.harness import InstanceSpec, random_semibounded, sample_selfadjoint_extensions
 from relcalc.linalg import Mat, clear_memos, hstack, identity, mat, rank, solve_mat, vec, vstack, zeros
 from relcalc.relations import (
@@ -37,28 +37,19 @@ from relcalc.spaces import (
     InnerProductSpace,
     complement,
     product_space,
+    projections,
     span,
     span_mat,
     standard_space,
     zero_subspace,
 )
 
-from relation_builders import full_subspace, identity_relation, operator_relation, scale, zero_relation
+from relation_builders import e1, e2, full_subspace, identity_relation, operator_relation, scale, zero_relation
 from vectors import inner
 
 Q1 = standard_space(1)
 Q2 = standard_space(2)
 Q3 = standard_space(3)
-
-
-def e1_relation() -> LinearRelation:
-    """Fixture E1: graph spanned by {(1,1), (1,3)} in the plane."""
-    return relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([1, 3]))])
-
-
-def e2_relation() -> LinearRelation:
-    """Fixture E2: e1 -> e2 with domain span{e1}; dom and ran orthogonal."""
-    return relation_from_pairs(Q3, Q3, [(vec([1, 0, 0]), vec([0, 1, 0]))])
 
 
 def test_parts_zero_operator():
@@ -71,7 +62,7 @@ def test_parts_zero_operator():
 
 
 def test_parts_e1():
-    p = parts(e1_relation())
+    p = parts(e1())
     assert p.dom == span(Q2, [vec([1, 1])])
     assert p.ran == span(Q2, [vec([1, 3])])
     assert p.ker == zero_subspace(Q2)
@@ -92,7 +83,7 @@ def test_adjoint_zero_operator_selfadjoint():
 
 
 def test_adjoint_e1():
-    s = e1_relation()
+    s = e1()
     st_ = adjoint(s)
     # One pairing condition: h1 + 3 h2 = k1 + k2, a 3-dimensional graph.
     assert st_.graph.dim == 3
@@ -111,24 +102,24 @@ def test_inverse_identity():
 
 
 def test_inverse_e1_swaps_components():
-    s = e1_relation()
+    s = e1()
     assert inverse(s) == relation_from_pairs(Q2, Q2, [(vec([1, 3]), vec([1, 1]))])
 
 
 def test_shift_e1():
-    s = e1_relation()
+    s = e1()
     shifted = shift(s, -2)
     assert shifted == relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([-1, 1]))])
     assert shift(shifted, 2) == s
 
 
 def test_scale():
-    s = e1_relation()
+    s = e1()
     assert scale(s, 2) == relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([2, 6]))])
 
 
 def test_compose_with_identity():
-    s = e1_relation()
+    s = e1()
     assert compose(identity_relation(Q2), s) == s
     assert compose(s, identity_relation(Q2)) == s
 
@@ -143,7 +134,7 @@ def test_compose_multivalued_passthrough():
 
 
 def test_regular_singular_split_operator():
-    s = e1_relation()
+    s = e1()
     assert regular_part(s) == s
     sing = singular_part(s)
     assert sing == relation_from_pairs(Q2, Q2, [(vec([1, 1]), vec([0, 0]))])
@@ -165,7 +156,7 @@ def test_regular_part_purely_multivalued():
 
 
 def test_predicates_e1():
-    s = e1_relation()
+    s = e1()
     assert is_symmetric(s)
     assert not is_selfadjoint(s)
     assert is_nonneg_above(s, 2).ok
@@ -224,8 +215,8 @@ def test_nonneg_above_decides_a_nonsymmetric_operator_by_its_symmetric_part(matr
 
 
 def test_numerical_range_zero():
-    assert numerical_range_zero(e2_relation())
-    assert not numerical_range_zero(e1_relation())
+    assert numerical_range_zero(e2())
+    assert not numerical_range_zero(e1())
     assert numerical_range_zero(operator_relation(Q2, Q2, mat([[0, 0], [0, 0]])))
 
 
@@ -294,7 +285,7 @@ def test_adjoint_involution_and_duality(t):
 def test_closure_mismatch_is_a_cross_check_error(monkeypatch):
     monkeypatch.setattr(relations, "adjoint", lambda t: zero_relation(t.dst, t.src))
     with pytest.raises(CrossCheckError):
-        closure(e1_relation())
+        closure(e1())
 
 
 CLOSURE_FAILS = "T** differs from T: the closure is not the identity"
@@ -306,7 +297,6 @@ def test_closure_catches_a_pairing_with_the_wrong_sign(monkeypatch):
     # so a recomputed T** would pass; the products against the true
     # pairing do not.  The patch negates the combination, not the shared
     # weighted halves, so s may be built before it.
-    clear_memos()
     s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
     true_star = adjoint(s)
     real = relations.pairing_null_space
@@ -317,24 +307,20 @@ def test_closure_catches_a_pairing_with_the_wrong_sign(monkeypatch):
     with pytest.raises(CrossCheckError) as err:
         closure(s)
     assert str(err.value) == CLOSURE_FAILS
-    clear_memos()
 
 
 def test_closure_catches_an_adjoint_one_row_short(monkeypatch):
     # A subset of T* still pairs to zero with T, so only the count of
     # dim T + dim T* against dim H + dim K can fail here.
-    clear_memos()
     s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
     star = adjoint(s).graph.basis
     monkeypatch.setattr(relations, "adjoint", lambda t: echelon_relation(t.dst, t.src, star.take(range(star.rows - 1))))
     with pytest.raises(CrossCheckError) as err:
         closure(s)
     assert str(err.value) == CLOSURE_FAILS
-    clear_memos()
 
 
 def test_closure_after_the_adjoint_eliminates_nothing(monkeypatch):
-    clear_memos()
     s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, restrict_dim=2))
     adjoint(s)
     calls = []
@@ -342,7 +328,6 @@ def test_closure_after_the_adjoint_eliminates_nothing(monkeypatch):
     monkeypatch.setattr(relations, "pairing_null_space", lambda *args: calls.append(None) or real(*args))
     assert closure(s) is s
     assert calls == []
-    clear_memos()
 
 
 def _counted_products(monkeypatch):
@@ -378,11 +363,11 @@ def test_the_form_matrix_after_is_symmetric_is_a_block_of_the_pairing(monkeypatc
     s = _fresh_restriction()
     assert is_symmetric(s)
     counts = _counted_products(monkeypatch)
-    dom, form = form_matrix_on_domain(s)
+    t = form_of_relation(s)
     assert counts == {"__matmul__": 0, "mul_t": 0}
     # The same Mat as the product it replaced: (phi_i', phi_j) over dom S.
     monkeypatch.undo()
-    assert form == (lifts(s, dom.basis) @ s.src.gram).mul_t(dom.basis)
+    assert t.matrix == (lifts(s, t.domain.basis) @ s.src.gram).mul_t(t.domain.basis)
 
 
 def _symmetric_by_definition(t):
@@ -405,8 +390,8 @@ def _predicate_cases():
     yield "purely multivalued", relation_from_pairs(Q2, Q2, [(vec([0, 0]), vec([1, 0]))])
     yield "all of {0} x H", product_relation(zero_subspace(q), full_subspace(q))
     yield "the zero graph", zero_relation(q, q)
-    yield "symmetric, not maximal", e1_relation()
-    yield "e1 perturbed", _perturbed(e1_relation())
+    yield "symmetric, not maximal", e1()
+    yield "e1 perturbed", _perturbed(e1())
     for seed, (dim, mul, restrict) in enumerate([(3, 0, 1), (4, 1, 2), (4, 0, 3), (5, 1, 2)]):
         s, _ = random_semibounded(InstanceSpec(dim=dim, seed=seed, mul_dim=mul, restrict_dim=restrict))
         yield f"restriction {seed}", s
@@ -418,7 +403,6 @@ def _predicate_cases():
 
 
 def test_predicates_equal_their_adjoint_definitions():
-    clear_memos()
     seen = set()
     for name, t in _predicate_cases():
         sym, sa = is_symmetric(t), is_selfadjoint(t)
@@ -426,7 +410,6 @@ def test_predicates_equal_their_adjoint_definitions():
         seen.add((sym, sa))
     # Every verdict occurs: not symmetric, symmetric only, selfadjoint.
     assert seen == {(False, False), (True, False), (True, True)}
-    clear_memos()
 
 
 @st.composite
@@ -459,6 +442,23 @@ def endorelations(draw):
 def test_predicates_equal_their_adjoint_definitions_on_random_graphs(t):
     assert is_symmetric(t) == _symmetric_by_definition(t)
     assert is_selfadjoint(t) == _selfadjoint_by_definition(t)
+
+
+@given(endorelations(), st.sampled_from(["as drawn", "every row", "dom rows"]))
+@settings(max_examples=80, deadline=None)
+def test_numerical_range_zero_equals_dom_against_ran(t, moved):
+    # W(T) = {0} reads the pairing (g_i, f_j) of the graph rows; the
+    # definition pairs the bases of dom T and ran T.  Projecting the second
+    # halves of every graph row onto (dom T)-perp makes W(T) = {0}; projecting
+    # only those of the rows over dom T leaves the rows {0, m} of mul T.
+    if moved != "as drawn":
+        firsts, seconds = t.halves
+        k = parts(t).dom.dim if moved == "dom rows" else seconds.rows
+        head, kept = seconds.take(range(k)), seconds.take(range(k, seconds.rows))
+        t = graph_relation(t.src, t.dst, firsts, vstack(projections(head, complement(parts(t).dom)), kept))
+    p = parts(t)
+    assert numerical_range_zero(t) == (p.dom.basis @ t.src.gram).mul_t(p.ran.basis).is_zero()
+    assert numerical_range_zero(t) or moved != "every row"
 
 
 @given(random_relation())

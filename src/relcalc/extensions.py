@@ -86,7 +86,7 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
 ROUTES = {
     "friedrichs": ("repmap-product", "adjoint-domain-membership", "multivalued-graph-sum"),
     "weak-friedrichs": ("multivalued-graph-sum", "equals-friedrichs"),
-    "krein": ("companion-product", "operator-part-product", "eigenspace-graph-sum", "inverse-duality", "closure-graph-sum"),
+    "krein": ("companion-product", "operator-part-product", "eigenspace-graph-sum", "inverse-duality"),
     "weak-krein": ("eigenspace-graph-sum", "companion-product", "equals-krein"),
 }
 
@@ -111,7 +111,8 @@ def agree(what: str, names: tuple[str, ...], *values):
 def friedrichs(s: LinearRelation, c) -> LinearRelation:
     """Friedrichs extension, cross-checked three ways, named in ``ROUTES``.
 
-    (1) repmap-product: c + Q_c* Q_c**, Q_c the LDL^T map of t(S) - c;
+    (1) repmap-product: c + Q_c* Q_c** (``relations_of_form``), Q_c the
+        LDL^T map of t(S) - c;
     (2) adjoint-domain-membership: the elements {f, g} of S* with f in dom S;
     (3) multivalued-graph-sum: the graph sum S +| ({0} x mul S*).
 
@@ -120,9 +121,7 @@ def friedrichs(s: LinearRelation, c) -> LinearRelation:
     from the quotient map, with it.
     """
     c = rat(c)
-    q = repmap_ldl(form_of_relation(s), c)
-    qrel = q.as_relation()
-    via_repmap = shift(compose(adjoint(qrel), closure(qrel)), c)
+    via_repmap = relations_of_form(repmap_ldl(form_of_relation(s), c).as_relation(), c)
 
     sstar = adjoint(s)
     via_adjoint = restrict_domain(sstar, parts(s).dom)
@@ -150,15 +149,13 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
 
 @memo
 def krein(s: LinearRelation, c) -> LinearRelation:
-    """Krein type extension at c, cross-checked five ways, named in ``ROUTES``.
+    """Krein type extension at c, cross-checked four ways, named in ``ROUTES``.
 
     (1) companion-product: c + J_c** J_c*, J_c the companion relation of
         the LDL^T representing map of t(S) - c;
-    (2) operator-part-product: c + ((J_c*)_reg)* (J_c*)_reg;
+    (2) operator-part-product: c + R* R** (``relations_of_form``), R = (J_c*)_reg;
     (3) eigenspace-graph-sum: S +| N_c(S*), with the eigen-relation at c;
-    (4) inverse-duality: c + (((S-c)^{-1})_F)^{-1};
-    (5) closure-graph-sum: closure(S) +| N_c(S*), the version stated for c
-        strictly below the bound, which at finite dimension coincides with (3).
+    (4) inverse-duality: c + (((S-c)^{-1})_F)^{-1}.
 
     The extension does not depend on the representing map: the check
     ``repmap-independence-extensions`` of the harness compares (1), (2)
@@ -168,18 +165,14 @@ def krein(s: LinearRelation, c) -> LinearRelation:
     j = companion(s, repmap_ldl(form_of_relation(s), c))
     via_companion = shift(compose(closure(j), adjoint(j)), c)
 
-    reg = regular_part(adjoint(j))
-    via_operator_part = shift(compose(adjoint(reg), closure(reg)), c)
+    via_operator_part = relations_of_form(regular_part(adjoint(j)), c)
 
-    nhat = eigen_relation(adjoint(s), c)
-    via_weak = hsum(s, nhat)
+    via_weak = hsum(s, eigen_relation(adjoint(s), c))
 
     inv = inverse(shift(s, -c))
     via_duality = shift(inverse(friedrichs(inv, 0)), c)
 
-    via_closure = hsum(closure(s), nhat)
-
-    routes = (via_companion, via_operator_part, via_weak, via_duality, via_closure)
+    routes = (via_companion, via_operator_part, via_weak, via_duality)
     out = agree("Krein type extension formulas", ROUTES["krein"], *routes)
     if not is_selfadjoint(out) or not out.is_extension_of(s):
         raise CrossCheckError("Krein type extension is not a selfadjoint extension")
@@ -302,8 +295,7 @@ def extremal_from_domain(s: LinearRelation, c, d: Subspace) -> LinearRelation:
     dom_jstar = parts(jstar).dom
     if not (contains(d, dom_s) and contains(dom_jstar, d)):
         raise PreconditionError("domain must sit between dom S and dom J_c*")
-    r = restrict_domain(reg, d)
-    out = shift(compose(adjoint(r), closure(r)), c)
+    out = relations_of_form(restrict_domain(reg, d), c)
     if not is_selfadjoint(out) or not out.is_extension_of(s):
         raise CrossCheckError("extremal construction did not produce a selfadjoint extension")
     if not extremal_check(out, s, c):
@@ -359,24 +351,21 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     return agree("Krein-equals-Friedrichs criteria", names, by_root_domain, by_graphs, by_sup)
 
 
-def relations_of_form(qrel: LinearRelation, c) -> tuple[LinearRelation, LinearRelation]:
-    """The symmetric relation c + Q*Q and the selfadjoint relation
-    c + Q*Q** induced by a (possibly multivalued) representing relation.
+def relations_of_form(q: LinearRelation, c) -> LinearRelation:
+    """The selfadjoint relation c + Q*Q** of the form that a (possibly
+    multivalued) representing relation Q induces.
 
-    At finite dimension the two coincide since Q is closed; for a singular
-    Q the explicit product formulas are verified exactly."""
-    c = rat(c)
-    qstar = adjoint(qrel)
-    s_t = shift(compose(qstar, qrel), c)
-    a_t = shift(compose(qstar, closure(qrel)), c)
-    agree("the relations of a form", ("symmetric-product", "selfadjoint-product"), s_t, a_t)
-    p = parts(qrel)
-    singular = contains(p.mul, p.ran)
-    if singular:
-        if shift(s_t, -c) != product_relation(p.ker, complement(p.dom)):
+    For a singular Q, ran Q in mul Q, the explicit product formulas
+    Q*Q = ker Q x (dom Q)-perp and Q_reg* Q_reg = dom Q x (dom Q)-perp are
+    verified exactly.  ran Q is the span of the second halves of Q's graph
+    rows, so Q is singular when they all lie in mul Q: no inverse of Q is
+    eliminated for a regular one."""
+    product = compose(adjoint(q), closure(q))
+    p = parts(q)
+    if echelon_coords(p.mul.basis, q.halves[1]) is not None:
+        if product != product_relation(p.ker, complement(p.dom)):
             raise CrossCheckError("singular product formula Q*Q = ker Q x (dom Q)-perp failed")
-        reg = regular_part(qrel)
-        s_r = compose(adjoint(reg), reg)
-        if s_r != product_relation(p.dom, complement(p.dom)):
+        reg = regular_part(q)
+        if compose(adjoint(reg), reg) != product_relation(p.dom, complement(p.dom)):
             raise CrossCheckError("regular-part product formula failed")
-    return s_t, a_t
+    return shift(product, rat(c))

@@ -555,14 +555,14 @@ def _order_krein_friedrichs(x: _Instance) -> str | None:
 def _independence_extensions(x: _Instance) -> str | None:
     """The map-dependent routes of `friedrichs` and `krein`, rebuilt from
     quotient maps, against the extensions built from the LDL^T map."""
-    if shift(compose(adjoint(x.qrel2), closure(x.qrel2)), x.c) != friedrichs(x.s, x.c):
+    if relations_of_form(x.qrel2, x.c) != friedrichs(x.s, x.c):
         return "Friedrichs depends on the representing map"
     reg = regular_part(adjoint(x.j_quot))
     qinv = repmap_quotient(inverse(shift(x.s, -x.c)), 0).as_relation()
     if not (
         shift(compose(closure(x.j_quot), adjoint(x.j_quot)), x.c)
-        == shift(compose(adjoint(reg), closure(reg)), x.c)
-        == shift(inverse(compose(adjoint(qinv), closure(qinv))), x.c)
+        == relations_of_form(reg, x.c)
+        == shift(inverse(relations_of_form(qinv, 0)), x.c)
         == krein(x.s, x.c)
     ):
         return "Krein depends on the representing map"
@@ -611,7 +611,7 @@ def _order_interval(x: _Instance) -> str | None:
 
 # ``krein_is_operator`` asserts its criterion ran(S - c) cap mul S* = {0} against mul S_K,c.
 asserted("krein-operator-criterion", lambda x: krein_is_operator(x.s, x.c))
-# c + Q*Q = c + Q*Q** (``relations_of_form``), the repmap-product route of ``friedrichs``.
+# c + Q*Q** (``relations_of_form``), the repmap-product route of ``friedrichs``; for a singular Q it asserts two product formulas.
 asserted("relations-of-form", lambda x: relations_of_form(x.qrel, x.c))
 
 

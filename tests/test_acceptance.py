@@ -335,8 +335,7 @@ def test_criterion_10_singular_representing_relations():
         p = parts(q)
         # relations_of_form verifies (SArel1) and (SArel2) internally for
         # singular inputs; repeat the product identities explicitly.
-        s_t, a_t = relations_of_form(q, 0)
-        assert s_t == a_t
+        s_t = relations_of_form(q, 0)
         assert s_t == product_relation(p.ker, complement(p.dom))
         reg = compose(adjoint(regular_part(q)), regular_part(q))
         assert reg == product_relation(p.dom, complement(p.dom))

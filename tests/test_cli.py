@@ -20,7 +20,7 @@ from relcalc.cli import EXTEND_KINDS, main
 from relcalc.errors import CrossCheckError
 from relcalc.linalg import clear_memos, vec
 from relcalc.relations import graph_relation, relation_from_pairs
-from relcalc.serialize import canonical_dumps, read_relation, relation_to_json, write_relation
+from relcalc.serialize import canonical_dumps, read_relation, write_relation
 from relcalc.spaces import standard_space
 
 from relation_builders import e1, e2
@@ -92,7 +92,6 @@ def test_extend_krein_e1(tmp_path, capsys):
         "operator-part-product",
         "eigenspace-graph-sum",
         "inverse-duality",
-        "closure-graph-sum",
     ]
     got = read_relation(str(out))
     from relcalc.extensions import krein
@@ -115,7 +114,7 @@ def test_extend_krein_fails_when_only_the_operator_part_route_moves(tmp_path, ca
     assert main(["extend", e1_path(tmp_path), "--kind", "krein", "--c", "0"]) == 1
     assert capsys.readouterr().err == (
         "error: Krein type extension formulas disagree: "
-        "companion-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum | operator-part-product"
+        "companion-product, eigenspace-graph-sum, inverse-duality | operator-part-product"
         '; row in group 1, not in group 2: ["1", "0", "1/4", "3/4"]\n'
     )
 
@@ -136,7 +135,7 @@ def test_extend_weak_krein_fails_with_krein_when_its_companion_route_moves(tmp_p
     assert main(["extend", e1_path(tmp_path), "--kind", "weak-krein", "--c", "0"]) == 1
     assert capsys.readouterr().err == (
         "error: Krein type extension formulas disagree: "
-        "companion-product | operator-part-product, eigenspace-graph-sum, inverse-duality, closure-graph-sum"
+        "companion-product | operator-part-product, eigenspace-graph-sum, inverse-duality"
         '; row in group 1, not in group 2: ["1", "0", "1/2", "3/2"]\n'
     )
 
@@ -433,13 +432,13 @@ def test_analyze_output_is_pinned(tmp_path, capsys, dim, mul, restrict, seed):
 EXTEND_SHA256 = {
     (12, 1, 7, 0): {
         "friedrichs": ("b2740701f9f9d235dff1a8911b1af64bd299022e3727e4eabfdb9fc3498958e8", "b5e9ae460d59f8018ec0a49e2c9838ac3a3f0c7e8187073ecf62b73e8df51166"),
-        "krein": ("b1188f3b048ffe8cf35fc19e44d1534866633304ab83f0fa99440bbfd59b5f12", "7c5983be0f12d0602bb08a1244e06251fe9ed453678956d9e77d6e4a521d21ae"),
+        "krein": ("6b4482222b56431e0d36137ed6ce52a4663feea636403b347dbc04279c3e742e", "7c5983be0f12d0602bb08a1244e06251fe9ed453678956d9e77d6e4a521d21ae"),
         "weak-friedrichs": ("fda236ece8c188b209396b99ddc58119d4b6f6e50400fa7bb722d56c6d0f2579", "b5e9ae460d59f8018ec0a49e2c9838ac3a3f0c7e8187073ecf62b73e8df51166"),
         "weak-krein": ("067d49958596d4598d62d23dd840031e498ca2eddcb705ea8d8bf052f64aeb4f", "7c5983be0f12d0602bb08a1244e06251fe9ed453678956d9e77d6e4a521d21ae"),
     },
     (5, 1, 3, 2): {
         "friedrichs": ("2b595a35969b3538e335a4572932628c709df6c9fa004b813a9fac02412b539d", "5ca3c0a7e70591c8679698943f1c508e781fec1dd2d2c7fb0e8c21590c73cab3"),
-        "krein": ("3b188141e5b835875b27beed0f2583ebfce4ec357207be8dbb059101353c7e5e", "1651cb92a9322aa0cab62294455c6e62d36d828de0957e8cdbc02ad19b1c79fd"),
+        "krein": ("9821c9b36aa606cdc5ea5516c873a57e1ce63e2fbc902abc5fef2abafe75e428", "1651cb92a9322aa0cab62294455c6e62d36d828de0957e8cdbc02ad19b1c79fd"),
         "weak-friedrichs": ("28bdffa4da7e6962fd7ddd30af7b5b82c61f548a705bf1396512a20006833d45", "5ca3c0a7e70591c8679698943f1c508e781fec1dd2d2c7fb0e8c21590c73cab3"),
         "weak-krein": ("fa32ee352c755f76524e8c486d386258b9a51917fcd26f929f4e20097031a341", "1651cb92a9322aa0cab62294455c6e62d36d828de0957e8cdbc02ad19b1c79fd"),
     },
@@ -653,6 +652,28 @@ def test_only_the_involution_check_recomputes_the_double_adjoint():
     # post-condition.  The registry check adjoint-involution keeps it.
     found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, {"adjoint"}, _of_an_adjoint)}
     assert found == {("harness.py", "_involution")}
+
+
+def _of_a_form(call) -> bool:
+    """Whether the call's arguments are adjoint(X), closure(X), one X."""
+    args = call.args
+    if len(args) != 2 or not all(isinstance(a, ast.Call) and len(a.args) == 1 for a in args):
+        return False
+    return [ast.unparse(a.func) for a in args] == ["adjoint", "closure"] and ast.unparse(args[0].args[0]) == ast.unparse(args[1].args[0])
+
+
+def test_only_relations_of_form_builds_the_relation_of_a_form():
+    # c + Q*Q** has one home, extensions.relations_of_form, which also
+    # asserts the singular-case product formulas; a product spelled
+    # anywhere else would skip them.
+    found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, {"compose"}, _of_a_form)}
+    assert found == {("extensions.py", "relations_of_form")}
+    spellings = ast.parse(
+        "def form(q):\n    return compose(adjoint(q), closure(q))\n"
+        "def two_maps(q, r):\n    return compose(adjoint(q), closure(r))\n"
+        "def companion_product(j):\n    return compose(closure(j), adjoint(j))\n"
+    )
+    assert list(_callers(spellings, {"compose"}, _of_a_form)) == ["form"]
 
 
 def test_no_check_lives_in_an_assert():

@@ -1,3 +1,4 @@
+import ast
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -360,20 +361,47 @@ def test_krein_equals_friedrichs_e2():
 
 def test_relations_of_form_zero_map():
     z = operator_relation(Q2, Q2, mat([[0, 0], [0, 0]]))
-    s_t, a_t = relations_of_form(z, 0)
+    s_t = relations_of_form(z, 0)
     assert s_t == z
-    s_t2, _ = relations_of_form(z, 5)
+    s_t2 = relations_of_form(z, 5)
     assert s_t2 == operator_relation(Q2, Q2, mat([[5, 0], [0, 5]]))
 
 
 def test_relations_of_form_singular_relation():
     q = relation_from_pairs(Q1, Q1, [(vec([1]), vec([1])), (vec([0]), vec([1]))])
-    s_t, a_t = relations_of_form(q, 0)
+    s_t = relations_of_form(q, 0)
     # Q* = {(0, 0)} and Q*Q = ker Q x (dom Q)-perp, here the zero operator
     # on the full line since the graph of Q is everything.
     assert adjoint(q).graph.dim == 0
     assert s_t == operator_relation(Q1, Q1, mat([[0]]))
-    assert a_t == s_t
+
+
+# The message of each singular-formula raise of relations_of_form -> (the
+# name patched in extensions, the patch given the real function).  Each
+# patch is wrong about the one relation that formula reads.
+SINGULAR_FAULTS = {
+    "singular product formula Q*Q = ker Q x (dom Q)-perp failed": (
+        "parts",
+        lambda real: lambda t: SimpleNamespace(dom=real(t).dom, mul=real(t).mul, ker=zero_subspace(t.src)),
+    ),
+    "regular-part product formula failed": ("regular_part", lambda real: lambda t: shift(real(t), 1)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(SINGULAR_FAULTS))
+def test_a_broken_singular_formula_raises(message, monkeypatch):
+    # The singular q of test_relations_of_form_singular_relation, ran Q =
+    # mul Q = the line: both formulas hold until a patch is wrong about ker Q
+    # or about Q_reg, the zero operator moved to the identity.
+    q = relation_from_pairs(Q1, Q1, [(vec([1]), vec([1])), (vec([0]), vec([1]))])
+    clear_memos()
+    relations_of_form(q, 0)
+    name, patch = SINGULAR_FAULTS[message]
+    monkeypatch.setattr(extensions, name, patch(getattr(extensions, name)))
+    clear_memos()
+    with pytest.raises(CrossCheckError) as err:
+        relations_of_form(q, 0)
+    assert str(err.value) == message
 
 
 def test_relations_of_form_stacked_map_identity():
@@ -474,22 +502,19 @@ def _doubled(real, when=lambda *args: True):
     return lambda *args: scale(real(*args), 2) if when(*args) else real(*args)
 
 
-def _doubled_first_call(real):
+def _first_call(real, patched):
+    """``real`` with ``patched`` in place of its first call."""
     calls = []
 
-    def first(*args):
+    def once(*args):
         calls.append(args)
-        return len(calls) == 1
+        return (patched if len(calls) == 1 else real)(*args)
 
-    return _doubled(real, first)
+    return once
 
 
 def _j(s, c):
     return companion(s, repmap_ldl(form_of_relation(s), c))
-
-
-def _qrel():
-    return repmap_ldl(form_of_relation(e1()), 0).as_relation()
 
 
 # route -> (the comparison that runs it, the name patched in extensions, the
@@ -499,15 +524,13 @@ ROUTE_FAULTS = {
     "repmap-product": (lambda: friedrichs(e1(), 0), "closure", _doubled),
     "adjoint-domain-membership": (lambda: friedrichs(e1(), 0), "restrict_domain", _doubled),
     "multivalued-graph-sum": (lambda: friedrichs(e1(), 0), "hsum", _doubled),
-    # closure serves routes (1) and (5): moved at its argument J_c only.
+    # closure serves routes (1) and (2): moved at its argument J_c only.
     "companion-product": (lambda: krein(e1(), 0), "closure", lambda real: _doubled(real, lambda t: t == _j(e1(), 0))),
     "operator-part-product": (lambda: krein(e1(), 0), "regular_part", _doubled),
-    # Routes (3) and (5) both call hsum(S, N_c), closure(S) being S itself,
-    # so only the order tells them apart: route (3) makes the first call.
-    "eigenspace-graph-sum": (lambda: krein(e1(), 0), "hsum", _doubled_first_call),
+    # Route (4) calls hsum too, inside friedrichs(inv, 0): route (3) makes
+    # the first call.
+    "eigenspace-graph-sum": (lambda: krein(e1(), 0), "hsum", lambda real: _first_call(real, _doubled(real))),
     "inverse-duality": (lambda: krein(e1(), 0), "friedrichs", _doubled),
-    # closure serves routes (1) and (5): moved at its argument S only.
-    "closure-graph-sum": (lambda: krein(e1(), 0), "closure", lambda real: _doubled(real, lambda t: t == e1())),
     "definitional-infimum": (
         lambda: extremal_check(friedrichs(e1(), 0), e1(), 0),
         "_definitional_extremal",
@@ -520,23 +543,53 @@ ROUTE_FAULTS = {
     ),
     "range-mul-meet": (lambda: krein_is_operator(e1(), 0), "intersect", lambda real: lambda a, b: a),
     "krein-mul": (lambda: krein_is_operator(e1(), 0), "krein", lambda real: friedrichs),
-    # parts serves no other route here: moved at its argument J_gamma* only.
-    "square-root-domain": (
-        lambda: krein_equals_friedrichs(e1(), 2),
-        "parts",
-        lambda real: lambda t: SimpleNamespace(dom=full_subspace(t.src)) if t == adjoint(_j(e1(), 2)) else real(t),
-    ),
+    # intersect serves route (3) too: route (1)'s ker(S* - c) cap dom J_gamma*
+    # is the first call, moved to ker(S* - c).  (parts at J_gamma* would move
+    # krein's route (2) as well: J_gamma* maps into {0}, so it is its own
+    # regular part, a singular map whose every part relations_of_form reads.)
+    "square-root-domain": (lambda: krein_equals_friedrichs(e1(), 2), "intersect", lambda real: _first_call(real, lambda a, b: a)),
     "graph-comparison": (lambda: krein_equals_friedrichs(e1(), 2), "krein", _doubled),
     "sup-finiteness": (
         lambda: krein_equals_friedrichs(e1(), 2),
         "inequality_domain_subspace",
         lambda real: lambda s, c: full_subspace(s.src),
     ),
-    # Both routes call compose(Q*, Q), closure(Q) being Q itself: the first
-    # call is c + Q*Q.
-    "symmetric-product": (lambda: relations_of_form(_qrel(), 0), "compose", _doubled_first_call),
-    "selfadjoint-product": (lambda: relations_of_form(_qrel(), 0), "closure", _doubled),
 }
+
+
+def _agreed_route_names(tree) -> set[str]:
+    """The route names a module's AST passes to ``agree``: the values of its
+    ``ROUTES`` but the ``equals-*`` names, and the literal name tuples at
+    the other call sites, written there or bound to a name in the same
+    function.  Any other spelling of the names fails."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ROUTES":
+            names |= {n for routes in ast.literal_eval(node.value).values() for n in routes if not n.startswith("equals-")}
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        bound = {t.id: node.value for node in ast.walk(fn) if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "agree"):
+                continue
+            arg = call.args[1]
+            if isinstance(arg, ast.Subscript) and ast.unparse(arg.value) == "ROUTES":
+                continue
+            names |= set(ast.literal_eval(bound[arg.id] if isinstance(arg, ast.Name) else arg))
+    return names
+
+
+def test_every_agreed_route_has_a_fault():
+    # A route that no fault moves alone could share its computation with
+    # another one; each name extensions passes to agree has one.
+    with open(extensions.__file__, encoding="utf-8") as fh:
+        assert set(ROUTE_FAULTS) == _agreed_route_names(ast.parse(fh.read()))
+    spellings = ast.parse(
+        'ROUTES = {"k": ("a", "b"), "weak-k": ("a", "equals-k")}\n'
+        "def table(s):\n    return agree('x', ROUTES['k'], s, s)\n"
+        "def literal(s):\n    return agree('y', ('c', 'd'), s, s)\n"
+        "def bound(s):\n    names = ('e', 'f')\n    return agree('z', names, s, s)\n"
+    )
+    assert _agreed_route_names(spellings) == set("abcdef")
 
 
 WITNESS_ROW = "; row in group "
@@ -591,7 +644,7 @@ def test_a_failing_agree_gives_a_row_of_one_group_only(monkeypatch):
     message = str(err.value)
     assert message.startswith(
         "Krein type extension formulas disagree: "
-        "companion-product, operator-part-product, eigenspace-graph-sum, closure-graph-sum | inverse-duality" + WITNESS_ROW
+        "companion-product, operator-part-product, eigenspace-graph-sum | inverse-duality" + WITNESS_ROW
     )
     duality = shift(inverse(moved), c)
     assert duality != true_krein

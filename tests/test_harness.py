@@ -123,7 +123,7 @@ def test_a_moved_inverse_duality_route_fails_codding_identity(tmp_path, monkeypa
     clear_memos()
     message = (
         "Krein type extension formulas disagree: "
-        "companion-product, operator-part-product, eigenspace-graph-sum, closure-graph-sum | inverse-duality"
+        "companion-product, operator-part-product, eigenspace-graph-sum | inverse-duality"
         '; row in group 1, not in group 2: ["1", "0", "1/4", "3/4"]'
     )
     path = str(tmp_path / "e1.json")

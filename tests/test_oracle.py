@@ -13,7 +13,9 @@ part of an integer polynomial, which ``bound_bisect`` searches, is held to
 sympy's ``sqf_part``, the determinant to sympy's ``det``, a solution of
 X a = b to sympy's rank test and product, and ``rref``, ``kernel`` and
 ``pairing_null_space`` on matrices of planted rank to sympy's ``rref`` and
-``nullspace``.  Test-only:
+``nullspace``, and each verdict of ``ldl_psd_certificate`` to sympy's
+products: the identity P^T M P = L D L^T rebuilt from the stored columns,
+or the negative quadratic value of the witness.  Test-only:
 ``relcalc`` itself imports no sympy.
 """
 
@@ -25,9 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.forms import _squarefree
-from relcalc.linalg import det, identity, kernel, mat, pairing_null_space, rref, solve_mat, zeros
+from relcalc.linalg import det, identity, kernel, ldl_psd_certificate, mat, pairing_null_space, rref, solve_mat, zeros
 from relcalc.relations import LinearRelation, adjoint, compose, eigenspace, inverse, rel_sum, restrict_domain, shift
 from relcalc.spaces import InnerProductSpace, intersect, product_space, span, subspace_sum
+
+from test_linalg import ldl_inputs, psd_inputs
 
 sympy = pytest.importorskip("sympy")
 
@@ -349,3 +353,24 @@ def test_pairing_null_space_is_sympys_null_space_of_l_minus_r(blocks):
     got = pairing_null_space(to_mat(from_sympy(left), left.cols), to_mat(from_sympy(right), right.cols))
     assert got.cols == left.cols + right.cols
     assert matrix_rows(got) == sympy_null_space(sympy.Matrix.hstack(left, -right))
+
+
+@given(st.one_of(ldl_inputs(), psd_inputs()))
+@settings(max_examples=300, deadline=None)
+def test_ldl_psd_certificate_is_sympys_identity_or_negative_value(m):
+    # A certificate is rebuilt in sympy from its stored columns: P^T M P
+    # - L D L^T is the zero matrix, with P[i][j] = 1 iff i == perm[j], and
+    # every D >= 0.  A refutation's witness has a negative quadratic value.
+    a = to_sympy(matrix_rows(m), m.cols)
+    n = m.rows
+    res = ldl_psd_certificate(m)
+    if res.ok:
+        cert = res.certificate
+        p = sympy.Matrix(n, n, lambda i, j: 1 if i == cert.perm[j] else 0)
+        lower = to_sympy(matrix_rows(cert.lower_cols), n).T
+        d = sympy.diag(*[sympy.Rational(x.numerator, x.denominator) for x in cert.diag]) if n else sympy.zeros(0, 0)
+        assert p.T * a * p - lower * d * lower.T == sympy.zeros(n, n)
+        assert all(x >= 0 for x in cert.diag)
+    else:
+        v = to_sympy([res.witness], n).T
+        assert (v.T * a * v)[0, 0] < 0

@@ -9,12 +9,12 @@ different parts of the theory and their agreement is the checked content.
 Fractional powers never appear.  The square-root domains and ranges are
 reached only through their exact surrogates ran Q_c* and dom J_c*.
 
-Every construction at (S, c) has one gate, ``repmap_ldl(form_of_relation(S),
-c)``, which also builds the map that J_c comes from: ``form_of_relation``
-raises ``PreconditionError`` unless S is symmetric, and ``repmap_ldl``
-raises ``BoundCertificationError``, with the LDL^T witness, unless
-t(S) - c >= 0.  ``order_leq`` is one more PSD decision, the verdict and
-witness of ``certify_lower_bound`` of the form t_K - t_H on dom t_K at 0.
+Every construction at (S, c) has one gate, ``ldl_map(S, c)``, which also
+builds the map that J_c comes from: ``form_of_relation`` raises
+``PreconditionError`` unless S is symmetric, and ``repmap_ldl`` raises
+``BoundCertificationError``, with the LDL^T witness, unless t(S) - c >= 0.
+``order_leq`` is one more PSD decision, the verdict and witness of
+``certify_lower_bound`` of the form t_K - t_H on dom t_K at 0.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .forms import (
     form_of_relation,
     inequality_domain_subspace,
     is_nonneg_above,
-    repmap_ldl,
+    ldl_map,
     shifted_matrix,
 )
 from .linalg import Mat, Vec, echelon_coords, kernel, memo, rat, row_dots, solve_mat, vstack, zeros
@@ -82,11 +82,38 @@ def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Ma
     return out
 
 
+def _companion_product(s: LinearRelation, c: Fraction, repmap) -> LinearRelation:
+    j = companion(s, repmap(s, c))
+    return shift(compose(closure(j), adjoint(j)), c)
+
+
+# The routes of ``friedrichs_from`` and ``krein_from``, in the order they
+# run: functions of (S, c, repmap), repmap taking a (relation, base point)
+# pair to a representing map Q_c of t(S) - c, ``ldl_map`` or ``repmap_quotient``.
+FRIEDRICHS_ROUTES = {
+    # (1) c + Q_c* Q_c** (``relations_of_form``)
+    "repmap-product": lambda s, c, repmap: relations_of_form(repmap(s, c).as_relation(), c),
+    # (2) the elements {f, g} of S* with f in dom S
+    "adjoint-domain-membership": lambda s, c, repmap: restrict_domain(adjoint(s), parts(s).dom),
+    # (3) the graph sum S +| ({0} x mul S*)
+    "multivalued-graph-sum": lambda s, c, repmap: hsum(s, product_relation(zero_subspace(s.src), parts(adjoint(s)).mul)),
+}
+KREIN_ROUTES = {
+    # (1) c + J_c** J_c*, J_c the companion relation of Q_c
+    "companion-product": _companion_product,
+    # (2) c + R* R** (``relations_of_form``), R = (J_c*)_reg
+    "operator-part-product": lambda s, c, repmap: relations_of_form(regular_part(adjoint(companion(s, repmap(s, c)))), c),
+    # (3) S +| N_c(S*), with the eigen-relation at c
+    "eigenspace-graph-sum": lambda s, c, repmap: hsum(s, eigen_relation(adjoint(s), c)),
+    # (4) c + (((S-c)^{-1})_F)^{-1}, the inner S_F from the same repmap
+    "inverse-duality": lambda s, c, repmap: shift(inverse(friedrichs_from(inverse(shift(s, -c)), 0, repmap)), c),
+}
+
 # The routes each ``extend`` kind compares; a weak kind names those it stands for, then ``equals-<kind>``.
 ROUTES = {
-    "friedrichs": ("repmap-product", "adjoint-domain-membership", "multivalued-graph-sum"),
+    "friedrichs": tuple(FRIEDRICHS_ROUTES),
     "weak-friedrichs": ("multivalued-graph-sum", "equals-friedrichs"),
-    "krein": ("companion-product", "operator-part-product", "eigenspace-graph-sum", "inverse-duality"),
+    "krein": tuple(KREIN_ROUTES),
     "weak-krein": ("eigenspace-graph-sum", "companion-product", "equals-krein"),
 }
 
@@ -108,35 +135,25 @@ def agree(what: str, names: tuple[str, ...], *values):
 
 
 @memo
-def friedrichs(s: LinearRelation, c) -> LinearRelation:
-    """Friedrichs extension, cross-checked three ways, named in ``ROUTES``.
-
-    (1) repmap-product: c + Q_c* Q_c** (``relations_of_form``), Q_c the
-        LDL^T map of t(S) - c;
-    (2) adjoint-domain-membership: the elements {f, g} of S* with f in dom S;
-    (3) multivalued-graph-sum: the graph sum S +| ({0} x mul S*).
-
-    The extension does not depend on the representing map: the check
-    ``repmap-independence-extensions`` of the harness compares (1), built
-    from the quotient map, with it.
-    """
+def friedrichs_from(s: LinearRelation, c, repmap) -> LinearRelation:
+    """The Friedrichs extension at c from the maps ``repmap`` builds, where the
+    routes of ``FRIEDRICHS_ROUTES`` agree; (2) and (3) use no map."""
     c = rat(c)
-    via_repmap = relations_of_form(repmap_ldl(form_of_relation(s), c).as_relation(), c)
-
-    sstar = adjoint(s)
-    via_adjoint = restrict_domain(sstar, parts(s).dom)
-
-    mulstar = parts(sstar).mul
-    via_weak = hsum(s, product_relation(zero_subspace(s.src), mulstar))
-
-    out = agree("Friedrichs extension formulas", ROUTES["friedrichs"], via_repmap, via_adjoint, via_weak)
+    out = agree("Friedrichs extension formulas", ROUTES["friedrichs"], *(r(s, c, repmap) for r in FRIEDRICHS_ROUTES.values()))
     if not is_selfadjoint(out) or not out.is_extension_of(s):
         raise CrossCheckError("Friedrichs extension is not a selfadjoint extension")
-    if parts(out).mul != mulstar:
+    if parts(out).mul != parts(adjoint(s)).mul:
         raise CrossCheckError("mul S_F must equal mul S*")
     if not certify_lower_bound(form_of_relation(out), c).ok:
         raise CrossCheckError("Friedrichs extension lost the lower bound")
     return out
+
+
+@memo
+def friedrichs(s: LinearRelation, c) -> LinearRelation:
+    """Friedrichs extension, cross-checked three ways: ``friedrichs_from`` at
+    the LDL^T map.  ``repmap-independence-extensions`` runs it at the quotient map."""
+    return friedrichs_from(s, rat(c), ldl_map)
 
 
 def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
@@ -148,37 +165,23 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
 
 
 @memo
-def krein(s: LinearRelation, c) -> LinearRelation:
-    """Krein type extension at c, cross-checked four ways, named in ``ROUTES``.
-
-    (1) companion-product: c + J_c** J_c*, J_c the companion relation of
-        the LDL^T representing map of t(S) - c;
-    (2) operator-part-product: c + R* R** (``relations_of_form``), R = (J_c*)_reg;
-    (3) eigenspace-graph-sum: S +| N_c(S*), with the eigen-relation at c;
-    (4) inverse-duality: c + (((S-c)^{-1})_F)^{-1}.
-
-    The extension does not depend on the representing map: the check
-    ``repmap-independence-extensions`` of the harness compares (1), (2)
-    and (4), built from quotient maps, with it.
-    """
+def krein_from(s: LinearRelation, c, repmap) -> LinearRelation:
+    """The Krein type extension at c from the maps ``repmap`` builds, where
+    the routes of ``KREIN_ROUTES`` agree; (3) uses no map."""
     c = rat(c)
-    j = companion(s, repmap_ldl(form_of_relation(s), c))
-    via_companion = shift(compose(closure(j), adjoint(j)), c)
-
-    via_operator_part = relations_of_form(regular_part(adjoint(j)), c)
-
-    via_weak = hsum(s, eigen_relation(adjoint(s), c))
-
-    inv = inverse(shift(s, -c))
-    via_duality = shift(inverse(friedrichs(inv, 0)), c)
-
-    routes = (via_companion, via_operator_part, via_weak, via_duality)
-    out = agree("Krein type extension formulas", ROUTES["krein"], *routes)
+    out = agree("Krein type extension formulas", ROUTES["krein"], *(r(s, c, repmap) for r in KREIN_ROUTES.values()))
     if not is_selfadjoint(out) or not out.is_extension_of(s):
         raise CrossCheckError("Krein type extension is not a selfadjoint extension")
     if not certify_lower_bound(form_of_relation(out), c).ok:
         raise CrossCheckError("Krein type extension lost the lower bound")
     return out
+
+
+@memo
+def krein(s: LinearRelation, c) -> LinearRelation:
+    """Krein type extension at c, cross-checked four ways: ``krein_from`` at
+    the LDL^T map.  ``repmap-independence-extensions`` runs it at the quotient map."""
+    return krein_from(s, rat(c), ldl_map)
 
 
 def weak_krein(s: LinearRelation, c) -> LinearRelation:
@@ -274,7 +277,7 @@ def extremal_check(h: LinearRelation, s: LinearRelation, c) -> bool:
     whose agreement is asserted: the definitional quadratic infimum test
     and the form-restriction sandwich."""
     c = rat(c)
-    repmap_ldl(form_of_relation(s), c)
+    ldl_map(s, c)
     if not h.is_extension_of(s):
         raise PreconditionError("extremality is relative to an extension")
     if not is_selfadjoint(h):
@@ -289,7 +292,7 @@ def extremal_from_domain(s: LinearRelation, c, d: Subspace) -> LinearRelation:
     """The extremal extension c + R_c* R_c** built from the restriction
     R_c of (J_c*)_reg to an intermediate domain dom S <= D <= dom J_c*."""
     c = rat(c)
-    jstar = adjoint(companion(s, repmap_ldl(form_of_relation(s), c)))
+    jstar = adjoint(companion(s, ldl_map(s, c)))
     reg = regular_part(jstar)
     dom_s = parts(s).dom
     dom_jstar = parts(jstar).dom
@@ -313,7 +316,7 @@ def krein_is_operator(s: LinearRelation, c) -> bool:
     when true, against the factorization S - c = (J_c J_c*) restricted to
     dom S."""
     c = rat(c)
-    q = repmap_ldl(form_of_relation(s), c)
+    q = ldl_map(s, c)
     meet = intersect(parts(shift(s, -c)).ran, parts(adjoint(s)).mul)
     res = meet.dim == 0
     k = krein(s, c)
@@ -334,9 +337,8 @@ def krein_equals_friedrichs(s: LinearRelation, gamma) -> bool | None:
     c < gamma; it is evaluated at c = gamma - 1, cross-checked against the
     direct graph comparison and against the sup-finiteness range test."""
     gamma = rat(gamma)
-    t = form_of_relation(s)
-    q = repmap_ldl(t, gamma)
-    if kernel(shifted_matrix(t, gamma)).rows == 0:
+    q = ldl_map(s, gamma)
+    if kernel(shifted_matrix(q.form, gamma)).rows == 0:
         # gamma is certified but not attained: the true bound is strictly
         # larger (or the domain is trivial) and rational arithmetic cannot
         # settle the question at gamma.

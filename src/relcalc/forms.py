@@ -531,6 +531,12 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     return RepresentingMap(t, codomain, matrix, c)
 
 
+def ldl_map(s: LinearRelation, c) -> RepresentingMap:
+    """The LDL^T map of t(S) - c: the gate of every construction at (S, c)."""
+    return repmap_ldl(form_of_relation(s), c)
+
+
+@memo
 def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
     """Minimal representing map q_c phi = [phi' - c phi] on the quotient
     ran(S-c) / (ran(S-c) ∩ mul S*), with the induced semi-inner product as
@@ -643,7 +649,7 @@ def form_s_of(s: LinearRelation, c) -> QuadraticForm:
     Lebesgue form of J_c*.  It extends t(S), with lower bound exactly c
     whenever the adjoint has an eigenvector at c."""
     c = rat(c)
-    out, _ = lebesgue_form(adjoint(companion(s, repmap_ldl(form_of_relation(s), c))), c)
+    out, _ = lebesgue_form(adjoint(companion(s, ldl_map(s, c))), c)
     if not certify_lower_bound(out, c).ok:
         raise CrossCheckError("the closed form lost the lower bound c")
     if eigenspace(adjoint(s), c).dim > 0 and kernel(shifted_matrix(out, c)).rows == 0:

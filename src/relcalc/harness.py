@@ -11,7 +11,9 @@ objects every check shares (S*, t(S), and the graphs of both representing
 maps and of their companions), built once per instance.  A check that
 compares something is a function registered by `@check("name")`; one whose
 property a construction asserts is declared by `asserted("name", build)`,
-with `build` the call, or the shared object, that asserts it.
+with `build` the call, or the shared object, that asserts it.  No check
+spells a route of `friedrichs` or `krein` again: one at the quotient map
+passes `repmap_quotient` to `friedrichs_from` and `krein_from`.
 `REQUIRED_CHECKS` is the registry's list of names.
 `verify_all` builds the instance and runs every check in exact
 arithmetic.  A failed check carries a sentence, followed by the serialized
@@ -34,7 +36,9 @@ from .extensions import (
     extremal_check,
     extremal_from_domain,
     friedrichs,
+    friedrichs_from,
     krein,
+    krein_from,
     krein_is_operator,
     order_leq,
     relations_of_form,
@@ -52,6 +56,7 @@ from .forms import (
     form_s_of,
     inequality_domain_subspace,
     inequality_range_subspace,
+    ldl_map,
     pencil_polynomial,
     pencil_psd,
     ran_adjoint_by_inequality,
@@ -272,7 +277,7 @@ def sample_extremal(s: LinearRelation, c, count: int, seed: int) -> list[LinearR
     and dom J_c*; every output passes extremal_check by construction."""
     c = rat(c)
     rng = random.Random(seed)
-    j = companion(s, repmap_ldl(form_of_relation(s), c))
+    j = companion(s, ldl_map(s, c))
     dom_s = parts(s).dom
     gap = extending(dom_s, parts(adjoint(j)).dom.basis)
     out = []
@@ -551,22 +556,8 @@ def _order_krein_friedrichs(x: _Instance) -> str | None:
     return None if res.leq else "S_K,c > S_F at " + vector_witness(res.witness)
 
 
-@check("repmap-independence-extensions")
-def _independence_extensions(x: _Instance) -> str | None:
-    """The map-dependent routes of `friedrichs` and `krein`, rebuilt from
-    quotient maps, against the extensions built from the LDL^T map."""
-    if relations_of_form(x.qrel2, x.c) != friedrichs(x.s, x.c):
-        return "Friedrichs depends on the representing map"
-    reg = regular_part(adjoint(x.j_quot))
-    qinv = repmap_quotient(inverse(shift(x.s, -x.c)), 0).as_relation()
-    if not (
-        shift(compose(closure(x.j_quot), adjoint(x.j_quot)), x.c)
-        == relations_of_form(reg, x.c)
-        == shift(inverse(relations_of_form(qinv, 0)), x.c)
-        == krein(x.s, x.c)
-    ):
-        return "Krein depends on the representing map"
-    return None
+# The map-dependent routes of ``friedrichs`` and ``krein``, built from quotient maps, against their map-free routes.
+asserted("repmap-independence-extensions", lambda x: (friedrichs_from(x.s, x.c, repmap_quotient), krein_from(x.s, x.c, repmap_quotient)))
 
 
 @check("extremal-endpoints")

@@ -159,7 +159,7 @@ def span_mat(space: InnerProductSpace, rows: Mat) -> Subspace:
 
 
 def zero_subspace(space: InnerProductSpace) -> Subspace:
-    return span(space, [])
+    return Subspace(space, zeros(0, space.dim))
 
 
 def _check_same_ambient(v: Subspace, w: Subspace) -> None:

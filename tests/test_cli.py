@@ -676,6 +676,39 @@ def test_only_relations_of_form_builds_the_relation_of_a_form():
     assert list(_callers(spellings, {"compose"}, _of_a_form)) == ["form"]
 
 
+def _spells_a_route(call) -> bool:
+    """Whether the call spells a route formula of friedrichs or krein:
+    compose(closure(X), adjoint(X)), regular_part(adjoint(X)),
+    inverse(relations_of_form(...)) or repmap_quotient(inverse(...))."""
+    head, args = ast.unparse(call.func), call.args
+    inner = tuple(ast.unparse(a.func) if isinstance(a, ast.Call) else None for a in args)
+    if head == "compose":
+        return inner == ("closure", "adjoint") and ast.unparse(args[0].args[0]) == ast.unparse(args[1].args[0])
+    return (head, inner[:1]) in {("regular_part", ("adjoint",)), ("inverse", ("relations_of_form",)), ("repmap_quotient", ("inverse",))}
+
+
+ROUTE_HEADS = {"compose", "regular_part", "inverse", "repmap_quotient"}
+
+
+def test_only_extensions_spells_a_route_formula():
+    # Each route of friedrichs and krein is spelled once, in the route tables
+    # of extensions, which take the representing map; a route spelled again
+    # elsewhere, say with the quotient map, is a second copy that can drift.
+    found = {(name, fn) for name, tree in _package_modules() for fn in _callers(tree, ROUTE_HEADS, _spells_a_route)}
+    assert {name for name, _ in found} == {"extensions.py"}, found
+    spellings = ast.parse(
+        "def companion_product(j):\n    return compose(closure(j), adjoint(j))\n"
+        "def operator_part(j):\n    return regular_part(adjoint(j))\n"
+        "def duality(q):\n    return inverse(relations_of_form(q, 0))\n"
+        "def inverse_map(s):\n    return repmap_quotient(inverse(s), 0)\n"
+        "def form(q):\n    return compose(adjoint(q), closure(q))\n"
+        "def two_maps(j, k):\n    return compose(closure(j), adjoint(k))\n"
+        "def own_part(j):\n    return regular_part(j)\n"
+        "def inverse_of(s):\n    return inverse(shift(s, 1))\n"
+    )
+    assert sorted(_callers(spellings, ROUTE_HEADS, _spells_a_route)) == ["companion_product", "duality", "inverse_map", "operator_part"]
+
+
 def test_no_check_lives_in_an_assert():
     # python -O strips assert statements; every check must raise instead.
     found = []

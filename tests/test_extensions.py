@@ -527,10 +527,10 @@ ROUTE_FAULTS = {
     # closure serves routes (1) and (2): moved at its argument J_c only.
     "companion-product": (lambda: krein(e1(), 0), "closure", lambda real: _doubled(real, lambda t: t == _j(e1(), 0))),
     "operator-part-product": (lambda: krein(e1(), 0), "regular_part", _doubled),
-    # Route (4) calls hsum too, inside friedrichs(inv, 0): route (3) makes
-    # the first call.
+    # Route (4) calls hsum too, inside friedrichs_from(inv, 0, ldl_map):
+    # route (3) makes the first call.
     "eigenspace-graph-sum": (lambda: krein(e1(), 0), "hsum", lambda real: _first_call(real, _doubled(real))),
-    "inverse-duality": (lambda: krein(e1(), 0), "friedrichs", _doubled),
+    "inverse-duality": (lambda: krein(e1(), 0), "friedrichs_from", _doubled),
     "definitional-infimum": (
         lambda: extremal_check(friedrichs(e1(), 0), e1(), 0),
         "_definitional_extremal",
@@ -558,14 +558,22 @@ ROUTE_FAULTS = {
 
 
 def _agreed_route_names(tree) -> set[str]:
-    """The route names a module's AST passes to ``agree``: the values of its
-    ``ROUTES`` but the ``equals-*`` names, and the literal name tuples at
-    the other call sites, written there or bound to a name in the same
-    function.  Any other spelling of the names fails."""
-    names = set()
+    """The route names a module's AST passes to ``agree``: the literal keys
+    of its route tables ``*_ROUTES``, the values of its ``ROUTES`` but the
+    ``equals-*`` names, where a value is a literal tuple or ``tuple`` of a
+    table above it, and the literal name tuples at the other call sites,
+    written there or bound to a name in the same function.  Any other
+    spelling of the names fails."""
+    names, tables = set(), set()
     for node in tree.body:
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ROUTES":
-            names |= {n for routes in ast.literal_eval(node.value).values() for n in routes if not n.startswith("equals-")}
+        target = ast.unparse(node.targets[0]) if isinstance(node, ast.Assign) else None
+        if target is not None and target.endswith("_ROUTES"):
+            names |= {ast.literal_eval(key) for key in node.value.keys}
+            tables.add(f"tuple({target})")
+        elif target == "ROUTES":
+            for routes in node.value.values:
+                if ast.unparse(routes) not in tables:
+                    names |= {n for n in ast.literal_eval(routes) if not n.startswith("equals-")}
     for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
         bound = {t.id: node.value for node in ast.walk(fn) if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
         for call in ast.walk(fn):
@@ -584,12 +592,24 @@ def test_every_agreed_route_has_a_fault():
     with open(extensions.__file__, encoding="utf-8") as fh:
         assert set(ROUTE_FAULTS) == _agreed_route_names(ast.parse(fh.read()))
     spellings = ast.parse(
-        'ROUTES = {"k": ("a", "b"), "weak-k": ("a", "equals-k")}\n'
+        'T_ROUTES = {"g": lambda s: s, "h": lambda s: s}\n'
+        'ROUTES = {"k": ("a", "b"), "weak-k": ("a", "equals-k"), "t": tuple(T_ROUTES)}\n'
         "def table(s):\n    return agree('x', ROUTES['k'], s, s)\n"
         "def literal(s):\n    return agree('y', ('c', 'd'), s, s)\n"
         "def bound(s):\n    names = ('e', 'f')\n    return agree('z', names, s, s)\n"
     )
-    assert _agreed_route_names(spellings) == set("abcdef")
+    assert _agreed_route_names(spellings) == set("abcdefgh")
+    others = (
+        'T_ROUTES = dict(g=lambda s: s)\n',
+        'T_ROUTES = {NAME: lambda s: s}\n',
+        'ROUTES = {"t": tuple(T_ROUTES)}\n',
+        'T_ROUTES = {"g": lambda s: s}\nROUTES = {"t": list(T_ROUTES)}\n',
+        "def call(s):\n    return agree('w', names(), s, s)\n",
+        "names = ('e', 'f')\ndef outside(s):\n    return agree('z', names, s, s)\n",
+    )
+    for other in others:
+        with pytest.raises((AttributeError, KeyError, ValueError)):
+            _agreed_route_names(ast.parse(other))
 
 
 WITNESS_ROW = "; row in group "
@@ -636,8 +656,8 @@ def test_a_failing_agree_gives_a_row_of_one_group_only(monkeypatch):
     s, c = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=2))
     inv = inverse(shift(s, -c))
     moved, true_krein = shift(friedrichs(inv, 0), 1), krein(s, c)
-    real = extensions.friedrichs
-    monkeypatch.setattr(extensions, "friedrichs", lambda t, c0: moved if (t, c0) == (inv, 0) else real(t, c0))
+    real = extensions.friedrichs_from
+    monkeypatch.setattr(extensions, "friedrichs_from", lambda t, c0, m: moved if (t, c0) == (inv, 0) else real(t, c0, m))
     clear_memos()
     with pytest.raises(CrossCheckError) as err:
         krein(s, c)

@@ -13,7 +13,7 @@ import relcalc.harness as harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
 from relcalc.extensions import OrderResult, friedrichs, krein
-from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation, is_nonneg_above
+from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation, is_nonneg_above, repmap_quotient
 from relcalc.harness import (
     REQUIRED_CHECKS,
     InstanceSpec,
@@ -37,6 +37,7 @@ from relcalc.relations import (
     numerical_range_zero,
     parts,
     product_relation,
+    shift,
 )
 from relcalc.serialize import parse_relation, vector_witness, write_relation
 from relcalc.spaces import standard_space, zero_subspace
@@ -113,13 +114,13 @@ def test_a_moved_inverse_duality_route_fails_codding_identity(tmp_path, monkeypa
     # alone; codding-identity relies on that route.
     s = e1()
     inv = inverse(s)
-    real = extensions.friedrichs
+    real = extensions.friedrichs_from
 
-    def moved(t, c):
-        out = real(t, c)
+    def moved(t, c, repmap):
+        out = real(t, c, repmap)
         return scale(out, 2) if (t, c) == (inv, 0) else out
 
-    monkeypatch.setattr(extensions, "friedrichs", moved)
+    monkeypatch.setattr(extensions, "friedrichs_from", moved)
     clear_memos()
     message = (
         "Krein type extension formulas disagree: "
@@ -322,6 +323,8 @@ def _injected(*args):
         ("krein", "codding-identity"),
         ("krein_is_operator", "krein-operator-criterion"),
         ("relations_of_form", "relations-of-form"),
+        ("friedrichs_from", "repmap-independence-extensions"),
+        ("krein_from", "repmap-independence-extensions"),
     ],
 )
 def test_a_declared_check_fails_with_what_its_construction_raises(construction, name, monkeypatch):
@@ -483,37 +486,43 @@ def test_a_wrong_form_fails_adjoint_form_pairing_at_the_first_phi():
     assert check(wrong) == "pairing (phi', psi) != t(S)[phi, psi] at " + expected
 
 
+def _doubled_at(real, args):
+    """``real`` with the second components of its value doubled on the
+    arguments ``args`` alone."""
+    return lambda *given: scale(real(*given), 2) if given == args else real(*given)
+
+
 def test_repmap_independence_extensions_catches_each_quotient_route(monkeypatch):
-    # Each route the check rebuilds from a quotient map is made wrong on its
-    # own; the check must name the extension that route builds.
+    # Each route the check runs at the quotient map is moved alone, by a
+    # patch in extensions that acts on that map's objects only: the check
+    # fails with the route alone in its group, and friedrichs and krein,
+    # from the LDL^T map, still pass.
     s, c, seed = _random_dim3_with_mul()
+    clear_memos()
     x = harness._Instance.build(s, c, seed)
     check = dict(harness.REGISTRY)["repmap-independence-extensions"]
     assert check(x) is None
-    friedrichs_witness = "Friedrichs depends on the representing map"
-    krein_witness = "Krein depends on the representing map"
-    # c + Q*Q**, with Q the quotient map of (S, c)
-    wrong_qrel2 = harness._Instance(
-        x.s, x.c, x.seed, x.sstar, x.t, x.j_ldl, x.j_quot, x.qrel, scale(x.qrel2, 2)
-    )
-    assert check(wrong_qrel2) == friedrichs_witness
-    # c + J**J*, with J its companion; the operator-part route keeps the right J*
-    real_regular_part = harness.regular_part
-    with monkeypatch.context() as m:
-        m.setattr(harness, "regular_part", lambda t: real_regular_part(adjoint(x.j_quot)))
-        wrong_j_quot = harness._Instance(
-            x.s, x.c, x.seed, x.sstar, x.t, x.j_ldl, scale(x.j_quot, 2), x.qrel, x.qrel2
-        )
-        assert check(wrong_j_quot) == krein_witness
-    # c + ((J*)_reg)*((J*)_reg)**
-    with monkeypatch.context() as m:
-        m.setattr(harness, "regular_part", lambda t: scale(real_regular_part(t), 2))
-        assert check(x) == krein_witness
-    # c + (((S - c)^{-1})_F)^{-1}, from the quotient map of the inverse at 0
-    real_repmap_quotient = harness.repmap_quotient
-    with monkeypatch.context() as m:
-        m.setattr(harness, "repmap_quotient", lambda r, base: real_repmap_quotient(r, base - 1))
-        assert check(x) == krein_witness
+    f, k = friedrichs(s, c), krein(s, c)
+    faults = {
+        # c + Q*Q**, Q the quotient map of (S, c)
+        "repmap-product": ("relations_of_form", (x.qrel2, c)),
+        # c + J**J*, J its companion
+        "companion-product": ("closure", (x.j_quot,)),
+        # c + R*R**, R = (J*)_reg
+        "operator-part-product": ("regular_part", (adjoint(x.j_quot),)),
+        # c + (((S - c)^{-1})_F)^{-1}, from the quotient map of the inverse at 0
+        "inverse-duality": ("friedrichs_from", (inverse(shift(s, -c)), 0, repmap_quotient)),
+    }
+    for route, (name, args) in faults.items():
+        with monkeypatch.context() as m:
+            m.setattr(extensions, name, _doubled_at(getattr(extensions, name), args))
+            clear_memos()
+            with pytest.raises(CrossCheckError) as err:
+                check(x)
+            groups = str(err.value).split(" disagree: ")[1].partition("; row in group ")[0].split(" | ")
+            assert len(groups) == 2 and route in groups, (route, str(err.value))
+            clear_memos()
+            assert (friedrichs(s, c), krein(s, c)) == (f, k)
 
 
 def test_order_interval_equivalence_asserts_h_below_s_f_for_every_h(monkeypatch):

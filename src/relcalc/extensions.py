@@ -57,26 +57,27 @@ from .spaces import (
     Subspace,
     complement,
     contains,
-    gram_on,
     intersect,
     row_outside,
     zero_subspace,
 )
 
 
-def selfadjoint_from_form(space: InnerProductSpace, domain: Subspace, matrix: Mat) -> LinearRelation:
-    """The selfadjoint relation H with dom H = domain, mul H = domain-perp
-    and (H phi, psi) = matrix in domain coordinates: the span of the rows
-    [B | X B] and [0 | B_perp], X = matrix G_dom^-1, in one elimination."""
+def selfadjoint_from_form(space: InnerProductSpace, basis: Mat, matrix: Mat) -> LinearRelation:
+    """The selfadjoint relation H with dom H = D, the span of the rows B of
+    ``basis``, mul H = D-perp and (H phi, psi) = matrix in the coordinates
+    of those rows: the span of the rows [B | X B] and [0 | B_perp],
+    X = matrix G_D^-1 with G_D = B G B^T, and B_perp = kernel(B G), in one
+    elimination.  Any basis of D will do; rows that are not one make G_D
+    singular."""
     if not matrix.is_symmetric():
         raise PreconditionError("a selfadjoint relation needs a symmetric form matrix")
-    b = domain.basis
-    gdom = gram_on(domain)
-    coeffs = solve_mat(gdom, matrix)  # M G_dom^{-1}, exact
+    weighted = basis @ space.gram
+    coeffs = solve_mat(weighted.mul_t(basis), matrix)  # M G_D^{-1}, exact
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    perp = complement(domain).basis
-    out = graph_relation(space, space, vstack(b, zeros(perp.rows, b.cols)), vstack(coeffs @ b, perp))
+    perp = kernel(weighted)
+    out = graph_relation(space, space, vstack(basis, zeros(perp.rows, basis.cols)), vstack(coeffs @ basis, perp))
     if not is_selfadjoint(out):
         raise CrossCheckError("relation built from a symmetric form is not selfadjoint")
     return out
@@ -134,10 +135,10 @@ def agree(what: str, names: tuple[str, ...], *values):
     return values[0]
 
 
-@memo
 def friedrichs_from(s: LinearRelation, c, repmap) -> LinearRelation:
     """The Friedrichs extension at c from the maps ``repmap`` builds, where the
-    routes of ``FRIEDRICHS_ROUTES`` agree; (2) and (3) use no map."""
+    routes of ``FRIEDRICHS_ROUTES`` agree; (2) and (3) use no map.  Its LDL^T
+    case is memoized as ``friedrichs``; the other calls rarely repeat."""
     c = rat(c)
     out = agree("Friedrichs extension formulas", ROUTES["friedrichs"], *(r(s, c, repmap) for r in FRIEDRICHS_ROUTES.values()))
     if not is_selfadjoint(out) or not out.is_extension_of(s):
@@ -164,10 +165,10 @@ def weak_friedrichs(s: LinearRelation, c) -> LinearRelation:
     return friedrichs(s, c)
 
 
-@memo
 def krein_from(s: LinearRelation, c, repmap) -> LinearRelation:
     """The Krein type extension at c from the maps ``repmap`` builds, where
-    the routes of ``KREIN_ROUTES`` agree; (3) uses no map."""
+    the routes of ``KREIN_ROUTES`` agree; (3) uses no map.  Its LDL^T case
+    is memoized as ``krein``; the other calls rarely repeat."""
     c = rat(c)
     out = agree("Krein type extension formulas", ROUTES["krein"], *(r(s, c, repmap) for r in KREIN_ROUTES.values()))
     if not is_selfadjoint(out) or not out.is_extension_of(s):

@@ -5,6 +5,14 @@ restricting a random selfadjoint semibounded relation (operator part plus
 purely multivalued part on its orthogonal complement) to a random graph
 subspace, together with a certified rational lower bound.
 
+The samplers draw extensions of S by their domain and form.  A selfadjoint
+H extending S is a domain dom S <= D <= dom S* with mul H = D-perp and a
+symmetric form on D, fixed on dom S x D; `sample_selfadjoint_extensions`
+draws D and the free block of the form, `engineered_nonextremal_extensions`
+adds a rank-one term vanishing on dom S to the form of S_K,c, and both
+build H with `selfadjoint_from_form`.  `sample_extremal` draws D between
+dom S and dom J_c* for `extremal_from_domain`.
+
 The suite is a registry of checks, run in registration order, each taking
 one frozen `_Instance`: the relation, the base point, the seed and the
 objects every check shares (S*, t(S), and the graphs of both representing
@@ -26,7 +34,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -74,7 +81,6 @@ from .relations import (
     graph_relation,
     hsum,
     inverse,
-    is_selfadjoint,
     is_symmetric,
     numerical_range_zero,
     parts,
@@ -164,7 +170,7 @@ def random_semibounded(spec: InstanceSpec) -> tuple[LinearRelation, Fraction]:
     c0 = Fraction(rng.randint(-bound, bound))
     cmat = _rand_matrix(rng, d, d, bound)
     form = (cmat.T @ cmat) + gram_on(dom).scale(c0)
-    ambient = selfadjoint_from_form(space, dom, form)
+    ambient = selfadjoint_from_form(space, dom.basis, form)
     # Restrict to a random graph subspace, steering one generator through
     # the multivalued part when present so instances with nontrivial
     # ran(S-c) cap mul S* occur.
@@ -201,50 +207,35 @@ def random_orthogonal_range_relation(spec: InstanceSpec) -> LinearRelation:
     return out
 
 
+def _extension_of_block(s: LinearRelation, e: Mat, block: Mat) -> LinearRelation:
+    """The selfadjoint extension H of S whose domain D is spanned by the
+    rows f_i of dom S and the rows E of dom S* independent of them, and
+    whose form is ``block`` on E x E.  On dom S x D the form is (f', d), so
+    on the rows [f; E] it is [[t(S), X], [X^T, block]], X the pairings
+    (g_i, e_j) of the dom rows {f_i, g_i} of S."""
+    dom = parts(s).dom
+    x = s.wg.take(range(dom.dim)).mul_t(e)
+    form = vstack(hstack(form_of_relation(s).matrix, x), hstack(x.T, block))
+    h = selfadjoint_from_form(s.src, vstack(dom.basis, e), form)
+    if not h.is_extension_of(s):
+        raise CrossCheckError("a form that is (f', d) on dom S x D built no extension of S")
+    return h
+
+
 def sample_selfadjoint_extensions(
     s: LinearRelation, count: int, seed: int
 ) -> list[LinearRelation]:
-    """Random selfadjoint extensions of a symmetric relation.
-
-    Grows the graph inside graph(S*) one element at a time, keeping the
-    symmetric-pairing conditions against the already-added elements as an
-    incrementally extended linear system.  A symmetric relation whose
-    graph dimension equals the space dimension is selfadjoint, so no
-    rejection is needed beyond re-drawing combinations that land inside
-    the current graph.
-
-    Every candidate is a coefficient row x over the basis rows {f_a, g_a}
-    of graph(S*), the element x^T [F | G].  Its pairing conditions are
-    x^T Omega, Omega = P - P^T for S*'s ``pairing`` P, so Omega[a][b] =
-    (g_a, f_b) - (f_a, g_b), and each step spans the current basis and the
-    candidate in one elimination; every vector stays a ``Mat`` row.
-    """
+    """Random selfadjoint extensions of a symmetric relation (module
+    docstring): E from random combinations of the rows that complete dom S
+    to dom S*, and the block B + B^T from a random B."""
     rng = random.Random(seed)
-    n = s.src.dim
-    sstar = adjoint(s)
-    star = sstar.graph.basis
-    omega = sstar.pairing - sstar.pairing.T
+    dom = parts(s).dom
+    gap = extending(dom, parts(adjoint(s)).dom.basis)
     out = []
     for _ in range(count):
-        graph = s.graph
-        conditions = zeros(0, star.rows)
-        while graph.dim < n:
-            # With no condition yet the kernel is all of the coefficients.
-            sol = kernel(conditions)
-            # Sixteen random combinations of the solutions, then each one.
-            drawn = (_rand_matrix(rng, 1, sol.rows, 3) @ sol for _attempt in range(16))
-            for x in chain(drawn, (sol.take([j]) for j in range(sol.rows))):
-                v = x @ star
-                if echelon_coords(graph.basis, v) is None:
-                    break
-            else:
-                raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
-            graph = span_mat(graph.space, vstack(graph.basis, v))
-            conditions = vstack(conditions, x @ omega)
-        t = LinearRelation(s.src, s.src, graph)
-        if not is_selfadjoint(t):
-            raise CrossCheckError("a maximal symmetric graph is not selfadjoint")
-        out.append(t)
+        e = extending(dom, _rand_matrix(rng, rng.randint(min(1, gap.rows), gap.rows), gap.rows, 3) @ gap)
+        b = _rand_matrix(rng, e.rows, e.rows, 3)
+        out.append(_extension_of_block(s, e, b + b.T))
     return out
 
 
@@ -266,9 +257,11 @@ def engineered_nonextremal_extensions(
         return out
     for i in range(count):
         w = null.take([i % null.rows])
-        h = selfadjoint_from_form(s.src, tk.domain, tk.matrix + (w.T @ w).scale(i + 1))
-        if h.is_extension_of(s) and h != k:
-            out.append(h)
+        h = selfadjoint_from_form(s.src, tk.domain.basis, tk.matrix + (w.T @ w).scale(i + 1))
+        # The bump is nonzero and vanishes on dom S: H extends S and is not S_K,c.
+        if not h.is_extension_of(s) or h == k:
+            raise CrossCheckError("a rank-one bump of t(S_K,c) vanishing on dom S built no new extension of S")
+        out.append(h)
     return out
 
 

@@ -72,9 +72,10 @@ test walks the package's syntax tree to keep it so.  Memoized are the
 eliminations here, the subspace and relation operations with ``contains``,
 the forms with ``is_nonneg_above``, their
 shifted matrices M - cG (``shifted_matrix``) and restrictions
-(``restrict_form``), the representing maps, and the extensions with
-``order_leq``, ``extremal_check`` and ``extremal_from_domain``: inside one
-scope each runs once per distinct input.  A lookup hashes its arguments.
+(``restrict_form``), the representing maps, and the extensions
+``friedrichs`` and ``krein`` (not ``friedrichs_from`` and ``krein_from``)
+with ``order_leq``, ``extremal_check`` and ``extremal_from_domain``: inside
+one scope each runs once per distinct input.  A lookup hashes its arguments.
 A ``Mat`` keeps its hash in its ``_hash`` slot.  Each value built on it
 is a ``Value``: its fields are set once, ``==`` compares the class and
 the fields, and its hash is the ``Mat`` that fixes it up to ``==``, so
@@ -709,8 +710,7 @@ class PsdCertificate(NamedTuple):
     of minors with one common denominator, so a column stays near the
     height of the tallest D entry; a row of L mixes the denominators of
     every step and grew to 2,759 bits against 453 for its columns on the
-    395-bit seed-0 dim-12 form of S_K,c.  ``lower`` forms L itself, row by
-    row, for a reader.
+    395-bit seed-0 dim-12 form of S_K,c.
 
     ``verify`` decides the whole identity, for a ``perm`` that is a
     permutation, with products and subtractions only.  L D L^T is
@@ -728,11 +728,6 @@ class PsdCertificate(NamedTuple):
     perm: tuple[int, ...]
     lower_cols: Mat
     diag: Vec
-
-    @property
-    def lower(self) -> Mat:
-        """L, row by row: the transpose of ``lower_cols``."""
-        return self.lower_cols.T
 
     def verify(self, m: Mat) -> bool:
         cols, perm = self.lower_cols, self.perm

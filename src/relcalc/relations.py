@@ -21,7 +21,8 @@ P[i][j] = (g_i, f_j).  ``adjoint`` is the null space of the rows
 that dimension count, ``is_symmetric`` checks S in S* as the symmetry of P,
 and ``is_selfadjoint`` adds dim S = dim H, since a maximal symmetric
 relation is selfadjoint.  Blocks of P are the form matrix and its cross
-term in ``forms``, and P - P^T the sampler's conditions in ``harness``.
+term in ``forms``, and ``wg`` gives the sampler in ``harness`` the
+pairings of S with the rows it adds to dom S.
 """
 
 from __future__ import annotations

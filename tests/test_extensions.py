@@ -419,7 +419,7 @@ def test_relations_of_form_stacked_map_identity():
 def test_selfadjoint_from_form_roundtrip():
     dom = span(Q3, [vec([1, 0, 0]), vec([0, 1, 1])])
     m = mat([[2, 1], [1, 5]])
-    h = selfadjoint_from_form(Q3, dom, m)
+    h = selfadjoint_from_form(Q3, dom.basis, m)
     assert parts(h).dom == dom
     assert parts(h).mul == complement(dom)
     assert form_of_relation(h).restrict(dom).matrix == m
@@ -428,7 +428,7 @@ def test_selfadjoint_from_form_roundtrip():
 def test_selfadjoint_from_form_mismatch_is_a_cross_check_error(monkeypatch):
     monkeypatch.setattr(extensions, "is_selfadjoint", lambda h: False)
     with pytest.raises(CrossCheckError):
-        selfadjoint_from_form(Q3, span(Q3, [vec([1, 0, 0])]), mat([[2]]))
+        selfadjoint_from_form(Q3, mat([[1, 0, 0]]), mat([[2]]))
 
 
 def test_purely_multivalued_relation_degenerate_path():

@@ -181,10 +181,10 @@ def test_repmap_ldl_maps_onto_the_gram_block_at_the_pivots(m, c):
     [
         # The pivot order reversed: the block A[P, P] = (0) is singular, and
         # the Gram certificate's ValueError surfaces as a failed cross-check.
-        ([[1, 0], [0, 3]], 1, lambda cert: PsdCertificate(cert.perm[::-1], cert.lower, cert.diag)),
+        ([[1, 0], [0, 3]], 1, lambda cert: PsdCertificate(cert.perm[::-1], cert.lower_cols.T, cert.diag)),
         # The last pivot dropped: A[P, P] = (4) is positive definite, but
         # its Schur complement does not vanish.
-        ([[4, 1], [1, 2]], 0, lambda cert: PsdCertificate(cert.perm, cert.lower, (*cert.diag[:-1], Fraction(0)))),
+        ([[4, 1], [1, 2]], 0, lambda cert: PsdCertificate(cert.perm, cert.lower_cols.T, (*cert.diag[:-1], Fraction(0)))),
     ],
 )
 def test_repmap_ldl_rejects_a_certificate_with_wrong_pivots(monkeypatch, m, c, fault):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -12,7 +13,14 @@ import relcalc.forms as forms
 import relcalc.harness as harness
 from relcalc.cli import main
 from relcalc.errors import CrossCheckError
-from relcalc.extensions import OrderResult, friedrichs, krein
+from relcalc.extensions import (
+    OrderResult,
+    extension_interval_check,
+    extremal_check,
+    extremal_from_domain,
+    friedrichs,
+    krein,
+)
 from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation, is_nonneg_above, repmap_quotient
 from relcalc.harness import (
     REQUIRED_CHECKS,
@@ -27,7 +35,7 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import _MEMOS, clear_memos, echelon_coords, identity, mat, rank, vec
+from relcalc.linalg import _MEMOS, clear_memos, echelon_coords, identity, mat, rank, vec, zeros
 from relcalc.relations import (
     adjoint,
     hsum,
@@ -40,10 +48,9 @@ from relcalc.relations import (
     shift,
 )
 from relcalc.serialize import parse_relation, vector_witness, write_relation
-from relcalc.spaces import standard_space, zero_subspace
+from relcalc.spaces import extending, standard_space, zero_subspace
 
 from relation_builders import e1, e2, full_subspace, operator_relation, scale
-from vectors import combination, member
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
@@ -159,8 +166,6 @@ def test_sample_extremal_dim4_at_least_three():
     s = dim4_fixture()
     found = {h for h in sample_extremal(s, 0, 10, seed=7)}
     assert len(found) >= 3
-    from relcalc.extensions import extremal_check
-
     for h in found:
         assert extremal_check(h, s, 0)
 
@@ -173,19 +178,23 @@ def test_sampled_extensions_are_selfadjoint_extensions():
 
 
 def test_a_sampler_that_ignores_the_pairing_is_caught(monkeypatch):
-    # With every coefficient admitted, the sampler grows S inside graph(S*)
-    # to dim H with no symmetry condition; is_selfadjoint refuses the graph.
+    # With 0 in place of the pairings (g_i, e_j) the form stays symmetric,
+    # so H is selfadjoint, but it has left the graph rows of S behind.
     s, _ = random_semibounded(InstanceSpec(dim=4, seed=31, mul_dim=1, restrict_dim=2))
-    monkeypatch.setattr(harness, "kernel", lambda conditions: identity(conditions.cols))
+    k, real = parts(s).dom.dim, harness.selfadjoint_from_form
+
+    def unpaired(space, basis, form):
+        n = range(form.rows)
+        return real(space, basis, mat([[form[i, j] if (i < k) == (j < k) else 0 for j in n] for i in n]))
+
+    monkeypatch.setattr(harness, "selfadjoint_from_form", unpaired)
     with pytest.raises(CrossCheckError) as err:
         sample_selfadjoint_extensions(s, 1, seed=8)
-    assert str(err.value) == "a maximal symmetric graph is not selfadjoint"
+    assert str(err.value) == "a form that is (f', d) on dom S x D built no extension of S"
 
 
 def test_engineered_nonextremal():
     s = dim4_fixture()
-    from relcalc.extensions import extremal_check
-
     bad = engineered_nonextremal_extensions(s, 0)
     assert len(bad) >= 3
     tk = form_of_relation(krein(s, 0))
@@ -201,6 +210,16 @@ def test_engineered_nonextremal():
         assert certify_lower_bound(QuadraticForm(Q4, tk.domain, bump), 0).ok
         assert rank(bump) == 1
         assert (dom_s @ bump).is_zero()
+
+
+def test_a_bump_that_does_not_vanish_on_dom_s_is_caught(monkeypatch):
+    # Unit coordinate rows in place of the null space of the dom S
+    # coordinates: the first bump is nonzero on dom S, so H loses S.
+    s = dim4_fixture()
+    monkeypatch.setattr(harness, "kernel", lambda cmat: identity(cmat.cols))
+    with pytest.raises(CrossCheckError) as err:
+        engineered_nonextremal_extensions(s, 0)
+    assert str(err.value) == "a rank-one bump of t(S_K,c) vanishing on dom S built no new extension of S"
 
 
 def test_orthogonal_range_generator():
@@ -529,7 +548,9 @@ def test_order_interval_equivalence_asserts_h_below_s_f_for_every_h(monkeypatch)
     # S_F is the largest selfadjoint extension, also of the sampled H that
     # are not >= c, where S_K,c <= H fails first.  The planted order denies
     # H <= S_F for exactly those H, so only the comparison on its own sees it.
-    x = harness._Instance.build(*_random_dim3_with_mul())
+    # The draw seed 5 gives one H that is not >= c.
+    s, c, _ = _random_dim3_with_mul()
+    x = harness._Instance.build(s, c, 5)
     name = "order-interval-equivalence"
     check = dict(harness.REGISTRY)[name]
     assert check(x) is None
@@ -595,64 +616,14 @@ def test_krein_quadruple_catches_each_exact_bound_comparison(monkeypatch, name, 
     assert check(x) == witness
 
 
-# ------------------------------------------- the sampler draws fixed extensions
-#
-# ``sample_selfadjoint_extensions`` grows each graph on coefficient rows over
-# graph(S*), with the pairing conditions read off one matrix Omega.  The
-# sampler it replaced, on Fraction tuples with one span and one subspace_sum
-# per step, is kept here: both must draw the same extensions from the same
-# rng calls.
+# ------------------------------------------ the sampler draws a domain and a block
 
 
-def reference_sampler(s, count, seed):
-    """The sampler on Fraction vectors: each candidate is x^T [F | G] as a
-    tuple, and its conditions are (g_a, f_b) - (f_a, g_b) against every
-    basis element of graph(S*), from its own components."""
-    import random
-
-    from relcalc.linalg import kernel, mat, vstack, zeros
-    from relcalc.relations import LinearRelation
-    from relcalc.spaces import span, subspace_sum
-
-    rng = random.Random(seed)
-    n = s.src.dim
-    g = s.src.gram
-    star = adjoint(s).graph.basis
-    out = []
-    for _ in range(count):
-        graph = s.graph
-        conditions = zeros(0, star.rows)
-        while graph.dim < n:
-            sol = kernel(conditions)
-            cand = None
-            for _attempt in range(16):
-                v = combination(star, combination(sol, harness._rand_vec(rng, sol.rows, 3)))
-                if not member(v, graph):
-                    cand = v
-                    break
-            if cand is None:
-                images = (combination(star, sol.row(j)) for j in range(sol.rows))
-                cand = next((v for v in images if not member(v, graph)), None)
-            if cand is None:
-                raise CrossCheckError("no element of graph(S*) extends a non-maximal symmetric graph")
-            graph = subspace_sum(graph, span(graph.space, [cand]))
-            fa, ga = cand[:n], cand[n:]
-            conditions = vstack(conditions, mat([star.mul_vec(g.mul_vec(ga) + g.scale(-1).mul_vec(fa))]))
-        out.append(LinearRelation(s.src, s.src, graph))
-    return out
-
-
-def test_the_sampler_draws_the_reference_extensions_on_the_seed0_corpus():
-    drawn = 0
-    for spec in suite_specs(200, (2, 6), 0):
-        clear_memos()
-        s, _ = random_semibounded(spec)
-        for salt in (4, 5, 6):
-            seed = spec.seed * 11 + salt
-            got = sample_selfadjoint_extensions(s, 5, seed)
-            assert got == reference_sampler(s, 5, seed), (spec, salt)
-            drawn += sum(h != s for h in got)
-    assert drawn > 1000  # most instances have a deficiency to fill
+def test_a_selfadjoint_relation_is_its_only_sampled_extension():
+    # dom S = dom S*: no row completes dom S, so D = dom S and H = S_F = S.
+    s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=4))
+    assert is_selfadjoint(s)
+    assert sample_selfadjoint_extensions(s, 3, 9) == [s, s, s]
 
 
 @given(
@@ -663,29 +634,53 @@ def test_the_sampler_draws_the_reference_extensions_on_the_seed0_corpus():
     draw_seed=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=40, deadline=None)
-def test_the_sampler_draws_the_reference_extensions_on_small_relations(dim, seed, mul, restrict, draw_seed):
+def test_every_draw_on_small_relations_is_a_selfadjoint_extension(dim, seed, mul, restrict, draw_seed):
     spec = InstanceSpec(dim=dim, seed=seed, mul_dim=min(mul, dim), restrict_dim=min(restrict, dim))
     s, _ = random_semibounded(spec)
-    assert sample_selfadjoint_extensions(s, 3, draw_seed) == reference_sampler(s, 3, draw_seed)
-
-
-def test_a_selfadjoint_relation_is_its_only_sampled_extension():
-    # Deficiency 0: the graph is already maximal, so no step runs.
-    s, _ = random_semibounded(InstanceSpec(dim=4, seed=3, mul_dim=1, restrict_dim=4))
-    assert is_selfadjoint(s)
-    assert sample_selfadjoint_extensions(s, 3, 9) == reference_sampler(s, 3, 9) == [s, s, s]
-
-
-def test_zero_draws_fall_back_to_the_solution_rows(monkeypatch):
-    # Every random combination is zero, so inside the graph; each step takes
-    # the first solution row that leaves it.
-    s, _ = random_semibounded(InstanceSpec(dim=4, seed=31, mul_dim=1, restrict_dim=2))
-    monkeypatch.setattr(harness, "_rand_vec", lambda rng, n, bound: (Fraction(0),) * n)
-    got = sample_selfadjoint_extensions(s, 2, 8)
-    assert got == reference_sampler(s, 2, 8)
-    assert got[0] != s
-    for h in got:
+    for h in sample_selfadjoint_extensions(s, 3, draw_seed):
         assert is_selfadjoint(h) and h.is_extension_of(s)
+
+
+def _symmetric_blocks(m):
+    """Every symmetric m x m matrix with entries in {-1, 0, 1}."""
+    cells = [(i, j) for i in range(m) for j in range(i, m)]
+    for values in itertools.product((-1, 0, 1), repeat=len(cells)):
+        entries = dict(zip(cells, values))
+        yield mat([[entries[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]) if m else zeros(0, 0)
+
+
+def test_every_small_domain_and_block_builds_a_distinct_extension():
+    # Bounded-exhaustive: each subset E of the two rows completing dom S to
+    # dom S*, with each symmetric block on E x E with entries in {-1, 0, 1}.
+    s, c = random_semibounded(InstanceSpec(dim=3, seed=10, mul_dim=0, restrict_dim=1))
+    dom = parts(s).dom
+    gap = extending(dom, parts(adjoint(s)).dom.basis)
+    assert gap.rows == 2
+    drawn = [
+        harness._extension_of_block(s, gap.take(rows), block)
+        for m in range(3)
+        for rows in itertools.combinations(range(2), m)
+        for block in _symmetric_blocks(m)
+    ]
+    assert len(set(drawn)) == len(drawn) == 34
+    assert drawn[0] == friedrichs(s, c)  # D = dom S
+    outcomes = set()
+    for h in drawn:
+        assert is_selfadjoint(h) and h.is_extension_of(s)
+        assert extension_interval_check(s, c, h)
+        above, extremal = is_nonneg_above(h, c).ok, extremal_check(h, s, c)
+        assert extremal == (above and extremal_from_domain(s, c, parts(h).dom) == h)
+        outcomes.add((above, extremal))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_sampled_forms_stay_small():
+    # Entry size is the cost of every later PSD decision on a draw.
+    s, _ = random_semibounded(InstanceSpec(16, 1, 0, 8))
+    for h in sample_selfadjoint_extensions(s, 5, 0):
+        m = form_of_relation(h).matrix
+        entries = (m[i, j] for i in range(m.rows) for j in range(m.cols))
+        assert max(abs(q.numerator).bit_length() + q.denominator.bit_length() for q in entries) < 1000
 
 
 def _abstract_map() -> list[str]:

@@ -573,7 +573,7 @@ def test_echelon_constructors_equal_their_eliminated_definitions(data):
     coeffs = solve_mat(gram_on(domain), matrix)
     rel = graph_relation(space, space, domain.basis, coeffs @ domain.basis)
     mul_rel = LinearRelation(space, space, span_mat(product_space(space, space), block_diag(zeros(0, space.dim), complement(domain).basis)))
-    assert selfadjoint_from_form(space, domain, matrix) == hsum(rel, mul_rel)
+    assert selfadjoint_from_form(space, domain.basis, matrix) == hsum(rel, mul_rel)
 
 
 @given(

@@ -66,7 +66,7 @@ def symmetric_relation(draw):
     k = draw(st.integers(min_value=0, max_value=space.dim))
     dom = span(space, [[draw(rationals) for _ in range(space.dim)] for _ in range(k)])
     a = mat([[draw(rationals) for _ in range(dom.dim)] for _ in range(dom.dim)])
-    h = selfadjoint_from_form(space, dom, a + a.T)
+    h = selfadjoint_from_form(space, dom.basis, a + a.T)
     basis = h.graph.basis
     r = draw(st.integers(min_value=0, max_value=basis.rows))
     combos = [[draw(rationals) for _ in range(basis.rows)] for _ in range(r)]

@@ -104,7 +104,7 @@ def test_ldl_scalar():
     res = ldl_psd_certificate(mat([[4]]))
     assert res.ok
     assert res.certificate.lower_cols == mat([[1]])
-    assert res.certificate.lower == mat([[1]])
+    assert res.certificate.lower_cols.T == mat([[1]])
     assert res.certificate.diag == vec([4])
 
 

@@ -130,9 +130,10 @@ def subspace_to_json(sub: Subspace) -> dict:
 
 
 def relation_to_json(rel: LinearRelation) -> dict:
+    src = space_to_json(rel.src)
     return {
-        "from": space_to_json(rel.src),
-        "to": space_to_json(rel.dst),
+        "from": src,
+        "to": src if rel.dst == rel.src else space_to_json(rel.dst),
         "graph_basis": matrix_to_json(rel.graph.basis),
     }
 

@@ -181,18 +181,34 @@ def test_repmap_ldl_maps_onto_the_gram_block_at_the_pivots(m, c):
     [
         # The pivot order reversed: the block A[P, P] = (0) is singular, and
         # the Gram certificate's ValueError surfaces as a failed cross-check.
-        ([[1, 0], [0, 3]], 1, lambda cert: PsdCertificate(cert.perm[::-1], cert.lower_cols.T, cert.diag)),
+        (
+            [[1, 0], [0, 3]],
+            1,
+            lambda cert: (
+                PsdCertificate(cert.perm[::-1], cert.lower_cols, cert.diag),
+                r"Gram block at the LDL\^T pivots: the LDL\^T certificate does not reproduce the Gram matrix",
+            ),
+        ),
         # The last pivot dropped: A[P, P] = (4) is positive definite, but
         # its Schur complement does not vanish.
-        ([[4, 1], [1, 2]], 0, lambda cert: PsdCertificate(cert.perm, cert.lower_cols.T, (*cert.diag[:-1], Fraction(0)))),
+        (
+            [[4, 1], [1, 2]],
+            0,
+            lambda cert: (
+                PsdCertificate(cert.perm, cert.lower_cols, (*cert.diag[:-1], Fraction(0))),
+                "representing map certificate identity failed",
+            ),
+        ),
     ],
 )
 def test_repmap_ldl_rejects_a_certificate_with_wrong_pivots(monkeypatch, m, c, fault):
+    # Each fault plants one error in the real certificate, L kept by
+    # columns, and names the message it is rejected with.
     t = _on_plane(m)
-    real = forms.certify_lower_bound(t, c)
+    faulty, message = fault(forms.certify_lower_bound(t, c).certificate)
     clear_memos()
-    monkeypatch.setattr(forms, "certify_lower_bound", lambda t, c: PsdResult(fault(real.certificate), None))
-    with pytest.raises(CrossCheckError):
+    monkeypatch.setattr(forms, "certify_lower_bound", lambda t, c: PsdResult(faulty, None))
+    with pytest.raises(CrossCheckError, match=message):
         repmap_ldl(t, c)
 
 

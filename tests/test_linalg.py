@@ -5,6 +5,7 @@ hand Gaussian elimination; the hypothesis blocks check the algebraic
 invariants on random rational inputs.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -31,6 +32,7 @@ from relcalc.linalg import (
     solve_mat,
     vec,
     vstack,
+    zassenhaus,
     zeros,
 )
 
@@ -714,6 +716,64 @@ def test_rref_of_a_wide_matrix_with_400_bit_entries():
     assert rank(m) == 11
 
 
+# ------------------------------------------ the pivot row does not matter
+#
+# ``_eliminate`` pivots on the row with the least |entry| in the pivot
+# column.  That choice moves only the size of the intermediate integers:
+# the reduced echelon form of a row space is unique, and so are its pivot
+# columns, so any order of the input rows gives the same stored rows.
+
+int_entries = st.one_of(st.integers(min_value=-9, max_value=9), st.integers(min_value=-(2**80), max_value=2**80))
+
+
+@st.composite
+def planted_int_rows(draw, nrows, ncols):
+    """An nrows x ncols list of integer rows, or half the time one of rank
+    below both sides: a product through a smaller inner dimension, the
+    zero matrix when that is 0."""
+    entries = lambda n, k: [[draw(int_entries) for _ in range(k)] for _ in range(n)]
+    if draw(st.booleans()) or min(nrows, ncols) == 0:
+        return entries(nrows, ncols)
+    inner = draw(st.integers(min_value=0, max_value=min(nrows, ncols) - 1))
+    left, right = entries(nrows, inner), entries(inner, ncols)
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*right)] if inner else [0] * ncols for r in left]
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.integers(0, 6).flatmap(lambda k: st.tuples(st.just(k), planted_int_rows(n, k)))))
+@settings(max_examples=100, deadline=None)
+def test_eliminate_gives_the_same_rows_for_every_order_of_its_input(data):
+    ncols, rows = data
+    expected = linalg._eliminate([list(r) for r in rows], ncols)
+    for order in itertools.permutations(rows):
+        assert linalg._eliminate([list(r) for r in order], ncols) == expected
+
+
+@given(
+    st.integers(0, 4).flatmap(lambda nb: st.integers(0, 4).flatmap(
+        lambda na: st.tuples(st.just(nb), st.just(na), planted_int_rows(3, nb + na), planted_int_rows(2, nb + na))
+    )),
+    st.integers(-3, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_zassenhaus_gives_the_same_rows_for_either_order_of_its_blocks(data, f):
+    nb, na, xs, ys = data
+    ncols = nb + na
+    x = (build(xs, ncols), (0, 1, 0, ncols))
+    # The second block's b-part scaled by f, its a-part placed as it is.
+    y = (build(ys, ncols), (0, f, 0, nb), (nb, 1, nb, ncols))
+    assert zassenhaus(nb, ncols, x, y) == zassenhaus(nb, ncols, y, x)
+
+
+def test_eliminate_pivots_on_the_least_entry_of_the_pivot_column():
+    # The unit row [1, 5] pivots, not the first row [6, 1]; ``_eliminate``
+    # leaves the pivot rows in ``work``.
+    work = [[6, 1], [1, 5]]
+    done, pivots = linalg._eliminate(work, 2)
+    assert work[0] == [1, 5]
+    assert pivots == [0, 1]
+    assert done == [((1, 0), 1), ((0, 1), 1)]
+
+
 # ------------------------------------------ L D L^T certificates
 #
 # ``PsdCertificate.verify`` peels D_i L_ri (column i of L)^T off each row
@@ -896,3 +956,17 @@ def test_strings_are_the_fraction_strings_of_the_stored_rows(data):
     x, d = data.draw(huge), data.draw(st.integers(min_value=1, max_value=2**1000) | st.sampled_from([1, 2, 6]))
     assert linalg._rational_str(x, d) == str(Fraction(x, d))
     assert linalg._rational_str(x * d, d) == str(x)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_to_strings_prints_each_stored_entry_as_its_fraction(data):
+    # Stored rows with entries 0, d and -d (the zeros and leading ones of a
+    # reduced echelon row) among others; gcd(d, 2d + 1) == 1 keeps each row
+    # in stored form.
+    d = data.draw(st.sampled_from([1, 2, 6]) | st.integers(min_value=1, max_value=2**200))
+    k = data.draw(st.integers(min_value=1, max_value=5))
+    others = st.integers(min_value=-(2**200), max_value=2**200)
+    rows = [tuple(data.draw(st.sampled_from([0, d, -d]) | others) for _ in range(k)) + (2 * d + 1,) for _ in range(data.draw(sizes))]
+    m = linalg.Mat(len(rows), k + 1, tuple(rows), (d,) * len(rows))
+    assert m.to_strings() == [[str(Fraction(x, d)) for x in r] for r in rows]

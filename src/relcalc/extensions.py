@@ -33,7 +33,7 @@ from .forms import (
     ldl_map,
     shifted_matrix,
 )
-from .linalg import Mat, Vec, echelon_coords, kernel, memo, rat, row_dots, solve_mat, vstack, zeros
+from .linalg import Mat, Vec, echelon_coords, hstack, kernel, memo, rat, row_dots, rref, solve_mat, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -64,20 +64,22 @@ from .spaces import (
 
 
 def selfadjoint_from_form(space: InnerProductSpace, basis: Mat, matrix: Mat) -> LinearRelation:
-    """The selfadjoint relation H with dom H = D, the span of the rows B of
-    ``basis``, mul H = D-perp and (H phi, psi) = matrix in the coordinates
-    of those rows: the span of the rows [B | X B] and [0 | B_perp],
-    X = matrix G_D^-1 with G_D = B G B^T, and B_perp = kernel(B G), in one
-    elimination.  Any basis of D will do; rows that are not one make G_D
-    singular."""
+    """The selfadjoint relation H with dom H = D, the span of the k rows B of
+    ``basis``, mul H = D-perp and (H phi, psi) = M = ``matrix`` in their
+    coordinates: the span of the rows [B | M C] and [0 | kernel(B G)], in
+    one elimination.  C = G_D^-1 B, G_D = B G B^T, from one ``rref`` of
+    [G_D | B], which is [I | C] iff its first k pivots are 0..k-1.  Any
+    basis of D will do; rows that are not one make G_D singular."""
     if not matrix.is_symmetric():
         raise PreconditionError("a selfadjoint relation needs a symmetric form matrix")
+    k = basis.rows
     weighted = basis @ space.gram
-    coeffs = solve_mat(weighted.mul_t(basis), matrix)  # M G_D^{-1}, exact
-    if coeffs is None:
+    red, pivots = rref(hstack(weighted.mul_t(basis), basis))
+    if pivots[:k] != tuple(range(k)):
         raise CrossCheckError("the Gram matrix of a basis is singular")
     perp = kernel(weighted)
-    out = graph_relation(space, space, vstack(basis, zeros(perp.rows, basis.cols)), vstack(coeffs @ basis, perp))
+    lift_rows = matrix @ red.take(range(k), range(k, red.cols))
+    out = graph_relation(space, space, vstack(basis, zeros(perp.rows, basis.cols)), vstack(lift_rows, perp))
     if not is_selfadjoint(out):
         raise CrossCheckError("relation built from a symmetric form is not selfadjoint")
     return out

@@ -47,7 +47,6 @@ from .linalg import (
     rat,
     rref,
     solve_mat,
-    vec,
     vstack,
     zassenhaus,
     zeros,
@@ -167,8 +166,8 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> PsdResult:
     (phi', phi) < c (phi, phi).  When mul s is orthogonal to dom s the
     pairing is that of the symmetric part of the leading k x k block of
     the ``pairing``, k = dim dom s, and ``certify_lower_bound`` decides it
-    and gives phi; for a symmetric s that block is the matrix of
-    ``form_of_relation(s)``, so both share one decision.
+    and gives phi; for a symmetric s that block is symmetric, passes as it
+    is and is the matrix of ``form_of_relation(s)``: one shared decision.
     """
     if s.src != s.dst:
         raise PreconditionError("semiboundedness requires equal source and target spaces")
@@ -182,7 +181,9 @@ def is_nonneg_above(s: LinearRelation, c: Fraction | int | str) -> PsdResult:
         t = -(s.pairing[j, j] - c * s.wf.take([j]).mul_t(f.take([j]))[0, 0] + 1) / cross[i, j]
         return PsdResult(None, (f.row(j), (g.take([j]) + g.take([k + i]).scale(t)).row(0)))
     form = s.pairing.take(range(k), range(k))
-    res = certify_lower_bound(QuadraticForm(s.src, parts(s).dom, (form + form.T).scale(Fraction(1, 2))), c)
+    if not form.is_symmetric():
+        form = (form + form.T).scale(Fraction(1, 2))
+    res = certify_lower_bound(QuadraticForm(s.src, parts(s).dom, form), c)
     if res.ok:
         return res
     return PsdResult(None, (res.witness, lifts(s, mat([res.witness])).row(0)))
@@ -692,9 +693,9 @@ def ran_adjoint_by_inequality(s: LinearRelation, c, phi) -> bool:
     is an exact rational range test.
     """
     t = form_of_relation(s)
-    v = t.domain.basis.mul_vec(s.src.gram.mul_vec(vec(phi)))
-    # M is symmetric, so Mx = v reads x^T M = v^T: v is in the row space of M.
-    return echelon_coords(rref(shifted_matrix(t, rat(c)))[0], mat([v])) is not None
+    # v = (B G phi)^T, and M is symmetric, so Mx = v reads x^T M = v^T.
+    v = (mat([phi]) @ s.src.gram).mul_t(t.domain.basis)
+    return echelon_coords(rref(shifted_matrix(t, rat(c)))[0], v) is not None
 
 
 def inequality_range_subspace(s: LinearRelation, c) -> Subspace:

@@ -71,7 +71,7 @@ from .forms import (
     repmap_ldl,
     repmap_quotient,
 )
-from .linalg import Mat, Vec, clear_memos, echelon_coords, hstack, identity, kernel, mat, rat, vstack, zeros
+from .linalg import Mat, Vec, clear_memos, echelon_coords, hstack, identity, kernel, rat, ratio_mat, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -125,16 +125,10 @@ class CheckResult(namedtuple("CheckResult", "name passed witness")):
         return super().__new__(cls, name, passed, witness)
 
 
-def _rand_fraction(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def _rand_vec(rng: random.Random, n: int, bound: int) -> Vec:
-    return tuple(_rand_fraction(rng, bound) for _ in range(n))
-
-
 def _rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Mat:
-    return mat([_rand_vec(rng, cols, bound) for _ in range(rows)]) if rows else zeros(0, cols)
+    """Entries p / q row by row, p = randint(-bound, bound) drawn before q = randint(1, bound)."""
+    draw = rng.randint
+    return ratio_mat(cols, [[(draw(-bound, bound), draw(1, bound)) for _ in range(cols)] for _ in range(rows)])
 
 
 def _rand_spd_gram(rng: random.Random, dim: int, bound: int) -> Mat:

@@ -27,10 +27,10 @@ is 1; a zero row is ``(0, ..., 0) / 1``.  It is a plain ``__slots__``
 class with one ``__init__``, its shape in the slots ``_rows`` and
 ``_cols`` behind read-only properties.  That form is canonical, so
 ``==`` and ``hash`` are tuple equality and hashing on ints.  Products,
-sums, scaling, transposes, submatrices and stacking build their result
-rows from ints with one gcd reduction per row, but a column permutation
-in ``take`` and ``scale(±1)`` keep each row's denominator.  Every
-elimination runs on the stored rows directly.  ``det`` and
+sums, scaling, transposes, submatrices (a step-1 ``range`` of columns is
+a slice of each row) and stacking build their rows from ints with one gcd
+reduction per row, but ``scale(±1)`` and a column permutation in ``take``
+keep each row's denominator.  Eliminations run on the stored rows.  ``det`` and
 ``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``,
 ``kernel`` and ``zassenhaus`` share ``_eliminate``, which eliminates
 forward below each pivot, pivoting on the row with the least |entry| in
@@ -47,13 +47,13 @@ P^T M P in integers, so every partial row of a valid certificate is a
 Schur-complement row; it forms no product matrix.  A
 ``fractions.Fraction`` leaves a ``Mat`` only through ``[i, j]``, ``row``,
 ``row_dots`` and ``mul_vec``; ``to_strings`` prints entries without one,
-and ``mat`` converts the other way.
+``mat`` converts the other way, and ``ratio_mat`` takes int pairs (p, q).
 
 Only this module knows how a ``Mat`` is stored, and reads its slots
-directly.  Every other module builds matrices with ``mat``, ``zeros``,
-``identity`` and the stacking helpers, and reads them through
-``rows``, ``cols``, ``[i, j]``, ``row``, ``take``, ``row_dots`` and
-``to_strings``, so the storage can change here alone.
+directly.  Every other module builds matrices with ``mat``,
+``ratio_mat``, ``zeros``, ``identity`` and the stacking helpers, and reads
+them through ``rows``, ``cols``, ``[i, j]``, ``row``, ``take``,
+``row_dots`` and ``to_strings``, so the storage can change here alone.
 
 One canonical subspace basis is one live object.  ``interned`` returns the
 live ``Mat`` equal to its argument, from a table keyed by the stored
@@ -221,6 +221,8 @@ class Mat:
         num, den = self._num, self._den
         if cols is None:
             return Mat(len(rows), self._cols, tuple([num[i] for i in rows]), tuple([den[i] for i in rows]))
+        if isinstance(cols, range) and cols.step == 1 and 0 <= cols.start and cols.stop <= self._cols:
+            return _from_rows(len(cols), [_norm(num[i][cols.start:cols.stop], den[i]) for i in rows])
         if sorted(cols) == list(range(self._cols)):
             # Permuted entries keep their gcd, so each row keeps its denominator.
             return Mat(len(rows), self._cols, tuple([tuple([num[i][j] for j in cols]) for i in rows]), tuple([den[i] for i in rows]))
@@ -370,6 +372,19 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     ncols = len(data[0][0]) if data else 0
     if any(len(r) != ncols for r, _ in data):
         raise ValueError("matrix rows have different lengths")
+    return _from_rows(ncols, data)
+
+
+def ratio_mat(ncols: int, rows: Iterable[Sequence[tuple[int, int]]]) -> Mat:
+    """The matrix whose row i holds p / q for the int pairs (p, q), q != 0,
+    of ``rows[i]``, with no Fraction: each row over the lcm of its q,
+    reduced once."""
+    data = []
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError("matrix rows have different lengths")
+        den = lcm(*[q for _, q in r])
+        data.append(_norm([p * (den // q) for p, q in r], den))
     return _from_rows(ncols, data)
 
 

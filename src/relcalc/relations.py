@@ -17,12 +17,12 @@ Its products are formed once per relation, on first reading, and kept like
 ``halves``, outside ``clear_memos``: the weighted halves ``wf`` = f G_H and
 ``wg`` = g G_K of the graph rows {f_i, g_i}, and on H the ``pairing``
 P[i][j] = (g_i, f_j).  ``adjoint`` is the null space of the rows
-[wg | -wf], ``closure`` checks T** = T as T* pairing to zero with T plus
-that dimension count, ``is_symmetric`` checks S in S* as the symmetry of P,
-and ``is_selfadjoint`` adds dim S = dim H, since a maximal symmetric
-relation is selfadjoint.  Blocks of P are the form matrix and its cross
-term in ``forms``, and ``wg`` gives the sampler in ``harness`` the
-pairings of S with the rows it adds to dom S.
+[wg | -wf], ``closure`` checks T** = T as one zero product of those rows
+with T*'s graph rows plus that dimension count, ``is_symmetric`` checks
+S in S* as the symmetry of P, and ``is_selfadjoint`` adds dim S = dim H,
+since a maximal symmetric relation is selfadjoint.  Blocks of P are the
+form matrix and its cross term in ``forms``, and ``wg`` gives the sampler
+in ``harness`` the pairings of S with the rows it adds to dom S.
 """
 
 from __future__ import annotations
@@ -212,11 +212,11 @@ def closure(t: LinearRelation) -> LinearRelation:
     T** = T holds iff the computed T* = {h, k} pairs to zero with T,
     (g, h)_K = (f, k)_H over both graph bases, and dim T + dim T* =
     dim H + dim K: by the nondegeneracy of the Green pairing, T is then all
-    of the annihilator of T*.  Two products, of the weighted halves that
-    ``adjoint`` formed, and a count: no second ``adjoint``."""
+    of the annihilator of T*.  One product, of the joined rows [wg | -wf]
+    with T*'s graph rows [h | k], and a count: no second ``adjoint``."""
     star = adjoint(t)
-    h, k = star.halves
-    if t.graph.dim + star.graph.dim != t.src.dim + t.dst.dim or t.wg.mul_t(h) != t.wf.mul_t(k):
+    green = hstack(t.wg, t.wf.scale(-1))
+    if t.graph.dim + star.graph.dim != t.src.dim + t.dst.dim or not green.mul_t(star.graph.basis).is_zero():
         raise CrossCheckError("T** differs from T: the closure is not the identity")
     return t
 

@@ -41,7 +41,7 @@ from relcalc.harness import (
     suite_specs,
     verify_all,
 )
-from relcalc.linalg import PsdResult, clear_memos, echelon_coords, ldl_psd_certificate, mat, rref, vec
+from relcalc.linalg import PsdResult, clear_memos, echelon_coords, identity, ldl_psd_certificate, mat, rref, vec
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -429,6 +429,20 @@ def test_selfadjoint_from_form_mismatch_is_a_cross_check_error(monkeypatch):
     monkeypatch.setattr(extensions, "is_selfadjoint", lambda h: False)
     with pytest.raises(CrossCheckError):
         selfadjoint_from_form(Q3, mat([[1, 0, 0]]), mat([[2]]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 0], [1, 2, 0]],  # one row repeated
+        [[1, 2, 0], [0, 1, 1], [1, 3, 1]],  # the third row the sum of the others
+        [[0, 0, 0]],  # a zero row
+    ],
+)
+def test_selfadjoint_from_form_rejects_basis_rows_that_are_dependent(rows):
+    # B G B^T is singular, so [B G B^T | B] does not reduce to [I | C].
+    with pytest.raises(CrossCheckError, match="the Gram matrix of a basis is singular"):
+        selfadjoint_from_form(Q3, mat(rows), identity(len(rows)))
 
 
 def test_purely_multivalued_relation_degenerate_path():

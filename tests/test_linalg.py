@@ -461,6 +461,34 @@ def test_mat_algebra_matches_fraction_lists(data):
     assert ma.is_zero() == all(v == 0 for r in a for v in r)
 
 
+def column_selectors(ncols):
+    """Column selectors for ``take``: empty, full, step-1 and step-2
+    ranges, lists with repeats, and permutations."""
+    bounds = st.tuples(st.integers(0, ncols), st.integers(0, ncols)).map(sorted)
+    return st.one_of(
+        st.just(range(0)),
+        st.just(range(ncols)),
+        bounds.map(lambda b: range(*b)),
+        bounds.map(lambda b: range(b[0], b[1], 2)),
+        st.lists(st.integers(0, ncols - 1), max_size=5) if ncols else st.just([]),
+        st.permutations(range(ncols)),
+    )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_take_is_the_matrix_of_the_entries_it_selects(data):
+    # Rows over unrelated denominators, zero rows among them, so a slice of
+    # a stored row can share a factor with its denominator.
+    n, k = data.draw(st.integers(1, 4)), data.draw(sizes)
+    m = mat(data.draw(fraction_rows(n, k)))
+    rows = data.draw(st.one_of(st.lists(st.integers(0, n - 1), min_size=1, max_size=5), st.permutations(range(n))))
+    cols = data.draw(column_selectors(k))
+    got = m.take(rows, cols)
+    want = mat([[m[i, j] for j in cols] for i in rows])
+    assert got == want and repr(got) == repr(want)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_is_symmetric_matches_fraction_lists(data):

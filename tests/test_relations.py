@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
-from relcalc.forms import form_of_relation, is_nonneg_above
+from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation, is_nonneg_above
 from relcalc.harness import InstanceSpec, random_semibounded, sample_selfadjoint_extensions
-from relcalc.linalg import Mat, clear_memos, hstack, identity, mat, solve_mat, vec, vstack, zeros
+from relcalc.linalg import Mat, PsdResult, clear_memos, hstack, identity, mat, solve_mat, vec, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -212,6 +212,17 @@ def test_nonneg_above_decides_a_nonsymmetric_operator_by_its_symmetric_part(matr
     assert res.witness == tuple(vec(v) for v in witness)
     phi, phi_prime = res.witness
     assert inner(Q2, phi_prime, phi) < fails * inner(Q2, phi, phi)
+    # The leading pairing block is not symmetric, so it is symmetrized: the
+    # verdict, certificate or witness, is that of (P + P^T) / 2.
+    dom = parts(a).dom
+    block = a.pairing.take(range(dom.dim), range(dom.dim))
+    assert not block.is_symmetric()
+    symmetric_part = QuadraticForm(Q2, dom, (block + block.T).scale(Fraction(1, 2)))
+    for c in (holds, fails):
+        if c is not None:
+            ref = certify_lower_bound(symmetric_part, c)
+            expected = ref if ref.ok else PsdResult(None, (ref.witness, lifts(a, mat([ref.witness])).row(0)))
+            assert is_nonneg_above(a, c) == expected
 
 
 def test_numerical_range_zero():
@@ -349,14 +360,15 @@ def _fresh_restriction():
 
 def test_the_adjoint_weights_the_halves_and_the_closure_reuses_them(monkeypatch):
     # The Green pairing products are shared: adjoint forms f G_H and g G_K,
-    # two products; closure then pairs them with T*'s halves, two more.
+    # two products; closure then pairs their joined rows [g G_K | -f G_H]
+    # with T*'s graph rows, one more.
     t = _fresh_restriction()
     counts = _counted_products(monkeypatch)
     adjoint(t)
     assert counts["__matmul__"] == 2
     before = dict(counts)
     assert closure(t) is t
-    assert counts == {"__matmul__": before["__matmul__"], "mul_t": before["mul_t"] + 2}
+    assert counts == {"__matmul__": before["__matmul__"], "mul_t": before["mul_t"] + 1}
 
 
 def test_the_form_matrix_after_is_symmetric_is_a_block_of_the_pairing(monkeypatch):

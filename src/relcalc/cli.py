@@ -25,7 +25,7 @@ from .extensions import (
     weak_krein,
 )
 from .forms import bound_bisect, form_of_relation
-from .harness import InstanceSpec, failed_check, random_semibounded, run_suite, verify_all
+from .harness import InstanceSpec, random_semibounded, run_suite, verify_all
 from .relations import (
     is_selfadjoint,
     is_symmetric,
@@ -88,14 +88,9 @@ def cmd_analyze(args) -> int:
         lines.append("relation is not an endorelation; no form analysis")
         _emit(args, args.output, data, lines)
         return 3
-    symmetric = is_symmetric(rel)
-    data["symmetric"] = symmetric
-    data["selfadjoint"] = is_selfadjoint(rel)
-    data["numerical_range_zero"] = numerical_range_zero(rel)
-    lines.append(f"symmetric: {symmetric}")
-    lines.append(f"selfadjoint: {data['selfadjoint']}")
-    lines.append(f"numerical range zero: {data['numerical_range_zero']}")
-    if not symmetric:
+    data.update(symmetric=is_symmetric(rel), selfadjoint=is_selfadjoint(rel), numerical_range_zero=numerical_range_zero(rel))
+    lines += [f"{key.replace('_', ' ')}: {data[key]}" for key in ("symmetric", "selfadjoint", "numerical_range_zero")]
+    if not data["symmetric"]:
         data["bound"] = None
         lines.append("not symmetric: the form of the relation is undefined")
         _emit(args, args.output, data, lines)
@@ -106,15 +101,9 @@ def cmd_analyze(args) -> int:
         lines.append("bound: empty domain, no finite lower bound to certify")
     else:
         interval = bound_bisect(t, width)
-        data["bound"] = {
-            "certified_lo": rational_to_str(interval.lo),
-            "refuted_hi": rational_to_str(interval.hi),
-            "estimate_approximate": interval.estimate,
-        }
-        lines.append(
-            f"bound: certified at {interval.lo}, refuted at {interval.hi} "
-            f"(estimate approximate: {interval.estimate})"
-        )
+        lo, hi = rational_to_str(interval.lo, "the certified bound"), rational_to_str(interval.hi, "the refuted bound")
+        data["bound"] = {"certified_lo": lo, "refuted_hi": hi, "estimate_approximate": interval.estimate}
+        lines.append(f"bound: certified at {lo}, refuted at {hi} (estimate approximate: {interval.estimate})")
     _emit(args, args.output, data, lines)
     return 0
 
@@ -125,13 +114,13 @@ def cmd_extend(args) -> int:
     out = EXTEND_KINDS[args.kind](rel, c)
     data = {
         "kind": args.kind,
-        "c": rational_to_str(c),
+        "c": rational_to_str(c, "c"),
         "asserted_checks": list(ROUTES[args.kind]),
         "relation": relation_to_json(out),
     }
     lines = [
         f"kind: {args.kind}",
-        f"c: {c}",
+        f"c: {data['c']}",
         f"asserted cross-checks: {', '.join(ROUTES[args.kind])}",
         f"graph dimension: {out.graph.dim}",
     ]
@@ -158,7 +147,7 @@ def cmd_extremal(args) -> int:
     s = read_relation(args.s_file)
     c = parse_rational(args.c, "--c")
     res = extremal_check(h, s, c)
-    _emit(args, args.output, {"extremal": res, "c": rational_to_str(c)}, [str(res).lower()])
+    _emit(args, args.output, {"extremal": res, "c": rational_to_str(c, "c")}, [str(res).lower()])
     return 0
 
 
@@ -190,43 +179,30 @@ def cmd_check(args) -> int:
         rel = read_relation(args.file)
         if c is None:
             c = _default_c(rel)
-        try:
-            results = verify_all(rel, c, seed=args.seed)
-        except (BoundCertificationError, PreconditionError):
-            raise
-        except Exception as exc:
-            # A failure while building the shared objects, as run_one reports it.
-            results = [failed_check("preamble", exc)]
+        results = verify_all(rel, c, seed=args.seed)
         failures = [r for r in results if not r.passed]
         data = {
-            "c": rational_to_str(c),
+            "c": rational_to_str(c, "c"),
             "checks": [_check_json(r) for r in results],
             "summary": f"{len(results) - len(failures)}/{len(results)} checks, {len(failures)} failures",
         }
         lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f"  [{r.witness}]" if r.witness else "") for r in results]
-        lines.append(data["summary"])
-        _emit(args, args.output, data, lines)
-        return 0 if not failures else 1
-    reports = run_suite(count, dims, args.seed)
-    failures = [rep for rep in reports if not rep.passed]
-    data = {
-        "instances": [
+    else:
+        reports = run_suite(count, dims, args.seed)
+        failures = [rep for rep in reports if not rep.passed]
+        instances = [
             {
                 "instance": rep.spec._asdict(),
-                "c": None if rep.c is None else rational_to_str(rep.c),
+                "c": None if rep.c is None else rational_to_str(rep.c, "c"),
                 "checks": [_check_json(ch) for ch in rep.checks],
             }
             for rep in reports
-        ],
-        "summary": f"{len(reports) - len(failures)}/{len(reports)} instances, {len(failures)} failures",
-    }
-    lines = []
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        lines.append(f"{status} dim={rep.spec.dim} seed={rep.spec.seed} c={rep.c}")
-        for ch in rep.checks:
-            if not ch.passed:
-                lines.append(f"  FAIL {ch.name}: {ch.witness}")
+        ]
+        data = {"instances": instances, "summary": f"{len(reports) - len(failures)}/{len(reports)} instances, {len(failures)} failures"}
+        lines = []
+        for rep, inst in zip(reports, instances):
+            lines.append(f"{'PASS' if rep.passed else 'FAIL'} dim={rep.spec.dim} seed={rep.spec.seed} c={inst['c']}")
+            lines += [f"  FAIL {ch.name}: {ch.witness}" for ch in rep.checks if not ch.passed]
     lines.append(data["summary"])
     _emit(args, args.output, data, lines)
     return 0 if not failures else 1
@@ -243,8 +219,8 @@ def cmd_random(args) -> int:
         entry_bound=_in_range("--bound", args.bound, 1),
     )
     s, c = random_semibounded(spec)
-    data = {"c": rational_to_str(c), "relation": relation_to_json(s)}
-    lines = [f"certified c: {c}", f"graph dimension: {s.graph.dim}"]
+    data = {"c": rational_to_str(c, "c"), "relation": relation_to_json(s)}
+    lines = [f"certified c: {data['c']}", f"graph dimension: {s.graph.dim}"]
     if args.output:
         write_relation(args.output, s)
         lines.append(f"wrote {args.output}")

@@ -33,7 +33,7 @@ from .forms import (
     ldl_map,
     shifted_matrix,
 )
-from .linalg import Mat, Vec, echelon_coords, hstack, kernel, memo, rat, row_dots, rref, solve_mat, vstack, zeros
+from .linalg import Mat, Vec, echelon_coords, kernel, memo, rat, row_dots, solve, vstack, zeros
 from .relations import (
     LinearRelation,
     adjoint,
@@ -67,18 +67,16 @@ def selfadjoint_from_form(space: InnerProductSpace, basis: Mat, matrix: Mat) -> 
     """The selfadjoint relation H with dom H = D, the span of the k rows B of
     ``basis``, mul H = D-perp and (H phi, psi) = M = ``matrix`` in their
     coordinates: the span of the rows [B | M C] and [0 | kernel(B G)], in
-    one elimination.  C = G_D^-1 B, G_D = B G B^T, from one ``rref`` of
-    [G_D | B], which is [I | C] iff its first k pivots are 0..k-1.  Any
-    basis of D will do; rows that are not one make G_D singular."""
+    one elimination, with C = G_D^-1 B = ``solve(G_D, B)``, G_D = B G B^T.
+    Any basis of D will do; rows that are not one make G_D singular, which
+    shows as a kernel of B G with more than n - k rows."""
     if not matrix.is_symmetric():
         raise PreconditionError("a selfadjoint relation needs a symmetric form matrix")
-    k = basis.rows
     weighted = basis @ space.gram
-    red, pivots = rref(hstack(weighted.mul_t(basis), basis))
-    if pivots[:k] != tuple(range(k)):
-        raise CrossCheckError("the Gram matrix of a basis is singular")
     perp = kernel(weighted)
-    lift_rows = matrix @ red.take(range(k), range(k, red.cols))
+    if perp.rows != basis.cols - basis.rows:
+        raise CrossCheckError("the Gram matrix of a basis is singular")
+    lift_rows = matrix @ solve(weighted.mul_t(basis), basis)
     out = graph_relation(space, space, vstack(basis, zeros(perp.rows, basis.cols)), vstack(lift_rows, perp))
     if not is_selfadjoint(out):
         raise CrossCheckError("relation built from a symmetric form is not selfadjoint")
@@ -242,8 +240,8 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     The minimizing set {f : inf = 0} equals span(dom S) + ker of the shifted
     form, a subspace, so checking the canonical basis of dom H suffices.
     The minimum itself is computed exactly from the normal equations
-    x_i^T C N C^T = e_i^T N C^T, C the coordinates of the dom S basis rows
-    in dom H, one solve for every unit vector at once: at e_i it is
+    C N C^T x_i = C N e_i, C the coordinates of the dom S basis rows in
+    dom H, one solve for every unit vector at once: at e_i it is
     N_ii - (e_i^T N C^T) . x_i.
     """
     if not is_nonneg_above(h, c).ok:
@@ -254,10 +252,10 @@ def _definitional_extremal(h: LinearRelation, s: LinearRelation, c: Fraction) ->
     if cmat is None:
         raise PreconditionError("dom S is not inside dom H")
     nc = n.mul_t(cmat)
-    x = solve_mat(cmat @ nc, nc)
+    x = solve(cmat @ nc, nc.T)
     if x is None:
         raise CrossCheckError("the normal equations of a nonnegative form are inconsistent")
-    for i, dot in enumerate(row_dots(nc, x)):
+    for i, dot in enumerate(row_dots(nc, x.T)):
         minimum = n[i, i] - dot
         if minimum < 0:
             raise CrossCheckError("a nonnegative form has a negative infimum")

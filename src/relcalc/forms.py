@@ -46,7 +46,7 @@ from .linalg import (
     rank,
     rat,
     rref,
-    solve_mat,
+    solve,
     vstack,
     zassenhaus,
     zeros,
@@ -498,22 +498,23 @@ class RepresentingMap(Value):
 @memo
 def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
     """Representing map onto the Gram block A[P, P] of A = M - cG at the
-    LDL^T pivots P with nonzero D: Q = A[:, P] A[P, P]^-1, unit at P, with
-    the heights of A rather than those of L.  The Schur complement after P
-    vanishes, so Q A[P, P] Q^T = A with no square root.
+    LDL^T pivots P with nonzero D: Q^T = A[P, P]^-1 A[P, :], one
+    ``solve`` on the rows of A at P, unit at P, with the heights of A
+    rather than those of L.  The Schur complement after P vanishes, so
+    Q A[P, P] Q^T = A with no square root.
 
     The codomain is certified positive definite by the leading k x k block
     of A's verified certificate: identity perm, L_k and D_k, since
     (P^T A P)[:k, :k] = L_k D_k L_k^T for a lower triangular L.  The
     ``InnerProductSpace`` constructor verifies that block against A[P, P]
-    and requires L_k unit lower triangular and every D > 0, so every row
-    solves; a failure is a ``CrossCheckError`` naming the Gram block.  (A
-    second elimination of A[P, P] reproduced exactly this block on 610 of
-    610 calls: 16 seed-0 ``extend-large`` items and the 200 seed-0
-    ``check`` instances.  Substitution through the certificate's unit
-    triangular L gave the same Q on 16 seed-0 ``extend-large`` forms in
-    5.2 ms against 4.8 ms for ``solve_mat``, so the solve and both
-    certifications of A >= 0 stay.)
+    and requires L_k unit lower triangular and every D > 0, so every
+    column solves; a failure is a ``CrossCheckError`` naming the Gram
+    block.  (A second elimination of A[P, P] reproduced exactly this block
+    on 610 of 610 calls: 16 seed-0 ``extend-large`` items and the 200
+    seed-0 ``check`` instances.  Substitution through the certificate's
+    unit triangular L gave the same Q on 16 seed-0 ``extend-large`` forms
+    in 5.2 ms against 4.8 ms for the solve used then, so the solve and
+    both certifications of A >= 0 stay.)
     """
     c = rat(c)
     res = certify_lower_bound(t, c)
@@ -528,8 +529,7 @@ def repmap_ldl(t: QuadraticForm, c) -> RepresentingMap:
         codomain = InnerProductSpace(k, a.take(kept, kept), block)
     except ValueError as exc:
         raise CrossCheckError(f"Gram block at the LDL^T pivots: {exc}") from None
-    matrix = solve_mat(codomain.gram, a.take(range(a.rows), kept))
-    return RepresentingMap(t, codomain, matrix, c)
+    return RepresentingMap(t, codomain, solve(codomain.gram, a.take(kept)).T, c)
 
 
 def ldl_map(s: LinearRelation, c) -> RepresentingMap:
@@ -566,11 +566,11 @@ def repmap_quotient(s: LinearRelation, c) -> RepresentingMap:
         codomain = InnerProductSpace(r, w)
     except ValueError as exc:
         raise CrossCheckError(f"induced quotient inner product: {exc}") from None
-    # Coordinates of [phi' - c phi] on the complement part.
-    coords = solve_mat(vstack(comp, null.basis), lifts(smc, t.domain.basis))
+    # Column j: the coordinates of phi_j' - c phi_j in the rows [comp; null].
+    coords = solve(vstack(comp, null.basis).T, lifts(smc, t.domain.basis).T)
     if coords is None:
         raise CrossCheckError("an image phi' - c phi escapes ran(S-c)")
-    matrix = coords.take(range(coords.rows), range(r))
+    matrix = coords.take(range(r)).T
     q = RepresentingMap(t, codomain, matrix, c)
     # ran q_c is dense in the quotient, which at finite dimension means all
     # of it.
@@ -634,11 +634,8 @@ def companion(s: LinearRelation, q: RepresentingMap) -> LinearRelation:
     if q.form != t:
         raise PreconditionError("representing map does not certify the form of this relation")
     firsts, seconds = s.halves
-    coords = echelon_coords(q.domain.basis, firsts)
-    if coords is None:
-        raise PreconditionError("argument outside the representing map domain")
-    j = graph_relation(q.codomain, s.src, coords @ q.matrix, seconds - firsts.scale(q.base_point))
     q_rel = q.as_relation()
+    j = graph_relation(q.codomain, s.src, lifts(q_rel, firsts), seconds - firsts.scale(q.base_point))
     if not adjoint(j).is_extension_of(q_rel) or not adjoint(q_rel).is_extension_of(j):
         raise CrossCheckError("companion relation does not form a dual pair with its representing map")
     return j

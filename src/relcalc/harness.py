@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .errors import CrossCheckError
+from .errors import BoundCertificationError, CrossCheckError, PreconditionError
 from .extensions import (
     extension_interval_check,
     extremal_check,
@@ -631,11 +631,16 @@ def verify_all(s: LinearRelation, c, seed: int = 0) -> list[CheckResult]:
 
     Deterministic for fixed (s, c, seed).  Every failure carries a
     serialized witness.  Exceptions inside a check are failures of that
-    check, not of the harness; an exception while building the shared
-    objects propagates (``run_one`` and ``relcalc check FILE`` report it
-    as the failed check "preamble").
+    check, not of the harness; one while building the shared objects is
+    the single failed check "preamble", but ``BoundCertificationError``
+    and ``PreconditionError`` propagate, for exits 4 and 3.
     """
-    x = _Instance.build(s, c, seed)
+    try:
+        x = _Instance.build(s, c, seed)
+    except (BoundCertificationError, PreconditionError):
+        raise
+    except Exception as exc:
+        return [failed_check("preamble", exc)]
     return [_run(name, fn, x) for name, fn in REGISTRY]
 
 

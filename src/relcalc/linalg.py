@@ -8,14 +8,16 @@ semidefiniteness or returns an explicit vector with negative quadratic
 value.  No floating point is used anywhere in this module.
 
 A set of vectors is the rows of a ``Mat``: a basis, a nullspace, the
-solutions of a system, the images of a map.  One vector is a one-row
-``Mat``, so the combination of the rows of b with coefficients x is
-``x @ b``; there is no second, tuple-vector path.  A product with the
-transpose of a set of vectors, such as the Gram matrix a G b^T, is
-``(a @ g).mul_t(b)``, which reads b's rows as columns and forms no
-transpose.  A nullspace comes in one form: ``kernel`` (and
+images of a map; only ``solve`` has its unknowns in columns.  One vector
+is a one-row ``Mat``, so the combination of the rows of b with
+coefficients x is ``x @ b``; there is no second, tuple-vector path.  A
+product with the transpose of a set of vectors, such as the Gram matrix
+a G b^T, is ``(a @ g).mul_t(b)``, which reads b's rows as columns and
+forms no transpose.  A nullspace comes in one form: ``kernel`` (and
 ``pairing_null_space(L, R)``, for the pairing rows [L | -R]) gives its
-canonical basis, the reduced echelon rows, from one elimination.  ``echelon_coords``
+canonical basis, the reduced echelon rows, from one elimination, and a
+linear system has one door, ``solve(a, b)``: some X with a X = b from one
+``rref`` of [a | b], so A^-1 B reads ``solve(A, B)``.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
 basis needs no elimination, and ``nonzero_rows`` counts the rows of an
 echelon matrix before its zero rows, so a basis already in reduced echelon
@@ -674,23 +676,22 @@ def echelon_coords(red: Mat, xs: Mat) -> Mat | None:
     return _from_rows(red._rows, out)
 
 
-def solve_mat(a: Mat, b: Mat) -> Mat | None:
-    """Some X with X @ a == b, or None when a row of b is not in the row
-    space of a.
+def solve(a: Mat, b: Mat) -> Mat | None:
+    """Some X with a @ X == b, or None when a column of b is not in the
+    column space of a.
 
-    One RREF of [a | I]: its rows that pivot in the a-part are [R | E] with
-    R the reduced echelon basis of the row space of a and E @ a == R.  The
-    coordinates C of the rows of b in R (``echelon_coords``) then give
-    X = C @ E.
+    One RREF of [a | b]: a pivot in the b-part means no solution;
+    otherwise row p of X is the b-part of the row that pivots at column p,
+    and 0 at a free column.
     """
-    if b._cols != a._cols:
-        raise ValueError("right-hand side has wrong column count")
-    red, pivots = rref(hstack(a, identity(a._rows)))
-    top = [i for i, p in enumerate(pivots) if p < a._cols]
-    coords = echelon_coords(red.take(top, range(a._cols)), b)
-    if coords is None:
+    if b._rows != a._rows:
+        raise ValueError("right-hand side has wrong row count")
+    n = a._cols
+    red, pivots = rref(hstack(a, b))
+    if pivots and pivots[-1] >= n:
         return None
-    return coords @ red.take(top, range(a._cols, red._cols))
+    at = dict(zip(pivots, zip(red._num, red._den)))
+    return _from_rows(b._cols, [_norm(at[p][0][n:], at[p][1]) if p in at else ((0,) * b._cols, 1) for p in range(n)])
 
 
 def det(m: Mat) -> Fraction:

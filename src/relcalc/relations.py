@@ -23,6 +23,9 @@ S in S* as the symmetry of P, and ``is_selfadjoint`` adds dim S = dim H,
 since a maximal symmetric relation is selfadjoint.  Blocks of P are the
 form matrix and its cross term in ``forms``, and ``wg`` gives the sampler
 in ``harness`` the pairings of S with the rows it adds to dom S.
+
+``compose``, ``rel_sum`` and ``eigenspace`` are each one ``zassenhaus``;
+a restriction to D is the composition with the identity on D (Arens).
 """
 
 from __future__ import annotations
@@ -263,13 +266,11 @@ def rel_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
 @memo
 def restrict_domain(t: LinearRelation, d: Subspace) -> LinearRelation:
     """T restricted to D: graph elements whose first component lies in D,
-    {{y^T F, y^T G} : y^T F = z^T B_D} over T's graph basis rows {F, G},
-    from the Zassenhaus rows [F | F G] and [-B_D | 0]."""
+    the product T I_D (``compose``) with the identity on D, whose graph
+    rows [B_D | B_D] are already in reduced echelon form."""
     if d.space != t.src:
         raise AmbientMismatchError("restriction subspace must live in the source space")
-    n, m = t.src.dim, t.dst.dim
-    t_rows = (t.graph.basis, (0, 1, 0, n), (n, 1, 0, n + m))
-    return echelon_relation(t.src, t.dst, zassenhaus(n, 2 * n + m, t_rows, (d.basis, (0, -1, 0, n))))
+    return compose(t, echelon_relation(d.space, d.space, hstack(d.basis, d.basis)))
 
 
 @memo

@@ -14,16 +14,22 @@ the error messages are those of ``Fraction``.  A relation whose "to"
 space is the same JSON as its "from" space gets the one parsed space for
 both.  Any input the parsers refuse, malformed JSON included, is a
 ``ParseError``.
+
+Python prints no int past ``sys.get_int_max_str_digits()`` digits; on
+output that refusal is a ``RelcalcError`` naming what was printed and the
+digits of its tallest integer, counted only once printing has failed.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
+from itertools import count
 from typing import Any
 
-from .errors import ParseError
+from .errors import ParseError, RelcalcError
 from .linalg import Mat, Vec, identity, mat, vec
 from .relations import LinearRelation
 from .spaces import InnerProductSpace, Subspace, product_space, span, standard_space
@@ -43,8 +49,19 @@ MAX_DIM = 64
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def rational_to_str(x: Fraction) -> str:
-    return str(x)
+def rational_to_str(x: Fraction, what: str = "a rational") -> str:
+    try:
+        return str(x)
+    except ValueError:
+        raise _unprintable(what, [x]) from None
+
+
+def _unprintable(what: str, values: list[Fraction]) -> RelcalcError:
+    """The refusal to print ``what``, with the digits of the tallest
+    integer of its ``values``."""
+    n = max(max(abs(x.numerator), x.denominator) for x in values)
+    digits = next(d for d in count(int(n.bit_length() * 0.30102999566398120)) if 10**d > n)  # from below: int(b log10 2) <= digits
+    return RelcalcError(f"cannot print {what}: an integer of {digits} digits, past Python's limit of {sys.get_int_max_str_digits()}")
 
 
 def parse_rational(s: Any, field: str) -> Fraction:
@@ -69,7 +86,7 @@ def parse_rational(s: Any, field: str) -> Fraction:
 
 
 def vector_to_json(v: Vec) -> list[str]:
-    return [rational_to_str(x) for x in v]
+    return [rational_to_str(x, "a vector") for x in v]
 
 
 def parse_vector(data: Any, field: str) -> Vec:
@@ -84,8 +101,11 @@ def parse_vectors(data: Any, field: str) -> list[Vec]:
     return [parse_vector(v, f"{field}[{i}]") for i, v in enumerate(data)]
 
 
-def matrix_to_json(m: Mat) -> list[list[str]]:
-    return m.to_strings()
+def matrix_to_json(m: Mat, what: str = "a matrix") -> list[list[str]]:
+    try:
+        return m.to_strings()
+    except ValueError:
+        raise _unprintable(what, [x for i in range(m.rows) for x in m.row(i)]) from None
 
 
 def parse_matrix(data: Any, field: str) -> Mat:
@@ -102,7 +122,7 @@ def parse_matrix(data: Any, field: str) -> Mat:
 def space_to_json(space: InnerProductSpace) -> dict:
     out: dict[str, Any] = {"dim": space.dim}
     if space.gram != identity(space.dim):
-        out["gram"] = matrix_to_json(space.gram)
+        out["gram"] = matrix_to_json(space.gram, "a Gram matrix")
     return out
 
 
@@ -124,7 +144,7 @@ def parse_space(data: Any, field: str = "space") -> InnerProductSpace:
 
 
 def subspace_to_json(sub: Subspace) -> dict:
-    return {"basis": matrix_to_json(sub.basis)}
+    return {"basis": matrix_to_json(sub.basis, "a subspace basis")}
 
 # ---------------------------------------------------------------- relations
 
@@ -134,7 +154,7 @@ def relation_to_json(rel: LinearRelation) -> dict:
     return {
         "from": src,
         "to": src if rel.dst == rel.src else space_to_json(rel.dst),
-        "graph_basis": matrix_to_json(rel.graph.basis),
+        "graph_basis": matrix_to_json(rel.graph.basis, "a graph basis"),
     }
 
 

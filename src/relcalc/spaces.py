@@ -52,7 +52,7 @@ from .linalg import (
     mat,
     memo,
     rref,
-    solve_mat,
+    solve,
     vec,
     vstack,
     zassenhaus,
@@ -215,16 +215,16 @@ def row_outside(v: Subspace, w: Subspace) -> Vec:
 
 
 def projections(xs: Mat, w: Subspace) -> Mat:
-    """Row j is the G-orthogonal projection of row j of xs onto w, from one
-    solve of the exact normal equations for all rows."""
+    """Row j is the G-orthogonal projection of row j of xs onto w, whose
+    coefficients in the basis B of w are column j of X, G_w X = B G xs^T."""
     if xs.cols != w.space.dim:
         raise ValueError("vector has wrong length")
     if w.is_zero():
         return zeros(xs.rows, xs.cols)
-    coeffs = solve_mat(gram_on(w), (xs @ w.space.gram).mul_t(w.basis))
+    coeffs = solve(gram_on(w), (w.basis @ w.space.gram).mul_t(xs))
     if coeffs is None:
         raise CrossCheckError("the Gram matrix of a basis is singular")
-    return coeffs @ w.basis
+    return coeffs.T @ w.basis
 
 
 @memo

@@ -352,6 +352,44 @@ def test_json_that_python_cannot_load_is_a_parse_error(tmp_path, capsys, text):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def tall_relation_json() -> str:
+    """A 3-dimensional relation that the parser accepts but whose parts
+    have bases with entries past the int digit limit; it is not symmetric."""
+    g = "5" * 4000 + "/" + "3" * 3999 + "1"
+    a = "7" * 2500 + "/" + "3" * 2499 + "1"
+    b = "1" * 2400 + "/" + "9" * 2399 + "7"
+    space = {"dim": 3, "gram": [[g, "0", "0"], ["0", "1", "0"], ["0", "0", g]]}
+    return json.dumps({"from": space, "to": space, "graph_basis": [["1", b, "0", a, "0", b], ["0", "1", a, "0", b, "0"]]})
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, refusal",
+    [
+        # --bound 10**40 gives a graph basis entry of 5,834 digits at dim 6;
+        # --dim 16 --restrict 8 --bound 1000000 gives one of 4,321.
+        (["random", "--dim", "6", "--seed", "1", "--restrict", "3", "--bound", str(10**40)], "a graph basis: an integer of 5834 digits"),
+        (["analyze", "TALL"], "a subspace basis: an integer of 4900 digits"),
+    ],
+    ids=["random", "analyze"],
+)
+def test_output_past_the_int_digit_limit_exits_1(tmp_path, capsys, command, refusal, fmt):
+    # Python refuses to print an int of more than 4,300 digits.  The output
+    # side refuses it as the input side does: one error line, exit 1, no
+    # traceback, nothing on stdout and no file written.
+    tall = tmp_path / "tall.json"
+    tall.write_text(tall_relation_json())
+    out = tmp_path / "out.json"
+    argv = [str(tall) if arg == "TALL" else arg for arg in command]
+    assert main([*argv, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot print {refusal}, past Python's limit of {sys.get_int_max_str_digits()}\n"
+    assert main([*argv, "--format", fmt, "-o", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -850,6 +888,38 @@ def test_the_benchmark_tracer_names_resolve():
     if not hasattr(harness, "CheckResult"):
         missing.append("harness.CheckResult")
     assert missing == []
+
+
+def test_the_benchmark_worker_names_resolve(monkeypatch, capsys):
+    # perfbench/worker.py reads package functions by module attribute and
+    # times the check-batch items by rebinding harness.run_one, so a rename
+    # here, or a batch that stops calling run_one, breaks the benchmark.
+    # Its syntax tree is read; perfbench is not imported.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "worker.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules, imported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "relcalc":
+            modules.update({alias.name: importlib.import_module(f"relcalc.{alias.name}") for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("relcalc."):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    assert {"cli", "harness", "serialize", "extensions"} <= set(modules)
+    assert ("relcalc.harness", "InstanceSpec") in imported
+    missing = [f"{module}.{name}" for module, name in sorted(imported) if not hasattr(importlib.import_module(module), name)]
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert {("harness", "run_one"), ("cli", "main"), ("serialize", "relation_to_json"), ("extensions", "krein")} <= read
+    missing += [f"{short}.{attr}" for short, attr in sorted(read) if not hasattr(modules[short], attr)]
+    assert missing == []
+    seen = []
+    real = harness.run_one
+    monkeypatch.setattr(harness, "run_one", lambda spec: seen.append(spec) or real(spec))
+    assert main(["check", "--count", "2", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["instances"]) == len(seen) == 2
 
 
 def test_default_c_needs_no_float_estimate(tmp_path, capsys, monkeypatch):

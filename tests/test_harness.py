@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -318,6 +321,58 @@ def test_run_one_starts_a_fresh_cache_scope():
     assert _memo_sizes() == after_both
 
 
+# Runs ``run_one`` on the first seed-0 specs and ``verify_all`` on E1 with
+# every memo caching nothing: ``functools.lru_cache``, which ``linalg.memo``
+# wraps, is replaced before ``relcalc`` is imported, and ``spaces.interned``
+# shares no basis.  The values cached on a relation by ``cached_property``
+# (``halves``, ``wf``, ``wg``, ``pairing``) are not memos and stay.
+MEMO_OFF_RUN = """
+import collections, functools, json, sys
+
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def lru_cache(maxsize=128, typed=False):
+    def uncached(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            return fn(*args, **kwargs)
+
+        call.cache_clear = lambda: None
+        call.cache_info = lambda: CacheInfo(0, 0, 0, 0)
+        return call
+
+    return uncached(maxsize) if callable(maxsize) else uncached
+
+
+functools.lru_cache = lru_cache
+from relcalc import harness, linalg, spaces
+from relation_builders import e1
+
+spaces.interned = lambda m: m
+if linalg.rref.cache_info() != CacheInfo(0, 0, 0, 0):
+    sys.exit("the memos still cache")
+reports = [repr(harness.run_one(spec)) for spec in harness.suite_specs(int(sys.argv[1]), (2, 6), 0)]
+reports.append(repr(harness.verify_all(e1(), 0, 3)))
+json.dump(reports, sys.stdout)
+"""
+MEMO_OFF_SPECS = 5
+
+
+def test_memos_change_no_report():
+    # A memo key that merges two unequal calls, a memo on a function of
+    # hidden state or a wrong Mat hash would make a cached run report what
+    # an uncached one does not.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])}
+    run = subprocess.run([sys.executable, "-c", MEMO_OFF_RUN, str(MEMO_OFF_SPECS)], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    cached = [repr(run_one(spec)) for spec in suite_specs(MEMO_OFF_SPECS, (2, 6), 0)]
+    clear_memos()
+    cached.append(repr(verify_all(e1(), 0, 3)))
+    assert json.loads(run.stdout) == cached
+
+
 def test_generator_cross_check_is_not_an_assert(monkeypatch):
     # Under python -O a bare assert would let a non-symmetric instance through.
     monkeypatch.setattr(harness, "is_symmetric", lambda s: False)
@@ -396,8 +451,8 @@ def test_a_wrong_ldl_map_fails_the_preamble(monkeypatch):
     # repmap-certificate-ldl asserts nothing itself: the RepresentingMap
     # constructor checks Q G_Q Q^T = M - cG inside repmap_ldl, so a map
     # twice too long fails the instance before any check runs.
-    real = forms.solve_mat
-    monkeypatch.setattr(forms, "solve_mat", lambda a, b: real(a, b).scale(2))
+    real = forms.solve
+    monkeypatch.setattr(forms, "solve", lambda a, b: real(a, b).scale(2))
     report = run_one(InstanceSpec(dim=3, seed=5, mul_dim=1, restrict_dim=2))
     assert [(r.name, r.passed, r.witness) for r in report.checks] == [
         ("preamble", False, "CrossCheckError: representing map certificate identity failed")

@@ -40,7 +40,7 @@ from relcalc.forms import (
     stack_relations,
 )
 from relcalc.harness import InstanceSpec, random_semibounded
-from relcalc.linalg import Mat, block_diag, clear_memos, echelon_coords, hstack, identity, mat, rat, rref, solve_mat, vstack, zeros
+from relcalc.linalg import Mat, block_diag, clear_memos, echelon_coords, hstack, identity, mat, rat, rref, solve, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -144,7 +144,7 @@ def assert_graph_is(out: LinearRelation, constraint: Mat, image: Mat) -> None:
     null = free_variable_kernel(constraint.T)
     assert echelon_coords(out.graph.basis, null @ image) is not None
     system = hstack(constraint, image)
-    assert solve_mat(system, hstack(zeros(out.graph.dim, constraint.cols), out.graph.basis)) is not None
+    assert solve(system.T, hstack(zeros(out.graph.dim, constraint.cols), out.graph.basis).T) is not None
 
 
 @given(st.data())
@@ -570,8 +570,8 @@ def test_echelon_constructors_equal_their_eliminated_definitions(data):
     domain = data.draw(subspace(space))
     b = mat([[data.draw(rationals) for _ in range(domain.dim)] for _ in range(domain.dim)]) if domain.dim else zeros(0, 0)
     matrix = b + b.T
-    coeffs = solve_mat(gram_on(domain), matrix)
-    rel = graph_relation(space, space, domain.basis, coeffs @ domain.basis)
+    coeffs = solve(gram_on(domain), matrix)
+    rel = graph_relation(space, space, domain.basis, coeffs.T @ domain.basis)
     mul_rel = LinearRelation(space, space, span_mat(product_space(space, space), block_diag(zeros(0, space.dim), complement(domain).basis)))
     assert selfadjoint_from_form(space, domain.basis, matrix) == hsum(rel, mul_rel)
 

@@ -29,7 +29,7 @@ from relcalc.linalg import (
     pairing_null_space,
     rank,
     rref,
-    solve_mat,
+    solve,
     vec,
     vstack,
     zassenhaus,
@@ -87,19 +87,19 @@ def test_kernel_single_equation():
 
 
 def test_solve_identity():
-    assert solve_mat(identity(2), mat([[1, 2]])) == mat([[1, 2]])
+    assert solve(identity(2), mat([[1], [2]])) == mat([[1], [2]])
 
 
 def test_solve_underdetermined():
-    # x^T a = b: one equation, two unknowns.
-    a = mat([[1], [3]])
-    x = solve_mat(a, mat([[4]]))
+    # a x = b: one equation, two unknowns.
+    a = mat([[1, 3]])
+    x = solve(a, mat([[4]]))
     assert x is not None
-    assert x @ a == mat([[4]])
+    assert a @ x == mat([[4]])
 
 
 def test_solve_inconsistent():
-    assert solve_mat(mat([[1, 0]]), mat([[0, 1]])) is None
+    assert solve(mat([[1], [0]]), mat([[0], [1]])) is None
 
 
 def test_ldl_scalar():
@@ -174,10 +174,10 @@ def test_rref_idempotent_and_rank_nullity(m):
 def test_solve_membership(m):
     # Mx for a fixed x must be solvable, and the residual must vanish.
     x = vec([Fraction(i + 1, 2) for i in range(m.cols)])
-    b = mat([m.mul_vec(x)])
-    got = solve_mat(m.T, b)
+    b = mat([m.mul_vec(x)]).T
+    got = solve(m, b)
     assert got is not None
-    assert got @ m.T == b
+    assert m @ got == b
 
 
 @given(matrices)
@@ -206,19 +206,19 @@ def test_planted_negative_direction_is_caught(m, idx):
     assert quadratic_value(planted_m, res.witness) < 0
 
 
-def test_solve_mat_multiple_rhs():
-    m = mat([[1, 1], [0, 1]])
-    b = mat([[3, 0], [1, 2]])
-    x = solve_mat(m, b)
-    assert x == mat([[3, -3], [1, 1]])
-    assert x @ m == b
+def test_solve_multiple_rhs():
+    m = mat([[1, 0], [1, 1]])
+    b = mat([[3, 1], [0, 2]])
+    x = solve(m, b)
+    assert x == mat([[3, 1], [-3, 1]])
+    assert m @ x == b
 
 
-def test_solve_mat_inconsistent_row():
-    # (0, 1) is not a combination of the row (1, 0).
-    assert solve_mat(mat([[1, 0]]), mat([[2, 0], [0, 1]])) is None
+def test_solve_inconsistent_column():
+    # (0, 1)^T is not a multiple of the column (1, 0)^T.
+    assert solve(mat([[1], [0]]), mat([[2, 0], [0, 1]])) is None
     with pytest.raises(ValueError):
-        solve_mat(mat([[1, 0]]), mat([[1, 0, 0]]))
+        solve(mat([[1], [0]]), mat([[1], [0], [0]]))
 
 
 # --------------------------------------------- LDL^T against the Fraction one
@@ -574,12 +574,13 @@ def test_det_by_inspection():
         det(mat([[1, 2]]))
 
 
-# ------------------------------- kernel and solve_mat against column formulas
+# ---------------------------------- kernel and solve against column formulas
 #
-# ``kernel`` and ``solve_mat`` return their vectors as rows.  Before that
-# they returned columns; the two column formulas are kept here as the
-# references.  The kernel rows are the reduced echelon basis of the span of
-# the old columns, which is unique, so the rows are pinned exactly.
+# ``kernel`` returns its vectors as rows.  Before that it returned columns;
+# the column formula is kept here as the reference.  The kernel rows are the
+# reduced echelon basis of the span of the old columns, which is unique, so
+# the rows are pinned exactly.  ``solve`` returns the columns of MX = B,
+# read at the pivots as ``column_solve`` reads them entry by entry.
 
 
 def column_kernel(m):
@@ -643,18 +644,20 @@ def test_kernel_rows_are_the_old_kernel_columns(data):
 
 @given(solve_inputs())
 @settings(max_examples=300, deadline=None)
-def test_solve_mat_is_the_transposed_column_solve(data):
+def test_solve_is_the_column_solve(data):
+    # The strategy draws the rows of b from the row space of a, so the
+    # columns of b^T are drawn from the column space of a^T.
     a, b = data
-    got = solve_mat(a, b)
+    got = solve(a.T, b.T)
     ref = column_solve(a.T, b.T)
     assert (got is None) == (ref is None)
     if got is None:
         return
-    assert (got.rows, got.cols) == (b.rows, a.rows)
-    assert got @ a == b
-    if rank(a) == a.rows:
-        # Independent rows: the solution is unique.
-        assert got == ref.T
+    assert (got.rows, got.cols) == (a.rows, b.rows)
+    assert a.T @ got == b.T
+    # Both give 0 at a free column, so they are the same solution even
+    # where it is not unique.
+    assert got == ref
 
 
 # ------------------------------------------ rref against Gauss-Jordan

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcalc.forms import _squarefree
-from relcalc.linalg import det, identity, kernel, ldl_psd_certificate, mat, pairing_null_space, rref, solve_mat, zeros
+from relcalc.linalg import det, identity, kernel, ldl_psd_certificate, mat, pairing_null_space, rref, solve, zeros
 from relcalc.relations import LinearRelation, adjoint, compose, eigenspace, inverse, rel_sum, restrict_domain, shift
 from relcalc.spaces import InnerProductSpace, intersect, product_space, span, subspace_sum
 
@@ -297,29 +297,29 @@ def test_det_is_sympys(a):
 
 @st.composite
 def systems(draw):
-    """(a, b) for X a = b: a of planted rank, b's rows each either a
-    combination of a's rows or random."""
+    """(a, b) for a X = b: a of planted rank, b's columns each either a
+    combination of a's columns or random."""
     k, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    a = draw(planted(k, n))
-    rows = []
+    a = draw(planted(k, n)).T
+    cols = []
     for _ in range(draw(st.integers(0, 3))):
         if k and draw(st.booleans()):
-            rows.append(to_sympy([[draw(rationals) for _ in range(k)]], k) * a)
+            cols.append(a * to_sympy([[draw(rationals)] for _ in range(k)], 1))
         else:
-            rows.append(to_sympy([[draw(rationals) for _ in range(n)]], n))
-    return a, sympy.Matrix.vstack(sympy.zeros(0, n), *rows)
+            cols.append(to_sympy([[draw(rationals)] for _ in range(n)], 1))
+    return a, sympy.Matrix.hstack(sympy.zeros(n, 0), *cols)
 
 
 @given(systems())
 @settings(max_examples=150, deadline=None)
-def test_solve_mat_is_sympys(system):
+def test_solve_is_sympys(system):
     a, b = system
-    x = solve_mat(to_mat(from_sympy(a), a.cols), to_mat(from_sympy(b), b.cols))
-    solvable = sympy.Matrix.vstack(a, b).rank() == a.rank()
+    x = solve(to_mat(from_sympy(a), a.cols), to_mat(from_sympy(b), b.cols))
+    solvable = sympy.Matrix.hstack(a, b).rank() == a.rank()
     assert (x is not None) == solvable
     if x is not None:
-        assert (x.rows, x.cols) == (b.rows, a.rows)
-        assert to_sympy(matrix_rows(x), a.rows) * a == b
+        assert (x.rows, x.cols) == (a.cols, b.cols)
+        assert a * to_sympy(matrix_rows(x), b.cols) == b
 
 
 # ------------------------------------- echelon forms and null spaces, planted

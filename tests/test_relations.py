@@ -8,7 +8,7 @@ import relcalc.relations as relations
 from relcalc.errors import CrossCheckError, PreconditionError
 from relcalc.forms import QuadraticForm, certify_lower_bound, form_of_relation, is_nonneg_above
 from relcalc.harness import InstanceSpec, random_semibounded, sample_selfadjoint_extensions
-from relcalc.linalg import Mat, PsdResult, clear_memos, hstack, identity, mat, solve_mat, vec, vstack, zeros
+from relcalc.linalg import Mat, PsdResult, clear_memos, hstack, identity, mat, solve, vec, vstack, zeros
 from relcalc.relations import (
     LinearRelation,
     adjoint,
@@ -440,7 +440,7 @@ def endorelations(draw):
     else:
         m = draw_rows(n, n)
         combos = draw_rows(k, n)
-        graph = hstack(combos, combos @ solve_mat(space.gram, m + m.T))
+        graph = hstack(combos, combos.mul_t(solve(space.gram, m + m.T)))
     if draw(st.booleans()):
         graph = vstack(graph, hstack(zeros(1, n), draw_rows(1, n)))
     if graph.rows and draw(st.booleans()):

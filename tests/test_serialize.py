@@ -1,11 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcalc.errors import ParseError
+from relcalc.errors import ParseError, RelcalcError
 from relcalc.linalg import mat, vec
 from relcalc.relations import relation_from_pairs
 from relcalc.serialize import (
@@ -31,6 +32,17 @@ def test_rational_strings():
     assert parse_rational("-3/4", "x") == Fraction(-3, 4)
     assert parse_rational("7", "x") == Fraction(7)
     assert parse_rational(2, "x") == Fraction(2)
+
+
+def test_printing_past_the_int_digit_limit_names_the_value_and_its_digits():
+    # 10**d has d + 1 digits and 10**d - 1 has d; the count is exact.
+    limit = sys.get_int_max_str_digits()
+    for x, digits in ((Fraction(10**limit), limit + 1), (Fraction(1, 10**(limit + 5) - 1), limit + 5)):
+        with pytest.raises(RelcalcError, match=f"^cannot print c: an integer of {digits} digits"):
+            rational_to_str(x, "c")
+        with pytest.raises(RelcalcError, match=f"^cannot print a Gram: an integer of {digits} digits"):
+            matrix_to_json(mat([[1, 0], [0, x]]), "a Gram")
+    assert rational_to_str(Fraction(10**limit - 1)) == "9" * limit
 
 
 def test_rational_parse_errors_name_the_field():

@@ -303,7 +303,11 @@ def main(argv=None) -> int:
     except BoundCertificationError as exc:
         print(f"bound certification failed: {exc}", file=sys.stderr)
         if exc.witness is not None:
-            print(f"counterexample: {vector_to_json(exc.witness)}", file=sys.stderr)
+            try:  # a witness past the int digit limit is named by its refusal
+                shown = vector_to_json(exc.witness)
+            except RelcalcError as refusal:
+                shown = refusal
+            print(f"counterexample: {shown}", file=sys.stderr)
         return 4
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ forms no transpose.  A nullspace comes in one form: ``kernel`` (and
 ``pairing_null_space(L, R)``, for the pairing rows [L | -R]) gives its
 canonical basis, the reduced echelon rows, from one elimination, and a
 linear system has one door, ``solve(a, b)``: some X with a X = b from one
-``rref`` of [a | b], so A^-1 B reads ``solve(A, B)``.  ``echelon_coords``
+``rref`` of [a | b], so A^-1 B reads ``solve(A, B)``, and so does the
+lift of an LDL^T refutation out of its Schur block.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
 basis needs no elimination, and ``nonzero_rows`` counts the rows of an
 echelon matrix before its zero rows, so a basis already in reduced echelon
@@ -42,8 +43,9 @@ in stored form.  A reduced echelon form is unique, so the choice of pivot
 row moves only the size of the intermediate integers.  ``zassenhaus``
 runs it on the rows of a relational product placed straight from the
 stored rows of its inputs.
-A ``PsdCertificate`` stores L by columns, each over its own denominator,
-near the height of the tallest D entry, and ``verify`` checks
+A ``PsdCertificate`` stores L by columns, each a pivot row of the
+elimination over its pivot and so near the height of the tallest D entry,
+with no multiplier table, and ``verify`` checks
 P^T M P = L D L^T by peeling D_i L_ri (column i of L)^T off each row of
 P^T M P in integers, so every partial row of a valid certificate is a
 Schur-complement row; it forms no product matrix.  A
@@ -844,35 +846,35 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
     """Exact PSD test by LDL^T with diagonal pivoting.
 
     Before each step a negative remaining diagonal entry of the Schur
-    complement refutes at once: back substitution of its unit vector e_j
-    through the partial factorization gives v with v^T M v < 0.  Otherwise
-    the largest remaining diagonal entry is the pivot (the first one on
-    ties).  When all remaining diagonal entries are zero the remaining
-    block must be zero too, otherwise the matrix is indefinite and a
-    nonzero off-diagonal entry gives the witness the same way.  A PSD
-    matrix never has a negative Schur diagonal entry, so its certificate
-    does not depend on the early refutation.  Both outcomes are checked
-    before they are returned: the certificate by ``verify``, the
-    counterexample by its quadratic value.  Eigenvalues never appear: they
-    would leave the rational field.
+    complement refutes at once: its unit vector e_j, lifted out of the
+    Schur block by ``_refuted``, gives v with v^T M v < 0.  Otherwise the
+    largest remaining diagonal entry is the pivot (the first one on ties).
+    When all remaining diagonal entries are zero the remaining block must
+    be zero too, otherwise the matrix is indefinite and a nonzero
+    off-diagonal entry gives the witness the same way.  A PSD matrix never
+    has a negative Schur diagonal entry, so its certificate does not
+    depend on the early refutation.  Both outcomes are checked before they
+    are returned: the certificate by ``verify``, the counterexample by its
+    quadratic value.  Eigenvalues never appear: they would leave the
+    rational field.
 
     The elimination runs on the stored integer rows: row r of the running
     Schur complement is ``a[r] / den[r]`` with Python ints and
     ``den[r] > 0``, one denominator per row, reduced by a gcd after each
     update.  (One denominator for the whole matrix, as in Bareiss, grows
-    far beyond any entry on wide product-space Grams.)  L[r][i] is kept as
-    the int pair (f den[i], den[r] piv), and each column of L becomes one
-    stored row of ``lower_cols`` at the end; ``D_i = piv / den[i]``.  A
-    rational LDL^T with a fixed pivot order is unique, so the certificate
-    does not depend on this representation.
+    far beyond any entry on wide product-space Grams.)  A symmetric pivot
+    swap runs over every row, the finished pivot rows too, so pivot row i
+    keeps the Schur row of step i in the final order, and by symmetry
+    column i of L is that row over its pivot, L[r][i] = a[i][r] / a[i][i]:
+    one stored row of ``lower_cols`` each, with no multiplier table;
+    ``D_i = a[i][i] / den[i]``.  A rational LDL^T with a fixed pivot order
+    is unique, so the certificate does not depend on this representation.
     """
     if not m.is_symmetric():
         raise ValueError("ldl_psd_certificate requires a symmetric matrix")
     n = m._rows
     a = [list(r) for r in m._num]
     den = list(m._den)
-    # Pairs (u, v) with L[r][i] = u / v for the steps i < r done; the rest of L is 0 and its diagonal 1.
-    lower: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     perm = list(range(n))
     d: list[Fraction] = []
     for i in range(n):
@@ -880,7 +882,7 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
         p = i
         for j in range(i, n):
             if a[j][j] < 0:
-                return _refuted(m, lower, perm, {j: ONE})
+                return _refuted(m, perm[:i], {perm[j]: ONE})
             if a[j][j] * den[p] > a[p][p] * den[j]:
                 p = j
         if not a[p][p]:
@@ -889,52 +891,43 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
             off = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if a[r][c] != 0), None)
             if off is not None:
                 r, c = off
-                return _refuted(m, lower, perm, {r: ONE, c: -ONE if a[r][c] > 0 else ONE})
+                return _refuted(m, perm[:i], {perm[r]: ONE, perm[c]: -ONE if a[r][c] > 0 else ONE})
+            # The Schur block is zero: a unit pivot makes column j of L e_j.
+            for j in range(i, n):
+                a[j][j] = 1
             d.extend([ZERO] * (n - i))
             break
         if p != i:
             a[i], a[p] = a[p], a[i]
             den[i], den[p] = den[p], den[i]
-            for row in a[i:]:
+            for row in a:
                 row[i], row[p] = row[p], row[i]
             perm[i], perm[p] = perm[p], perm[i]
-            lower[i], lower[p] = lower[p], lower[i]
-        piv = a[i][i]
-        d.append(Fraction(piv, den[i]))
-        for r in range(i + 1, n):
-            lower[r].append((a[r][i] * den[i], den[r] * piv))
+        d.append(Fraction(a[i][i], den[i]))
         _schur_update(a, den, i)
-    cols = []
-    for i in range(n):
-        # Column i over the lcm of its entries' denominators; past the steps
-        # done (a zero Schur block) it is the unit vector e_i.
-        pairs = [lower[r][i] if i < len(lower[r]) else (0, 1) for r in range(i + 1, n)]
-        common = lcm(*[v for _, v in pairs])
-        cols.append(_norm([0] * i + [common] + [u * (common // v) for u, v in pairs], common))
+    cols = [_norm([0] * i + a[i][i:], a[i][i]) for i in range(n)]
     cert = PsdCertificate(tuple(perm), _from_rows(n, cols), tuple(d))
     if not cert.verify(m):
         raise CrossCheckError("LDL^T factorization does not reproduce the matrix")
     return PsdResult(cert, None)
 
 
-def _refuted(m: Mat, lower: list[list[tuple[int, int]]], perm: list[int], support: dict[int, Fraction]) -> PsdResult:
-    """The refutation from the vector of the Schur block with the entries
-    ``support``, back-substituted, once its quadratic value is negative."""
-    v = [ZERO] * m._rows
+def _refuted(m: Mat, pivots: list[int], support: dict[int, Fraction]) -> PsdResult:
+    """The refutation from the vector s of the Schur block with the entries
+    ``support`` (indices of m), once its quadratic value is negative.
+
+    With P the ``pivots`` taken and S the rest, the witness is s on S and
+    -A[P,P]^-1 A[P,S] s on P, from one ``solve``: A[P,P] is positive
+    definite by those steps, and the value of the witness is s^T (A/A[P,P])
+    s, that of s in the Schur complement.
+    """
+    witness = [ZERO] * m._rows
     for j, x in support.items():
-        v[j] = x
-    witness = _back_substitute(lower, perm, v)
+        witness[j] = x
+    if pivots:
+        x = solve(m.take(pivots, pivots), m.take(pivots, list(support)))
+        for k, r in enumerate(pivots):
+            witness[r] = -sum(map(mul, x.row(k), support.values()))
     if sum(map(mul, m.mul_vec(witness), witness)) >= 0:
         raise CrossCheckError("LDL^T counterexample does not have a negative quadratic value")
-    return PsdResult(None, witness)
-
-
-def _back_substitute(lower: list[list[tuple[int, int]]], perm: list[int], v: list[Fraction]) -> Vec:
-    """Undo a partial LDL^T elimination for a vector ``v`` supported in the
-    Schur block: the unit upper-triangular solve L^T w = v, with L[r][i] =
-    x / y for the pairs (x, y) in ``lower[r]``, then the permutation."""
-    w = list(v)
-    for j in range(len(w) - 1, -1, -1):
-        for i, (x, y) in enumerate(lower[j]):
-            w[i] -= w[j] * x / y
-    return tuple(w[perm.index(j)] for j in range(len(w)))
+    return PsdResult(None, tuple(witness))

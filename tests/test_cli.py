@@ -390,6 +390,30 @@ def test_output_past_the_int_digit_limit_exits_1(tmp_path, capsys, command, refu
     assert not out.exists()
 
 
+def wide_witness_relation_json() -> str:
+    """A 2-dimensional relation on the standard space that is not bounded
+    below by 0: the LDL^T pivot of its form is d, and the entry -b/d of
+    the counterexample has 6,999 digits."""
+    a, d, b = "1/" + "3" * 3001, "1/" + "3" * 3000, "7" * 4000 + "/11"
+    space = {"dim": 2}
+    return json.dumps({"from": space, "to": space, "graph_basis": [["1", "0", a, b], ["0", "1", b, d]]})
+
+
+@pytest.mark.parametrize("command", [["extend", "WIDE", "--kind", "friedrichs"], ["check", "WIDE"]], ids=["extend", "check"])
+def test_a_counterexample_past_the_int_digit_limit_keeps_exit_4(tmp_path, capsys, command):
+    # The refusal to print the witness stands in for it: a failed bound
+    # still exits 4, with no traceback and nothing on stdout.
+    wide = tmp_path / "wide.json"
+    wide.write_text(wide_witness_relation_json())
+    argv = [str(wide) if arg == "WIDE" else arg for arg in command]
+    assert main([*argv, "--c", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    shown = [line for line in captured.err.splitlines() if line.startswith("counterexample:")]
+    assert shown == [f"counterexample: cannot print a vector: an integer of 6999 digits, past Python's limit of {sys.get_int_max_str_digits()}"]
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -55,6 +55,7 @@ from relcalc.serialize import parse_relation, vector_witness, write_relation
 from relcalc.spaces import extending, standard_space, zero_subspace
 
 from relation_builders import e1, e2, full_subspace, operator_relation, scale
+from test_cli import EXTEND_SHA256
 
 Q2 = standard_space(2)
 Q4 = standard_space(4)
@@ -321,12 +322,12 @@ def test_run_one_starts_a_fresh_cache_scope():
     assert _memo_sizes() == after_both
 
 
-# Runs ``run_one`` on the first seed-0 specs and ``verify_all`` on E1 with
-# every memo caching nothing: ``functools.lru_cache``, which ``linalg.memo``
-# wraps, is replaced before ``relcalc`` is imported, and ``spaces.interned``
-# shares no basis.  The values cached on a relation by ``cached_property``
-# (``halves``, ``wf``, ``wg``, ``pairing``) are not memos and stay.
-MEMO_OFF_RUN = """
+# Every memo caches nothing in these runs: ``functools.lru_cache``, which
+# ``linalg.memo`` wraps, is replaced before ``relcalc`` is imported, and
+# ``spaces.interned`` shares no basis.  The values cached on a relation by
+# ``cached_property`` (``halves``, ``wf``, ``wg``, ``pairing``) are not
+# memos and stay.
+MEMO_OFF = """
 import collections, functools, json, sys
 
 CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -346,31 +347,64 @@ def lru_cache(maxsize=128, typed=False):
 
 
 functools.lru_cache = lru_cache
-from relcalc import harness, linalg, spaces
+from relcalc import cli, harness, linalg, spaces
 from relation_builders import e1
 
 spaces.interned = lambda m: m
 if linalg.rref.cache_info() != CacheInfo(0, 0, 0, 0):
     sys.exit("the memos still cache")
+"""
+# Runs ``run_one`` on the first seed-0 specs and ``verify_all`` on E1.
+MEMO_OFF_RUN = MEMO_OFF + """
 reports = [repr(harness.run_one(spec)) for spec in harness.suite_specs(int(sys.argv[1]), (2, 6), 0)]
 reports.append(repr(harness.verify_all(e1(), 0, 3)))
 json.dump(reports, sys.stdout)
 """
 MEMO_OFF_SPECS = 5
+# Runs ``extend FILE --kind KIND --format json`` per kind and prints the
+# sha256 of each stdout.
+MEMO_OFF_EXTEND = MEMO_OFF + """
+import contextlib, hashlib, io
+
+digests = {}
+for kind in sys.argv[2:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["extend", sys.argv[1], "--kind", kind, "--format", "json"])
+    digests[kind] = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+json.dump(digests, sys.stdout)
+"""
+MEMO_OFF_EXTEND_FILE = (12, 1, 7, 0)  # (dim, mul, restrict, seed) of an EXTEND_SHA256 file
+
+
+def _memo_off(script: str, *args: str) -> object:
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])}
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
 
 
 def test_memos_change_no_report():
     # A memo key that merges two unequal calls, a memo on a function of
     # hidden state or a wrong Mat hash would make a cached run report what
     # an uncached one does not.
-    tests = os.path.dirname(os.path.abspath(__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])}
-    run = subprocess.run([sys.executable, "-c", MEMO_OFF_RUN, str(MEMO_OFF_SPECS)], env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+    uncached = _memo_off(MEMO_OFF_RUN, str(MEMO_OFF_SPECS))
     cached = [repr(run_one(spec)) for spec in suite_specs(MEMO_OFF_SPECS, (2, 6), 0)]
     clear_memos()
     cached.append(repr(verify_all(e1(), 0, 3)))
-    assert json.loads(run.stdout) == cached
+    assert uncached == cached
+
+
+def test_memos_change_no_extension(tmp_path, capsys):
+    # The same for ``extend``: with no memo, each kind prints the bytes
+    # pinned for the cached run.
+    dim, mul, restrict, seed = MEMO_OFF_EXTEND_FILE
+    path = str(tmp_path / "r.json")
+    assert main(["random", "--dim", str(dim), "--mul", str(mul), "--restrict", str(restrict), "--seed", str(seed), "-o", path]) == 0
+    capsys.readouterr()
+    pins = EXTEND_SHA256[MEMO_OFF_EXTEND_FILE]
+    assert _memo_off(MEMO_OFF_EXTEND, path, *pins) == {kind: [0, stdout_pin] for kind, (stdout_pin, _) in pins.items()}
 
 
 def test_generator_cross_check_is_not_an_assert(monkeypatch):

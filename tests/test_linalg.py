@@ -140,11 +140,70 @@ def test_ldl_certificate_mismatch_is_a_cross_check_error(monkeypatch):
 
 
 def test_ldl_unchecked_counterexample_is_a_cross_check_error(monkeypatch):
-    # A zero vector has quadratic value 0: it refutes nothing.
-    monkeypatch.setattr(linalg, "_back_substitute", lambda lower, perm, v: tuple(Fraction(0) for _ in v))
+    # [[1, 2], [2, 1]] refutes after one pivot, at its Schur diagonal -3:
+    # its witness is (-2, 1), the -2 from one solve.  A zero solution
+    # plants (0, 1), of quadratic value 1: it refutes nothing.
+    monkeypatch.setattr(linalg, "solve", lambda a, b: zeros(a.cols, b.cols))
+    clear_memos()
+    with pytest.raises(CrossCheckError):
+        ldl_psd_certificate(mat([[1, 2], [2, 1]]))
+    # At step 0 no solve runs: the witness of [[0, 1], [1, 0]] is its
+    # support (1, -1).  A zero quadratic value refutes nothing.
+    monkeypatch.setattr(linalg, "solve", None)
+    monkeypatch.setattr(linalg.Mat, "mul_vec", lambda self, x: tuple(Fraction(0) for _ in x))
     clear_memos()
     with pytest.raises(CrossCheckError):
         ldl_psd_certificate(mat([[0, 1], [1, 0]]))
+
+
+def _fraction_solve(a, b):
+    """x with a x = b for a nonsingular square list matrix a, by
+    Gauss-Jordan elimination on Fractions."""
+    n = len(a)
+    rows = [[Fraction(x) for x in r] + [Fraction(y)] for r, y in zip(a, b)]
+    for i in range(n):
+        p = next(r for r in range(i, n) if rows[r][i])
+        rows[i], rows[p] = rows[p], rows[i]
+        rows[i] = [x / rows[i][i] for x in rows[i]]
+        for r in range(n):
+            if r != i and rows[r][i]:
+                rows[r] = [x - rows[r][i] * y for x, y in zip(rows[r], rows[i])]
+    return [r[n] for r in rows]
+
+
+@pytest.mark.parametrize(
+    "m, pivots, support",
+    [
+        # A negative Schur diagonal entry, after 0, 1, 2 and 3 pivots.
+        ([[1, 0], [0, -1]], [], {1: 1}),
+        ([[1, 2], [2, 1]], [0], {1: 1}),
+        ([[4, -2, 2], [-2, 1, 1], [2, 1, 6]], [2, 0], {1: 1}),
+        ([[5, -1, 0, -1], [-1, 6, 5, 3], [0, 5, 5, -3], [-1, 3, -3, 5]], [1, 0, 3], {2: 1}),
+        # A zero Schur diagonal with a nonzero off-diagonal entry, after 0,
+        # 1 and 2 pivots.
+        ([[0, 1], [1, 0]], [], {0: 1, 1: -1}),
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], [0], {1: 1, 2: -1}),
+        ([[1, -3, 0, 2], [-3, 1, 0, 2], [0, 0, 1, 0], [2, 2, 0, 4]], [3, 2], {0: 1, 1: 1}),
+    ],
+)
+def test_ldl_witness_is_the_schur_complement_vector(m, pivots, support):
+    # With P the pivots taken, listed in the order the rule takes them
+    # ([2, 0], [1, 0, 3] and [3, 2] are not the index order), and S the
+    # rest, the witness is the Schur block vector s on S and
+    # -A[P,P]^-1 A[P,S] s on P.
+    n = len(m)
+    rest = [j for j in range(n) if j not in pivots]
+    s = [Fraction(support.get(j, 0)) for j in rest]
+    lifted = _fraction_solve([[m[p][q] for q in pivots] for p in pivots], [sum(m[p][j] * x for j, x in zip(rest, s)) for p in pivots])
+    expected = [Fraction(0)] * n
+    for j, x in zip(rest, s):
+        expected[j] = x
+    for p, x in zip(pivots, lifted):
+        expected[p] = -x
+    res = ldl_psd_certificate(mat(m))
+    assert not res.ok
+    assert res.witness == tuple(expected)
+    assert quadratic_value(mat(m), res.witness) < 0
 
 
 def test_ldl_rejects_nonsymmetric():

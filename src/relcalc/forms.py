@@ -126,9 +126,10 @@ def restrict_form(t: QuadraticForm, sub: Subspace) -> QuadraticForm:
 
 @memo
 def shifted_matrix(t: QuadraticForm, c) -> Mat:
-    """M - cG: the matrix of t - c (.,.) in the domain basis, and M itself,
+    """M - cG: the matrix of t - c (.,.) in the domain basis, from one pass
+    over the rows of M and G (``Mat.scale`` with ``plus``), and M itself,
     not a copy, at c = 0."""
-    return t.matrix - t.domain_gram.scale(c) if c else t.matrix
+    return t.domain_gram.scale(-rat(c), t.matrix) if c else t.matrix
 
 
 _shifted_matrix_body = shifted_matrix.__wrapped__  # taken once, as ``spaces._rref_body`` is

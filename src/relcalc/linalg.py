@@ -17,8 +17,9 @@ forms no transpose.  A nullspace comes in one form: ``kernel`` (and
 ``pairing_null_space(L, R)``, for the pairing rows [L | -R]) gives its
 canonical basis, the reduced echelon rows, from one elimination, and a
 linear system has one door, ``solve(a, b)``: some X with a X = b from one
-``rref`` of [a | b], so A^-1 B reads ``solve(A, B)``, and so does the
-lift of an LDL^T refutation out of its Schur block.  ``echelon_coords``
+``rref`` of [a | b], so A^-1 B reads ``solve(A, B)``; the lift of an
+LDL^T refutation out of its Schur block is one ``solve`` too, on the
+pivot rows the elimination has already reduced.  ``echelon_coords``
 reads coordinates off reduced echelon rows, so membership in a canonical
 basis needs no elimination, and ``nonzero_rows`` counts the rows of an
 echelon matrix before its zero rows, so a basis already in reduced echelon
@@ -33,7 +34,9 @@ class with one ``__init__``, its shape in the slots ``_rows`` and
 sums, scaling, transposes, submatrices (a step-1 ``range`` of columns is
 a slice of each row) and stacking build their rows from ints with one gcd
 reduction per row, but ``scale(±1)`` and a column permutation in ``take``
-keep each row's denominator.  Eliminations run on the stored rows.  ``det`` and
+keep each row's denominator.  ``b.scale(c, a)`` is a + c b in the one pass
+of a sum, which is ``a + b`` at c = 1 and ``a - b`` at c = -1.
+Eliminations run on the stored rows.  ``det`` and
 ``ldl_psd_certificate`` reduce a row by a gcd after each update.  ``rref``,
 ``kernel`` and ``zassenhaus`` share ``_eliminate``, which eliminates
 forward below each pivot, pivoting on the row with the least |entry| in
@@ -51,7 +54,8 @@ P^T M P in integers, so every partial row of a valid certificate is a
 Schur-complement row; it forms no product matrix.  A
 ``fractions.Fraction`` leaves a ``Mat`` only through ``[i, j]``, ``row``,
 ``row_dots`` and ``mul_vec``; ``to_strings`` prints entries without one,
-``mat`` converts the other way, and ``ratio_mat`` takes int pairs (p, q).
+``mat`` converts the other way, and ``ratio_mat`` takes int pairs (p, q),
+as the file reader and the harness's random draws give them.
 
 Only this module knows how a ``Mat`` is stored, and reads its slots
 directly.  Every other module builds matrices with ``mat``,
@@ -104,7 +108,6 @@ Vec = tuple[Fraction, ...]
 IntRow = tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 _MEMOS: list = []  # every ``memo`` cache, for ``clear_memos``
 
 
@@ -240,14 +243,18 @@ class Mat:
         return _from_rows(self._rows, [_norm(c, common) for c in zip(*_over(self, common))])
 
     def __add__(self, other: "Mat") -> "Mat":
-        return _add(self, other, 1)
+        return _add(self, other, 1, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return _add(self, other, -1)
+        return _add(self, other, -1, 1)
 
-    def scale(self, a: int | str | Fraction) -> "Mat":
+    def scale(self, a: int | str | Fraction, plus: "Mat | None" = None) -> "Mat":
+        """a times this matrix, and ``plus + a self`` when ``plus`` is given:
+        one pass over the rows with one gcd each, as ``+`` and ``-`` are."""
         a = rat(a)
         p, q = a.numerator, a.denominator
+        if plus is not None:
+            return _add(plus, self, p, q)
         if not p:
             return zeros(self._rows, self._cols)
         if q == 1 and p in (1, -1):
@@ -345,12 +352,15 @@ def _dots(a: Mat, cols: Sequence[Sequence[int]], common: int) -> Mat:
     return _from_rows(len(cols), [_norm([sum(map(mul, r, c)) for c in cols], d * common) for r, d in zip(a._num, a._den)])
 
 
-def _add(a: Mat, b: Mat, sign: int) -> Mat:
+def _add(a: Mat, b: Mat, p: int, q: int) -> Mat:
+    """a + (p / q) b, q > 0: each row over the lcm of its two denominators,
+    reduced once."""
     _same_shape(a, b)
     rows = []
     for ra, da, rb, db in zip(a._num, a._den, b._num, b._den):
+        db *= q
         g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
+        fa, fb = db // g, p * (da // g)
         rows.append(_norm([x * fa + y * fb for x, y in zip(ra, rb)], da * fa))
     return _from_rows(a._cols, rows)
 
@@ -847,8 +857,9 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
 
     Before each step a negative remaining diagonal entry of the Schur
     complement refutes at once: its unit vector e_j, lifted out of the
-    Schur block by ``_refuted``, gives v with v^T M v < 0.  Otherwise the
-    largest remaining diagonal entry is the pivot (the first one on ties).
+    Schur block by ``_refuted`` through the pivot rows already taken,
+    gives v with v^T M v < 0.  Otherwise the largest remaining diagonal
+    entry is the pivot (the first one on ties).
     When all remaining diagonal entries are zero the remaining block must
     be zero too, otherwise the matrix is indefinite and a nonzero
     off-diagonal entry gives the witness the same way.  A PSD matrix never
@@ -882,7 +893,7 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
         p = i
         for j in range(i, n):
             if a[j][j] < 0:
-                return _refuted(m, perm[:i], {perm[j]: ONE})
+                return _refuted(m, a, perm, i, {j: 1})
             if a[j][j] * den[p] > a[p][p] * den[j]:
                 p = j
         if not a[p][p]:
@@ -891,7 +902,7 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
             off = next(((r, c) for r in range(i, n) for c in range(r + 1, n) if a[r][c] != 0), None)
             if off is not None:
                 r, c = off
-                return _refuted(m, perm[:i], {perm[r]: ONE, perm[c]: -ONE if a[r][c] > 0 else ONE})
+                return _refuted(m, a, perm, i, {r: 1, c: -1 if a[r][c] > 0 else 1})
             # The Schur block is zero: a unit pivot makes column j of L e_j.
             for j in range(i, n):
                 a[j][j] = 1
@@ -912,22 +923,29 @@ def ldl_psd_certificate(m: Mat) -> PsdResult:
     return PsdResult(cert, None)
 
 
-def _refuted(m: Mat, pivots: list[int], support: dict[int, Fraction]) -> PsdResult:
+def _refuted(m: Mat, a: list[list[int]], perm: list[int], i: int, support: dict[int, int]) -> PsdResult:
     """The refutation from the vector s of the Schur block with the entries
-    ``support`` (indices of m), once its quadratic value is negative.
+    ``support`` (positions >= i of the pivot order ``perm``), once its
+    quadratic value is negative.
 
-    With P the ``pivots`` taken and S the rest, the witness is s on S and
-    -A[P,P]^-1 A[P,S] s on P, from one ``solve``: A[P,P] is positive
-    definite by those steps, and the value of the witness is s^T (A/A[P,P])
-    s, that of s in the Schur complement.
+    With P the i pivots taken and S the rest, the witness is s on S and
+    -A[P,P]^-1 A[P,S] s on P: A[P,P] is positive definite by those steps,
+    and the value of the witness is s^T (A/A[P,P]) s, that of s in the
+    Schur complement.  The pivot rows ``a[0..i-1]``, each a Schur row times
+    its denominator, give A[P,P] = L U and A[P,S] = L U_S, with U their
+    entries a[k][c], k <= c < i, and U_S theirs at S, so the lift is
+    -U^-1 U_S s: one ``solve`` of a triangular system in integers, with
+    nothing to eliminate forward.
     """
     witness = [ZERO] * m._rows
     for j, x in support.items():
-        witness[j] = x
-    if pivots:
-        x = solve(m.take(pivots, pivots), m.take(pivots, list(support)))
-        for k, r in enumerate(pivots):
-            witness[r] = -sum(map(mul, x.row(k), support.values()))
+        witness[perm[j]] = Fraction(x)
+    if i:
+        upper = _from_rows(i, [(tuple([0] * k + a[k][k:i]), 1) for k in range(i)])
+        rhs = _from_rows(1, [((-sum([a[k][j] * x for j, x in support.items()]),), 1) for k in range(i)])
+        x = solve(upper, rhs)
+        for k in range(i):
+            witness[perm[k]] = x[k, 0]
     if sum(map(mul, m.mul_vec(witness), witness)) >= 0:
         raise CrossCheckError("LDL^T counterexample does not have a negative quadratic value")
     return PsdResult(None, tuple(witness))

@@ -7,13 +7,17 @@ no certified bracket.  Writing is canonical (sorted keys, two-space indent,
 trailing newline), so reading a canonical file and writing it back is
 byte-identical.
 
-Reading takes the spellings that writing produces, "-?d+" and "-?d+/d+"
-in ASCII digits with a nonzero denominator, straight through ``int``;
-every other string goes to ``Fraction(str)``, so the inputs accepted and
-the error messages are those of ``Fraction``.  A relation whose "to"
-space is the same JSON as its "from" space gets the one parsed space for
-both.  Any input the parsers refuse, malformed JSON included, is a
-``ParseError``.
+Reading turns every entry into an int pair (p, q), q > 0: the spellings
+that writing produces, "-?d+" and "-?d+/d+" in ASCII digits with a
+nonzero denominator, straight through ``int``, and every other string
+through ``Fraction(str)``, so the inputs accepted and the error messages
+are those of ``Fraction``.  A Gram or a graph basis is built from its
+pairs by ``ratio_mat``, each row reduced once, so reading a written file
+makes no ``Fraction``.  Every entry is parsed before the row lengths are
+checked, so a bad entry is reported before a row of the wrong length.  A
+relation whose "to" space is the same JSON as its "from" space gets the
+one parsed space for both.  Any input the parsers refuse, malformed JSON
+included, is a ``ParseError``.
 
 Python prints no int past ``sys.get_int_max_str_digits()`` digits; on
 output that refusal is a ``RelcalcError`` naming what was printed and the
@@ -30,9 +34,9 @@ from itertools import count
 from typing import Any
 
 from .errors import ParseError, RelcalcError
-from .linalg import Mat, Vec, identity, mat, vec
+from .linalg import Mat, Vec, identity, ratio_mat
 from .relations import LinearRelation
-from .spaces import InnerProductSpace, Subspace, product_space, span, standard_space
+from .spaces import InnerProductSpace, Subspace, product_space, span_mat, standard_space
 
 # Largest space dimension a relation file or a command-line option may ask
 # for.  Exact elimination is cubic in the dimension, with growing integers,
@@ -65,9 +69,14 @@ def _unprintable(what: str, values: list[Fraction]) -> RelcalcError:
 
 
 def parse_rational(s: Any, field: str) -> Fraction:
+    return Fraction(*_rational_pair(s, field))
+
+
+def _rational_pair(s: Any, field: str) -> tuple[int, int]:
+    """Ints (p, q), q > 0, with p / q the rational that ``s`` spells."""
     # JSON true/false arrive as bools, which are ints to isinstance.
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return s, 1
     if not isinstance(s, str):
         raise ParseError(f"{field}: expected a rational string, got {type(s).__name__}")
     canonical = _CANONICAL.fullmatch(s)
@@ -78,27 +87,22 @@ def parse_rational(s: Any, field: str) -> Fraction:
             pass  # past the int digit limit: Fraction(s) raises it below
         else:
             if den:
-                return Fraction(num, den)
+                return num, den
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{field}: invalid rational {s!r} ({exc})") from None
+    return x.numerator, x.denominator
+
+
+def _pair_row(data: Any, field: str) -> list[tuple[int, int]]:
+    if not isinstance(data, list):
+        raise ParseError(f"{field}: expected a list of rationals")
+    return [_rational_pair(x, f"{field}[{i}]") for i, x in enumerate(data)]
 
 
 def vector_to_json(v: Vec) -> list[str]:
     return [rational_to_str(x, "a vector") for x in v]
-
-
-def parse_vector(data: Any, field: str) -> Vec:
-    if not isinstance(data, list):
-        raise ParseError(f"{field}: expected a list of rationals")
-    return vec([parse_rational(x, f"{field}[{i}]") for i, x in enumerate(data)])
-
-
-def parse_vectors(data: Any, field: str) -> list[Vec]:
-    if not isinstance(data, list):
-        raise ParseError(f"{field}: expected a list of vectors")
-    return [parse_vector(v, f"{field}[{i}]") for i, v in enumerate(data)]
 
 
 def matrix_to_json(m: Mat, what: str = "a matrix") -> list[list[str]]:
@@ -111,10 +115,10 @@ def matrix_to_json(m: Mat, what: str = "a matrix") -> list[list[str]]:
 def parse_matrix(data: Any, field: str) -> Mat:
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError(f"{field}: expected a list of rows")
-    rows = [parse_vector(r, f"{field}[{i}]") for i, r in enumerate(data)]
+    rows = [_pair_row(r, f"{field}[{i}]") for i, r in enumerate(data)]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ParseError(f"{field}: ragged rows")
-    return mat(rows)
+    return ratio_mat(len(rows[0]) if rows else 0, rows)
 
 # ------------------------------------------------------------------- spaces
 
@@ -166,13 +170,14 @@ def parse_relation(data: Any, field: str = "relation") -> LinearRelation:
             raise ParseError(f"{field}.{key}: missing")
     src = parse_space(data["from"], f"{field}.from")
     dst = src if _same_json(data["to"], data["from"]) else parse_space(data["to"], f"{field}.to")
-    vecs = parse_vectors(data["graph_basis"], f"{field}.graph_basis")
-    for i, v in enumerate(vecs):
-        if len(v) != src.dim + dst.dim:
-            raise ParseError(
-                f"{field}.graph_basis[{i}]: wrong length, expected {src.dim + dst.dim}"
-            )
-    return LinearRelation(src, dst, span(product_space(src, dst), vecs))
+    basis, n = data["graph_basis"], src.dim + dst.dim
+    if not isinstance(basis, list):
+        raise ParseError(f"{field}.graph_basis: expected a list of vectors")
+    rows = [_pair_row(v, f"{field}.graph_basis[{i}]") for i, v in enumerate(basis)]
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise ParseError(f"{field}.graph_basis[{i}]: wrong length, expected {n}")
+    return LinearRelation(src, dst, span_mat(product_space(src, dst), ratio_mat(n, rows)))
 
 
 def _same_json(a: Any, b: Any) -> bool:

@@ -90,6 +90,19 @@ def test_the_shift_by_zero_is_the_form_matrix_itself():
     assert shifted_matrix(t, 1) == mat([[2]])  # 4 - 1 * (1, 1).(1, 1)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_fused_shift_is_the_matrix_minus_the_scaled_gram(seed):
+    # shifted_matrix forms M - cG in one pass over the rows; it must be the
+    # two-pass M - (cG), on weighted domain Grams, at an int, a negative
+    # and a 256-bit-denominator c, and M itself at c = 0.
+    s, c = random_semibounded(InstanceSpec(seed=seed, dim=6, mul_dim=1, restrict_dim=4))
+    t = form_of_relation(s)
+    assert t.domain_gram != identity(t.domain.dim)
+    for shift_by in (3, -7, c, -c, Fraction(2**255 + 1, 3 * 2**256), Fraction(-(3**160), 2**256 - 189)):
+        assert shifted_matrix(t, shift_by) == t.matrix - t.domain_gram.scale(shift_by)
+    assert shifted_matrix(t, 0) is t.matrix
+
+
 def test_bound_bisect_e1():
     t = form_of_relation(e1())
     interval = bound_bisect(t, Fraction(1, 8))

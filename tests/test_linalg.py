@@ -9,6 +9,8 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +206,67 @@ def test_ldl_witness_is_the_schur_complement_vector(m, pivots, support):
     assert not res.ok
     assert res.witness == tuple(expected)
     assert quadratic_value(mat(m), res.witness) < 0
+
+
+@st.composite
+def refuted_inputs(draw):
+    """P^T (L B L^T) P for a unit lower triangular L, a permutation P and
+    B = diag(d_1, ..., d_k) (+) C, every d_i > 0 and C symmetric but not
+    PSD: a small negative corner, or a zero diagonal with a nonzero entry
+    off it and L the identity on C, so that C can be the whole Schur
+    block.  Indefinite by Sylvester's law of inertia, so the elimination
+    refutes, after as many pivots as its rule takes, in an order that is
+    seldom the index order."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    zero_diagonal = n - k >= 2 and draw(st.booleans())
+    c = [[Fraction(0)] * (n - k) for _ in range(n - k)]
+    for i in range(n - k):
+        for j in range(i + 1, n - k):
+            c[i][j] = c[j][i] = draw(rationals)
+    if zero_diagonal:
+        c[0][1] = c[1][0] = draw(rationals.filter(bool))
+    else:
+        c[0][0] = -Fraction(1, draw(st.integers(min_value=1, max_value=9)))
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(k):
+        b[i][i] = Fraction(draw(st.integers(min_value=1, max_value=9)))
+    for i in range(n - k):
+        b[k + i][k:] = c[i]
+    small = st.sampled_from([Fraction(p, q) for p in (-1, 1) for q in (1, 2, 3)])
+    mixed = [[j < i and (j < k or not zero_diagonal) for j in range(n)] for i in range(n)]
+    lower = mat([[draw(small) if mixed[i][j] else Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+    perm = draw(st.permutations(range(n)))
+    return (lower @ mat(b)).mul_t(lower).take(perm, perm)
+
+
+@given(refuted_inputs())
+@settings(max_examples=200, deadline=None)
+def test_ldl_witness_is_the_parent_solve_on_every_refutation(m):
+    # The witness is read off the pivot rows; the lift it must equal is
+    # -A[P,P]^-1 A[P,S] s from one solve of A[P,P] itself, P the pivots
+    # taken (indices of m), S the rest and s the Schur block vector.
+    seen = []
+    real = linalg._refuted
+
+    def spy(m, a, perm, i, support):
+        seen.append((perm[:i], {perm[j]: Fraction(x) for j, x in support.items()}))
+        return real(m, a, perm, i, support)
+
+    clear_memos()
+    with patch.object(linalg, "_refuted", spy):
+        res = ldl_psd_certificate(m)
+    assert not res.ok and len(seen) == 1
+    pivots, support = seen[0]
+    expected = [Fraction(0)] * m.rows
+    for j, x in support.items():
+        expected[j] = x
+    if pivots:
+        x = solve(m.take(pivots, pivots), m.take(pivots, list(support)))
+        for k, r in enumerate(pivots):
+            expected[r] = -sum(map(mul, x.row(k), support.values()))
+    assert res.witness == tuple(expected)
+    assert quadratic_value(m, res.witness) < 0
 
 
 def test_ldl_rejects_nonsymmetric():
@@ -503,8 +566,10 @@ def test_mat_algebra_matches_fraction_lists(data):
     assert_is(ma.mul_t(build(bt, k)), ref_matmul(a, ref_transpose(bt, k), k, p), p)
     assert_is(ma + ma2, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
     assert_is(ma - ma2, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
-    for factor in (ZERO, Fraction(1), Fraction(-1), data.draw(entries)):
+    for factor in (ZERO, Fraction(1), Fraction(-1), data.draw(entries), Fraction(data.draw(st.integers(-(2**300), 2**300)), 2**256 - 189)):
         assert_is(ma.scale(factor), [[factor * x for x in r] for r in a], k)
+        # b.scale(c, a) is a + c b in one pass, as a + b and a - b are.
+        assert_is(ma2.scale(factor, ma), [[x + factor * y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)], k)
     assert_is(ma.T, ref_transpose(a, k), n)
     picked_rows = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4)) if n else []
     picked_cols = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=4)) if k else []
